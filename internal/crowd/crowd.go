@@ -267,7 +267,11 @@ func (p *Pool) prepareAnswersLocked(s *stripe, w *worker, h *hit.HIT, abandon bo
 		}
 	}
 	acc := p.effectiveAccuracy(w, effortOf(h))
-	var plans []answerPlan
+	n := len(h.Items)
+	if h.Response.Kind == qlang.ResponseJoinColumns {
+		n = len(h.Left) * len(h.Right)
+	}
+	plans := make([]answerPlan, 0, n)
 	addPlan := func(key, task string, args []relation.Value) {
 		correct := !w.spammer && s.rng.Float64() < acc
 		plans = append(plans, answerPlan{key: key, task: task, args: args, correct: correct,

@@ -30,6 +30,17 @@
 // Closing the root propagates Close upstream, so LIMIT and cancellation
 // stop scans and upstream producers early instead of draining them.
 //
+// # Call-site binding
+//
+// A human operator binds its expressions' task calls once, when it
+// starts (bindCalls): the distinct invocations in first-appearance order
+// with their task definitions, and a map from every call node to its
+// invocation's slot. Field projections of one call share a slot. Per
+// tuple, the operator evaluates all call arguments into one block before
+// submitting anything, submits one request per slot, and gathers the
+// answers into a slot-indexed []relation.Value that eval reads; no call
+// is printed or its arguments encoded per tuple just to dedupe it.
+//
 // # Plan caching
 //
 // The executor itself is stateless across queries; plan reuse lives in

@@ -7,112 +7,192 @@ package exec
 
 import (
 	"fmt"
-	"strings"
+	"sync"
 
 	"repro/internal/qlang"
 	"repro/internal/relation"
+	"repro/internal/taskmgr"
 )
 
-// CallKey canonically identifies a call site for result substitution;
-// field projections share the underlying invocation (the paper runs
-// findCEO once per company even though Query 1 mentions it twice).
-func CallKey(c *qlang.Call, t relation.Tuple) (string, error) {
-	args, err := evalArgs(c, t, nil)
-	if err != nil {
-		return "", err
-	}
-	var b []byte
-	b = append(b, strings.ToLower(c.Name)...)
-	b = append(b, '(')
-	for _, a := range args {
-		b = a.Encode(b)
-	}
-	b = append(b, ')')
-	return string(b), nil
+// callSite is one distinct human invocation among an operator's
+// expressions. Field projections of one call share it: the paper runs
+// findCEO once per company even though Query 1 mentions it twice.
+type callSite struct {
+	call *qlang.Call // first appearance
+	def  *qlang.TaskDef
+	off  int // offset of the site's arguments in a tuple's argument block
 }
 
-// evalArgs evaluates a call's arguments locally (call arguments may not
-// themselves contain human calls).
-func evalArgs(c *qlang.Call, t relation.Tuple, calls map[string]relation.Value) ([]relation.Value, error) {
-	args := make([]relation.Value, len(c.Args))
-	for i, a := range c.Args {
-		v, err := Eval(a, t, calls)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = v
+// binding is an operator's human call sites, bound once when the
+// operator starts: the distinct invocations in first-appearance order
+// and, for every call node, the slot of the invocation it reads. A tuple
+// resolves into a []relation.Value indexed by slot, and eval reads each
+// call node's value from there.
+type binding struct {
+	sites []callSite
+	slot  map[*qlang.Call]int
+	nargs int // arguments across all sites
+}
+
+// bindCalls binds the human task calls of exprs. Two call nodes share a
+// slot when they print the same without their field projection.
+func bindCalls(script *qlang.Script, exprs ...qlang.Expr) *binding {
+	b := &binding{slot: make(map[*qlang.Call]int)}
+	seen := make(map[string]int)
+	for _, e := range exprs {
+		walkCalls(e, script, func(c *qlang.Call, def *qlang.TaskDef) {
+			sig := (&qlang.Call{Name: c.Name, Args: c.Args}).String()
+			i, ok := seen[sig]
+			if !ok {
+				i = len(b.sites)
+				seen[sig] = i
+				b.sites = append(b.sites, callSite{call: c, def: def, off: b.nargs})
+				b.nargs += len(c.Args)
+			}
+			b.slot[c] = i
+		})
 	}
-	return args, nil
+	return b
+}
+
+// taskNames lists the distinct tasks the bindings call, for flushing
+// their partial batches once the operator's input ends.
+func taskNames(bs ...*binding) []string {
+	var names []string
+	seen := make(map[*qlang.TaskDef]bool)
+	for _, b := range bs {
+		for _, s := range b.sites {
+			if !seen[s.def] {
+				seen[s.def] = true
+				names = append(names, s.def.Name)
+			}
+		}
+	}
+	return names
+}
+
+// prepare evaluates every site's arguments for t and returns them in one
+// block, with an empty slot-indexed value slice. The two are allocated
+// apart because posted HITs keep their items' arguments for as long as
+// the marketplace retains them. Operators call prepare before their
+// first submission for the tuple, so an argument error posts and pays
+// for nothing.
+func (b *binding) prepare(t relation.Tuple) (args, vals []relation.Value, err error) {
+	args = make([]relation.Value, b.nargs)
+	for _, s := range b.sites {
+		for j, a := range s.call.Args {
+			v, err := Eval(a, t)
+			if err != nil {
+				return nil, nil, err
+			}
+			args[s.off+j] = v
+		}
+	}
+	return args, make([]relation.Value, len(b.sites)), nil
+}
+
+// gather collects one tuple's call outcomes into slot order and runs
+// then after the last one, with the first error if any failed.
+type gather struct {
+	mu        sync.Mutex
+	vals      []relation.Value
+	remaining int
+	err       error
+	then      func([]relation.Value, error)
+}
+
+// request builds the task request for site i of b, reporting into g.
+func (q *Query) request(op *operator, b *binding, i int, args []relation.Value, assignments int, g *gather) taskmgr.Request {
+	s := b.sites[i]
+	end := s.off + len(s.call.Args)
+	return taskmgr.Request{
+		Def:         s.def,
+		Args:        args[s.off:end:end],
+		Assignments: assignments,
+		Scope:       q.cfg.Scope,
+		Trace:       op.span,
+		Done: func(out taskmgr.Outcome) {
+			g.mu.Lock()
+			if out.Err != nil && g.err == nil {
+				g.err = out.Err
+			} else {
+				g.vals[i] = out.Value
+			}
+			g.remaining--
+			last, err := g.remaining == 0, g.err
+			g.mu.Unlock()
+			if last {
+				g.then(g.vals, err)
+			}
+		},
+	}
+}
+
+// walkCalls visits every human task call node of e in first-appearance
+// order. Aggregate functions are not tasks.
+func walkCalls(e qlang.Expr, script *qlang.Script, visit func(*qlang.Call, *qlang.TaskDef)) {
+	switch v := e.(type) {
+	case *qlang.Call:
+		if def, ok := script.Task(v.Name); ok {
+			visit(v, def)
+		}
+		for _, a := range v.Args {
+			walkCalls(a, script, visit)
+		}
+	case *qlang.Binary:
+		walkCalls(v.L, script, visit)
+		walkCalls(v.R, script, visit)
+	case *qlang.Unary:
+		walkCalls(v.X, script, visit)
+	}
 }
 
 // CollectCalls returns the distinct human task calls in an expression,
-// in first-appearance order. Aggregate functions are not tasks.
+// in first-appearance order.
 func CollectCalls(e qlang.Expr, script *qlang.Script) []*qlang.Call {
-	var out []*qlang.Call
-	seen := map[string]bool{}
-	var walk func(qlang.Expr)
-	walk = func(e qlang.Expr) {
-		switch v := e.(type) {
-		case *qlang.Call:
-			if _, ok := script.Task(v.Name); ok {
-				sig := v.String()
-				// Field projections share one invocation; key by the
-				// call without the field.
-				base := (&qlang.Call{Name: v.Name, Args: v.Args}).String()
-				_ = sig
-				if !seen[base] {
-					seen[base] = true
-					out = append(out, v)
-				}
-			}
-			for _, a := range v.Args {
-				walk(a)
-			}
-		case *qlang.Binary:
-			walk(v.L)
-			walk(v.R)
-		case *qlang.Unary:
-			walk(v.X)
-		}
+	b := bindCalls(script, e)
+	out := make([]*qlang.Call, len(b.sites))
+	for i, s := range b.sites {
+		out[i] = s.call
 	}
-	walk(e)
 	return out
 }
 
-// HasCalls reports whether an expression contains any human task call.
-func HasCalls(e qlang.Expr, script *qlang.Script) bool {
-	return len(CollectCalls(e, script)) > 0
+// Eval evaluates a call-free expression over a tuple.
+func Eval(e qlang.Expr, t relation.Tuple) (relation.Value, error) {
+	return eval(e, t, nil, nil)
 }
 
-// Eval evaluates an expression over a tuple. calls maps resolved human
-// invocations (keyed by CallKey) to their reduced values; a call missing
-// from the map is an error — the operator must resolve calls first.
-func Eval(e qlang.Expr, t relation.Tuple, calls map[string]relation.Value) (relation.Value, error) {
+// eval evaluates an expression over a tuple whose human calls resolved
+// into vals under binding b. A call without a slot is an error: the
+// operator must resolve calls first.
+func eval(e qlang.Expr, t relation.Tuple, b *binding, vals []relation.Value) (relation.Value, error) {
 	switch v := e.(type) {
 	case *qlang.Literal:
 		return v.Value, nil
 	case *qlang.ColumnRef:
-		if !t.Has(v.QualifiedName()) {
-			return relation.Null, fmt.Errorf("exec: unknown column %q in %v", v.QualifiedName(), t.Schema)
+		if t.Schema != nil {
+			if i, ok := t.Schema.Lookup(v.QualifiedName()); ok {
+				return t.Values[i], nil
+			}
 		}
-		return t.Get(v.QualifiedName()), nil
+		return relation.Null, fmt.Errorf("exec: unknown column %q in %v", v.QualifiedName(), t.Schema)
 	case *qlang.Call:
-		key, err := CallKey(v, t)
-		if err != nil {
-			return relation.Null, err
+		i, ok := 0, false
+		if b != nil {
+			i, ok = b.slot[v]
 		}
-		val, ok := calls[key]
 		if !ok {
 			return relation.Null, fmt.Errorf("exec: unresolved call %s", v)
 		}
 		if v.Field != "" {
-			return val.Field(v.Field), nil
+			return vals[i].Field(v.Field), nil
 		}
-		return val, nil
+		return vals[i], nil
 	case *qlang.Binary:
-		return evalBinary(v, t, calls)
+		return evalBinary(v, t, b, vals)
 	case *qlang.Unary:
-		x, err := Eval(v.X, t, calls)
+		x, err := eval(v.X, t, b, vals)
 		if err != nil {
 			return relation.Null, err
 		}
@@ -136,10 +216,10 @@ func Eval(e qlang.Expr, t relation.Tuple, calls map[string]relation.Value) (rela
 	}
 }
 
-func evalBinary(v *qlang.Binary, t relation.Tuple, calls map[string]relation.Value) (relation.Value, error) {
+func evalBinary(v *qlang.Binary, t relation.Tuple, b *binding, vals []relation.Value) (relation.Value, error) {
 	// AND/OR short-circuit on the left operand.
 	if v.Op == "AND" || v.Op == "OR" {
-		l, err := Eval(v.L, t, calls)
+		l, err := eval(v.L, t, b, vals)
 		if err != nil {
 			return relation.Null, err
 		}
@@ -150,17 +230,17 @@ func evalBinary(v *qlang.Binary, t relation.Tuple, calls map[string]relation.Val
 		if v.Op == "OR" && lt {
 			return relation.NewBool(true), nil
 		}
-		r, err := Eval(v.R, t, calls)
+		r, err := eval(v.R, t, b, vals)
 		if err != nil {
 			return relation.Null, err
 		}
 		return relation.NewBool(r.Truthy()), nil
 	}
-	l, err := Eval(v.L, t, calls)
+	l, err := eval(v.L, t, b, vals)
 	if err != nil {
 		return relation.Null, err
 	}
-	r, err := Eval(v.R, t, calls)
+	r, err := eval(v.R, t, b, vals)
 	if err != nil {
 		return relation.Null, err
 	}

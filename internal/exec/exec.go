@@ -546,16 +546,6 @@ func needsHumans(n plan.Node) bool {
 	return found
 }
 
-// exprsHaveCalls reports whether any expression invokes a human task.
-func (q *Query) exprsHaveCalls(exprs ...qlang.Expr) bool {
-	for _, e := range exprs {
-		if HasCalls(e, q.cfg.Script) {
-			return true
-		}
-	}
-	return false
-}
-
 // async sets up the queue bridge for a human-powered operator: the
 // caller launches a producer goroutine that pushes into op.out, and
 // downstream pulls through the returned queueIter.
@@ -584,7 +574,8 @@ func (q *Query) build(n plan.Node, parent *obs.Span) (Iterator, *operator, error
 		if err != nil {
 			return nil, nil, err
 		}
-		if !q.exprsHaveCalls(v.Conjuncts...) {
+		// runFilter binds each human conjunct on its own.
+		if len(bindCalls(q.cfg.Script, v.Conjuncts...).sites) == 0 {
 			return &filterIter{q: q, op: op, child: in, conjuncts: v.Conjuncts}, op, nil
 		}
 		it := q.async(op)
@@ -599,11 +590,12 @@ func (q *Query) build(n plan.Node, parent *obs.Span) (Iterator, *operator, error
 		for i, item := range v.Items {
 			exprs[i] = item.Expr
 		}
-		if !q.exprsHaveCalls(exprs...) {
+		b := bindCalls(q.cfg.Script, exprs...)
+		if len(b.sites) == 0 {
 			return &projectIter{q: q, op: op, v: v, child: in}, op, nil
 		}
 		it := q.async(op)
-		go q.runProject(op, v, ensureStable(in))
+		go q.runProject(op, v, b, ensureStable(in))
 		return it, op, nil
 	case *plan.PreFilter:
 		in, _, err := q.build(v.Input, op.span)
@@ -649,11 +641,12 @@ func (q *Query) build(n plan.Node, parent *obs.Span) (Iterator, *operator, error
 		for i, k := range v.Keys {
 			exprs[i] = k.Expr
 		}
-		if !q.exprsHaveCalls(exprs...) {
+		b := bindCalls(q.cfg.Script, exprs...)
+		if len(b.sites) == 0 {
 			return &orderByIter{q: q, op: op, v: v, child: in}, op, nil
 		}
 		it := q.async(op)
-		go q.runOrderBy(op, v, ensureStable(in))
+		go q.runOrderBy(op, v, b, ensureStable(in))
 		return it, op, nil
 	case *plan.Rank:
 		in, _, err := q.build(v.Input, op.span)
@@ -666,20 +659,22 @@ func (q *Query) build(n plan.Node, parent *obs.Span) (Iterator, *operator, error
 	case *plan.Aggregate:
 		exprs := append([]qlang.Expr(nil), v.Keys...)
 		for _, item := range v.Items {
-			exprs = append(exprs, item.Expr)
 			if call, isAgg := aggCall(item.Expr); isAgg {
 				exprs = append(exprs, call.Args...)
+			} else {
+				exprs = append(exprs, item.Expr)
 			}
 		}
 		in, _, err := q.build(v.Input, op.span)
 		if err != nil {
 			return nil, nil, err
 		}
-		if !q.exprsHaveCalls(exprs...) {
+		b := bindCalls(q.cfg.Script, exprs...)
+		if len(b.sites) == 0 {
 			return &aggregateIter{q: q, op: op, v: v, child: in}, op, nil
 		}
 		it := q.async(op)
-		go q.runAggregate(op, v, ensureStable(in))
+		go q.runAggregate(op, v, b, ensureStable(in))
 		return it, op, nil
 	case *plan.Distinct:
 		in, _, err := q.build(v.Input, op.span)
@@ -698,27 +693,13 @@ func (q *Query) build(n plan.Node, parent *obs.Span) (Iterator, *operator, error
 	}
 }
 
-// resolveCalls submits every human call of exprs for tuple t and invokes
-// then with the resolved values (or an error). then runs synchronously
-// when there are no calls or all are cached. assignments > 0 overrides
-// the per-task redundancy (POSSIBLY predicates pass 1).
-func (q *Query) resolveCalls(op *operator, t relation.Tuple, exprs []qlang.Expr, then func(map[string]relation.Value, error)) {
-	q.resolveCallsN(op, t, exprs, 0, then)
-}
-
-func (q *Query) resolveCallsN(op *operator, t relation.Tuple, exprs []qlang.Expr, assignments int, then func(map[string]relation.Value, error)) {
-	var calls []*qlang.Call
-	seen := map[string]bool{}
-	for _, e := range exprs {
-		for _, c := range CollectCalls(e, q.cfg.Script) {
-			base := (&qlang.Call{Name: c.Name, Args: c.Args}).String()
-			if !seen[base] {
-				seen[base] = true
-				calls = append(calls, c)
-			}
-		}
-	}
-	if len(calls) == 0 {
+// resolve submits one request per bound call of tuple t and invokes then
+// with the slot-indexed values (or the first error). All arguments are
+// evaluated before the first submission. then runs synchronously when
+// there are no calls or all are cached. assignments > 0 overrides the
+// per-task redundancy (POSSIBLY predicates pass 1).
+func (q *Query) resolve(op *operator, b *binding, t relation.Tuple, assignments int, then func([]relation.Value, error)) {
+	if len(b.sites) == 0 {
 		then(nil, nil)
 		return
 	}
@@ -726,47 +707,13 @@ func (q *Query) resolveCallsN(op *operator, t relation.Tuple, exprs []qlang.Expr
 		then(nil, fmt.Errorf("exec: human call without task manager"))
 		return
 	}
-	results := make(map[string]relation.Value, len(calls))
-	var mu sync.Mutex
-	var firstErr error
-	remaining := len(calls)
-	for _, c := range calls {
-		def, ok := q.cfg.Script.Task(c.Name)
-		if !ok {
-			then(nil, fmt.Errorf("exec: unknown task %q", c.Name))
-			return
-		}
-		key, err := CallKey(c, t)
-		if err != nil {
-			then(nil, err)
-			return
-		}
-		args, err := evalArgs(c, t, nil)
-		if err != nil {
-			then(nil, err)
-			return
-		}
-		q.cfg.Mgr.Submit(taskmgr.Request{
-			Def:         def,
-			Args:        args,
-			Assignments: assignments,
-			Scope:       q.cfg.Scope,
-			Trace:       op.span,
-			Done: func(out taskmgr.Outcome) {
-				mu.Lock()
-				if out.Err != nil && firstErr == nil {
-					firstErr = out.Err
-				} else {
-					results[key] = out.Value
-				}
-				remaining--
-				finished := remaining == 0
-				err := firstErr
-				mu.Unlock()
-				if finished {
-					then(results, err)
-				}
-			},
-		})
+	args, vals, err := b.prepare(t)
+	if err != nil {
+		then(nil, err)
+		return
+	}
+	g := &gather{vals: vals, remaining: len(b.sites), then: then}
+	for i := range b.sites {
+		q.cfg.Mgr.Submit(q.request(op, b, i, args, assignments, g))
 	}
 }

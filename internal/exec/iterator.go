@@ -152,7 +152,7 @@ func (f *filterIter) Next() (relation.Tuple, bool) {
 		atomic.AddInt64(&f.op.in, 1)
 		pass := true
 		for _, c := range f.conjuncts {
-			val, err := Eval(c, t, nil)
+			val, err := Eval(c, t)
 			if err != nil {
 				f.q.reportError(err)
 				pass = false
@@ -207,7 +207,7 @@ func (p *projectIter) Next() (relation.Tuple, bool) {
 				vals = append(vals, t.Values...)
 				continue
 			}
-			val, err := Eval(it.Expr, t, nil)
+			val, err := Eval(it.Expr, t)
 			if err != nil {
 				p.q.reportError(err)
 				ok = false
@@ -442,7 +442,7 @@ func (o *orderByIter) consume() {
 		}
 		o.rows = append(o.rows, t)
 		for _, k := range o.v.Keys {
-			val, err := Eval(k.Expr, t, nil)
+			val, err := Eval(k.Expr, t)
 			if err != nil {
 				o.q.reportError(err)
 				val = relation.Null
@@ -540,7 +540,7 @@ func (a *aggregateIter) consume() {
 		keyEnc = keyEnc[:0]
 		evalOK := true
 		for _, k := range a.v.Keys {
-			kv, err := Eval(k, t, nil)
+			kv, err := Eval(k, t)
 			if err != nil {
 				a.q.reportError(err)
 				evalOK = false
@@ -568,7 +568,7 @@ func (a *aggregateIter) consume() {
 			if !isAgg || len(call.Args) == 0 {
 				continue
 			}
-			val, err := Eval(call.Args[0], t, nil)
+			val, err := Eval(call.Args[0], t)
 			if err != nil {
 				a.q.reportError(err)
 				continue
@@ -603,7 +603,7 @@ func (a *aggregateIter) consume() {
 				}
 				continue
 			}
-			val, err := Eval(it.Expr, g.first, nil)
+			val, err := Eval(it.Expr, g.first)
 			if err != nil {
 				a.q.reportError(err)
 				val = relation.Null

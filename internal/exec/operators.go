@@ -22,17 +22,20 @@ import (
 func (q *Query) runFilter(op *operator, v *plan.Filter, in Iterator) {
 	defer op.finish()
 	var local, human []qlang.Expr
-	taskNames := map[string]bool{}
+	var bound []*binding // per human conjunct
 	for _, c := range v.Conjuncts {
-		if HasCalls(c, q.cfg.Script) {
+		if b := bindCalls(q.cfg.Script, c); len(b.sites) > 0 {
 			human = append(human, c)
-			for _, call := range CollectCalls(c, q.cfg.Script) {
-				taskNames[call.Name] = true
-			}
+			bound = append(bound, b)
 		} else {
 			local = append(local, c)
 		}
 	}
+	var grouped *binding // all human conjuncts in one HIT per tuple
+	if q.cfg.GroupFilters && len(human) > 1 {
+		grouped = bindCalls(q.cfg.Script, human...)
+	}
+	tasks := taskNames(bound...)
 
 	var wg sync.WaitGroup
 	var sem chan struct{}
@@ -47,7 +50,7 @@ func (q *Query) runFilter(op *operator, v *plan.Filter, in Iterator) {
 	}
 	process := func(t relation.Tuple) {
 		for _, c := range local {
-			pass, err := Eval(c, t, nil)
+			pass, err := Eval(c, t)
 			if err != nil {
 				q.reportError(err)
 				return
@@ -61,8 +64,8 @@ func (q *Query) runFilter(op *operator, v *plan.Filter, in Iterator) {
 			return
 		}
 		wg.Add(1)
-		if q.cfg.GroupFilters && len(human) > 1 {
-			q.groupFilter(op, t, human, &wg)
+		if grouped != nil {
+			q.groupFilter(op, t, human, grouped, &wg)
 			return
 		}
 		if sem != nil {
@@ -70,7 +73,7 @@ func (q *Query) runFilter(op *operator, v *plan.Filter, in Iterator) {
 			// The window is open: flush whatever the previous tuples
 			// queued so their results (and selectivity updates) arrive
 			// while later tuples wait here.
-			q.flushTasks(taskNames)
+			q.flushTasks(tasks)
 		}
 		// Order is chosen when the tuple enters its cascade, so the
 		// optimizer's live selectivity estimates steer later tuples.
@@ -82,18 +85,18 @@ func (q *Query) runFilter(op *operator, v *plan.Filter, in Iterator) {
 				finish()
 				return
 			}
-			c := human[order[k]]
+			c, b := human[order[k]], bound[order[k]]
 			asg := 0
 			if u, ok := c.(*qlang.Unary); ok && u.Op == "POSSIBLY" {
 				asg = 1 // approximate predicate: no redundancy
 			}
-			q.resolveCallsN(op, t, []qlang.Expr{c}, asg, func(calls map[string]relation.Value, err error) {
+			q.resolve(op, b, t, asg, func(vals []relation.Value, err error) {
 				if err != nil {
 					q.reportError(err)
 					finish()
 					return
 				}
-				pass, err := Eval(c, t, calls)
+				pass, err := eval(c, t, b, vals)
 				if err != nil {
 					q.reportError(err)
 					finish()
@@ -117,7 +120,7 @@ func (q *Query) runFilter(op *operator, v *plan.Filter, in Iterator) {
 		atomic.AddInt64(&op.in, 1)
 		process(t)
 	}
-	q.flushTasks(taskNames)
+	q.flushTasks(tasks)
 	wg.Wait()
 }
 
@@ -135,22 +138,24 @@ func (q *Query) filterOrder(human []qlang.Expr) []int {
 	return order
 }
 
-// groupFilter asks all human conjuncts about one tuple in a single HIT.
-func (q *Query) groupFilter(op *operator, t relation.Tuple, human []qlang.Expr, wg *sync.WaitGroup) {
-	// Each conjunct must be a bare boolean task call to group.
-	var reqs []taskmgr.Request
-	calls := make(map[string]relation.Value)
-	var mu sync.Mutex
-	remaining := 0
-	var firstErr error
-	finish := func() {
+// groupFilter asks all human conjuncts about one tuple in a single HIT;
+// b binds their calls jointly, so a call two conjuncts share is asked
+// once.
+func (q *Query) groupFilter(op *operator, t relation.Tuple, human []qlang.Expr, b *binding, wg *sync.WaitGroup) {
+	args, vals, err := b.prepare(t)
+	if err != nil {
+		q.reportError(err)
+		wg.Done()
+		return
+	}
+	g := &gather{vals: vals, remaining: len(b.sites), then: func(vals []relation.Value, err error) {
 		defer wg.Done()
-		if firstErr != nil {
-			q.reportError(firstErr)
+		if err != nil {
+			q.reportError(err)
 			return
 		}
 		for _, c := range human {
-			pass, err := Eval(c, t, calls)
+			pass, err := eval(c, t, b, vals)
 			if err != nil {
 				q.reportError(err)
 				return
@@ -160,59 +165,10 @@ func (q *Query) groupFilter(op *operator, t relation.Tuple, human []qlang.Expr, 
 			}
 		}
 		op.push(t)
-	}
-	for _, c := range human {
-		for _, call := range CollectCalls(c, q.cfg.Script) {
-			def, ok := q.cfg.Script.Task(call.Name)
-			if !ok {
-				q.reportError(fmt.Errorf("exec: unknown task %q", call.Name))
-				wg.Done()
-				return
-			}
-			key, err := CallKey(call, t)
-			if err != nil {
-				q.reportError(err)
-				wg.Done()
-				return
-			}
-			args, err := evalArgs(call, t, nil)
-			if err != nil {
-				q.reportError(err)
-				wg.Done()
-				return
-			}
-			mu.Lock()
-			if _, dup := calls[key]; dup {
-				mu.Unlock()
-				continue
-			}
-			calls[key] = relation.Null // placeholder marks membership
-			remaining++
-			mu.Unlock()
-			reqs = append(reqs, taskmgr.Request{
-				Def:   def,
-				Args:  args,
-				Scope: q.cfg.Scope,
-				Trace: op.span,
-				Done: func(out taskmgr.Outcome) {
-					mu.Lock()
-					if out.Err != nil && firstErr == nil {
-						firstErr = out.Err
-					}
-					calls[key] = out.Value
-					remaining--
-					done := remaining == 0
-					mu.Unlock()
-					if done {
-						finish()
-					}
-				},
-			})
-		}
-	}
-	if len(reqs) == 0 {
-		finish()
-		return
+	}}
+	reqs := make([]taskmgr.Request, len(b.sites))
+	for i := range b.sites {
+		reqs[i] = q.request(op, b, i, args, 0, g)
 	}
 	if err := q.cfg.Mgr.SubmitGroup(reqs); err != nil {
 		q.reportError(err)
@@ -220,17 +176,10 @@ func (q *Query) groupFilter(op *operator, t relation.Tuple, human []qlang.Expr, 
 	}
 }
 
-// runProject resolves each tuple's human calls, then computes outputs.
-func (q *Query) runProject(op *operator, v *plan.Project, in Iterator) {
+// runProject resolves each tuple's human calls (bound in b), then
+// computes outputs.
+func (q *Query) runProject(op *operator, v *plan.Project, b *binding, in Iterator) {
 	defer op.finish()
-	exprs := make([]qlang.Expr, 0, len(v.Items))
-	taskNames := map[string]bool{}
-	for _, it := range v.Items {
-		exprs = append(exprs, it.Expr)
-		for _, call := range CollectCalls(it.Expr, q.cfg.Script) {
-			taskNames[call.Name] = true
-		}
-	}
 	var wg sync.WaitGroup
 	for {
 		t, ok := in.Next()
@@ -239,7 +188,7 @@ func (q *Query) runProject(op *operator, v *plan.Project, in Iterator) {
 		}
 		atomic.AddInt64(&op.in, 1)
 		wg.Add(1)
-		q.resolveCalls(op, t, exprs, func(calls map[string]relation.Value, err error) {
+		q.resolve(op, b, t, 0, func(calls []relation.Value, err error) {
 			defer wg.Done()
 			if err != nil {
 				q.reportError(err)
@@ -251,7 +200,7 @@ func (q *Query) runProject(op *operator, v *plan.Project, in Iterator) {
 					vals = append(vals, t.Values...)
 					continue
 				}
-				val, err := Eval(it.Expr, t, calls)
+				val, err := eval(it.Expr, t, b, calls)
 				if err != nil {
 					q.reportError(err)
 					return
@@ -261,7 +210,7 @@ func (q *Query) runProject(op *operator, v *plan.Project, in Iterator) {
 			op.push(relation.Tuple{Schema: v.Schema(), Values: vals})
 		})
 	}
-	q.flushTasks(taskNames)
+	q.flushTasks(taskNames(b))
 	wg.Wait()
 }
 
@@ -318,7 +267,7 @@ func (q *Query) runJoin(op *operator, v *plan.Join, left, right Iterator) {
 func (q *Query) evalSide(buf []relation.Tuple, arg qlang.Expr) []joinSide {
 	out := make([]joinSide, 0, len(buf))
 	for _, t := range buf {
-		val, err := Eval(arg, t, nil)
+		val, err := Eval(arg, t)
 		if err != nil {
 			q.reportError(err)
 			continue
@@ -336,7 +285,7 @@ func concatValues(l, r relation.Tuple) []relation.Value {
 
 func (q *Query) passesAll(conjuncts []qlang.Expr, t relation.Tuple) bool {
 	for _, c := range conjuncts {
-		pass, err := Eval(c, t, nil)
+		pass, err := Eval(c, t)
 		if err != nil {
 			q.reportError(err)
 			return false
@@ -499,7 +448,7 @@ func (q *Query) runPreFilter(op *operator, v *plan.PreFilter, in Iterator) {
 			}
 			atomic.AddInt64(&op.in, 1)
 			rows = append(rows, t)
-			a, err := Eval(v.Arg, t, nil)
+			a, err := Eval(v.Arg, t)
 			args, argErr = append(args, a), append(argErr, err)
 			if err == nil && !c.Contains(cache.NewKey(v.Task.Name, []relation.Value{a})) {
 				uncached++
@@ -642,7 +591,7 @@ func (q *Query) runRank(op *operator, v *plan.Rank, in Iterator) {
 		args := make([]relation.Value, len(v.Args))
 		ok := true
 		for j, e := range v.Args {
-			val, err := Eval(e, t, nil)
+			val, err := Eval(e, t)
 			if err != nil {
 				q.reportError(err)
 				ok = false
@@ -733,8 +682,9 @@ func defaultRankStrategy(v *plan.Rank, n int) rank.Decision {
 // runOrderBy is the generic sort for multi-key or mixed-expression
 // ORDER BY clauses: it buffers the input (a barrier, like runRank),
 // resolves human sort keys (e.g. rating tasks) per tuple, sorts, and
-// emits in order — releasing each buffered tuple as it streams out.
-func (q *Query) runOrderBy(op *operator, v *plan.OrderBy, in Iterator) {
+// emits in order — releasing each buffered tuple as it streams out. b
+// binds the keys' human calls.
+func (q *Query) runOrderBy(op *operator, v *plan.OrderBy, b *binding, in Iterator) {
 	defer op.finish()
 	var rows []relation.Tuple
 	for {
@@ -746,35 +696,27 @@ func (q *Query) runOrderBy(op *operator, v *plan.OrderBy, in Iterator) {
 		rows = append(rows, t)
 	}
 	q.noteResident(int64(len(rows)))
-	keyExprs := make([]qlang.Expr, len(v.Keys))
-	taskNames := map[string]bool{}
-	for i, k := range v.Keys {
-		keyExprs[i] = k.Expr
-		for _, call := range CollectCalls(k.Expr, q.cfg.Script) {
-			taskNames[call.Name] = true
-		}
-	}
 	keys := make([][]relation.Value, len(rows))
 	var wg sync.WaitGroup
 	for i, t := range rows {
 		i, t := i, t
 		wg.Add(1)
-		q.resolveCalls(op, t, keyExprs, func(calls map[string]relation.Value, err error) {
+		q.resolve(op, b, t, 0, func(calls []relation.Value, err error) {
 			defer wg.Done()
 			if err != nil {
 				q.reportError(err)
 				// Fill with Null like the per-key error path below, so
 				// Compare during the sort sees a well-defined value.
-				ks := make([]relation.Value, len(keyExprs))
+				ks := make([]relation.Value, len(v.Keys))
 				for j := range ks {
 					ks[j] = relation.Null
 				}
 				keys[i] = ks
 				return
 			}
-			ks := make([]relation.Value, len(keyExprs))
-			for j, e := range keyExprs {
-				val, err := Eval(e, t, calls)
+			ks := make([]relation.Value, len(v.Keys))
+			for j, k := range v.Keys {
+				val, err := eval(k.Expr, t, b, calls)
 				if err != nil {
 					q.reportError(err)
 					val = relation.Null
@@ -784,7 +726,7 @@ func (q *Query) runOrderBy(op *operator, v *plan.OrderBy, in Iterator) {
 			keys[i] = ks
 		})
 	}
-	q.flushTasks(taskNames)
+	q.flushTasks(taskNames(b))
 	wg.Wait()
 
 	idx := make([]int, len(rows))
@@ -814,13 +756,14 @@ func (q *Query) runOrderBy(op *operator, v *plan.OrderBy, in Iterator) {
 	}
 }
 
-// runAggregate groups rows and computes aggregates, resolving human
-// calls per tuple; the call-free case fuses into aggregateIter instead.
-func (q *Query) runAggregate(op *operator, v *plan.Aggregate, in Iterator) {
+// runAggregate groups rows and computes aggregates, resolving the human
+// calls bound in b per tuple; the call-free case fuses into
+// aggregateIter instead.
+func (q *Query) runAggregate(op *operator, v *plan.Aggregate, b *binding, in Iterator) {
 	defer op.finish()
 	type group struct {
 		first      relation.Tuple
-		firstCalls map[string]relation.Value
+		firstCalls []relation.Value
 		count      int64
 		sums       map[int]float64
 		mins       map[int]relation.Value
@@ -828,27 +771,6 @@ func (q *Query) runAggregate(op *operator, v *plan.Aggregate, in Iterator) {
 	}
 	groups := make(map[string]*group)
 	var order []string
-
-	exprs := make([]qlang.Expr, 0, len(v.Items)+len(v.Keys))
-	taskNames := map[string]bool{}
-	collect := func(e qlang.Expr) {
-		exprs = append(exprs, e)
-		for _, call := range CollectCalls(e, q.cfg.Script) {
-			taskNames[call.Name] = true
-		}
-	}
-	for _, k := range v.Keys {
-		collect(k)
-	}
-	for _, it := range v.Items {
-		if call, isAgg := aggCall(it.Expr); isAgg {
-			for _, a := range call.Args {
-				collect(a)
-			}
-		} else {
-			collect(it.Expr)
-		}
-	}
 
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -859,7 +781,7 @@ func (q *Query) runAggregate(op *operator, v *plan.Aggregate, in Iterator) {
 		}
 		atomic.AddInt64(&op.in, 1)
 		wg.Add(1)
-		q.resolveCalls(op, t, exprs, func(calls map[string]relation.Value, err error) {
+		q.resolve(op, b, t, 0, func(calls []relation.Value, err error) {
 			defer wg.Done()
 			if err != nil {
 				q.reportError(err)
@@ -867,7 +789,7 @@ func (q *Query) runAggregate(op *operator, v *plan.Aggregate, in Iterator) {
 			}
 			var keyEnc []byte
 			for _, k := range v.Keys {
-				kv, err := Eval(k, t, calls)
+				kv, err := eval(k, t, b, calls)
 				if err != nil {
 					q.reportError(err)
 					return
@@ -889,7 +811,7 @@ func (q *Query) runAggregate(op *operator, v *plan.Aggregate, in Iterator) {
 				if !isAgg || len(call.Args) == 0 {
 					continue
 				}
-				val, err := Eval(call.Args[0], t, calls)
+				val, err := eval(call.Args[0], t, b, calls)
 				if err != nil {
 					q.reportError(err)
 					continue
@@ -904,7 +826,7 @@ func (q *Query) runAggregate(op *operator, v *plan.Aggregate, in Iterator) {
 			}
 		})
 	}
-	q.flushTasks(taskNames)
+	q.flushTasks(taskNames(b))
 	wg.Wait()
 
 	sort.Strings(order)
@@ -927,7 +849,7 @@ func (q *Query) runAggregate(op *operator, v *plan.Aggregate, in Iterator) {
 				}
 				continue
 			}
-			val, err := Eval(it.Expr, g.first, g.firstCalls)
+			val, err := eval(it.Expr, g.first, b, g.firstCalls)
 			if err != nil {
 				q.reportError(err)
 				val = relation.Null
@@ -949,11 +871,11 @@ func aggCall(e qlang.Expr) (*qlang.Call, bool) {
 	return nil, false
 }
 
-func (q *Query) flushTasks(names map[string]bool) {
+func (q *Query) flushTasks(names []string) {
 	if q.cfg.Mgr == nil {
 		return
 	}
-	for name := range names {
+	for _, name := range names {
 		q.cfg.Mgr.FlushScope(name, q.cfg.Scope)
 	}
 }

@@ -53,7 +53,7 @@ func TestPossiblyEvaluatesAsOperand(t *testing.T) {
 	schema := relation.MustSchema(relation.Column{Name: "b", Kind: relation.KindBool})
 	tup := relation.MustTuple(schema, relation.NewBool(true))
 	e := &qlang.Unary{Op: "POSSIBLY", X: &qlang.ColumnRef{Name: "b"}}
-	v, err := Eval(e, tup, nil)
+	v, err := Eval(e, tup)
 	if err != nil || !v.Bool() {
 		t.Fatalf("POSSIBLY true = %v err=%v", v, err)
 	}

@@ -53,13 +53,15 @@ func (m *Manager) SubmitGroup(reqs []Request) error {
 	}
 	var resolved []resolution
 	var remaining []Request
+	var ckeys []cache.Key // per remaining request
 	for _, r := range reqs {
 		st := m.state(r.Def.Name, r.Def)
 		st.mu.Lock()
 		st.submitted++
 		st.mu.Unlock()
+		ckey := cache.NewKey(r.Def.Name, r.Args)
 		if pol.UseCache {
-			if entry, ok := m.cache.Get(cache.NewKey(r.Def.Name, r.Args)); ok && len(entry.Answers) > 0 {
+			if entry, ok := m.cache.Get(ckey); ok && len(entry.Answers) > 0 {
 				st.mu.Lock()
 				st.cacheHits++
 				st.mu.Unlock()
@@ -71,7 +73,7 @@ func (m *Manager) SubmitGroup(reqs []Request) error {
 			}
 		}
 		if pol.UseModel {
-			if tm, ok := m.models.For(r.Def.Name); ok {
+			if tm, ok := m.models.For(st.name); ok {
 				if v, _, ok := tm.TryAnswer(r.Args); ok {
 					st.mu.Lock()
 					st.modelAnswers++
@@ -84,6 +86,7 @@ func (m *Manager) SubmitGroup(reqs []Request) error {
 			}
 		}
 		remaining = append(remaining, r)
+		ckeys = append(ckeys, ckey)
 	}
 	if len(remaining) == 0 {
 		for _, r := range resolved {
@@ -102,10 +105,12 @@ func (m *Manager) SubmitGroup(reqs []Request) error {
 		Response:    qlang.Response{Kind: qlang.ResponseYesNo},
 		RewardCents: price,
 		Assignments: pol.Assignments,
+		Items:       make([]hit.Item, 0, len(remaining)),
+		GroupKeys:   make([]string, 0, len(remaining)),
 	}
 	byKey := make(map[string]pendingItem, len(remaining))
 	keys := make([]string, 0, len(remaining))
-	for _, r := range remaining {
+	for i, r := range remaining {
 		key := m.newKey()
 		prompt := r.Prompt
 		if prompt == "" {
@@ -113,7 +118,7 @@ func (m *Manager) SubmitGroup(reqs []Request) error {
 		}
 		h.Items = append(h.Items, hit.Item{Key: key, Args: r.Args, Task: r.Def.Name, Prompt: prompt})
 		h.GroupKeys = append(h.GroupKeys, r.Def.Name)
-		byKey[key] = pendingItem{key: key, args: r.Args, def: r.Def, side: r.StatSide, done: r.Done, span: r.Trace}
+		byKey[key] = pendingItem{key: key, args: r.Args, ckey: ckeys[i], def: r.Def, side: r.StatSide, done: r.Done, span: r.Trace}
 		keys = append(keys, key)
 	}
 
@@ -158,7 +163,8 @@ func (m *Manager) SubmitGroup(reqs []Request) error {
 		shares:   []hitShare{{scope: scope, keys: keys, cost: cost}},
 		cost:     cost,
 		byKey:    byKey,
-		answers:  make(map[string][]relation.Value, len(remaining)),
+		answers:  answerSlots(h.Items, pol.Assignments),
+		byWorker: make([]hit.Answers, 0, pol.Assignments),
 		needed:   pol.Assignments,
 		assign:   pol.Assignments,
 		postedAt: m.market.Clock().Now(),
@@ -225,7 +231,7 @@ func (m *Manager) finalizeGroup(fl *inflightHIT) {
 		done func(Outcome)
 		out  Outcome
 	}
-	var resolved []resolution
+	resolved := make([]resolution, 0, len(fl.hit.Items))
 	var agreeSum float64
 	var agreeN int
 	for _, hi := range fl.hit.Items {
@@ -243,15 +249,15 @@ func (m *Manager) finalizeGroup(fl *inflightHIT) {
 		st.observeSelectivity(b, item.side)
 		m.noteWorkerVotes(fl.byWorker, hi.Key, b)
 		if pol.UseCache {
-			m.cache.Put(cache.NewKey(item.def.Name, item.args), cache.Entry{Answers: answers})
+			m.cache.Put(item.ckey, cache.Entry{Answers: answers})
 		}
 		if pol.TrainModel {
-			if tm, ok := m.models.For(item.def.Name); ok {
+			if tm, ok := m.models.For(st.name); ok {
 				tm.Train(item.args, b)
 			}
 		}
 		if j != nil {
-			m.journalItem(j, pol, item.def, item.args, item.side, answers, out)
+			m.journalItem(j, pol, item.def, item.ckey, item.side, answers, out)
 		}
 		resolved = append(resolved, resolution{done: item.done, out: out})
 	}

@@ -87,7 +87,7 @@ func (m *Manager) JoinBlockIn(scope *Scope, def *qlang.TaskDef, left, right []Jo
 				}
 			}
 			if pol.UseModel {
-				if tm, ok := m.models.For(def.Name); ok {
+				if tm, ok := m.models.For(st.name); ok {
 					if v, _, ok := tm.TryAnswer(args); ok {
 						st.mu.Lock()
 						st.modelAnswers++
@@ -299,16 +299,17 @@ func (m *Manager) finalizeJoin(fl *joinInflight) {
 		agreeN++
 		st.selectivity.Observe(b)
 		m.noteWorkerVotes(fl.byWorker, key, b)
+		ckey := cache.NewKey(fl.def.Name, item.args)
 		if pol.UseCache {
-			m.cache.Put(cache.NewKey(fl.def.Name, item.args), cache.Entry{Answers: answers})
+			m.cache.Put(ckey, cache.Entry{Answers: answers})
 		}
 		if pol.TrainModel {
-			if tm, ok := m.models.For(fl.def.Name); ok {
+			if tm, ok := m.models.For(st.name); ok {
 				tm.Train(item.args, b)
 			}
 		}
 		if j != nil {
-			m.journalItem(j, pol, fl.def, item.args, "", answers, out)
+			m.journalItem(j, pol, fl.def, ckey, "", answers, out)
 		}
 		if fl.need[key] {
 			resolved = append(resolved, resolution{key: key, out: out})

@@ -262,6 +262,7 @@ func (st *taskState) sideEstimator(side string) *stats.Selectivity {
 type pendingItem struct {
 	key         string
 	args        []relation.Value
+	ckey        cache.Key // task cache key, encoded once at submission
 	prompt      string
 	def         *qlang.TaskDef
 	assignments int    // 0 = policy default
@@ -438,6 +439,19 @@ type inflightHIT struct {
 	span     *obs.Span
 	opSpans  []*obs.Span
 	extSpans []*obs.Span
+}
+
+// answerSlots pre-sizes a HIT's per-item answer lists from one backing
+// array. Each list is capped at the assignment cap, so an append past
+// it — a Done callback may append to its Outcome.Answers — reallocates
+// instead of writing into the neighbouring item's answers.
+func answerSlots(items []hit.Item, capA int) map[string][]relation.Value {
+	answers := make(map[string][]relation.Value, len(items))
+	backing := make([]relation.Value, len(items)*capA)
+	for _, it := range items {
+		answers[it.Key], backing = backing[:0:capA], backing[capA:]
+	}
+	return answers
 }
 
 // unregister forgets the HIT at every participating scope.
@@ -693,9 +707,11 @@ func (m *Manager) Submit(req Request) {
 	pol := st.scopedPolicyLocked(base, req.Scope)
 	st.mu.Unlock()
 
-	// 1. Task Cache: a prior answer costs nothing.
+	// 1. Task Cache: a prior answer costs nothing. The key rides on the
+	// item to the finalize Put and the journal.
+	ckey := cache.NewKey(req.Def.Name, req.Args)
 	if pol.UseCache {
-		if entry, ok := m.cache.Get(cache.NewKey(req.Def.Name, req.Args)); ok && len(entry.Answers) > 0 {
+		if entry, ok := m.cache.Get(ckey); ok && len(entry.Answers) > 0 {
 			st.mu.Lock()
 			st.cacheHits++
 			st.mu.Unlock()
@@ -715,7 +731,7 @@ func (m *Manager) Submit(req Request) {
 
 	// 2. Task Model: a confident classifier answers boolean tasks.
 	if pol.UseModel && isBooleanTask(req.Def) {
-		if tm, ok := m.models.For(req.Def.Name); ok {
+		if tm, ok := m.models.For(st.name); ok {
 			if v, _, ok := tm.TryAnswer(req.Args); ok {
 				st.mu.Lock()
 				st.modelAnswers++
@@ -735,6 +751,7 @@ func (m *Manager) Submit(req Request) {
 	item := pendingItem{
 		key:         m.newKey(),
 		args:        req.Args,
+		ckey:        ckey,
 		prompt:      req.Prompt,
 		def:         req.Def,
 		assignments: req.Assignments,
@@ -1006,20 +1023,21 @@ func splitCost(total budget.Cents, counts []int) []budget.Cents {
 // shareOut groups a batch's items by scope in first-appearance order
 // and splits the HIT cost across the groups by item count.
 func shareOut(items []pendingItem, cost budget.Cents) []hitShare {
-	var shares []hitShare
-	idx := make(map[*Scope]int)
-	for _, it := range items {
-		i, ok := idx[it.scope]
-		if !ok {
-			i = len(shares)
-			idx[it.scope] = i
-			shares = append(shares, hitShare{scope: it.scope})
+	shares := make([]hitShare, 0, 1) // a batch usually has one scope
+	for n, it := range items {
+		i := 0
+		for i < len(shares) && shares[i].scope != it.scope { // few scopes per batch
+			i++
+		}
+		if i == len(shares) {
+			// The items from here on bound this scope's key count.
+			shares = append(shares, hitShare{scope: it.scope, keys: make([]string, 0, len(items)-n)})
 		}
 		shares[i].keys = append(shares[i].keys, it.key)
 	}
-	counts := make([]int, len(shares))
-	for i := range shares {
-		counts[i] = len(shares[i].keys)
+	counts := make([]int, 0, 1)
+	for _, sh := range shares {
+		counts = append(counts, len(sh.keys))
 	}
 	for i, c := range splitCost(cost, counts) {
 		shares[i].cost = c
@@ -1150,6 +1168,7 @@ func (m *Manager) postBatch(st *taskState, batch []pendingItem, queuedAt mturk.V
 		Response:    responseFor(def),
 		RewardCents: price,
 		Assignments: postAssign,
+		Items:       make([]hit.Item, 0, len(live)),
 	}
 	byKey := make(map[string]pendingItem, len(live))
 	for _, it := range live {
@@ -1179,7 +1198,8 @@ func (m *Manager) postBatch(st *taskState, batch []pendingItem, queuedAt mturk.V
 		shares:   shares,
 		cost:     cost,
 		byKey:    byKey,
-		answers:  make(map[string][]relation.Value, len(live)),
+		answers:  answerSlots(h.Items, pol.Assignments),
+		byWorker: make([]hit.Answers, 0, pol.Assignments),
 		needed:   postAssign,
 		assign:   postAssign,
 		admitted: true,
@@ -1312,7 +1332,7 @@ func (m *Manager) finalizeInflight(fl *inflightHIT) {
 		done func(Outcome)
 		out  Outcome
 	}
-	var resolved []resolution
+	resolved := make([]resolution, 0, len(fl.hit.Items))
 	base := m.basePolicy()
 	st.mu.Lock()
 	pol := st.effectivePolicyLocked(base)
@@ -1338,15 +1358,15 @@ func (m *Manager) finalizeInflight(fl *inflightHIT) {
 			m.noteWorkerVotes(fl.byWorker, hi.Key, out.Value.Truthy())
 		}
 		if pol.UseCache {
-			m.cache.Put(cache.NewKey(item.def.Name, item.args), cache.Entry{Answers: answers})
+			m.cache.Put(item.ckey, cache.Entry{Answers: answers})
 		}
 		if pol.TrainModel && isBooleanTask(item.def) {
-			if tm, ok := m.models.For(item.def.Name); ok {
+			if tm, ok := m.models.For(st.name); ok {
 				tm.Train(item.args, out.Value.Truthy())
 			}
 		}
 		if j != nil {
-			m.journalItem(j, pol, item.def, item.args, item.side, answers, out)
+			m.journalItem(j, pol, item.def, item.ckey, item.side, answers, out)
 		}
 		resolved = append(resolved, resolution{done: item.done, out: out})
 	}
@@ -1360,12 +1380,11 @@ func (m *Manager) finalizeInflight(fl *inflightHIT) {
 
 // journalItem streams one finalized item's learned artifacts to the
 // journal: the cache entry, the selectivity/agreement observations and
-// the model training example. Answer slices are copied because done
-// callbacks receive (and may mutate) the originals while the store
-// encodes asynchronously.
+// the model training example. key is the item's task cache key. Answer
+// slices are copied because done callbacks receive (and may mutate) the
+// originals while the store encodes asynchronously.
 func (m *Manager) journalItem(j Journal, pol Policy, def *qlang.TaskDef,
-	args []relation.Value, side string, answers []relation.Value, out Outcome) {
-	key := cache.NewKey(def.Name, args)
+	key cache.Key, side string, answers []relation.Value, out Outcome) {
 	if pol.UseCache {
 		j.Append(store.Record{
 			Kind: store.KindCacheEntry, Task: key.Task, Args: key.Args,
