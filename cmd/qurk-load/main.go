@@ -14,9 +14,9 @@
 //	qurk-load -workload streaming -tuples 200 -cancelafter 20 -verify
 //	    # context-first query API end to end: asserts the Rows cursor
 //	    # delivered its first tuple before the final HIT completed, that
-//	    # posting stopped dead at ctx cancellation (0 HITs in practice;
-//	    # at most 2 already-in-flight posts tolerated, expired + refunded),
-//	    # and that the completed prefix's fingerprint is rerun-identical
+//	    # posting stopped dead at ctx cancellation (0 HITs posted after
+//	    # it), and that the completed prefix's fingerprint is
+//	    # rerun-identical
 //	qurk-load -workload hybridcrowd -verify
 //	    # worker-backend routing end to end: the same filter cascade runs
 //	    # sim-only and then through a backend router that serves the first
@@ -385,18 +385,11 @@ func checkStreaming(rep load.Report) error {
 		return fmt.Errorf("first row at %.2f vmin did not precede makespan %.2f vmin",
 			rep.FirstRow.Minutes(), rep.Makespan.Minutes())
 	}
-	// Posting must stop dead at cancellation. The only tolerated
-	// exception: a submitter goroutine already past its scope check when
-	// Cancel landed may complete one post (immediately expired and
-	// refunded via registerHIT → cancelInflightHIT). At most two
-	// goroutines submit concurrently in this workload (the filter
-	// operator and the clock pump), so anything beyond 2 means a
-	// submission path is missing the scope check. In practice the
-	// measured value is 0 — the report prints it.
-	const postCancelRaceSlack = 2
-	if rep.Config.CancelAfter > 0 && rep.HITsAfterCancel > postCancelRaceSlack {
-		return fmt.Errorf("%d HITs posted after cancellation (race allowance %d)",
-			rep.HITsAfterCancel, postCancelRaceSlack)
+	// Posting must stop dead at cancellation: Scope.Cancel waits for a
+	// post already past its scope check (which then expires and refunds
+	// its own HIT), so none can land after the cursor has ended.
+	if rep.Config.CancelAfter > 0 && rep.HITsAfterCancel > 0 {
+		return fmt.Errorf("%d HITs posted after cancellation", rep.HITsAfterCancel)
 	}
 	return nil
 }

@@ -631,6 +631,12 @@ func (e *Engine) startQuery(ctx context.Context, sql string, stmt *qlang.SelectS
 			reg.Counter(obs.MetricPlanCacheMiss).Add(1)
 		}
 	}
+	// Starting is one virtual instant: the pump must not step between
+	// the executor's first submissions and StartedAt or the deadline
+	// being stamped.
+	gate := e.clock.Gate()
+	gate.Hold()
+	defer gate.Release()
 	q, err := exec.StartContext(ctx, node, cfg)
 	if err != nil {
 		abandonTrace()

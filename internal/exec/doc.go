@@ -41,6 +41,19 @@
 // answers into a slot-indexed []relation.Value that eval reads; no call
 // is printed or its arguments encoded per tuple just to dedupe it.
 //
+// # Virtual-time determinism
+//
+// Producer goroutines run beside the clock pump of the task manager's
+// backend. Each of them holds that clock's quiescence gate while
+// runnable and releases it only while parked on a gated primitive: an
+// operator queue (queue.NewGated), a quiesce.WaitGroup for outstanding
+// HIT callbacks, or the filter window's quiesce.Sem. Whoever wakes a
+// parked goroutine holds the gate for it first. The pump steps only
+// while the gate is idle, so every tuple a producer can submit is
+// submitted before virtual time moves, and HIT posting times, linger
+// flushes and crowd draws are a pure function of the seed at any
+// GOMAXPROCS.
+//
 // # Plan caching
 //
 // The executor itself is stateless across queries; plan reuse lives in

@@ -12,6 +12,7 @@ import (
 	"repro/internal/qerr"
 	"repro/internal/qlang"
 	"repro/internal/queue"
+	"repro/internal/quiesce"
 	"repro/internal/rank"
 	"repro/internal/relation"
 	"repro/internal/taskmgr"
@@ -158,8 +159,13 @@ type Query struct {
 	Root   plan.Node
 	result *relation.Table
 
-	cfg  Config
-	ops  []*operator
+	cfg Config
+	ops []*operator
+	// gate is the quiescence gate of the task manager's clock: every
+	// executor goroutine holds it while runnable and parks on it while
+	// waiting, so the clock's pump never advances virtual time past work
+	// the executor could still submit. Nil without a task manager.
+	gate *quiesce.Gate
 	done chan struct{} // closed when the result stream has fully drained
 	stop int32         // atomic; set by Cancel so fused iterators bail out
 
@@ -176,6 +182,8 @@ type Query struct {
 	cause       error // cancellation cause; nil while live
 	firstRowAt  mturk.VirtualTime
 	hasFirstRow bool
+	endedAt     mturk.VirtualTime
+	hasEnded    bool
 	rankStats   []RankStat
 }
 
@@ -325,6 +333,16 @@ func (q *Query) FirstRowAt() (mturk.VirtualTime, bool) {
 	return q.firstRowAt, q.hasFirstRow
 }
 
+// EndedAt reports the virtual time the result stream ended (requires
+// Config.Now; ok=false while the query runs or without it). It is exact:
+// the clock's pump cannot step while the sink goroutine, which holds the
+// gate, observes the end of the stream.
+func (q *Query) EndedAt() (mturk.VirtualTime, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.endedAt, q.hasEnded
+}
+
 // Cancel stops the query with the given cause (ErrCanceled when nil):
 // the query's scope is canceled — expiring its open HITs at the
 // marketplace and releasing unspent budget — operator queues are closed
@@ -438,13 +456,16 @@ func Start(root plan.Node, cfg Config) (*Query, error) {
 		return nil, fmt.Errorf("exec: plan has human operators but no task manager")
 	}
 	q := &Query{Root: root, cfg: cfg, done: make(chan struct{})}
+	if cfg.Mgr != nil {
+		q.gate = cfg.Mgr.Backend().Clock().Gate()
+	}
 	q.result = relation.NewTable("result", root.Schema())
 	top, _, err := q.build(root, cfg.Trace)
 	if err != nil {
 		close(q.done)
 		return nil, err
 	}
-	go func() {
+	q.gate.Go(func() {
 		stable := top.Stable()
 		for {
 			t, ok := top.Next()
@@ -463,11 +484,16 @@ func Start(root plan.Node, cfg Config) (*Query, error) {
 				q.reportError(err)
 			}
 		}
+		if q.cfg.Now != nil {
+			q.mu.Lock()
+			q.endedAt, q.hasEnded = q.cfg.Now(), true
+			q.mu.Unlock()
+		}
 		top.Close()
 		q.endSpans()
 		q.result.Close()
 		close(q.done)
-	}()
+	})
 	return q, nil
 }
 
@@ -550,7 +576,7 @@ func needsHumans(n plan.Node) bool {
 // caller launches a producer goroutine that pushes into op.out, and
 // downstream pulls through the returned queueIter.
 func (q *Query) async(op *operator) *queueIter {
-	op.out = queue.New(q.cfg.QueueSize)
+	op.out = queue.NewGated(q.cfg.QueueSize, q.gate)
 	return &queueIter{op: op}
 }
 
@@ -579,7 +605,7 @@ func (q *Query) build(n plan.Node, parent *obs.Span) (Iterator, *operator, error
 			return &filterIter{q: q, op: op, child: in, conjuncts: v.Conjuncts}, op, nil
 		}
 		it := q.async(op)
-		go q.runFilter(op, v, ensureStable(in))
+		q.gate.Go(func() { q.runFilter(op, v, ensureStable(in)) })
 		return it, op, nil
 	case *plan.Project:
 		in, _, err := q.build(v.Input, op.span)
@@ -595,7 +621,7 @@ func (q *Query) build(n plan.Node, parent *obs.Span) (Iterator, *operator, error
 			return &projectIter{q: q, op: op, v: v, child: in}, op, nil
 		}
 		it := q.async(op)
-		go q.runProject(op, v, b, ensureStable(in))
+		q.gate.Go(func() { q.runProject(op, v, b, ensureStable(in)) })
 		return it, op, nil
 	case *plan.PreFilter:
 		in, _, err := q.build(v.Input, op.span)
@@ -603,7 +629,7 @@ func (q *Query) build(n plan.Node, parent *obs.Span) (Iterator, *operator, error
 			return nil, nil, err
 		}
 		it := q.async(op)
-		go q.runPreFilter(op, v, ensureStable(in))
+		q.gate.Go(func() { q.runPreFilter(op, v, ensureStable(in)) })
 		return it, op, nil
 	case *plan.Join:
 		left, lop, err := q.build(v.Left, op.span)
@@ -630,7 +656,7 @@ func (q *Query) build(n plan.Node, parent *obs.Span) (Iterator, *operator, error
 			return &localJoinIter{q: q, op: op, v: v, left: left, right: ensureStable(right)}, op, nil
 		}
 		it := q.async(op)
-		go q.runJoin(op, v, ensureStable(left), ensureStable(right))
+		q.gate.Go(func() { q.runJoin(op, v, ensureStable(left), ensureStable(right)) })
 		return it, op, nil
 	case *plan.OrderBy:
 		in, _, err := q.build(v.Input, op.span)
@@ -646,7 +672,7 @@ func (q *Query) build(n plan.Node, parent *obs.Span) (Iterator, *operator, error
 			return &orderByIter{q: q, op: op, v: v, child: in}, op, nil
 		}
 		it := q.async(op)
-		go q.runOrderBy(op, v, b, ensureStable(in))
+		q.gate.Go(func() { q.runOrderBy(op, v, b, ensureStable(in)) })
 		return it, op, nil
 	case *plan.Rank:
 		in, _, err := q.build(v.Input, op.span)
@@ -654,7 +680,7 @@ func (q *Query) build(n plan.Node, parent *obs.Span) (Iterator, *operator, error
 			return nil, nil, err
 		}
 		it := q.async(op)
-		go q.runRank(op, v, ensureStable(in))
+		q.gate.Go(func() { q.runRank(op, v, ensureStable(in)) })
 		return it, op, nil
 	case *plan.Aggregate:
 		exprs := append([]qlang.Expr(nil), v.Keys...)
@@ -674,7 +700,7 @@ func (q *Query) build(n plan.Node, parent *obs.Span) (Iterator, *operator, error
 			return &aggregateIter{q: q, op: op, v: v, child: in}, op, nil
 		}
 		it := q.async(op)
-		go q.runAggregate(op, v, b, ensureStable(in))
+		q.gate.Go(func() { q.runAggregate(op, v, b, ensureStable(in)) })
 		return it, op, nil
 	case *plan.Distinct:
 		in, _, err := q.build(v.Input, op.span)

@@ -94,9 +94,10 @@ func (qi *queueIter) Next() (relation.Tuple, bool) { return qi.op.out.Pop() }
 func (qi *queueIter) Close()                       { qi.op.out.Close() }
 func (qi *queueIter) Stable() bool                 { return true }
 
-// scanIter streams the table snapshot, re-labelling tuples with the
-// alias-qualified schema. The snapshot slice shares value storage with
-// the table, so emitted tuples are stable.
+// scanIter streams the rows present when it starts, re-labelling tuples
+// with the alias-qualified schema. It reads the table's own rows
+// (Table.Rows), which never change once appended, so emitted tuples are
+// stable and nothing is copied.
 type scanIter struct {
 	q       *Query
 	op      *operator
@@ -109,9 +110,10 @@ type scanIter struct {
 func (s *scanIter) Next() (relation.Tuple, bool) {
 	if !s.started {
 		s.started = true
-		s.rows = s.v.Table.Snapshot()
+		s.rows = s.v.Table.Rows()
 	}
 	if s.q.stopped() || s.i >= len(s.rows) {
+		s.rows = nil
 		s.op.markDone()
 		return relation.Tuple{}, false
 	}

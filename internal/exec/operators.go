@@ -11,6 +11,7 @@ import (
 	"repro/internal/hit"
 	"repro/internal/plan"
 	"repro/internal/qlang"
+	"repro/internal/quiesce"
 	"repro/internal/rank"
 	"repro/internal/relation"
 	"repro/internal/taskmgr"
@@ -37,14 +38,14 @@ func (q *Query) runFilter(op *operator, v *plan.Filter, in Iterator) {
 	}
 	tasks := taskNames(bound...)
 
-	var wg sync.WaitGroup
-	var sem chan struct{}
+	wg := quiesce.WaitGroup{Gate: q.gate}
+	var sem *quiesce.Sem
 	if q.cfg.FilterWindow > 0 && len(human) > 0 && !q.cfg.GroupFilters {
-		sem = make(chan struct{}, q.cfg.FilterWindow)
+		sem = quiesce.NewSem(q.gate, q.cfg.FilterWindow)
 	}
 	finish := func() {
 		if sem != nil {
-			<-sem
+			sem.Release()
 		}
 		wg.Done()
 	}
@@ -69,7 +70,7 @@ func (q *Query) runFilter(op *operator, v *plan.Filter, in Iterator) {
 			return
 		}
 		if sem != nil {
-			sem <- struct{}{}
+			sem.Acquire()
 			// The window is open: flush whatever the previous tuples
 			// queued so their results (and selectivity updates) arrive
 			// while later tuples wait here.
@@ -141,7 +142,7 @@ func (q *Query) filterOrder(human []qlang.Expr) []int {
 // groupFilter asks all human conjuncts about one tuple in a single HIT;
 // b binds their calls jointly, so a call two conjuncts share is asked
 // once.
-func (q *Query) groupFilter(op *operator, t relation.Tuple, human []qlang.Expr, b *binding, wg *sync.WaitGroup) {
+func (q *Query) groupFilter(op *operator, t relation.Tuple, human []qlang.Expr, b *binding, wg *quiesce.WaitGroup) {
 	args, vals, err := b.prepare(t)
 	if err != nil {
 		q.reportError(err)
@@ -180,7 +181,7 @@ func (q *Query) groupFilter(op *operator, t relation.Tuple, human []qlang.Expr, 
 // computes outputs.
 func (q *Query) runProject(op *operator, v *plan.Project, b *binding, in Iterator) {
 	defer op.finish()
-	var wg sync.WaitGroup
+	wg := quiesce.WaitGroup{Gate: q.gate}
 	for {
 		t, ok := in.Next()
 		if !ok {
@@ -228,9 +229,9 @@ type joinSide struct {
 func (q *Query) runJoin(op *operator, v *plan.Join, left, right Iterator) {
 	defer op.finish()
 	var lbuf, rbuf []relation.Tuple
-	var dw sync.WaitGroup
+	dw := quiesce.WaitGroup{Gate: q.gate}
 	dw.Add(2)
-	go func() {
+	q.gate.Go(func() {
 		defer dw.Done()
 		for {
 			t, ok := left.Next()
@@ -240,8 +241,8 @@ func (q *Query) runJoin(op *operator, v *plan.Join, left, right Iterator) {
 			atomic.AddInt64(&op.in, 1)
 			lbuf = append(lbuf, t)
 		}
-	}()
-	go func() {
+	})
+	q.gate.Go(func() {
 		defer dw.Done()
 		for {
 			t, ok := right.Next()
@@ -251,7 +252,7 @@ func (q *Query) runJoin(op *operator, v *plan.Join, left, right Iterator) {
 			atomic.AddInt64(&op.in, 1)
 			rbuf = append(rbuf, t)
 		}
-	}()
+	})
 	dw.Wait()
 	q.noteResident(int64(len(lbuf) + len(rbuf)))
 
@@ -301,7 +302,7 @@ func (q *Query) passesAll(conjuncts []qlang.Expr, t relation.Tuple) bool {
 // (Figure 3): each block pair is one HIT answering blockL×blockR pairs.
 func (q *Query) joinTwoColumn(op *operator, v *plan.Join, ls, rs []joinSide) {
 	lb, rb := q.cfg.JoinLeftBlock, q.cfg.JoinRightBlock
-	var wg sync.WaitGroup
+	wg := quiesce.WaitGroup{Gate: q.gate}
 	for li := 0; li < len(ls); li += lb {
 		if q.Canceled() {
 			break
@@ -363,7 +364,7 @@ func (q *Query) joinTwoColumn(op *operator, v *plan.Join, ls, rs []joinSide) {
 // joinPairwise submits one boolean question per pair — the naive join
 // interface the two-column layout is compared against.
 func (q *Query) joinPairwise(op *operator, v *plan.Join, ls, rs []joinSide) {
-	var wg sync.WaitGroup
+	wg := quiesce.WaitGroup{Gate: q.gate}
 	for _, l := range ls {
 		if q.Canceled() {
 			break
@@ -517,7 +518,7 @@ func (q *Query) preFilterBlock(op *operator, v *plan.PreFilter, rows []relation.
 	if v.Left {
 		side = taskmgr.SideLeft
 	}
-	var wg sync.WaitGroup
+	wg := quiesce.WaitGroup{Gate: q.gate}
 	for i := range rows {
 		if argErr[i] != nil {
 			q.reportError(argErr[i])
@@ -613,7 +614,8 @@ func (q *Query) runRank(op *operator, v *plan.Rank, in Iterator) {
 	}
 	d := decide(v, len(items))
 
-	done := make(chan struct{})
+	done := quiesce.WaitGroup{Gate: q.gate}
+	done.Add(1)
 	var perm []int
 	var rst rank.Stats
 	rank.Run(items, rateSurface(v), v.Compare, d, rank.Config{
@@ -622,9 +624,9 @@ func (q *Query) runRank(op *operator, v *plan.Rank, in Iterator) {
 		OnError: q.reportError,
 	}, func(p []int, st rank.Stats) {
 		perm, rst = p, st
-		close(done)
+		done.Done()
 	})
-	<-done
+	done.Wait()
 	q.noteRankStat(RankStat{
 		Op:          v.Label(),
 		Strategy:    string(rst.Strategy),
@@ -697,7 +699,7 @@ func (q *Query) runOrderBy(op *operator, v *plan.OrderBy, b *binding, in Iterato
 	}
 	q.noteResident(int64(len(rows)))
 	keys := make([][]relation.Value, len(rows))
-	var wg sync.WaitGroup
+	wg := quiesce.WaitGroup{Gate: q.gate}
 	for i, t := range rows {
 		i, t := i, t
 		wg.Add(1)
@@ -773,7 +775,7 @@ func (q *Query) runAggregate(op *operator, v *plan.Aggregate, b *binding, in Ite
 	var order []string
 
 	var mu sync.Mutex
-	var wg sync.WaitGroup
+	wg := quiesce.WaitGroup{Gate: q.gate}
 	for {
 		t, ok := in.Next()
 		if !ok {

@@ -36,6 +36,41 @@ func TestLoadHarnessDeterministic(t *testing.T) {
 	}
 }
 
+// TestExperimentsDeterministic reruns representative experiments with
+// the same seed and requires byte-identical result tables: workload
+// generation, crowd noise, batching, the sharded marketplace and the
+// sharded virtual clock are all pure functions of the seed. The engine's
+// clock pump waits on its quiescence gate until every executor
+// goroutine is parked (and experiments that submit to the task manager
+// directly hold the gate while they do), so scheduling — including the
+// race detector's slowdown — cannot move a HIT's posting time or a
+// linger boundary.
+func TestExperimentsDeterministic(t *testing.T) {
+	runs := []struct {
+		name string
+		gen  func() Table
+	}{
+		{"E8Batching", func() Table { return E8Batching(40, 7) }},
+		{"E2Cache", func() Table { return E2Cache(8, 7) }},
+		{"E6Redundancy", func() Table { return E6Redundancy(30, 7) }},
+		{"E5PreFilter", func() Table { return E5PreFilter(6, 14, 7) }},
+		{"E9Sort", func() Table { return E9Sort(12, 7) }},
+		{"E10Async", func() Table { return E10Async(20, 7) }},
+		{"E11SpamDefense", func() Table { return E11SpamDefense(40, 7) }},
+	}
+	for _, run := range runs {
+		t.Run(run.name, func(t *testing.T) {
+			first := run.gen().String()
+			for i := 2; i <= 3; i++ {
+				if again := run.gen().String(); again != first {
+					t.Fatalf("run %d differs from run 1:\n--- run 1 ---\n%s\n--- run %d ---\n%s",
+						i, first, i, again)
+				}
+			}
+		})
+	}
+}
+
 // TestConcurrentQueriesRaceClean drives several queries through one
 // engine at once — executor goroutines, the clock pump, the sharded
 // marketplace and the task manager's striped state all running

@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/core"
+	"repro/internal/quiesce"
 	"repro/internal/relation"
 	"repro/internal/taskmgr"
 	"repro/internal/workload"
@@ -43,27 +43,30 @@ func E11SpamDefense(nPerPhase int, seed int64) Table {
 	setAssignments(5)
 
 	photos := ds.Tables[0].Snapshot()
+	gate, release := drive(e)
+	defer release()
 	runPhase := func(phase int) (questions int64, spent string, acc float64) {
 		var mu sync.Mutex
-		done := 0
+		wg := quiesce.WaitGroup{Gate: gate}
 		results := map[string]bool{}
 		before := e.Manager().StatsFor("iscat")
 		lo, hi := (phase-1)*nPerPhase, phase*nPerPhase
 		for _, row := range photos[lo:hi] {
 			img := row.Get("img")
+			wg.Add(1)
 			e.Manager().Submit(taskmgr.Request{
 				Def:  def,
 				Args: []relation.Value{img},
 				Done: func(out taskmgr.Outcome) {
 					mu.Lock()
 					results[img.Str()] = out.Value.Truthy()
-					done++
 					mu.Unlock()
+					wg.Done()
 				},
 			})
 		}
 		e.Manager().Flush(def.Name)
-		waitFor(e, func() bool { mu.Lock(); defer mu.Unlock(); return done == nPerPhase })
+		wg.Wait()
 		correct := 0
 		for img, keep := range results {
 			if keep == ds.Oracle.Truth("isCat", []relation.Value{relation.NewImage(img)}).Truthy() {
@@ -88,13 +91,4 @@ func E11SpamDefense(nPerPhase int, seed int64) Table {
 	t.Rows = append(t.Rows, []string{"2 (blocklist on)", Cell(q2), s2, Cell(a2),
 		fmt.Sprintf("%d", len(blocked))})
 	return t
-}
-
-// waitFor blocks until cond holds; the engine's clock pump goroutine is
-// advancing virtual time concurrently, so a short real-time poll is all
-// that is needed.
-func waitFor(e *core.Engine, cond func() bool) {
-	for !cond() {
-		time.Sleep(200 * time.Microsecond)
-	}
 }

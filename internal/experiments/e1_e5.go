@@ -83,8 +83,8 @@ func E2Cache(nCompanies int, seed int64) Table {
 	var prevHITs, prevQ, prevHits int64
 	var prevSpent int64
 	for run := 1; run <= 3; run++ {
-		before := e.Clock().Now()
-		if _, err := queryAndWait(e, query1); err != nil {
+		_, latency, err := timedQuery(e, query1)
+		if err != nil {
 			panic(err)
 		}
 		s := e.Manager().StatsFor("findceo")
@@ -94,7 +94,7 @@ func E2Cache(nCompanies int, seed int64) Table {
 			Cell(s.QuestionsAsked - prevQ),
 			Cell(s.CacheHits - prevHits),
 			centsVal(int64(s.SpentCents) - prevSpent).String(),
-			fmt.Sprintf("%.1f", (e.Clock().Now() - before).Minutes()),
+			fmt.Sprintf("%.1f", latency),
 		})
 		prevHITs, prevQ, prevHits = s.HITsPosted, s.QuestionsAsked, s.CacheHits
 		prevSpent = int64(s.SpentCents)
@@ -140,12 +140,10 @@ func E3JoinInterfaces(nCelebs, nSpotted int, seed int64) Table {
 			pol.BatchSize = 5
 			e.Manager().SetPolicy("samePerson", pol)
 		}
-		start := e.Clock().Now()
-		rows, err := queryAndWait(e, query2)
+		rows, latency, err := timedQuery(e, query2)
 		if err != nil {
 			panic(err)
 		}
-		latency := (e.Clock().Now() - start).Minutes()
 		precision, recall, f1 := joinQuality(ds, rows)
 		s := e.Manager().StatsFor("sameperson")
 		t.Rows = append(t.Rows, []string{

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/qlang"
+	"repro/internal/quiesce"
 	"repro/internal/relation"
 	"repro/internal/stats"
 	"repro/internal/taskmgr"
@@ -144,12 +145,10 @@ func E8Batching(nPhotos int, seed int64) Table {
 		pol := taskmgr.DefaultPolicy()
 		pol.BatchSize = b
 		e.Manager().SetPolicy("isCat", pol)
-		start := e.Clock().Now()
-		rows, err := queryAndWait(e, `SELECT img FROM photos WHERE isCat(img)`)
+		rows, latency, err := timedQuery(e, `SELECT img FROM photos WHERE isCat(img)`)
 		if err != nil {
 			panic(err)
 		}
-		latency := (e.Clock().Now() - start).Minutes()
 		s := e.Manager().StatsFor("iscat")
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("batch %d", b),
@@ -163,11 +162,10 @@ func E8Batching(nPhotos int, seed int64) Table {
 	ds := workload.Photos(nPhotos, 0.5, 0.5, seed)
 	e := mustEngine(core.Config{Exec: exec.Config{GroupFilters: true}}, defaultCrowd(seed), ds)
 	defineAll(e)
-	start := e.Clock().Now()
-	if _, err := queryAndWait(e, `SELECT img FROM photos WHERE isCat(img) AND isOutdoor(img)`); err != nil {
+	_, latency, err := timedQuery(e, `SELECT img FROM photos WHERE isCat(img) AND isOutdoor(img)`)
+	if err != nil {
 		panic(err)
 	}
-	latency := (e.Clock().Now() - start).Minutes()
 	cat := e.Manager().StatsFor("iscat")
 	out := e.Manager().StatsFor("isoutdoor")
 	t.Rows = append(t.Rows, []string{
@@ -217,7 +215,8 @@ func E9Sort(nItems int, seed int64) Table {
 	betterDef := taskOf(e, "better")
 	wins := make([]int, len(items))
 	var mu sync.Mutex
-	var wg sync.WaitGroup
+	gate, release := drive(e)
+	wg := quiesce.WaitGroup{Gate: gate}
 	for i := range items {
 		for j := range items {
 			if i == j {
@@ -241,6 +240,7 @@ func E9Sort(nItems int, seed int64) Table {
 	}
 	e.Manager().Flush("better")
 	wg.Wait()
+	release()
 	// Rank by wins ascending = quality ascending.
 	measured := make([]float64, len(items))
 	truthScores := make([]float64, len(items))
@@ -300,11 +300,10 @@ func E10Async(nPhotos int, seed int64) Table {
 	ds := workload.Photos(nPhotos, 0.6, 0.6, seed)
 	e := mustEngine(core.Config{}, defaultCrowd(seed), ds)
 	defineAll(e)
-	start := e.Clock().Now()
-	if _, err := queryAndWait(e, `SELECT img FROM photos WHERE isCat(img) AND isOutdoor(img)`); err != nil {
+	_, asyncMin, err := timedQuery(e, `SELECT img FROM photos WHERE isCat(img) AND isOutdoor(img)`)
+	if err != nil {
 		panic(err)
 	}
-	asyncMin := (e.Clock().Now() - start).Minutes()
 	q1 := e.Manager().StatsFor("iscat").QuestionsAsked + e.Manager().StatsFor("isoutdoor").QuestionsAsked
 	t.Rows = append(t.Rows, []string{"async queues (Qurk)", Cell(q1), fmt.Sprintf("%.1f", asyncMin)})
 	e.Close()
@@ -316,16 +315,23 @@ func E10Async(nPhotos int, seed int64) Table {
 	defineAll(e)
 	catDef := taskOf(e, "isCat")
 	outDef := taskOf(e, "isOutdoor")
-	start = e.Clock().Now()
+	gate, release := drive(e)
+	start := e.Clock().Now()
 	blockingSubmit := func(def *qlang.TaskDef, img relation.Value) bool {
-		res := make(chan bool, 1)
+		var pass bool
+		wg := quiesce.WaitGroup{Gate: gate}
+		wg.Add(1)
 		e.Manager().Submit(taskmgr.Request{
 			Def:  def,
 			Args: []relation.Value{img},
-			Done: func(out taskmgr.Outcome) { res <- out.Err == nil && out.Value.Truthy() },
+			Done: func(out taskmgr.Outcome) {
+				pass = out.Err == nil && out.Value.Truthy()
+				wg.Done()
+			},
 		})
 		e.Manager().Flush(def.Name)
-		return <-res
+		wg.Wait()
+		return pass
 	}
 	kept := 0
 	for _, row := range ds.Tables[0].Snapshot() {
@@ -338,6 +344,7 @@ func E10Async(nPhotos int, seed int64) Table {
 		}
 	}
 	blockingMin := (e.Clock().Now() - start).Minutes()
+	release()
 	q2 := e.Manager().StatsFor("iscat").QuestionsAsked + e.Manager().StatsFor("isoutdoor").QuestionsAsked
 	t.Rows = append(t.Rows, []string{"blocking iterator", Cell(q2), fmt.Sprintf("%.1f", blockingMin)})
 	e.Close()

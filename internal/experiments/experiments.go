@@ -10,9 +10,11 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/crowd"
+	"repro/internal/quiesce"
 	"repro/internal/relation"
 	"repro/internal/workload"
 )
@@ -181,6 +183,27 @@ const (
 	query2 = `SELECT celebrities.name, spottedstars.id FROM celebrities, spottedstars WHERE samePerson(celebrities.image, spottedstars.image)`
 )
 
+// drive makes the calling goroutine — an experiment that submits to the
+// task manager directly, outside the executor — a participant of the
+// engine clock's quiescence gate, like an executor goroutine: the pump
+// cannot advance virtual time while it runs, only while it parks on a
+// quiesce.WaitGroup built on the returned gate. Call the returned
+// release when done driving.
+func drive(e *core.Engine) (g *quiesce.Gate, release func()) {
+	g = e.Clock().Gate()
+	g.Hold()
+	return g, g.Release
+}
+
+// settle blocks until the engine's clock has run every scheduled event
+// and no goroutine holds its gate. Pending is read first: the pump holds
+// the gate from before it pops an event until the event has run.
+func settle(e *core.Engine) {
+	for e.Clock().Pending() > 0 || e.Clock().Gate().Busy() {
+		time.Sleep(200 * time.Microsecond)
+	}
+}
+
 // queryAndWait drains one query through the context API, returning the
 // rows and the typed terminal error (the experiments' one-call idiom,
 // kept off the deprecated Engine.QueryAndWait shim).
@@ -195,4 +218,26 @@ func queryAndWait(e *core.Engine, sql string) ([]relation.Tuple, error) {
 		out = append(out, rows.Tuple())
 	}
 	return out, rows.Err()
+}
+
+// timedQuery runs one query alone on e and reports its rows and its
+// virtual latency in minutes: from its start to the moment its result
+// stream ended. It settles the clock first, so events left over from
+// earlier work cannot race the start, and it reads the end from the
+// executor rather than the clock, which keeps running after the last
+// row.
+func timedQuery(e *core.Engine, sql string) ([]relation.Tuple, float64, error) {
+	settle(e)
+	rows, err := e.Query(context.Background(), sql)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer rows.Close()
+	var out []relation.Tuple
+	for rows.Next() {
+		out = append(out, rows.Tuple())
+	}
+	h := rows.Handle()
+	end, _ := h.Exec.EndedAt()
+	return out, (end - h.StartedAt).Minutes(), rows.Err()
 }

@@ -29,6 +29,13 @@
 // pump goroutine itself (the single-threaded harness pattern — see
 // internal/load), no such races exist and the whole simulation is a
 // pure function of its seeds.
+//
+// When other goroutines feed the clock — the engine's executor runs
+// producer goroutines beside its pump — Run waits for them: it steps
+// only while the clock's quiesce.Gate is idle, that is, while every
+// goroutine holding it is parked. Producers therefore submit all the
+// work they can before virtual time moves, and the moment each HIT is
+// posted no longer depends on goroutine scheduling.
 package mturk
 
 import (
@@ -37,6 +44,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/quiesce"
 )
 
 // VirtualTime is simulated time since the start of the run.
@@ -126,15 +135,28 @@ type Clock struct {
 	waiting atomic.Bool
 
 	pace pace // optional real-time rate (see SetPace)
+
+	gate *quiesce.Gate // Run steps only while no goroutine holds it
 }
 
 // NewClock returns a clock at virtual time zero.
 func NewClock() *Clock {
-	return &Clock{
+	c := &Clock{
 		shards: make([]clockShard, clockShardCount()),
 		wake:   make(chan struct{}, 1),
 	}
+	c.gate = quiesce.New(func() {
+		if c.waiting.CompareAndSwap(true, false) {
+			c.wakeAll()
+		}
+	})
+	return c
 }
+
+// Gate returns the gate Run waits on: goroutines that feed the clock
+// hold it while runnable (see package quiesce), and Run does not step
+// until all of them are parked.
+func (c *Clock) Gate() *quiesce.Gate { return c.gate }
 
 // Now returns the current virtual time.
 func (c *Clock) Now() VirtualTime { return VirtualTime(c.now.Load()) }
@@ -246,14 +268,27 @@ func (c *Clock) Step() bool {
 }
 
 // Run pumps events until stop reports true and the event queue is idle.
-// When the queue is momentarily empty but stop is still false — executor
-// goroutines run concurrently with the pump and may be about to post new
-// HITs — Run waits for a Schedule wakeup, with a short real-time poll as
-// a liveness backstop for the window where stop flips without any final
-// event.
+// It steps only while the gate is idle: a busy goroutine may be about to
+// schedule an event earlier than the queue's head. While the gate is
+// busy, or the queue is momentarily empty but stop is still false —
+// executor goroutines run concurrently with the pump and may be about to
+// post new HITs — Run waits for a wakeup (Schedule, or the gate going
+// idle), with a short real-time poll as a liveness backstop for the
+// window where stop flips without any final event.
+//
+// Run holds the gate while an event runs, so an event that parks (a
+// callback pushing into a full gated queue) hands over like any other
+// goroutine.
 func (c *Clock) Run(stop func() bool) {
 	var poll *time.Timer
 	for {
+		if c.gate.Busy() {
+			if c.closed.Load() {
+				return
+			}
+			c.park(&poll, true)
+			continue
+		}
 		if factor := c.pace.get(); factor > 0 {
 			if at, ok := c.peekNext(); ok && at > c.Now() {
 				if stop() {
@@ -265,7 +300,10 @@ func (c *Clock) Run(stop func() bool) {
 				continue
 			}
 		}
-		if c.Step() {
+		c.gate.Hold()
+		stepped := c.Step()
+		c.gate.Release()
+		if stepped {
 			continue
 		}
 		if stop() {
@@ -274,23 +312,34 @@ func (c *Clock) Run(stop func() bool) {
 		if c.closed.Load() {
 			return
 		}
-		c.waiting.Store(true)
-		if c.Pending() > 0 {
-			c.waiting.Store(false)
-			continue
-		}
-		if poll == nil {
-			poll = time.NewTimer(200 * time.Microsecond)
-		} else {
-			poll.Reset(200 * time.Microsecond)
-		}
-		select {
-		case <-c.wake:
-			poll.Stop()
-		case <-poll.C:
-		}
-		c.waiting.Store(false)
+		c.park(&poll, false)
 	}
+}
+
+// park blocks Run until a wakeup or the poll backstop. forIdle waits for
+// the gate to go idle; otherwise it waits for an event to be scheduled
+// (or the gate to turn busy, which the caller then waits out).
+func (c *Clock) park(poll **time.Timer, forIdle bool) {
+	c.waiting.Store(true)
+	ready := !c.gate.Busy()
+	if !forIdle {
+		ready = c.Pending() > 0 || !ready
+	}
+	if ready {
+		c.waiting.Store(false)
+		return
+	}
+	if *poll == nil {
+		*poll = time.NewTimer(200 * time.Microsecond)
+	} else {
+		(*poll).Reset(200 * time.Microsecond)
+	}
+	select {
+	case <-c.wake:
+		(*poll).Stop()
+	case <-(*poll).C:
+	}
+	c.waiting.Store(false)
 }
 
 // Close wakes Run so it can observe shutdown. Scheduled-but-unrun events

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"sync"
 
+	"repro/internal/quiesce"
 	"repro/internal/relation"
 )
 
@@ -18,14 +19,23 @@ var ErrClosed = errors.New("queue: closed")
 // Queue is a bounded FIFO of tuples, safe for many producers and many
 // consumers. Close signals end-of-stream: pending items remain poppable,
 // Pop returns ok=false once drained.
+//
+// A queue built with NewGated parks its blocked callers on a
+// quiesce.Gate: a blocked Push or Pop releases its hold, and the call
+// that wakes it holds on its behalf. The sleeper counts make that
+// hand-over exact — a waker decrements them as it signals, so each
+// wakeup carries exactly one hold.
 type Queue struct {
-	mu       sync.Mutex
-	notFull  *sync.Cond
-	notEmpty *sync.Cond
-	buf      []relation.Tuple
-	head     int
-	count    int
-	closed   bool
+	mu        sync.Mutex
+	notFull   *sync.Cond
+	notEmpty  *sync.Cond
+	buf       []relation.Tuple
+	head      int
+	count     int
+	closed    bool
+	gate      *quiesce.Gate
+	sleepPush int // Push callers waiting on notFull and not yet signaled
+	sleepPop  int // Pop callers waiting on notEmpty and not yet signaled
 
 	// hwm tracks the high-water mark for dashboard reporting.
 	hwm    int
@@ -34,11 +44,15 @@ type Queue struct {
 }
 
 // New creates a queue with the given capacity (minimum 1).
-func New(capacity int) *Queue {
+func New(capacity int) *Queue { return NewGated(capacity, nil) }
+
+// NewGated creates a queue whose blocked callers park on g (nil: plain
+// blocking, like New).
+func NewGated(capacity int, g *quiesce.Gate) *Queue {
 	if capacity < 1 {
 		capacity = 1
 	}
-	q := &Queue{buf: make([]relation.Tuple, capacity)}
+	q := &Queue{buf: make([]relation.Tuple, capacity), gate: g}
 	q.notFull = sync.NewCond(&q.mu)
 	q.notEmpty = sync.NewCond(&q.mu)
 	return q
@@ -50,6 +64,8 @@ func (q *Queue) Push(t relation.Tuple) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for q.count == len(q.buf) && !q.closed {
+		q.sleepPush++
+		q.gate.Release()
 		q.notFull.Wait()
 	}
 	if q.closed {
@@ -61,7 +77,7 @@ func (q *Queue) Push(t relation.Tuple) error {
 	if q.count > q.hwm {
 		q.hwm = q.count
 	}
-	q.notEmpty.Signal()
+	q.wakePopLocked()
 	return nil
 }
 
@@ -78,7 +94,7 @@ func (q *Queue) TryPush(t relation.Tuple) bool {
 	if q.count > q.hwm {
 		q.hwm = q.count
 	}
-	q.notEmpty.Signal()
+	q.wakePopLocked()
 	return true
 }
 
@@ -88,6 +104,8 @@ func (q *Queue) Pop() (t relation.Tuple, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for q.count == 0 && !q.closed {
+		q.sleepPop++
+		q.gate.Release()
 		q.notEmpty.Wait()
 	}
 	if q.count == 0 {
@@ -98,7 +116,7 @@ func (q *Queue) Pop() (t relation.Tuple, ok bool) {
 	q.head = (q.head + 1) % len(q.buf)
 	q.count--
 	q.popped++
-	q.notFull.Signal()
+	q.wakePushLocked()
 	return t, true
 }
 
@@ -115,7 +133,7 @@ func (q *Queue) TryPop() (t relation.Tuple, ok, done bool) {
 	q.head = (q.head + 1) % len(q.buf)
 	q.count--
 	q.popped++
-	q.notFull.Signal()
+	q.wakePushLocked()
 	return t, true, false
 }
 
@@ -127,8 +145,32 @@ func (q *Queue) Close() {
 		return
 	}
 	q.closed = true
+	for ; q.sleepPush > 0; q.sleepPush-- {
+		q.gate.Hold()
+	}
+	for ; q.sleepPop > 0; q.sleepPop-- {
+		q.gate.Hold()
+	}
 	q.notFull.Broadcast()
 	q.notEmpty.Broadcast()
+}
+
+// wakePopLocked wakes one blocked Pop, holding the gate on its behalf.
+func (q *Queue) wakePopLocked() {
+	if q.sleepPop > 0 {
+		q.sleepPop--
+		q.gate.Hold()
+		q.notEmpty.Signal()
+	}
+}
+
+// wakePushLocked wakes one blocked Push, holding the gate on its behalf.
+func (q *Queue) wakePushLocked() {
+	if q.sleepPush > 0 {
+		q.sleepPush--
+		q.gate.Hold()
+		q.notFull.Signal()
+	}
 }
 
 // Closed reports whether Close has been called.

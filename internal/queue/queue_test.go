@@ -1,10 +1,12 @@
 package queue
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/quiesce"
 	"repro/internal/relation"
 )
 
@@ -245,4 +247,32 @@ func TestNewMinimumCapacity(t *testing.T) {
 	if !q.TryPush(tup(1)) {
 		t.Fatal("capacity must be at least 1")
 	}
+}
+
+// A Push that wakes a parked Pop holds the gate for it, so the gate
+// never reads idle while the consumer is runnable.
+func TestGatedQueueHandsOverHold(t *testing.T) {
+	g := quiesce.New(nil)
+	q := NewGated(1, g)
+	got := make(chan int64)
+	g.Go(func() {
+		t, _ := q.Pop()
+		got <- t.Values[0].Int()
+	})
+	for g.Busy() { // consumer parks on the empty queue
+		runtime.Gosched()
+	}
+	if err := q.Push(tup(7)); err != nil {
+		t.Fatal(err)
+	}
+	if !g.Busy() {
+		t.Fatal("Push woke the consumer without holding the gate for it")
+	}
+	if v := <-got; v != 7 {
+		t.Fatalf("popped %d", v)
+	}
+	for g.Busy() {
+		runtime.Gosched()
+	}
+	q.Close()
 }

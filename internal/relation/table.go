@@ -70,6 +70,16 @@ func (t *Table) Snapshot() []Tuple {
 	return out
 }
 
+// Rows returns the current rows without copying them. The table only
+// ever appends, so the rows already present never change; the slice is
+// capped at its length so appending to it cannot reach the table's
+// storage. Callers must treat it as read-only.
+func (t *Table) Rows() []Tuple {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.rows[:len(t.rows):len(t.rows)]
+}
+
 // Row returns the i-th row.
 func (t *Table) Row(i int) Tuple {
 	t.mu.RLock()

@@ -270,3 +270,21 @@ func TestSnapshotIsCopy(t *testing.T) {
 		t.Error("snapshot must not grow with table")
 	}
 }
+
+// TestRowsIsStableView pins Rows' contract: the view keeps its length
+// as the table grows, and appending to it never writes into the table.
+func TestRowsIsStableView(t *testing.T) {
+	tab := NewTable("r", twoColSchema(t))
+	for _, name := range []string{"a", "b", "c"} {
+		_ = tab.InsertValues(NewString(name), NewInt(1))
+	}
+	rows := tab.Rows()
+	_ = tab.InsertValues(NewString("d"), NewInt(4))
+	if len(rows) != 3 || rows[2].Values[0].Str() != "c" {
+		t.Fatalf("view changed as the table grew: %v", rows)
+	}
+	_ = append(rows, Tuple{Values: []Value{NewString("x"), NewInt(9)}})
+	if got := tab.Row(3).Values[0].Str(); got != "d" {
+		t.Fatalf("appending to the view overwrote table row 3 with %q", got)
+	}
+}

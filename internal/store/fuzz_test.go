@@ -18,7 +18,6 @@ func FuzzWALReplay(f *testing.F) {
 	// Seed with a well-formed segment plus mutations replay must survive.
 	var valid []byte
 	valid = append(valid, segMagic...)
-	var payload []byte
 	for _, rec := range []Record{
 		{Kind: KindCacheEntry, Task: "isCat", Args: "k", Answers: []relation.Value{relation.NewBool(true)}},
 		{Kind: KindSelectivity, Task: "isCeleb", Side: "right", Pass: true},
@@ -27,8 +26,7 @@ func FuzzWALReplay(f *testing.F) {
 		{Kind: KindReputation, Worker: "w", Pass: true},
 		{Kind: KindReputationSum, Worker: "w", N: 10, M: 4},
 	} {
-		payload = rec.encode(payload[:0])
-		valid = appendFrame(valid, payload)
+		valid = appendRecordFrame(valid, rec)
 	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3])        // torn tail

@@ -27,7 +27,7 @@ func TestRankPairRecordsFoldAndSnapshot(t *testing.T) {
 	s2 := NewState()
 	for _, rec := range s.snapshotRecords() {
 		payload := rec.encode(nil)
-		dec, err := decodeRecord(payload)
+		dec, err := decodeRecord(payload, interner{})
 		if err != nil {
 			t.Fatalf("decode %v: %v", rec.Kind, err)
 		}

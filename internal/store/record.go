@@ -133,8 +133,10 @@ func (r Record) encode(dst []byte) []byte {
 
 // decodeRecord parses one payload produced by encode. Every length is
 // validated against the remaining input so corrupted payloads fail
-// instead of allocating absurd amounts.
-func decodeRecord(data []byte) (Record, error) {
+// instead of allocating absurd amounts. Task, Side and Worker come from
+// in, so a replay holds one copy of each distinct name; Args and the
+// answer values are copied out of data, which the caller may reuse.
+func decodeRecord(data []byte, in interner) (Record, error) {
 	var r Record
 	if len(data) == 0 {
 		return r, fmt.Errorf("store: empty record")
@@ -144,34 +146,43 @@ func decodeRecord(data []byte) (Record, error) {
 		return r, fmt.Errorf("store: unknown record kind %d", data[0])
 	}
 	rest := data[1:]
+	var b []byte
 	var err error
-	if r.Task, rest, err = takeStr(rest); err != nil {
+	if b, rest, err = takeBytes(rest); err != nil {
 		return r, err
 	}
-	if r.Side, rest, err = takeStr(rest); err != nil {
+	r.Task = in.intern(b)
+	if b, rest, err = takeBytes(rest); err != nil {
 		return r, err
 	}
-	if r.Worker, rest, err = takeStr(rest); err != nil {
+	r.Side = in.intern(b)
+	if b, rest, err = takeBytes(rest); err != nil {
 		return r, err
 	}
-	if r.Args, rest, err = takeStr(rest); err != nil {
+	r.Worker = in.intern(b)
+	if b, rest, err = takeBytes(rest); err != nil {
 		return r, err
 	}
+	r.Args = string(b)
+	// Each answer takes at least two bytes (length and kind), which
+	// bounds the slice allocated for a corrupt count by the input size.
 	n, used := binary.Uvarint(rest)
-	if used <= 0 || n > uint64(len(rest)) {
+	if used <= 0 || n > uint64(len(rest)/2) {
 		return r, fmt.Errorf("store: bad answer count")
 	}
 	rest = rest[used:]
-	for i := uint64(0); i < n; i++ {
-		var enc string
-		if enc, rest, err = takeStr(rest); err != nil {
+	if n > 0 {
+		r.Answers = make([]relation.Value, n)
+	}
+	for i := range r.Answers {
+		if b, rest, err = takeBytes(rest); err != nil {
 			return r, err
 		}
-		v, trailing, derr := relation.DecodeValue([]byte(enc))
+		v, trailing, derr := relation.DecodeValue(b)
 		if derr != nil || len(trailing) != 0 {
 			return r, fmt.Errorf("store: bad answer encoding: %v", derr)
 		}
-		r.Answers = append(r.Answers, v)
+		r.Answers[i] = v
 	}
 	if len(rest) < 1+8+8 {
 		return r, fmt.Errorf("store: truncated record tail")
@@ -196,12 +207,31 @@ func appendStr(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-func takeStr(data []byte) (string, []byte, error) {
+// takeBytes splits one length-prefixed field off data, without copying.
+func takeBytes(data []byte) ([]byte, []byte, error) {
 	n, used := binary.Uvarint(data)
 	if used <= 0 || n > uint64(len(data)-used) {
-		return "", nil, fmt.Errorf("store: bad string length")
+		return nil, nil, fmt.Errorf("store: bad string length")
 	}
-	return string(data[used : used+int(n)]), data[used+int(n):], nil
+	end := used + int(n)
+	return data[used:end], data[end:], nil
+}
+
+// interner hands out one string per distinct byte sequence: replay uses
+// it for the task, side and worker names that thousands of records
+// repeat.
+type interner map[string]string
+
+func (in interner) intern(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	if s, ok := in[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	in[s] = s
+	return s
 }
 
 // DecodeArgs splits a canonical argument encoding (cache.Key.Args /

@@ -6,11 +6,18 @@
 //
 // Every record is CRC-framed; replay recovers the longest valid prefix,
 // so a torn write (crash mid-append) loses at most the torn record.
-// Appending is asynchronous through a bounded buffer: producers (the
-// task manager's finalization paths) never block — when the buffer is
-// full the record is dropped and counted, trading completeness for
-// latency, which is the right trade for advisory knowledge that only
-// tunes future decisions.
+// Replay decodes each frame in place: task, side and worker names are
+// interned once per replay, and only Args and answers are copied out.
+//
+// Appending is asynchronous through a bounded queue: producers (the
+// task manager's finalization paths) never block. Append adds the record
+// to a mutex-guarded slice and wakes the single writer goroutine, which
+// swaps out the whole backlog at once, so the queue's memory grows with
+// the backlog reached, not with its bound. At the bound the record is
+// dropped and counted, trading completeness for latency, which is the
+// right trade for advisory knowledge that only tunes future decisions.
+// Close marks the store closed under the queue lock, so each Append is
+// either written by the writer's final drain or dropped.
 //
 // Growth is bounded by snapshot + segment compaction: the store folds
 // every record into an in-memory State; when enough sealed segments
@@ -34,9 +41,10 @@ import (
 
 // Options tunes a store; zero values take the documented defaults.
 type Options struct {
-	// BufferRecords is the async append buffer (default 65536). A full
-	// buffer drops records (counted in Stats.Dropped) instead of
-	// blocking the caller.
+	// BufferRecords is the largest backlog: records accepted by Append
+	// but not yet written (default 65536). An Append beyond it drops the
+	// record (counted in Stats.Dropped) instead of blocking the caller.
+	// Memory follows the backlog reached, not this bound.
 	BufferRecords int
 	// SegmentBytes rotates the active segment when it grows past this
 	// size (default 1 MiB).
@@ -62,7 +70,7 @@ func (o Options) withDefaults() Options {
 // Stats counts store activity.
 type Stats struct {
 	// Appended / Dropped count records accepted into / rejected from the
-	// async buffer; Written counts records durably framed to a segment.
+	// append queue; Written counts records durably framed to a segment.
 	Appended, Dropped, Written int64
 	Compactions                int64
 }
@@ -104,10 +112,19 @@ type Store struct {
 	segBytes int64
 	sealed   []uint64 // sealed segment seqs awaiting compaction
 
-	ch        chan Record
-	quit      chan struct{}
+	// qmu guards the append queue. queue collects appended records;
+	// spare is the writer's previous batch, reused for the next queue.
+	// backlog counts records accepted but not yet written (queue plus
+	// the batch in the writer's hands), bounded by Options.BufferRecords.
+	qmu     sync.Mutex
+	queue   []Record
+	spare   []Record
+	backlog int
+	closed  bool
+	// wake holds at most one pending signal that the queue is non-empty
+	// or the store is closing.
+	wake      chan struct{}
 	wdone     chan struct{}
-	closed    atomic.Bool
 	closeOnce sync.Once
 	closeErr  error
 
@@ -136,12 +153,12 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 		opts:  opts,
 		lock:  lock,
 		state: NewState(),
-		ch:    make(chan Record, opts.BufferRecords),
-		quit:  make(chan struct{}),
+		wake:  make(chan struct{}, 1),
 		wdone: make(chan struct{}),
 	}
 
-	covered, _, snapClean := replaySnapshotFile(filepath.Join(dir, snapName), s.state.apply)
+	in := interner{}
+	covered, _, snapClean := replaySnapshotFile(filepath.Join(dir, snapName), in, s.state.apply)
 	if !snapClean {
 		s.replay.CorruptTail = true
 	}
@@ -167,7 +184,7 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 		// Later segments still replay: records are independent
 		// observations appended by a store that had already accepted the
 		// truncation, so applying them never depends on the lost tail.
-		_, clean := replaySegmentFile(filepath.Join(dir, segFileName(seq)), s.state.apply)
+		_, clean := replaySegmentFile(filepath.Join(dir, segFileName(seq)), in, s.state.apply)
 		if !clean {
 			s.replay.CorruptTail = true
 		}
@@ -235,18 +252,27 @@ func (s *Store) openSegmentLocked() error {
 }
 
 // Append enqueues one record for asynchronous durability. It never
-// blocks: a full buffer (or a closed store) drops the record and
+// blocks: a full backlog (or a closed store) drops the record and
 // increments Stats.Dropped.
 func (s *Store) Append(rec Record) {
-	if s.closed.Load() {
+	s.qmu.Lock()
+	if s.closed || s.backlog >= s.opts.BufferRecords {
+		s.qmu.Unlock()
 		s.dropped.Add(1)
 		return
 	}
+	s.queue = append(s.queue, rec)
+	s.backlog++
+	s.appended.Add(1)
+	s.qmu.Unlock()
+	s.signal()
+}
+
+// signal wakes the writer unless a wake-up is already pending.
+func (s *Store) signal() {
 	select {
-	case s.ch <- rec:
-		s.appended.Add(1)
+	case s.wake <- struct{}{}:
 	default:
-		s.dropped.Add(1)
 	}
 }
 
@@ -255,40 +281,47 @@ func (s *Store) Append(rec Record) {
 func (s *Store) writer() {
 	defer close(s.wdone)
 	var buf []byte
-	for {
-		select {
-		case rec := <-s.ch:
-			buf = s.handle(rec, buf)
-			buf = s.drainBacklog(buf)
-			// No flush here: bufio publishes to the OS as its (large)
-			// buffer fills, rotation and Close flush the rest. Keeping
-			// the writer syscall-light is what lets it outpace the
-			// finalization paths, so the bounded buffer never drops in
-			// steady state.
-			s.maybeCompact()
-		case <-s.quit:
-			buf = s.drainBacklog(buf)
+	for range s.wake {
+		batch, closing := s.takeBacklog()
+		for i := range batch {
+			buf = s.handle(batch[i], buf)
+		}
+		s.returnBatch(batch)
+		if closing {
 			s.flush()
 			return
 		}
+		// No flush here: bufio publishes to the OS as its (large)
+		// buffer fills, rotation and Close flush the rest. Keeping the
+		// writer syscall-light is what lets it outpace the finalization
+		// paths, so the bounded backlog never drops in steady state.
+		s.maybeCompact()
 	}
 }
 
-// drainBacklog handles whatever is already buffered without blocking.
-func (s *Store) drainBacklog(buf []byte) []byte {
-	for {
-		select {
-		case rec := <-s.ch:
-			buf = s.handle(rec, buf)
-		default:
-			return buf
-		}
-	}
+// takeBacklog swaps out everything queued so far, handing the spare
+// slice to producers, and reports whether the store is closing. Once it
+// reports closing, no later Append is accepted, so this batch is the
+// last.
+func (s *Store) takeBacklog() (batch []Record, closing bool) {
+	s.qmu.Lock()
+	defer s.qmu.Unlock()
+	batch, s.queue, s.spare = s.queue, s.spare, nil
+	return batch, s.closed
+}
+
+// returnBatch releases a handled batch's backlog and keeps its slice,
+// emptied so it pins no record data, as the next spare.
+func (s *Store) returnBatch(batch []Record) {
+	clear(batch)
+	s.qmu.Lock()
+	s.backlog -= len(batch)
+	s.spare = batch[:0]
+	s.qmu.Unlock()
 }
 
 func (s *Store) handle(rec Record, buf []byte) []byte {
-	buf = rec.encode(buf[:0])
-	frame := appendFrame(nil, buf)
+	buf = appendRecordFrame(buf[:0], rec)
 	s.mu.Lock()
 	// A record that cannot be framed to disk (no active segment after a
 	// failed rotation, or a write error) is dropped — counted, and kept
@@ -299,12 +332,12 @@ func (s *Store) handle(rec Record, buf []byte) []byte {
 		s.mu.Unlock()
 		return buf
 	}
-	if _, err := s.bw.Write(frame); err != nil {
+	if _, err := s.bw.Write(buf); err != nil {
 		s.dropped.Add(1)
 		s.mu.Unlock()
 		return buf
 	}
-	s.segBytes += int64(len(frame))
+	s.segBytes += int64(len(buf))
 	s.written.Add(1)
 	s.state.apply(rec)
 	if s.segBytes >= s.opts.SegmentBytes {
@@ -404,12 +437,16 @@ func (s *Store) Stats() Stats {
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Close drains the append buffer, flushes and syncs the active segment,
+// Close drains the append queue, flushes and syncs the active segment,
 // and shuts the writer down. Records appended after Close are dropped.
 func (s *Store) Close() error {
 	s.closeOnce.Do(func() {
-		s.closed.Store(true)
-		close(s.quit)
+		s.qmu.Lock()
+		s.closed = true
+		s.qmu.Unlock()
+		// A wake-up already pending is received after closed was set, so
+		// either way the writer's next take sees it and drains for good.
+		s.signal()
 		<-s.wdone
 		s.mu.Lock()
 		defer s.mu.Unlock()

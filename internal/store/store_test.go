@@ -3,6 +3,9 @@ package store
 import (
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -324,6 +327,92 @@ func TestAppendAfterCloseDrops(t *testing.T) {
 	s.Append(Record{Kind: KindSelectivity, Task: "t"})
 	if st := s.Stats(); st.Dropped != 1 || st.Appended != 0 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestAppendRacingCloseCountsEveryRecord races producers against Close:
+// every Append must end up either written or dropped, never accepted and
+// then lost because it landed behind the writer's final drain.
+func TestAppendRacingCloseCountsEveryRecord(t *testing.T) {
+	const producers, perProducer, iterations = 4, 500, 50
+	for it := 0; it < iterations; it++ {
+		s, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for p := 0; p < producers; p++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perProducer; i++ {
+					s.Append(Record{Kind: KindSelectivity, Task: "t", Pass: i%2 == 0})
+				}
+			}()
+		}
+		runtime.Gosched()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		st := s.Stats()
+		if st.Appended != st.Written {
+			t.Fatalf("iteration %d: appended %d but wrote %d", it, st.Appended, st.Written)
+		}
+		if st.Appended+st.Dropped != producers*perProducer {
+			t.Fatalf("iteration %d: appended %d + dropped %d != %d calls", it, st.Appended, st.Dropped, producers*perProducer)
+		}
+	}
+}
+
+// TestAppendQueueBoundAndOrder pins the queue's contract: with the
+// writer stalled, exactly BufferRecords records are accepted and the
+// rest dropped, and once the writer resumes every accepted record is
+// written in Append order.
+func TestAppendQueueBoundAndOrder(t *testing.T) {
+	const bound, extra = 64, 5
+	s, err := OpenOptions(t.TempDir(), Options{BufferRecords: bound})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.mu.Lock() // the writer cannot frame anything while this is held
+	for i := 0; i < bound+extra; i++ {
+		s.Append(Record{Kind: KindCacheEntry, Task: "t", Args: strconv.Itoa(i), Answers: boolVals(true)})
+	}
+	st := s.Stats()
+	s.mu.Unlock()
+	if st.Appended != bound || st.Dropped != extra {
+		t.Fatalf("stalled writer: appended %d dropped %d, want %d and %d", st.Appended, st.Dropped, bound, extra)
+	}
+	waitWritten(t, s, bound)
+	var entries []CacheEntry
+	s.View(func(st *State) { entries = st.CacheEntries() })
+	if len(entries) != bound {
+		t.Fatalf("%d cache entries, want %d", len(entries), bound)
+	}
+	for i, e := range entries {
+		if e.Key.Args != strconv.Itoa(i) {
+			t.Fatalf("entry %d has args %q: records written out of Append order", i, e.Key.Args)
+		}
+	}
+}
+
+// TestOpenEmptyStoreAllocatesLittle keeps the append queue sized by its
+// backlog: a queue allocated at its full bound (64Ki records) would cost
+// megabytes on every Open.
+func TestOpenEmptyStoreAllocatesLittle(t *testing.T) {
+	dir := t.TempDir()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	s.Close()
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("opening an empty store allocated %d bytes, want under 1 MiB", got)
 	}
 }
 

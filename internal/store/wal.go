@@ -35,17 +35,22 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// appendFrame wraps one encoded payload in a length+CRC frame.
-func appendFrame(dst, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, crcTable))
-	return append(dst, payload...)
+// appendRecordFrame appends rec's payload to dst wrapped in a
+// length+CRC frame, encoding in place behind the header it then fills.
+func appendRecordFrame(dst []byte, rec Record) []byte {
+	start := len(dst)
+	dst = rec.encode(append(dst, make([]byte, frameHdr)...))
+	payload := dst[start+frameHdr:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, crcTable))
+	return dst
 }
 
 // replayFrames applies every valid leading frame of data, stopping at
-// the first torn or corrupt one. It returns how many records were
+// the first torn or corrupt one. Records are decoded straight from data
+// with names interned through in. It returns how many records were
 // applied and whether the whole input was consumed cleanly.
-func replayFrames(data []byte, apply func(Record)) (applied int, clean bool) {
+func replayFrames(data []byte, in interner, apply func(Record)) (applied int, clean bool) {
 	for len(data) > 0 {
 		if len(data) < frameHdr {
 			return applied, false // torn header
@@ -59,7 +64,7 @@ func replayFrames(data []byte, apply func(Record)) (applied int, clean bool) {
 		if crc32.Checksum(payload, crcTable) != crc {
 			return applied, false
 		}
-		rec, err := decodeRecord(payload)
+		rec, err := decodeRecord(payload, in)
 		if err != nil {
 			return applied, false
 		}
@@ -73,7 +78,7 @@ func replayFrames(data []byte, apply func(Record)) (applied int, clean bool) {
 // replaySegmentFile folds one segment's valid prefix into apply. A
 // missing, empty or headerless file applies nothing; clean reports
 // whether the file ended without corruption.
-func replaySegmentFile(path string, apply func(Record)) (applied int, clean bool) {
+func replaySegmentFile(path string, in interner, apply func(Record)) (applied int, clean bool) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, false
@@ -84,7 +89,7 @@ func replaySegmentFile(path string, apply func(Record)) (applied int, clean bool
 	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
 		return 0, false
 	}
-	return replayFrames(data[len(segMagic):], apply)
+	return replayFrames(data[len(segMagic):], in, apply)
 }
 
 // segFileName formats a segment's file name from its sequence number.
@@ -121,10 +126,8 @@ func listSegments(dir string) ([]uint64, error) {
 func encodeRecordsFile(coveredSeq uint64, recs []Record) []byte {
 	buf := append([]byte(nil), snapMagic...)
 	buf = binary.LittleEndian.AppendUint64(buf, coveredSeq)
-	var payload []byte
 	for _, rec := range recs {
-		payload = rec.encode(payload[:0])
-		buf = appendFrame(buf, payload)
+		buf = appendRecordFrame(buf, rec)
 	}
 	return buf
 }
@@ -157,7 +160,7 @@ func writeFileAtomic(path string, data []byte) error {
 // replaySnapshotFile folds the snapshot's valid prefix into apply and
 // returns the segment sequence it covers. A missing snapshot is an
 // empty one.
-func replaySnapshotFile(path string, apply func(Record)) (coveredSeq uint64, applied int, clean bool) {
+func replaySnapshotFile(path string, in interner, apply func(Record)) (coveredSeq uint64, applied int, clean bool) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return 0, 0, true
@@ -170,7 +173,7 @@ func replaySnapshotFile(path string, apply func(Record)) (coveredSeq uint64, app
 		return 0, 0, false
 	}
 	coveredSeq = binary.LittleEndian.Uint64(data[len(snapMagic) : len(snapMagic)+8])
-	applied, clean = replayFrames(data[hdr:], apply)
+	applied, clean = replayFrames(data[hdr:], in, apply)
 	return coveredSeq, applied, clean
 }
 
@@ -186,7 +189,7 @@ func WriteRecordsFile(path string, recs []Record) error {
 // bad one should be surfaced, not silently truncated.
 func ReadRecordsFile(path string) ([]Record, error) {
 	var recs []Record
-	_, _, clean := replaySnapshotFile(path, func(r Record) { recs = append(recs, r) })
+	_, _, clean := replaySnapshotFile(path, interner{}, func(r Record) { recs = append(recs, r) })
 	if !clean {
 		return nil, fmt.Errorf("store: %s: corrupt records file", filepath.Base(path))
 	}

@@ -43,6 +43,13 @@ type Scope struct {
 	hits     map[string]bool // open HIT IDs posted for this scope
 	label    string          // optional metrics label (per-scope series)
 
+	// posting counts batch posts that passed the cancellation check and
+	// have not registered their HIT yet; Cancel waits on postDone for
+	// them, so no HIT of this scope reaches the marketplace after Cancel
+	// returns.
+	posting  int
+	postDone sync.Cond
+
 	// span is the owning query's trace span (SetSpan); read on posting
 	// paths without mu, hence atomic.
 	span atomic.Pointer[obs.Span]
@@ -50,7 +57,9 @@ type Scope struct {
 
 // NewScope creates a live scope bound to the manager.
 func (m *Manager) NewScope() *Scope {
-	return &Scope{mgr: m, hits: make(map[string]bool)}
+	s := &Scope{mgr: m, hits: make(map[string]bool)}
+	s.postDone.L = &s.mu
+	return s
 }
 
 // SetBudget caps this scope's total spend (0 removes the cap). The
@@ -282,6 +291,34 @@ func (s *Scope) registerHIT(hitID string) error {
 	return nil
 }
 
+// beginPost admits one batch post for this scope: it fails with the
+// cancellation cause once the scope is canceled, and otherwise makes a
+// later Cancel wait for the matching endPost.
+func (s *Scope) beginPost() error {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.err != nil {
+		return s.err
+	}
+	s.posting++
+	return nil
+}
+
+// endPost ends a post admitted by beginPost.
+func (s *Scope) endPost() {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.posting--; s.posting == 0 {
+		s.postDone.Broadcast()
+	}
+}
+
 // unregisterHIT forgets a HIT that resolved through the normal paths.
 func (s *Scope) unregisterHIT(hitID string) {
 	if s == nil {
@@ -309,6 +346,12 @@ func (s *Scope) Cancel(cause error) {
 		return
 	}
 	s.err = cause
+	// A post admitted before the cause was set finishes first: it either
+	// registers its HIT (collected below) or, seeing the cause, expires
+	// the HIT itself.
+	for s.posting > 0 {
+		s.postDone.Wait()
+	}
 	open := make([]string, 0, len(s.hits))
 	for id := range s.hits {
 		open = append(open, id)

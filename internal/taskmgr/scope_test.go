@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/budget"
 	"repro/internal/crowd"
+	"repro/internal/hit"
 	"repro/internal/qerr"
 	"repro/internal/relation"
 )
@@ -190,5 +191,47 @@ func TestMixedGroupsAtThresholdStillFlush(t *testing.T) {
 	runUntil(t, clock, func() bool { return outs.Load() == 4 })
 	if m.Pending() != 0 {
 		t.Fatalf("items stranded in pending: %d", m.Pending())
+	}
+}
+
+// A Cancel racing a batch post that already passed the cancellation
+// check waits for that post to land, then expires the HIT: once Cancel
+// returns, no HIT of the scope is still on its way to the marketplace.
+func TestScopeCancelWaitsForInflightPost(t *testing.T) {
+	m, _ := newRig(t, catOracle, crowd.Config{}, 0)
+	def := filterDef()
+	m.SetPolicy(def.Name, Policy{Assignments: 1, BatchSize: 1, PriceCents: 1, Linger: time.Hour})
+	entered, resume := make(chan struct{}), make(chan struct{})
+	hook := func(*hit.HIT) error {
+		close(entered)
+		<-resume
+		return nil
+	}
+	m.postHook.Store(&hook)
+	s := m.NewScope()
+	var out atomic.Pointer[Outcome]
+	go m.Submit(Request{Def: def, Args: []relation.Value{relation.NewString("cat-1")}, Scope: s,
+		Done: func(o Outcome) { out.Store(&o) }})
+	<-entered // the post is admitted and stalled inside the marketplace call
+	canceled := make(chan struct{})
+	go func() {
+		s.Cancel(nil)
+		close(canceled)
+	}()
+	select {
+	case <-canceled:
+		t.Fatal("Cancel returned while an admitted post was still in flight")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(resume)
+	<-canceled
+	if m.Inflight() != 0 {
+		t.Fatalf("HIT posted during Cancel left open: inflight=%d", m.Inflight())
+	}
+	if o := out.Load(); o == nil || !errors.Is(o.Err, qerr.ErrCanceled) {
+		t.Fatalf("item outcome = %+v, want the cancellation cause", o)
+	}
+	if s.Spent() != 0 {
+		t.Fatalf("canceled scope still charged %v", s.Spent())
 	}
 }

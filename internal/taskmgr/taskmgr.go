@@ -1045,6 +1045,21 @@ func shareOut(items []pendingItem, cost budget.Cents) []hitShare {
 	return shares
 }
 
+func endPosts(scopes []*Scope) {
+	for _, sc := range scopes {
+		sc.endPost()
+	}
+}
+
+func containsScope(scopes []*Scope, sc *Scope) bool {
+	for _, s := range scopes {
+		if s == sc {
+			return true
+		}
+	}
+	return false
+}
+
 // post sends a HIT to the marketplace, via the test hook when one is
 // installed.
 func (m *Manager) post(h *hit.HIT) error {
@@ -1101,15 +1116,26 @@ func (m *Manager) postBatch(st *taskState, batch []pendingItem, queuedAt mturk.V
 	// Drop items whose scope was canceled between cut and post: a
 	// linger flush or the admission queue may still carry them, and in
 	// a shared batch the other scopes' items must run regardless —
-	// without paying for the canceled ones.
+	// without paying for the canceled ones. Each live scope admits the
+	// post (beginPost), so a Cancel racing it waits until the HIT is
+	// registered and never returns with a post still on its way.
 	live := make([]pendingItem, 0, len(batch))
+	var admittedBuf [1]*Scope // a batch usually has one scope
+	admitted := admittedBuf[:0]
 	for _, it := range batch {
-		if cause := it.scope.Err(); cause != nil {
+		var cause error
+		if !containsScope(admitted, it.scope) {
+			if cause = it.scope.beginPost(); cause == nil {
+				admitted = append(admitted, it.scope)
+			}
+		}
+		if cause != nil {
 			it.done(Outcome{Err: fmt.Errorf("taskmgr: %s: %w", it.def.Name, cause)})
 			continue
 		}
 		live = append(live, it)
 	}
+	defer endPosts(admitted)
 
 	// Charge each participating scope its share. When one scope's
 	// budget cannot cover its slice, refund the scopes already charged,
