@@ -486,6 +486,65 @@ func TestRouterRetiresEntriesOnCompletionAndFailure(t *testing.T) {
 	}
 }
 
+// TestRouterDisposeReachesMemberAfterCompletion covers the routing entry
+// of a completed HIT: to Status and ExtendAssignments it is gone, but
+// Dispose still reaches the member holding the HIT, after its last
+// assignment landed or terminally failed.
+func TestRouterDisposeReachesMemberAfterCompletion(t *testing.T) {
+	clock := mturk.NewClock()
+	market := mturk.NewMarketplace(clock, &failingPool{})
+	llm := NewLLM(clock, LLMConfig{Model: yesModel})
+	r, err := NewRouter("llm", NewSim(market), llm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.SetErrorHandler(nil)
+
+	var got collect
+	done := filterHIT(r.NewHITID(), "isCat", 2)
+	if err := r.Post(done, got.add); err != nil {
+		t.Fatal(err)
+	}
+	drain(clock)
+	if got.len() != 2 {
+		t.Fatalf("assignments = %d, want 2", got.len())
+	}
+	if st, ok := llm.Status(done.ID); !ok || st.Completed != 2 {
+		t.Fatalf("member status before dispose = %+v ok=%v", st, ok)
+	}
+	if err := r.ExtendAssignments(done.ID, 1); err == nil {
+		t.Error("completed HIT extended")
+	}
+	if st, ok := r.Dispose(done.ID); !ok || st.Completed != 2 {
+		t.Fatalf("dispose = %+v ok=%v", st, ok)
+	}
+	if _, ok := llm.Status(done.ID); ok {
+		t.Error("member still reports the disposed HIT")
+	}
+	if _, ok := r.Dispose(done.ID); ok {
+		t.Error("second dispose found the HIT")
+	}
+
+	// A sim HIT whose only assignment fails terminally is completed too.
+	if err := r.Pin("isCat", "sim"); err != nil {
+		t.Fatal(err)
+	}
+	dead := filterHIT(r.NewHITID(), "isCat", 1)
+	if err := r.Post(dead, got.add); err != nil {
+		t.Fatal(err)
+	}
+	drain(clock)
+	if _, ok := market.Status(dead.ID); !ok {
+		t.Fatal("sim dropped the failed HIT before dispose")
+	}
+	if _, ok := r.Dispose(dead.ID); !ok {
+		t.Fatal("dispose of the failed HIT missed")
+	}
+	if _, ok := market.Status(dead.ID); ok {
+		t.Error("sim still reports the disposed HIT")
+	}
+}
+
 // failingPool never has a worker available.
 type failingPool struct{}
 

@@ -33,7 +33,10 @@ type Router struct {
 }
 
 // routedHIT remembers where a HIT landed and how many assignments are
-// still expected, so completions can retire the entry.
+// still expected. Once every assignment has landed or failed the HIT is
+// completed: Status, SubmitExternal and ExtendAssignments treat it as
+// unknown, but the entry stays until Dispose retires it, so the dispose
+// still reaches the member that holds the HIT.
 type routedHIT struct {
 	backend string
 	left    int
@@ -141,7 +144,8 @@ func (r *Router) Clock() *mturk.Clock { return r.backends[r.def].Clock() }
 func (r *Router) NewHITID() string { return mturk.PaddedID("RHIT-", r.nextID.Add(1)) }
 
 // Post implements Backend: the HIT goes to the serving backend, and the
-// routing table retires the entry after its last expected assignment.
+// routing table marks the entry completed after its last expected
+// assignment.
 func (r *Router) Post(h *hit.HIT, onAssignment func(mturk.AssignmentResult)) error {
 	name := r.RouteFor(h.Task, h.Type)
 	b := r.backends[name]
@@ -157,9 +161,6 @@ func (r *Router) Post(h *hit.HIT, onAssignment func(mturk.AssignmentResult)) err
 			r.mu.Lock()
 			if rh, ok := r.byHIT[res.HITID]; ok {
 				rh.left--
-				if rh.left <= 0 {
-					delete(r.byHIT, res.HITID)
-				}
 			}
 			r.mu.Unlock()
 		}
@@ -180,10 +181,12 @@ func (r *Router) Post(h *hit.HIT, onAssignment func(mturk.AssignmentResult)) err
 	return nil
 }
 
-// resolve finds the backend serving an already-posted HIT.
+// resolve finds the backend serving a posted HIT that still expects
+// assignments.
 func (r *Router) resolve(hitID string) (Backend, bool) {
 	r.mu.Lock()
 	rh, ok := r.byHIT[hitID]
+	ok = ok && rh.left > 0
 	r.mu.Unlock()
 	if !ok {
 		return nil, false
@@ -201,9 +204,10 @@ func (r *Router) ExtendAssignments(hitID string, extra int) error {
 	}
 	r.mu.Lock()
 	rh, ok := r.byHIT[hitID]
-	if !ok {
-		// The last expected assignment retired the entry between
-		// resolve and here; a completed HIT cannot be extended.
+	if !ok || rh.left <= 0 {
+		// The last expected assignment landed (or Dispose retired the
+		// entry) between resolve and here; a completed HIT cannot be
+		// extended.
 		r.mu.Unlock()
 		return fmt.Errorf("backend: router: HIT %s already completed", hitID)
 	}
@@ -213,9 +217,6 @@ func (r *Router) ExtendAssignments(hitID string, extra int) error {
 		r.mu.Lock()
 		if rh, ok := r.byHIT[hitID]; ok {
 			rh.left -= extra
-			if rh.left <= 0 {
-				delete(r.byHIT, hitID)
-			}
 		}
 		r.mu.Unlock()
 		return err
@@ -232,17 +233,17 @@ func (r *Router) SubmitExternal(hitID string, ans hit.Answers) error {
 	return b.SubmitExternal(hitID, ans)
 }
 
-// Dispose implements Backend and retires the routing entry.
+// Dispose implements Backend and retires the routing entry, open or
+// completed.
 func (r *Router) Dispose(hitID string) (mturk.HITStatus, bool) {
-	b, ok := r.resolve(hitID)
+	r.mu.Lock()
+	rh, ok := r.byHIT[hitID]
+	delete(r.byHIT, hitID)
+	r.mu.Unlock()
 	if !ok {
 		return mturk.HITStatus{}, false
 	}
-	st, ok := b.Dispose(hitID)
-	r.mu.Lock()
-	delete(r.byHIT, hitID)
-	r.mu.Unlock()
-	return st, ok
+	return r.backends[rh.backend].Dispose(hitID)
 }
 
 // Status implements Backend.
@@ -255,16 +256,14 @@ func (r *Router) Status(hitID string) (mturk.HITStatus, bool) {
 }
 
 // SetErrorHandler implements Backend, forwarding to every member. The
-// handler is wrapped so terminally failed assignments also retire the
-// routing entry — a HIT that will never complete must not leak it.
+// handler is wrapped so terminally failed assignments also count down
+// the routing entry: a HIT whose last assignment failed is completed,
+// like one whose last assignment landed.
 func (r *Router) SetErrorHandler(fn func(hitID string, err error)) {
 	wrapped := func(hitID string, err error) {
 		r.mu.Lock()
 		if rh, ok := r.byHIT[hitID]; ok {
 			rh.left--
-			if rh.left <= 0 {
-				delete(r.byHIT, hitID)
-			}
 		}
 		r.mu.Unlock()
 		if fn != nil {

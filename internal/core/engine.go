@@ -152,11 +152,16 @@ type QueryHandle struct {
 // Exec.Errors(). Iterate Rows (or call Err after Wait) instead.
 func (h *QueryHandle) Wait() []relation.Tuple { return h.Exec.Wait() }
 
-// Result returns the pollable results table.
+// Result returns the pollable results table. Once a Rows of the query
+// is closed and the stream has ended, the table's rows are released;
+// its Len still counts them. A query started by Run or RunScript has
+// no Rows until QueryHandle.Rows opens one, so its table keeps its rows.
 func (h *QueryHandle) Result() *relation.Table { return h.Exec.Result() }
 
 // Rows returns a fresh streaming cursor over the query's results from
-// the beginning.
+// the beginning. Closing it releases the results (see Rows.Close), so a
+// cursor opened after some Rows of the query was closed and the stream
+// ended sees no rows.
 func (h *QueryHandle) Rows() *Rows { return &Rows{h: h} }
 
 // Err reports the query's terminal error through the typed taxonomy

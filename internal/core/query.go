@@ -176,13 +176,20 @@ func (r *Rows) Err() error { return r.h.Err() }
 
 // Close cancels whatever work the query still has outstanding — open
 // HITs are expired and unspent budget released — and ends the stream.
-// Closing an already-finished query is a no-op, so the usual
+// Closing an already-finished query cancels nothing, so the usual
 // defer rows.Close() never discards anything a full iteration read.
+//
+// Close also releases the query's result rows once the stream has
+// ended, whether it ended before Close or ends after it. The engine
+// keeps the finished query's handle — its SQL, plan, spend, operator
+// stats and result count stay on the dashboard — but not its rows, so
+// a cursor opened later through QueryHandle.Rows sees none.
 func (r *Rows) Close() error {
 	if r.closed.Swap(true) {
 		return nil
 	}
 	r.h.Cancel()
+	r.h.Exec.Result().Release()
 	return nil
 }
 

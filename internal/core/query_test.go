@@ -333,3 +333,91 @@ WHERE samePerson(celebrities.image, spottedstars.image)`,
 		t.Fatal("per-query WithAdaptiveJoins(true) did not apply the rewrite")
 	}
 }
+
+// Closing Rows after the stream ended releases the result rows at
+// once; the dashboard, Rows.Err and the result count do not change.
+func TestRowsCloseReleasesResultsAfterEnd(t *testing.T) {
+	ds := workload.Photos(12, 0.5, 0.5, 2)
+	e := newEngine(t, Config{}, ds)
+	rows, err := e.Query(context.Background(), `SELECT img FROM photos WHERE isCat(img)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for rows.Next() {
+		n++
+	}
+	if n == 0 {
+		t.Fatal("no rows")
+	}
+	h := rows.Handle()
+	<-h.Exec.Done()
+	waitQuiesce(t, e)
+	res := h.Result()
+	if len(res.Rows()) != n {
+		t.Fatalf("result holds %d rows before Close, want %d", len(res.Rows()), n)
+	}
+	before := dashboard.Render(e.Snapshot())
+	if err := rows.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(res.Rows()); got != 0 {
+		t.Fatalf("Close after the end kept %d result rows", got)
+	}
+	if res.Len() != n {
+		t.Fatalf("result count = %d after Close, want %d", res.Len(), n)
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatalf("Rows.Err = %v after Close of a finished query", err)
+	}
+	snap := e.Snapshot()
+	if after := dashboard.Render(snap); after != before {
+		t.Fatalf("dashboard changed on Close:\n%s\n---\n%s", before, after)
+	}
+	if snap.Queries[0].Results != n || snap.Queries[0].Canceled {
+		t.Fatalf("dashboard query = %+v", snap.Queries[0])
+	}
+	if h.Rows().Next() {
+		t.Fatal("a cursor opened after Close still reads rows")
+	}
+}
+
+// Closing Rows before the stream ends cancels the query, and its result
+// rows are released once the stream has ended; the count stays.
+func TestRowsCloseReleasesResultsBeforeEnd(t *testing.T) {
+	ds := workload.Photos(40, 0.5, 0.6, 3)
+	e := newEngine(t, Config{Crowd: slowCrowd()}, ds)
+	e.Clock().SetPace(1e-4)
+	defer e.Clock().SetPace(0)
+	rows, err := e.Query(context.Background(), `SELECT img FROM photos WHERE isCat(img)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rows.Next() {
+		t.Fatalf("no first row; err=%v", rows.Err())
+	}
+	h := rows.Handle()
+	res := h.Result()
+	if res.Closed() {
+		t.Fatal("query already complete at first row; Close would not precede the end")
+	}
+	if err := rows.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e.Clock().SetPace(0)
+	<-h.Exec.Done()
+	if got := len(res.Rows()); got != 0 {
+		t.Fatalf("stream ended after Close but kept %d result rows", got)
+	}
+	if res.Len() < 1 {
+		t.Fatalf("result count = %d, want the rows streamed before the end", res.Len())
+	}
+	if err := rows.Err(); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("Rows.Err = %v, want ErrCanceled", err)
+	}
+	waitQuiesce(t, e)
+	snap := e.Snapshot()
+	if q := snap.Queries[0]; q.Results != res.Len() || !q.Canceled || !q.Done {
+		t.Fatalf("dashboard query = %+v, want %d results, canceled", q, res.Len())
+	}
+}

@@ -20,6 +20,11 @@ var ErrClosed = errors.New("queue: closed")
 // consumers. Close signals end-of-stream: pending items remain poppable,
 // Pop returns ok=false once drained.
 //
+// The ring grows with the backlog rather than the capacity: a new queue
+// holds no ring, Push doubles it (up to the capacity) when it is full,
+// and a closed queue drops it once drained, so a finished query's
+// queues cost only their header.
+//
 // A queue built with NewGated parks its blocked callers on a
 // quiesce.Gate: a blocked Push or Pop releases its hold, and the call
 // that wakes it holds on its behalf. The sleeper counts make that
@@ -29,7 +34,8 @@ type Queue struct {
 	mu        sync.Mutex
 	notFull   *sync.Cond
 	notEmpty  *sync.Cond
-	buf       []relation.Tuple
+	buf       []relation.Tuple // ring; len(buf) <= capacity
+	capacity  int
 	head      int
 	count     int
 	closed    bool
@@ -52,7 +58,7 @@ func NewGated(capacity int, g *quiesce.Gate) *Queue {
 	if capacity < 1 {
 		capacity = 1
 	}
-	q := &Queue{buf: make([]relation.Tuple, capacity), gate: g}
+	q := &Queue{capacity: capacity, gate: g}
 	q.notFull = sync.NewCond(&q.mu)
 	q.notEmpty = sync.NewCond(&q.mu)
 	return q
@@ -63,7 +69,7 @@ func NewGated(capacity int, g *quiesce.Gate) *Queue {
 func (q *Queue) Push(t relation.Tuple) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for q.count == len(q.buf) && !q.closed {
+	for q.count == q.capacity && !q.closed {
 		q.sleepPush++
 		q.gate.Release()
 		q.notFull.Wait()
@@ -71,13 +77,7 @@ func (q *Queue) Push(t relation.Tuple) error {
 	if q.closed {
 		return ErrClosed
 	}
-	q.buf[(q.head+q.count)%len(q.buf)] = t
-	q.count++
-	q.pushed++
-	if q.count > q.hwm {
-		q.hwm = q.count
-	}
-	q.wakePopLocked()
+	q.appendLocked(t)
 	return nil
 }
 
@@ -85,8 +85,25 @@ func (q *Queue) Push(t relation.Tuple) error {
 func (q *Queue) TryPush(t relation.Tuple) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.closed || q.count == len(q.buf) {
+	if q.closed || q.count == q.capacity {
 		return false
+	}
+	q.appendLocked(t)
+	return true
+}
+
+// minRing is the first ring size a queue allocates.
+const minRing = 4
+
+// appendLocked adds t at the tail, growing the ring first when it is
+// full, and wakes one blocked Pop. The caller has checked that the
+// queue is open and below capacity.
+func (q *Queue) appendLocked(t relation.Tuple) {
+	if q.count == len(q.buf) {
+		ring := make([]relation.Tuple, min(max(2*len(q.buf), minRing), q.capacity))
+		n := copy(ring, q.buf[q.head:])
+		copy(ring[n:], q.buf[:q.head])
+		q.buf, q.head = ring, 0
 	}
 	q.buf[(q.head+q.count)%len(q.buf)] = t
 	q.count++
@@ -95,7 +112,6 @@ func (q *Queue) TryPush(t relation.Tuple) bool {
 		q.hwm = q.count
 	}
 	q.wakePopLocked()
-	return true
 }
 
 // Pop dequeues the oldest tuple, blocking while the queue is empty and
@@ -111,13 +127,7 @@ func (q *Queue) Pop() (t relation.Tuple, ok bool) {
 	if q.count == 0 {
 		return relation.Tuple{}, false
 	}
-	t = q.buf[q.head]
-	q.buf[q.head] = relation.Tuple{}
-	q.head = (q.head + 1) % len(q.buf)
-	q.count--
-	q.popped++
-	q.wakePushLocked()
-	return t, true
+	return q.takeLocked(), true
 }
 
 // TryPop dequeues without blocking. done reports the closed-and-drained
@@ -128,13 +138,28 @@ func (q *Queue) TryPop() (t relation.Tuple, ok, done bool) {
 	if q.count == 0 {
 		return relation.Tuple{}, false, q.closed
 	}
-	t = q.buf[q.head]
+	return q.takeLocked(), true, false
+}
+
+// takeLocked removes the head tuple and wakes one blocked Push. The
+// caller has checked that the queue is not empty. A closed queue
+// drops its ring with its last tuple.
+func (q *Queue) takeLocked() relation.Tuple {
+	t := q.buf[q.head]
 	q.buf[q.head] = relation.Tuple{}
 	q.head = (q.head + 1) % len(q.buf)
 	q.count--
 	q.popped++
+	q.dropDrainedLocked()
 	q.wakePushLocked()
-	return t, true, false
+	return t
+}
+
+// dropDrainedLocked releases the ring of a closed, drained queue.
+func (q *Queue) dropDrainedLocked() {
+	if q.closed && q.count == 0 {
+		q.buf, q.head = nil, 0
+	}
 }
 
 // Close marks end-of-stream and wakes all waiters. Idempotent.
@@ -145,6 +170,7 @@ func (q *Queue) Close() {
 		return
 	}
 	q.closed = true
+	q.dropDrainedLocked()
 	for ; q.sleepPush > 0; q.sleepPush-- {
 		q.gate.Hold()
 	}

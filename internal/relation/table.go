@@ -17,6 +17,7 @@ type Table struct {
 	version int64
 	waiters []chan struct{}
 	closed  bool
+	release bool // drop rows once closed (Release)
 }
 
 // NewTable creates an empty table with the given name and schema.
@@ -30,11 +31,12 @@ func (t *Table) Name() string { return t.name }
 // Schema returns the table schema.
 func (t *Table) Schema() *Schema { return t.schema }
 
-// Len returns the current number of rows.
+// Len returns the number of rows inserted, which a released table
+// keeps counting.
 func (t *Table) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.rows)
+	return int(t.version)
 }
 
 // Insert appends a tuple after checking it against the schema.
@@ -121,7 +123,23 @@ func (t *Table) Close() {
 		return
 	}
 	t.closed = true
+	if t.release {
+		t.rows = nil
+	}
 	t.notifyLocked()
+}
+
+// Release drops the table's rows once it is closed: at once when it
+// already is, otherwise when Close runs. Len and Version still count
+// the rows it held; Rows, Snapshot, Poll and Wait return none. A query
+// releases its result this way when its reader is done with it.
+func (t *Table) Release() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.release = true
+	if t.closed {
+		t.rows = nil
+	}
 }
 
 // Closed reports whether the table has been closed.

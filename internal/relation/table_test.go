@@ -288,3 +288,69 @@ func TestRowsIsStableView(t *testing.T) {
 		t.Fatalf("appending to the view overwrote table row 3 with %q", got)
 	}
 }
+
+// Release drops a closed table's rows whether it comes before or after
+// Close, and the table keeps counting them.
+func TestTableReleaseEitherOrder(t *testing.T) {
+	for _, releaseFirst := range []bool{false, true} {
+		tab := NewTable("r", twoColSchema(t))
+		for i := 0; i < 3; i++ {
+			if err := tab.InsertValues(NewString("x"), NewInt(int64(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if releaseFirst {
+			tab.Release()
+			if got := len(tab.Rows()); got != 3 {
+				t.Fatalf("release before close dropped rows of an open table: %d left", got)
+			}
+			if err := tab.InsertValues(NewString("y"), NewInt(3)); err != nil {
+				t.Fatal(err)
+			}
+			tab.Close()
+		} else {
+			if err := tab.InsertValues(NewString("y"), NewInt(3)); err != nil {
+				t.Fatal(err)
+			}
+			tab.Close()
+			tab.Release()
+		}
+		if got := len(tab.Rows()); got != 0 {
+			t.Errorf("releaseFirst=%v: %d rows kept after release", releaseFirst, got)
+		}
+		if tab.Len() != 4 || tab.Version() != 4 {
+			t.Errorf("releaseFirst=%v: Len=%d Version=%d, want 4", releaseFirst, tab.Len(), tab.Version())
+		}
+		if rows, cursor := tab.Poll(0); len(rows) != 0 || cursor != 4 {
+			t.Errorf("releaseFirst=%v: Poll = %d rows, cursor %d", releaseFirst, len(rows), cursor)
+		}
+		if rows, _ := tab.Wait(1); len(rows) != 0 {
+			t.Errorf("releaseFirst=%v: Wait returned %d rows", releaseFirst, len(rows))
+		}
+	}
+}
+
+// Release racing Close and a Wait-ing reader: the rows are dropped
+// exactly once both have run, whichever wins.
+func TestTableReleaseRacesClose(t *testing.T) {
+	tab := NewTable("r", twoColSchema(t))
+	if err := tab.InsertValues(NewString("x"), NewInt(1)); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() { defer wg.Done(); tab.Release() }()
+	go func() { defer wg.Done(); tab.Close() }()
+	go func() {
+		defer wg.Done()
+		for {
+			if _, cursor := tab.Wait(1); cursor >= 1 && tab.Closed() {
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	if got := len(tab.Rows()); got != 0 || tab.Len() != 1 {
+		t.Fatalf("after Release and Close: %d rows kept, Len %d", got, tab.Len())
+	}
+}

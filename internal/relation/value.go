@@ -8,6 +8,7 @@ package relation
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -89,14 +90,27 @@ type Field struct {
 
 // Value is a dynamically typed datum. The zero Value is NULL.
 // Values are immutable once constructed; sharing is safe.
+//
+// A Value takes 40 bytes: the kind, one scalar word, one string and one
+// pointer. The word holds an Int's bits, a Float's IEEE-754 bits or a
+// Bool (0 or 1); the string holds a String's or Image's payload; the
+// pointer holds a List's elements or a Tuple's fields. Every accessor
+// reads only the slot its kind uses, so the zero slots of other kinds
+// read as "", 0, false or nil. Values are not comparable with ==; use
+// Equal or Compare.
 type Value struct {
-	kind   Kind
-	str    string // KindString, KindImage
-	num    int64  // KindInt
-	real   float64
-	truth  bool
+	_    [0]func() // not comparable with ==
+	kind Kind
+	word uint64     // KindInt, KindFloat, KindBool
+	str  string     // KindString, KindImage
+	ext  *composite // KindList, KindTuple
+}
+
+// composite is the payload of a List or Tuple value, kept behind a
+// pointer so scalar values do not pay for it.
+type composite struct {
 	list   []Value
-	fields []Field // KindTuple, sorted by Name
+	fields []Field // sorted by Name
 }
 
 // Null is the NULL value.
@@ -106,13 +120,19 @@ var Null = Value{}
 func NewString(s string) Value { return Value{kind: KindString, str: s} }
 
 // NewInt returns an integer value.
-func NewInt(i int64) Value { return Value{kind: KindInt, num: i} }
+func NewInt(i int64) Value { return Value{kind: KindInt, word: uint64(i)} }
 
 // NewFloat returns a floating-point value.
-func NewFloat(f float64) Value { return Value{kind: KindFloat, real: f} }
+func NewFloat(f float64) Value { return Value{kind: KindFloat, word: math.Float64bits(f)} }
 
 // NewBool returns a boolean value.
-func NewBool(b bool) Value { return Value{kind: KindBool, truth: b} }
+func NewBool(b bool) Value {
+	v := Value{kind: KindBool}
+	if b {
+		v.word = 1
+	}
+	return v
+}
 
 // NewImage returns an image-reference value.
 func NewImage(ref string) Value { return Value{kind: KindImage, str: ref} }
@@ -122,7 +142,7 @@ func NewImage(ref string) Value { return Value{kind: KindImage, str: ref} }
 func NewList(elems ...Value) Value {
 	cp := make([]Value, len(elems))
 	copy(cp, elems)
-	return Value{kind: KindList, list: cp}
+	return Value{kind: KindList, ext: &composite{list: cp}}
 }
 
 // NewTuple returns a tuple value with the given fields. Field names must
@@ -131,7 +151,7 @@ func NewTuple(fields ...Field) Value {
 	cp := make([]Field, len(fields))
 	copy(cp, fields)
 	sort.Slice(cp, func(i, j int) bool { return cp[i].Name < cp[j].Name })
-	return Value{kind: KindTuple, fields: cp}
+	return Value{kind: KindTuple, ext: &composite{fields: cp}}
 }
 
 // Kind reports the value's type.
@@ -145,39 +165,56 @@ func (v Value) Str() string { return v.str }
 
 // Int returns the integer payload; Float values are truncated.
 func (v Value) Int() int64 {
-	if v.kind == KindFloat {
-		return int64(v.real)
+	switch v.kind {
+	case KindInt:
+		return int64(v.word)
+	case KindFloat:
+		return int64(math.Float64frombits(v.word))
 	}
-	return v.num
+	return 0
 }
 
 // Float returns the numeric payload as a float64.
 func (v Value) Float() float64 {
-	if v.kind == KindInt {
-		return float64(v.num)
+	switch v.kind {
+	case KindInt:
+		return float64(int64(v.word))
+	case KindFloat:
+		return math.Float64frombits(v.word)
 	}
-	return v.real
+	return 0
 }
 
 // Bool returns the boolean payload.
-func (v Value) Bool() bool { return v.truth }
+func (v Value) Bool() bool { return v.kind == KindBool && v.word != 0 }
 
 // List returns the elements of a list value. Callers must not mutate the
 // returned slice.
-func (v Value) List() []Value { return v.list }
+func (v Value) List() []Value {
+	if v.kind != KindList {
+		return nil
+	}
+	return v.ext.list
+}
 
 // Len returns the number of elements of a list value, or 0.
-func (v Value) Len() int { return len(v.list) }
+func (v Value) Len() int { return len(v.List()) }
 
 // Fields returns the components of a tuple value, sorted by name.
 // Callers must not mutate the returned slice.
-func (v Value) Fields() []Field { return v.fields }
+func (v Value) Fields() []Field {
+	if v.kind != KindTuple {
+		return nil
+	}
+	return v.ext.fields
+}
 
 // Field returns the named component of a tuple value, or NULL.
 func (v Value) Field(name string) Value {
-	i := sort.Search(len(v.fields), func(i int) bool { return v.fields[i].Name >= name })
-	if i < len(v.fields) && v.fields[i].Name == name {
-		return v.fields[i].Value
+	fields := v.Fields()
+	i := sort.Search(len(fields), func(i int) bool { return fields[i].Name >= name })
+	if i < len(fields) && fields[i].Name == name {
+		return fields[i].Value
 	}
 	return Null
 }
@@ -187,22 +224,20 @@ func (v Value) Field(name string) Value {
 // lists reduce by majority vote over their boolean elements.
 func (v Value) Truthy() bool {
 	switch v.kind {
-	case KindBool:
-		return v.truth
-	case KindInt:
-		return v.num != 0
+	case KindBool, KindInt:
+		return v.word != 0
 	case KindFloat:
-		return v.real != 0
+		return v.Float() != 0
 	case KindString, KindImage:
 		return v.str != ""
 	case KindList:
 		yes := 0
-		for _, e := range v.list {
+		for _, e := range v.ext.list {
 			if e.Truthy() {
 				yes++
 			}
 		}
-		return yes*2 > len(v.list)
+		return yes*2 > len(v.ext.list)
 	default:
 		return false
 	}
@@ -245,30 +280,32 @@ func (v Value) Compare(o Value) int {
 		return strings.Compare(v.str, o.str)
 	case KindBool:
 		switch {
-		case v.truth == o.truth:
+		case v.word == o.word:
 			return 0
-		case !v.truth:
+		case v.word == 0:
 			return -1
 		default:
 			return 1
 		}
 	case KindList:
-		for i := 0; i < len(v.list) && i < len(o.list); i++ {
-			if c := v.list[i].Compare(o.list[i]); c != 0 {
+		a, b := v.ext.list, o.ext.list
+		for i := 0; i < len(a) && i < len(b); i++ {
+			if c := a[i].Compare(b[i]); c != 0 {
 				return c
 			}
 		}
-		return len(v.list) - len(o.list)
+		return len(a) - len(b)
 	case KindTuple:
-		for i := 0; i < len(v.fields) && i < len(o.fields); i++ {
-			if c := strings.Compare(v.fields[i].Name, o.fields[i].Name); c != 0 {
+		a, b := v.ext.fields, o.ext.fields
+		for i := 0; i < len(a) && i < len(b); i++ {
+			if c := strings.Compare(a[i].Name, b[i].Name); c != 0 {
 				return c
 			}
-			if c := v.fields[i].Value.Compare(o.fields[i].Value); c != 0 {
+			if c := a[i].Value.Compare(b[i].Value); c != 0 {
 				return c
 			}
 		}
-		return len(v.fields) - len(o.fields)
+		return len(a) - len(b)
 	default:
 		return 0
 	}
@@ -293,20 +330,20 @@ func (v Value) String() string {
 	case KindImage:
 		return "img:" + v.str
 	case KindInt:
-		return strconv.FormatInt(v.num, 10)
+		return strconv.FormatInt(v.Int(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.real, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case KindBool:
-		return strconv.FormatBool(v.truth)
+		return strconv.FormatBool(v.Bool())
 	case KindList:
-		parts := make([]string, len(v.list))
-		for i, e := range v.list {
+		parts := make([]string, len(v.ext.list))
+		for i, e := range v.ext.list {
 			parts[i] = e.String()
 		}
 		return "[" + strings.Join(parts, ", ") + "]"
 	case KindTuple:
-		parts := make([]string, len(v.fields))
-		for i, f := range v.fields {
+		parts := make([]string, len(v.ext.fields))
+		for i, f := range v.ext.fields {
 			parts[i] = f.Name + ": " + f.Value.String()
 		}
 		return "(" + strings.Join(parts, ", ") + ")"
@@ -326,24 +363,24 @@ func (v Value) Encode(dst []byte) []byte {
 		dst = append(dst, ':')
 		dst = append(dst, v.str...)
 	case KindInt:
-		dst = strconv.AppendInt(dst, v.num, 10)
+		dst = strconv.AppendInt(dst, v.Int(), 10)
 	case KindFloat:
-		dst = strconv.AppendFloat(dst, v.real, 'g', -1, 64)
+		dst = strconv.AppendFloat(dst, v.Float(), 'g', -1, 64)
 	case KindBool:
-		if v.truth {
+		if v.word != 0 {
 			dst = append(dst, 't')
 		} else {
 			dst = append(dst, 'f')
 		}
 	case KindList:
-		dst = strconv.AppendInt(dst, int64(len(v.list)), 10)
-		for _, e := range v.list {
+		dst = strconv.AppendInt(dst, int64(len(v.ext.list)), 10)
+		for _, e := range v.ext.list {
 			dst = append(dst, ';')
 			dst = e.Encode(dst)
 		}
 	case KindTuple:
-		dst = strconv.AppendInt(dst, int64(len(v.fields)), 10)
-		for _, f := range v.fields {
+		dst = strconv.AppendInt(dst, int64(len(v.ext.fields)), 10)
+		for _, f := range v.ext.fields {
 			dst = append(dst, ';')
 			dst = strconv.AppendInt(dst, int64(len(f.Name)), 10)
 			dst = append(dst, ':')

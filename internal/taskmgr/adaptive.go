@@ -252,6 +252,7 @@ func (m *Manager) finalizeAdaptive(s *flightStripe, hitID string, fl *inflightHI
 	fl.unregister(hitID)
 	m.hitRetired(fl)
 	m.finalizeInflight(fl)
+	m.disposeRetired(hitID)
 }
 
 // noteWorkerQuality folds one fit's per-worker accuracies into the

@@ -32,14 +32,33 @@ func (m *Manager) SubmitGroup(reqs []Request) error {
 	}
 
 	// Grouped requests come from one operator over one tuple, so they
-	// share a scope; a HIT still belongs to exactly one scope.
+	// share a scope; a HIT still belongs to exactly one scope. The scope
+	// admits the post (beginPost), so a Cancel racing it waits until the
+	// HIT is registered or refunded. Outcomes are delivered after the
+	// admission ends.
 	scope := reqs[0].Scope
-	if cause := scope.Err(); cause != nil {
+	if cause := scope.beginPost(); cause != nil {
 		for _, r := range reqs {
 			r.Done(Outcome{Err: fmt.Errorf("taskmgr: %s: %w", r.Def.Name, cause)})
 		}
 		return nil
 	}
+	type resolution struct {
+		done func(Outcome)
+		out  Outcome
+	}
+	var resolved []resolution
+	var failed []Request // requests that reach no HIT, with failErr
+	var failErr error
+	defer func() {
+		scope.endPost()
+		for _, r := range resolved {
+			r.done(r.out)
+		}
+		for _, r := range failed {
+			r.Done(Outcome{Err: failErr})
+		}
+	}()
 
 	lead := m.state(reqs[0].Def.Name, reqs[0].Def)
 	base := m.basePolicy()
@@ -47,11 +66,6 @@ func (m *Manager) SubmitGroup(reqs []Request) error {
 	pol := lead.scopedPolicyLocked(base, scope)
 	lead.mu.Unlock()
 
-	type resolution struct {
-		done func(Outcome)
-		out  Outcome
-	}
-	var resolved []resolution
 	var remaining []Request
 	var ckeys []cache.Key // per remaining request
 	for _, r := range reqs {
@@ -89,9 +103,6 @@ func (m *Manager) SubmitGroup(reqs []Request) error {
 		ckeys = append(ckeys, ckey)
 	}
 	if len(remaining) == 0 {
-		for _, r := range resolved {
-			r.done(r.out)
-		}
 		return nil
 	}
 
@@ -124,22 +135,12 @@ func (m *Manager) SubmitGroup(reqs []Request) error {
 
 	cost := budget.Cents(price * int64(pol.Assignments))
 	if err := scope.spend(cost); err != nil {
-		for _, r := range resolved {
-			r.done(r.out)
-		}
-		for _, r := range remaining {
-			r.Done(Outcome{Err: fmt.Errorf("taskmgr: group: %w", err)})
-		}
+		failed, failErr = remaining, fmt.Errorf("taskmgr: group: %w", err)
 		return nil
 	}
 	if err := m.account.Spend(cost); err != nil {
 		scope.refund(cost)
-		for _, r := range resolved {
-			r.done(r.out)
-		}
-		for _, r := range remaining {
-			r.Done(Outcome{Err: fmt.Errorf("taskmgr: group: %w", err)})
-		}
+		failed, failErr = remaining, fmt.Errorf("taskmgr: group: %w", err)
 		return nil
 	}
 	// Attribute cost and counters to each member task evenly enough for
@@ -187,26 +188,20 @@ func (m *Manager) SubmitGroup(reqs []Request) error {
 	}
 	s.hits[h.ID] = fl
 	s.mu.Unlock()
-	if err := m.market.Post(h, m.onAssignment); err != nil {
+	if err := m.post(h, m.onAssignment); err != nil {
 		s.mu.Lock()
 		delete(s.hits, h.ID)
 		s.mu.Unlock()
 		m.traceDirectGone(fl.span, err.Error())
 		m.account.Refund(cost)
 		scope.refund(cost)
-		for _, r := range resolved {
-			r.done(r.out)
-		}
-		for _, r := range remaining {
-			r.Done(Outcome{Err: err})
-		}
+		failed, failErr = remaining, err
 		return nil
 	}
 	if cause := scope.registerHIT(h.ID); cause != nil {
+		// The scope was canceled while the HIT was being posted; its
+		// Cancel waits for this post, so expire the HIT before ending it.
 		m.cancelScopeHIT(h.ID, scope, cause)
-	}
-	for _, r := range resolved {
-		r.done(r.out)
 	}
 	return nil
 }

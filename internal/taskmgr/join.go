@@ -44,7 +44,10 @@ func (m *Manager) JoinBlockIn(scope *Scope, def *qlang.TaskDef, left, right []Jo
 	if len(left) == 0 || len(right) == 0 {
 		return
 	}
-	if cause := scope.Err(); cause != nil {
+	// The scope admits the post (beginPost), so a Cancel racing it waits
+	// until the grid HIT is registered or refunded. Outcomes are
+	// delivered after the admission ends.
+	if cause := scope.beginPost(); cause != nil {
 		for _, l := range left {
 			for _, r := range right {
 				done(hit.PairKey(l.Key, r.Key), Outcome{Err: fmt.Errorf("taskmgr: %s: %w", def.Name, cause)})
@@ -52,6 +55,22 @@ func (m *Manager) JoinBlockIn(scope *Scope, def *qlang.TaskDef, left, right []Jo
 		}
 		return
 	}
+	type resolution struct {
+		key string
+		out Outcome
+	}
+	var resolved []resolution
+	var failed []hitPair // pairs that reach no HIT, with failErr
+	var failErr error
+	defer func() {
+		scope.endPost()
+		for _, r := range resolved {
+			done(r.key, r.out)
+		}
+		for _, p := range failed {
+			done(hit.PairKey(p.l.Key, p.r.Key), Outcome{Err: failErr})
+		}
+	}()
 	st := m.state(def.Name, def)
 	base := m.basePolicy()
 	st.mu.Lock()
@@ -65,11 +84,6 @@ func (m *Manager) JoinBlockIn(scope *Scope, def *qlang.TaskDef, left, right []Jo
 
 	// Resolve what we can from cache and model.
 	var unresolved []hitPair
-	type resolution struct {
-		key string
-		out Outcome
-	}
-	var resolved []resolution
 	for _, l := range left {
 		for _, r := range right {
 			key := hit.PairKey(l.Key, r.Key)
@@ -104,9 +118,6 @@ func (m *Manager) JoinBlockIn(scope *Scope, def *qlang.TaskDef, left, right []Jo
 	}
 
 	if len(unresolved) == 0 {
-		for _, r := range resolved {
-			done(r.key, r.out)
-		}
 		return
 	}
 
@@ -141,22 +152,12 @@ func (m *Manager) JoinBlockIn(scope *Scope, def *qlang.TaskDef, left, right []Jo
 
 	cost := budget.Cents(price * int64(pol.Assignments))
 	if err := scope.spend(cost); err != nil {
-		for _, r := range resolved {
-			done(r.key, r.out)
-		}
-		for _, p := range unresolved {
-			done(hit.PairKey(p.l.Key, p.r.Key), Outcome{Err: fmt.Errorf("taskmgr: %s: %w", def.Name, err)})
-		}
+		failed, failErr = unresolved, fmt.Errorf("taskmgr: %s: %w", def.Name, err)
 		return
 	}
 	if err := m.account.Spend(cost); err != nil {
 		scope.refund(cost)
-		for _, r := range resolved {
-			done(r.key, r.out)
-		}
-		for _, p := range unresolved {
-			done(hit.PairKey(p.l.Key, p.r.Key), Outcome{Err: fmt.Errorf("taskmgr: %s: %w", def.Name, err)})
-		}
+		failed, failErr = unresolved, fmt.Errorf("taskmgr: %s: %w", def.Name, err)
 		return
 	}
 	st.mu.Lock()
@@ -200,26 +201,20 @@ func (m *Manager) JoinBlockIn(scope *Scope, def *qlang.TaskDef, left, right []Jo
 	}
 	s.joins[h.ID] = fl
 	s.mu.Unlock()
-	if err := m.market.Post(h, m.onJoinAssignment); err != nil {
+	if err := m.post(h, m.onJoinAssignment); err != nil {
 		s.mu.Lock()
 		delete(s.joins, h.ID)
 		s.mu.Unlock()
 		m.traceDirectGone(fl.span, err.Error())
 		m.account.Refund(cost)
 		scope.refund(cost)
-		for _, r := range resolved {
-			done(r.key, r.out)
-		}
-		for _, p := range unresolved {
-			done(hit.PairKey(p.l.Key, p.r.Key), Outcome{Err: err})
-		}
+		failed, failErr = unresolved, err
 		return
 	}
 	if cause := scope.registerHIT(h.ID); cause != nil {
+		// The scope was canceled while the HIT was being posted; its
+		// Cancel waits for this post, so expire the HIT before ending it.
 		m.cancelScopeHIT(h.ID, scope, cause)
-	}
-	for _, r := range resolved {
-		done(r.key, r.out)
 	}
 }
 
@@ -264,6 +259,7 @@ func (m *Manager) onJoinAssignment(res mturk.AssignmentResult) {
 	s.mu.Unlock()
 	fl.scope.unregisterHIT(res.HITID)
 	m.finalizeJoin(fl)
+	m.disposeRetired(res.HITID)
 }
 
 // finalizeJoin resolves every pair of a completed (or partially failed)

@@ -42,10 +42,20 @@ func (m *Manager) RankBlockIn(scope *Scope, def *qlang.TaskDef, items []RankItem
 		done(nil, fmt.Errorf("taskmgr: %s: empty comparison group", def.Name))
 		return
 	}
-	if cause := scope.Err(); cause != nil {
+	// The scope admits the post (beginPost), so a Cancel racing it waits
+	// until the HIT is registered or refunded. A failure is reported
+	// after the admission ends.
+	if cause := scope.beginPost(); cause != nil {
 		done(nil, fmt.Errorf("taskmgr: %s: %w", def.Name, cause))
 		return
 	}
+	var failErr error
+	defer func() {
+		scope.endPost()
+		if failErr != nil {
+			done(nil, failErr)
+		}
+	}()
 	st := m.state(def.Name, def)
 	base := m.basePolicy()
 	st.mu.Lock()
@@ -73,12 +83,12 @@ func (m *Manager) RankBlockIn(scope *Scope, def *qlang.TaskDef, items []RankItem
 
 	cost := budget.Cents(price * int64(pol.Assignments))
 	if err := scope.spend(cost); err != nil {
-		done(nil, fmt.Errorf("taskmgr: %s: %w", def.Name, err))
+		failErr = fmt.Errorf("taskmgr: %s: %w", def.Name, err)
 		return
 	}
 	if err := m.account.Spend(cost); err != nil {
 		scope.refund(cost)
-		done(nil, fmt.Errorf("taskmgr: %s: %w", def.Name, err))
+		failErr = fmt.Errorf("taskmgr: %s: %w", def.Name, err)
 		return
 	}
 	st.mu.Lock()
@@ -108,17 +118,19 @@ func (m *Manager) RankBlockIn(scope *Scope, def *qlang.TaskDef, items []RankItem
 	}
 	s.ranks[h.ID] = fl
 	s.mu.Unlock()
-	if err := m.market.Post(h, m.onRankAssignment); err != nil {
+	if err := m.post(h, m.onRankAssignment); err != nil {
 		s.mu.Lock()
 		delete(s.ranks, h.ID)
 		s.mu.Unlock()
 		m.traceDirectGone(fl.span, err.Error())
 		m.account.Refund(cost)
 		scope.refund(cost)
-		done(nil, fmt.Errorf("taskmgr: post %s: %v", def.Name, err))
+		failErr = fmt.Errorf("taskmgr: post %s: %v", def.Name, err)
 		return
 	}
 	if cause := scope.registerHIT(h.ID); cause != nil {
+		// The scope was canceled while the HIT was being posted; its
+		// Cancel waits for this post, so expire the HIT before ending it.
 		m.cancelScopeHIT(h.ID, scope, cause)
 	}
 }
@@ -167,6 +179,7 @@ func (m *Manager) onRankAssignment(res mturk.AssignmentResult) {
 	s.mu.Unlock()
 	fl.scope.unregisterHIT(res.HITID)
 	m.finalizeRank(fl)
+	m.disposeRetired(res.HITID)
 }
 
 // finalizeRank turns the collected assignments into per-assignment

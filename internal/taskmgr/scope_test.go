@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/budget"
 	"repro/internal/crowd"
 	"repro/internal/hit"
@@ -233,5 +234,69 @@ func TestScopeCancelWaitsForInflightPost(t *testing.T) {
 	}
 	if s.Spent() != 0 {
 		t.Fatalf("canceled scope still charged %v", s.Spent())
+	}
+}
+
+// Group, join-grid and rank posts are admitted like batch posts: a
+// Cancel racing one that passed the cancellation check waits for it,
+// then the HIT is expired and refunded, so once Cancel returns the
+// scope has no open HIT and has spent nothing.
+func TestScopeCancelWaitsForInflightDirectPosts(t *testing.T) {
+	cases := []struct {
+		name string
+		post func(m *Manager, s *Scope, done func(error))
+	}{
+		{"group", func(m *Manager, s *Scope, done func(error)) {
+			req := Request{Def: filterDef(), Args: []relation.Value{relation.NewString("cat-1")}, Scope: s,
+				Done: func(o Outcome) { done(o.Err) }}
+			if err := m.SubmitGroup([]Request{req}); err != nil {
+				done(err)
+			}
+		}},
+		{"join", func(m *Manager, s *Scope, done func(error)) {
+			left := []JoinItem{{Key: "L1", Args: []relation.Value{relation.NewImage("a.png")}}}
+			right := []JoinItem{{Key: "R1", Args: []relation.Value{relation.NewImage("a.png")}}}
+			m.JoinBlockIn(s, joinDef(), left, right, func(_ string, o Outcome) { done(o.Err) })
+		}},
+		{"rank", func(m *Manager, s *Scope, done func(error)) {
+			m.RankBlockIn(s, rankDef(), rankItemsN(3), func(_ []Ranking, err error) { done(err) })
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m, _ := newRig(t, catOracle, crowd.Config{}, 0)
+			entered, resume := make(chan struct{}), make(chan struct{})
+			hook := func(*hit.HIT) error {
+				close(entered)
+				<-resume
+				return nil
+			}
+			m.postHook.Store(&hook)
+			s := m.NewScope()
+			var got atomic.Pointer[error]
+			go c.post(m, s, func(err error) { got.Store(&err) })
+			<-entered // the post is admitted and stalled inside the backend call
+			canceled := make(chan struct{})
+			go func() {
+				s.Cancel(nil)
+				close(canceled)
+			}()
+			select {
+			case <-canceled:
+				t.Fatal("Cancel returned while an admitted post was still in flight")
+			case <-time.After(20 * time.Millisecond):
+			}
+			close(resume)
+			<-canceled
+			if open := m.Backend().(*backend.Sim).AllHITs(); len(open) != 0 {
+				t.Fatalf("HIT posted during Cancel left at the marketplace: %d", len(open))
+			}
+			if err := got.Load(); err == nil || !errors.Is(*err, qerr.ErrCanceled) {
+				t.Fatalf("outcome = %v, want the cancellation cause", err)
+			}
+			if s.Spent() != 0 || m.Account().Spent() != 0 {
+				t.Fatalf("canceled scope still charged: scope %v, account %v", s.Spent(), m.Account().Spent())
+			}
+		})
 	}
 }

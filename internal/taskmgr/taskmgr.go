@@ -544,6 +544,7 @@ func (m *Manager) onAssignmentFailed(hitID string, err error) {
 		s.mu.Unlock()
 		fl.unregister(hitID)
 		m.hitRetired(fl)
+		defer m.disposeRetired(hitID)
 		if fl.received == 0 {
 			m.traceHITAbandoned(fl, err)
 			for _, it := range fl.hit.Items {
@@ -565,6 +566,7 @@ func (m *Manager) onAssignmentFailed(hitID string, err error) {
 		delete(s.joins, hitID)
 		s.mu.Unlock()
 		fl.scope.unregisterHIT(hitID)
+		defer m.disposeRetired(hitID)
 		if fl.received == 0 {
 			m.traceDirectGone(fl.span, err.Error())
 			for _, key := range fl.order {
@@ -586,6 +588,7 @@ func (m *Manager) onAssignmentFailed(hitID string, err error) {
 		delete(s.ranks, hitID)
 		s.mu.Unlock()
 		fl.scope.unregisterHIT(hitID)
+		defer m.disposeRetired(hitID)
 		if fl.received == 0 {
 			m.traceDirectGone(fl.span, err.Error())
 			fl.done(nil, fmt.Errorf("taskmgr: %s: %v", fl.def.Name, err))
@@ -1060,15 +1063,15 @@ func containsScope(scopes []*Scope, sc *Scope) bool {
 	return false
 }
 
-// post sends a HIT to the marketplace, via the test hook when one is
-// installed.
-func (m *Manager) post(h *hit.HIT) error {
+// post sends a HIT of any kind to the backend, via the test hook when
+// one is installed.
+func (m *Manager) post(h *hit.HIT, onAssignment func(mturk.AssignmentResult)) error {
 	if hook := m.postHook.Load(); hook != nil {
 		if err := (*hook)(h); err != nil {
 			return err
 		}
 	}
-	return m.market.Post(h, m.onAssignment)
+	return m.market.Post(h, onAssignment)
 }
 
 // batchPolicy resolves the posting policy for one batch: the first
@@ -1245,7 +1248,7 @@ func (m *Manager) postBatch(st *taskState, batch []pendingItem, queuedAt mturk.V
 	}
 	s.hits[h.ID] = fl
 	s.mu.Unlock()
-	if err := m.post(h); err != nil {
+	if err := m.post(h, m.onAssignment); err != nil {
 		s.mu.Lock()
 		delete(s.hits, h.ID)
 		s.mu.Unlock()
@@ -1309,7 +1312,17 @@ func (m *Manager) onAssignment(res mturk.AssignmentResult) {
 	fl.unregister(res.HITID)
 	m.hitRetired(fl)
 	m.finalizeInflight(fl)
+	m.disposeRetired(res.HITID)
 }
+
+// disposeRetired disposes of a retired HIT at its backend: once every
+// assignment has reported or failed, the backend's copy of its items,
+// answers and status would only grow a long-lived engine. Every
+// terminal path of every HIT kind calls it after the HIT's items have
+// resolved, so a backend whose Dispose makes a network call does not
+// delay results. (The cancel paths dispose through cancelScopeHIT and
+// expireHIT.)
+func (m *Manager) disposeRetired(hitID string) { m.market.Dispose(hitID) }
 
 // finalizeInflight resolves every batched item of a completed (or
 // partially failed) HIT, in the HIT's item order so reruns resolve
