@@ -134,16 +134,23 @@ type BackendsConfig struct {
 	Route bool
 }
 
-// QueryHandle tracks one submitted query.
+// QueryHandle tracks one submitted query. A handle stays in
+// Engine.Queries for the engine's life. Once its query is over and has
+// left the dashboard's window of recent queries (see Engine.Snapshot),
+// the handle keeps a compact record: its SQL, start time, spend and the
+// executor's frozen stats, but no plan and no trace.
 type QueryHandle struct {
-	ID        int
-	SQL       string
+	ID  int
+	SQL string
+	// Plan is the query's plan, or nil once the query has left the
+	// dashboard's window. The engine clears it under its lock when it
+	// starts a later query or renders the dashboard; read it while the
+	// query is live or from the goroutine that drives the engine.
 	Plan      plan.Node
 	Exec      *exec.Query
 	StartedAt mturk.VirtualTime
-	engine    *Engine
 	scope     *taskmgr.Scope
-	span      *obs.Span // query root span; nil when tracing is off
+	span      atomic.Pointer[obs.Span] // query root span; nil when tracing is off or the query left the window
 }
 
 // Wait blocks until the query finishes and returns its rows.
@@ -178,22 +185,27 @@ func (h *QueryHandle) Cancel() { h.Exec.Cancel(qerr.ErrCanceled) }
 func (h *QueryHandle) Canceled() bool { return h.Exec.Canceled() }
 
 // SunkCents reports the money this query actually consumed: HITs
-// posted minus refunds for assignments expired by cancellation.
+// posted minus refunds for assignments expired by cancellation. It
+// reads the query's scope, which a finished query keeps: its HITs can
+// still be open after its stream ends (a LIMIT query posts every HIT
+// its filter needs before the first row streams out).
 func (h *QueryHandle) SunkCents() budget.Cents { return h.scope.Spent() }
 
 // Trace returns the query's root span, or nil when the engine runs
-// without Config.Trace.
-func (h *QueryHandle) Trace() *obs.Span { return h.span }
+// without Config.Trace or the query has left the dashboard's window.
+func (h *QueryHandle) Trace() *obs.Span { return h.span.Load() }
 
 // Explain renders the per-operator EXPLAIN ANALYZE table (rows, HITs,
 // assignments, cost, virtual latency) from the query's trace. It is
 // most useful once the query has finished; a live query shows the
-// progress so far. Empty when tracing is off.
+// progress so far. Empty when tracing is off or the query has left the
+// dashboard's window.
 func (h *QueryHandle) Explain() string {
-	if h.span == nil {
+	span := h.Trace()
+	if span == nil {
 		return ""
 	}
-	return obs.ExplainAnalyze(h.span)
+	return obs.ExplainAnalyze(span)
 }
 
 // Engine is a running Qurk instance.
@@ -215,12 +227,22 @@ type Engine struct {
 	// bumping it orphans every cached plan keyed under the old epoch.
 	planEpoch int64
 
-	mu      sync.Mutex
-	script  *qlang.Script
+	mu     sync.Mutex
+	script *qlang.Script
+	// queries lists every submitted query in ID order. shown, the
+	// dashboard's list, holds the live ones and the last recentQueries
+	// finished ones; a finished query that leaves it drops its plan and
+	// span, and its join and sort savings move into folded.
 	queries []*QueryHandle
+	shown   []*QueryHandle
+	folded  dashboard.Savings
 	nextID  int
 	closed  bool
 }
+
+// recentQueries is how many finished queries keep their plan and trace
+// span for the dashboard, QueryTrace and Explain.
+const recentQueries = 64
 
 // New builds and starts an engine; callers must Close it.
 func New(cfg Config) (*Engine, error) {
@@ -378,7 +400,8 @@ func (e *Engine) Close() {
 		return
 	}
 	e.closed = true
-	queries := append([]*QueryHandle(nil), e.queries...)
+	// Every live query is shown; the rest are over and have retired.
+	queries := append([]*QueryHandle(nil), e.shown...)
 	e.mu.Unlock()
 	for _, h := range queries {
 		h.Exec.Cancel(fmt.Errorf("%w: engine closed", qerr.ErrCanceled))
@@ -658,9 +681,12 @@ func (e *Engine) startQuery(ctx context.Context, sql string, stmt *qlang.SelectS
 	e.nextID++
 	h := &QueryHandle{
 		ID: e.nextID, SQL: sql, Plan: node, Exec: q,
-		StartedAt: e.clock.Now(), engine: e, scope: scope, span: root,
+		StartedAt: e.clock.Now(), scope: scope,
 	}
+	h.span.Store(root)
 	e.queries = append(e.queries, h)
+	e.shown = append(e.shown, h)
+	e.trimLocked()
 	e.mu.Unlock()
 	if o.deadline > 0 {
 		// Virtual-time deadline: the clock fires it at simulated
@@ -690,79 +716,79 @@ func (e *Engine) QueryAndWait(sql string) ([]relation.Tuple, error) {
 	return out, rows.Err()
 }
 
-// Queries lists submitted query handles.
+// Queries lists every submitted query's handle, in ID order. A handle
+// whose query has left the dashboard's window still answers SunkCents,
+// Err and its Exec stats exactly; its Plan and Trace are nil.
 func (e *Engine) Queries() []*QueryHandle {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return append([]*QueryHandle(nil), e.queries...)
 }
 
-// addJoinSavings folds every query's cross-product reduction into the
-// savings panel: pairs the pre-filter stages kept away from workers,
-// priced at the join task's per-pair share of a grid HIT.
-func (e *Engine) addJoinSavings(s *dashboard.Savings, policyFor func(string) taskmgr.Policy) {
-	lb, rb := e.cfg.Exec.JoinLeftBlock, e.cfg.Exec.JoinRightBlock
-	if lb <= 0 {
-		lb = 5
-	}
-	if rb <= 0 {
-		rb = 5
-	}
-	e.mu.Lock()
-	queries := append([]*QueryHandle(nil), e.queries...)
-	e.mu.Unlock()
-	for _, h := range queries {
-		for _, red := range h.Exec.JoinReductions() {
-			s.JoinPairsAvoided += red.PairsAvoided
-			pol := policyFor(red.Task)
-			perPair := float64(pol.PriceCents) * float64(pol.Assignments) / float64(lb*rb)
-			s.JoinSavedCents += budget.Cents(float64(red.PairsAvoided) * perPair)
-		}
-	}
-}
-
-// addRankSavings folds every query's sort report into the savings
-// panel: the comparison HITs the chosen strategy paid versus the
-// all-pairs compare baseline for the same input, priced at the
-// comparison (or, lacking one, the rating) task's policy.
-func (e *Engine) addRankSavings(s *dashboard.Savings, policyFor func(string) taskmgr.Policy) {
-	e.mu.Lock()
-	queries := append([]*QueryHandle(nil), e.queries...)
-	e.mu.Unlock()
-	for _, h := range queries {
-		for _, rs := range h.Exec.RankStats() {
-			rk, ok := h.rankNodeFor(rs.Op)
-			if !ok {
+// trimLocked keeps shown to the live queries and the last recentQueries
+// finished ones. Each older finished query drops its plan and span, and
+// its savings are added to folded, priced at the policies in force as
+// it leaves. Callers hold e.mu.
+func (e *Engine) trimLocked() {
+	kept, finished := len(e.shown), 0
+	for i := len(e.shown) - 1; i >= 0; i-- {
+		h := e.shown[i]
+		if h.Exec.Retired() {
+			if finished++; finished > recentQueries {
+				e.addSavings(&e.folded, h.Exec, e.policyLocked)
+				h.Plan = nil
+				h.span.Store(nil)
 				continue
 			}
-			taskName := rk.Task.Name
-			if rk.Compare != nil {
-				taskName = rk.Compare.Name
-			}
-			pol := policyFor(taskName).Clamped()
-			perHIT := budget.Cents(pol.PriceCents * int64(pol.Assignments))
-			baseline := int64(rank.CompareHITCount(rs.Items, rs.GroupSize, 0))
-			s.SortCompareHITs += int64(rs.CompareHITs)
-			if rs.RateAsks > 0 {
-				ratePol := policyFor(rk.Task.Name).Clamped()
-				s.SortRateHITs += int64(rank.RateHITCount(rs.RateAsks, ratePol.BatchSize))
-			}
-			if avoided := baseline - int64(rs.CompareHITs); avoided > 0 && rk.Compare != nil {
-				s.SortSavedCents += budget.Cents(avoided) * perHIT
-			}
 		}
+		kept--
+		e.shown[kept] = h
 	}
+	n := copy(e.shown, e.shown[kept:])
+	clear(e.shown[n:])
+	e.shown = e.shown[:n]
 }
 
-// rankNodeFor finds the query's Rank node with the given operator label.
-func (h *QueryHandle) rankNodeFor(label string) (*plan.Rank, bool) {
-	var found *plan.Rank
-	plan.Walk(h.Plan, func(n plan.Node) {
-		if rk, ok := n.(*plan.Rank); ok && found == nil && rk.Label() == label {
-			found = rk
+// policyLocked returns the named task's policy. Callers hold e.mu.
+func (e *Engine) policyLocked(task string) taskmgr.Policy {
+	def, ok := e.script.Task(task)
+	if !ok {
+		return taskmgr.DefaultPolicy()
+	}
+	return e.mgr.PolicyFor(def)
+}
+
+// addSavings adds one query's join and sort savings to s. Join savings
+// are the cross-product pairs its pre-filter stages kept away from
+// workers, priced at the join task's per-pair share of a grid HIT. Sort
+// savings are the comparison HITs its chosen strategies avoided against
+// the all-pairs compare baseline, priced at the comparison (or, lacking
+// one, the rating) task's policy.
+func (e *Engine) addSavings(s *dashboard.Savings, q *exec.Query, policyFor func(string) taskmgr.Policy) {
+	lb, rb := e.cfg.Exec.JoinGrid()
+	for _, red := range q.JoinReductions() {
+		s.JoinPairsAvoided += red.PairsAvoided
+		pol := policyFor(red.Task)
+		perPair := float64(pol.PriceCents) * float64(pol.Assignments) / float64(lb*rb)
+		s.JoinSavedCents += budget.Cents(float64(red.PairsAvoided) * perPair)
+	}
+	for _, rs := range q.RankStats() {
+		taskName := rs.Task
+		if rs.CompareTask != "" {
+			taskName = rs.CompareTask
 		}
-	})
-	return found, found != nil
+		pol := policyFor(taskName).Clamped()
+		perHIT := budget.Cents(pol.PriceCents * int64(pol.Assignments))
+		baseline := int64(rank.CompareHITCount(rs.Items, rs.GroupSize, 0))
+		s.SortCompareHITs += int64(rs.CompareHITs)
+		if rs.RateAsks > 0 {
+			ratePol := policyFor(rs.Task).Clamped()
+			s.SortRateHITs += int64(rank.RateHITCount(rs.RateAsks, ratePol.BatchSize))
+		}
+		if avoided := baseline - int64(rs.CompareHITs); avoided > 0 && rs.CompareTask != "" {
+			s.SortSavedCents += budget.Cents(avoided) * perHIT
+		}
+	}
 }
 
 // SaveCache persists the Task Cache to one standalone file in the
@@ -809,13 +835,15 @@ func (e *Engine) Tracer() *obs.Tracer { return e.obs }
 func (e *Engine) Metrics() *obs.Registry { return e.obs.Registry() }
 
 // QueryTrace returns the root span of the query with the given ID, or
-// nil when tracing is off or no such query was submitted.
+// nil when tracing is off, no such query was submitted, or the query has
+// left the dashboard's window.
 func (e *Engine) QueryTrace(id int) *obs.Span {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, h := range e.queries {
+	e.trimLocked()
+	for _, h := range e.shown {
 		if h.ID == id {
-			return h.span
+			return h.Trace()
 		}
 	}
 	return nil
@@ -824,7 +852,11 @@ func (e *Engine) QueryTrace(id int) *obs.Span {
 // WarmStart reports what the store replayed at engine start.
 func (e *Engine) WarmStart() taskmgr.RestoreSummary { return e.warm }
 
-// Snapshot builds the dashboard view (Figure 2).
+// Snapshot builds the dashboard view (Figure 2). Its query list holds
+// the live queries and the last 64 finished ones; its join and sort
+// savings add the totals folded in from older queries to those of the
+// listed ones. A render costs O(live + 64), however many queries the
+// engine has run.
 func (e *Engine) Snapshot() dashboard.Snapshot {
 	tasks := e.mgr.Stats()
 	account := e.mgr.Account()
@@ -878,16 +910,32 @@ func (e *Engine) Snapshot() dashboard.Snapshot {
 	}
 	policyFor := func(task string) taskmgr.Policy {
 		e.mu.Lock()
-		def, ok := e.script.Task(task)
-		e.mu.Unlock()
-		if !ok {
-			return taskmgr.DefaultPolicy()
-		}
-		return e.mgr.PolicyFor(def)
+		defer e.mu.Unlock()
+		return e.policyLocked(task)
 	}
+	// The list and the folded totals are read together, so every query's
+	// savings count exactly once.
+	type shownQuery struct {
+		h    *QueryHandle
+		plan plan.Node
+	}
+	e.mu.Lock()
+	e.trimLocked()
+	shown := make([]shownQuery, len(e.shown))
+	for i, h := range e.shown {
+		shown[i] = shownQuery{h, h.Plan}
+	}
+	folded := e.folded
+	e.mu.Unlock()
 	snap.Savings = dashboard.ComputeSavings(tasks, policyFor)
-	e.addJoinSavings(&snap.Savings, policyFor)
-	e.addRankSavings(&snap.Savings, policyFor)
+	snap.Savings.JoinPairsAvoided = folded.JoinPairsAvoided
+	snap.Savings.JoinSavedCents = folded.JoinSavedCents
+	snap.Savings.SortCompareHITs = folded.SortCompareHITs
+	snap.Savings.SortRateHITs = folded.SortRateHITs
+	snap.Savings.SortSavedCents = folded.SortSavedCents
+	for _, sq := range shown {
+		e.addSavings(&snap.Savings, sq.h.Exec, policyFor)
+	}
 	if sh := e.mgr.Sharing(); sh.SharedHITs > 0 {
 		snap.Savings.SharedHITs = sh.SharedHITs
 		snap.Savings.SharedItems = sh.CoBatchedItems
@@ -902,15 +950,9 @@ func (e *Engine) Snapshot() dashboard.Snapshot {
 		// Price each replayed entry at its task's policy: one batched
 		// redundant question that did not have to be re-asked. Join
 		// predicates are bought as grid HITs, so a cached pair costs a
-		// per-pair share of the grid (mirroring addJoinSavings), not a
+		// per-pair share of the grid (mirroring addSavings), not a
 		// whole batched question.
-		lb, rb := e.cfg.Exec.JoinLeftBlock, e.cfg.Exec.JoinRightBlock
-		if lb <= 0 {
-			lb = 5
-		}
-		if rb <= 0 {
-			rb = 5
-		}
+		lb, rb := e.cfg.Exec.JoinGrid()
 		for task, entries := range e.warm.EntriesByTask {
 			e.mu.Lock()
 			def, ok := e.script.Task(task)
@@ -930,16 +972,14 @@ func (e *Engine) Snapshot() dashboard.Snapshot {
 	// Remaining-work estimate: pending batched questions plus open
 	// assignments, at one (price × assignment) unit each.
 	snap.EstimatedRemainingCents = budget.Cents(e.mgr.Pending() + e.mgr.Inflight())
-	e.mu.Lock()
-	queries := append([]*QueryHandle(nil), e.queries...)
-	e.mu.Unlock()
 	now := e.clock.Now()
-	for _, h := range queries {
+	for _, sq := range shown {
+		h := sq.h
 		done := h.Exec.Result().Closed()
 		snap.Queries = append(snap.Queries, dashboard.QueryInfo{
 			ID:          h.ID,
 			SQL:         h.SQL,
-			PlanExplain: plan.Explain(h.Plan),
+			PlanExplain: plan.Explain(sq.plan),
 			Ops:         h.Exec.OpStats(),
 			Done:        done,
 			Canceled:    h.Exec.Canceled(),

@@ -20,9 +20,10 @@ import (
 // filter over a 2,000-row table, closing each Rows, so the task cache
 // fills within the first 200 queries. Every finished HIT must leave the
 // marketplace, and the live heap after a full collection may grow by at
-// most 3 KB per query between query 1,000 and query 3,000: what remains
-// is the query handle the dashboard lists (its executor state, plan and
-// scope), not its rows, queue buffers or HITs.
+// most 1.2 KB per query between query 1,000 and query 3,000: what
+// remains is the compact handle Engine.Queries lists (SQL, the retired
+// executor's frozen stats, the result count and the scope), not its
+// rows, queue buffers, HITs, executor state, plan or trace.
 func TestLongLivedEngineRetention(t *testing.T) {
 	if testing.Short() {
 		t.Skip("retention gate runs 3,000 queries; skipped in -short")
@@ -31,7 +32,7 @@ func TestLongLivedEngineRetention(t *testing.T) {
 		tableRows   = 2000
 		queries     = 3000
 		measureFrom = 1000
-		maxPerQuery = 3 << 10 // bytes of live heap growth per query
+		maxPerQuery = 1200 // bytes of live heap growth per query
 	)
 	e := newEngine(t, Config{}, workload.Photos(tableRows, 0.5, 0.5, 4))
 	liveHeap := func() uint64 {

@@ -102,7 +102,7 @@ type gather struct {
 }
 
 // request builds the task request for site i of b, reporting into g.
-func (q *Query) request(op *operator, b *binding, i int, args []relation.Value, assignments int, g *gather) taskmgr.Request {
+func (q *run) request(op *operator, b *binding, i int, args []relation.Value, assignments int, g *gather) taskmgr.Request {
 	s := b.sites[i]
 	end := s.off + len(s.call.Args)
 	return taskmgr.Request{

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -91,12 +92,7 @@ func (c Config) withDefaults() Config {
 	if c.QueueSize <= 0 {
 		c.QueueSize = 64
 	}
-	if c.JoinLeftBlock <= 0 {
-		c.JoinLeftBlock = 5
-	}
-	if c.JoinRightBlock <= 0 {
-		c.JoinRightBlock = 5
-	}
+	c.JoinLeftBlock, c.JoinRightBlock = c.JoinGrid()
 	if c.PreFilterBlock <= 0 {
 		c.PreFilterBlock = 25
 	}
@@ -104,6 +100,19 @@ func (c Config) withDefaults() Config {
 		c.Script = &qlang.Script{}
 	}
 	return c
+}
+
+// JoinGrid returns the two-column join grid size per HIT:
+// JoinLeftBlock × JoinRightBlock, each defaulting to 5.
+func (c Config) JoinGrid() (left, right int) {
+	left, right = c.JoinLeftBlock, c.JoinRightBlock
+	if left <= 0 {
+		left = 5
+	}
+	if right <= 0 {
+		right = 5
+	}
+	return left, right
 }
 
 // OpStats describe one operator's progress for the dashboard.
@@ -155,10 +164,45 @@ func (o *operator) finish() {
 }
 
 // Query is a running (or finished) query execution.
+//
+// A query is over once its result stream has ended and every operator
+// goroutine has exited. Each operator waits for the outcome of every
+// crowd request it submits before it exits, so by then every request
+// has resolved too; a LIMIT query's producers and their request
+// callbacks can outlive its stream. An over query retires: it freezes
+// its operator stats, join reductions and peak resident count, and
+// drops its execution state (operators and their queues, join
+// trackers, its Config and the gate), so a finished query costs a small
+// fixed record. Every accessor answers the same before and after
+// retirement.
 type Query struct {
-	Root   plan.Node
 	result *relation.Table
+	done   chan struct{} // closed when the result stream has fully drained
+	stop   int32         // atomic; set by Cancel so fused iterators bail out
 
+	// live is the execution state; nil once the query has retired.
+	live atomic.Pointer[run]
+
+	mu          sync.Mutex
+	errors      []error
+	errTotal    int64
+	cause       error // cancellation cause; nil unless canceled
+	firstRowAt  mturk.VirtualTime
+	endedAt     mturk.VirtualTime
+	hasFirstRow bool
+	hasEnded    bool
+	rankStats   []RankStat
+	// Frozen from the execution state at retirement.
+	opStats []OpStats
+	joins   []JoinReduction
+	peak    int64
+}
+
+// run is a query's execution state, which it needs only while it runs.
+// Operators and iterators hold it (as q); the embedded Query is the
+// record that outlives it.
+type run struct {
+	*Query
 	cfg Config
 	ops []*operator
 	// gate is the quiescence gate of the task manager's clock: every
@@ -166,8 +210,6 @@ type Query struct {
 	// waiting, so the clock's pump never advances virtual time past work
 	// the executor could still submit. Nil without a task manager.
 	gate *quiesce.Gate
-	done chan struct{} // closed when the result stream has fully drained
-	stop int32         // atomic; set by Cancel so fused iterators bail out
 
 	trackers []*joinTracker
 
@@ -176,24 +218,52 @@ type Query struct {
 	// how many tuples the query ever held at once (PeakTuplesResident).
 	residentSum int64 // atomic
 
-	mu          sync.Mutex
-	errors      []error
-	errTotal    int64
-	cause       error // cancellation cause; nil while live
-	firstRowAt  mturk.VirtualTime
-	hasFirstRow bool
-	endedAt     mturk.VirtualTime
-	hasEnded    bool
-	rankStats   []RankStat
+	// running counts the sink and operator goroutines that have not
+	// exited; the last one out retires the query.
+	running atomic.Int32
+}
+
+// state returns the execution state, or nil once the query has retired.
+// A caller that sees nil and then takes mu sees the frozen record: exit
+// clears live only after it has written the record, under mu.
+func (q *Query) state() *run { return q.live.Load() }
+
+// Retired reports whether the query is over and has dropped its
+// execution state.
+func (q *Query) Retired() bool { return q.state() == nil }
+
+// spawn runs f on a gated goroutine that the query waits for before it
+// retires.
+func (q *run) spawn(f func()) {
+	q.running.Add(1)
+	q.gate.Go(func() {
+		defer q.exit()
+		f()
+	})
+}
+
+// exit ends one counted goroutine; the last one retires the query.
+func (q *run) exit() {
+	if q.running.Add(-1) > 0 {
+		return
+	}
+	ops, joins, peak := q.opStatsNow(), q.joinReductionsNow(), q.peakNow()
+	q.mu.Lock()
+	q.opStats, q.joins, q.peak = ops, joins, peak
+	q.live.Store(nil)
+	q.mu.Unlock()
 }
 
 // RankStat reports one Rank operator's chosen strategy and spend, for
 // the dashboard's sort panel.
 type RankStat struct {
-	Op        string // operator label
-	Strategy  string
-	Items     int
-	GroupSize int
+	Op string // operator label
+	// Task is the ORDER BY task; CompareTask the comparison task the
+	// sort can fall back to, or "" when it has none.
+	Task, CompareTask string
+	Strategy          string
+	Items             int
+	GroupSize         int
 	// CompareHITs counts comparison (Order) HITs the strategy posted;
 	// RateAsks the rating questions it submitted (batched into
 	// ⌈RateAsks/batch⌉ HITs by the task policy).
@@ -249,6 +319,15 @@ type JoinReduction struct {
 // JoinReductions snapshots the cross-product reduction of every human
 // join that has at least one pre-filter stage.
 func (q *Query) JoinReductions() []JoinReduction {
+	if r := q.state(); r != nil {
+		return r.joinReductionsNow()
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return slices.Clone(q.joins)
+}
+
+func (q *run) joinReductionsNow() []JoinReduction {
 	out := make([]JoinReduction, 0, len(q.trackers))
 	for _, tr := range q.trackers {
 		ls, rs := tr.left.stats(), tr.right.stats()
@@ -371,15 +450,19 @@ func (q *Query) Cancel(cause error) {
 	}
 	q.cause = cause
 	q.mu.Unlock()
+	r := q.state()
 	atomic.StoreInt32(&q.stop, 1)
+	if r == nil {
+		return // the stream ended and the query retired meanwhile
+	}
 	// Resolve blocked operator waits first (outcome callbacks fire with
 	// the cause), then close the queues so blocked Pops observe
 	// end-of-stream; fused local operators have no queue and observe the
 	// stop flag instead.
-	if q.cfg.Scope != nil {
-		q.cfg.Scope.Cancel(cause)
+	if r.cfg.Scope != nil {
+		r.cfg.Scope.Cancel(cause)
 	}
-	for _, op := range q.ops {
+	for _, op := range r.ops {
 		if op.out != nil {
 			op.out.Close()
 		}
@@ -390,7 +473,7 @@ func (q *Query) Cancel(cause error) {
 // per tuple so cancellation does not wait on queue closure.
 func (q *Query) stopped() bool { return atomic.LoadInt32(&q.stop) == 1 }
 
-func (q *Query) noteResident(n int64) { atomic.AddInt64(&q.residentSum, n) }
+func (q *run) noteResident(n int64) { atomic.AddInt64(&q.residentSum, n) }
 
 // PeakTuplesResident upper-bounds how many tuples the query ever held
 // buffered at once: the summed high-water marks of the async operator
@@ -398,6 +481,15 @@ func (q *Query) noteResident(n int64) { atomic.AddInt64(&q.residentSum, n) }
 // at its fullest. Pipelined tuples in flight between fused operators
 // are O(pipeline depth) and not counted.
 func (q *Query) PeakTuplesResident() int64 {
+	if r := q.state(); r != nil {
+		return r.peakNow()
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.peak
+}
+
+func (q *run) peakNow() int64 {
 	total := atomic.LoadInt64(&q.residentSum)
 	for _, op := range q.ops {
 		if op.out != nil {
@@ -408,7 +500,7 @@ func (q *Query) PeakTuplesResident() int64 {
 	return total
 }
 
-func (q *Query) noteFirstRow() {
+func (q *run) noteFirstRow() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if !q.hasFirstRow {
@@ -419,6 +511,15 @@ func (q *Query) noteFirstRow() {
 
 // OpStats snapshots every operator's progress, leaves first.
 func (q *Query) OpStats() []OpStats {
+	if r := q.state(); r != nil {
+		return r.opStatsNow()
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return slices.Clone(q.opStats)
+}
+
+func (q *run) opStatsNow() []OpStats {
 	out := make([]OpStats, len(q.ops))
 	for i, op := range q.ops {
 		out[i] = op.stats()
@@ -426,7 +527,7 @@ func (q *Query) OpStats() []OpStats {
 	return out
 }
 
-func (q *Query) reportError(err error) {
+func (q *run) reportError(err error) {
 	if q.cfg.OnError != nil {
 		q.cfg.OnError(err)
 		return
@@ -455,17 +556,24 @@ func Start(root plan.Node, cfg Config) (*Query, error) {
 	if needsHumans(root) && cfg.Mgr == nil {
 		return nil, fmt.Errorf("exec: plan has human operators but no task manager")
 	}
-	q := &Query{Root: root, cfg: cfg, done: make(chan struct{})}
+	q := &run{
+		Query: &Query{done: make(chan struct{}), result: relation.NewTable("result", root.Schema())},
+		cfg:   cfg,
+	}
+	q.live.Store(q)
 	if cfg.Mgr != nil {
 		q.gate = cfg.Mgr.Backend().Clock().Gate()
 	}
-	q.result = relation.NewTable("result", root.Schema())
+	// The sink's count is taken before build, so a producer that ends
+	// before the sink starts cannot retire the query.
+	q.running.Store(1)
 	top, _, err := q.build(root, cfg.Trace)
 	if err != nil {
 		close(q.done)
 		return nil, err
 	}
 	q.gate.Go(func() {
+		defer q.exit()
 		stable := top.Stable()
 		for {
 			t, ok := top.Next()
@@ -494,14 +602,14 @@ func Start(root plan.Node, cfg Config) (*Query, error) {
 		q.result.Close()
 		close(q.done)
 	})
-	return q, nil
+	return q.Query, nil
 }
 
 // endSpans stamps each operator's final row counts onto its span, ends
 // it, and closes the query root. A canceled query's scope already
 // closed the tree; End is idempotent, and counters land harmlessly on
 // ended spans.
-func (q *Query) endSpans() {
+func (q *run) endSpans() {
 	for _, op := range q.ops {
 		if op.span == nil {
 			continue
@@ -575,7 +683,7 @@ func needsHumans(n plan.Node) bool {
 // async sets up the queue bridge for a human-powered operator: the
 // caller launches a producer goroutine that pushes into op.out, and
 // downstream pulls through the returned queueIter.
-func (q *Query) async(op *operator) *queueIter {
+func (q *run) async(op *operator) *queueIter {
 	op.out = queue.NewGated(q.cfg.QueueSize, q.gate)
 	return &queueIter{op: op}
 }
@@ -586,7 +694,7 @@ func (q *Query) async(op *operator) *queueIter {
 // human-powered ones keep a producer goroutine. Async operators wrap
 // their inputs in ensureStable: HIT callbacks retain tuples
 // indefinitely, which transient iterators do not allow.
-func (q *Query) build(n plan.Node, parent *obs.Span) (Iterator, *operator, error) {
+func (q *run) build(n plan.Node, parent *obs.Span) (Iterator, *operator, error) {
 	op := &operator{label: n.Label()}
 	if parent != nil {
 		op.span = parent.Child(obs.KindOperator, n.Label())
@@ -605,7 +713,7 @@ func (q *Query) build(n plan.Node, parent *obs.Span) (Iterator, *operator, error
 			return &filterIter{q: q, op: op, child: in, conjuncts: v.Conjuncts}, op, nil
 		}
 		it := q.async(op)
-		q.gate.Go(func() { q.runFilter(op, v, ensureStable(in)) })
+		q.spawn(func() { q.runFilter(op, v, ensureStable(in)) })
 		return it, op, nil
 	case *plan.Project:
 		in, _, err := q.build(v.Input, op.span)
@@ -621,7 +729,7 @@ func (q *Query) build(n plan.Node, parent *obs.Span) (Iterator, *operator, error
 			return &projectIter{q: q, op: op, v: v, child: in}, op, nil
 		}
 		it := q.async(op)
-		q.gate.Go(func() { q.runProject(op, v, b, ensureStable(in)) })
+		q.spawn(func() { q.runProject(op, v, b, ensureStable(in)) })
 		return it, op, nil
 	case *plan.PreFilter:
 		in, _, err := q.build(v.Input, op.span)
@@ -629,7 +737,7 @@ func (q *Query) build(n plan.Node, parent *obs.Span) (Iterator, *operator, error
 			return nil, nil, err
 		}
 		it := q.async(op)
-		q.gate.Go(func() { q.runPreFilter(op, v, ensureStable(in)) })
+		q.spawn(func() { q.runPreFilter(op, v, ensureStable(in)) })
 		return it, op, nil
 	case *plan.Join:
 		left, lop, err := q.build(v.Left, op.span)
@@ -656,7 +764,7 @@ func (q *Query) build(n plan.Node, parent *obs.Span) (Iterator, *operator, error
 			return &localJoinIter{q: q, op: op, v: v, left: left, right: ensureStable(right)}, op, nil
 		}
 		it := q.async(op)
-		q.gate.Go(func() { q.runJoin(op, v, ensureStable(left), ensureStable(right)) })
+		q.spawn(func() { q.runJoin(op, v, ensureStable(left), ensureStable(right)) })
 		return it, op, nil
 	case *plan.OrderBy:
 		in, _, err := q.build(v.Input, op.span)
@@ -672,7 +780,7 @@ func (q *Query) build(n plan.Node, parent *obs.Span) (Iterator, *operator, error
 			return &orderByIter{q: q, op: op, v: v, child: in}, op, nil
 		}
 		it := q.async(op)
-		q.gate.Go(func() { q.runOrderBy(op, v, b, ensureStable(in)) })
+		q.spawn(func() { q.runOrderBy(op, v, b, ensureStable(in)) })
 		return it, op, nil
 	case *plan.Rank:
 		in, _, err := q.build(v.Input, op.span)
@@ -680,7 +788,7 @@ func (q *Query) build(n plan.Node, parent *obs.Span) (Iterator, *operator, error
 			return nil, nil, err
 		}
 		it := q.async(op)
-		q.gate.Go(func() { q.runRank(op, v, ensureStable(in)) })
+		q.spawn(func() { q.runRank(op, v, ensureStable(in)) })
 		return it, op, nil
 	case *plan.Aggregate:
 		exprs := append([]qlang.Expr(nil), v.Keys...)
@@ -700,7 +808,7 @@ func (q *Query) build(n plan.Node, parent *obs.Span) (Iterator, *operator, error
 			return &aggregateIter{q: q, op: op, v: v, child: in}, op, nil
 		}
 		it := q.async(op)
-		q.gate.Go(func() { q.runAggregate(op, v, b, ensureStable(in)) })
+		q.spawn(func() { q.runAggregate(op, v, b, ensureStable(in)) })
 		return it, op, nil
 	case *plan.Distinct:
 		in, _, err := q.build(v.Input, op.span)
@@ -724,7 +832,7 @@ func (q *Query) build(n plan.Node, parent *obs.Span) (Iterator, *operator, error
 // evaluated before the first submission. then runs synchronously when
 // there are no calls or all are cached. assignments > 0 overrides the
 // per-task redundancy (POSSIBLY predicates pass 1).
-func (q *Query) resolve(op *operator, b *binding, t relation.Tuple, assignments int, then func([]relation.Value, error)) {
+func (q *run) resolve(op *operator, b *binding, t relation.Tuple, assignments int, then func([]relation.Value, error)) {
 	if len(b.sites) == 0 {
 		then(nil, nil)
 		return

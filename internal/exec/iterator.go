@@ -99,7 +99,7 @@ func (qi *queueIter) Stable() bool                 { return true }
 // (Table.Rows), which never change once appended, so emitted tuples are
 // stable and nothing is copied.
 type scanIter struct {
-	q       *Query
+	q       *run
 	op      *operator
 	v       *plan.Scan
 	rows    []relation.Tuple
@@ -134,7 +134,7 @@ func (s *scanIter) Stable() bool { return true }
 // filterIter evaluates call-free conjuncts inline. A tuple whose
 // conjunct errors is reported and dropped, as in the async cascade.
 type filterIter struct {
-	q         *Query
+	q         *run
 	op        *operator
 	child     Iterator
 	conjuncts []qlang.Expr
@@ -183,7 +183,7 @@ func (f *filterIter) Stable() bool { return f.child.Stable() }
 // projectIter computes call-free SELECT items into one reused scratch
 // buffer; its output is transient.
 type projectIter struct {
-	q       *Query
+	q       *run
 	op      *operator
 	v       *plan.Project
 	child   Iterator
@@ -238,7 +238,7 @@ func (p *projectIter) Stable() bool { return false }
 // stays valid between our Next calls even from a transient child,
 // because we only advance the child after its right scan completes.
 type localJoinIter struct {
-	q           *Query
+	q           *run
 	op          *operator
 	v           *plan.Join
 	left, right Iterator
@@ -306,7 +306,7 @@ func (j *localJoinIter) Stable() bool { return false }
 // distinctIter streams unique tuples by canonical encoding, reusing one
 // encode buffer across tuples.
 type distinctIter struct {
-	q     *Query
+	q     *run
 	op    *operator
 	child Iterator
 	seen  map[string]struct{}
@@ -348,7 +348,7 @@ func (d *distinctIter) Stable() bool { return d.child.Stable() }
 // limitIter forwards the first N tuples, then closes its child so
 // upstream producers stop early instead of draining to exhaustion.
 type limitIter struct {
-	q      *Query
+	q      *run
 	op     *operator
 	child  Iterator
 	n      int
@@ -388,7 +388,7 @@ func (l *limitIter) Stable() bool { return l.child.Stable() }
 // releases each pooled buffer as the following row is pulled
 // (release-on-emit, generalized from runRank).
 type orderByIter struct {
-	q       *Query
+	q       *run
 	op      *operator
 	v       *plan.OrderBy
 	child   Iterator
@@ -494,7 +494,7 @@ func (o *orderByIter) Stable() bool { return o.stable }
 // first Next, groups, and emits freshly built (stable) result tuples in
 // sorted key order, mirroring runAggregate.
 type aggregateIter struct {
-	q       *Query
+	q       *run
 	op      *operator
 	v       *plan.Aggregate
 	child   Iterator

@@ -20,7 +20,7 @@ import (
 // runFilter evaluates local conjuncts immediately and human conjuncts as
 // a short-circuiting cascade (or one grouped HIT when GroupFilters is
 // set). Tuples flow out as soon as their last predicate passes.
-func (q *Query) runFilter(op *operator, v *plan.Filter, in Iterator) {
+func (q *run) runFilter(op *operator, v *plan.Filter, in Iterator) {
 	defer op.finish()
 	var local, human []qlang.Expr
 	var bound []*binding // per human conjunct
@@ -125,7 +125,7 @@ func (q *Query) runFilter(op *operator, v *plan.Filter, in Iterator) {
 	wg.Wait()
 }
 
-func (q *Query) filterOrder(human []qlang.Expr) []int {
+func (q *run) filterOrder(human []qlang.Expr) []int {
 	if q.cfg.FilterOrder != nil {
 		order := q.cfg.FilterOrder(human)
 		if len(order) == len(human) {
@@ -142,7 +142,7 @@ func (q *Query) filterOrder(human []qlang.Expr) []int {
 // groupFilter asks all human conjuncts about one tuple in a single HIT;
 // b binds their calls jointly, so a call two conjuncts share is asked
 // once.
-func (q *Query) groupFilter(op *operator, t relation.Tuple, human []qlang.Expr, b *binding, wg *quiesce.WaitGroup) {
+func (q *run) groupFilter(op *operator, t relation.Tuple, human []qlang.Expr, b *binding, wg *quiesce.WaitGroup) {
 	args, vals, err := b.prepare(t)
 	if err != nil {
 		q.reportError(err)
@@ -179,7 +179,7 @@ func (q *Query) groupFilter(op *operator, t relation.Tuple, human []qlang.Expr, 
 
 // runProject resolves each tuple's human calls (bound in b), then
 // computes outputs.
-func (q *Query) runProject(op *operator, v *plan.Project, b *binding, in Iterator) {
+func (q *run) runProject(op *operator, v *plan.Project, b *binding, in Iterator) {
 	defer op.finish()
 	wg := quiesce.WaitGroup{Gate: q.gate}
 	for {
@@ -226,7 +226,7 @@ type joinSide struct {
 // goroutine), then block pairs walk through the join HITs. Call-free
 // joins never reach here — they fuse into localJoinIter, which streams
 // the probe side.
-func (q *Query) runJoin(op *operator, v *plan.Join, left, right Iterator) {
+func (q *run) runJoin(op *operator, v *plan.Join, left, right Iterator) {
 	defer op.finish()
 	var lbuf, rbuf []relation.Tuple
 	dw := quiesce.WaitGroup{Gate: q.gate}
@@ -265,7 +265,7 @@ func (q *Query) runJoin(op *operator, v *plan.Join, left, right Iterator) {
 	q.joinTwoColumn(op, v, ls, rs)
 }
 
-func (q *Query) evalSide(buf []relation.Tuple, arg qlang.Expr) []joinSide {
+func (q *run) evalSide(buf []relation.Tuple, arg qlang.Expr) []joinSide {
 	out := make([]joinSide, 0, len(buf))
 	for _, t := range buf {
 		val, err := Eval(arg, t)
@@ -284,7 +284,7 @@ func concatValues(l, r relation.Tuple) []relation.Value {
 	return append(vals, r.Values...)
 }
 
-func (q *Query) passesAll(conjuncts []qlang.Expr, t relation.Tuple) bool {
+func (q *run) passesAll(conjuncts []qlang.Expr, t relation.Tuple) bool {
 	for _, c := range conjuncts {
 		pass, err := Eval(c, t)
 		if err != nil {
@@ -300,7 +300,7 @@ func (q *Query) passesAll(conjuncts []qlang.Expr, t relation.Tuple) bool {
 
 // joinTwoColumn walks L×R blocks through the JoinColumns interface
 // (Figure 3): each block pair is one HIT answering blockL×blockR pairs.
-func (q *Query) joinTwoColumn(op *operator, v *plan.Join, ls, rs []joinSide) {
+func (q *run) joinTwoColumn(op *operator, v *plan.Join, ls, rs []joinSide) {
 	lb, rb := q.cfg.JoinLeftBlock, q.cfg.JoinRightBlock
 	wg := quiesce.WaitGroup{Gate: q.gate}
 	for li := 0; li < len(ls); li += lb {
@@ -363,7 +363,7 @@ func (q *Query) joinTwoColumn(op *operator, v *plan.Join, ls, rs []joinSide) {
 
 // joinPairwise submits one boolean question per pair — the naive join
 // interface the two-column layout is compared against.
-func (q *Query) joinPairwise(op *operator, v *plan.Join, ls, rs []joinSide) {
+func (q *run) joinPairwise(op *operator, v *plan.Join, ls, rs []joinSide) {
 	wg := quiesce.WaitGroup{Gate: q.gate}
 	for _, l := range ls {
 		if q.Canceled() {
@@ -416,7 +416,7 @@ func (q *Query) joinPairwise(op *operator, v *plan.Join, ls, rs []joinSide) {
 //
 // A tuple whose filter errors passes through unfiltered: the pre-filter
 // is an optimization, and correctness stays with the join predicate.
-func (q *Query) runPreFilter(op *operator, v *plan.PreFilter, in Iterator) {
+func (q *run) runPreFilter(op *operator, v *plan.PreFilter, in Iterator) {
 	defer op.finish()
 	c := q.cfg.Mgr.Cache()
 	block := q.cfg.PreFilterBlock
@@ -508,7 +508,7 @@ func (q *Query) runPreFilter(op *operator, v *plan.PreFilter, in Iterator) {
 
 // preFilterBlock submits one block's filter questions and waits for
 // their outcomes, pushing survivors downstream in input order.
-func (q *Query) preFilterBlock(op *operator, v *plan.PreFilter, rows []relation.Tuple,
+func (q *run) preFilterBlock(op *operator, v *plan.PreFilter, rows []relation.Tuple,
 	args []relation.Value, argErr []error) {
 	keep := make([]bool, len(rows))
 	// Tag each observation with the join side this stage protects, so
@@ -565,7 +565,7 @@ func (q *Query) preFilterBlock(op *operator, v *plan.PreFilter, rows []relation.
 // Tuples whose arguments fail to evaluate are reported, excluded from
 // ranking, and emitted where a NULL sort key would land — before the
 // ranked rows ascending, after them descending — in input order.
-func (q *Query) runRank(op *operator, v *plan.Rank, in Iterator) {
+func (q *run) runRank(op *operator, v *plan.Rank, in Iterator) {
 	defer op.finish()
 	var rows []relation.Tuple
 	for {
@@ -627,8 +627,14 @@ func (q *Query) runRank(op *operator, v *plan.Rank, in Iterator) {
 		done.Done()
 	})
 	done.Wait()
+	var compare string
+	if v.Compare != nil {
+		compare = v.Compare.Name
+	}
 	q.noteRankStat(RankStat{
 		Op:          v.Label(),
+		Task:        v.Task.Name,
+		CompareTask: compare,
 		Strategy:    string(rst.Strategy),
 		Items:       rst.Items,
 		GroupSize:   d.GroupSize,
@@ -686,7 +692,7 @@ func defaultRankStrategy(v *plan.Rank, n int) rank.Decision {
 // resolves human sort keys (e.g. rating tasks) per tuple, sorts, and
 // emits in order — releasing each buffered tuple as it streams out. b
 // binds the keys' human calls.
-func (q *Query) runOrderBy(op *operator, v *plan.OrderBy, b *binding, in Iterator) {
+func (q *run) runOrderBy(op *operator, v *plan.OrderBy, b *binding, in Iterator) {
 	defer op.finish()
 	var rows []relation.Tuple
 	for {
@@ -761,7 +767,7 @@ func (q *Query) runOrderBy(op *operator, v *plan.OrderBy, b *binding, in Iterato
 // runAggregate groups rows and computes aggregates, resolving the human
 // calls bound in b per tuple; the call-free case fuses into
 // aggregateIter instead.
-func (q *Query) runAggregate(op *operator, v *plan.Aggregate, b *binding, in Iterator) {
+func (q *run) runAggregate(op *operator, v *plan.Aggregate, b *binding, in Iterator) {
 	defer op.finish()
 	type group struct {
 		first      relation.Tuple
@@ -873,7 +879,7 @@ func aggCall(e qlang.Expr) (*qlang.Call, bool) {
 	return nil, false
 }
 
-func (q *Query) flushTasks(names []string) {
+func (q *run) flushTasks(names []string) {
 	if q.cfg.Mgr == nil {
 		return
 	}

@@ -6,8 +6,10 @@
 //
 // Every record is CRC-framed; replay recovers the longest valid prefix,
 // so a torn write (crash mid-append) loses at most the torn record.
-// Replay decodes each frame in place: task, side and worker names are
-// interned once per replay, and only Args and answers are copied out.
+// Replay streams each file through one small buffered reader and a
+// reused frame buffer, and decodes each frame in place: task, side and
+// worker names are interned once per replay, and only Args and answers
+// are copied out.
 //
 // Appending is asynchronous through a bounded queue: producers (the
 // task manager's finalization paths) never block. Append adds the record
@@ -16,8 +18,10 @@
 // the backlog reached, not with its bound. At the bound the record is
 // dropped and counted, trading completeness for latency, which is the
 // right trade for advisory knowledge that only tunes future decisions.
-// Close marks the store closed under the queue lock, so each Append is
-// either written by the writer's final drain or dropped.
+// The writer frames a batch into one reused buffer and writes it with
+// one call per segment it fills; a record whose write fails is dropped
+// and counted too. Close marks the store closed under the queue lock, so
+// each Append is either written by the writer's final drain or dropped.
 //
 // Growth is bounded by snapshot + segment compaction: the store folds
 // every record into an in-memory State; when enough sealed segments
@@ -28,9 +32,9 @@
 package store
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -69,8 +73,9 @@ func (o Options) withDefaults() Options {
 
 // Stats counts store activity.
 type Stats struct {
-	// Appended / Dropped count records accepted into / rejected from the
-	// append queue; Written counts records durably framed to a segment.
+	// Appended counts records accepted into the append queue; Dropped
+	// those rejected from it or whose segment write failed; Written
+	// those written to a segment.
 	Appended, Dropped, Written int64
 	Compactions                int64
 }
@@ -106,8 +111,7 @@ type Store struct {
 	// goroutine per batch, by View, and by Compact.
 	mu       sync.Mutex
 	state    *State
-	seg      *os.File
-	bw       *bufio.Writer
+	seg      *os.File // active segment; nil after a failed rotation
 	segSeq   uint64
 	segBytes int64
 	sealed   []uint64 // sealed segment seqs awaiting compaction
@@ -157,8 +161,8 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 		wdone: make(chan struct{}),
 	}
 
-	in := interner{}
-	covered, _, snapClean := replaySnapshotFile(filepath.Join(dir, snapName), in, s.state.apply)
+	rp := replayer{in: interner{}}
+	covered, _, snapClean := rp.snapshot(filepath.Join(dir, snapName), s.state.apply)
 	if !snapClean {
 		s.replay.CorruptTail = true
 	}
@@ -184,7 +188,7 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 		// Later segments still replay: records are independent
 		// observations appended by a store that had already accepted the
 		// truncation, so applying them never depends on the lost tail.
-		_, clean := replaySegmentFile(filepath.Join(dir, segFileName(seq)), in, s.state.apply)
+		_, clean := rp.segment(filepath.Join(dir, segFileName(seq)), s.state.apply)
 		if !clean {
 			s.replay.CorruptTail = true
 		}
@@ -241,12 +245,11 @@ func (s *Store) openSegmentLocked() error {
 	if err != nil {
 		return fmt.Errorf("store: %v", err)
 	}
-	s.seg = f
-	s.bw = bufio.NewWriterSize(f, 1<<18)
-	if _, err := s.bw.WriteString(segMagic); err != nil {
+	if _, err := io.WriteString(f, segMagic); err != nil {
 		f.Close()
 		return fmt.Errorf("store: %v", err)
 	}
+	s.seg = f
 	s.segBytes = int64(len(segMagic))
 	return nil
 }
@@ -276,25 +279,18 @@ func (s *Store) signal() {
 	}
 }
 
-// writer is the single goroutine that frames records to the active
+// writer is the single goroutine that writes records to the active
 // segment, folds them into the state, rotates segments and compacts.
 func (s *Store) writer() {
 	defer close(s.wdone)
 	var buf []byte
 	for range s.wake {
 		batch, closing := s.takeBacklog()
-		for i := range batch {
-			buf = s.handle(batch[i], buf)
-		}
+		buf = s.writeBatch(batch, buf)
 		s.returnBatch(batch)
 		if closing {
-			s.flush()
 			return
 		}
-		// No flush here: bufio publishes to the OS as its (large)
-		// buffer fills, rotation and Close flush the rest. Keeping the
-		// writer syscall-light is what lets it outpace the finalization
-		// paths, so the bounded backlog never drops in steady state.
 		s.maybeCompact()
 	}
 }
@@ -320,49 +316,62 @@ func (s *Store) returnBatch(batch []Record) {
 	s.qmu.Unlock()
 }
 
-func (s *Store) handle(rec Record, buf []byte) []byte {
-	buf = appendRecordFrame(buf[:0], rec)
+// writeBatch frames batch into buf and writes it to the active segment
+// with one call per segment it fills: a chunk ends at the record that
+// brings the segment to its rotation size. It returns buf for reuse.
+func (s *Store) writeBatch(batch []Record, buf []byte) []byte {
 	s.mu.Lock()
-	// A record that cannot be framed to disk (no active segment after a
-	// failed rotation, or a write error) is dropped — counted, and kept
-	// out of the in-memory state too, so Stats.Dropped is the one honest
-	// signal of what the next engine will not see.
-	if s.bw == nil {
-		s.dropped.Add(1)
-		s.mu.Unlock()
-		return buf
+	defer s.mu.Unlock()
+	for len(batch) > 0 {
+		buf = buf[:0]
+		n := 0
+		for n < len(batch) {
+			buf = appendRecordFrame(buf, batch[n])
+			n++
+			if s.segBytes+int64(len(buf)) >= s.opts.SegmentBytes {
+				break
+			}
+		}
+		s.writeLocked(batch[:n], buf)
+		batch = batch[n:]
 	}
-	if _, err := s.bw.Write(buf); err != nil {
-		s.dropped.Add(1)
-		s.mu.Unlock()
-		return buf
-	}
-	s.segBytes += int64(len(buf))
-	s.written.Add(1)
-	s.state.apply(rec)
-	if s.segBytes >= s.opts.SegmentBytes {
-		s.rotateLocked()
-	}
-	s.mu.Unlock()
 	return buf
 }
 
-func (s *Store) flush() {
-	s.mu.Lock()
-	if s.bw != nil {
-		s.bw.Flush()
+// writeLocked writes recs, framed in buf, to the active segment and
+// folds them into the state. Records that cannot reach the segment (no
+// active segment after a failed rotation, or a failed write) are
+// dropped: counted, and kept out of the in-memory state too, so
+// Stats.Dropped is the one honest signal of what the next engine will
+// not see. A failed write may leave a torn frame, so it also seals the
+// segment; later records go to a fresh one, which replay still reaches.
+func (s *Store) writeLocked(recs []Record, buf []byte) {
+	if s.seg == nil {
+		s.dropped.Add(int64(len(recs)))
+		return
 	}
-	s.mu.Unlock()
+	if _, err := s.seg.Write(buf); err != nil {
+		s.dropped.Add(int64(len(recs)))
+		s.rotateLocked()
+		return
+	}
+	s.segBytes += int64(len(buf))
+	s.written.Add(int64(len(recs)))
+	for i := range recs {
+		s.state.apply(recs[i])
+	}
+	if s.segBytes >= s.opts.SegmentBytes {
+		s.rotateLocked()
+	}
 }
 
 // rotateLocked seals the active segment and opens the next one.
 func (s *Store) rotateLocked() {
-	s.bw.Flush()
 	s.seg.Close()
 	s.sealed = append(s.sealed, s.segSeq)
 	s.segSeq++
 	if err := s.openSegmentLocked(); err != nil {
-		s.seg, s.bw = nil, nil
+		s.seg = nil
 	}
 }
 
@@ -381,10 +390,9 @@ func (s *Store) maybeCompact() {
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.bw == nil {
+	if s.seg == nil {
 		return fmt.Errorf("store: no active segment")
 	}
-	s.bw.Flush()
 	s.seg.Close()
 	covered := s.segSeq
 	data := encodeRecordsFile(covered, s.state.snapshotRecords())
@@ -395,7 +403,7 @@ func (s *Store) Compact() error {
 		s.sealed = append(s.sealed, covered)
 		s.segSeq++
 		if oerr := s.openSegmentLocked(); oerr != nil {
-			s.seg, s.bw = nil, nil
+			s.seg = nil
 		}
 		return err
 	}
@@ -407,7 +415,7 @@ func (s *Store) Compact() error {
 	s.segSeq = covered + 1
 	s.compactions.Add(1)
 	if err := s.openSegmentLocked(); err != nil {
-		s.seg, s.bw = nil, nil
+		s.seg = nil
 		return err
 	}
 	return nil
@@ -437,8 +445,8 @@ func (s *Store) Stats() Stats {
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Close drains the append queue, flushes and syncs the active segment,
-// and shuts the writer down. Records appended after Close are dropped.
+// Close drains the append queue, syncs the active segment, and shuts
+// the writer down. Records appended after Close are dropped.
 func (s *Store) Close() error {
 	s.closeOnce.Do(func() {
 		s.qmu.Lock()
@@ -450,12 +458,9 @@ func (s *Store) Close() error {
 		<-s.wdone
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		if s.bw != nil {
-			err := s.bw.Flush()
-			serr := s.seg.Sync()
-			cerr := s.seg.Close()
-			s.closeErr = errors.Join(err, serr, cerr)
-			s.seg, s.bw = nil, nil
+		if s.seg != nil {
+			s.closeErr = errors.Join(s.seg.Sync(), s.seg.Close())
+			s.seg = nil
 		}
 		unlockDir(s.lock)
 		s.lock = nil

@@ -269,7 +269,6 @@ func TestCrashedCompactionNeverDoubleApplies(t *testing.T) {
 	waitWritten(t, s, 50)
 	activeSeq := s.segSeq
 	segPath := filepath.Join(dir, segFileName(activeSeq))
-	s.flush()
 	segData, err := os.ReadFile(segPath)
 	if err != nil {
 		t.Fatal(err)
@@ -295,6 +294,74 @@ func TestCrashedCompactionNeverDoubleApplies(t *testing.T) {
 	}
 	if _, err := os.Stat(segPath); !os.IsNotExist(err) {
 		t.Fatal("covered segment not cleaned up")
+	}
+}
+
+// TestFailedSegmentWriteDropsBatch makes the active segment's writes
+// fail: every record of the failed batch must count as dropped, not as
+// written, stay out of the state, and be absent after a reopen, while
+// records before and after it survive.
+func TestFailedSegmentWriteDropsBatch(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := sampleRecords()
+	appendAll(t, s, good)
+
+	s.mu.Lock()
+	s.seg.Close() // every later write to this segment fails
+	s.mu.Unlock()
+	lost := make([]Record, 5)
+	for i := range lost {
+		lost[i] = Record{Kind: KindSelectivity, Task: "lost", Pass: true}
+	}
+	s.writeBatch(lost, nil)
+	// A single Append through the writer goroutine fails the same way
+	// once the replacement segment is closed too.
+	s.mu.Lock()
+	s.seg.Close()
+	s.mu.Unlock()
+	s.Append(Record{Kind: KindSelectivity, Task: "lost", Pass: false})
+	for deadline := time.Now().Add(5 * time.Second); s.Stats().Dropped < 6; {
+		if time.Now().After(deadline) {
+			t.Fatalf("dropped = %d, want 6", s.Stats().Dropped)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := s.Stats(); st.Written != int64(len(good)) {
+		t.Fatalf("written = %d, want %d: a failed write counted as written", st.Written, len(good))
+	}
+	var lostTrials float64
+	s.View(func(st *State) { lostTrials = st.Selectivities("lost")[""].Trials })
+	if lostTrials != 0 {
+		t.Fatalf("state holds %v trials of dropped records", lostTrials)
+	}
+
+	// The store keeps going on a fresh segment.
+	after := Record{Kind: KindSelectivity, Task: "after", Pass: true}
+	s.Append(after)
+	waitWritten(t, s, int64(len(good))+1)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Dropped != 6 {
+		t.Fatalf("dropped = %d after close, want 6", st.Dropped)
+	}
+
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	var n int64
+	s2.View(func(st *State) {
+		n = st.Records()
+		lostTrials = st.Selectivities("lost")[""].Trials
+	})
+	if n != int64(len(good))+1 || lostTrials != 0 {
+		t.Fatalf("reopen replayed %d records with %v lost trials, want %d and 0", n, lostTrials, len(good)+1)
 	}
 }
 

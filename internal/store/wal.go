@@ -1,9 +1,11 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -46,50 +48,96 @@ func appendRecordFrame(dst []byte, rec Record) []byte {
 	return dst
 }
 
-// replayFrames applies every valid leading frame of data, stopping at
-// the first torn or corrupt one. Records are decoded straight from data
-// with names interned through in. It returns how many records were
-// applied and whether the whole input was consumed cleanly.
-func replayFrames(data []byte, in interner, apply func(Record)) (applied int, clean bool) {
-	for len(data) > 0 {
-		if len(data) < frameHdr {
+// replayBufBytes sizes the one buffered reader replay streams every
+// store file through.
+const replayBufBytes = 64 << 10
+
+// replayer streams store files through one buffered reader and one
+// frame buffer, both reused across files, so replay never holds a whole
+// file in memory. Names are interned through in, so a replay holds one
+// copy of each.
+type replayer struct {
+	in   interner
+	r    *bufio.Reader
+	buf  []byte
+	left int64 // bytes of the current file not yet read
+}
+
+// open opens path and points the shared reader at its start.
+func (rp *replayer) open(path string) (*os.File, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	rp.left = fi.Size()
+	if rp.r == nil {
+		rp.r = bufio.NewReaderSize(f, replayBufBytes)
+	} else {
+		rp.r.Reset(f)
+	}
+	return f, nil
+}
+
+// read fills p from the current file.
+func (rp *replayer) read(p []byte) error {
+	n, err := io.ReadFull(rp.r, p)
+	rp.left -= int64(n)
+	return err
+}
+
+// frames applies every valid frame up to the end of the current file,
+// stopping at the first torn or corrupt one. It returns how many
+// records were applied and whether the file ended cleanly.
+func (rp *replayer) frames(apply func(Record)) (applied int, clean bool) {
+	var hdr [frameHdr]byte
+	for rp.left > 0 {
+		if rp.read(hdr[:]) != nil {
 			return applied, false // torn header
 		}
-		n := binary.LittleEndian.Uint32(data[:4])
-		crc := binary.LittleEndian.Uint32(data[4:8])
-		if n == 0 || n > maxRecordBytes || uint64(n) > uint64(len(data)-frameHdr) {
+		n := binary.LittleEndian.Uint32(hdr[:4])
+		crc := binary.LittleEndian.Uint32(hdr[4:8])
+		if n == 0 || n > maxRecordBytes || int64(n) > rp.left {
 			return applied, false // torn or corrupt length
 		}
-		payload := data[frameHdr : frameHdr+int(n)]
-		if crc32.Checksum(payload, crcTable) != crc {
+		if cap(rp.buf) < int(n) {
+			rp.buf = make([]byte, n)
+		}
+		payload := rp.buf[:n]
+		if rp.read(payload) != nil || crc32.Checksum(payload, crcTable) != crc {
 			return applied, false
 		}
-		rec, err := decodeRecord(payload, in)
+		rec, err := decodeRecord(payload, rp.in)
 		if err != nil {
 			return applied, false
 		}
 		apply(rec)
 		applied++
-		data = data[frameHdr+int(n):]
 	}
 	return applied, true
 }
 
-// replaySegmentFile folds one segment's valid prefix into apply. A
-// missing, empty or headerless file applies nothing; clean reports
-// whether the file ended without corruption.
-func replaySegmentFile(path string, in interner, apply func(Record)) (applied int, clean bool) {
-	data, err := os.ReadFile(path)
+// segment folds one segment's valid prefix into apply. A missing,
+// empty or headerless file applies nothing; clean reports whether the
+// file ended without corruption.
+func (rp *replayer) segment(path string, apply func(Record)) (applied int, clean bool) {
+	f, err := rp.open(path)
 	if err != nil {
 		return 0, false
 	}
-	if len(data) == 0 {
+	defer f.Close()
+	if rp.left == 0 {
 		return 0, true // a crash before the header was written loses nothing
 	}
-	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
+	var magic [len(segMagic)]byte
+	if rp.read(magic[:]) != nil || string(magic[:]) != segMagic {
 		return 0, false
 	}
-	return replayFrames(data[len(segMagic):], in, apply)
+	return rp.frames(apply)
 }
 
 // segFileName formats a segment's file name from its sequence number.
@@ -157,23 +205,23 @@ func writeFileAtomic(path string, data []byte) error {
 	return os.Rename(tmp, path)
 }
 
-// replaySnapshotFile folds the snapshot's valid prefix into apply and
-// returns the segment sequence it covers. A missing snapshot is an
-// empty one.
-func replaySnapshotFile(path string, in interner, apply func(Record)) (coveredSeq uint64, applied int, clean bool) {
-	data, err := os.ReadFile(path)
+// snapshot folds the snapshot's valid prefix into apply and returns the
+// segment sequence it covers. A missing snapshot is an empty one.
+func (rp *replayer) snapshot(path string, apply func(Record)) (coveredSeq uint64, applied int, clean bool) {
+	f, err := rp.open(path)
 	if os.IsNotExist(err) {
 		return 0, 0, true
 	}
 	if err != nil {
 		return 0, 0, false
 	}
-	hdr := len(snapMagic) + 8
-	if len(data) < hdr || string(data[:len(snapMagic)]) != snapMagic {
+	defer f.Close()
+	var hdr [len(snapMagic) + 8]byte
+	if rp.read(hdr[:]) != nil || string(hdr[:len(snapMagic)]) != snapMagic {
 		return 0, 0, false
 	}
-	coveredSeq = binary.LittleEndian.Uint64(data[len(snapMagic) : len(snapMagic)+8])
-	applied, clean = replayFrames(data[hdr:], in, apply)
+	coveredSeq = binary.LittleEndian.Uint64(hdr[len(snapMagic):])
+	applied, clean = rp.frames(apply)
 	return coveredSeq, applied, clean
 }
 
@@ -189,7 +237,8 @@ func WriteRecordsFile(path string, recs []Record) error {
 // bad one should be surfaced, not silently truncated.
 func ReadRecordsFile(path string) ([]Record, error) {
 	var recs []Record
-	_, _, clean := replaySnapshotFile(path, interner{}, func(r Record) { recs = append(recs, r) })
+	rp := replayer{in: interner{}}
+	_, _, clean := rp.snapshot(path, func(r Record) { recs = append(recs, r) })
 	if !clean {
 		return nil, fmt.Errorf("store: %s: corrupt records file", filepath.Base(path))
 	}

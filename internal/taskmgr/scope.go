@@ -40,7 +40,7 @@ type Scope struct {
 	weight   int // fair-share weight; <1 reads as 1
 	spent    budget.Cents
 	queued   budget.Cents    // provisional cost of admission-queued batches
-	hits     map[string]bool // open HIT IDs posted for this scope
+	hits     map[string]bool // open HIT IDs posted for this scope; made by registerHIT
 	label    string          // optional metrics label (per-scope series)
 
 	// posting counts batch posts that passed the cancellation check and
@@ -57,7 +57,7 @@ type Scope struct {
 
 // NewScope creates a live scope bound to the manager.
 func (m *Manager) NewScope() *Scope {
-	s := &Scope{mgr: m, hits: make(map[string]bool)}
+	s := &Scope{mgr: m}
 	s.postDone.L = &s.mu
 	return s
 }
