@@ -35,9 +35,10 @@ RETURNS Bool:
 
 // TestCrowdAllocGate gates the crowd path: the paper's two-filter cascade
 // over 100 photos, on a fresh engine per run through Engine.Query with
-// the simulated crowd, fails above 1.25× the allocs/op committed in
-// testdata/crowd_alloc_baseline.json. It covers what internal/exec's
-// TestAllocRegressionGate cannot: its pipelines never call the crowd.
+// the simulated crowd, fails above 1.25× the allocations or the bytes
+// allocated per run committed in testdata/crowd_alloc_baseline.json. It
+// covers what internal/exec's TestAllocRegressionGate cannot: its
+// pipelines never call the crowd.
 func TestCrowdAllocGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate needs steady-state measurements; skipped in -short")
@@ -70,19 +71,41 @@ func TestCrowdAllocGate(t *testing.T) {
 		}
 	}
 	run() // warm the pools
-	got := testing.AllocsPerRun(5, run)
-	if limit := 1.25 * baseline.FilterCascade; got > limit {
+	allocs, bytes := perRun(5, run)
+	if limit := 1.25 * baseline.FilterCascade; allocs > limit {
 		t.Errorf("filter cascade allocs/op = %.0f, over the 1.25x gate (baseline %.0f, limit %.0f); if the growth is intentional, refresh testdata/crowd_alloc_baseline.json",
-			got, baseline.FilterCascade, limit)
+			allocs, baseline.FilterCascade, limit)
 	}
-	t.Logf("filter cascade: %.0f allocs/op (baseline %.0f)", got, baseline.FilterCascade)
+	if limit := 1.25 * baseline.FilterCascadeBytes; bytes > limit {
+		t.Errorf("filter cascade bytes/op = %.0f KB, over the 1.25x gate (baseline %.0f KB, limit %.0f KB); if the growth is intentional, refresh testdata/crowd_alloc_baseline.json",
+			bytes/1024, baseline.FilterCascadeBytes/1024, limit/1024)
+	}
+	t.Logf("filter cascade: %.0f allocs/op, %.0f KB/op (baseline %.0f allocs, %.0f KB)",
+		allocs, bytes/1024, baseline.FilterCascade, baseline.FilterCascadeBytes/1024)
+}
+
+// perRun reports the mean allocations and bytes allocated per call of
+// f, measured the way testing.AllocsPerRun measures allocations: after
+// one warm-up call, with GOMAXPROCS at 1.
+func perRun(runs int, f func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs),
+		float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // allocBaseline is testdata/crowd_alloc_baseline.json.
 type allocBaseline struct {
-	FilterCascade float64 `json:"filter_cascade"`
-	ReopenAllocs  float64 `json:"reopen_allocs"`
-	ReopenBytes   float64 `json:"reopen_bytes"`
+	FilterCascade      float64 `json:"filter_cascade"`
+	FilterCascadeBytes float64 `json:"filter_cascade_bytes"`
+	ReopenAllocs       float64 `json:"reopen_allocs"`
+	ReopenBytes        float64 `json:"reopen_bytes"`
 }
 
 func readAllocBaseline(t *testing.T) allocBaseline {

@@ -258,8 +258,13 @@ func (p *Pool) effectiveAccuracy(w *worker, questions int) float64 {
 }
 
 // prepareAnswersLocked draws all randomness now (from the stripe's
-// source, under its lock) and returns a pure closure that materializes
-// the answers.
+// source, under its lock) and returns a closure that materializes the
+// answers. The draws go question by question in the HIT's order —
+// Items, or the Left×Right grid row by row — each drawing correct (for
+// non-spammers only), then u1, then u2. The closure reads the
+// questions' keys, tasks and arguments from the posted HIT when the
+// assignment completes; a posted HIT is immutable, so it copies none
+// of them.
 func (p *Pool) prepareAnswersLocked(s *stripe, w *worker, h *hit.HIT, abandon bool) func() (hit.Answers, error) {
 	if abandon {
 		return func() (hit.Answers, error) {
@@ -267,38 +272,32 @@ func (p *Pool) prepareAnswersLocked(s *stripe, w *worker, h *hit.HIT, abandon bo
 		}
 	}
 	acc := p.effectiveAccuracy(w, effortOf(h))
-	n := len(h.Items)
-	if h.Response.Kind == qlang.ResponseJoinColumns {
-		n = len(h.Left) * len(h.Right)
+	plans := make([]answerPlan, h.QuestionCount())
+	for i := range plans {
+		plans[i].correct = !w.spammer && s.rng.Float64() < acc
+		plans[i].u1 = s.rng.Float64()
+		plans[i].u2 = s.rng.NormFloat64()
 	}
-	plans := make([]answerPlan, 0, n)
-	addPlan := func(key, task string, args []relation.Value) {
-		correct := !w.spammer && s.rng.Float64() < acc
-		plans = append(plans, answerPlan{key: key, task: task, args: args, correct: correct,
-			u1: s.rng.Float64(), u2: s.rng.NormFloat64()})
-	}
-	if h.Response.Kind == qlang.ResponseJoinColumns {
-		for _, l := range h.Left {
-			for _, r := range h.Right {
-				addPlan(hit.PairKey(l.Key, r.Key), h.Task, append(append([]relation.Value{}, l.Args...), r.Args...))
-			}
-		}
-	} else {
-		for _, it := range h.Items {
-			addPlan(it.Key, h.EffectiveTask(it), it.Args)
-		}
-	}
-	spammer := w.spammer
-	resp := h.Response
-	nItems := len(h.Items)
 	return func() (hit.Answers, error) {
 		vals := make(map[string]relation.Value, len(plans))
-		for _, pl := range plans {
-			truth := p.oracle.Truth(pl.task, pl.args)
-			vals[pl.key] = noisyAnswer(resp, truth, pl.correct, spammer, pl.u1, pl.u2)
+		answer := func(pl answerPlan, task string, args []relation.Value) relation.Value {
+			return noisyAnswer(h.Response, p.oracle.Truth(task, args), pl.correct, w.spammer, pl.u1, pl.u2)
 		}
-		if resp.Kind == qlang.ResponseOrder {
-			rerank(vals, plans, nItems)
+		if h.Response.Kind == qlang.ResponseJoinColumns {
+			for i, l := range h.Left {
+				for j, r := range h.Right {
+					args := make([]relation.Value, 0, len(l.Args)+len(r.Args))
+					args = append(append(args, l.Args...), r.Args...)
+					vals[hit.PairKey(l.Key, r.Key)] = answer(plans[i*len(h.Right)+j], h.Task, args)
+				}
+			}
+		} else {
+			for i, it := range h.Items {
+				vals[it.Key] = answer(plans[i], h.EffectiveTask(it), it.Args)
+			}
+		}
+		if h.Response.Kind == qlang.ResponseOrder {
+			rerank(vals, h.Items)
 		}
 		s.mu.Lock()
 		w.answered += len(plans)
@@ -412,28 +411,25 @@ func corruptText(truth relation.Value, u float64) relation.Value {
 }
 
 // answerPlan pre-draws one question's noise decisions under the pool
-// lock so the Answer closure is pure.
+// lock; the question itself is read from the HIT at answer time.
 type answerPlan struct {
-	key     string
-	task    string
-	args    []relation.Value
 	correct bool
 	u1, u2  float64 // noise draws for wrong answers
 }
 
 // rerank converts latent noisy scores into rank positions 0..n-1
 // (ascending score = rank 0), as the Order form requires.
-func rerank(vals map[string]relation.Value, plans []answerPlan, n int) {
+func rerank(vals map[string]relation.Value, items []hit.Item) {
 	type kv struct {
 		key   string
 		score float64
 	}
-	items := make([]kv, 0, n)
-	for _, pl := range plans {
-		items = append(items, kv{pl.key, vals[pl.key].Float()})
+	scored := make([]kv, 0, len(items))
+	for _, it := range items {
+		scored = append(scored, kv{it.Key, vals[it.Key].Float()})
 	}
-	sort.SliceStable(items, func(i, j int) bool { return items[i].score < items[j].score })
-	for rank, it := range items {
+	sort.SliceStable(scored, func(i, j int) bool { return scored[i].score < scored[j].score })
+	for rank, it := range scored {
 		vals[it.key] = relation.NewInt(int64(rank))
 	}
 }

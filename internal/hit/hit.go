@@ -8,6 +8,8 @@ package hit
 import (
 	"fmt"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/qlang"
 	"repro/internal/relation"
@@ -41,6 +43,11 @@ func (h *HIT) EffectiveTask(it Item) string {
 // For JoinColumns HITs the Left and Right columns are rendered instead of
 // Items; the implied sub-questions are all Left×Right pairs, keyed by
 // PairKey.
+//
+// A posted HIT is immutable. The marketplace, the backends and the worker
+// pools keep reading it after Post returns — the simulated crowd reads a
+// HIT's items only when an assignment completes — so neither the poster
+// nor a reader may change it, its Items or their Args.
 type HIT struct {
 	ID          string
 	Task        string // task (UDF) name
@@ -112,25 +119,75 @@ type Answers struct {
 
 // RenderText substitutes a task's %s placeholders with the item's
 // argument values, mirroring the paper's "simple substitution language".
+// Each text argument names a parameter, matched case-insensitively (the
+// last of two same-named parameters wins); a name without a parameter
+// or an argument renders as "?".
+//
+// There are two paths with one result. When every % in the template
+// starts a %s and there is exactly one %s per text argument — every
+// task text the parser accepts in practice — the literal pieces and the
+// values are written into one pre-grown builder. Any other template
+// (%d, %%, a trailing %, a placeholder count that differs from the
+// argument count) goes through fmt, which spells out its verbs and
+// EXTRA/MISSING marks.
 func RenderText(template string, textArgs []string, params []qlang.Param, args []relation.Value) string {
 	if !strings.Contains(template, "%s") {
 		return template
 	}
-	// Map parameter name -> argument position.
-	pos := make(map[string]int, len(params))
-	for i, p := range params {
-		pos[strings.ToLower(p.Name)] = i
-	}
-	subs := make([]interface{}, 0, len(textArgs))
-	for _, name := range textArgs {
-		i, ok := pos[strings.ToLower(name)]
-		if !ok || i >= len(args) {
-			subs = append(subs, "?")
-			continue
+	if strings.Count(template, "%") != len(textArgs) || strings.Count(template, "%s") != len(textArgs) {
+		subs := make([]interface{}, 0, len(textArgs))
+		for _, name := range textArgs {
+			subs = append(subs, textArg(name, params, args))
 		}
-		subs = append(subs, displayValue(args[i]))
+		return fmt.Sprintf(strings.ReplaceAll(template, "%s", "%v"), subs...)
 	}
-	return fmt.Sprintf(strings.ReplaceAll(template, "%s", "%v"), subs...)
+	var subsBuf [4]string
+	subs := subsBuf[:0]
+	n := len(template) - 2*len(textArgs)
+	for _, name := range textArgs {
+		sub := textArg(name, params, args)
+		subs = append(subs, sub)
+		n += len(sub)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, sub := range subs {
+		i := strings.Index(template, "%s")
+		b.WriteString(template[:i])
+		b.WriteString(sub)
+		template = template[i+2:]
+	}
+	b.WriteString(template)
+	return b.String()
+}
+
+// textArg renders the argument a text argument names: the value of the
+// last parameter whose name matches case-insensitively, or "?".
+func textArg(name string, params []qlang.Param, args []relation.Value) string {
+	for i := len(params) - 1; i >= 0; i-- {
+		if lowerEqual(params[i].Name, name) {
+			if i >= len(args) {
+				return "?"
+			}
+			return displayValue(args[i])
+		}
+	}
+	return "?"
+}
+
+// lowerEqual reports whether strings.ToLower(a) == strings.ToLower(b)
+// without building either: both lower-case rune by rune (an invalid
+// byte reads as utf8.RuneError, as it does in ToLower).
+func lowerEqual(a, b string) bool {
+	for a != "" && b != "" {
+		ra, na := utf8.DecodeRuneInString(a)
+		rb, nb := utf8.DecodeRuneInString(b)
+		if ra != rb && unicode.ToLower(ra) != unicode.ToLower(rb) {
+			return false
+		}
+		a, b = a[na:], b[nb:]
+	}
+	return a == b
 }
 
 func displayValue(v relation.Value) string {

@@ -26,7 +26,9 @@ type Claim struct {
 type WorkerPool interface {
 	// Claim asks the pool to work on h starting at virtual time now.
 	// ok=false means no worker is currently willing (the marketplace
-	// retries after a backoff).
+	// retries after a backoff). h is immutable once posted, so the
+	// claim's Answer may read it when the assignment completes instead
+	// of copying what it needs at claim time.
 	Claim(h *hit.HIT, now VirtualTime) (Claim, bool)
 }
 

@@ -121,25 +121,27 @@ func (m *Manager) workerPrior(worker string) (acc, weight float64) {
 
 // votesByItem rebuilds per-item vote lists (in HIT item order, so fits
 // are deterministic) from the collected per-worker answer sheets,
-// skipping items whose share detached. Called under the stripe lock or
-// after the HIT left the in-flight table.
-func (fl *inflightHIT) votesByItem() (items [][]infer.Vote, keys []string) {
-	items = make([][]infer.Vote, 0, len(fl.hit.Items))
-	keys = make([]string, 0, len(fl.hit.Items))
-	for _, hi := range fl.hit.Items {
-		if _, ok := fl.byKey[hi.Key]; !ok {
+// skipping detached items; slots gives each list's item slot. The lists
+// share one backing array. Called under the stripe lock or after the
+// HIT left the in-flight table.
+func (fl *inflightHIT) votesByItem() (votes [][]infer.Vote, slots []int) {
+	votes = make([][]infer.Vote, 0, len(fl.items))
+	slots = make([]int, 0, len(fl.items))
+	backing := make([]infer.Vote, 0, len(fl.items)*len(fl.byWorker))
+	for i := range fl.items {
+		if fl.items[i].detached {
 			continue
 		}
-		var votes []infer.Vote
+		start := len(backing)
 		for _, wa := range fl.byWorker {
-			if v, ok := wa.Values[hi.Key]; ok {
-				votes = append(votes, infer.Vote{Worker: wa.WorkerID, Value: v})
+			if v, ok := wa.Values[fl.items[i].key]; ok {
+				backing = append(backing, infer.Vote{Worker: wa.WorkerID, Value: v})
 			}
 		}
-		items = append(items, votes)
-		keys = append(keys, hi.Key)
+		votes = append(votes, backing[start:len(backing):len(backing)])
+		slots = append(slots, i)
 	}
-	return items, keys
+	return votes, slots
 }
 
 // itemsConfident reports whether every live item's posterior has

@@ -43,10 +43,6 @@ func (m *Manager) SubmitGroup(reqs []Request) error {
 		}
 		return nil
 	}
-	type resolution struct {
-		done func(Outcome)
-		out  Outcome
-	}
 	var resolved []resolution
 	var failed []Request // requests that reach no HIT, with failErr
 	var failErr error
@@ -116,21 +112,19 @@ func (m *Manager) SubmitGroup(reqs []Request) error {
 		Response:    qlang.Response{Kind: qlang.ResponseYesNo},
 		RewardCents: price,
 		Assignments: pol.Assignments,
-		Items:       make([]hit.Item, 0, len(remaining)),
-		GroupKeys:   make([]string, 0, len(remaining)),
+		Items:       make([]hit.Item, len(remaining)),
+		GroupKeys:   make([]string, len(remaining)),
 	}
-	byKey := make(map[string]pendingItem, len(remaining))
-	keys := make([]string, 0, len(remaining))
+	items := make([]pendingItem, len(remaining))
 	for i, r := range remaining {
 		key := m.newKey()
 		prompt := r.Prompt
 		if prompt == "" {
 			prompt = hit.RenderText(r.Def.Text, r.Def.TextArgs, r.Def.Params, r.Args)
 		}
-		h.Items = append(h.Items, hit.Item{Key: key, Args: r.Args, Task: r.Def.Name, Prompt: prompt})
-		h.GroupKeys = append(h.GroupKeys, r.Def.Name)
-		byKey[key] = pendingItem{key: key, args: r.Args, ckey: ckeys[i], def: r.Def, side: r.StatSide, done: r.Done, span: r.Trace}
-		keys = append(keys, key)
+		h.Items[i] = hit.Item{Key: key, Args: r.Args, Task: r.Def.Name, Prompt: prompt}
+		h.GroupKeys[i] = r.Def.Name
+		items[i] = pendingItem{key: key, args: r.Args, ckey: ckeys[i], def: r.Def, side: r.StatSide, scope: scope, done: r.Done, span: r.Trace}
 	}
 
 	cost := budget.Cents(price * int64(pol.Assignments))
@@ -161,10 +155,10 @@ func (m *Manager) SubmitGroup(reqs []Request) error {
 	fl := &inflightHIT{
 		hit:      h,
 		state:    lead,
-		shares:   []hitShare{{scope: scope, keys: keys, cost: cost}},
+		shares:   []hitShare{{scope: scope, items: len(items), cost: cost}},
 		cost:     cost,
-		byKey:    byKey,
-		answers:  answerSlots(h.Items, pol.Assignments),
+		items:    items,
+		answers:  answerSlots(len(items), pol.Assignments),
 		byWorker: make([]hit.Answers, 0, pol.Assignments),
 		needed:   pol.Assignments,
 		assign:   pol.Assignments,
@@ -175,11 +169,7 @@ func (m *Manager) SubmitGroup(reqs []Request) error {
 	if sp := m.traceDirectHIT(scope, h.ID, h.Task, fl.backend, cost); sp != nil {
 		sp.Annotate("grouped", fmt.Sprintf("%d", len(remaining)))
 		fl.span = sp
-		items := make([]pendingItem, 0, len(keys))
-		for _, key := range keys {
-			items = append(items, byKey[key])
-		}
-		attributeOps(fl, items, cost)
+		attributeOps(fl, cost)
 	}
 	s := m.flights.stripeFor(h.ID)
 	s.mu.Lock()
@@ -222,27 +212,24 @@ func (m *Manager) finalizeGroup(fl *inflightHIT) {
 	pol := fl.state.effectivePolicyLocked(base)
 	fl.state.mu.Unlock()
 
-	type resolution struct {
-		done func(Outcome)
-		out  Outcome
-	}
-	resolved := make([]resolution, 0, len(fl.hit.Items))
+	var resolvedBuf [resolvedInline]resolution
+	resolved := resolvedBuf[:0]
 	var agreeSum float64
 	var agreeN int
-	for _, hi := range fl.hit.Items {
-		item, ok := fl.byKey[hi.Key]
-		if !ok {
+	for i := range fl.items {
+		item := &fl.items[i]
+		if item.detached {
 			continue
 		}
 		st := m.state(item.def.Name, item.def)
-		answers := fl.answers[hi.Key]
+		answers := fl.answers[i]
 		b, conf := stats.MajorityBool(answers)
 		out := Outcome{Value: relation.NewBool(b), Answers: answers, Agreement: conf}
 		st.agreement.Observe(conf)
 		agreeSum += conf
 		agreeN++
 		st.observeSelectivity(b, item.side)
-		m.noteWorkerVotes(fl.byWorker, hi.Key, b)
+		m.noteWorkerVotes(fl.byWorker, item.key, b)
 		if pol.UseCache {
 			m.cache.Put(item.ckey, cache.Entry{Answers: answers})
 		}

@@ -56,7 +56,7 @@ func (s *Scope) Span() *obs.Span {
 // onAssignment always observes fl.span fully built. The batch span is
 // backdated to queuedAt — its duration is the admission wait — and
 // closed at post time; the HIT span stays open until the HIT retires.
-func (m *Manager) traceBatchSpans(fl *inflightHIT, live []pendingItem, pol Policy, queuedAt mturk.VirtualTime) {
+func (m *Manager) traceBatchSpans(fl *inflightHIT, pol Policy, queuedAt mturk.VirtualTime) {
 	tr := m.getObs()
 	if tr == nil {
 		return
@@ -70,7 +70,7 @@ func (m *Manager) traceBatchSpans(fl *inflightHIT, live []pendingItem, pol Polic
 	if queuedAt > 0 && queuedAt < bs.Start {
 		bs.Start = queuedAt
 	}
-	bs.Annotate("fill", fmt.Sprintf("%d/%d", len(live), pol.BatchSize))
+	bs.Annotate("fill", fmt.Sprintf("%d/%d", len(fl.items), pol.BatchSize))
 	if len(fl.shares) > 1 {
 		bs.Annotate("shared_scopes", strconv.Itoa(len(fl.shares)))
 	}
@@ -83,18 +83,18 @@ func (m *Manager) traceBatchSpans(fl *inflightHIT, live []pendingItem, pol Polic
 	hs.AddCost(int64(fl.cost))
 	bs.End()
 	fl.span = hs
-	attributeOps(fl, live, fl.cost)
+	attributeOps(fl, fl.cost)
 }
 
 // attributeOps fans one HIT's posting out to the distinct submitting
 // operator spans: each gets the HIT counted once and its item-count
 // share of the cost (largest-remainder split, so shares sum exactly to
 // the charge).
-func attributeOps(fl *inflightHIT, live []pendingItem, cost budget.Cents) {
+func attributeOps(fl *inflightHIT, cost budget.Cents) {
 	var ops []*obs.Span
 	var counts []int
 	idx := make(map[*obs.Span]int, 1)
-	for _, it := range live {
+	for _, it := range fl.items {
 		if it.span == nil {
 			continue
 		}
@@ -120,7 +120,7 @@ func attributeOps(fl *inflightHIT, live []pendingItem, cost budget.Cents) {
 
 // traceBatchMetrics records the posting-time metrics for a batch HIT
 // that actually reached the marketplace.
-func (m *Manager) traceBatchMetrics(fl *inflightHIT, live []pendingItem, pol Policy, queuedAt mturk.VirtualTime) {
+func (m *Manager) traceBatchMetrics(fl *inflightHIT, pol Policy, queuedAt mturk.VirtualTime) {
 	if fl.span == nil {
 		return
 	}
@@ -143,7 +143,7 @@ func (m *Manager) traceBatchMetrics(fl *inflightHIT, live []pendingItem, pol Pol
 			Observe((fl.postedAt - queuedAt).Minutes())
 	}
 	reg.Histogram(obs.MetricBatchFillRatio, obs.RatioBuckets, obs.L("task", task)).
-		Observe(float64(len(live)) / float64(pol.BatchSize))
+		Observe(float64(len(fl.items)) / float64(pol.BatchSize))
 }
 
 // traceHITPostFailed closes the spans of a batch HIT the marketplace
@@ -197,10 +197,11 @@ func (m *Manager) traceExtension(s *flightStripe, hitID string, fl *inflightHIT,
 }
 
 // traceHITDone closes out a finalized HIT: assignments are attributed
-// to the submitting operators, inference posteriors (when an EM fit
-// resolved the answers) are annotated in HIT item order, and the
-// round-trip and extension-depth distributions observe the completion.
-func (m *Manager) traceHITDone(fl *inflightHIT, latencyMin float64, posts map[string]infer.Posterior) {
+// to the submitting operators, inference posteriors (posts, by item
+// slot, when an EM fit resolved the answers) are annotated in HIT item
+// order, and the round-trip and extension-depth distributions observe
+// the completion.
+func (m *Manager) traceHITDone(fl *inflightHIT, latencyMin float64, posts []infer.Posterior) {
 	sp := fl.span
 	if sp == nil {
 		return
@@ -208,11 +209,9 @@ func (m *Manager) traceHITDone(fl *inflightHIT, latencyMin float64, posts map[st
 	for _, op := range fl.opSpans {
 		op.AddAssignments(int64(fl.assign))
 	}
-	if len(posts) > 0 {
-		for _, hi := range fl.hit.Items {
-			if p, ok := posts[hi.Key]; ok {
-				sp.Annotate("posterior."+hi.Key, fmt.Sprintf("%v p=%.3f", p.Value, p.Confidence))
-			}
+	for i, p := range posts {
+		if !fl.items[i].detached {
+			sp.Annotate("posterior."+fl.items[i].key, fmt.Sprintf("%v p=%.3f", p.Value, p.Confidence))
 		}
 	}
 	sp.End()

@@ -22,18 +22,13 @@ type queuedBatch struct {
 	st     *taskState
 	batch  []pendingItem
 	seq    int64
-	prio   int    // highest item priority in the batch
-	owner  *Scope // fair-share accounting key (first item's scope)
-	weight int    // owner's fair-share weight at enqueue time
+	prio   int               // highest item priority in the batch
+	owner  *Scope            // fair-share accounting key (first item's scope)
+	weight int               // owner's fair-share weight at enqueue time
 	at     mturk.VirtualTime // enqueue time; tracing's admission-wait basis
 	// charged records the provisional per-scope cost released when the
 	// batch is admitted (or its scope swept); see Scope.addQueuedCost.
-	charged []provCharge
-}
-
-type provCharge struct {
-	scope *Scope
-	cost  budget.Cents
+	charged []hitShare
 }
 
 func (qb *queuedBatch) releaseProvisional() {
@@ -77,11 +72,9 @@ func (m *Manager) enqueueBatch(st *taskState, batch []pendingItem) {
 			prio = it.priority
 		}
 	}
-	shares := shareOut(batch, cost)
-	charged := make([]provCharge, 0, len(shares))
-	for _, sh := range shares {
+	charged := shareOut(batch, cost)
+	for _, sh := range charged {
 		sh.scope.addQueuedCost(sh.cost)
-		charged = append(charged, provCharge{scope: sh.scope, cost: sh.cost})
 	}
 	s := &m.sched
 	s.mu.Lock()

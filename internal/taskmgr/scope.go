@@ -433,16 +433,16 @@ func (m *Manager) cancelScopeHIT(hitID string, sc *Scope, cause error) {
 		sh := &fl.shares[idx]
 		if live > 1 {
 			// Detach: the HIT survives for the other participants. The
-			// scope's items leave byKey so finalization skips them, and
-			// its share of the not-yet-completed assignments refunds;
-			// the consumed remainder stays on sh.cost so a later full
-			// expiry cannot refund it again.
+			// scope's items are marked detached so finalization skips
+			// them, and its share of the not-yet-completed assignments
+			// refunds; the consumed remainder stays on sh.cost so a
+			// later full expiry cannot refund it again.
 			sh.detached = true
-			items := make([]pendingItem, 0, len(sh.keys))
-			for _, key := range sh.keys {
-				if it, ok := fl.byKey[key]; ok {
-					items = append(items, it)
-					delete(fl.byKey, key)
+			items := make([]pendingItem, 0, sh.items)
+			for i := range fl.items {
+				if it := &fl.items[i]; it.scope == sc && !it.detached {
+					it.detached = true
+					items = append(items, *it)
 				}
 			}
 			refund := unconsumed(sh.cost, fl.assign, fl.received)
@@ -471,8 +471,8 @@ func (m *Manager) cancelScopeHIT(hitID string, sc *Scope, cause error) {
 			m.account.Refund(refund)
 			sc.refund(refund)
 		}
-		for _, hi := range fl.hit.Items {
-			if item, ok := fl.byKey[hi.Key]; ok {
+		for i := range fl.items {
+			if item := &fl.items[i]; !item.detached {
 				item.done(Outcome{Err: fmt.Errorf("taskmgr: %s: %w", item.def.Name, cause)})
 			}
 		}

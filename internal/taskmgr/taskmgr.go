@@ -270,6 +270,7 @@ type pendingItem struct {
 	scope       *Scope // owning query scope (nil = unscoped)
 	priority    int    // scope priority at submission time
 	shared      bool   // may co-batch with other sharing scopes
+	detached    bool   // in flight: its scope left the shared HIT, and it already resolved
 	done        func(Outcome)
 	addedAt     mturk.VirtualTime
 	span        *obs.Span // submitting operator's trace span (nil = tracing off)
@@ -314,7 +315,10 @@ type Manager struct {
 	// the marketplace, cache, or per-task state.
 	mu    sync.Mutex
 	tasks map[string]*taskState
-	base  Policy
+	// spelled indexes the same states by every spelling callers have
+	// used, so the hot paths resolve "isCat" without lower-casing it.
+	spelled map[string]*taskState
+	base    Policy
 
 	nextKey atomic.Int64
 	flights flightTable
@@ -393,25 +397,34 @@ func (m *Manager) getJournal() Journal {
 	return nil
 }
 
-// hitShare is one scope's stake in a (possibly shared) HIT: the item
-// keys it contributed and the slice of the HIT cost it was charged.
-// cost is maintained as charged-and-not-yet-refunded, so detach and
-// expiry refunds can never double-pay; mutations after posting happen
-// under the HIT's stripe lock.
+// hitShare is one scope's stake in a (possibly shared) HIT: how many of
+// its items the HIT carries and the slice of the HIT cost it was
+// charged. The items themselves are found by scope in the HIT's item
+// slots. cost is maintained as charged-and-not-yet-refunded, so detach
+// and expiry refunds can never double-pay; mutations after posting
+// happen under the HIT's stripe lock.
 type hitShare struct {
 	scope    *Scope
-	keys     []string
+	items    int
 	cost     budget.Cents
 	detached bool
 }
 
+// inflightHIT is one posted batch or group HIT while it collects
+// assignments. Its items are held by position: item i is hit.Items[i],
+// items[i] (the pending item that asked, with its Done callback) and
+// answers[i] (the raw answers in arrival order), from the cut until the
+// item resolves, so no path looks an item up by key. A scope that
+// withdraws from a shared HIT marks its items detached under the
+// stripe lock; finalization, the all-failed path and the EM vote
+// builder skip them.
 type inflightHIT struct {
 	hit      *hit.HIT
 	state    *taskState
 	shares   []hitShare   // per-scope stakes; one entry for unshared HITs
 	cost     budget.Cents // total charged at post time (sum of shares)
-	byKey    map[string]pendingItem
-	answers  map[string][]relation.Value
+	items    []pendingItem
+	answers  [][]relation.Value
 	byWorker []hit.Answers
 	received int
 	needed   int
@@ -441,15 +454,16 @@ type inflightHIT struct {
 	extSpans []*obs.Span
 }
 
-// answerSlots pre-sizes a HIT's per-item answer lists from one backing
-// array. Each list is capped at the assignment cap, so an append past
-// it — a Done callback may append to its Outcome.Answers — reallocates
-// instead of writing into the neighbouring item's answers.
-func answerSlots(items []hit.Item, capA int) map[string][]relation.Value {
-	answers := make(map[string][]relation.Value, len(items))
-	backing := make([]relation.Value, len(items)*capA)
-	for _, it := range items {
-		answers[it.Key], backing = backing[:0:capA], backing[capA:]
+// answerSlots pre-sizes n items' answer lists from one backing array.
+// Each list is capped at the assignment cap, so an append past it — a
+// Done callback may append to its Outcome.Answers, and an adaptive HIT
+// never exceeds the cap — reallocates instead of writing into the
+// neighbouring item's answers.
+func answerSlots(n, capA int) [][]relation.Value {
+	answers := make([][]relation.Value, n)
+	backing := make([]relation.Value, n*capA)
+	for i := range answers {
+		answers[i], backing = backing[:0:capA], backing[capA:]
 	}
 	return answers
 }
@@ -486,6 +500,7 @@ func NewWithBackend(be backend.Backend, c *cache.Cache, models *model.Registry, 
 		account: account,
 		book:    stats.NewBackendBook(),
 		tasks:   make(map[string]*taskState),
+		spelled: make(map[string]*taskState),
 		base:    DefaultPolicy(),
 	}
 	// Assignments can fail terminally (no eligible worker after all
@@ -547,8 +562,8 @@ func (m *Manager) onAssignmentFailed(hitID string, err error) {
 		defer m.disposeRetired(hitID)
 		if fl.received == 0 {
 			m.traceHITAbandoned(fl, err)
-			for _, it := range fl.hit.Items {
-				if item, ok := fl.byKey[it.Key]; ok {
+			for i := range fl.items {
+				if item := &fl.items[i]; !item.detached {
 					item.done(Outcome{Err: fmt.Errorf("taskmgr: %s: %v", fl.hit.Task, err)})
 				}
 			}
@@ -664,14 +679,20 @@ func (st *taskState) scopedPolicyLocked(base Policy, scope *Scope) Policy {
 	return p.Clamped()
 }
 
-// state returns (creating if needed) the named task's state.
+// state returns (creating if needed) the named task's state. Task names
+// are case-insensitive: the registry is keyed by the lower-cased name,
+// and spelled remembers each spelling a caller used, so a repeat lookup
+// costs one map probe and no lower-casing.
 func (m *Manager) state(name string, def *qlang.TaskDef) *taskState {
-	key := strings.ToLower(name)
 	m.mu.Lock()
-	st, ok := m.tasks[key]
+	st, ok := m.spelled[name]
 	if !ok {
-		st = &taskState{name: key, latency: stats.NewEWMA(stats.TaskEWMAAlpha), agreement: stats.NewEWMA(stats.TaskEWMAAlpha)}
-		m.tasks[key] = st
+		key := strings.ToLower(name)
+		if st, ok = m.tasks[key]; !ok {
+			st = &taskState{name: key, latency: stats.NewEWMA(stats.TaskEWMAAlpha), agreement: stats.NewEWMA(stats.TaskEWMAAlpha)}
+			m.tasks[key] = st
+		}
+		m.spelled[name] = st
 	}
 	m.mu.Unlock()
 	st.mu.Lock()
@@ -919,12 +940,26 @@ type batchGroup struct {
 	pol         Policy // shared groups: the common effective policy
 }
 
+// cutGroup is one batch group's tally within a single cut.
+type cutGroup struct {
+	key  batchGroup
+	size int // batch size under the group's effective policy
+	n    int // pending items in the group
+	cut  int // of those, items cut into batches
+	next int // fill cursor into the cut array
+}
+
 // cutBatchesLocked partitions the pending items into HIT-sized batches
 // per batch group, each under its group's effective policy. force cuts
 // everything (flush/linger); otherwise only full batches are cut and
 // remainders stay pending for the linger timer. Higher-priority scopes
 // cut first (stable, so FIFO order is preserved within a priority
-// level). st.mu held; posting happens after release.
+// level). Groups are ordered by first appearance; batches come out in
+// group order, and the leftovers go back into pending in group order,
+// FIFO within each group. Every batch of one cut is carved, with a
+// capped three-index slice, from one exact-size array, so a batch
+// shares backing with neither pending nor another batch and is owned
+// by whoever posts it. st.mu held; posting happens after release.
 func (st *taskState) cutBatchesLocked(base Policy, force bool) [][]pendingItem {
 	if len(st.pending) == 0 {
 		return nil
@@ -941,36 +976,90 @@ func (st *taskState) cutBatchesLocked(base Policy, force bool) [][]pendingItem {
 			return st.pending[i].priority > st.pending[j].priority
 		})
 	}
-	byGroup := make(map[batchGroup][]pendingItem)
-	var order []batchGroup
+	// Find each item's group by a linear scan: a cut sees few groups,
+	// and == on batchGroup is the equality a map key would use.
+	var groupBuf [4]cutGroup
+	var slotBuf [32]int32
+	groups, slot := groupBuf[:0], slotBuf[:0]
 	for _, it := range st.pending {
 		g := batchGroup{assignments: it.assignments, scope: it.scope}
 		if it.shared {
 			g = batchGroup{assignments: it.assignments, shared: true,
 				pol: st.scopedPolicyLocked(base, it.scope)}
 		}
-		if _, seen := byGroup[g]; !seen {
-			order = append(order, g)
+		i := 0
+		for i < len(groups) && groups[i].key != g {
+			i++
 		}
-		byGroup[g] = append(byGroup[g], it)
-	}
-	st.pending = st.pending[:0]
-	var batches [][]pendingItem
-	for _, g := range order {
-		items := byGroup[g]
-		size := g.pol.BatchSize
-		if !g.shared {
-			size = st.scopedPolicyLocked(base, g.scope).BatchSize
-		}
-		for len(items) >= size || (force && len(items) > 0) {
-			n := size
-			if n > len(items) {
-				n = len(items)
+		if i == len(groups) {
+			size := g.pol.BatchSize
+			if !g.shared {
+				size = st.scopedPolicyLocked(base, g.scope).BatchSize
 			}
-			batches = append(batches, items[:n:n])
-			items = items[n:]
+			groups = append(groups, cutGroup{key: g, size: size})
 		}
-		st.pending = append(st.pending, items...)
+		groups[i].n++
+		slot = append(slot, int32(i))
+	}
+	total, nbatches := 0, 0
+	for i := range groups {
+		g := &groups[i]
+		g.cut = g.n - g.n%g.size
+		if force {
+			g.cut = g.n
+		}
+		g.next = total
+		total += g.cut
+		nbatches += (g.cut + g.size - 1) / g.size
+	}
+	var batches [][]pendingItem
+	if total > 0 {
+		cut := make([]pendingItem, total)
+		batches = make([][]pendingItem, 0, nbatches)
+		for i := range groups {
+			g := &groups[i]
+			for lo := g.next; lo < g.next+g.cut; lo += g.size {
+				hi := min(lo+g.size, g.next+g.cut)
+				batches = append(batches, cut[lo:hi:hi])
+			}
+		}
+		// Fill the batches in pending order and compact the leftovers
+		// to the front of pending, keeping their group slots beside
+		// them. The write index kept never passes the read index j.
+		kept := 0
+		for j := range st.pending {
+			g := &groups[slot[j]]
+			if g.cut > 0 {
+				cut[g.next] = st.pending[j]
+				g.next++
+				g.cut--
+				continue
+			}
+			st.pending[kept], slot[kept] = st.pending[j], slot[j]
+			kept++
+		}
+		clear(st.pending[kept:])
+		st.pending, slot = st.pending[:kept], slot[:kept]
+	}
+	ordered := true
+	for k := 1; k < len(slot) && ordered; k++ {
+		ordered = slot[k-1] <= slot[k]
+	}
+	if ordered {
+		return batches
+	}
+	// The leftovers interleave groups: put them back in group order.
+	left := append([]pendingItem(nil), st.pending...)
+	start := make([]int, len(groups)+1)
+	for _, gi := range slot {
+		start[gi+1]++
+	}
+	for i := 1; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	for k, gi := range slot {
+		st.pending[start[gi]] = left[k]
+		start[gi]++
 	}
 	return batches
 }
@@ -1023,24 +1112,28 @@ func splitCost(total budget.Cents, counts []int) []budget.Cents {
 	return out
 }
 
-// shareOut groups a batch's items by scope in first-appearance order
-// and splits the HIT cost across the groups by item count.
+// shareOut counts a batch's items per scope, in first-appearance order,
+// and splits the HIT cost across the scopes by item count. A batch of
+// one scope — the usual case — takes the whole cost.
 func shareOut(items []pendingItem, cost budget.Cents) []hitShare {
-	shares := make([]hitShare, 0, 1) // a batch usually has one scope
-	for n, it := range items {
+	shares := make([]hitShare, 0, 1)
+	for _, it := range items {
 		i := 0
 		for i < len(shares) && shares[i].scope != it.scope { // few scopes per batch
 			i++
 		}
 		if i == len(shares) {
-			// The items from here on bound this scope's key count.
-			shares = append(shares, hitShare{scope: it.scope, keys: make([]string, 0, len(items)-n)})
+			shares = append(shares, hitShare{scope: it.scope})
 		}
-		shares[i].keys = append(shares[i].keys, it.key)
+		shares[i].items++
 	}
-	counts := make([]int, 0, 1)
-	for _, sh := range shares {
-		counts = append(counts, len(sh.keys))
+	if len(shares) == 1 {
+		shares[0].cost = cost
+		return shares
+	}
+	counts := make([]int, len(shares))
+	for i := range shares {
+		counts[i] = shares[i].items
 	}
 	for i, c := range splitCost(cost, counts) {
 		shares[i].cost = c
@@ -1095,10 +1188,13 @@ func (m *Manager) batchPolicy(st *taskState, batch []pendingItem) Policy {
 // items — one effective posting policy across several scopes; the HIT
 // cost is split across the participating scopes by item count (integer
 // cents, largest-remainder rounding) so per-scope budgets and refunds
-// stay exact. No locks are held: posting calls into the marketplace
-// and, on synchronous failure, back into user callbacks. queuedAt is
-// the admission-scheduler enqueue time (zero for paths that bypass
-// it); tracing reports the difference as admission wait.
+// stay exact. The batch is owned by the caller once cut (nothing else
+// edits its array), so postBatch filters it in place and the posted
+// HIT keeps it as its item slots. No locks are held: posting calls into
+// the marketplace and, on synchronous failure, back into user
+// callbacks. queuedAt is the admission-scheduler enqueue time (zero for
+// paths that bypass it); tracing reports the difference as admission
+// wait.
 func (m *Manager) postBatch(st *taskState, batch []pendingItem, queuedAt mturk.VirtualTime) bool {
 	pol := m.batchPolicy(st, batch)
 	def := st.defOf()
@@ -1122,7 +1218,7 @@ func (m *Manager) postBatch(st *taskState, batch []pendingItem, queuedAt mturk.V
 	// without paying for the canceled ones. Each live scope admits the
 	// post (beginPost), so a Cancel racing it waits until the HIT is
 	// registered and never returns with a post still on its way.
-	live := make([]pendingItem, 0, len(batch))
+	live := batch[:0]
 	var admittedBuf [1]*Scope // a batch usually has one scope
 	admitted := admittedBuf[:0]
 	for _, it := range batch {
@@ -1197,16 +1293,14 @@ func (m *Manager) postBatch(st *taskState, batch []pendingItem, queuedAt mturk.V
 		Response:    responseFor(def),
 		RewardCents: price,
 		Assignments: postAssign,
-		Items:       make([]hit.Item, 0, len(live)),
+		Items:       make([]hit.Item, len(live)),
 	}
-	byKey := make(map[string]pendingItem, len(live))
-	for _, it := range live {
+	for i, it := range live {
 		prompt := it.prompt
 		if prompt == "" && len(live) > 1 {
 			prompt = hit.RenderText(it.def.Text, it.def.TextArgs, it.def.Params, it.args)
 		}
-		h.Items = append(h.Items, hit.Item{Key: it.key, Args: it.args, Prompt: prompt})
-		byKey[it.key] = it
+		h.Items[i] = hit.Item{Key: it.key, Args: it.args, Prompt: prompt}
 	}
 
 	st.mu.Lock()
@@ -1226,8 +1320,8 @@ func (m *Manager) postBatch(st *taskState, batch []pendingItem, queuedAt mturk.V
 		state:    st,
 		shares:   shares,
 		cost:     cost,
-		byKey:    byKey,
-		answers:  answerSlots(h.Items, pol.Assignments),
+		items:    live,
+		answers:  answerSlots(len(live), pol.Assignments),
 		byWorker: make([]hit.Answers, 0, pol.Assignments),
 		needed:   postAssign,
 		assign:   postAssign,
@@ -1240,7 +1334,7 @@ func (m *Manager) postBatch(st *taskState, batch []pendingItem, queuedAt mturk.V
 		target:   target,
 		capA:     pol.Assignments,
 	}
-	m.traceBatchSpans(fl, live, pol, queuedAt)
+	m.traceBatchSpans(fl, pol, queuedAt)
 	s := m.flights.stripeFor(h.ID)
 	s.mu.Lock()
 	if s.hits == nil {
@@ -1265,7 +1359,7 @@ func (m *Manager) postBatch(st *taskState, batch []pendingItem, queuedAt mturk.V
 		}
 		return false
 	}
-	m.traceBatchMetrics(fl, live, pol, queuedAt)
+	m.traceBatchMetrics(fl, pol, queuedAt)
 	for i := range shares {
 		if cause := shares[i].scope.registerHIT(h.ID); cause != nil {
 			// The scope was canceled while the HIT was being posted;
@@ -1288,8 +1382,10 @@ func (m *Manager) onAssignment(res mturk.AssignmentResult) {
 		s.mu.Unlock()
 		return
 	}
-	for key, v := range res.Answers.Values {
-		fl.answers[key] = append(fl.answers[key], v)
+	for i := range fl.hit.Items {
+		if v, ok := res.Answers.Values[fl.hit.Items[i].Key]; ok {
+			fl.answers[i] = append(fl.answers[i], v)
+		}
 	}
 	fl.byWorker = append(fl.byWorker, res.Answers)
 	fl.received++
@@ -1324,6 +1420,17 @@ func (m *Manager) onAssignment(res mturk.AssignmentResult) {
 // expireHIT.)
 func (m *Manager) disposeRetired(hitID string) { m.market.Dispose(hitID) }
 
+// resolution is one item's outcome, held until every item of its HIT
+// has been accounted for and the Done callbacks may run.
+type resolution struct {
+	done func(Outcome)
+	out  Outcome
+}
+
+// resolvedInline sizes the finalize paths' stack buffer of resolutions:
+// a HIT with more items spills it to the heap.
+const resolvedInline = 8
+
 // finalizeInflight resolves every batched item of a completed (or
 // partially failed) HIT, in the HIT's item order so reruns resolve
 // identically. It must not hold any manager lock: the Done callbacks may
@@ -1355,46 +1462,43 @@ func (m *Manager) finalizeInflight(fl *inflightHIT) {
 	// evidence. The fit reads the same votes in the same order as the
 	// adaptive loop's confidence checks, so the finalized answer is the
 	// posterior that stopped the extensions.
-	var posts map[string]infer.Posterior
+	var posts []infer.Posterior // by item slot; nil without a fit
 	if em, ok := fl.agg.(*infer.EM); ok {
-		items, keys := fl.votesByItem()
-		ps, accs := em.Fit(items, fl.boolTask)
-		posts = make(map[string]infer.Posterior, len(keys))
-		for i, key := range keys {
-			posts[key] = ps[i]
+		votes, slots := fl.votesByItem()
+		ps, accs := em.Fit(votes, fl.boolTask)
+		posts = make([]infer.Posterior, len(fl.items))
+		for k, i := range slots {
+			posts[i] = ps[k]
 		}
 		m.noteWorkerQuality(accs)
 	}
 	m.traceHITDone(fl, latencyMin, posts)
 
-	type resolution struct {
-		done func(Outcome)
-		out  Outcome
-	}
-	resolved := make([]resolution, 0, len(fl.hit.Items))
+	var resolvedBuf [resolvedInline]resolution
+	resolved := resolvedBuf[:0]
 	base := m.basePolicy()
 	st.mu.Lock()
 	pol := st.effectivePolicyLocked(base)
 	st.mu.Unlock()
 	var agreeSum float64
 	var agreeN int
-	for _, hi := range fl.hit.Items {
-		item, ok := fl.byKey[hi.Key]
-		if !ok {
+	for i := range fl.items {
+		item := &fl.items[i]
+		if item.detached {
 			continue
 		}
-		answers := fl.answers[hi.Key]
+		answers := fl.answers[i]
 		out := reduce(item.def, answers)
-		if p, ok := posts[hi.Key]; ok && len(answers) > 0 {
-			out.Value = p.Value
-			out.Agreement = p.Confidence
+		if posts != nil && len(answers) > 0 {
+			out.Value = posts[i].Value
+			out.Agreement = posts[i].Confidence
 		}
 		st.agreement.Observe(out.Agreement)
 		agreeSum += out.Agreement
 		agreeN++
 		if isBooleanTask(item.def) {
 			st.observeSelectivity(out.Value.Truthy(), item.side)
-			m.noteWorkerVotes(fl.byWorker, hi.Key, out.Value.Truthy())
+			m.noteWorkerVotes(fl.byWorker, item.key, out.Value.Truthy())
 		}
 		if pol.UseCache {
 			m.cache.Put(item.ckey, cache.Entry{Answers: answers})
