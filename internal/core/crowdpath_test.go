@@ -82,6 +82,9 @@ type crowdPathRun struct {
 // crowdPathShape is one query shape over a fresh engine per seed.
 type crowdPathShape struct {
 	name string
+	// warm, when set, runs to completion on the same engine before sql,
+	// so sql meets a partly filled task cache.
+	warm string
 	sql  string
 	opts []QueryOption
 	// setup returns the engine's config (Oracle and Crowd are filled
@@ -95,6 +98,11 @@ func crowdPathShapes() []crowdPathShape {
 			return cfg, workload.Photos(n, 0.5, 0.6, seed), tasks
 		}
 	}
+	celebs := func(seed int64) (Config, workload.Dataset, string) {
+		return Config{}, workload.Celebrities(10, 15, 0.4, seed), crowdPathJoin
+	}
+	const fullJoin = `SELECT celebrities.name, spottedstars.id FROM celebrities, spottedstars
+WHERE samePerson(celebrities.image, spottedstars.image)`
 	return []crowdPathShape{
 		{name: "two-filter cascade", setup: photos(60, Config{}, crowdPathFilters),
 			sql: `SELECT id, img FROM photos WHERE isCat(img) AND isOutdoor(img)`},
@@ -107,10 +115,14 @@ func crowdPathShapes() []crowdPathShape {
 			ds.Oracle = workload.Combine(ds.Oracle, workload.OrderOracle(ds.Tables[0], "orderSq"))
 			return Config{}, ds, rankTaskSrc
 		}, sql: `SELECT img, truth FROM items ORDER BY rateSq(img) DESC LIMIT 10`},
-		{name: "grid join", setup: func(seed int64) (Config, workload.Dataset, string) {
-			return Config{}, workload.Celebrities(10, 15, 0.4, seed), crowdPathJoin
-		}, sql: `SELECT celebrities.name, spottedstars.id FROM celebrities, spottedstars
-WHERE samePerson(celebrities.image, spottedstars.image)`},
+		{name: "grid join", setup: celebs, sql: fullJoin},
+		// The warm query caches names below 'M' × ids up to 7, so the
+		// full join's grids shrink to the cells still needed, and some
+		// shrunk grids meet their columns out of ascending order.
+		{name: "partly cached grid join", setup: celebs, sql: fullJoin,
+			warm: `SELECT celebrities.name, spottedstars.id FROM celebrities, spottedstars
+WHERE celebrities.name < 'M' AND spottedstars.id <= 7 AND samePerson(celebrities.image, spottedstars.image)`},
+		{name: "grid join over budget", setup: celebs, sql: fullJoin, opts: []QueryOption{WithBudget(10)}},
 		{name: "limit over a crowd filter", setup: photos(80, Config{}, crowdPathFilters),
 			sql: `SELECT id FROM photos WHERE isCat(img) LIMIT 10`},
 		{name: "budget exhausted", setup: photos(60, Config{}, crowdPathFilters),
@@ -138,6 +150,20 @@ func runCrowdPath(t *testing.T, sh crowdPathShape, seed int64) crowdPathRun {
 	}
 	if err := e.Define(tasks); err != nil {
 		t.Fatal(err)
+	}
+	if sh.warm != "" {
+		rows, err := e.Query(context.Background(), sh.warm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rows.Next() {
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if err := rows.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var run crowdPathRun
 	rows, err := e.Query(context.Background(), sh.sql, sh.opts...)
@@ -193,8 +219,9 @@ func runCrowdPath(t *testing.T, sh crowdPathShape, seed int64) crowdPathRun {
 // TestCrowdPathGolden pins what the crowd path produces — result rows,
 // spend, HITs posted, every cached item's raw answers in arrival order
 // and the simulated workers' tallies — for the batch, grouped, adaptive,
-// join-grid and rank HIT kinds at two seeds, against a committed
-// fixture. A refactor of how HITs carry their items must leave every
+// join-grid (full, shrunk by a partly filled cache, and over budget)
+// and rank HIT kinds at two seeds, against a committed fixture. A
+// refactor of how HITs carry their items must leave every
 // figure unchanged: an answer routed to the wrong item changes the
 // cache hash. When the fixture is missing the test writes it and fails.
 func TestCrowdPathGolden(t *testing.T) {
@@ -244,6 +271,9 @@ func TestCrowdPathGolden(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		if g := got[fmt.Sprintf("budget exhausted/seed=%d", seed)]; budget.Cents(g.SpentCents) > 20 || g.CacheItems >= 60 || g.Err == "" {
 			t.Errorf("budget shape at seed %d spent %d¢ over %d items (err %q); want the 20¢ cap to stop it", seed, g.SpentCents, g.CacheItems, g.Err)
+		}
+		if g := got[fmt.Sprintf("grid join over budget/seed=%d", seed)]; budget.Cents(g.SpentCents) > 10 || g.Err == "" {
+			t.Errorf("join budget shape at seed %d spent %d¢ (err %q); want the 10¢ cap to stop it", seed, g.SpentCents, g.Err)
 		}
 		if g := got[fmt.Sprintf("adaptive EM filter/seed=%d", seed)]; g.Extensions == 0 {
 			t.Errorf("EM shape at seed %d bought no extensions", seed)
