@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/crowd"
+	"repro/internal/relation"
 	"repro/internal/workload"
 )
 
@@ -33,55 +34,93 @@ RETURNS Bool:
   Batch: 5
 `
 
-// TestCrowdAllocGate gates the crowd path: the paper's two-filter cascade
-// over 100 photos, on a fresh engine per run through Engine.Query with
-// the simulated crowd, fails above 1.25× the allocations or the bytes
-// allocated per run committed in testdata/crowd_alloc_baseline.json. It
-// covers what internal/exec's TestAllocRegressionGate cannot: its
-// pipelines never call the crowd.
+// TestCrowdAllocGate gates the crowd path on two fresh-engine loads,
+// through Engine.Query with the simulated crowd: the paper's two-filter
+// cascade over 100 photos (the batch HIT lifecycle), and a compare sort
+// of 30 items with LIMIT 10 followed by a 10×15 grid join (the
+// comparison and join-grid lifecycles). Each fails above 1.25× the
+// allocations or the bytes allocated per run committed in
+// testdata/crowd_alloc_baseline.json. It covers what internal/exec's
+// TestAllocRegressionGate cannot: its pipelines never call the crowd.
 func TestCrowdAllocGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate needs steady-state measurements; skipped in -short")
 	}
 	baseline := readAllocBaseline(t)
-	ds := workload.Photos(100, 0.5, 0.5, 1)
-	run := func() {
-		e, err := New(Config{Oracle: ds.Oracle, Crowd: crowd.Config{Seed: 3}})
-		if err != nil {
-			t.Fatal(err)
-		}
+	photos := workload.Photos(100, 0.5, 0.5, 1)
+	cascade := func() {
+		e := gateEngine(t, photos.Oracle, photos.Tables, cascadeTasks)
 		defer e.Close()
-		for _, tab := range ds.Tables {
-			if err := e.Register(tab); err != nil {
-				t.Fatal(err)
-			}
+		drain(t, e, `SELECT id, img FROM photos WHERE isCat(img) AND isOutdoor(img)`)
+	}
+	items := workload.RankItems(30, 9, "rateSq", 1)
+	celebs := workload.Celebrities(10, 15, 0.4, 1)
+	oracle := workload.Combine(items.Oracle, workload.OrderOracle(items.Tables[0], "orderSq"), celebs.Oracle)
+	tables := append(append([]*relation.Table(nil), items.Tables...), celebs.Tables...)
+	joinSort := func() {
+		e := gateEngine(t, oracle, tables, rankTaskSrc+crowdPathJoin)
+		defer e.Close()
+		// Ordering by the comparison task itself leaves compare as the
+		// only strategy; with LIMIT 10 over groups of 5 it orders all
+		// pairs, so every HIT has resolved before the first row.
+		drain(t, e, `SELECT img, truth FROM items ORDER BY orderSq(img) DESC LIMIT 10`)
+		drain(t, e, `SELECT celebrities.name, spottedstars.id FROM celebrities, spottedstars
+WHERE samePerson(celebrities.image, spottedstars.image)`)
+	}
+	for _, g := range []struct {
+		name                string
+		run                 func()
+		baseAllocs, baseKiB float64
+	}{
+		{"filter cascade", cascade, baseline.FilterCascade, baseline.FilterCascadeBytes / 1024},
+		{"join+sort", joinSort, baseline.JoinSort, baseline.JoinSortBytes / 1024},
+	} {
+		g.run() // warm the pools
+		allocs, bytes := perRun(5, g.run)
+		kb := bytes / 1024
+		if limit := 1.25 * g.baseAllocs; allocs > limit {
+			t.Errorf("%s allocs/op = %.0f, over the 1.25x gate (baseline %.0f, limit %.0f); if the growth is intentional, refresh testdata/crowd_alloc_baseline.json",
+				g.name, allocs, g.baseAllocs, limit)
 		}
-		if err := e.Define(cascadeTasks); err != nil {
-			t.Fatal(err)
+		if limit := 1.25 * g.baseKiB; kb > limit {
+			t.Errorf("%s bytes/op = %.0f KB, over the 1.25x gate (baseline %.0f KB, limit %.0f KB); if the growth is intentional, refresh testdata/crowd_alloc_baseline.json",
+				g.name, kb, g.baseKiB, limit)
 		}
-		rows, err := e.Query(context.Background(), `SELECT id, img FROM photos WHERE isCat(img) AND isOutdoor(img)`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rows.Close()
-		for rows.Next() {
-		}
-		if err := rows.Err(); err != nil {
+		t.Logf("%s: %.0f allocs/op, %.0f KB/op (baseline %.0f allocs, %.0f KB)", g.name, allocs, kb, g.baseAllocs, g.baseKiB)
+	}
+}
+
+// gateEngine builds a fresh engine over tables with the simulated crowd.
+func gateEngine(t *testing.T, oracle crowd.Oracle, tables []*relation.Table, tasks string) *Engine {
+	t.Helper()
+	e, err := New(Config{Oracle: oracle, Crowd: crowd.Config{Seed: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tab := range tables {
+		if err := e.Register(tab); err != nil {
 			t.Fatal(err)
 		}
 	}
-	run() // warm the pools
-	allocs, bytes := perRun(5, run)
-	if limit := 1.25 * baseline.FilterCascade; allocs > limit {
-		t.Errorf("filter cascade allocs/op = %.0f, over the 1.25x gate (baseline %.0f, limit %.0f); if the growth is intentional, refresh testdata/crowd_alloc_baseline.json",
-			allocs, baseline.FilterCascade, limit)
+	if err := e.Define(tasks); err != nil {
+		t.Fatal(err)
 	}
-	if limit := 1.25 * baseline.FilterCascadeBytes; bytes > limit {
-		t.Errorf("filter cascade bytes/op = %.0f KB, over the 1.25x gate (baseline %.0f KB, limit %.0f KB); if the growth is intentional, refresh testdata/crowd_alloc_baseline.json",
-			bytes/1024, baseline.FilterCascadeBytes/1024, limit/1024)
+	return e
+}
+
+// drain runs sql on e and reads its stream to the end.
+func drain(t *testing.T, e *Engine, sql string) {
+	t.Helper()
+	rows, err := e.Query(context.Background(), sql)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("filter cascade: %.0f allocs/op, %.0f KB/op (baseline %.0f allocs, %.0f KB)",
-		allocs, bytes/1024, baseline.FilterCascade, baseline.FilterCascadeBytes/1024)
+	defer rows.Close()
+	for rows.Next() {
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // perRun reports the mean allocations and bytes allocated per call of
@@ -104,6 +143,8 @@ func perRun(runs int, f func()) (allocs, bytes float64) {
 type allocBaseline struct {
 	FilterCascade      float64 `json:"filter_cascade"`
 	FilterCascadeBytes float64 `json:"filter_cascade_bytes"`
+	JoinSort           float64 `json:"join_sort"`
+	JoinSortBytes      float64 `json:"join_sort_bytes"`
 	ReopenAllocs       float64 `json:"reopen_allocs"`
 	ReopenBytes        float64 `json:"reopen_bytes"`
 }

@@ -24,6 +24,8 @@ import (
 type Oracle interface {
 	// Truth returns the correct answer for a task applied to args.
 	// For Rank/Rating tasks it returns the item's latent numeric score.
+	// Truth must not retain args: the pool reuses one slice across the
+	// pairs of a join grid.
 	Truth(task string, args []relation.Value) relation.Value
 }
 
@@ -284,10 +286,12 @@ func (p *Pool) prepareAnswersLocked(s *stripe, w *worker, h *hit.HIT, abandon bo
 			return noisyAnswer(h.Response, p.oracle.Truth(task, args), pl.correct, w.spammer, pl.u1, pl.u2)
 		}
 		if h.Response.Kind == qlang.ResponseJoinColumns {
+			// One argument slice serves every pair: Truth must not
+			// retain it.
+			var args []relation.Value
 			for i, l := range h.Left {
 				for j, r := range h.Right {
-					args := make([]relation.Value, 0, len(l.Args)+len(r.Args))
-					args = append(append(args, l.Args...), r.Args...)
+					args = append(append(args[:0], l.Args...), r.Args...)
 					vals[hit.PairKey(l.Key, r.Key)] = answer(plans[i*len(h.Right)+j], h.Task, args)
 				}
 			}

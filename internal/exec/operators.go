@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cache"
-	"repro/internal/hit"
 	"repro/internal/plan"
 	"repro/internal/qlang"
 	"repro/internal/quiesce"
@@ -300,44 +299,22 @@ func (q *run) passesAll(conjuncts []qlang.Expr, t relation.Tuple) bool {
 
 // joinTwoColumn walks L×R blocks through the JoinColumns interface
 // (Figure 3): each block pair is one HIT answering blockL×blockR pairs.
+// Each side's items are built once and sliced into blocks; the task
+// manager reports each pair by its positions within the block.
 func (q *run) joinTwoColumn(op *operator, v *plan.Join, ls, rs []joinSide) {
 	lb, rb := q.cfg.JoinLeftBlock, q.cfg.JoinRightBlock
+	leftItems := joinItems(ls, "L")
+	rightItems := joinItems(rs, "R")
 	wg := quiesce.WaitGroup{Gate: q.gate}
 	for li := 0; li < len(ls); li += lb {
 		if q.Canceled() {
 			break
 		}
-		lhi := li + lb
-		if lhi > len(ls) {
-			lhi = len(ls)
-		}
+		lhi := min(li+lb, len(ls))
 		for ri := 0; ri < len(rs); ri += rb {
-			rhi := ri + rb
-			if rhi > len(rs) {
-				rhi = len(rs)
-			}
-			lblock, rblock := ls[li:lhi], rs[ri:rhi]
-			items := func(sides []joinSide, prefix string, base int) []taskmgr.JoinItem {
-				out := make([]taskmgr.JoinItem, len(sides))
-				for i, s := range sides {
-					out[i] = taskmgr.JoinItem{
-						Key:  fmt.Sprintf("%s%06d", prefix, base+i),
-						Args: []relation.Value{s.arg},
-					}
-				}
-				return out
-			}
-			leftItems := items(lblock, "L", li)
-			rightItems := items(rblock, "R", ri)
-			byKey := make(map[string]relation.Tuple, len(lblock)+len(rblock))
-			for i, it := range leftItems {
-				byKey[it.Key] = lblock[i].tuple
-			}
-			for i, it := range rightItems {
-				byKey[it.Key] = rblock[i].tuple
-			}
-			wg.Add(len(lblock) * len(rblock))
-			q.cfg.Mgr.JoinBlockIn(q.cfg.Scope, v.HumanTask, leftItems, rightItems, func(pairKey string, out taskmgr.Outcome) {
+			rhi := min(ri+rb, len(rs))
+			wg.Add((lhi - li) * (rhi - ri))
+			q.cfg.Mgr.JoinBlockIn(q.cfg.Scope, v.HumanTask, leftItems[li:lhi], rightItems[ri:rhi], func(l, r int, out taskmgr.Outcome) {
 				defer wg.Done()
 				if out.Err != nil {
 					q.reportError(out.Err)
@@ -346,12 +323,7 @@ func (q *run) joinTwoColumn(op *operator, v *plan.Join, ls, rs []joinSide) {
 				if !out.Value.Truthy() {
 					return
 				}
-				lk, rk, ok := hit.SplitPairKey(pairKey)
-				if !ok {
-					q.reportError(fmt.Errorf("exec: bad pair key %q", pairKey))
-					return
-				}
-				joined := relation.Tuple{Schema: v.Schema(), Values: concatValues(byKey[lk], byKey[rk])}
+				joined := relation.Tuple{Schema: v.Schema(), Values: concatValues(ls[li+l].tuple, rs[ri+r].tuple)}
 				if q.passesAll(v.Residual, joined) {
 					op.push(joined)
 				}
@@ -359,6 +331,18 @@ func (q *run) joinTwoColumn(op *operator, v *plan.Join, ls, rs []joinSide) {
 		}
 	}
 	wg.Wait()
+}
+
+// joinItems renders one join input as grid items keyed prefix%06d by
+// input position, every item's single argument carved from one array.
+func joinItems(sides []joinSide, prefix string) []taskmgr.JoinItem {
+	items := make([]taskmgr.JoinItem, len(sides))
+	args := make([]relation.Value, len(sides))
+	for i, s := range sides {
+		args[i] = s.arg
+		items[i] = taskmgr.JoinItem{Key: fmt.Sprintf("%s%06d", prefix, i), Args: args[i : i+1 : i+1]}
+	}
+	return items
 }
 
 // joinPairwise submits one boolean question per pair — the naive join

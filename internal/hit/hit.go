@@ -69,15 +69,6 @@ func PairKey(leftKey, rightKey string) string {
 	return leftKey + "\x1f" + rightKey
 }
 
-// SplitPairKey is the inverse of PairKey.
-func SplitPairKey(key string) (left, right string, ok bool) {
-	i := strings.IndexByte(key, '\x1f')
-	if i < 0 {
-		return "", "", false
-	}
-	return key[:i], key[i+1:], true
-}
-
 // Keys returns every routing key this HIT will answer: item keys, or all
 // pair keys for a JoinColumns HIT.
 func (h *HIT) Keys() []string {

@@ -56,17 +56,6 @@ func joinHIT() *HIT {
 	}
 }
 
-func TestPairKeyRoundTrip(t *testing.T) {
-	k := PairKey("a", "b")
-	l, r, ok := SplitPairKey(k)
-	if !ok || l != "a" || r != "b" {
-		t.Fatalf("split = %q %q %v", l, r, ok)
-	}
-	if _, _, ok := SplitPairKey("nosep"); ok {
-		t.Error("split without separator should fail")
-	}
-}
-
 func TestKeysAndQuestionCount(t *testing.T) {
 	q := questionHIT()
 	if got := q.Keys(); len(got) != 2 || got[0] != "t1" {

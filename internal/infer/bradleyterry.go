@@ -3,10 +3,20 @@ package infer
 import "sort"
 
 // Ordering is one worker's submitted permutation of a comparison
-// group: Rank maps item key to position (lower = earlier).
+// group: Rank[i] is the position of the group's i-th item (lower =
+// earlier), and −1 (or an index past the end of Rank) marks an item the
+// worker did not rank.
 type Ordering struct {
 	Worker string
-	Rank   map[string]int
+	Rank   []int
+}
+
+// pos returns item i's position and whether the ordering ranked it.
+func (o Ordering) pos(i int) (int, bool) {
+	if i < len(o.Rank) && o.Rank[i] >= 0 {
+		return o.Rank[i], true
+	}
+	return 0, false
 }
 
 // BradleyTerry fits pairwise item strengths from win counts by the MM
@@ -59,8 +69,10 @@ func (bt BradleyTerry) Strengths(n int, wins func(i, j int) float64) []float64 {
 			}
 		}
 	}
+	// The MM rounds alternate between s and next: each round reads s and
+	// writes every entry of next, then the two swap.
+	next := make([]float64, n)
 	for iter := 0; iter < bt.iters(); iter++ {
-		next := make([]float64, n)
 		var sum float64
 		for i := 0; i < n; i++ {
 			denom := 0.0
@@ -88,23 +100,23 @@ func (bt BradleyTerry) Strengths(n int, wins func(i, j int) float64) []float64 {
 		for i := range next {
 			next[i] *= scale
 		}
-		s = next
+		s, next = next, s
 	}
 	return s
 }
 
-// Consensus fits strengths over the orderings' pairwise wins and
-// returns keys strongest-first (the maximum-likelihood order). Ties
-// break by input order, matching internal/rank's convention.
-func (bt BradleyTerry) Consensus(keys []string, orderings []Ordering) []string {
-	n := len(keys)
-	if n == 0 {
+// Consensus fits strengths over the orderings' pairwise wins among n
+// items and returns the item indices strongest-first (the
+// maximum-likelihood order). Ties break by input order, matching
+// internal/rank's convention.
+func (bt BradleyTerry) Consensus(n int, orderings []Ordering) []int {
+	if n <= 0 {
 		return nil
 	}
 	wins := make([]float64, n*n)
 	for _, o := range orderings {
 		for i := 0; i < n; i++ {
-			ri, ok := o.Rank[keys[i]]
+			ri, ok := o.pos(i)
 			if !ok {
 				continue
 			}
@@ -112,7 +124,7 @@ func (bt BradleyTerry) Consensus(keys []string, orderings []Ordering) []string {
 				if i == j {
 					continue
 				}
-				rj, ok := o.Rank[keys[j]]
+				rj, ok := o.pos(j)
 				if ok && ri < rj {
 					wins[i*n+j]++
 				}
@@ -125,27 +137,24 @@ func (bt BradleyTerry) Consensus(keys []string, orderings []Ordering) []string {
 		idx[i] = i
 	}
 	sort.SliceStable(idx, func(a, b int) bool { return s[idx[a]] > s[idx[b]] })
-	out := make([]string, n)
-	for pos, i := range idx {
-		out[pos] = keys[i]
-	}
-	return out
+	return idx
 }
 
 // PairAgreement counts how many of the consensus order's pairs an
-// ordering agrees with. A worker submitting uniform-junk permutations
-// agrees on about half; an honest worker on nearly all — the signal
-// reputation tracking uses for Order responses. Pairs the ordering did
-// not rank on both sides are skipped; tied positions count as
-// disagreement (a permutation has no ties).
-func PairAgreement(consensus []string, o Ordering) (agreed, total int) {
+// ordering agrees with; consensus holds item indices, strongest first,
+// as Consensus returns them. A worker submitting uniform-junk
+// permutations agrees on about half; an honest worker on nearly all —
+// the signal reputation tracking uses for Order responses. Pairs the
+// ordering did not rank on both sides are skipped; tied positions count
+// as disagreement (a permutation has no ties).
+func PairAgreement(consensus []int, o Ordering) (agreed, total int) {
 	for i := 0; i < len(consensus); i++ {
-		ri, ok := o.Rank[consensus[i]]
+		ri, ok := o.pos(consensus[i])
 		if !ok {
 			continue
 		}
 		for j := i + 1; j < len(consensus); j++ {
-			rj, ok := o.Rank[consensus[j]]
+			rj, ok := o.pos(consensus[j])
 			if !ok {
 				continue
 			}

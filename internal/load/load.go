@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/budget"
 	"repro/internal/crowd"
+	"repro/internal/hit"
 	"repro/internal/mturk"
 	"repro/internal/optimizer"
 	"repro/internal/qlang"
@@ -858,10 +859,10 @@ func gridJoin(mgr *taskmgr.Manager, ctr *counters, def *qlang.TaskDef,
 			rb := right[ri:min(ri+grid, len(right))]
 			ctr.outstanding.Add(int64(len(lb) * len(rb)))
 			ctr.pairs.Add(int64(len(lb) * len(rb)))
-			mgr.JoinBlock(def, lb, rb, func(pairKey string, out taskmgr.Outcome) {
+			mgr.JoinBlock(def, lb, rb, func(l, r int, out taskmgr.Outcome) {
 				pass := out.Err == nil && out.Value.Truthy()
 				if pass {
-					*passed = append(*passed, pairKey)
+					*passed = append(*passed, hit.PairKey(lb[l].Key, rb[r].Key))
 				}
 				ctr.resolve(out, pass)
 			})

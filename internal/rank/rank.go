@@ -397,12 +397,13 @@ type winTable struct {
 func newWinTable() *winTable { return &winTable{votes: make(map[[2]int]int)} }
 
 // fold records every pairwise ordering implied by one HIT's rankings.
-// group holds the global indices in HIT order; keys their routing keys.
-func (w *winTable) fold(group []int, keys []string, rankings []taskmgr.Ranking) {
+// group holds the global indices in HIT order, which is also the order
+// of every ranking's Rank.
+func (w *winTable) fold(group []int, rankings []taskmgr.Ranking) {
 	for _, r := range rankings {
 		for a := 0; a < len(group); a++ {
 			for b := a + 1; b < len(group); b++ {
-				if r.Rank[keys[a]] < r.Rank[keys[b]] {
+				if r.Rank[a] < r.Rank[b] {
 					w.votes[[2]int{group[a], group[b]}]++
 				} else {
 					w.votes[[2]int{group[b], group[a]}]++
@@ -464,14 +465,12 @@ func (w *winTable) order(indices []int, desc bool) []int {
 
 // rankItemsFor renders a group of global indices as the task manager's
 // HIT rows.
-func (r *runner) rankItemsFor(group []int) ([]taskmgr.RankItem, []string) {
+func (r *runner) rankItemsFor(group []int) []taskmgr.RankItem {
 	rows := make([]taskmgr.RankItem, len(group))
-	keys := make([]string, len(group))
 	for i, gi := range group {
 		rows[i] = taskmgr.RankItem{Key: r.items[gi].Key, Args: r.items[gi].Args}
-		keys[i] = r.items[gi].Key
 	}
-	return rows, keys
+	return rows
 }
 
 // allPairs orders the given indices by comparison HITs covering every
@@ -499,7 +498,7 @@ func (r *runner) allPairs(indices []int, then func(ordered []int)) {
 		for i, li := range local {
 			group[i] = indices[li]
 		}
-		rows, keys := r.rankItemsFor(group)
+		rows := r.rankItemsFor(group)
 		r.cfg.Mgr.RankBlockIn(r.cfg.Scope, r.cmpDef, rows, func(rankings []taskmgr.Ranking, err error) {
 			if err != nil {
 				// Synchronous failures (canceled scope, exhausted
@@ -512,7 +511,7 @@ func (r *runner) allPairs(indices []int, then func(ordered []int)) {
 			} else {
 				r.mu.Lock()
 				r.st.CompareHITs++
-				wt.fold(group, keys, rankings)
+				wt.fold(group, rankings)
 				r.mu.Unlock()
 			}
 			settle()
@@ -574,7 +573,7 @@ func (r *runner) tournament(candidates []int, then func(ordered []int)) {
 	}
 	for gi, group := range groups {
 		gi, group := gi, group
-		rows, keys := r.rankItemsFor(group)
+		rows := r.rankItemsFor(group)
 		r.cfg.Mgr.RankBlockIn(r.cfg.Scope, r.cmpDef, rows, func(rankings []taskmgr.Ranking, err error) {
 			keep := r.d.TopK
 			if keep > len(group) {
@@ -595,7 +594,7 @@ func (r *runner) tournament(candidates []int, then func(ordered []int)) {
 			wt := newWinTable()
 			r.mu.Lock()
 			r.st.CompareHITs++
-			wt.fold(group, keys, rankings)
+			wt.fold(group, rankings)
 			r.mu.Unlock()
 			ordered := wt.order(group, r.d.Desc)
 			results[gi] = groupResult{kept: ordered[:keep]}

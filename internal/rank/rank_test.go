@@ -67,9 +67,9 @@ func (f *fakeMgr) RankBlockIn(_ *taskmgr.Scope, def *qlang.TaskDef, items []task
 	sort.SliceStable(idx, func(a, b int) bool {
 		return f.scores[items[idx[a]].Key] < f.scores[items[idx[b]].Key]
 	})
-	rank := make(map[string]int, len(items))
+	rank := make([]int, len(items))
 	for pos, i := range idx {
-		rank[items[i].Key] = pos
+		rank[i] = pos
 	}
 	done([]taskmgr.Ranking{{WorkerID: "w1", Rank: rank}}, nil)
 }

@@ -14,9 +14,6 @@ import (
 	"repro/internal/store"
 )
 
-// hitPair is one unresolved cell of a join grid.
-type hitPair struct{ l, r JoinItem }
-
 // JoinItem is one row shown in a column of the two-column join interface
 // (Figure 3). Key is the operator's routing key; Args the rendered
 // values (typically one image).
@@ -28,19 +25,23 @@ type JoinItem struct {
 // JoinBlock evaluates the cross product of left×right through the
 // two-column JoinColumns interface: one HIT answers |left|·|right| pair
 // questions at once, the batching that makes human joins affordable.
-// done fires exactly once per pair with PairKey(left.Key, right.Key).
+// done fires exactly once per (l, r) position, where l indexes left and
+// r indexes right.
 //
 // Cached pairs are answered for free; if every pair is cached no HIT is
 // posted. Otherwise the grid shrinks to the rows/columns still needed
 // (workers answer all shown pairs; fresh answers refresh the cache).
-func (m *Manager) JoinBlock(def *qlang.TaskDef, left, right []JoinItem, done func(pairKey string, out Outcome)) {
+// Keys route the workers' answers, so they must be distinct within each
+// column: a grid that would post a repeated key resolves each of its
+// uncached pairs with an error, and posts and charges nothing.
+func (m *Manager) JoinBlock(def *qlang.TaskDef, left, right []JoinItem, done func(l, r int, out Outcome)) {
 	m.JoinBlockIn(nil, def, left, right, done)
 }
 
 // JoinBlockIn is JoinBlock bound to a query scope: a canceled scope
 // resolves every pair immediately with the cause, and the posted grid
 // HIT is registered for expiry/refund should the scope cancel mid-HIT.
-func (m *Manager) JoinBlockIn(scope *Scope, def *qlang.TaskDef, left, right []JoinItem, done func(pairKey string, out Outcome)) {
+func (m *Manager) JoinBlockIn(scope *Scope, def *qlang.TaskDef, left, right []JoinItem, done func(l, r int, out Outcome)) {
 	if len(left) == 0 || len(right) == 0 {
 		return
 	}
@@ -48,27 +49,28 @@ func (m *Manager) JoinBlockIn(scope *Scope, def *qlang.TaskDef, left, right []Jo
 	// until the grid HIT is registered or refunded. Outcomes are
 	// delivered after the admission ends.
 	if cause := scope.beginPost(); cause != nil {
-		for _, l := range left {
-			for _, r := range right {
-				done(hit.PairKey(l.Key, r.Key), Outcome{Err: fmt.Errorf("taskmgr: %s: %w", def.Name, cause)})
+		err := fmt.Errorf("taskmgr: %s: %w", def.Name, cause)
+		for l := range left {
+			for r := range right {
+				done(l, r, Outcome{Err: err})
 			}
 		}
 		return
 	}
-	type resolution struct {
-		key string
-		out Outcome
-	}
-	var resolved []resolution
-	var failed []hitPair // pairs that reach no HIT, with failErr
-	var failErr error
+	var resolved []joinOutcome
+	var grid []joinCell
+	var failErr error // fails every unresolved cell of grid
 	defer func() {
 		scope.endPost()
-		for _, r := range resolved {
-			done(r.key, r.out)
+		for _, res := range resolved {
+			done(res.l, res.r, res.out)
 		}
-		for _, p := range failed {
-			done(hit.PairKey(p.l.Key, p.r.Key), Outcome{Err: failErr})
+		if failErr != nil {
+			for i := range grid {
+				if c := &grid[i]; c.wait {
+					done(c.l, c.r, Outcome{Err: failErr})
+				}
+			}
 		}
 	}()
 	st := m.state(def.Name, def)
@@ -78,55 +80,52 @@ func (m *Manager) JoinBlockIn(scope *Scope, def *qlang.TaskDef, left, right []Jo
 	st.submitted += int64(len(left) * len(right))
 	st.mu.Unlock()
 
-	pairArgs := func(l, r JoinItem) []relation.Value {
-		return append(append([]relation.Value{}, l.Args...), r.Args...)
-	}
-
-	// Resolve what we can from cache and model.
-	var unresolved []hitPair
-	for _, l := range left {
-		for _, r := range right {
-			key := hit.PairKey(l.Key, r.Key)
-			args := pairArgs(l, r)
-			if pol.UseCache {
-				if entry, ok := m.cache.Get(cache.NewKey(def.Name, args)); ok && len(entry.Answers) > 0 {
+	// Walk left×right once, row-major, resolving what we can from cache
+	// and model. The cells that remain are the ones the caller waits on.
+	grid = newJoinGrid(def.Name, left, right)
+	unresolved := 0
+	for i := range grid {
+		c := &grid[i]
+		if pol.UseCache {
+			if entry, ok := m.cache.Get(c.ckey); ok && len(entry.Answers) > 0 {
+				st.mu.Lock()
+				st.cacheHits++
+				st.mu.Unlock()
+				out := reduce(def, entry.Answers)
+				out.FromCache = true
+				st.selectivity.Observe(out.Value.Truthy())
+				resolved = append(resolved, joinOutcome{l: c.l, r: c.r, out: out})
+				continue
+			}
+		}
+		if pol.UseModel {
+			if tm, ok := m.models.For(st.name); ok {
+				if v, _, ok := tm.TryAnswer(c.args); ok {
 					st.mu.Lock()
-					st.cacheHits++
+					st.modelAnswers++
 					st.mu.Unlock()
-					out := reduce(def, entry.Answers)
-					out.FromCache = true
-					st.selectivity.Observe(out.Value.Truthy())
-					resolved = append(resolved, resolution{key: key, out: out})
+					st.selectivity.Observe(v.Truthy())
+					resolved = append(resolved, joinOutcome{l: c.l, r: c.r,
+						out: Outcome{Value: v, Answers: []relation.Value{v}, Agreement: 1, FromModel: true}})
 					continue
 				}
 			}
-			if pol.UseModel {
-				if tm, ok := m.models.For(st.name); ok {
-					if v, _, ok := tm.TryAnswer(args); ok {
-						st.mu.Lock()
-						st.modelAnswers++
-						st.mu.Unlock()
-						st.selectivity.Observe(v.Truthy())
-						resolved = append(resolved, resolution{key: key,
-							out: Outcome{Value: v, Answers: []relation.Value{v}, Agreement: 1, FromModel: true}})
-						continue
-					}
-				}
-			}
-			unresolved = append(unresolved, hitPair{l, r})
 		}
+		c.wait = true
+		unresolved++
 	}
-
-	if len(unresolved) == 0 {
+	if unresolved == 0 {
 		return
 	}
 
-	// Shrink the grid to only the rows/columns still needed.
-	neededLeft := dedupeJoinItems(unresolved, true)
-	neededRight := dedupeJoinItems(unresolved, false)
-	needPair := make(map[string]bool, len(unresolved))
-	for _, p := range unresolved {
-		needPair[hit.PairKey(p.l.Key, p.r.Key)] = true
+	rows, cols := shrinkJoinGrid(grid, len(left), len(right))
+	if key, ok := repeatedKey(left, rows); ok {
+		failErr = fmt.Errorf("taskmgr: %s: join grid repeats left key %q", def.Name, key)
+		return
+	}
+	if key, ok := repeatedKey(right, cols); ok {
+		failErr = fmt.Errorf("taskmgr: %s: join grid repeats right key %q", def.Name, key)
+		return
 	}
 
 	price := m.priceFor(def, pol)
@@ -139,53 +138,58 @@ func (m *Manager) JoinBlockIn(scope *Scope, def *qlang.TaskDef, left, right []Jo
 		Response:    joinResponse(def),
 		RewardCents: price,
 		Assignments: pol.Assignments,
+		Left:        make([]hit.Item, len(rows)),
+		Right:       make([]hit.Item, len(cols)),
 	}
 	if h.Question == "" {
 		h.Question = "Match the items in the left column with the items in the right column."
 	}
-	for _, l := range neededLeft {
-		h.Left = append(h.Left, hit.Item{Key: l.Key, Args: l.Args})
+	for i, l := range rows {
+		h.Left[i] = hit.Item{Key: left[l].Key, Args: left[l].Args}
 	}
-	for _, r := range neededRight {
-		h.Right = append(h.Right, hit.Item{Key: r.Key, Args: r.Args})
+	for j, r := range cols {
+		h.Right[j] = hit.Item{Key: right[r].Key, Args: right[r].Args}
 	}
 
 	cost := budget.Cents(price * int64(pol.Assignments))
 	if err := scope.spend(cost); err != nil {
-		failed, failErr = unresolved, fmt.Errorf("taskmgr: %s: %w", def.Name, err)
+		failErr = fmt.Errorf("taskmgr: %s: %w", def.Name, err)
 		return
 	}
 	if err := m.account.Spend(cost); err != nil {
 		scope.refund(cost)
-		failed, failErr = unresolved, fmt.Errorf("taskmgr: %s: %w", def.Name, err)
+		failErr = fmt.Errorf("taskmgr: %s: %w", def.Name, err)
 		return
 	}
 	st.mu.Lock()
 	st.spent += cost
 	st.hitsPosted++
-	st.questionsAsked += int64(len(neededLeft) * len(neededRight))
+	st.questionsAsked += int64(len(rows) * len(cols))
 	st.mu.Unlock()
 
-	// order records every grid pair in row-major order, so finalization
-	// resolves pairs identically on every run (map iteration would not).
-	pairItems := make(map[string]pendingItem)
-	order := make([]string, 0, len(neededLeft)*len(neededRight))
-	for _, l := range neededLeft {
-		for _, r := range neededRight {
-			key := hit.PairKey(l.Key, r.Key)
-			pairItems[key] = pendingItem{key: key, args: pairArgs(l, r), def: def}
-			order = append(order, key)
+	// The HIT's cells, row-major over h.Left×h.Right. When no cell was
+	// resolved the HIT shows the whole grid in the caller's order, and
+	// the grid's cells serve as they are.
+	cells := grid
+	if unresolved < len(grid) {
+		cells = make([]joinCell, 0, len(rows)*len(cols))
+		for _, l := range rows {
+			for _, r := range cols {
+				cells = append(cells, grid[l*len(right)+r])
+			}
 		}
+	}
+	for i := range cells {
+		c := &cells[i]
+		c.key = hit.PairKey(left[c.l].Key, right[c.r].Key)
 	}
 	fl := &joinInflight{
 		state:    st,
 		def:      def,
 		scope:    scope,
 		cost:     cost,
-		items:    pairItems,
-		order:    order,
-		need:     needPair,
-		answers:  make(map[string][]relation.Value),
+		cells:    cells,
+		answers:  answerSlots(len(cells), pol.Assignments),
 		needed:   pol.Assignments,
 		postedAt: m.market.Clock().Now(),
 		backend:  m.servingBackend(def),
@@ -193,7 +197,7 @@ func (m *Manager) JoinBlockIn(scope *Scope, def *qlang.TaskDef, left, right []Jo
 		done:     done,
 	}
 	fl.span = m.traceDirectHIT(scope, h.ID, def.Name, fl.backend, cost)
-	fl.span.Annotate("grid", fmt.Sprintf("%dx%d", len(neededLeft), len(neededRight)))
+	fl.span.Annotate("grid", fmt.Sprintf("%dx%d", len(rows), len(cols)))
 	s := m.flights.stripeFor(h.ID)
 	s.mu.Lock()
 	if s.joins == nil {
@@ -208,7 +212,7 @@ func (m *Manager) JoinBlockIn(scope *Scope, def *qlang.TaskDef, left, right []Jo
 		m.traceDirectGone(fl.span, err.Error())
 		m.account.Refund(cost)
 		scope.refund(cost)
-		failed, failErr = unresolved, err
+		failErr = err
 		return
 	}
 	if cause := scope.registerHIT(h.ID); cause != nil {
@@ -218,23 +222,115 @@ func (m *Manager) JoinBlockIn(scope *Scope, def *qlang.TaskDef, left, right []Jo
 	}
 }
 
+// joinCell is one cell of a join grid, from the walk that asks to the
+// finalize that answers.
+type joinCell struct {
+	key  string           // PairKey routing the cell's answers (posted cells only)
+	args []relation.Value // left's arguments, then right's
+	ckey cache.Key        // task cache key of args, encoded once
+	l, r int              // the caller's left and right positions
+	wait bool             // the caller waits on this cell's outcome
+}
+
+// joinOutcome is one cell's outcome, held until it may be delivered.
+type joinOutcome struct {
+	l, r int
+	out  Outcome
+}
+
+// newJoinGrid lays out left×right row-major, carving every cell's
+// arguments from one backing array and encoding each cache key once.
+func newJoinGrid(task string, left, right []JoinItem) []joinCell {
+	var leftArgs, rightArgs int
+	for _, it := range left {
+		leftArgs += len(it.Args)
+	}
+	for _, it := range right {
+		rightArgs += len(it.Args)
+	}
+	backing := make([]relation.Value, leftArgs*len(right)+rightArgs*len(left))
+	grid := make([]joinCell, 0, len(left)*len(right))
+	for l := range left {
+		for r := range right {
+			n := len(left[l].Args) + len(right[r].Args)
+			args := backing[:n:n]
+			backing = backing[n:]
+			copy(args[copy(args, left[l].Args):], right[r].Args)
+			grid = append(grid, joinCell{args: args, ckey: cache.NewKey(task, args), l: l, r: r})
+		}
+	}
+	return grid
+}
+
+// shrinkJoinGrid picks the rows and columns of the grid a HIT must show
+// to cover every waited-on cell: rows are the needed left positions,
+// ascending; columns the needed right positions in the order a
+// row-major scan of waited-on cells first meets them, which is not
+// always ascending.
+func shrinkJoinGrid(grid []joinCell, nLeft, nRight int) (rows, cols []int) {
+	pos := make([]int, 0, nLeft+nRight)
+	seen := make([]bool, nRight)
+	rows = pos[:0:nLeft]
+	cols = pos[nLeft:nLeft]
+	for l := 0; l < nLeft; l++ {
+		needed := false
+		for r := 0; r < nRight; r++ {
+			if !grid[l*nRight+r].wait {
+				continue
+			}
+			needed = true
+			if !seen[r] {
+				seen[r] = true
+				cols = append(cols, r)
+			}
+		}
+		if needed {
+			rows = append(rows, l)
+		}
+	}
+	return rows, cols
+}
+
+// repeatedKey reports the first key that repeats among items[at...].
+func repeatedKey(items []JoinItem, at []int) (string, bool) {
+	for i, a := range at {
+		for _, b := range at[:i] {
+			if items[a].Key == items[b].Key {
+				return items[a].Key, true
+			}
+		}
+	}
+	return "", false
+}
+
+// joinInflight collects the assignments of one join-grid HIT. Each cell
+// of the grid, and its answers, sit at the cell's position: cells are
+// row-major over the HIT's Left×Right columns, and answers[i] collects
+// cells[i]'s votes in arrival order.
 type joinInflight struct {
 	state    *taskState
 	def      *qlang.TaskDef
-	scope    *Scope                 // owning query scope (nil = unscoped)
-	cost     budget.Cents           // charged at post time
-	items    map[string]pendingItem // every grid pair, keyed by pair key
-	order    []string               // pair keys in row-major grid order
-	need     map[string]bool        // pairs the caller is waiting on
-	answers  map[string][]relation.Value
+	scope    *Scope       // owning query scope (nil = unscoped)
+	cost     budget.Cents // charged at post time
+	cells    []joinCell
+	answers  [][]relation.Value
 	byWorker []hit.Answers
 	received int
 	needed   int
 	postedAt mturk.VirtualTime
 	backend  string // serving backend name, recorded at post time
 	reward   int64  // per-assignment price actually charged
-	done     func(string, Outcome)
+	done     func(l, r int, out Outcome)
 	span     *obs.Span // HIT trace span (nil = tracing off)
+}
+
+// fail resolves every waited-on cell with err, in grid order.
+func (fl *joinInflight) fail(err error) {
+	for i := range fl.cells {
+		if c := &fl.cells[i]; c.wait {
+			fl.done(c.l, c.r, Outcome{Err: err})
+		}
+	}
 }
 
 func (m *Manager) onJoinAssignment(res mturk.AssignmentResult) {
@@ -245,8 +341,10 @@ func (m *Manager) onJoinAssignment(res mturk.AssignmentResult) {
 		s.mu.Unlock()
 		return
 	}
-	for key, v := range res.Answers.Values {
-		fl.answers[key] = append(fl.answers[key], v)
+	for i := range fl.cells {
+		if v, ok := res.Answers.Values[fl.cells[i].key]; ok {
+			fl.answers[i] = append(fl.answers[i], v)
+		}
 	}
 	fl.byWorker = append(fl.byWorker, res.Answers)
 	fl.received++
@@ -262,7 +360,7 @@ func (m *Manager) onJoinAssignment(res mturk.AssignmentResult) {
 	m.disposeRetired(res.HITID)
 }
 
-// finalizeJoin resolves every pair of a completed (or partially failed)
+// finalizeJoin resolves every cell of a completed (or partially failed)
 // join-grid HIT in grid order. No manager lock is held while it runs.
 func (m *Manager) finalizeJoin(fl *joinInflight) {
 	st := fl.state
@@ -278,63 +376,44 @@ func (m *Manager) finalizeJoin(fl *joinInflight) {
 	pol := st.effectivePolicyLocked(base)
 	st.mu.Unlock()
 
-	type resolution struct {
-		key string
-		out Outcome
+	waiting := 0
+	for i := range fl.cells {
+		if fl.cells[i].wait {
+			waiting++
+		}
 	}
-	var resolved []resolution
+	resolved := make([]joinOutcome, 0, waiting)
 	var agreeSum float64
-	var agreeN int
-	for _, key := range fl.order {
-		item := fl.items[key]
-		answers := fl.answers[key]
+	for i := range fl.cells {
+		c := &fl.cells[i]
+		answers := fl.answers[i]
 		b, conf := stats.MajorityBool(answers)
 		out := Outcome{Value: relation.NewBool(b), Answers: answers, Agreement: conf}
 		st.agreement.Observe(conf)
 		agreeSum += conf
-		agreeN++
 		st.selectivity.Observe(b)
-		m.noteWorkerVotes(fl.byWorker, key, b)
-		ckey := cache.NewKey(fl.def.Name, item.args)
+		m.noteWorkerVotes(fl.byWorker, c.key, b)
 		if pol.UseCache {
-			m.cache.Put(ckey, cache.Entry{Answers: answers})
+			m.cache.Put(c.ckey, cache.Entry{Answers: answers})
 		}
 		if pol.TrainModel {
 			if tm, ok := m.models.For(st.name); ok {
-				tm.Train(item.args, b)
+				tm.Train(c.args, b)
 			}
 		}
 		if j != nil {
-			m.journalItem(j, pol, fl.def, ckey, "", answers, out)
+			m.journalItem(j, pol, fl.def, c.ckey, "", answers, out)
 		}
-		if fl.need[key] {
-			resolved = append(resolved, resolution{key: key, out: out})
-		}
-	}
-	if agreeN > 0 {
-		m.observeBackend(fl.backend, fl.def.Type, fl.reward, latencyMin, agreeSum/float64(agreeN))
-	}
-	for _, r := range resolved {
-		fl.done(r.key, r.out)
-	}
-}
-
-// dedupeJoinItems extracts the distinct left (or right) items of the
-// unresolved pairs, preserving first-seen order.
-func dedupeJoinItems(pairs []hitPair, left bool) []JoinItem {
-	seen := make(map[string]bool)
-	var out []JoinItem
-	for _, p := range pairs {
-		it := p.r
-		if left {
-			it = p.l
-		}
-		if !seen[it.Key] {
-			seen[it.Key] = true
-			out = append(out, it)
+		if c.wait {
+			resolved = append(resolved, joinOutcome{l: c.l, r: c.r, out: out})
 		}
 	}
-	return out
+	if len(fl.cells) > 0 {
+		m.observeBackend(fl.backend, fl.def.Type, fl.reward, latencyMin, agreeSum/float64(len(fl.cells)))
+	}
+	for _, res := range resolved {
+		fl.done(res.l, res.r, res.out)
+	}
 }
 
 // joinResponse derives the JoinColumns response for a join task,

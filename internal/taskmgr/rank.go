@@ -20,10 +20,11 @@ type RankItem struct {
 }
 
 // Ranking is one assignment's complete ordering of a comparison HIT:
-// Rank maps item key → position (0 = first).
+// Rank[i] is the position (0 = first) the worker gave the HIT's i-th
+// item, so Rank is aligned with the items RankBlockIn was given.
 type Ranking struct {
 	WorkerID string
-	Rank     map[string]int
+	Rank     []int
 }
 
 // RankBlockIn posts one S-way comparison HIT over exactly these items
@@ -73,12 +74,13 @@ func (m *Manager) RankBlockIn(scope *Scope, def *qlang.TaskDef, items []RankItem
 		Response:    rankResponse(def),
 		RewardCents: price,
 		Assignments: pol.Assignments,
+		Items:       make([]hit.Item, len(items)),
 	}
 	if h.Question == "" {
 		h.Question = "Order the shown items."
 	}
-	for _, it := range items {
-		h.Items = append(h.Items, hit.Item{Key: it.Key, Args: it.Args})
+	for i, it := range items {
+		h.Items[i] = hit.Item{Key: it.Key, Args: it.Args}
 	}
 
 	cost := budget.Cents(price * int64(pol.Assignments))
@@ -102,7 +104,7 @@ func (m *Manager) RankBlockIn(scope *Scope, def *qlang.TaskDef, items []RankItem
 		def:      def,
 		scope:    scope,
 		cost:     cost,
-		keys:     keysOf(items),
+		items:    h.Items,
 		needed:   pol.Assignments,
 		postedAt: m.market.Clock().Now(),
 		backend:  m.servingBackend(def),
@@ -135,21 +137,13 @@ func (m *Manager) RankBlockIn(scope *Scope, def *qlang.TaskDef, items []RankItem
 	}
 }
 
-func keysOf(items []RankItem) []string {
-	keys := make([]string, len(items))
-	for i, it := range items {
-		keys[i] = it.Key
-	}
-	return keys
-}
-
 // rankInflight collects the assignments of one comparison HIT.
 type rankInflight struct {
 	state    *taskState
 	def      *qlang.TaskDef
 	scope    *Scope
 	cost     budget.Cents
-	keys     []string // item keys in HIT order
+	items    []hit.Item // the posted HIT's items, in HIT order
 	byWorker []hit.Answers
 	received int
 	needed   int
@@ -196,20 +190,25 @@ func (m *Manager) finalizeRank(fl *rankInflight) {
 		j.Append(store.Record{Kind: store.KindLatency, Task: fl.def.Name, X: latencyMin})
 	}
 
+	// Every complete ranking's Rank is carved from one backing array; an
+	// incomplete one's slots are reused by the next.
+	n := len(fl.items)
 	rankings := make([]Ranking, 0, len(fl.byWorker))
+	backing := make([]int, n*len(fl.byWorker))
 	for _, ans := range fl.byWorker {
-		r := Ranking{WorkerID: ans.WorkerID, Rank: make(map[string]int, len(fl.keys))}
+		rank := backing[:n:n]
 		complete := true
-		for _, key := range fl.keys {
-			v, ok := ans.Values[key]
+		for i := range fl.items {
+			v, ok := ans.Values[fl.items[i].Key]
 			if !ok {
 				complete = false
 				break
 			}
-			r.Rank[key] = int(v.Int())
+			rank[i] = int(v.Int())
 		}
 		if complete {
-			rankings = append(rankings, r)
+			rankings = append(rankings, Ranking{WorkerID: ans.WorkerID, Rank: rank})
+			backing = backing[n:]
 		}
 	}
 
@@ -218,8 +217,8 @@ func (m *Manager) finalizeRank(fl *rankInflight) {
 	// order. 1.0 = unanimous orderings; 0.5 = coin-flip (heavy
 	// inversions). The complement is the inversion rate the optimizer's
 	// hybrid window model uses.
-	m.noteWorkerRankings(fl.keys, rankings)
-	if share, pairs := pairAgreement(fl.keys, rankings); pairs > 0 {
+	m.noteWorkerRankings(n, rankings)
+	if share, pairs := pairAgreement(n, rankings); pairs > 0 {
 		st.rankAgreementEstimator().Observe(share)
 		st.agreement.Observe(share)
 		if j != nil {
@@ -231,17 +230,17 @@ func (m *Manager) finalizeRank(fl *rankInflight) {
 }
 
 // pairAgreement computes the mean majority share over all item pairs of
-// a comparison HIT, given the complete rankings that arrived.
-func pairAgreement(keys []string, rankings []Ranking) (share float64, pairs int) {
-	if len(rankings) == 0 || len(keys) < 2 {
+// an n-item comparison HIT, given the complete rankings that arrived.
+func pairAgreement(n int, rankings []Ranking) (share float64, pairs int) {
+	if len(rankings) == 0 || n < 2 {
 		return 0, 0
 	}
 	total := 0.0
-	for i := 0; i < len(keys); i++ {
-		for k := i + 1; k < len(keys); k++ {
+	for i := 0; i < n; i++ {
+		for k := i + 1; k < n; k++ {
 			before := 0
 			for _, r := range rankings {
-				if r.Rank[keys[i]] < r.Rank[keys[k]] {
+				if r.Rank[i] < r.Rank[k] {
 					before++
 				}
 			}

@@ -3,6 +3,7 @@ package taskmgr
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -79,8 +80,8 @@ func TestRankBlockCollectsFullRankings(t *testing.T) {
 			t.Fatalf("ranking covers %d items, want 5", len(r.Rank))
 		}
 		// Input is reverse latent order: item05 … item01, so position 0
-		// belongs to the last input item.
-		if r.Rank["item01.png"] != 0 || r.Rank["item05.png"] != 4 {
+		// belongs to the last input item (item01).
+		if !slices.Equal(r.Rank, []int{4, 3, 2, 1, 0}) {
 			t.Fatalf("unexpected ranking %v", r.Rank)
 		}
 	}

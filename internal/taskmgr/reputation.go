@@ -66,23 +66,23 @@ func (m *Manager) noteWorkerVotes(byWorker []hit.Answers, key string, majority b
 }
 
 // noteWorkerRankings scores Order-response workers against the
-// Bradley–Terry consensus over a comparison HIT's rankings: every item
+// Bradley–Terry consensus over an n-item comparison HIT's rankings: every item
 // pair a worker orders like the consensus counts as an agreeing vote,
 // every inversion as a strike. Boolean-vote reputation alone cannot see
 // these workers — a spammer submitting arbitrary permutations never
 // answers a yes/no question — but against the consensus their pair
 // agreement hovers near one half, low enough for the same blocklist
 // thresholds that catch vote spammers.
-func (m *Manager) noteWorkerRankings(keys []string, rankings []Ranking) {
-	if len(keys) < 2 || len(rankings) == 0 {
+func (m *Manager) noteWorkerRankings(n int, rankings []Ranking) {
+	if n < 2 || len(rankings) == 0 {
 		return
 	}
-	ords := make([]infer.Ordering, 0, len(rankings))
-	for _, r := range rankings {
-		ords = append(ords, infer.Ordering{Worker: r.WorkerID, Rank: r.Rank})
+	ords := make([]infer.Ordering, len(rankings))
+	for i, r := range rankings {
+		ords[i] = infer.Ordering{Worker: r.WorkerID, Rank: r.Rank}
 	}
 	var bt infer.BradleyTerry
-	consensus := bt.Consensus(keys, ords)
+	consensus := bt.Consensus(n, ords)
 	j := m.getJournal()
 	type credit struct {
 		worker        string

@@ -107,18 +107,18 @@ func TestBlocklistImprovesAccuracy(t *testing.T) {
 // — while honest workers stay near one.
 func TestRankingSpammerDetected(t *testing.T) {
 	m, _ := newRig(t, catOracle, crowd.Config{}, 0)
-	keys := []string{"a", "b", "c", "d", "e", "f"}
-	honest := map[string]int{"a": 0, "b": 1, "c": 2, "d": 3, "e": 4, "f": 5}
+	// Six items, a to f; Rank[i] is item i's position.
+	honest := []int{0, 1, 2, 3, 4, 5}
 	// Junk permutations, different every HIT, like a worker dragging
 	// items at random.
-	junk := []map[string]int{
-		{"a": 3, "b": 5, "c": 0, "d": 4, "e": 1, "f": 2},
-		{"a": 5, "b": 2, "c": 4, "d": 0, "e": 3, "f": 1},
-		{"a": 1, "b": 4, "c": 5, "d": 2, "e": 0, "f": 3},
-		{"a": 4, "b": 0, "c": 2, "d": 5, "e": 1, "f": 0},
+	junk := [][]int{
+		{3, 5, 0, 4, 1, 2},
+		{5, 2, 4, 0, 3, 1},
+		{1, 4, 5, 2, 0, 3},
+		{4, 0, 2, 5, 1, 0},
 	}
 	for _, j := range junk {
-		m.noteWorkerRankings(keys, []Ranking{
+		m.noteWorkerRankings(len(honest), []Ranking{
 			{WorkerID: "honest-1", Rank: honest},
 			{WorkerID: "honest-2", Rank: honest},
 			{WorkerID: "honest-3", Rank: honest},

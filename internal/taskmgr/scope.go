@@ -484,11 +484,7 @@ func (m *Manager) cancelScopeHIT(hitID string, sc *Scope, cause error) {
 		str.mu.Unlock()
 		m.traceDirectGone(fl.span, cause.Error())
 		m.expireHIT(hitID, fl.scope, fl.cost)
-		for _, key := range fl.order {
-			if fl.need[key] {
-				fl.done(key, Outcome{Err: fmt.Errorf("taskmgr: %s: %w", fl.def.Name, cause)})
-			}
-		}
+		fl.fail(fmt.Errorf("taskmgr: %s: %w", fl.def.Name, cause))
 		return
 	}
 	if fl, ok := str.ranks[hitID]; ok {

@@ -256,7 +256,7 @@ func TestScopeCancelWaitsForInflightDirectPosts(t *testing.T) {
 		{"join", func(m *Manager, s *Scope, done func(error)) {
 			left := []JoinItem{{Key: "L1", Args: []relation.Value{relation.NewImage("a.png")}}}
 			right := []JoinItem{{Key: "R1", Args: []relation.Value{relation.NewImage("a.png")}}}
-			m.JoinBlockIn(s, joinDef(), left, right, func(_ string, o Outcome) { done(o.Err) })
+			m.JoinBlockIn(s, joinDef(), left, right, func(_, _ int, o Outcome) { done(o.Err) })
 		}},
 		{"rank", func(m *Manager, s *Scope, done func(error)) {
 			m.RankBlockIn(s, rankDef(), rankItemsN(3), func(_ []Ranking, err error) { done(err) })

@@ -584,11 +584,7 @@ func (m *Manager) onAssignmentFailed(hitID string, err error) {
 		defer m.disposeRetired(hitID)
 		if fl.received == 0 {
 			m.traceDirectGone(fl.span, err.Error())
-			for _, key := range fl.order {
-				if fl.need[key] {
-					fl.done(key, Outcome{Err: fmt.Errorf("taskmgr: %s: %v", fl.def.Name, err)})
-				}
-			}
+			fl.fail(fmt.Errorf("taskmgr: %s: %v", fl.def.Name, err))
 			return
 		}
 		m.finalizeJoin(fl)

@@ -10,7 +10,6 @@ import (
 	"repro/internal/budget"
 	"repro/internal/cache"
 	"repro/internal/crowd"
-	"repro/internal/hit"
 	"repro/internal/model"
 	"repro/internal/mturk"
 	"repro/internal/qlang"
@@ -278,17 +277,17 @@ func TestJoinBlockAnswersEveryPair(t *testing.T) {
 		{Key: "r2", Args: []relation.Value{relation.NewImage("col-spotted.png")}},
 	}
 	var mu sync.Mutex
-	got := map[string]bool{}
-	m.JoinBlock(def, left, right, func(key string, out Outcome) {
+	got := map[[2]int]bool{} // by (left, right) position
+	m.JoinBlock(def, left, right, func(l, r int, out Outcome) {
 		mu.Lock()
-		got[key] = out.Value.Bool()
+		got[[2]int{l, r}] = out.Value.Bool()
 		mu.Unlock()
 	})
 	runUntil(t, clock, func() bool { mu.Lock(); defer mu.Unlock(); return len(got) == 4 })
-	if !got[hit.PairKey("l1", "r1")] {
+	if !got[[2]int{0, 0}] {
 		t.Error("ann pair should match")
 	}
-	if got[hit.PairKey("l2", "r2")] || got[hit.PairKey("l1", "r2")] || got[hit.PairKey("l2", "r1")] {
+	if got[[2]int{1, 1}] || got[[2]int{0, 1}] || got[[2]int{1, 0}] {
 		t.Errorf("false matches: %v", got)
 	}
 	s := m.StatsFor("sameperson")
@@ -310,13 +309,13 @@ func TestJoinBlockFullyCachedPostsNothing(t *testing.T) {
 	right := []JoinItem{{Key: "r1", Args: []relation.Value{relation.NewImage("b.png")}}}
 	var mu sync.Mutex
 	n := 0
-	m.JoinBlock(def, left, right, func(string, Outcome) { mu.Lock(); n++; mu.Unlock() })
+	m.JoinBlock(def, left, right, func(int, int, Outcome) { mu.Lock(); n++; mu.Unlock() })
 	runUntil(t, clock, func() bool { mu.Lock(); defer mu.Unlock(); return n == 1 })
 	spent := m.Account().Spent()
 	// Re-run the same block with different keys but identical values.
 	left2 := []JoinItem{{Key: "x1", Args: []relation.Value{relation.NewImage("a.png")}}}
 	right2 := []JoinItem{{Key: "y1", Args: []relation.Value{relation.NewImage("b.png")}}}
-	m.JoinBlock(def, left2, right2, func(key string, out Outcome) {
+	m.JoinBlock(def, left2, right2, func(_, _ int, out Outcome) {
 		mu.Lock()
 		n++
 		mu.Unlock()
