@@ -286,8 +286,7 @@ func (p *Pool) prepareAnswersLocked(s *stripe, w *worker, h *hit.HIT, abandon bo
 			return noisyAnswer(h.Response, p.oracle.Truth(task, args), pl.correct, w.spammer, pl.u1, pl.u2)
 		}
 		if h.Response.Kind == qlang.ResponseJoinColumns {
-			// One argument slice serves every pair: Truth must not
-			// retain it.
+			// One argument slice serves every pair (see Oracle).
 			var args []relation.Value
 			for i, l := range h.Left {
 				for j, r := range h.Right {

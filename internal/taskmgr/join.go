@@ -167,21 +167,14 @@ func (m *Manager) JoinBlockIn(scope *Scope, def *qlang.TaskDef, left, right []Jo
 	st.questionsAsked += int64(len(rows) * len(cols))
 	st.mu.Unlock()
 
-	// The HIT's cells, row-major over h.Left×h.Right. When no cell was
-	// resolved the HIT shows the whole grid in the caller's order, and
-	// the grid's cells serve as they are.
-	cells := grid
-	if unresolved < len(grid) {
-		cells = make([]joinCell, 0, len(rows)*len(cols))
-		for _, l := range rows {
-			for _, r := range cols {
-				cells = append(cells, grid[l*len(right)+r])
-			}
+	// The HIT's cells, row-major over h.Left×h.Right.
+	cells := make([]joinCell, 0, len(rows)*len(cols))
+	for _, l := range rows {
+		for _, r := range cols {
+			c := grid[l*len(right)+r]
+			c.key = hit.PairKey(left[l].Key, right[r].Key)
+			cells = append(cells, c)
 		}
-	}
-	for i := range cells {
-		c := &cells[i]
-		c.key = hit.PairKey(left[c.l].Key, right[c.r].Key)
 	}
 	fl := &joinInflight{
 		state:    st,
@@ -253,9 +246,8 @@ func newJoinGrid(task string, left, right []JoinItem) []joinCell {
 	for l := range left {
 		for r := range right {
 			n := len(left[l].Args) + len(right[r].Args)
-			args := backing[:n:n]
+			args := append(append(backing[:0:n], left[l].Args...), right[r].Args...)
 			backing = backing[n:]
-			copy(args[copy(args, left[l].Args):], right[r].Args)
 			grid = append(grid, joinCell{args: args, ckey: cache.NewKey(task, args), l: l, r: r})
 		}
 	}
@@ -268,10 +260,9 @@ func newJoinGrid(task string, left, right []JoinItem) []joinCell {
 // row-major scan of waited-on cells first meets them, which is not
 // always ascending.
 func shrinkJoinGrid(grid []joinCell, nLeft, nRight int) (rows, cols []int) {
-	pos := make([]int, 0, nLeft+nRight)
+	rows = make([]int, 0, nLeft)
+	cols = make([]int, 0, nRight)
 	seen := make([]bool, nRight)
-	rows = pos[:0:nLeft]
-	cols = pos[nLeft:nLeft]
 	for l := 0; l < nLeft; l++ {
 		needed := false
 		for r := 0; r < nRight; r++ {
@@ -291,7 +282,7 @@ func shrinkJoinGrid(grid []joinCell, nLeft, nRight int) (rows, cols []int) {
 	return rows, cols
 }
 
-// repeatedKey reports the first key that repeats among items[at...].
+// repeatedKey returns a key shared by two of the items at positions at.
 func repeatedKey(items []JoinItem, at []int) (string, bool) {
 	for i, a := range at {
 		for _, b := range at[:i] {
