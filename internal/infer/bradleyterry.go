@@ -3,20 +3,12 @@ package infer
 import "sort"
 
 // Ordering is one worker's submitted permutation of a comparison
-// group: Rank[i] is the position of the group's i-th item (lower =
-// earlier), and −1 (or an index past the end of Rank) marks an item the
-// worker did not rank.
+// group: Rank holds one entry per item of the group, the position of
+// item i at Rank[i] (lower = earlier), or −1 for an item the worker did
+// not rank.
 type Ordering struct {
 	Worker string
 	Rank   []int
-}
-
-// pos returns item i's position and whether the ordering ranked it.
-func (o Ordering) pos(i int) (int, bool) {
-	if i < len(o.Rank) && o.Rank[i] >= 0 {
-		return o.Rank[i], true
-	}
-	return 0, false
 }
 
 // BradleyTerry fits pairwise item strengths from win counts by the MM
@@ -116,16 +108,12 @@ func (bt BradleyTerry) Consensus(n int, orderings []Ordering) []int {
 	wins := make([]float64, n*n)
 	for _, o := range orderings {
 		for i := 0; i < n; i++ {
-			ri, ok := o.pos(i)
-			if !ok {
+			ri := o.Rank[i]
+			if ri < 0 {
 				continue
 			}
 			for j := 0; j < n; j++ {
-				if i == j {
-					continue
-				}
-				rj, ok := o.pos(j)
-				if ok && ri < rj {
+				if rj := o.Rank[j]; i != j && rj >= 0 && ri < rj {
 					wins[i*n+j]++
 				}
 			}
@@ -149,13 +137,13 @@ func (bt BradleyTerry) Consensus(n int, orderings []Ordering) []int {
 // as disagreement (a permutation has no ties).
 func PairAgreement(consensus []int, o Ordering) (agreed, total int) {
 	for i := 0; i < len(consensus); i++ {
-		ri, ok := o.pos(consensus[i])
-		if !ok {
+		ri := o.Rank[consensus[i]]
+		if ri < 0 {
 			continue
 		}
 		for j := i + 1; j < len(consensus); j++ {
-			rj, ok := o.pos(consensus[j])
-			if !ok {
+			rj := o.Rank[consensus[j]]
+			if rj < 0 {
 				continue
 			}
 			total++

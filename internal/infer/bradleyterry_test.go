@@ -144,10 +144,4 @@ func TestPairAgreementSeparatesJunkFromHonest(t *testing.T) {
 	if total != 1 || agreed != 1 {
 		t.Fatalf("partial ranking: %d/%d, want 1/1", agreed, total)
 	}
-	// A Rank shorter than the group leaves the items past its end unranked.
-	short := Ordering{Worker: "s", Rank: []int{1, 0}}
-	agreed, total = PairAgreement(consensus, short)
-	if total != 1 || agreed != 0 {
-		t.Fatalf("short ranking: %d/%d, want 0/1", agreed, total)
-	}
 }
