@@ -8,6 +8,7 @@
 package cache
 
 import (
+	"encoding/binary"
 	"sort"
 	"sync"
 
@@ -29,8 +30,74 @@ func NewKey(task string, args []relation.Value) Key {
 	return Key{Task: task, Args: string(enc)}
 }
 
-// Entry is the cached outcome: every assignment's answer, so callers can
-// re-reduce with any aggregate.
+// Answers is one entry's answer list, every assignment's answer in
+// arrival order, held as the exact bytes the knowledge store writes for
+// it: a uvarint count, then each answer's relation.Value.Encode bytes
+// behind a uvarint length. A finalized list is encoded once, and the
+// cache, the journal record and the store's replayed state all share
+// that one string; no copy of it is ever held as values. The zero value
+// is the empty list, which the store writes as the single count byte 0.
+type Answers string
+
+// EncodeAnswers encodes an answer list; an empty list encodes to "".
+func EncodeAnswers(vs []relation.Value) Answers {
+	if len(vs) == 0 {
+		return ""
+	}
+	var bufStack, encStack [64]byte
+	buf := binary.AppendUvarint(bufStack[:0], uint64(len(vs)))
+	enc := encStack[:0]
+	for _, v := range vs {
+		enc = v.Encode(enc[:0])
+		buf = binary.AppendUvarint(buf, uint64(len(enc)))
+		buf = append(buf, enc...)
+	}
+	return Answers(buf)
+}
+
+// Len returns how many answers the list holds, without decoding them.
+func (a Answers) Len() int {
+	n, _ := a.count()
+	return n
+}
+
+// count reads the list's count and the offset of its first answer.
+func (a Answers) count() (n, off int) {
+	head := a[:min(len(a), binary.MaxVarintLen64)]
+	c, w := binary.Uvarint([]byte(head))
+	if w <= 0 || c > uint64(len(a)) {
+		return 0, 0
+	}
+	return int(c), w
+}
+
+// Values decodes the list into a fresh slice (nil for the empty list),
+// which the caller owns. A list built by EncodeAnswers, or validated by
+// the store's replay, decodes whole; on a malformed count or length
+// prefix Values stops early instead of reading past the string.
+func (a Answers) Values() []relation.Value {
+	n, off := a.count()
+	if n == 0 {
+		return nil
+	}
+	out := make([]relation.Value, 0, n)
+	for rest := a[off:]; len(out) < n; {
+		l, w := binary.Uvarint([]byte(rest[:min(len(rest), binary.MaxVarintLen64)]))
+		if w <= 0 || l > uint64(len(rest)-w) {
+			break
+		}
+		v, trailing, err := relation.DecodeValue([]byte(rest[w : w+int(l)]))
+		if err != nil || len(trailing) != 0 {
+			break
+		}
+		out = append(out, v)
+		rest = rest[w+int(l):]
+	}
+	return out
+}
+
+// Entry is the cached outcome as values: every assignment's answer, so
+// callers can re-reduce with any aggregate.
 type Entry struct {
 	Answers []relation.Value
 }
@@ -48,10 +115,12 @@ type Stats struct {
 	SavedQuestions int64
 }
 
-// Cache is a concurrency-safe task cache.
+// Cache is a concurrency-safe task cache. Entries are kept per task, so
+// no entry repeats its task's name.
 type Cache struct {
 	mu            sync.Mutex
-	entries       map[Key]Entry
+	entries       map[string]map[string]Answers // task → canonical args → answers
+	n             int
 	hits          int64
 	misses        int64
 	answersServed int64
@@ -59,115 +128,97 @@ type Cache struct {
 
 // New returns an empty cache.
 func New() *Cache {
-	return &Cache{entries: make(map[Key]Entry)}
+	return &Cache{entries: make(map[string]map[string]Answers)}
 }
 
 // Get looks up answers for a task application; ok is false on miss.
-// The returned Entry is a copy: mutating it never corrupts the cache.
+// The returned Entry is decoded fresh: mutating it never corrupts the
+// cache.
 func (c *Cache) Get(key Key) (Entry, bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
+	a, ok := c.entries[key.Task][key.Args]
 	if ok {
 		c.hits++
-		c.answersServed += int64(len(e.Answers))
+		c.answersServed += int64(a.Len())
 	} else {
 		c.misses++
 	}
-	return e.copied(), ok
-}
-
-// Peek is Get without touching the hit/miss counters (used by the
-// dashboard and the optimizer when probing). Like Get it returns a copy.
-func (c *Cache) Peek(key Key) (Entry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	return e.copied(), ok
+	c.mu.Unlock()
+	return Entry{Answers: a.Values()}, ok
 }
 
 // Contains reports whether the key has a non-empty answer set, without
-// touching the hit/miss counters or copying the answers — the cheap
+// touching the hit/miss counters or decoding the answers — the cheap
 // probe for callers that only need existence (e.g. the executor
 // counting a pre-filter stage's uncached work).
 func (c *Cache) Contains(key Key) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries[key].Answers) > 0
-}
-
-// copied returns an Entry whose Answers slice is independent of the
-// cache's own. Readers may append to or overwrite what they get back,
-// and Append may grow the live slice, without either seeing the other.
-func (e Entry) copied() Entry {
-	if e.Answers == nil {
-		return e
-	}
-	return Entry{Answers: append([]relation.Value(nil), e.Answers...)}
+	return c.entries[key.Task][key.Args].Len() > 0
 }
 
 // Put stores the complete answer set for a task application,
-// overwriting any previous entry.
-func (c *Cache) Put(key Key, e Entry) {
-	cp := Entry{Answers: append([]relation.Value(nil), e.Answers...)}
+// overwriting any previous entry. The cache keeps a as it is: an
+// Answers is an immutable string, so the caller may hand the same list
+// to the journal.
+func (c *Cache) Put(key Key, a Answers) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries[key] = cp
-}
-
-// Append adds one more assignment's answer to an existing entry
-// (creating it if needed), so redundancy accumulated across queries
-// keeps improving confidence.
-func (c *Cache) Append(key Key, answer relation.Value) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e := c.entries[key]
-	e.Answers = append(e.Answers, answer)
-	c.entries[key] = e
+	byArgs := c.entries[key.Task]
+	if byArgs == nil {
+		byArgs = make(map[string]Answers)
+		c.entries[key.Task] = byArgs
+	}
+	if _, ok := byArgs[key.Args]; !ok {
+		c.n++
+	}
+	byArgs[key.Args] = a
 }
 
 // Len returns the number of entries.
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries)
+	return c.n
 }
 
 // Stats returns effectiveness counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return Stats{Entries: len(c.entries), Hits: c.hits, Misses: c.misses, SavedQuestions: c.answersServed}
+	return Stats{Entries: c.n, Hits: c.hits, Misses: c.misses, SavedQuestions: c.answersServed}
 }
 
-// Clear drops all entries and counters.
-func (c *Cache) Clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = make(map[Key]Entry)
-	c.hits, c.misses, c.answersServed = 0, 0, 0
-}
-
-// Exported is one entry with its key, handed to persistence layers.
+// Exported is one entry with its key and decoded answers.
 type Exported struct {
 	Key     Key
 	Answers []relation.Value
 }
 
-// Export returns a copy of every entry sorted by key, so persistence
-// layers (internal/store) emit deterministic files.
+// Export decodes every entry into fresh slices, sorted by key, so its
+// output is deterministic.
 func (c *Cache) Export() []Exported {
+	type entry struct {
+		key Key
+		a   Answers
+	}
 	c.mu.Lock()
-	flat := make([]Exported, 0, len(c.entries))
-	for k, e := range c.entries {
-		flat = append(flat, Exported{Key: k, Answers: e.copied().Answers})
+	flat := make([]entry, 0, c.n)
+	for task, byArgs := range c.entries {
+		for args, a := range byArgs {
+			flat = append(flat, entry{Key{Task: task, Args: args}, a})
+		}
 	}
 	c.mu.Unlock()
 	sort.Slice(flat, func(i, j int) bool {
-		if flat[i].Key.Task != flat[j].Key.Task {
-			return flat[i].Key.Task < flat[j].Key.Task
+		if flat[i].key.Task != flat[j].key.Task {
+			return flat[i].key.Task < flat[j].key.Task
 		}
-		return flat[i].Key.Args < flat[j].Key.Args
+		return flat[i].key.Args < flat[j].key.Args
 	})
-	return flat
+	out := make([]Exported, len(flat))
+	for i, e := range flat {
+		out[i] = Exported{Key: e.key, Answers: e.a.Values()}
+	}
+	return out
 }

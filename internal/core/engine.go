@@ -791,27 +791,6 @@ func (e *Engine) addSavings(s *dashboard.Savings, q *exec.Query, policyFor func(
 	}
 }
 
-// SaveCache persists the Task Cache to one standalone file in the
-// knowledge store's record format, so a future engine (or process) can
-// reuse paid-for answers — the paper's cross-query caching, extended
-// across restarts. Engines with Config.StorePath set persist the cache
-// continuously; SaveCache remains for explicit exports.
-func (e *Engine) SaveCache(path string) error {
-	return store.WriteRecordsFile(path, store.CacheRecords(e.mgr.Cache()))
-}
-
-// LoadCache merges a previously saved Task Cache (or a store snapshot)
-// into the live cache: saved keys overwrite, other keys are kept. A
-// missing file is not an error — a cold cache is valid.
-func (e *Engine) LoadCache(path string) error {
-	recs, err := store.ReadRecordsFile(path)
-	if err != nil {
-		return err
-	}
-	store.MergeCacheRecords(e.mgr.Cache(), recs)
-	return nil
-}
-
 // PlanCacheStats reports the normalized-SQL plan cache's counters.
 // All-zero when the cache is disabled.
 func (e *Engine) PlanCacheStats() PlanCacheStats {

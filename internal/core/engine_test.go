@@ -2,6 +2,8 @@ package core
 
 import (
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -384,29 +386,42 @@ func TestEngineLoadCSV(t *testing.T) {
 
 func TestEngineCachePersistence(t *testing.T) {
 	dir := t.TempDir()
-	path := dir + "/taskcache.gob"
 	ds := workload.Companies(4, 21)
-	e := newEngine(t, Config{}, ds)
+	e := newEngine(t, Config{StorePath: dir}, ds)
 	q := `SELECT companyName, findCEO(companyName).CEO FROM companies`
-	if _, err := e.QueryAndWait(q); err != nil {
+	rows1, err := e.QueryAndWait(q)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SaveCache(path); err != nil {
-		t.Fatal(err)
-	}
-	e.Close()
+	e.Close() // drains and syncs the store
 
-	// A brand-new engine loads the cache and answers the same query for
-	// free — paid answers survive process restarts.
+	// A brand-new engine over the same store answers the same query for
+	// free — paid answers (here whole tuples) survive process restarts.
 	ds2 := workload.Companies(4, 21) // same seed: same companies
-	e2 := newEngine(t, Config{}, ds2)
-	if err := e2.LoadCache(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e2.QueryAndWait(q); err != nil {
+	e2 := newEngine(t, Config{StorePath: dir}, ds2)
+	rows2, err := e2.QueryAndWait(q)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if spent := e2.Manager().Account().Spent(); spent != 0 {
 		t.Fatalf("warm-cache engine spent %v", spent)
 	}
+	// Rows arrive in HIT completion order, so compare them as sets.
+	if cold, warm := rowStrings(rows1), rowStrings(rows2); !reflect.DeepEqual(warm, cold) {
+		t.Fatalf("warm run returned %v, the cold run %v", warm, cold)
+	}
+}
+
+// rowStrings renders rows as sorted strings.
+func rowStrings(rows []relation.Tuple) []string {
+	out := make([]string, len(rows))
+	for i, row := range rows {
+		var enc []byte
+		for _, v := range row.Values {
+			enc = v.Encode(enc)
+		}
+		out[i] = string(enc)
+	}
+	sort.Strings(out)
+	return out
 }

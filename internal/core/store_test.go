@@ -1,12 +1,10 @@
 package core
 
 import (
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
-	"repro/internal/cache"
 	"repro/internal/dashboard"
 	"repro/internal/relation"
 	"repro/internal/taskmgr"
@@ -164,58 +162,4 @@ func withCrowd(cfg Config, workers int, spam float64) Config {
 	cfg.Crowd.AbandonRate = 1e-12
 	cfg.Crowd.BatchPenalty = 1e-6
 	return cfg
-}
-
-// TestSaveLoadCacheMerge is the regression test for routing
-// SaveCache/LoadCache through the store's record format: loading over a
-// non-empty cache overwrites saved keys and keeps the rest.
-func TestSaveLoadCacheMerge(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cache.qks")
-	ds := workload.Photos(20, 0.5, 0.6, 2)
-
-	e1 := newEngine(t, Config{}, ds)
-	if _, err := e1.QueryAndWait(`SELECT img FROM photos WHERE isCat(img)`); err != nil {
-		t.Fatal(err)
-	}
-	if e1.Manager().Cache().Len() == 0 {
-		t.Fatal("nothing cached to save")
-	}
-	if err := e1.SaveCache(path); err != nil {
-		t.Fatal(err)
-	}
-
-	e2 := newEngine(t, Config{}, ds)
-	// Pre-populate e2's cache: one key the file will overwrite, one
-	// unrelated key that must survive the merge.
-	img := ds.Tables[0].Snapshot()[0].Get("img")
-	overlap := cache.NewKey("isCat", []relation.Value{img})
-	e2.Manager().Cache().Put(overlap, cache.Entry{Answers: []relation.Value{relation.NewBool(false)}})
-	unrelated := cache.NewKey("isCat", []relation.Value{relation.NewString("not-in-file")})
-	e2.Manager().Cache().Put(unrelated, cache.Entry{Answers: []relation.Value{relation.NewBool(true)}})
-
-	if err := e2.LoadCache(path); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := e2.Manager().Cache().Len(), e1.Manager().Cache().Len()+1; got != want {
-		t.Fatalf("merged cache has %d entries, want %d", got, want)
-	}
-	saved, _ := e1.Manager().Cache().Peek(overlap)
-	merged, ok := e2.Manager().Cache().Peek(overlap)
-	if !ok || len(merged.Answers) != len(saved.Answers) {
-		t.Fatalf("overlapping key not overwritten: %+v vs %+v", merged, saved)
-	}
-	if _, ok := e2.Manager().Cache().Peek(unrelated); !ok {
-		t.Fatal("unrelated key lost in merge")
-	}
-	// A warm e2 answers the isCat query without posting HITs.
-	if _, err := e2.QueryAndWait(`SELECT img FROM photos WHERE isCat(img)`); err != nil {
-		t.Fatal(err)
-	}
-	if paid := e2.Marketplace().Stats().HITsPosted; paid != 0 {
-		t.Fatalf("warm cache still posted %d HITs", paid)
-	}
-	// Missing file stays a cold start, not an error.
-	if err := e2.LoadCache(filepath.Join(t.TempDir(), "missing.qks")); err != nil {
-		t.Fatal(err)
-	}
 }

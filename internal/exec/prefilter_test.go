@@ -263,7 +263,7 @@ func TestPreFilterCachedAnswersAreFree(t *testing.T) {
 	for _, img := range []string{"p0-studio.png", "p1-studio.png", "junk-c0.png", "junk-c1.png"} {
 		val := relation.NewBool(strings.HasPrefix(img, "p"))
 		r.mgr.Cache().Put(cache.NewKey(fdef.Name, []relation.Value{relation.NewImage(img)}),
-			cache.Entry{Answers: []relation.Value{val}})
+			cache.EncodeAnswers([]relation.Value{val}))
 	}
 	var remainings []int
 	var mu sync.Mutex

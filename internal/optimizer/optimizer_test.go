@@ -249,7 +249,7 @@ func seedSelectivity(mgr *taskmgr.Manager, script *qlang.Script, task string, se
 	for i := 0; i < n; i++ {
 		args := []relation.Value{relation.NewImage(task + "-seed-" + string(rune('a'+i%26)) + string(rune('0'+i%10)) + string(rune('0'+(i/10)%10)) + string(rune('0'+(i/100)%10)))}
 		key := cache.NewKey(def.Name, args)
-		mgr.Cache().Put(key, cache.Entry{Answers: []relation.Value{relation.NewBool(i < passes)}})
+		mgr.Cache().Put(key, cache.EncodeAnswers([]relation.Value{relation.NewBool(i < passes)}))
 		mgr.Submit(taskmgr.Request{Def: def, Args: args, Done: func(taskmgr.Outcome) {}})
 	}
 }

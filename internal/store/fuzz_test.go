@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/relation"
 )
 
@@ -19,7 +20,7 @@ func FuzzWALReplay(f *testing.F) {
 	var valid []byte
 	valid = append(valid, segMagic...)
 	for _, rec := range []Record{
-		{Kind: KindCacheEntry, Task: "isCat", Args: "k", Answers: []relation.Value{relation.NewBool(true)}},
+		{Kind: KindCacheEntry, Task: "isCat", Args: "k", Answers: cache.EncodeAnswers([]relation.Value{relation.NewBool(true)})},
 		{Kind: KindSelectivity, Task: "isCeleb", Side: "right", Pass: true},
 		{Kind: KindLatency, Task: "isCat", X: 3.25},
 		{Kind: KindModelExample, Task: "isCat", Args: string(relation.NewString("x").Encode(nil)), Pass: false},

@@ -97,8 +97,12 @@ type Record struct {
 	Worker string
 	// Args is the canonical relation encoding of the argument values
 	// (cache key / model example input), exactly cache.Key.Args.
-	Args    string
-	Answers []relation.Value
+	Args string
+	// Answers is a cache entry's answer list in the form the WAL holds
+	// it, so encode writes it verbatim and replay keeps the validated
+	// bytes; the cache and the replayed state share the same string.
+	// Every other kind leaves it empty.
+	Answers cache.Answers
 	Pass    bool
 	X, Y    float64
 	N, M    int64
@@ -115,9 +119,10 @@ func (r Record) encode(dst []byte) []byte {
 	dst = appendStr(dst, r.Side)
 	dst = appendStr(dst, r.Worker)
 	dst = appendStr(dst, r.Args)
-	dst = binary.AppendUvarint(dst, uint64(len(r.Answers)))
-	for _, v := range r.Answers {
-		dst = appendStr(dst, string(v.Encode(nil)))
+	if r.Answers == "" {
+		dst = append(dst, 0) // the empty list: a zero count
+	} else {
+		dst = append(dst, r.Answers...)
 	}
 	if r.Pass {
 		dst = append(dst, 1)
@@ -133,9 +138,10 @@ func (r Record) encode(dst []byte) []byte {
 
 // decodeRecord parses one payload produced by encode. Every length is
 // validated against the remaining input so corrupted payloads fail
-// instead of allocating absurd amounts. Task, Side and Worker come from
-// in, so a replay holds one copy of each distinct name; Args and the
-// answer values are copied out of data, which the caller may reuse.
+// instead of allocating absurd amounts, and every answer must decode
+// as one whole value. Task, Side and Worker come from in, so a replay
+// holds one copy of each distinct name; Args and the answer list are
+// copied out of data, which the caller may reuse, each as one string.
 func decodeRecord(data []byte, in interner) (Record, error) {
 	var r Record
 	if len(data) == 0 {
@@ -165,24 +171,23 @@ func decodeRecord(data []byte, in interner) (Record, error) {
 	}
 	r.Args = string(b)
 	// Each answer takes at least two bytes (length and kind), which
-	// bounds the slice allocated for a corrupt count by the input size.
+	// bounds a corrupt count by the input size.
+	list := rest
 	n, used := binary.Uvarint(rest)
 	if used <= 0 || n > uint64(len(rest)/2) {
 		return r, fmt.Errorf("store: bad answer count")
 	}
 	rest = rest[used:]
-	if n > 0 {
-		r.Answers = make([]relation.Value, n)
-	}
-	for i := range r.Answers {
+	for i := uint64(0); i < n; i++ {
 		if b, rest, err = takeBytes(rest); err != nil {
 			return r, err
 		}
-		v, trailing, derr := relation.DecodeValue(b)
-		if derr != nil || len(trailing) != 0 {
+		if _, trailing, derr := relation.DecodeValue(b); derr != nil || len(trailing) != 0 {
 			return r, fmt.Errorf("store: bad answer encoding: %v", derr)
 		}
-		r.Answers[i] = v
+	}
+	if n > 0 {
+		r.Answers = cache.Answers(list[:len(list)-len(rest)])
 	}
 	if len(rest) < 1+8+8 {
 		return r, fmt.Errorf("store: truncated record tail")
@@ -268,7 +273,7 @@ const modelExampleCap = 10000
 // snapshot. Access is synchronized by the owning Store (see Store.View).
 type State struct {
 	cacheOrder []cache.Key
-	cache      map[cache.Key][]relation.Value
+	cache      map[cache.Key]cache.Answers
 	sel        map[string]map[string]stats.SelectivityState // task → side
 	lat        map[string]*stats.EWMA
 	agr        map[string]*stats.EWMA
@@ -297,7 +302,7 @@ func newBackendAgg() *backendAgg {
 // NewState returns an empty state.
 func NewState() *State {
 	return &State{
-		cache:    make(map[cache.Key][]relation.Value),
+		cache:    make(map[cache.Key]cache.Answers),
 		sel:      make(map[string]map[string]stats.SelectivityState),
 		lat:      make(map[string]*stats.EWMA),
 		agr:      make(map[string]*stats.EWMA),
@@ -487,10 +492,11 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// CacheEntry is one replayed cache entry.
+// CacheEntry is one replayed cache entry. Its Answers is the string the
+// state holds, so installing it in a cache copies nothing.
 type CacheEntry struct {
 	Key     cache.Key
-	Answers []relation.Value
+	Answers cache.Answers
 }
 
 // CacheEntries returns the replayed cache contents in first-seen order.

@@ -8,8 +8,8 @@
 // so a torn write (crash mid-append) loses at most the torn record.
 // Replay streams each file through one small buffered reader and a
 // reused frame buffer, and decodes each frame in place: task, side and
-// worker names are interned once per replay, and only Args and answers
-// are copied out.
+// worker names are interned once per replay, and only Args and the
+// encoded answer list are copied out, each as one string.
 //
 // Appending is asynchronous through a bounded queue: producers (the
 // task manager's finalization paths) never block. Append adds the record
@@ -39,8 +39,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/cache"
 )
 
 // Options tunes a store; zero values take the documented defaults.
@@ -213,7 +211,7 @@ func (s *Store) summarizeReplay() {
 	s.replay.Records = st.records
 	s.replay.CacheEntries = int64(len(st.cache))
 	for _, answers := range st.cache {
-		s.replay.CacheAnswers += int64(len(answers))
+		s.replay.CacheAnswers += int64(answers.Len())
 	}
 	for _, sides := range st.sel {
 		// Each (task, side) entry holds distinct observations: the
@@ -466,31 +464,4 @@ func (s *Store) Close() error {
 		s.lock = nil
 	})
 	return s.closeErr
-}
-
-// CacheRecords renders a cache's full contents as records — the bridge
-// Engine.SaveCache uses to persist through the store's format.
-func CacheRecords(c *cache.Cache) []Record {
-	exported := c.Export()
-	recs := make([]Record, 0, len(exported))
-	for _, e := range exported {
-		recs = append(recs, Record{Kind: KindCacheEntry, Task: e.Key.Task, Args: e.Key.Args, Answers: e.Answers})
-	}
-	return recs
-}
-
-// MergeCacheRecords applies every cache-entry record to c (overwriting
-// existing keys, leaving other keys intact) and returns how many were
-// applied. Non-cache kinds are ignored, so a full store snapshot is a
-// valid cache file.
-func MergeCacheRecords(c *cache.Cache, recs []Record) int {
-	n := 0
-	for _, rec := range recs {
-		if rec.Kind != KindCacheEntry {
-			continue
-		}
-		c.Put(cache.Key{Task: rec.Task, Args: rec.Args}, cache.Entry{Answers: rec.Answers})
-		n++
-	}
-	return n
 }

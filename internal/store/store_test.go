@@ -26,18 +26,18 @@ func waitWritten(t *testing.T, s *Store, n int64) {
 	}
 }
 
-func boolVals(bs ...bool) []relation.Value {
-	out := make([]relation.Value, len(bs))
+func boolAnswers(bs ...bool) cache.Answers {
+	vs := make([]relation.Value, len(bs))
 	for i, b := range bs {
-		out[i] = relation.NewBool(b)
+		vs[i] = relation.NewBool(b)
 	}
-	return out
+	return cache.EncodeAnswers(vs)
 }
 
 func sampleRecords() []Record {
 	return []Record{
-		{Kind: KindCacheEntry, Task: "isCat", Args: "k1", Answers: boolVals(true, true, false)},
-		{Kind: KindCacheEntry, Task: "isCat", Args: "k2", Answers: boolVals(false)},
+		{Kind: KindCacheEntry, Task: "isCat", Args: "k1", Answers: boolAnswers(true, true, false)},
+		{Kind: KindCacheEntry, Task: "isCat", Args: "k2", Answers: boolAnswers(false)},
 		{Kind: KindSelectivity, Task: "isCeleb", Side: "right", Pass: true},
 		{Kind: KindSelectivity, Task: "isCeleb", Side: "right", Pass: false},
 		{Kind: KindSelectivity, Task: "isCeleb", Pass: true},
@@ -94,7 +94,7 @@ func TestReplayRoundTrip(t *testing.T) {
 	if before != after {
 		t.Fatalf("fingerprint changed across restart: %x vs %x", before, after)
 	}
-	if len(entries) != 2 || entries[0].Key.Args != "k1" || len(entries[0].Answers) != 3 {
+	if len(entries) != 2 || entries[0].Key.Args != "k1" || entries[0].Answers.Len() != 3 {
 		t.Fatalf("cache entries = %+v", entries)
 	}
 	if sel["right"].T != 2 || sel["right"].P != 1 || sel[""].T != 1 {
@@ -445,7 +445,7 @@ func TestAppendQueueBoundAndOrder(t *testing.T) {
 	defer s.Close()
 	s.mu.Lock() // the writer cannot frame anything while this is held
 	for i := 0; i < bound+extra; i++ {
-		s.Append(Record{Kind: KindCacheEntry, Task: "t", Args: strconv.Itoa(i), Answers: boolVals(true)})
+		s.Append(Record{Kind: KindCacheEntry, Task: "t", Args: strconv.Itoa(i), Answers: boolAnswers(true)})
 	}
 	st := s.Stats()
 	s.mu.Unlock()
@@ -480,53 +480,6 @@ func TestOpenEmptyStoreAllocatesLittle(t *testing.T) {
 	s.Close()
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
 		t.Fatalf("opening an empty store allocated %d bytes, want under 1 MiB", got)
-	}
-}
-
-func TestRecordsFileRoundTripAndCacheBridge(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "cache.qks")
-
-	c := cache.New()
-	k1 := cache.NewKey("isCat", []relation.Value{relation.NewString("a")})
-	k2 := cache.NewKey("isCat", []relation.Value{relation.NewString("b")})
-	c.Put(k1, cache.Entry{Answers: boolVals(true, false)})
-	c.Put(k2, cache.Entry{Answers: boolVals(true)})
-	if err := WriteRecordsFile(path, CacheRecords(c)); err != nil {
-		t.Fatal(err)
-	}
-
-	// Merge over a non-empty cache: saved keys overwrite, others stay.
-	c2 := cache.New()
-	c2.Put(k1, cache.Entry{Answers: boolVals(false, false, false)}) // will be overwritten
-	k3 := cache.NewKey("isDog", []relation.Value{relation.NewString("z")})
-	c2.Put(k3, cache.Entry{Answers: boolVals(true)}) // must survive
-	recs, err := ReadRecordsFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := MergeCacheRecords(c2, recs); n != 2 {
-		t.Fatalf("merged %d records, want 2", n)
-	}
-	if c2.Len() != 3 {
-		t.Fatalf("len = %d, want 3", c2.Len())
-	}
-	if e, _ := c2.Peek(k1); len(e.Answers) != 2 || !e.Answers[0].Truthy() {
-		t.Fatalf("k1 not overwritten: %+v", e)
-	}
-	if e, ok := c2.Peek(k3); !ok || len(e.Answers) != 1 {
-		t.Fatalf("unrelated key lost: %+v ok=%v", e, ok)
-	}
-
-	// Missing file reads as empty; corrupt file errors.
-	if recs, err := ReadRecordsFile(filepath.Join(dir, "missing.qks")); err != nil || len(recs) != 0 {
-		t.Fatalf("missing file: recs=%v err=%v", recs, err)
-	}
-	if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadRecordsFile(path); err == nil {
-		t.Fatal("corrupt records file must error")
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -223,24 +222,4 @@ func (rp *replayer) snapshot(path string, apply func(Record)) (coveredSeq uint64
 	coveredSeq = binary.LittleEndian.Uint64(hdr[len(snapMagic):])
 	applied, clean = rp.frames(apply)
 	return coveredSeq, applied, clean
-}
-
-// WriteRecordsFile writes records to a standalone snapshot-format file
-// (atomic via rename) — the format Engine.SaveCache uses.
-func WriteRecordsFile(path string, recs []Record) error {
-	return writeFileAtomic(path, encodeRecordsFile(0, recs))
-}
-
-// ReadRecordsFile reads a file written by WriteRecordsFile (or a store
-// snapshot). Unlike WAL replay it is strict: any torn or corrupt frame
-// is an error, because standalone files are written atomically and a
-// bad one should be surfaced, not silently truncated.
-func ReadRecordsFile(path string) ([]Record, error) {
-	var recs []Record
-	rp := replayer{in: interner{}}
-	_, _, clean := rp.snapshot(path, func(r Record) { recs = append(recs, r) })
-	if !clean {
-		return nil, fmt.Errorf("store: %s: corrupt records file", filepath.Base(path))
-	}
-	return recs, nil
 }

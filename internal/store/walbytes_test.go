@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/relation"
 )
 
@@ -17,7 +18,7 @@ import (
 const walBytesFixture = "testdata/wal_bytes.hex"
 
 // answerList builds a cache record's answer list.
-func answerList(vs ...relation.Value) []relation.Value { return vs }
+func answerList(vs ...relation.Value) cache.Answers { return cache.EncodeAnswers(vs) }
 
 // walBytesRecords is a fixed record set that covers every record kind
 // and, in its cache entries, every answer kind the engine caches:

@@ -230,8 +230,10 @@ func (m *Manager) finalizeGroup(fl *inflightHIT) {
 		agreeN++
 		st.observeSelectivity(b, item.side)
 		m.noteWorkerVotes(fl.byWorker, item.key, b)
+		var enc cache.Answers
 		if pol.UseCache {
-			m.cache.Put(item.ckey, cache.Entry{Answers: answers})
+			enc = cache.EncodeAnswers(answers)
+			m.cache.Put(item.ckey, enc)
 		}
 		if pol.TrainModel {
 			if tm, ok := m.models.For(st.name); ok {
@@ -239,7 +241,7 @@ func (m *Manager) finalizeGroup(fl *inflightHIT) {
 			}
 		}
 		if j != nil {
-			m.journalItem(j, pol, item.def, item.ckey, item.side, answers, out)
+			m.journalItem(j, pol, item.def, item.ckey, item.side, enc, out)
 		}
 		resolved = append(resolved, resolution{done: item.done, out: out})
 	}

@@ -384,8 +384,10 @@ func (m *Manager) finalizeJoin(fl *joinInflight) {
 		agreeSum += conf
 		st.selectivity.Observe(b)
 		m.noteWorkerVotes(fl.byWorker, c.key, b)
+		var enc cache.Answers
 		if pol.UseCache {
-			m.cache.Put(c.ckey, cache.Entry{Answers: answers})
+			enc = cache.EncodeAnswers(answers)
+			m.cache.Put(c.ckey, enc)
 		}
 		if pol.TrainModel {
 			if tm, ok := m.models.For(st.name); ok {
@@ -393,7 +395,7 @@ func (m *Manager) finalizeJoin(fl *joinInflight) {
 			}
 		}
 		if j != nil {
-			m.journalItem(j, pol, fl.def, c.ckey, "", answers, out)
+			m.journalItem(j, pol, fl.def, c.ckey, "", enc, out)
 		}
 		if c.wait {
 			resolved = append(resolved, joinOutcome{l: c.l, r: c.r, out: out})

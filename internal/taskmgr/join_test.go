@@ -162,7 +162,7 @@ func TestJoinShrinkMatchesReference(t *testing.T) {
 			for r := range right {
 				if cached[l*nr+r] {
 					args := append(append([]relation.Value{}, left[l].Args...), right[r].Args...)
-					m.Cache().Put(cache.NewKey(def.Name, args), cache.Entry{Answers: []relation.Value{relation.NewBool(true)}})
+					m.Cache().Put(cache.NewKey(def.Name, args), cache.EncodeAnswers([]relation.Value{relation.NewBool(true)}))
 				} else {
 					unresolved = append(unresolved, joinRefPair{left[l], right[r]})
 				}

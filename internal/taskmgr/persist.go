@@ -1,7 +1,6 @@
 package taskmgr
 
 import (
-	"repro/internal/cache"
 	"repro/internal/stats"
 	"repro/internal/store"
 )
@@ -34,10 +33,11 @@ func (m *Manager) Restore(s *store.State) RestoreSummary {
 	sum := RestoreSummary{EntriesByTask: make(map[string]int64)}
 
 	for _, e := range s.CacheEntries() {
-		// The cache copies on Put, so the state's slices stay untouched.
-		m.cache.Put(e.Key, cache.Entry{Answers: e.Answers})
+		// The cache and the state share each replayed list; neither
+		// copies it.
+		m.cache.Put(e.Key, e.Answers)
 		sum.CacheEntries++
-		sum.CacheAnswers += int64(len(e.Answers))
+		sum.CacheAnswers += int64(e.Answers.Len())
 		sum.EntriesByTask[e.Key.Task]++
 	}
 

@@ -1496,8 +1496,10 @@ func (m *Manager) finalizeInflight(fl *inflightHIT) {
 			st.observeSelectivity(out.Value.Truthy(), item.side)
 			m.noteWorkerVotes(fl.byWorker, item.key, out.Value.Truthy())
 		}
+		var enc cache.Answers
 		if pol.UseCache {
-			m.cache.Put(item.ckey, cache.Entry{Answers: answers})
+			enc = cache.EncodeAnswers(answers)
+			m.cache.Put(item.ckey, enc)
 		}
 		if pol.TrainModel && isBooleanTask(item.def) {
 			if tm, ok := m.models.For(st.name); ok {
@@ -1505,7 +1507,7 @@ func (m *Manager) finalizeInflight(fl *inflightHIT) {
 			}
 		}
 		if j != nil {
-			m.journalItem(j, pol, item.def, item.ckey, item.side, answers, out)
+			m.journalItem(j, pol, item.def, item.ckey, item.side, enc, out)
 		}
 		resolved = append(resolved, resolution{done: item.done, out: out})
 	}
@@ -1519,16 +1521,14 @@ func (m *Manager) finalizeInflight(fl *inflightHIT) {
 
 // journalItem streams one finalized item's learned artifacts to the
 // journal: the cache entry, the selectivity/agreement observations and
-// the model training example. key is the item's task cache key. Answer
-// slices are copied because done callbacks receive (and may mutate) the
-// originals while the store encodes asynchronously.
+// the model training example. key is the item's task cache key and
+// answers the list finalize encoded once for the cache (empty when the
+// policy does not cache): the record carries that same immutable
+// string, so nothing is copied while the store writes asynchronously.
 func (m *Manager) journalItem(j Journal, pol Policy, def *qlang.TaskDef,
-	key cache.Key, side string, answers []relation.Value, out Outcome) {
+	key cache.Key, side string, answers cache.Answers, out Outcome) {
 	if pol.UseCache {
-		j.Append(store.Record{
-			Kind: store.KindCacheEntry, Task: key.Task, Args: key.Args,
-			Answers: append([]relation.Value(nil), answers...),
-		})
+		j.Append(store.Record{Kind: store.KindCacheEntry, Task: key.Task, Args: key.Args, Answers: answers})
 	}
 	j.Append(store.Record{Kind: store.KindAgreement, Task: def.Name, X: out.Agreement})
 	if !isBooleanTask(def) {
