@@ -40,7 +40,7 @@ type Scope struct {
 	weight   int // fair-share weight; <1 reads as 1
 	spent    budget.Cents
 	queued   budget.Cents    // provisional cost of admission-queued batches
-	hits     map[string]bool // open HIT IDs posted for this scope; made by registerHIT
+	hits     map[string]bool // open HIT IDs posted for this scope; nil while none is open
 	label    string          // optional metrics label (per-scope series)
 
 	// posting counts batch posts that passed the cancellation check and
@@ -320,6 +320,8 @@ func (s *Scope) endPost() {
 }
 
 // unregisterHIT forgets a HIT that resolved through the normal paths.
+// The last one releases the set, which registerHIT makes again on
+// demand, so a finished query's scope holds no map.
 func (s *Scope) unregisterHIT(hitID string) {
 	if s == nil {
 		return
@@ -327,6 +329,9 @@ func (s *Scope) unregisterHIT(hitID string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.hits, hitID)
+	if len(s.hits) == 0 {
+		s.hits = nil
+	}
 }
 
 // Cancel terminates the scope with cause (ErrCanceled when nil):

@@ -300,3 +300,38 @@ func TestScopeCancelWaitsForInflightDirectPosts(t *testing.T) {
 		})
 	}
 }
+
+// TestScopeReleasesHITSetOnceRetired runs a batch, a group, a join and
+// a rank HIT in one scope to the end: the scope holds its open HITs
+// while they are out, and once every one has retired it holds no HIT
+// set at all, so a finished query's scope keeps no empty map alive.
+func TestScopeReleasesHITSetOnceRetired(t *testing.T) {
+	m, clock := newRig(t, catOracle, crowd.Config{}, 0)
+	def := filterDef()
+	m.SetPolicy(def.Name, Policy{Assignments: 1, BatchSize: 1, PriceCents: 1, Linger: time.Minute, UseCache: true})
+	s := m.NewScope()
+	var outs atomic.Int64
+	done := func(Outcome) { outs.Add(1) }
+	m.Submit(Request{Def: def, Args: []relation.Value{relation.NewString("cat-1")}, Scope: s, Done: done})
+	if err := m.SubmitGroup([]Request{{Def: def, Args: []relation.Value{relation.NewString("cat-2")}, Scope: s, Done: done}}); err != nil {
+		t.Fatal(err)
+	}
+	left := []JoinItem{{Key: "L1", Args: []relation.Value{relation.NewImage("a.png")}}}
+	right := []JoinItem{{Key: "R1", Args: []relation.Value{relation.NewImage("a.png")}}}
+	m.JoinBlockIn(s, joinDef(), left, right, func(_, _ int, o Outcome) { done(o) })
+	m.RankBlockIn(s, rankDef(), rankItemsN(3), func([]Ranking, error) { outs.Add(1) })
+
+	s.mu.Lock()
+	open := len(s.hits)
+	s.mu.Unlock()
+	if open != 4 {
+		t.Fatalf("scope holds %d open HITs after four posts, want 4", open)
+	}
+	runUntil(t, clock, func() bool { return outs.Load() == 4 })
+	s.mu.Lock()
+	hits := s.hits
+	s.mu.Unlock()
+	if hits != nil {
+		t.Fatalf("every HIT retired, but the scope still holds a HIT set (%d entries)", len(hits))
+	}
+}
