@@ -147,7 +147,7 @@ func BenchmarkE10Async(b *testing.B) {
 type benchPool struct{}
 
 var benchAnswers = hit.Answers{WorkerID: "bench-worker",
-	Values: map[string]relation.Value{"k": relation.NewBool(true)}}
+	Values: []relation.Value{relation.NewBool(true)}}
 
 func benchAnswer() (hit.Answers, error) { return benchAnswers, nil }
 

@@ -22,7 +22,8 @@ type Backend interface {
 	// Post registers the HIT and arranges for h.Assignments assignment
 	// callbacks (or error-handler notifications for the shortfall).
 	Post(h *hit.HIT, onAssignment func(mturk.AssignmentResult)) error
-	// SubmitExternal injects one extra answer into an open HIT.
+	// SubmitExternal injects one extra answer sheet into an open HIT;
+	// a sheet that does not answer every question of the HIT fails.
 	SubmitExternal(hitID string, ans hit.Answers) error
 	// Dispose closes the HIT and returns its final status; ok is false
 	// for an unknown ID.

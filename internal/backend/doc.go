@@ -13,8 +13,9 @@
 // (they are exactly the simulated marketplace's):
 //
 //   - Post registers the HIT and eventually delivers h.Assignments
-//     assignment callbacks, each carrying one worker's answers for every
-//     item key in the HIT. Callbacks may arrive on any goroutine, but
+//     assignment callbacks, each carrying one worker's answer sheet: a
+//     value for every question of the HIT, in question order (see
+//     hit.Answers). Callbacks may arrive on any goroutine, but
 //     never before Post returns its nil error, and never again after the
 //     HIT has been disposed. An assignment that can never complete must
 //     be reported through the error handler instead — the Task Manager

@@ -16,7 +16,6 @@ import (
 	"repro/internal/hit"
 	"repro/internal/mturk"
 	"repro/internal/qlang"
-	"repro/internal/relation"
 )
 
 // HTTPConfig configures the MTurk-shaped HTTP driver.
@@ -327,18 +326,9 @@ func (c *HTTP) poll(ctx context.Context, ph *httpHIT, onAssignment func(mturk.As
 				ph.received++
 			}
 			c.mu.Unlock()
-			ans := hit.Answers{WorkerID: wa.WorkerID, Values: make(map[string]relation.Value, len(wa.Values))}
-			bad := false
-			for k, enc := range wa.Values {
-				v, derr := decodeWireValue(enc)
-				if derr != nil {
-					bad = true
-					break
-				}
-				ans.Values[k] = v
-			}
-			if bad {
-				c.reportError(h.ID, fmt.Errorf("backend: http: undecodable assignment %s", wa.ID))
+			ans, derr := decodeWireAssignment(h, wa)
+			if derr != nil {
+				c.reportError(h.ID, fmt.Errorf("backend: http: undecodable assignment %s: %v", wa.ID, derr))
 				continue
 			}
 			c.assignmentsCompleted.Add(1)
@@ -370,11 +360,18 @@ func (c *HTTP) poll(ctx context.Context, ph *httpHIT, onAssignment func(mturk.As
 	}
 }
 
-// SubmitExternal implements Backend.
+// SubmitExternal implements Backend: the sheet goes over the wire keyed
+// by the HIT's question keys, so the HIT must still be posted here.
 func (c *HTTP) SubmitExternal(hitID string, ans hit.Answers) error {
-	wa := wireAssignment{WorkerID: ans.WorkerID, Values: make(map[string]string, len(ans.Values))}
-	for k, v := range ans.Values {
-		wa.Values[k] = encodeValue(v)
+	c.mu.Lock()
+	ph, ok := c.hits[hitID]
+	c.mu.Unlock()
+	if !ok {
+		return fmt.Errorf("backend: http: unknown HIT %s", hitID)
+	}
+	wa, err := encodeWireAssignment(ph.hit, ans)
+	if err != nil {
+		return fmt.Errorf("backend: http: %w", err)
 	}
 	body, err := json.Marshal(wa)
 	if err != nil {

@@ -86,7 +86,7 @@ func TestHTTPPostAndPoll(t *testing.T) {
 	waitFor(t, "assignments", func() bool { return got.len() == 2 })
 	got.mu.Lock()
 	for _, res := range got.results {
-		if !res.Answers.Values["k1"].Truthy() {
+		if len(res.Answers.Values) != 1 || !res.Answers.Values[0].Truthy() {
 			t.Error("answer did not round-trip the wire")
 		}
 	}

@@ -87,6 +87,35 @@ func decodeWireValue(s string) (relation.Value, error) {
 	return v, nil
 }
 
+// encodeWireAssignment addresses ans by the HIT's question keys, the
+// form the wire carries. It fails unless ans answers every question.
+func encodeWireAssignment(h *hit.HIT, ans hit.Answers) (wireAssignment, error) {
+	keyed, err := h.KeyedAnswers(ans)
+	if err != nil {
+		return wireAssignment{}, err
+	}
+	wa := wireAssignment{WorkerID: ans.WorkerID, Values: make(map[string]string, len(keyed))}
+	for k, v := range keyed {
+		wa.Values[k] = encodeValue(v)
+	}
+	return wa, nil
+}
+
+// decodeWireAssignment lays a wire assignment out as its worker's sheet
+// for h. It fails on an undecodable value, a question without an answer
+// or an answer to a question h does not ask.
+func decodeWireAssignment(h *hit.HIT, wa wireAssignment) (hit.Answers, error) {
+	keyed := make(map[string]relation.Value, len(wa.Values))
+	for k, enc := range wa.Values {
+		v, err := decodeWireValue(enc)
+		if err != nil {
+			return hit.Answers{}, fmt.Errorf("answer %q: %v", k, err)
+		}
+		keyed[k] = v
+	}
+	return h.AnswersFromKeyed(wa.WorkerID, keyed)
+}
+
 func encodeArgs(args []relation.Value) []string {
 	out := make([]string, len(args))
 	for i, a := range args {
@@ -322,22 +351,18 @@ func (s *Server) handlePost(r *http.Request) ([]byte, int, error) {
 	s.hits[h.ID] = &serverHIT{expected: h.Assignments}
 	s.mu.Unlock()
 	if err := s.market.Post(h, func(res mturk.AssignmentResult) {
+		// The marketplace delivers only sheets that answer every
+		// question, so the keyed form always exists.
+		wa, _ := encodeWireAssignment(h, res.Answers)
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		sh, ok := s.hits[res.HITID]
 		if !ok {
 			return
 		}
-		wa := wireAssignment{
-			ID:          fmt.Sprintf("%s-a%03d", res.HITID, len(sh.assignments)+1),
-			WorkerID:    res.Answers.WorkerID,
-			Values:      make(map[string]string, len(res.Answers.Values)),
-			SubmittedAt: int64(res.SubmittedAt),
-			External:    res.External,
-		}
-		for k, v := range res.Answers.Values {
-			wa.Values[k] = encodeValue(v)
-		}
+		wa.ID = fmt.Sprintf("%s-a%03d", res.HITID, len(sh.assignments)+1)
+		wa.SubmittedAt = int64(res.SubmittedAt)
+		wa.External = res.External
 		sh.assignments = append(sh.assignments, wa)
 		if !res.External {
 			sh.settled++
@@ -390,13 +415,13 @@ func (s *Server) handleExternal(id string, r *http.Request) ([]byte, int, error)
 	if err := json.NewDecoder(r.Body).Decode(&wa); err != nil {
 		return nil, http.StatusBadRequest, fmt.Errorf("bad assignment body: %v", err)
 	}
-	ans := hit.Answers{WorkerID: wa.WorkerID, Values: make(map[string]relation.Value, len(wa.Values))}
-	for k, enc := range wa.Values {
-		v, err := decodeWireValue(enc)
-		if err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-		ans.Values[k] = v
+	st, ok := s.market.Status(id)
+	if !ok {
+		return nil, http.StatusConflict, fmt.Errorf("mturk: unknown HIT %s", id)
+	}
+	ans, err := decodeWireAssignment(st.HIT, wa)
+	if err != nil {
+		return nil, http.StatusBadRequest, fmt.Errorf("bad assignment: %v", err)
 	}
 	if err := s.market.SubmitExternal(id, ans); err != nil {
 		return nil, http.StatusConflict, err

@@ -1,11 +1,14 @@
 package backend_test
 
 import (
+	"encoding/base64"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -30,9 +33,9 @@ func (truePool) Claim(h *hit.HIT, now mturk.VirtualTime) (mturk.Claim, bool) {
 		WorkerID: "w1",
 		Delay:    time.Minute,
 		Answer: func() (hit.Answers, error) {
-			vals := make(map[string]relation.Value)
-			for _, k := range h.Keys() {
-				vals[k] = relation.NewBool(true)
+			vals := make([]relation.Value, h.QuestionCount())
+			for i := range vals {
+				vals[i] = relation.NewBool(true)
 			}
 			return hit.Answers{Values: vals}, nil
 		},
@@ -219,4 +222,87 @@ func TestTaskmgrScopeCancelRefundsOverWire(t *testing.T) {
 	}
 	waitUntil(t, "refund", func() bool { return r.account.Spent() == 0 })
 	waitUntil(t, "inflight drain", func() bool { return r.mgr.Inflight() == 0 })
+}
+
+// malformedService is a wire service whose first posted HIT's three
+// assignments are one good answer, one that skips the HIT's question
+// and one that also answers a question the HIT does not ask.
+type malformedService struct {
+	mu  sync.Mutex
+	key string // the posted HIT's one item key
+}
+
+func (s *malformedService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	yes := base64.StdEncoding.EncodeToString(relation.NewBool(true).Encode(nil))
+	switch {
+	case r.Method == http.MethodPost && r.URL.Path == "/hits":
+		var posted struct {
+			Items []struct {
+				Key string `json:"key"`
+			} `json:"items"`
+		}
+		if err := json.NewDecoder(r.Body).Decode(&posted); err != nil || len(posted.Items) != 1 {
+			http.Error(w, "want one item", http.StatusBadRequest)
+			return
+		}
+		s.key = posted.Items[0].Key
+		w.WriteHeader(http.StatusCreated)
+		fmt.Fprint(w, `{}`)
+	case r.Method == http.MethodGet && strings.HasSuffix(r.URL.Path, "/assignments"):
+		page := map[string]any{"next": 3, "done": true, "assignments": []map[string]any{
+			{"id": "a1", "workerId": "w1", "values": map[string]string{s.key: yes}},
+			{"id": "a2", "workerId": "w2", "values": map[string]string{}},
+			{"id": "a3", "workerId": "w3", "values": map[string]string{s.key: yes, "other": yes}},
+		}}
+		_ = json.NewEncoder(w).Encode(page)
+	default:
+		fmt.Fprint(w, `{}`)
+	}
+}
+
+// TestTaskmgrFinalizesShortOnMalformedWire: wire assignments that skip
+// a question or answer a foreign one fail like undecodable ones, so the
+// Task Manager finalizes the item from the one good vote.
+func TestTaskmgrFinalizesShortOnMalformedWire(t *testing.T) {
+	ts := httptest.NewServer(&malformedService{})
+	t.Cleanup(ts.Close)
+	engineClock := mturk.NewClock()
+	client, err := backend.NewHTTP(backend.HTTPConfig{BaseURL: ts.URL, Clock: engineClock,
+		PollInterval: time.Millisecond, Backoff: time.Millisecond, Sleep: func(time.Duration) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(client.Close)
+	script, err := qlang.Parse(integrationScript)
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, _ := script.Task("isCat")
+	account := budget.NewAccount(0)
+	mgr := taskmgr.NewWithBackend(client, nil, nil, account)
+	outcome := make(chan taskmgr.Outcome, 1)
+	mgr.Submit(taskmgr.Request{
+		Def:  def,
+		Args: []relation.Value{relation.NewImage("cat.png")},
+		Done: func(o taskmgr.Outcome) { outcome <- o },
+	})
+	select {
+	case o := <-outcome:
+		if o.Err != nil {
+			t.Fatalf("outcome error: %v", o.Err)
+		}
+		if !o.Value.Truthy() || len(o.Answers) != 1 {
+			t.Fatalf("outcome = %v from %v, want true from the one good vote", o.Value, o.Answers)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("item never resolved")
+	}
+	waitUntil(t, "inflight drain", func() bool { return mgr.Inflight() == 0 })
+	// The account paid for three assignments at post time; the client
+	// paid out only the one it delivered.
+	if st := client.Stats(); st.AssignmentsCompleted != 1 || st.SpentCents == 0 || 3*st.SpentCents != account.Spent() {
+		t.Fatalf("stats = %+v with %v charged, want one of three assignments paid", st, account.Spent())
+	}
 }

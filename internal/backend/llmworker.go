@@ -2,7 +2,6 @@ package backend
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -133,34 +132,25 @@ func (l *LLM) Post(h *hit.HIT, onAssignment func(mturk.AssignmentResult)) error 
 	return nil
 }
 
-// answer runs the model over every question of the HIT, mirroring the
-// simulated crowd's wire shapes (pair keys for join grids, rank
-// positions for Order responses).
-func (l *LLM) answer(h *hit.HIT) map[string]relation.Value {
-	vals := make(map[string]relation.Value, h.QuestionCount())
+// answer runs the model over every question of the HIT, in question
+// order, mirroring the simulated crowd's sheets (rank positions for
+// Order responses).
+func (l *LLM) answer(h *hit.HIT) []relation.Value {
+	vals := make([]relation.Value, 0, h.QuestionCount())
 	if h.Response.Kind == qlang.ResponseJoinColumns {
 		for _, lt := range h.Left {
 			for _, rt := range h.Right {
 				args := append(append([]relation.Value{}, lt.Args...), rt.Args...)
-				vals[hit.PairKey(lt.Key, rt.Key)] = l.cfg.Model(h.Task, h.Type, args)
+				vals = append(vals, l.cfg.Model(h.Task, h.Type, args))
 			}
 		}
 		return vals
 	}
 	for _, it := range h.Items {
-		vals[it.Key] = l.cfg.Model(h.EffectiveTask(it), h.Type, it.Args)
+		vals = append(vals, l.cfg.Model(h.EffectiveTask(it), h.Type, it.Args))
 	}
 	if h.Response.Kind == qlang.ResponseOrder {
-		// Scores become rank positions 0..n-1 (ascending, stable), as
-		// the Order form requires and the crowd simulator produces.
-		keys := make([]string, 0, len(h.Items))
-		for _, it := range h.Items {
-			keys = append(keys, it.Key)
-		}
-		sort.SliceStable(keys, func(i, j int) bool { return vals[keys[i]].Float() < vals[keys[j]].Float() })
-		for rank, key := range keys {
-			vals[key] = relation.NewInt(int64(rank))
-		}
+		hit.RankPositions(vals)
 	}
 	return vals
 }
@@ -197,17 +187,25 @@ func (l *LLM) complete(hitID string, ans hit.Answers, external bool) {
 }
 
 // SubmitExternal implements Backend: the answer fills a paid slot like
-// any assignment, marked external.
+// any assignment, marked external. A sheet that does not answer every
+// question of the HIT is refused.
 func (l *LLM) SubmitExternal(hitID string, ans hit.Answers) error {
 	l.mu.Lock()
 	ph, ok := l.hits[hitID]
 	open := ok && !ph.disposed && ph.status.Open()
+	var h *hit.HIT
+	if ok {
+		h = ph.status.HIT
+	}
 	l.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("backend: llm: unknown HIT %s", hitID)
 	}
 	if !open {
 		return fmt.Errorf("backend: llm: HIT %s has no open assignments", hitID)
+	}
+	if err := h.CheckAnswers(ans); err != nil {
+		return fmt.Errorf("backend: llm: %w", err)
 	}
 	l.complete(hitID, ans, true)
 	return nil

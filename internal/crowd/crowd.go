@@ -26,6 +26,13 @@ type Oracle interface {
 	// For Rank/Rating tasks it returns the item's latent numeric score.
 	// Truth must not retain args: the pool reuses one slice across the
 	// pairs of a join grid.
+	//
+	// Truth must be pure: its answer may depend on task and args only,
+	// never on when or how often it is called. The pool calls it while
+	// claiming — under a claim stripe's lock, at the claim's place in
+	// the marketplace's schedule rather than when the assignment
+	// completes — so an oracle that kept state, or called back into the
+	// pool or the marketplace, would change or stall the simulation.
 	Truth(task string, args []relation.Value) relation.Value
 }
 
@@ -180,9 +187,9 @@ func clamp(x, lo, hi float64) float64 {
 }
 
 // Claim implements mturk.WorkerPool: it picks the soonest-free worker
-// of the HIT's stripe, reserves their time, and returns a claim whose
-// Answer callback produces (possibly noisy) answers for every question
-// in the HIT.
+// of the HIT's stripe, reserves their time, draws their (possibly
+// noisy) answer to every question of the HIT, and returns a claim whose
+// Answer callback delivers that sheet.
 func (p *Pool) Claim(h *hit.HIT, now mturk.VirtualTime) (mturk.Claim, bool) {
 	if len(p.stripes) == 0 {
 		return mturk.Claim{}, false
@@ -205,8 +212,8 @@ func (p *Pool) Claim(h *hit.HIT, now mturk.VirtualTime) (mturk.Claim, bool) {
 	finish := start + mturk.VirtualTime(service)
 	w.nextFree = finish
 	abandon := s.rng.Float64() < p.cfg.AbandonRate
-	// Pre-draw the per-question noise decisions under the lock so the
-	// Answer closure is pure and race-free.
+	// Draw the whole sheet under the lock so the Answer closure is
+	// race-free and the stripe's random sequence is the claim order's.
 	answer := p.prepareAnswersLocked(s, w, h, abandon)
 	return mturk.Claim{
 		WorkerID: w.id,
@@ -259,14 +266,13 @@ func (p *Pool) effectiveAccuracy(w *worker, questions int) float64 {
 	return w.skill * m
 }
 
-// prepareAnswersLocked draws all randomness now (from the stripe's
-// source, under its lock) and returns a closure that materializes the
-// answers. The draws go question by question in the HIT's order —
-// Items, or the Left×Right grid row by row — each drawing correct (for
-// non-spammers only), then u1, then u2. The closure reads the
-// questions' keys, tasks and arguments from the posted HIT when the
-// assignment completes; a posted HIT is immutable, so it copies none
-// of them.
+// prepareAnswersLocked draws the worker's answer sheet now, under the
+// stripe's lock, and returns a closure that delivers it. The draws go
+// question by question in the HIT's order — Items, or the Left×Right
+// grid row by row — each drawing correct (for non-spammers only), then
+// u1, then u2, and the question's answer goes straight into its slot of
+// the sheet. The closure only credits the worker's counts when the
+// assignment completes.
 func (p *Pool) prepareAnswersLocked(s *stripe, w *worker, h *hit.HIT, abandon bool) func() (hit.Answers, error) {
 	if abandon {
 		return func() (hit.Answers, error) {
@@ -274,43 +280,42 @@ func (p *Pool) prepareAnswersLocked(s *stripe, w *worker, h *hit.HIT, abandon bo
 		}
 	}
 	acc := p.effectiveAccuracy(w, effortOf(h))
-	plans := make([]answerPlan, h.QuestionCount())
-	for i := range plans {
-		plans[i].correct = !w.spammer && s.rng.Float64() < acc
-		plans[i].u1 = s.rng.Float64()
-		plans[i].u2 = s.rng.NormFloat64()
+	vals := make([]relation.Value, h.QuestionCount())
+	correct := 0
+	answer := func(i int, task string, args []relation.Value) {
+		c := !w.spammer && s.rng.Float64() < acc
+		u1 := s.rng.Float64()
+		u2 := s.rng.NormFloat64()
+		if c {
+			correct++
+		}
+		vals[i] = noisyAnswer(h.Response, p.oracle.Truth(task, args), c, w.spammer, u1, u2)
 	}
+	if h.Response.Kind == qlang.ResponseJoinColumns {
+		// One argument slice serves every pair (see Oracle).
+		var args []relation.Value
+		for i, l := range h.Left {
+			for j, r := range h.Right {
+				args = append(append(args[:0], l.Args...), r.Args...)
+				answer(i*len(h.Right)+j, h.Task, args)
+			}
+		}
+	} else {
+		for i, it := range h.Items {
+			answer(i, h.EffectiveTask(it), it.Args)
+		}
+	}
+	if h.Response.Kind == qlang.ResponseOrder {
+		hit.RankPositions(vals)
+	}
+	sheet := hit.Answers{WorkerID: w.id, Values: vals}
+	nCorrect := correct // a copy: capturing correct would move it to the heap
 	return func() (hit.Answers, error) {
-		vals := make(map[string]relation.Value, len(plans))
-		answer := func(pl answerPlan, task string, args []relation.Value) relation.Value {
-			return noisyAnswer(h.Response, p.oracle.Truth(task, args), pl.correct, w.spammer, pl.u1, pl.u2)
-		}
-		if h.Response.Kind == qlang.ResponseJoinColumns {
-			// One argument slice serves every pair (see Oracle).
-			var args []relation.Value
-			for i, l := range h.Left {
-				for j, r := range h.Right {
-					args = append(append(args[:0], l.Args...), r.Args...)
-					vals[hit.PairKey(l.Key, r.Key)] = answer(plans[i*len(h.Right)+j], h.Task, args)
-				}
-			}
-		} else {
-			for i, it := range h.Items {
-				vals[it.Key] = answer(plans[i], h.EffectiveTask(it), it.Args)
-			}
-		}
-		if h.Response.Kind == qlang.ResponseOrder {
-			rerank(vals, h.Items)
-		}
 		s.mu.Lock()
-		w.answered += len(plans)
-		for _, pl := range plans {
-			if pl.correct {
-				w.correct++
-			}
-		}
+		w.answered += len(sheet.Values)
+		w.correct += nCorrect
 		s.mu.Unlock()
-		return hit.Answers{WorkerID: w.id, Values: vals}, nil
+		return sheet, nil
 	}
 }
 
@@ -353,7 +358,8 @@ func noisyAnswer(resp qlang.Response, truth relation.Value, correct, spammer boo
 		}
 		return relation.NewString(resp.Options[idx])
 	case qlang.ResponseOrder:
-		// Return the noisy latent score; rerank() converts to ranks.
+		// Return the noisy latent score; hit.RankPositions converts
+		// the sheet's scores to ranks.
 		score := truth.Float()
 		if spammer {
 			// Spammers order without looking: a fresh uniform fake score
@@ -410,30 +416,6 @@ func corruptText(truth relation.Value, u float64) relation.Value {
 			return relation.NewString("") // left blank
 		}
 		return relation.NewString("(unknown)")
-	}
-}
-
-// answerPlan pre-draws one question's noise decisions under the pool
-// lock; the question itself is read from the HIT at answer time.
-type answerPlan struct {
-	correct bool
-	u1, u2  float64 // noise draws for wrong answers
-}
-
-// rerank converts latent noisy scores into rank positions 0..n-1
-// (ascending score = rank 0), as the Order form requires.
-func rerank(vals map[string]relation.Value, items []hit.Item) {
-	type kv struct {
-		key   string
-		score float64
-	}
-	scored := make([]kv, 0, len(items))
-	for _, it := range items {
-		scored = append(scored, kv{it.Key, vals[it.Key].Float()})
-	}
-	sort.SliceStable(scored, func(i, j int) bool { return scored[i].score < scored[j].score })
-	for rank, it := range scored {
-		vals[it.key] = relation.NewInt(int64(rank))
 	}
 }
 

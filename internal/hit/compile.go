@@ -163,21 +163,23 @@ func firstArg(it Item) relation.Value {
 	return relation.NewString(it.Key)
 }
 
-// ParseForm decodes a submitted form (as url.Values) into typed Answers
-// for this HIT. Missing radio/checkbox inputs decode to their negative or
-// NULL values, matching browser semantics.
+// ParseForm decodes a submitted form (as url.Values) into workerID's
+// answer sheet for this HIT, one value per question in question order.
+// Missing radio/checkbox inputs decode to their negative or NULL
+// values, matching browser semantics.
 func ParseForm(h *HIT, form url.Values, workerID string) (Answers, error) {
-	ans := Answers{WorkerID: workerID, Values: make(map[string]relation.Value)}
+	ans := Answers{WorkerID: workerID, Values: make([]relation.Value, h.QuestionCount())}
 	switch h.Response.Kind {
 	case qlang.ResponseJoinColumns:
+		i := 0
 		for _, l := range h.Left {
 			for _, r := range h.Right {
-				key := PairKey(l.Key, r.Key)
-				ans.Values[key] = relation.NewBool(form.Get(itemName("m", key)) == "match")
+				ans.Values[i] = relation.NewBool(form.Get(itemName("m", PairKey(l.Key, r.Key))) == "match")
+				i++
 			}
 		}
 	case qlang.ResponseForm:
-		for _, it := range h.Items {
+		for i, it := range h.Items {
 			fields := make([]relation.Field, 0, len(h.Response.Fields))
 			for _, f := range h.Response.Fields {
 				raw := form.Get(itemName("f", it.Key+"\x1e"+f.Label))
@@ -188,34 +190,34 @@ func ParseForm(h *HIT, form url.Values, workerID string) (Answers, error) {
 				fields = append(fields, relation.Field{Name: f.Label, Value: v})
 			}
 			if len(fields) == 1 && len(h.Response.Fields) == 1 {
-				ans.Values[it.Key] = fields[0].Value
+				ans.Values[i] = fields[0].Value
 			} else {
-				ans.Values[it.Key] = relation.NewTuple(fields...)
+				ans.Values[i] = relation.NewTuple(fields...)
 			}
 		}
 	case qlang.ResponseYesNo:
-		for _, it := range h.Items {
+		for i, it := range h.Items {
 			switch form.Get(itemName("yn", it.Key)) {
 			case "yes":
-				ans.Values[it.Key] = relation.NewBool(true)
+				ans.Values[i] = relation.NewBool(true)
 			case "no":
-				ans.Values[it.Key] = relation.NewBool(false)
+				ans.Values[i] = relation.NewBool(false)
 			default:
 				return Answers{}, fmt.Errorf("hit %s item %s: yes/no not answered", h.ID, it.Key)
 			}
 		}
 	case qlang.ResponseRating:
-		for _, it := range h.Items {
+		for i, it := range h.Items {
 			raw := form.Get(itemName("r", it.Key))
 			n, err := strconv.Atoi(raw)
 			if err != nil || n < h.Response.ScaleMin || n > h.Response.ScaleMax {
 				return Answers{}, fmt.Errorf("hit %s item %s: rating %q out of scale", h.ID, it.Key, raw)
 			}
-			ans.Values[it.Key] = relation.NewInt(int64(n))
+			ans.Values[i] = relation.NewInt(int64(n))
 		}
 	case qlang.ResponseOrder:
 		seen := make(map[int]bool, len(h.Items))
-		for _, it := range h.Items {
+		for i, it := range h.Items {
 			raw := form.Get(itemName("o", it.Key))
 			n, err := strconv.Atoi(raw)
 			if err != nil || n < 1 || n > len(h.Items) {
@@ -225,19 +227,19 @@ func ParseForm(h *HIT, form url.Values, workerID string) (Answers, error) {
 				return Answers{}, fmt.Errorf("hit %s: duplicate position %d", h.ID, n)
 			}
 			seen[n] = true
-			ans.Values[it.Key] = relation.NewInt(int64(n - 1))
+			ans.Values[i] = relation.NewInt(int64(n - 1))
 		}
 	case qlang.ResponseChoice:
 		valid := make(map[string]bool, len(h.Response.Options))
 		for _, o := range h.Response.Options {
 			valid[o] = true
 		}
-		for _, it := range h.Items {
+		for i, it := range h.Items {
 			raw := form.Get(itemName("c", it.Key))
 			if !valid[raw] {
 				return Answers{}, fmt.Errorf("hit %s item %s: choice %q invalid", h.ID, it.Key, raw)
 			}
-			ans.Values[it.Key] = relation.NewString(raw)
+			ans.Values[i] = relation.NewString(raw)
 		}
 	default:
 		return Answers{}, fmt.Errorf("hit %s: unsupported response kind %v", h.ID, h.Response.Kind)
@@ -254,21 +256,26 @@ func parseFieldValue(kind relation.Kind, raw string) (relation.Value, error) {
 }
 
 // EncodeAnswers is the inverse of ParseForm for the simulated crowd and
-// the HTTP task UI: it renders typed Answers as the url.Values a browser
-// would submit for this HIT's form.
+// the HTTP task UI: it renders an answer sheet as the url.Values a
+// browser would submit for this HIT's form. ans must answer every
+// question (see CheckAnswers).
 func EncodeAnswers(h *HIT, ans Answers) url.Values {
 	form := url.Values{}
 	form.Set("hit", h.ID)
 	switch h.Response.Kind {
 	case qlang.ResponseJoinColumns:
-		for key, v := range ans.Values {
-			if v.Truthy() {
-				form.Set(itemName("m", key), "match")
+		i := 0
+		for _, l := range h.Left {
+			for _, r := range h.Right {
+				if ans.Values[i].Truthy() {
+					form.Set(itemName("m", PairKey(l.Key, r.Key)), "match")
+				}
+				i++
 			}
 		}
 	case qlang.ResponseForm:
-		for _, it := range h.Items {
-			v := ans.Values[it.Key]
+		for i, it := range h.Items {
+			v := ans.Values[i]
 			if len(h.Response.Fields) == 1 {
 				form.Set(itemName("f", it.Key+"\x1e"+h.Response.Fields[0].Label), rawText(v))
 				continue
@@ -278,24 +285,24 @@ func EncodeAnswers(h *HIT, ans Answers) url.Values {
 			}
 		}
 	case qlang.ResponseYesNo:
-		for _, it := range h.Items {
-			if ans.Values[it.Key].Truthy() {
+		for i, it := range h.Items {
+			if ans.Values[i].Truthy() {
 				form.Set(itemName("yn", it.Key), "yes")
 			} else {
 				form.Set(itemName("yn", it.Key), "no")
 			}
 		}
 	case qlang.ResponseRating:
-		for _, it := range h.Items {
-			form.Set(itemName("r", it.Key), strconv.FormatInt(ans.Values[it.Key].Int(), 10))
+		for i, it := range h.Items {
+			form.Set(itemName("r", it.Key), strconv.FormatInt(ans.Values[i].Int(), 10))
 		}
 	case qlang.ResponseOrder:
-		for _, it := range h.Items {
-			form.Set(itemName("o", it.Key), strconv.FormatInt(ans.Values[it.Key].Int()+1, 10))
+		for i, it := range h.Items {
+			form.Set(itemName("o", it.Key), strconv.FormatInt(ans.Values[i].Int()+1, 10))
 		}
 	case qlang.ResponseChoice:
-		for _, it := range h.Items {
-			form.Set(itemName("c", it.Key), ans.Values[it.Key].Str())
+		for i, it := range h.Items {
+			form.Set(itemName("c", it.Key), ans.Values[i].Str())
 		}
 	}
 	return form

@@ -1,12 +1,16 @@
 // Package hit models Human Intelligence Tasks: the unit of work Qurk
 // posts to the (simulated) MTurk marketplace. It mirrors the paper's HIT
 // Compiler: a task (or a batch of tasks) is compiled into an HTML form a
-// turker fills out, and the submitted form is decoded back into typed
-// answer values keyed by the task that asked the question.
+// turker fills out, and the submitted form is decoded back into one
+// worker's answer sheet: one typed value per question, by the
+// question's position in the HIT. Item keys name the form's inputs and
+// the HTTP wire's answers; KeyedAnswers and AnswersFromKeyed convert a
+// sheet to and from that key-addressed form.
 package hit
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -15,9 +19,10 @@ import (
 	"repro/internal/relation"
 )
 
-// Item is one batched sub-question inside a HIT. Key routes the answer
-// back to the originating task; Args are the values rendered for the
-// worker (e.g. the company name, or the two images of a join pair).
+// Item is one batched sub-question inside a HIT. Key names the item's
+// form inputs and its answers on the HTTP wire; Args are the values
+// rendered for the worker (e.g. the company name, or the two images of
+// a join pair).
 //
 // Task and Prompt are set when several *different* operators share one
 // HIT (the paper's operator-grouping optimization: "generate HITs from a
@@ -40,14 +45,17 @@ func (h *HIT) EffectiveTask(it Item) string {
 
 // HIT is a compiled human task, possibly batching several Items.
 //
-// For JoinColumns HITs the Left and Right columns are rendered instead of
-// Items; the implied sub-questions are all Left×Right pairs, keyed by
-// PairKey.
+// Its questions are its Items, in order. For JoinColumns HITs the Left
+// and Right columns are rendered instead of Items; the implied
+// questions are all Left×Right pairs, row-major: cell (l, r) is
+// question l*len(Right)+r, and its form and wire name is
+// PairKey(Left[l].Key, Right[r].Key).
 //
 // A posted HIT is immutable. The marketplace, the backends and the worker
 // pools keep reading it after Post returns — the simulated crowd reads a
-// HIT's items only when an assignment completes — so neither the poster
-// nor a reader may change it, its Items or their Args.
+// HIT's items at every claim, and the marketplace checks each answer
+// sheet against it — so neither the poster nor a reader may change it,
+// its Items or their Args.
 type HIT struct {
 	ID          string
 	Task        string // task (UDF) name
@@ -64,13 +72,14 @@ type HIT struct {
 	GroupKeys []string
 }
 
-// PairKey builds the routing key for one cell of a JoinColumns grid.
+// PairKey builds the form and wire name of one cell of a JoinColumns
+// grid.
 func PairKey(leftKey, rightKey string) string {
 	return leftKey + "\x1f" + rightKey
 }
 
-// Keys returns every routing key this HIT will answer: item keys, or all
-// pair keys for a JoinColumns HIT.
+// Keys returns every question's form and wire name in question order:
+// item keys, or all pair keys for a JoinColumns HIT.
 func (h *HIT) Keys() []string {
 	if h.Response.Kind == qlang.ResponseJoinColumns {
 		keys := make([]string, 0, len(h.Left)*len(h.Right))
@@ -99,13 +108,94 @@ func (h *HIT) QuestionCount() int {
 	return len(h.Items)
 }
 
-// Answers maps routing keys to the typed value a worker produced.
-// For form/tuple tasks the value is a KindTuple; for filters and join
-// pairs a KindBool; for ratings a KindInt; for order responses a KindInt
-// rank (0 = first).
+// Answers is one worker's answer sheet for a HIT: Values[i] is the
+// typed value the worker gave the HIT's question i (see HIT for the
+// question order). For form/tuple tasks the value is a KindTuple; for
+// filters and join pairs a KindBool; for ratings a KindInt; for order
+// responses a KindInt rank (0 = first).
+//
+// A sheet answers every question: CheckAnswers holds it to
+// QuestionCount values. Every answerer fills one, and the Task Manager
+// keeps the sheets as the only copy of a HIT's answers until it
+// finalizes.
 type Answers struct {
 	WorkerID string
-	Values   map[string]relation.Value
+	Values   []relation.Value
+}
+
+// CheckAnswers reports an error unless ans answers every question of h
+// and no more. Sheets from outside the engine — an external
+// submission, a pluggable worker pool, a remote service — pass it
+// before they reach the Task Manager.
+func (h *HIT) CheckAnswers(ans Answers) error {
+	if n := h.QuestionCount(); len(ans.Values) != n {
+		return fmt.Errorf("hit %s: %d answers for %d questions", h.ID, len(ans.Values), n)
+	}
+	return nil
+}
+
+// KeyedAnswers returns ans addressed by question key (see Keys), the
+// form the HTTP wire carries. It fails on a sheet CheckAnswers rejects.
+func (h *HIT) KeyedAnswers(ans Answers) (map[string]relation.Value, error) {
+	if err := h.CheckAnswers(ans); err != nil {
+		return nil, err
+	}
+	keys := h.Keys()
+	out := make(map[string]relation.Value, len(keys))
+	for i, k := range keys {
+		out[k] = ans.Values[i]
+	}
+	return out, nil
+}
+
+// AnswersFromKeyed lays key-addressed answers out as workerID's sheet
+// in question order. Every question's key must be present and no other
+// key may be: a keyed assignment that skips a question or answers one
+// the HIT does not ask is rejected.
+func (h *HIT) AnswersFromKeyed(workerID string, keyed map[string]relation.Value) (Answers, error) {
+	keys := h.Keys()
+	ans := Answers{WorkerID: workerID, Values: make([]relation.Value, len(keys))}
+	for i, k := range keys {
+		v, ok := keyed[k]
+		if !ok {
+			return Answers{}, fmt.Errorf("hit %s: no answer for question %q", h.ID, k)
+		}
+		ans.Values[i] = v
+	}
+	if len(keyed) != len(keys) {
+		for k := range keyed {
+			if !slices.Contains(keys, k) {
+				return Answers{}, fmt.Errorf("hit %s: answer for unknown question %q", h.ID, k)
+			}
+		}
+		// Every key is the HIT's, yet the counts differ: the HIT
+		// repeats a key, which no keyed form can answer.
+		return Answers{}, fmt.Errorf("hit %s: repeated question key", h.ID)
+	}
+	return ans, nil
+}
+
+// RankPositions replaces each score in vals with its rank position
+// 0..n-1, as the Order form requires: ascending score, equal scores in
+// question order — the order a stable sort by < gives, NaNs included.
+func RankPositions(vals []relation.Value) {
+	order := make([]int, len(vals))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		fa, fb := vals[a].Float(), vals[b].Float()
+		if fa < fb {
+			return -1
+		}
+		if fb < fa {
+			return 1
+		}
+		return 0
+	})
+	for rank, i := range order {
+		vals[i] = relation.NewInt(int64(rank))
+	}
 }
 
 // RenderText substitutes a task's %s placeholders with the item's

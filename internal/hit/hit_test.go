@@ -179,12 +179,12 @@ func TestCompileEscapesHTML(t *testing.T) {
 
 func TestFormRoundTripForm(t *testing.T) {
 	h := questionHIT()
-	want := Answers{WorkerID: "w1", Values: map[string]relation.Value{
-		"t1": relation.NewTuple(
+	want := Answers{WorkerID: "w1", Values: []relation.Value{
+		relation.NewTuple(
 			relation.Field{Name: "CEO", Value: relation.NewString("Ada Lovelace")},
 			relation.Field{Name: "Phone", Value: relation.NewString("555-0100")},
 		),
-		"t2": relation.NewTuple(
+		relation.NewTuple(
 			relation.Field{Name: "CEO", Value: relation.NewString("Grace Hopper")},
 			relation.Field{Name: "Phone", Value: relation.NewString("555-0101")},
 		),
@@ -194,28 +194,32 @@ func TestFormRoundTripForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, v := range want.Values {
-		if !got.Values[k].Equal(v) {
-			t.Errorf("key %s: %v != %v", k, got.Values[k], v)
+	if len(got.Values) != len(want.Values) {
+		t.Fatalf("sheet = %v", got.Values)
+	}
+	for i, v := range want.Values {
+		if !got.Values[i].Equal(v) {
+			t.Errorf("question %d: %v != %v", i, got.Values[i], v)
 		}
 	}
 }
 
 func TestFormRoundTripJoin(t *testing.T) {
 	h := joinHIT()
-	want := Answers{Values: map[string]relation.Value{
-		PairKey("c1", "s1"): relation.NewBool(true),
-		PairKey("c2", "s1"): relation.NewBool(false),
-	}}
+	// Cells are row-major: (c1, s1) is question 0, (c2, s1) question 1.
+	want := Answers{Values: []relation.Value{relation.NewBool(true), relation.NewBool(false)}}
 	form := EncodeAnswers(h, want)
+	if form.Get(itemName("m", PairKey("c1", "s1"))) != "match" || form.Has(itemName("m", PairKey("c2", "s1"))) {
+		t.Fatalf("form = %v", form)
+	}
 	got, err := ParseForm(h, form, "w")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Values[PairKey("c1", "s1")].Bool() {
+	if !got.Values[0].Bool() {
 		t.Error("matched pair lost")
 	}
-	if got.Values[PairKey("c2", "s1")].Bool() {
+	if got.Values[1].Bool() {
 		t.Error("unmatched pair must decode false")
 	}
 }
@@ -235,14 +239,12 @@ func ratingHIT() *HIT {
 
 func TestFormRoundTripRating(t *testing.T) {
 	h := ratingHIT()
-	want := Answers{Values: map[string]relation.Value{
-		"a": relation.NewInt(4), "b": relation.NewInt(1),
-	}}
+	want := Answers{Values: []relation.Value{relation.NewInt(4), relation.NewInt(1)}}
 	got, err := ParseForm(h, EncodeAnswers(h, want), "w")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Values["a"].Int() != 4 || got.Values["b"].Int() != 1 {
+	if got.Values[0].Int() != 4 || got.Values[1].Int() != 1 {
 		t.Errorf("ratings = %v", got.Values)
 	}
 }
@@ -272,16 +274,14 @@ func orderHIT(n int) *HIT {
 
 func TestFormRoundTripOrder(t *testing.T) {
 	h := orderHIT(3)
-	want := Answers{Values: map[string]relation.Value{
-		"a": relation.NewInt(2), "b": relation.NewInt(0), "c": relation.NewInt(1),
-	}}
+	want := Answers{Values: []relation.Value{relation.NewInt(2), relation.NewInt(0), relation.NewInt(1)}}
 	got, err := ParseForm(h, EncodeAnswers(h, want), "w")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, v := range want.Values {
-		if got.Values[k].Int() != v.Int() {
-			t.Errorf("order %s = %v, want %v", k, got.Values[k], v)
+	for i, v := range want.Values {
+		if got.Values[i].Int() != v.Int() {
+			t.Errorf("order %d = %v, want %v", i, got.Values[i], v)
 		}
 	}
 }
@@ -303,12 +303,12 @@ func TestFormRoundTripYesNoAndChoice(t *testing.T) {
 		Items:       []Item{{Key: "x", Args: []relation.Value{relation.NewImage("x.png")}}},
 		RewardCents: 1, Assignments: 1,
 	}
-	want := Answers{Values: map[string]relation.Value{"x": relation.NewBool(true)}}
+	want := Answers{Values: []relation.Value{relation.NewBool(true)}}
 	got, err := ParseForm(yn, EncodeAnswers(yn, want), "w")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Values["x"].Bool() {
+	if !got.Values[0].Bool() {
 		t.Error("yes lost")
 	}
 	// Unanswered yes/no is an error, not a default.
@@ -323,13 +323,13 @@ func TestFormRoundTripYesNoAndChoice(t *testing.T) {
 		Items:       []Item{{Key: "s", Args: []relation.Value{relation.NewString("great!")}}},
 		RewardCents: 1, Assignments: 1,
 	}
-	wantC := Answers{Values: map[string]relation.Value{"s": relation.NewString("pos")}}
+	wantC := Answers{Values: []relation.Value{relation.NewString("pos")}}
 	gotC, err := ParseForm(ch, EncodeAnswers(ch, wantC), "w")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotC.Values["s"].Str() != "pos" {
-		t.Errorf("choice = %v", gotC.Values["s"])
+	if gotC.Values[0].Str() != "pos" {
+		t.Errorf("choice = %v", gotC.Values[0])
 	}
 	bad := url.Values{}
 	bad.Set("c_s", "meh")
@@ -347,13 +347,13 @@ func TestSingleFieldFormDecodesScalar(t *testing.T) {
 		Items:       []Item{{Key: "k", Args: []relation.Value{relation.NewImage("k.png")}}},
 		RewardCents: 1, Assignments: 1,
 	}
-	want := Answers{Values: map[string]relation.Value{"k": relation.NewString("a cat")}}
+	want := Answers{Values: []relation.Value{relation.NewString("a cat")}}
 	got, err := ParseForm(h, EncodeAnswers(h, want), "w")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Values["k"].Kind() != relation.KindString || got.Values["k"].Str() != "a cat" {
-		t.Errorf("scalar form = %v", got.Values["k"])
+	if got.Values[0].Kind() != relation.KindString || got.Values[0].Str() != "a cat" {
+		t.Errorf("scalar form = %v", got.Values[0])
 	}
 }
 
@@ -364,7 +364,7 @@ func TestEmptyFormFieldDecodesNull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := got.Values["t1"]
+	v := got.Values[0]
 	if !v.Field("CEO").IsNull() {
 		t.Errorf("empty input should be NULL, got %v", v)
 	}

@@ -17,7 +17,10 @@ type Claim struct {
 	// Delay is the virtual time from now until submission (queueing
 	// plus work time).
 	Delay time.Duration
-	// Answer produces the worker's answers; it runs at submission time.
+	// Answer delivers the worker's answer sheet (see hit.Answers); it
+	// runs at submission time. An error means the worker abandoned the
+	// assignment, which is reposted. A sheet that does not answer every
+	// question of the HIT fails the assignment.
 	Answer func() (hit.Answers, error)
 }
 
@@ -26,9 +29,9 @@ type Claim struct {
 type WorkerPool interface {
 	// Claim asks the pool to work on h starting at virtual time now.
 	// ok=false means no worker is currently willing (the marketplace
-	// retries after a backoff). h is immutable once posted, so the
-	// claim's Answer may read it when the assignment completes instead
-	// of copying what it needs at claim time.
+	// retries after a backoff). h is immutable once posted, so a pool
+	// may read it at claim time or when the assignment completes,
+	// without copying it.
 	Claim(h *hit.HIT, now VirtualTime) (Claim, bool)
 }
 
@@ -268,6 +271,12 @@ func (m *Marketplace) dispatch(h *hit.HIT, attempt int) {
 			m.clock.Schedule(m.RetryBackoff, func() { m.dispatch(h, attempt+1) })
 			return
 		}
+		if err := h.CheckAnswers(ans); err != nil {
+			// The pool is pluggable: a sheet it got wrong would be
+			// wrong on every retry, so the assignment fails.
+			m.assignmentFailed(h.ID, fmt.Errorf("mturk: %s's assignment: %w", claim.WorkerID, err))
+			return
+		}
 		ans.WorkerID = claim.WorkerID
 		m.complete(h.ID, ans, false)
 	})
@@ -360,18 +369,26 @@ func (m *Marketplace) ExtendAssignments(hitID string, extra int) error {
 
 // SubmitExternal accepts an assignment from a live human (the demo's
 // audience task-completion interface). It fails when the HIT is unknown
-// or already fully assigned.
+// or already fully assigned, or when ans does not answer every question
+// of the HIT.
 func (m *Marketplace) SubmitExternal(hitID string, ans hit.Answers) error {
 	sh := m.shardFor(hitID)
 	sh.mu.Lock()
 	ph, ok := sh.hits[hitID]
 	open := ok && ph.status.Open()
+	var h *hit.HIT
+	if ok {
+		h = ph.status.HIT
+	}
 	sh.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("mturk: unknown HIT %s", hitID)
 	}
 	if !open {
 		return fmt.Errorf("mturk: HIT %s has no open assignments", hitID)
+	}
+	if err := h.CheckAnswers(ans); err != nil {
+		return fmt.Errorf("mturk: %w", err)
 	}
 	m.complete(hitID, ans, true)
 	return nil

@@ -165,9 +165,9 @@ func (p *fakePool) Claim(h *hit.HIT, now VirtualTime) (Claim, bool) {
 			if abandon {
 				return hit.Answers{}, errors.New("abandoned")
 			}
-			vals := make(map[string]relation.Value)
-			for _, k := range h.Keys() {
-				vals[k] = relation.NewBool(true)
+			vals := make([]relation.Value, h.QuestionCount())
+			for i := range vals {
+				vals[i] = relation.NewBool(true)
 			}
 			return hit.Answers{Values: vals}, nil
 		},
@@ -298,6 +298,39 @@ func TestMarketplaceExhaustsRetries(t *testing.T) {
 	}
 }
 
+// shortSheetPool answers every claim at once with a sheet one answer
+// short of the HIT's questions.
+type shortSheetPool struct{ claims atomic.Int32 }
+
+func (p *shortSheetPool) Claim(h *hit.HIT, now VirtualTime) (Claim, bool) {
+	p.claims.Add(1)
+	return Claim{WorkerID: "w-short", Delay: time.Minute, Answer: func() (hit.Answers, error) {
+		return hit.Answers{Values: make([]relation.Value, h.QuestionCount()-1)}, nil
+	}}, true
+}
+
+// TestMarketplaceFailsMalformedSheet: a pool's sheet that does not
+// answer every question fails its assignment — reported to the error
+// handler, never delivered, and not reposted (it would be wrong again).
+func TestMarketplaceFailsMalformedSheet(t *testing.T) {
+	clock := NewClock()
+	pool := &shortSheetPool{}
+	m := NewMarketplace(clock, pool)
+	var failed atomic.Int32
+	m.SetErrorHandler(func(hitID string, err error) { failed.Add(1) })
+	h := filterHIT(m.NewHITID(), 2)
+	if err := m.Post(h, func(AssignmentResult) { t.Error("malformed sheet delivered") }); err != nil {
+		t.Fatal(err)
+	}
+	pump(t, clock, func() bool { return failed.Load() == 2 })
+	if n := pool.claims.Load(); n != 2 {
+		t.Errorf("claims = %d, want one per assignment", n)
+	}
+	if st, _ := m.Status(h.ID); st.Completed != 0 || st.Spent != 0 {
+		t.Errorf("status = %+v, want nothing completed or paid", st)
+	}
+}
+
 func TestSubmitExternal(t *testing.T) {
 	clock := NewClock()
 	// Simulated workers are slow so the external submission wins.
@@ -310,7 +343,14 @@ func TestSubmitExternal(t *testing.T) {
 		results = append(results, r)
 		mu.Unlock()
 	})
-	ans := hit.Answers{Values: map[string]relation.Value{"k1": relation.NewBool(false)}}
+	ans := hit.Answers{Values: []relation.Value{relation.NewBool(false)}}
+	// A sheet that does not answer exactly the HIT's one question is
+	// refused and fills no slot.
+	for _, bad := range [][]relation.Value{nil, {relation.NewBool(true), relation.NewBool(true)}} {
+		if err := m.SubmitExternal(h.ID, hit.Answers{Values: bad}); err == nil {
+			t.Errorf("submit of %d answers for 1 question accepted", len(bad))
+		}
+	}
 	if err := m.SubmitExternal(h.ID, ans); err != nil {
 		t.Fatal(err)
 	}

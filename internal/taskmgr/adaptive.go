@@ -134,9 +134,7 @@ func (fl *inflightHIT) votesByItem() (votes [][]infer.Vote, slots []int) {
 		}
 		start := len(backing)
 		for _, wa := range fl.byWorker {
-			if v, ok := wa.Values[fl.items[i].key]; ok {
-				backing = append(backing, infer.Vote{Worker: wa.WorkerID, Value: v})
-			}
+			backing = append(backing, infer.Vote{Worker: wa.WorkerID, Value: wa.Values[i]})
 		}
 		votes = append(votes, backing[start:len(backing):len(backing)])
 		slots = append(slots, i)

@@ -158,7 +158,6 @@ func (m *Manager) SubmitGroup(reqs []Request) error {
 		shares:   []hitShare{{scope: scope, items: len(items), cost: cost}},
 		cost:     cost,
 		items:    items,
-		answers:  answerSlots(len(items), pol.Assignments),
 		byWorker: make([]hit.Answers, 0, pol.Assignments),
 		needed:   pol.Assignments,
 		assign:   pol.Assignments,
@@ -216,20 +215,22 @@ func (m *Manager) finalizeGroup(fl *inflightHIT) {
 	resolved := resolvedBuf[:0]
 	var agreeSum float64
 	var agreeN int
+	k := len(fl.byWorker)
+	cols := byQuestion(fl.byWorker, len(fl.items))
 	for i := range fl.items {
 		item := &fl.items[i]
 		if item.detached {
 			continue
 		}
 		st := m.state(item.def.Name, item.def)
-		answers := fl.answers[i]
+		answers := answersOf(cols, i, k)
 		b, conf := stats.MajorityBool(answers)
 		out := Outcome{Value: relation.NewBool(b), Answers: answers, Agreement: conf}
 		st.agreement.Observe(conf)
 		agreeSum += conf
 		agreeN++
 		st.observeSelectivity(b, item.side)
-		m.noteWorkerVotes(fl.byWorker, item.key, b)
+		m.noteWorkerVotes(fl.byWorker, i, b)
 		var enc cache.Answers
 		if pol.UseCache {
 			enc = cache.EncodeAnswers(answers)

@@ -15,8 +15,8 @@ import (
 )
 
 // JoinItem is one row shown in a column of the two-column join interface
-// (Figure 3). Key is the operator's routing key; Args the rendered
-// values (typically one image).
+// (Figure 3). Key names the row in the HIT's form and on the wire; Args
+// are the rendered values (typically one image).
 type JoinItem struct {
 	Key  string
 	Args []relation.Value
@@ -31,9 +31,10 @@ type JoinItem struct {
 // Cached pairs are answered for free; if every pair is cached no HIT is
 // posted. Otherwise the grid shrinks to the rows/columns still needed
 // (workers answer all shown pairs; fresh answers refresh the cache).
-// Keys route the workers' answers, so they must be distinct within each
-// column: a grid that would post a repeated key resolves each of its
-// uncached pairs with an error, and posts and charges nothing.
+// Keys name the grid's cells in the HIT's form and on the wire, so they
+// must be distinct within each column: a grid that would post a
+// repeated key resolves each of its uncached pairs with an error, and
+// posts and charges nothing.
 func (m *Manager) JoinBlock(def *qlang.TaskDef, left, right []JoinItem, done func(l, r int, out Outcome)) {
 	m.JoinBlockIn(nil, def, left, right, done)
 }
@@ -167,13 +168,12 @@ func (m *Manager) JoinBlockIn(scope *Scope, def *qlang.TaskDef, left, right []Jo
 	st.questionsAsked += int64(len(rows) * len(cols))
 	st.mu.Unlock()
 
-	// The HIT's cells, row-major over h.Left×h.Right.
+	// The HIT's cells, row-major over h.Left×h.Right: cell i is the
+	// HIT's question i.
 	cells := make([]joinCell, 0, len(rows)*len(cols))
 	for _, l := range rows {
 		for _, r := range cols {
-			c := grid[l*len(right)+r]
-			c.key = hit.PairKey(left[l].Key, right[r].Key)
-			cells = append(cells, c)
+			cells = append(cells, grid[l*len(right)+r])
 		}
 	}
 	fl := &joinInflight{
@@ -182,7 +182,7 @@ func (m *Manager) JoinBlockIn(scope *Scope, def *qlang.TaskDef, left, right []Jo
 		scope:    scope,
 		cost:     cost,
 		cells:    cells,
-		answers:  answerSlots(len(cells), pol.Assignments),
+		byWorker: make([]hit.Answers, 0, pol.Assignments),
 		needed:   pol.Assignments,
 		postedAt: m.market.Clock().Now(),
 		backend:  m.servingBackend(def),
@@ -218,7 +218,6 @@ func (m *Manager) JoinBlockIn(scope *Scope, def *qlang.TaskDef, left, right []Jo
 // joinCell is one cell of a join grid, from the walk that asks to the
 // finalize that answers.
 type joinCell struct {
-	key  string           // PairKey routing the cell's answers (posted cells only)
 	args []relation.Value // left's arguments, then right's
 	ckey cache.Key        // task cache key of args, encoded once
 	l, r int              // the caller's left and right positions
@@ -296,15 +295,15 @@ func repeatedKey(items []JoinItem, at []int) (string, bool) {
 
 // joinInflight collects the assignments of one join-grid HIT. Each cell
 // of the grid, and its answers, sit at the cell's position: cells are
-// row-major over the HIT's Left×Right columns, and answers[i] collects
-// cells[i]'s votes in arrival order.
+// row-major over the HIT's Left×Right columns, so cells[i] is question
+// i of every sheet in byWorker (arrival order), the only copy of its
+// votes until finalize.
 type joinInflight struct {
 	state    *taskState
 	def      *qlang.TaskDef
 	scope    *Scope       // owning query scope (nil = unscoped)
 	cost     budget.Cents // charged at post time
 	cells    []joinCell
-	answers  [][]relation.Value
 	byWorker []hit.Answers
 	received int
 	needed   int
@@ -331,11 +330,6 @@ func (m *Manager) onJoinAssignment(res mturk.AssignmentResult) {
 	if !ok {
 		s.mu.Unlock()
 		return
-	}
-	for i := range fl.cells {
-		if v, ok := res.Answers.Values[fl.cells[i].key]; ok {
-			fl.answers[i] = append(fl.answers[i], v)
-		}
 	}
 	fl.byWorker = append(fl.byWorker, res.Answers)
 	fl.received++
@@ -375,15 +369,17 @@ func (m *Manager) finalizeJoin(fl *joinInflight) {
 	}
 	resolved := make([]joinOutcome, 0, waiting)
 	var agreeSum float64
+	k := len(fl.byWorker)
+	cols := byQuestion(fl.byWorker, len(fl.cells))
 	for i := range fl.cells {
 		c := &fl.cells[i]
-		answers := fl.answers[i]
+		answers := answersOf(cols, i, k)
 		b, conf := stats.MajorityBool(answers)
 		out := Outcome{Value: relation.NewBool(b), Answers: answers, Agreement: conf}
 		st.agreement.Observe(conf)
 		agreeSum += conf
 		st.selectivity.Observe(b)
-		m.noteWorkerVotes(fl.byWorker, c.key, b)
+		m.noteWorkerVotes(fl.byWorker, i, b)
 		var enc cache.Answers
 		if pol.UseCache {
 			enc = cache.EncodeAnswers(answers)

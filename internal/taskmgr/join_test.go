@@ -203,12 +203,13 @@ func TestJoinShrinkMatchesReference(t *testing.T) {
 		waited := map[string]bool{}
 		for i, c := range fl.cells {
 			lk, rk := gotLeft[i/len(gotRight)], gotRight[i%len(gotRight)]
-			if c.key != hit.PairKey(lk, rk) || left[c.l].Key != lk || right[c.r].Key != rk {
+			// Cell i is the HIT's question i: row-major over its columns.
+			if left[c.l].Key != lk || right[c.r].Key != rk {
 				t.Fatalf("trial %d: cell %d is (%s, %s) at (%d, %d), want (%s, %s)",
 					trial, i, left[c.l].Key, right[c.r].Key, c.l, c.r, lk, rk)
 			}
 			if c.wait {
-				waited[c.key] = true
+				waited[hit.PairKey(lk, rk)] = true
 			}
 		}
 		for _, p := range unresolved {

@@ -12,8 +12,9 @@ import (
 	"repro/internal/store"
 )
 
-// RankItem is one row shown in an S-way comparison (Order) HIT. Key is
-// the sort operator's routing key; Args the rendered values.
+// RankItem is one row shown in an S-way comparison (Order) HIT. Key
+// names the row in the HIT's form and on the wire; Args are the
+// rendered values.
 type RankItem struct {
 	Key  string
 	Args []relation.Value
@@ -190,26 +191,17 @@ func (m *Manager) finalizeRank(fl *rankInflight) {
 		j.Append(store.Record{Kind: store.KindLatency, Task: fl.def.Name, X: latencyMin})
 	}
 
-	// Every complete ranking's Rank is carved from one backing array; an
-	// incomplete one's slots are reused by the next.
+	// Every ranking's Rank is carved from one backing array: Rank[i] is
+	// question i of the assignment's sheet.
 	n := len(fl.items)
-	rankings := make([]Ranking, 0, len(fl.byWorker))
+	rankings := make([]Ranking, len(fl.byWorker))
 	backing := make([]int, n*len(fl.byWorker))
-	for _, ans := range fl.byWorker {
-		rank := backing[:n:n]
-		complete := true
-		for i := range fl.items {
-			v, ok := ans.Values[fl.items[i].Key]
-			if !ok {
-				complete = false
-				break
-			}
+	for w, ans := range fl.byWorker {
+		rank := backing[w*n : (w+1)*n : (w+1)*n]
+		for i, v := range ans.Values[:n] {
 			rank[i] = int(v.Int())
 		}
-		if complete {
-			rankings = append(rankings, Ranking{WorkerID: ans.WorkerID, Rank: rank})
-			backing = backing[n:]
-		}
+		rankings[w] = Ranking{WorkerID: ans.WorkerID, Rank: rank}
 	}
 
 	// Pairwise agreement across assignments: for every item pair, the

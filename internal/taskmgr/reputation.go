@@ -23,11 +23,13 @@ type workerRecord struct {
 	agreed int64
 }
 
-// noteWorkerVotes credits or strikes every worker who answered key on
-// this HIT, based on the majority outcome. It takes the dedicated
-// reputation lock (never m.mu) so the marketplace's worker filter can
-// consult reputations while the manager is posting under m.mu.
-func (m *Manager) noteWorkerVotes(byWorker []hit.Answers, key string, majority bool) {
+// noteWorkerVotes credits or strikes every worker whose sheet answered
+// question q of this HIT, based on the majority outcome; every sheet
+// answers every question, and only sheets without a worker ID are
+// skipped. It takes the dedicated reputation lock (never m.mu) so the
+// marketplace's worker filter can consult reputations while the manager
+// is posting under m.mu.
+func (m *Manager) noteWorkerVotes(byWorker []hit.Answers, q int, majority bool) {
 	j := m.getJournal()
 	m.repMu.Lock()
 	if m.workers == nil {
@@ -39,10 +41,10 @@ func (m *Manager) noteWorkerVotes(byWorker []hit.Answers, key string, majority b
 	}
 	var votes []vote
 	for _, wa := range byWorker {
-		v, ok := wa.Values[key]
-		if !ok || wa.WorkerID == "" {
+		if wa.WorkerID == "" {
 			continue
 		}
+		v := wa.Values[q]
 		rec, ok := m.workers[wa.WorkerID]
 		if !ok {
 			rec = &workerRecord{}

@@ -413,18 +413,18 @@ type hitShare struct {
 // inflightHIT is one posted batch or group HIT while it collects
 // assignments. Its items are held by position: item i is hit.Items[i],
 // items[i] (the pending item that asked, with its Done callback) and
-// answers[i] (the raw answers in arrival order), from the cut until the
-// item resolves, so no path looks an item up by key. A scope that
-// withdraws from a shared HIT marks its items detached under the
-// stripe lock; finalization, the all-failed path and the EM vote
-// builder skip them.
+// question i of every sheet in byWorker, from the cut until the item
+// resolves, so no path looks an item up by key. The sheets, in arrival
+// order, are the only copy of the answers until finalize lays them out
+// per item. A scope that withdraws from a shared HIT marks its items
+// detached under the stripe lock; finalization, the all-failed path and
+// the EM vote builder skip them.
 type inflightHIT struct {
 	hit      *hit.HIT
 	state    *taskState
 	shares   []hitShare   // per-scope stakes; one entry for unshared HITs
 	cost     budget.Cents // total charged at post time (sum of shares)
 	items    []pendingItem
-	answers  [][]relation.Value
 	byWorker []hit.Answers
 	received int
 	needed   int
@@ -454,18 +454,27 @@ type inflightHIT struct {
 	extSpans []*obs.Span
 }
 
-// answerSlots pre-sizes n items' answer lists from one backing array.
-// Each list is capped at the assignment cap, so an append past it — a
-// Done callback may append to its Outcome.Answers, and an adaptive HIT
-// never exceeds the cap — reallocates instead of writing into the
-// neighbouring item's answers.
-func answerSlots(n, capA int) [][]relation.Value {
-	answers := make([][]relation.Value, n)
-	backing := make([]relation.Value, n*capA)
-	for i := range answers {
-		answers[i], backing = backing[:0:capA], backing[capA:]
+// byQuestion lays a HIT's answer sheets out question by question in
+// one backing array of n questions × len(sheets): question i's answers,
+// in arrival order, are byQuestion(...)[i*k : (i+1)*k] for k sheets.
+// Finalize reads each question's list through answersOf.
+func byQuestion(sheets []hit.Answers, n int) []relation.Value {
+	k := len(sheets)
+	backing := make([]relation.Value, n*k)
+	for w := range sheets {
+		for i, v := range sheets[w].Values[:n] {
+			backing[i*k+w] = v
+		}
 	}
-	return answers
+	return backing
+}
+
+// answersOf returns question i's answers from a byQuestion array over
+// k sheets. The list is capped at its length, so a Done callback that
+// appends to its Outcome.Answers reallocates instead of writing into
+// the next question's answers.
+func answersOf(backing []relation.Value, i, k int) []relation.Value {
+	return backing[i*k : (i+1)*k : (i+1)*k]
 }
 
 // unregister forgets the HIT at every participating scope.
@@ -1317,7 +1326,6 @@ func (m *Manager) postBatch(st *taskState, batch []pendingItem, queuedAt mturk.V
 		shares:   shares,
 		cost:     cost,
 		items:    live,
-		answers:  answerSlots(len(live), pol.Assignments),
 		byWorker: make([]hit.Answers, 0, pol.Assignments),
 		needed:   postAssign,
 		assign:   postAssign,
@@ -1377,11 +1385,6 @@ func (m *Manager) onAssignment(res mturk.AssignmentResult) {
 	if !ok {
 		s.mu.Unlock()
 		return
-	}
-	for i := range fl.hit.Items {
-		if v, ok := res.Answers.Values[fl.hit.Items[i].Key]; ok {
-			fl.answers[i] = append(fl.answers[i], v)
-		}
 	}
 	fl.byWorker = append(fl.byWorker, res.Answers)
 	fl.received++
@@ -1478,12 +1481,14 @@ func (m *Manager) finalizeInflight(fl *inflightHIT) {
 	st.mu.Unlock()
 	var agreeSum float64
 	var agreeN int
+	k := len(fl.byWorker)
+	cols := byQuestion(fl.byWorker, len(fl.items))
 	for i := range fl.items {
 		item := &fl.items[i]
 		if item.detached {
 			continue
 		}
-		answers := fl.answers[i]
+		answers := answersOf(cols, i, k)
 		out := reduce(item.def, answers)
 		if posts != nil && len(answers) > 0 {
 			out.Value = posts[i].Value
@@ -1494,7 +1499,7 @@ func (m *Manager) finalizeInflight(fl *inflightHIT) {
 		agreeN++
 		if isBooleanTask(item.def) {
 			st.observeSelectivity(out.Value.Truthy(), item.side)
-			m.noteWorkerVotes(fl.byWorker, item.key, out.Value.Truthy())
+			m.noteWorkerVotes(fl.byWorker, i, out.Value.Truthy())
 		}
 		var enc cache.Answers
 		if pol.UseCache {
