@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"strconv"
+	"strings"
 )
 
 // MarshalBinary implements encoding.BinaryMarshaler using the canonical
@@ -25,7 +26,13 @@ func (v *Value) UnmarshalBinary(data []byte) error {
 }
 
 // DecodeValue parses one canonically encoded value from data, returning
-// the value and the unconsumed remainder. It is the inverse of Encode.
+// the value and the unconsumed remainder. It is the inverse of Encode
+// and accepts exactly what Encode writes — no sign or leading zero on a
+// number that Encode would not write, only 't' or 'f' for a bool, tuple
+// fields in name order — so a decoded value re-encodes to the bytes it
+// consumed. Every count and length comes from the input, so none may
+// exceed the bytes left after it: a corrupt count fails the decode
+// instead of sizing an allocation.
 func DecodeValue(data []byte) (Value, []byte, error) {
 	if len(data) == 0 {
 		return Null, nil, fmt.Errorf("relation: empty encoding")
@@ -52,7 +59,7 @@ func DecodeValue(data []byte) (Value, []byte, error) {
 		var num string
 		num, rest = takeUntil(rest, '|')
 		i, perr := strconv.ParseInt(num, 10, 64)
-		if perr != nil {
+		if perr != nil || !canonicalInt(num) {
 			return Null, nil, fmt.Errorf("relation: bad int encoding %q", num)
 		}
 		if len(rest) == 0 {
@@ -63,7 +70,8 @@ func DecodeValue(data []byte) (Value, []byte, error) {
 		var num string
 		num, rest = takeUntil(rest, '|')
 		f, perr := strconv.ParseFloat(num, 64)
-		if perr != nil {
+		var buf [32]byte
+		if perr != nil || string(strconv.AppendFloat(buf[:0], f, 'g', -1, 64)) != num {
 			return Null, nil, fmt.Errorf("relation: bad float encoding %q", num)
 		}
 		if len(rest) == 0 {
@@ -73,6 +81,9 @@ func DecodeValue(data []byte) (Value, []byte, error) {
 	case KindBool:
 		if len(rest) == 0 {
 			return Null, nil, fmt.Errorf("relation: truncated bool")
+		}
+		if rest[0] != 't' && rest[0] != 'f' {
+			return Null, nil, fmt.Errorf("relation: bad bool encoding %q", rest[0])
 		}
 		v = NewBool(rest[0] == 't')
 		rest = rest[1:]
@@ -94,7 +105,7 @@ func DecodeValue(data []byte) (Value, []byte, error) {
 			}
 			elems = append(elems, e)
 		}
-		v = NewList(elems...)
+		v = Value{kind: KindList, ext: &composite{list: elems}}
 	case KindTuple:
 		var n int
 		n, rest, err = decodeCount(rest)
@@ -111,6 +122,9 @@ func DecodeValue(data []byte) (Value, []byte, error) {
 			if err != nil {
 				return Null, nil, err
 			}
+			if i > 0 && name < fields[i-1].Name {
+				return Null, nil, fmt.Errorf("relation: tuple field %q out of order", name)
+			}
 			var fv Value
 			fv, rest, err = DecodeValue(rest)
 			if err != nil {
@@ -118,7 +132,9 @@ func DecodeValue(data []byte) (Value, []byte, error) {
 			}
 			fields = append(fields, Field{Name: name, Value: fv})
 		}
-		v = NewTuple(fields...)
+		// Encode writes NewTuple's name order, which the check above
+		// holds the input to; fields sharing a name keep theirs.
+		v = Value{kind: KindTuple, ext: &composite{fields: fields}}
 	default:
 		return Null, nil, fmt.Errorf("relation: bad kind byte %q", data[0])
 	}
@@ -130,13 +146,12 @@ func DecodeValue(data []byte) (Value, []byte, error) {
 
 // decodeLenPrefixed parses "len:bytes".
 func decodeLenPrefixed(data []byte) (string, []byte, error) {
-	numStr, rest := takeUntil(data, ':')
-	if len(rest) == 0 {
-		return "", nil, fmt.Errorf("relation: missing length separator")
+	n, rest, err := decodeCount(data)
+	if err != nil {
+		return "", nil, err
 	}
-	n, err := strconv.Atoi(numStr)
-	if err != nil || n < 0 {
-		return "", nil, fmt.Errorf("relation: bad length %q", numStr)
+	if len(rest) == 0 || rest[0] != ':' {
+		return "", nil, fmt.Errorf("relation: missing length separator")
 	}
 	rest = rest[1:]
 	if len(rest) < n {
@@ -145,20 +160,41 @@ func decodeLenPrefixed(data []byte) (string, []byte, error) {
 	return string(rest[:n]), rest[n:], nil
 }
 
-// decodeCount parses a decimal count that is followed by ';' or '|'.
+// decodeCount parses the decimal count or length that starts data:
+// digits only, without a leading zero, and no larger than the bytes
+// left after it (every counted element or byte takes at least one).
 func decodeCount(data []byte) (int, []byte, error) {
-	i := 0
+	i, n := 0, 0
 	for i < len(data) && data[i] >= '0' && data[i] <= '9' {
+		n = n*10 + int(data[i]-'0')
 		i++
+		if n > len(data)-i {
+			return 0, nil, fmt.Errorf("relation: count %q exceeds the bytes left", string(data[:i]))
+		}
 	}
 	if i == 0 {
 		return 0, nil, fmt.Errorf("relation: missing count")
 	}
-	n, err := strconv.Atoi(string(data[:i]))
-	if err != nil {
-		return 0, nil, err
+	if i > 1 && data[0] == '0' {
+		return 0, nil, fmt.Errorf("relation: count %q has a leading zero", string(data[:i]))
 	}
 	return n, data[i:], nil
+}
+
+// canonicalInt reports whether num is an integer as strconv.FormatInt
+// writes it: an optional '-', then digits without a leading zero, and
+// never "-0".
+func canonicalInt(num string) bool {
+	digits := strings.TrimPrefix(num, "-")
+	if digits == "" || (digits[0] == '0' && len(num) > 1) {
+		return false
+	}
+	for i := 0; i < len(digits); i++ {
+		if digits[i] < '0' || digits[i] > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 // takeUntil splits data at the first occurrence of sep, returning the

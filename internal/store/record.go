@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"iter"
 	"math"
 	"sort"
 
@@ -492,20 +493,18 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// CacheEntry is one replayed cache entry. Its Answers is the string the
-// state holds, so installing it in a cache copies nothing.
-type CacheEntry struct {
-	Key     cache.Key
-	Answers cache.Answers
-}
-
-// CacheEntries returns the replayed cache contents in first-seen order.
-func (s *State) CacheEntries() []CacheEntry {
-	out := make([]CacheEntry, 0, len(s.cacheOrder))
-	for _, key := range s.cacheOrder {
-		out = append(out, CacheEntry{Key: key, Answers: s.cache[key]})
+// CacheEntries yields the replayed cache contents in first-seen order,
+// in place: each entry's answers are the string the state holds, so
+// installing them in a cache copies nothing. The state must not change
+// while the sequence is walked.
+func (s *State) CacheEntries() iter.Seq2[cache.Key, cache.Answers] {
+	return func(yield func(cache.Key, cache.Answers) bool) {
+		for _, key := range s.cacheOrder {
+			if !yield(key, s.cache[key]) {
+				return
+			}
+		}
 	}
-	return out
 }
 
 // StatTasks returns every task with replayed statistics, sorted.

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -81,11 +82,11 @@ func TestReplayRoundTrip(t *testing.T) {
 		t.Fatal("clean close replayed as corrupt")
 	}
 	var after uint64
-	var entries []CacheEntry
+	var entries []cacheEntry
 	var sel map[string]struct{ P, T float64 }
 	s2.View(func(st *State) {
 		after = st.Fingerprint()
-		entries = st.CacheEntries()
+		entries = cacheEntries(st)
 		sel = map[string]struct{ P, T float64 }{}
 		for side, c := range st.Selectivities("isCeleb") {
 			sel[side] = struct{ P, T float64 }{c.Passes, c.Trials}
@@ -111,6 +112,21 @@ func TestReplayRoundTrip(t *testing.T) {
 	if info.Examples != 1 {
 		t.Fatalf("examples = %d", info.Examples)
 	}
+}
+
+// cacheEntry is one entry State.CacheEntries yields.
+type cacheEntry struct {
+	Key     cache.Key
+	Answers cache.Answers
+}
+
+// cacheEntries collects st's cache entries in the order they are yielded.
+func cacheEntries(st *State) []cacheEntry {
+	var out []cacheEntry
+	for key, answers := range st.CacheEntries() {
+		out = append(out, cacheEntry{key, answers})
+	}
+	return out
 }
 
 // TestTornWriteRecoversPrefix is the crash-safety acceptance test:
@@ -453,8 +469,8 @@ func TestAppendQueueBoundAndOrder(t *testing.T) {
 		t.Fatalf("stalled writer: appended %d dropped %d, want %d and %d", st.Appended, st.Dropped, bound, extra)
 	}
 	waitWritten(t, s, bound)
-	var entries []CacheEntry
-	s.View(func(st *State) { entries = st.CacheEntries() })
+	var entries []cacheEntry
+	s.View(func(st *State) { entries = cacheEntries(st) })
 	if len(entries) != bound {
 		t.Fatalf("%d cache entries, want %d", len(entries), bound)
 	}
@@ -495,5 +511,37 @@ func TestDecodeArgsRoundTrip(t *testing.T) {
 	}
 	if len(got) != 3 || got[0].Str() != "x" || got[1].Int() != 42 || !got[2].Truthy() {
 		t.Fatalf("decoded = %v", got)
+	}
+}
+
+// TestOpenStopsAtOversizedAnswerCount: a CRC-valid cache-entry frame
+// whose answer is a list claiming more elements than it has bytes fails
+// to decode, so replay stops there — keeping the record before it and
+// dropping the one after — instead of sizing a slice from the count.
+func TestOpenStopsAtOversizedAnswerCount(t *testing.T) {
+	bad := []byte("61000000000000000|")
+	answers := cache.Answers(append(binary.AppendUvarint(binary.AppendUvarint(nil, 1), uint64(len(bad))), bad...))
+	seg := []byte(segMagic)
+	seg = appendRecordFrame(seg, Record{Kind: KindCacheEntry, Task: "isCat", Args: "k1",
+		Answers: cache.EncodeAnswers([]relation.Value{relation.NewBool(true)})})
+	seg = appendRecordFrame(seg, Record{Kind: KindCacheEntry, Task: "isCat", Args: "k2", Answers: answers})
+	seg = appendRecordFrame(seg, Record{Kind: KindLatency, Task: "isCat", X: 2})
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, segFileName(1)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if !s.Replay().CorruptTail {
+		t.Error("replay did not report the bad frame")
+	}
+	var records int64
+	var entries []cacheEntry
+	s.View(func(st *State) { records, entries = st.Records(), cacheEntries(st) })
+	if records != 1 || len(entries) != 1 || entries[0].Key.Args != "k1" {
+		t.Fatalf("replayed %d records, cache %+v; want only the first record", records, entries)
 	}
 }

@@ -32,13 +32,13 @@ type RestoreSummary struct {
 func (m *Manager) Restore(s *store.State) RestoreSummary {
 	sum := RestoreSummary{EntriesByTask: make(map[string]int64)}
 
-	for _, e := range s.CacheEntries() {
+	for key, answers := range s.CacheEntries() {
 		// The cache and the state share each replayed list; neither
 		// copies it.
-		m.cache.Put(e.Key, e.Answers)
+		m.cache.Put(key, answers)
 		sum.CacheEntries++
-		sum.CacheAnswers += int64(e.Answers.Len())
-		sum.EntriesByTask[e.Key.Task]++
+		sum.CacheAnswers += int64(answers.Len())
+		sum.EntriesByTask[key.Task]++
 	}
 
 	for _, task := range s.StatTasks() {
