@@ -78,7 +78,7 @@ func benchCaseTraced(b *testing.B, name string) {
 // BenchmarkFilterPipelineTraced / BenchmarkJoinGridTraced: the two
 // acceptance pipelines with a live span tree per run.
 func BenchmarkFilterPipelineTraced(b *testing.B) { benchCaseTraced(b, "FilterPipeline") }
-func BenchmarkJoinGridTraced(b *testing.B)      { benchCaseTraced(b, "JoinGrid") }
+func BenchmarkJoinGridTraced(b *testing.B)       { benchCaseTraced(b, "JoinGrid") }
 
 // BenchmarkDistinct: 4096 rows hashing down to 256 distinct values.
 func BenchmarkDistinct(b *testing.B) { benchCase(b, "Distinct") }
