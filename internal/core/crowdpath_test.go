@@ -9,11 +9,13 @@ import (
 	"os"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/budget"
 	"repro/internal/crowd"
 	"repro/internal/exec"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -77,6 +79,22 @@ type crowdPathRun struct {
 	Answered   int      `json:"worker_answered"`
 	Correct    int      `json:"worker_correct"`
 	PoolHash   string   `json:"pool_hash"`
+	// JournalRecords and JournalHash pin every record the manager
+	// journals, in order: what finalize learns and in which order.
+	JournalRecords int    `json:"journal_records"`
+	JournalHash    string `json:"journal_hash"`
+}
+
+// journalRecorder keeps every record a manager journals, in order.
+type journalRecorder struct {
+	mu   sync.Mutex
+	recs []store.Record
+}
+
+func (j *journalRecorder) Append(rec store.Record) {
+	j.mu.Lock()
+	j.recs = append(j.recs, rec)
+	j.mu.Unlock()
 }
 
 // crowdPathShape is one query shape over a fresh engine per seed.
@@ -143,6 +161,8 @@ func runCrowdPath(t *testing.T, sh crowdPathShape, seed int64) crowdPathRun {
 		t.Fatal(err)
 	}
 	defer e.Close()
+	journal := &journalRecorder{}
+	e.Manager().SetJournal(journal)
 	for _, tab := range ds.Tables {
 		if err := e.Register(tab); err != nil {
 			t.Fatal(err)
@@ -213,6 +233,15 @@ func runCrowdPath(t *testing.T, sh crowdPathShape, seed int64) crowdPathRun {
 		run.Correct += w.Correct
 	}
 	run.PoolHash = fmt.Sprintf("%016x", h.Sum64())
+	h.Reset()
+	journal.mu.Lock()
+	for _, r := range journal.recs {
+		fmt.Fprintf(h, "%d %q %q %q %q %q %t %v %v %d %d\n",
+			r.Kind, r.Task, r.Side, r.Worker, r.Args, r.Answers, r.Pass, r.X, r.Y, r.N, r.M)
+	}
+	run.JournalRecords = len(journal.recs)
+	journal.mu.Unlock()
+	run.JournalHash = fmt.Sprintf("%016x", h.Sum64())
 	return run
 }
 
@@ -220,7 +249,8 @@ func runCrowdPath(t *testing.T, sh crowdPathShape, seed int64) crowdPathRun {
 // spend, HITs posted, every cached item's raw answers in arrival order
 // and the simulated workers' tallies — for the batch, grouped, adaptive,
 // join-grid (full, shrunk by a partly filled cache, and over budget)
-// and rank HIT kinds at two seeds, against a committed fixture. A
+// and rank HIT kinds at two seeds, and every record the manager
+// journals, in order, against a committed fixture. A
 // refactor of how HITs carry their items must leave every
 // figure unchanged: an answer routed to the wrong item changes the
 // cache hash. When the fixture is missing the test writes it and fails.
