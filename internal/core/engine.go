@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -246,6 +247,13 @@ const recentQueries = 64
 
 // New builds and starts an engine; callers must Close it.
 func New(cfg Config) (*Engine, error) {
+	if inf := cfg.Inference; inf != nil {
+		switch strings.ToLower(strings.TrimSpace(inf.Method)) {
+		case "", "majority", "em":
+		default:
+			return nil, fmt.Errorf("core: unknown inference method %q (want majority or em)", inf.Method)
+		}
+	}
 	var pool mturk.WorkerPool
 	var simPool *crowd.Pool
 	if cfg.Pool != nil {

@@ -60,3 +60,24 @@ func TestEngineInferenceAdaptiveRedundancy(t *testing.T) {
 		t.Fatalf("dashboard lacks the inference panel:\n%s", out)
 	}
 }
+
+// TestEngineRejectsUnknownInferenceMethod: an unknown method would run
+// majority voting silently, so New refuses it; the known ones pass in
+// any case, as SetInference normalises them.
+func TestEngineRejectsUnknownInferenceMethod(t *testing.T) {
+	oracle := workload.Photos(1, 0.5, 0.5, 1).Oracle
+	for _, method := range []string{"bradleyterry", "EM2", "dawid-skene"} {
+		if e, err := New(Config{Oracle: oracle, Inference: &InferenceConfig{Method: method}}); err == nil {
+			e.Close()
+			t.Errorf("method %q: New accepted it", method)
+		}
+	}
+	for _, method := range []string{"", "majority", "EM", " em "} {
+		e, err := New(Config{Oracle: oracle, Inference: &InferenceConfig{Method: method}})
+		if err != nil {
+			t.Errorf("method %q: %v", method, err)
+			continue
+		}
+		e.Close()
+	}
+}

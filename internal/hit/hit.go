@@ -307,7 +307,10 @@ func (h *HIT) Validate() error {
 		if len(h.Items) != 0 {
 			return fmt.Errorf("hit %s: JoinColumns must not also carry Items", h.ID)
 		}
-		return nil
+		if err := checkColumn(h.ID, "left", h.Left); err != nil {
+			return err
+		}
+		return checkColumn(h.ID, "right", h.Right)
 	}
 	if len(h.Items) == 0 {
 		return fmt.Errorf("hit %s: no items", h.ID)
@@ -321,6 +324,23 @@ func (h *HIT) Validate() error {
 			return fmt.Errorf("hit %s: duplicate item key %q", h.ID, it.Key)
 		}
 		seen[it.Key] = true
+	}
+	return nil
+}
+
+// checkColumn rejects a JoinColumns column whose keys are empty or
+// repeat: a grid's keys name its cells on the wire. Columns are a few
+// items, so a nested scan does without a map.
+func checkColumn(id, side string, col []Item) error {
+	for i, it := range col {
+		if it.Key == "" {
+			return fmt.Errorf("hit %s: %s column item with empty key", id, side)
+		}
+		for _, prev := range col[:i] {
+			if prev.Key == it.Key {
+				return fmt.Errorf("hit %s: %s column repeats key %q", id, side, it.Key)
+			}
+		}
 	}
 	return nil
 }

@@ -107,6 +107,24 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateJoinColumnKeys: a grid's keys name its cells on the wire,
+// so a column that repeats a key or has an empty one is refused.
+func TestValidateJoinColumnKeys(t *testing.T) {
+	cases := map[string]func(*HIT){
+		"repeated left key":  func(h *HIT) { h.Left[1].Key = h.Left[0].Key },
+		"repeated right key": func(h *HIT) { h.Right = append(h.Right, Item{Key: h.Right[0].Key}) },
+		"empty left key":     func(h *HIT) { h.Left[0].Key = "" },
+		"empty right key":    func(h *HIT) { h.Right[0].Key = "" },
+	}
+	for name, mutate := range cases {
+		h := joinHIT()
+		mutate(h)
+		if err := h.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted the grid", name)
+		}
+	}
+}
+
 func TestRenderText(t *testing.T) {
 	params := []qlang.Param{{Name: "companyName", Kind: relation.KindString}}
 	got := RenderText("Find the CEO of %s.", []string{"companyName"}, params, []relation.Value{relation.NewString("Acme")})

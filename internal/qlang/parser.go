@@ -926,6 +926,22 @@ func validateTask(t *TaskDef) error {
 	if t.MinAssignments != 0 && t.Assignments != 0 && t.MinAssignments > t.Assignments {
 		return fmt.Errorf("task %s: MinAssignments %d exceeds Assignments %d", t.Name, t.MinAssignments, t.Assignments)
 	}
+	// An answer tuple's fields are looked up by exact name, and a Form's
+	// labels name its inputs, so neither may repeat a name.
+	for i, r := range t.Returns {
+		for _, prev := range t.Returns[:i] {
+			if prev.Name == r.Name {
+				return fmt.Errorf("task %s: RETURNS repeats field %q", t.Name, r.Name)
+			}
+		}
+	}
+	for i, f := range t.Response.Fields {
+		for _, prev := range t.Response.Fields[:i] {
+			if prev.Label == f.Label {
+				return fmt.Errorf("task %s: Form repeats field %q", t.Name, f.Label)
+			}
+		}
+	}
 	switch t.Type {
 	case TaskJoinPredicate:
 		if t.Response.Kind != ResponseJoinColumns && t.Response.Kind != ResponseYesNo {

@@ -1,6 +1,7 @@
 package qlang
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -112,6 +113,33 @@ func TestParsePaperTask1(t *testing.T) {
 	}
 	if task.Response.Fields[0].Label != "CEO" || task.Response.Fields[0].Kind != relation.KindString {
 		t.Errorf("field 0 = %v", task.Response.Fields[0])
+	}
+}
+
+// TestTaskRejectsRepeatedFieldNames: a tuple answer's fields are found
+// by exact name and a Form's labels name its inputs, so a task that
+// repeats either is refused; names differing only in case are distinct.
+func TestTaskRejectsRepeatedFieldNames(t *testing.T) {
+	const src = `
+TASK findCEO(String companyName)
+RETURNS (String %s, String %s):
+  TaskType: Question
+  Text: "Find the CEO of %%s", companyName
+  Response: Form(("%s", String), ("%s", String))
+`
+	bad := map[string][4]string{
+		"RETURNS":  {"CEO", "CEO", "CEO", "Phone"},
+		"Form":     {"CEO", "Phone", "CEO", "CEO"},
+		"both":     {"CEO", "CEO", "CEO", "CEO"},
+		"RETURNS2": {"Phone", "Phone", "CEO", "Phone"},
+	}
+	for name, n := range bad {
+		if _, err := ParseTaskDef(fmt.Sprintf(src, n[0], n[1], n[2], n[3])); err == nil {
+			t.Errorf("%s: a repeated field name parsed without error", name)
+		}
+	}
+	if _, err := ParseTaskDef(fmt.Sprintf(src, "CEO", "ceo", "CEO", "ceo")); err != nil {
+		t.Errorf("names differing in case: %v", err)
 	}
 }
 

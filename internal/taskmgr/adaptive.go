@@ -61,7 +61,7 @@ func (m *Manager) InferenceMethod() string {
 	return "majority"
 }
 
-// inferencePlan resolves one batch's effective aggregator, stopping
+// inferencePlan resolves one HIT's effective aggregator, stopping
 // target, and adaptive posting floor. The task's Infer: property wins
 // over the engine-wide method. A nil aggregator is the majority path —
 // byte-identical to the seed. Rating tasks always reduce by mean and
@@ -119,17 +119,18 @@ func (m *Manager) workerPrior(worker string) (acc, weight float64) {
 	return num / weight, weight
 }
 
-// votesByItem rebuilds per-item vote lists (in HIT item order, so fits
-// are deterministic) from the collected per-worker answer sheets,
-// skipping detached items; slots gives each list's item slot. The lists
+// votesByItem rebuilds per-question vote lists (in question order, so
+// fits are deterministic) from the collected per-worker answer sheets,
+// skipping detached items; slots gives each list's question. The lists
 // share one backing array. Called under the stripe lock or after the
 // HIT left the in-flight table.
 func (fl *inflightHIT) votesByItem() (votes [][]infer.Vote, slots []int) {
-	votes = make([][]infer.Vote, 0, len(fl.items))
-	slots = make([]int, 0, len(fl.items))
-	backing := make([]infer.Vote, 0, len(fl.items)*len(fl.byWorker))
-	for i := range fl.items {
-		if fl.items[i].detached {
+	n := fl.hit.QuestionCount()
+	votes = make([][]infer.Vote, 0, n)
+	slots = make([]int, 0, n)
+	backing := make([]infer.Vote, 0, n*len(fl.byWorker))
+	for i := 0; i < n; i++ {
+		if fl.detached(i) {
 			continue
 		}
 		start := len(backing)

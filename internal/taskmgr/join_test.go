@@ -195,7 +195,7 @@ func TestJoinShrinkMatchesReference(t *testing.T) {
 
 		s := m.flights.stripeFor(posted.ID)
 		s.mu.Lock()
-		fl := s.joins[posted.ID]
+		fl := s.hits[posted.ID]
 		s.mu.Unlock()
 		if len(fl.cells) != len(gotLeft)*len(gotRight) {
 			t.Fatalf("trial %d: %d cells for a %dx%d grid", trial, len(fl.cells), len(gotLeft), len(gotRight))

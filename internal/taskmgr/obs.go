@@ -118,8 +118,31 @@ func attributeOps(fl *inflightHIT, cost budget.Cents) {
 	fl.opSpans = ops
 }
 
-// traceBatchMetrics records the posting-time metrics for a batch HIT
-// that actually reached the marketplace.
+// traceHITPosted records the posting metrics of a HIT of any kind that
+// reached its backend: the HIT and its cost per task (and per labeled
+// scope), and one more HIT in flight.
+func (m *Manager) traceHITPosted(fl *inflightHIT) {
+	if fl.span == nil {
+		return
+	}
+	reg := m.obsRegistry()
+	if reg == nil {
+		return
+	}
+	task := fl.hit.Task
+	reg.Counter(obs.MetricHITsPosted, obs.L("task", task), obs.L("backend", fl.backend)).Add(1)
+	reg.Counter(obs.MetricCostCents, obs.L("task", task)).Add(int64(fl.cost))
+	for i := range fl.shares {
+		if label := fl.shares[i].scope.labelNow(); label != "" {
+			reg.Counter(obs.MetricCostCents, obs.L("task", task), obs.L("scope", label)).Add(int64(fl.shares[i].cost))
+		}
+	}
+	reg.Gauge(obs.MetricInflightHITs).Add(1)
+}
+
+// traceBatchMetrics records the batch-only posting metrics of a batch
+// HIT that reached the marketplace: the batch count, its admission wait
+// and its fill.
 func (m *Manager) traceBatchMetrics(fl *inflightHIT, pol Policy, queuedAt mturk.VirtualTime) {
 	if fl.span == nil {
 		return
@@ -130,14 +153,6 @@ func (m *Manager) traceBatchMetrics(fl *inflightHIT, pol Policy, queuedAt mturk.
 	}
 	task := fl.hit.Task
 	reg.Counter(obs.MetricBatchesPosted, obs.L("task", task)).Add(1)
-	reg.Counter(obs.MetricHITsPosted, obs.L("task", task), obs.L("backend", fl.backend)).Add(1)
-	reg.Counter(obs.MetricCostCents, obs.L("task", task)).Add(int64(fl.cost))
-	for i := range fl.shares {
-		if label := fl.shares[i].scope.labelNow(); label != "" {
-			reg.Counter(obs.MetricCostCents, obs.L("task", task), obs.L("scope", label)).Add(int64(fl.shares[i].cost))
-		}
-	}
-	reg.Gauge(obs.MetricInflightHITs).Add(1)
 	if queuedAt > 0 {
 		reg.Histogram(obs.MetricAdmissionWait, obs.MinuteBuckets, obs.L("task", task)).
 			Observe((fl.postedAt - queuedAt).Minutes())
@@ -146,8 +161,8 @@ func (m *Manager) traceBatchMetrics(fl *inflightHIT, pol Policy, queuedAt mturk.
 		Observe(float64(len(fl.items)) / float64(pol.BatchSize))
 }
 
-// traceHITPostFailed closes the spans of a batch HIT the marketplace
-// refused (everything was refunded; no gauge was ever incremented).
+// traceHITPostFailed closes the span of a HIT its backend refused
+// (everything was refunded; no gauge was ever incremented).
 func (m *Manager) traceHITPostFailed(fl *inflightHIT, err error) {
 	if fl.span == nil {
 		return
@@ -196,11 +211,11 @@ func (m *Manager) traceExtension(s *flightStripe, hitID string, fl *inflightHIT,
 	}
 }
 
-// traceHITDone closes out a finalized HIT: assignments are attributed
-// to the submitting operators, inference posteriors (posts, by item
-// slot, when an EM fit resolved the answers) are annotated in HIT item
-// order, and the round-trip and extension-depth distributions observe
-// the completion.
+// traceHITDone closes out a finalized HIT of any kind: assignments are
+// attributed to the submitting operators, inference posteriors (posts,
+// by question, when an EM fit resolved the answers) are annotated under
+// each question's key in question order, and the round-trip and
+// extension-depth distributions observe the completion.
 func (m *Manager) traceHITDone(fl *inflightHIT, latencyMin float64, posts []infer.Posterior) {
 	sp := fl.span
 	if sp == nil {
@@ -209,9 +224,12 @@ func (m *Manager) traceHITDone(fl *inflightHIT, latencyMin float64, posts []infe
 	for _, op := range fl.opSpans {
 		op.AddAssignments(int64(fl.assign))
 	}
-	for i, p := range posts {
-		if !fl.items[i].detached {
-			sp.Annotate("posterior."+fl.items[i].key, fmt.Sprintf("%v p=%.3f", p.Value, p.Confidence))
+	if posts != nil {
+		keys := fl.hit.Keys()
+		for i, p := range posts {
+			if !fl.detached(i) {
+				sp.Annotate("posterior."+keys[i], fmt.Sprintf("%v p=%.3f", p.Value, p.Confidence))
+			}
 		}
 	}
 	sp.End()
@@ -271,67 +289,26 @@ func (m *Manager) traceHITCanceled(fl *inflightHIT, refund budget.Cents, expired
 	}
 }
 
-// traceDirectHIT opens a HIT span for the single-post paths — grouped,
-// join-grid and comparison HITs — parented to the scope's query span
-// (or a synthetic root when unscoped), and records the posting metrics.
-func (m *Manager) traceDirectHIT(scope *Scope, hitID, task, backendName string, cost budget.Cents) *obs.Span {
+// traceDirectHIT opens the HIT span of a grouped, grid or comparison
+// HIT, parented to the scope's query span (or a synthetic root when
+// unscoped). Like traceBatchSpans it runs before the HIT becomes
+// visible to completions; the posting metrics follow once the backend
+// accepts the HIT (traceHITPosted).
+func (m *Manager) traceDirectHIT(fl *inflightHIT, scope *Scope) *obs.Span {
 	tr := m.getObs()
 	if tr == nil {
 		return nil
 	}
 	var sp *obs.Span
 	if parent := scope.Span(); parent != nil {
-		sp = parent.Child(obs.KindHIT, hitID)
+		sp = parent.Child(obs.KindHIT, fl.hit.ID)
 	} else {
-		sp = tr.StartRoot(obs.KindHIT, hitID)
+		sp = tr.StartRoot(obs.KindHIT, fl.hit.ID)
 	}
-	sp.Annotate("task", task)
-	sp.Annotate("backend", backendName)
+	sp.Annotate("task", fl.hit.Task)
+	sp.Annotate("backend", fl.backend)
 	sp.AddHITs(1)
-	sp.AddCost(int64(cost))
-	if reg := tr.Registry(); reg != nil {
-		reg.Counter(obs.MetricHITsPosted, obs.L("task", task), obs.L("backend", backendName)).Add(1)
-		reg.Counter(obs.MetricCostCents, obs.L("task", task)).Add(int64(cost))
-		reg.Gauge(obs.MetricInflightHITs).Add(1)
-	}
+	sp.AddCost(int64(fl.cost))
+	fl.span = sp
 	return sp
-}
-
-// traceDirectAssignment mirrors traceAssignment for the join/rank
-// in-flight types. Called with the stripe lock held.
-func (m *Manager) traceDirectAssignment(sp *obs.Span, task, workerID string) {
-	if sp == nil {
-		return
-	}
-	sp.Child(obs.KindAssignment, workerID).End()
-	sp.AddAssignments(1)
-	if reg := m.obsRegistry(); reg != nil {
-		reg.Counter(obs.MetricAssignments, obs.L("task", task)).Add(1)
-	}
-}
-
-// traceDirectDone closes a join/rank HIT span at finalization.
-func (m *Manager) traceDirectDone(sp *obs.Span, task, backendName string, latencyMin float64) {
-	if sp == nil {
-		return
-	}
-	sp.End()
-	if reg := m.obsRegistry(); reg != nil {
-		reg.Histogram(obs.MetricHITRoundTrip, obs.MinuteBuckets,
-			obs.L("task", task), obs.L("backend", backendName)).Observe(latencyMin)
-		reg.Gauge(obs.MetricInflightHITs).Add(-1)
-	}
-}
-
-// traceDirectGone closes a join/rank HIT span that is retiring without
-// finalizing — canceled by its scope or starved of assignments.
-func (m *Manager) traceDirectGone(sp *obs.Span, reason string) {
-	if sp == nil {
-		return
-	}
-	sp.Annotate("error", reason)
-	sp.End()
-	if reg := m.obsRegistry(); reg != nil {
-		reg.Gauge(obs.MetricInflightHITs).Add(-1)
-	}
 }

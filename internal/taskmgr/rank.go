@@ -5,8 +5,6 @@ import (
 
 	"repro/internal/budget"
 	"repro/internal/hit"
-	"repro/internal/mturk"
-	"repro/internal/obs"
 	"repro/internal/qlang"
 	"repro/internal/relation"
 	"repro/internal/store"
@@ -32,7 +30,9 @@ type Ranking struct {
 // through the Order response and calls done exactly once with every
 // assignment's full ranking (fewer than the policy's redundancy when
 // assignments failed terminally; none plus an error when the HIT could
-// not complete at all).
+// not complete at all). The HIT lives through the same lifecycle as
+// every other HIT, at the policy's fixed redundancy: answer inference
+// does not apply to rankings.
 //
 // Unlike Submit, comparison items are never answered from the Task
 // Cache or a Task Model: an Order answer is a position *within this
@@ -65,6 +65,7 @@ func (m *Manager) RankBlockIn(scope *Scope, def *qlang.TaskDef, items []RankItem
 	st.submitted += int64(len(items))
 	st.mu.Unlock()
 
+	fl := m.openHIT(kindRank, def, st, pol, false)
 	price := m.priceFor(def, pol)
 	h := &hit.HIT{
 		ID:          m.market.NewHITID(),
@@ -74,7 +75,7 @@ func (m *Manager) RankBlockIn(scope *Scope, def *qlang.TaskDef, items []RankItem
 		Question:    hit.RenderText(def.Text, def.TextArgs, def.Params, nil),
 		Response:    rankResponse(def),
 		RewardCents: price,
-		Assignments: pol.Assignments,
+		Assignments: fl.assign,
 		Items:       make([]hit.Item, len(items)),
 	}
 	if h.Question == "" {
@@ -83,117 +84,27 @@ func (m *Manager) RankBlockIn(scope *Scope, def *qlang.TaskDef, items []RankItem
 	for i, it := range items {
 		h.Items[i] = hit.Item{Key: it.Key, Args: it.Args}
 	}
-
-	cost := budget.Cents(price * int64(pol.Assignments))
-	if err := scope.spend(cost); err != nil {
+	fl.hit, fl.rankDone = h, done
+	if err := m.chargeSole(fl, scope, budget.Cents(price*int64(fl.assign))); err != nil {
 		failErr = fmt.Errorf("taskmgr: %s: %w", def.Name, err)
 		return
 	}
-	if err := m.account.Spend(cost); err != nil {
-		scope.refund(cost)
-		failErr = fmt.Errorf("taskmgr: %s: %w", def.Name, err)
-		return
+	m.countPosted(fl)
+	if sp := m.traceDirectHIT(fl, scope); sp != nil {
+		sp.Annotate("group_size", fmt.Sprintf("%d", len(items)))
 	}
-	st.mu.Lock()
-	st.spent += cost
-	st.hitsPosted++
-	st.questionsAsked += int64(len(items))
-	st.mu.Unlock()
-
-	fl := &rankInflight{
-		state:    st,
-		def:      def,
-		scope:    scope,
-		cost:     cost,
-		items:    h.Items,
-		needed:   pol.Assignments,
-		postedAt: m.market.Clock().Now(),
-		backend:  m.servingBackend(def),
-		reward:   price,
-		done:     done,
-	}
-	fl.span = m.traceDirectHIT(scope, h.ID, def.Name, fl.backend, cost)
-	fl.span.Annotate("group_size", fmt.Sprintf("%d", len(items)))
-	s := m.flights.stripeFor(h.ID)
-	s.mu.Lock()
-	if s.ranks == nil {
-		s.ranks = make(map[string]*rankInflight)
-	}
-	s.ranks[h.ID] = fl
-	s.mu.Unlock()
-	if err := m.post(h, m.onRankAssignment); err != nil {
-		s.mu.Lock()
-		delete(s.ranks, h.ID)
-		s.mu.Unlock()
-		m.traceDirectGone(fl.span, err.Error())
-		m.account.Refund(cost)
-		scope.refund(cost)
-		failErr = fmt.Errorf("taskmgr: post %s: %v", def.Name, err)
-		return
-	}
-	if cause := scope.registerHIT(h.ID); cause != nil {
-		// The scope was canceled while the HIT was being posted; its
-		// Cancel waits for this post, so expire the HIT before ending it.
-		m.cancelScopeHIT(h.ID, scope, cause)
-	}
+	failErr = m.launch(fl)
 }
 
-// rankInflight collects the assignments of one comparison HIT.
-type rankInflight struct {
-	state    *taskState
-	def      *qlang.TaskDef
-	scope    *Scope
-	cost     budget.Cents
-	items    []hit.Item // the posted HIT's items, in HIT order
-	byWorker []hit.Answers
-	received int
-	needed   int
-	postedAt mturk.VirtualTime
-	backend  string // serving backend name, recorded at post time
-	reward   int64  // per-assignment price actually charged
-	done     func([]Ranking, error)
-	span     *obs.Span // HIT trace span (nil = tracing off)
-}
-
-func (m *Manager) onRankAssignment(res mturk.AssignmentResult) {
-	s := m.flights.stripeFor(res.HITID)
-	s.mu.Lock()
-	fl, ok := s.ranks[res.HITID]
-	if !ok {
-		s.mu.Unlock()
-		return
-	}
-	fl.byWorker = append(fl.byWorker, res.Answers)
-	fl.received++
-	m.traceDirectAssignment(fl.span, fl.def.Name, res.Answers.WorkerID)
-	if fl.received < fl.needed {
-		s.mu.Unlock()
-		return
-	}
-	delete(s.ranks, res.HITID)
-	s.mu.Unlock()
-	fl.scope.unregisterHIT(res.HITID)
-	m.finalizeRank(fl)
-	m.disposeRetired(res.HITID)
-}
-
-// finalizeRank turns the collected assignments into per-assignment
-// rankings, feeds the comparison agreement estimator (and the journal,
-// so warm-started engines seed ChooseRankStrategy with real evidence),
-// and resolves the caller. No manager lock is held while it runs.
-func (m *Manager) finalizeRank(fl *rankInflight) {
-	st := fl.state
-	latencyMin := (m.market.Clock().Now() - fl.postedAt).Minutes()
-	st.latency.Observe(latencyMin)
-	m.traceDirectDone(fl.span, fl.def.Name, fl.backend, latencyMin)
-	j := m.getJournal()
-	if j != nil {
-		j.Append(store.Record{Kind: store.KindLatency, Task: fl.def.Name, X: latencyMin})
-	}
-
+// finalizeRank is a comparison HIT's resolve step: it turns the
+// collected sheets into per-assignment rankings, feeds the comparison
+// agreement estimator (and the journal, so warm-started engines seed
+// ChooseRankStrategy with real evidence), and hands the rankings to the
+// caller. No manager lock is held while it runs.
+func (m *Manager) finalizeRank(fl *inflightHIT, j Journal, latencyMin float64) {
 	// Every ranking's Rank is carved from one backing array: Rank[i] is
 	// question i of the assignment's sheet.
-	n := len(fl.items)
+	n := len(fl.hit.Items)
 	rankings := make([]Ranking, len(fl.byWorker))
 	backing := make([]int, n*len(fl.byWorker))
 	for w, ans := range fl.byWorker {
@@ -211,14 +122,14 @@ func (m *Manager) finalizeRank(fl *rankInflight) {
 	// hybrid window model uses.
 	m.noteWorkerRankings(n, rankings)
 	if share, pairs := pairAgreement(n, rankings); pairs > 0 {
-		st.rankAgreementEstimator().Observe(share)
-		st.agreement.Observe(share)
+		fl.state.rankAgreementEstimator().Observe(share)
+		fl.state.agreement.Observe(share)
 		if j != nil {
-			j.Append(store.Record{Kind: store.KindRankPair, Task: fl.def.Name, X: share, N: int64(pairs)})
+			j.Append(store.Record{Kind: store.KindRankPair, Task: fl.hit.Task, X: share, N: int64(pairs)})
 		}
-		m.observeBackend(fl.backend, fl.def.Type, fl.reward, latencyMin, share)
+		m.observeBackend(fl.backend, fl.hit.Type, fl.hit.RewardCents, latencyMin, share)
 	}
-	fl.done(rankings, nil)
+	fl.rankDone(rankings, nil)
 }
 
 // pairAgreement computes the mean majority share over all item pairs of

@@ -72,7 +72,7 @@ func (m *Manager) enqueueBatch(st *taskState, batch []pendingItem) {
 			prio = it.priority
 		}
 	}
-	charged := shareOut(batch, cost)
+	charged := shareOut(batch, cost, nil)
 	for _, sh := range charged {
 		sh.scope.addQueuedCost(sh.cost)
 	}

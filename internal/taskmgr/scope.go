@@ -404,118 +404,87 @@ func (m *Manager) sweepCanceledPending(s *Scope, cause error) {
 	}
 }
 
-// cancelScopeHIT withdraws one scope's stake from a posted HIT. For a
-// HIT the scope holds alone — the default, and every join/rank HIT —
-// that is full expiry: the HIT is removed from the in-flight table (so
-// a racing completion finalizes nothing), disposed at the marketplace,
-// its uncompleted assignments refunded, and every outstanding item
-// resolved with the cause. For a HIT shared with other live scopes the
-// stake merely detaches: the scope's items resolve with the cause, its
-// share of the cost covering assignments not yet completed refunds,
-// and the HIT keeps running for the remaining participants. The stripe
-// lock arbitrates against finalization, so each item still resolves
-// exactly once.
+// cancelScopeHIT withdraws one scope's stake from a posted HIT of any
+// kind. For a HIT the scope holds alone — the default, and every group,
+// grid and comparison HIT — that is full expiry: the HIT is removed
+// from the in-flight table (so a racing completion finalizes nothing),
+// disposed at the backend, its uncompleted assignments refunded, and
+// everything it still owes resolved with the cause. For a HIT shared
+// with other live scopes the stake merely detaches: the scope's items
+// resolve with the cause, its share of the cost covering assignments
+// not yet completed refunds, and the HIT keeps running for the
+// remaining participants. The stripe lock arbitrates against
+// finalization, so each question still resolves exactly once.
 func (m *Manager) cancelScopeHIT(hitID string, sc *Scope, cause error) {
 	str := m.flights.stripeFor(hitID)
 	str.mu.Lock()
-	if fl, ok := str.hits[hitID]; ok {
-		idx, live := -1, 0
-		for i := range fl.shares {
-			if fl.shares[i].detached {
-				continue
-			}
-			live++
-			if fl.shares[i].scope == sc {
-				idx = i
-			}
-		}
-		if idx < 0 {
-			// The scope's share already detached (or was never here);
-			// nothing left to withdraw.
-			str.mu.Unlock()
-			return
-		}
-		sh := &fl.shares[idx]
-		if live > 1 {
-			// Detach: the HIT survives for the other participants. The
-			// scope's items are marked detached so finalization skips
-			// them, and its share of the not-yet-completed assignments
-			// refunds; the consumed remainder stays on sh.cost so a
-			// later full expiry cannot refund it again.
-			sh.detached = true
-			items := make([]pendingItem, 0, sh.items)
-			for i := range fl.items {
-				if it := &fl.items[i]; it.scope == sc && !it.detached {
-					it.detached = true
-					items = append(items, *it)
-				}
-			}
-			refund := unconsumed(sh.cost, fl.assign, fl.received)
-			sh.cost -= refund
-			m.traceHITCanceled(fl, refund, false)
-			str.mu.Unlock()
-			if refund > 0 {
-				m.account.Refund(refund)
-				sc.refund(refund)
-			}
-			for _, it := range items {
-				it.done(Outcome{Err: fmt.Errorf("taskmgr: %s: %w", it.def.Name, cause)})
-			}
-			return
-		}
-		// Sole live participant: full expiry. The refund and its trace
-		// record are computed under the stripe lock (a racing extension
-		// could otherwise append to extSpans mid-read); the marketplace
-		// and ledgers are only touched after release.
-		delete(str.hits, hitID)
-		refund := unconsumed(sh.cost, fl.assign, fl.received)
-		m.traceHITCanceled(fl, refund, true)
+	fl, ok := str.hits[hitID]
+	if !ok {
 		str.mu.Unlock()
-		m.market.Dispose(hitID)
+		return
+	}
+	idx, live := -1, 0
+	for i := range fl.shares {
+		if fl.shares[i].detached {
+			continue
+		}
+		live++
+		if fl.shares[i].scope == sc {
+			idx = i
+		}
+	}
+	if idx < 0 {
+		// The scope's share already detached (or was never here);
+		// nothing left to withdraw.
+		str.mu.Unlock()
+		return
+	}
+	sh := &fl.shares[idx]
+	err := fmt.Errorf("taskmgr: %s: %w", fl.hit.Task, cause)
+	if live > 1 {
+		// Detach: the HIT survives for the other participants. The
+		// scope's items are marked detached so finalization skips them,
+		// and its share of the not-yet-completed assignments refunds;
+		// the consumed remainder stays on sh.cost so a later full expiry
+		// cannot refund it again.
+		sh.detached = true
+		dones := make([]func(Outcome), 0, sh.items)
+		for i := range fl.items {
+			if it := &fl.items[i]; it.scope == sc && !it.detached {
+				it.detached = true
+				dones = append(dones, it.done)
+			}
+		}
+		refund := unconsumed(sh.cost, fl.assign, fl.received)
+		sh.cost -= refund
+		m.traceHITCanceled(fl, refund, false)
+		str.mu.Unlock()
 		if refund > 0 {
 			m.account.Refund(refund)
 			sc.refund(refund)
 		}
-		for i := range fl.items {
-			if item := &fl.items[i]; !item.detached {
-				item.done(Outcome{Err: fmt.Errorf("taskmgr: %s: %w", item.def.Name, cause)})
-			}
+		for _, done := range dones {
+			done(Outcome{Err: err})
 		}
-		m.hitRetired(fl)
 		return
 	}
-	if fl, ok := str.joins[hitID]; ok {
-		delete(str.joins, hitID)
-		str.mu.Unlock()
-		m.traceDirectGone(fl.span, cause.Error())
-		m.expireHIT(hitID, fl.scope, fl.cost)
-		fl.fail(fmt.Errorf("taskmgr: %s: %w", fl.def.Name, cause))
-		return
-	}
-	if fl, ok := str.ranks[hitID]; ok {
-		delete(str.ranks, hitID)
-		str.mu.Unlock()
-		m.traceDirectGone(fl.span, cause.Error())
-		m.expireHIT(hitID, fl.scope, fl.cost)
-		fl.done(nil, fmt.Errorf("taskmgr: %s: %w", fl.def.Name, cause))
-		return
-	}
+	// Sole live participant: full expiry. The refund and its trace
+	// record are computed under the stripe lock (a racing extension
+	// could otherwise append to extSpans mid-read); the backend and
+	// ledgers are only touched after release. An assignment the backend
+	// completed after this point never reaches the HIT and is refunded
+	// with the rest: the scope pays only for answers it received.
+	delete(str.hits, hitID)
+	refund := unconsumed(sh.cost, fl.assign, fl.received)
+	m.traceHITCanceled(fl, refund, true)
 	str.mu.Unlock()
-}
-
-// expireHIT disposes a HIT at the marketplace and refunds whatever its
-// uncompleted assignments had charged, to both the engine account and
-// the scope.
-func (m *Manager) expireHIT(hitID string, s *Scope, cost budget.Cents) {
-	refund := budget.Cents(0)
-	if status, ok := m.market.Dispose(hitID); ok {
-		refund = cost - status.Spent
+	m.market.Dispose(hitID)
+	if refund > 0 {
+		m.account.Refund(refund)
+		sc.refund(refund)
 	}
-	if refund <= 0 {
-		return
-	}
-	m.account.Refund(refund)
-	s.refund(refund)
+	fl.fail(err)
+	m.hitRetired(fl)
 }
 
 // unconsumed is the slice of a share's cost covering assignments that

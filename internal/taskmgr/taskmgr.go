@@ -6,6 +6,16 @@
 // multi-answer lists redundancy produces, and feeds the Statistics
 // Manager's estimators.
 //
+// Every posted HIT, whatever its kind — a batch of one task's items, a
+// group of several filters over one tuple, a JoinColumns grid or an
+// S-way comparison — lives through one lifecycle as an inflightHIT:
+// charge, register, post, collect answer sheets, extend, finalize or
+// fail, cancel and refund, dispose and trace. A kind supplies only
+// where its questions come from (pending items or grid cells), how an
+// outcome is delivered (each item's Done, the grid's callback, or the
+// comparison's rankings), and whether answer inference and adaptive
+// extension apply.
+//
 // Concurrency: the manager has no global lock on its hot paths. Each
 // task's batching state carries its own mutex, in-flight HIT collection
 // state is striped by HIT ID (flightTable), and the manager-level mutex
@@ -281,10 +291,8 @@ const flightStripes = 16
 
 // flightStripe holds the in-flight HITs whose IDs hash to it.
 type flightStripe struct {
-	mu    sync.Mutex
-	hits  map[string]*inflightHIT
-	joins map[string]*joinInflight
-	ranks map[string]*rankInflight
+	mu   sync.Mutex
+	hits map[string]*inflightHIT
 }
 
 // flightTable stripes in-flight collection state by HIT ID, mirroring
@@ -410,38 +418,66 @@ type hitShare struct {
 	detached bool
 }
 
-// inflightHIT is one posted batch or group HIT while it collects
-// assignments. Its items are held by position: item i is hit.Items[i],
-// items[i] (the pending item that asked, with its Done callback) and
-// question i of every sheet in byWorker, from the cut until the item
-// resolves, so no path looks an item up by key. The sheets, in arrival
-// order, are the only copy of the answers until finalize lays them out
-// per item. A scope that withdraws from a shared HIT marks its items
-// detached under the stripe lock; finalization, the all-failed path and
-// the EM vote builder skip them.
+// hitKind says where a HIT's questions come from and how their
+// outcomes are delivered; the rest of a HIT's lifecycle is the same for
+// every kind.
+type hitKind uint8
+
+const (
+	// kindBatch asks cut pending items of one task; each item's Done
+	// receives its outcome.
+	kindBatch hitKind = iota
+	// kindGroup asks items of several boolean tasks about one tuple;
+	// each item observes under its own task's state.
+	kindGroup
+	// kindGrid asks the cells of a JoinColumns grid and delivers, by
+	// the caller's positions, the cells the caller waits on.
+	kindGrid
+	// kindRank asks one S-way comparison and delivers every
+	// assignment's ranking at once.
+	kindRank
+)
+
+// inflightHIT is one posted HIT, of any kind, while it collects
+// assignments. Its questions are held by position: question i is
+// question i of hit and of every sheet in byWorker, and items[i] (the
+// pending item that asked, with its Done callback) or cells[i], from
+// the post until it resolves, so no path looks a question up by key.
+// The sheets, in arrival order, are the only copy of the answers until
+// finalize lays them out per question. A scope that withdraws from a
+// shared HIT marks its items detached under the stripe lock;
+// finalization, failure and the EM vote builder skip them.
 type inflightHIT struct {
 	hit      *hit.HIT
-	state    *taskState
-	shares   []hitShare   // per-scope stakes; one entry for unshared HITs
-	cost     budget.Cents // total charged at post time (sum of shares)
-	items    []pendingItem
+	def      *qlang.TaskDef // the task asked (a group's first item's)
+	state    *taskState     // def's state: latency, policy and spend
+	kind     hitKind
+	admitted bool // holds an admission-scheduler slot until retired
+	adaptive bool // posted below capA; completions may buy assignments
+	boolTask bool // boolean vs categorical EM model
+	// shares are the per-scope stakes; a HIT of one scope keeps its
+	// share in sole, so the stake costs no allocation of its own.
+	shares []hitShare
+	sole   [1]hitShare
+	cost   budget.Cents // total charged at post time (sum of shares)
+
+	items    []pendingItem               // batch and group questions
+	cells    []joinCell                  // grid questions, row-major over hit's columns
+	gridDone func(l, r int, out Outcome) // a grid's delivery
+	rankDone func([]Ranking, error)      // a comparison's delivery
+
 	byWorker []hit.Answers
 	received int
 	needed   int
-	assign   int  // assignments at post time; basis for pro-rata refunds
-	admitted bool // holds an admission-scheduler slot until retired
+	assign   int // assignments at post time; basis for pro-rata refunds
 	postedAt mturk.VirtualTime
 	backend  string // serving backend name, recorded at post time
-	group    bool   // finalize with per-item task attribution
 
-	// Adaptive redundancy (adaptive.go). agg is non-nil only when an EM
-	// aggregator resolves this HIT's answers; adaptive marks HITs posted
-	// below capA whose completions may buy further assignments.
-	agg      infer.Aggregator
-	adaptive bool
-	boolTask bool    // boolean vs categorical EM model
-	target   float64 // posterior confidence that stops extending
-	capA     int     // policy assignment cap for this batch
+	// Answer inference and adaptive redundancy (adaptive.go). agg is
+	// non-nil only when an EM aggregator resolves this HIT's answers.
+	agg    infer.Aggregator
+	target float64 // posterior confidence that stops extending
+	capA   int     // policy assignment cap for this HIT
 
 	// Tracing (obs.go): span is the HIT's trace span (nil when tracing
 	// was off at post time), opSpans the distinct submitting operator
@@ -481,6 +517,44 @@ func answersOf(backing []relation.Value, i, k int) []relation.Value {
 func (fl *inflightHIT) unregister(hitID string) {
 	for i := range fl.shares {
 		fl.shares[i].scope.unregisterHIT(hitID)
+	}
+}
+
+// detached reports whether question i is an item whose scope left the
+// shared HIT.
+func (fl *inflightHIT) detached(i int) bool {
+	return fl.items != nil && fl.items[i].detached
+}
+
+// owes reports whether question i's asker still waits on its outcome: a
+// grid delivers only the cells its caller asked for.
+func (fl *inflightHIT) owes(i int) bool {
+	if fl.kind == kindGrid {
+		return fl.cells[i].wait
+	}
+	return !fl.detached(i)
+}
+
+// deliver hands question q's outcome to whoever asked it.
+func (fl *inflightHIT) deliver(q int, out Outcome) {
+	if fl.kind == kindGrid {
+		c := &fl.cells[q]
+		fl.gridDone(c.l, c.r, out)
+		return
+	}
+	fl.items[q].done(out)
+}
+
+// fail resolves everything the HIT still owes with err.
+func (fl *inflightHIT) fail(err error) {
+	if fl.kind == kindRank {
+		fl.rankDone(nil, err)
+		return
+	}
+	for i, n := 0, fl.hit.QuestionCount(); i < n; i++ {
+		if fl.owes(i) {
+			fl.deliver(i, Outcome{Err: err})
+		}
 	}
 }
 
@@ -558,66 +632,27 @@ func (m *Manager) observeBackend(name string, tt qlang.TaskType, rewardCents int
 func (m *Manager) onAssignmentFailed(hitID string, err error) {
 	s := m.flights.stripeFor(hitID)
 	s.mu.Lock()
-	if fl, ok := s.hits[hitID]; ok {
-		fl.needed--
-		if fl.received < fl.needed {
-			s.mu.Unlock()
-			return
-		}
-		delete(s.hits, hitID)
+	fl, ok := s.hits[hitID]
+	if !ok {
 		s.mu.Unlock()
-		fl.unregister(hitID)
-		m.hitRetired(fl)
-		defer m.disposeRetired(hitID)
-		if fl.received == 0 {
-			m.traceHITAbandoned(fl, err)
-			for i := range fl.items {
-				if item := &fl.items[i]; !item.detached {
-					item.done(Outcome{Err: fmt.Errorf("taskmgr: %s: %v", fl.hit.Task, err)})
-				}
-			}
-			return
-		}
-		m.finalizeInflight(fl)
 		return
 	}
-	if fl, ok := s.joins[hitID]; ok {
-		fl.needed--
-		if fl.received < fl.needed {
-			s.mu.Unlock()
-			return
-		}
-		delete(s.joins, hitID)
+	fl.needed--
+	if fl.received < fl.needed {
 		s.mu.Unlock()
-		fl.scope.unregisterHIT(hitID)
-		defer m.disposeRetired(hitID)
-		if fl.received == 0 {
-			m.traceDirectGone(fl.span, err.Error())
-			fl.fail(fmt.Errorf("taskmgr: %s: %v", fl.def.Name, err))
-			return
-		}
-		m.finalizeJoin(fl)
 		return
 	}
-	if fl, ok := s.ranks[hitID]; ok {
-		fl.needed--
-		if fl.received < fl.needed {
-			s.mu.Unlock()
-			return
-		}
-		delete(s.ranks, hitID)
-		s.mu.Unlock()
-		fl.scope.unregisterHIT(hitID)
-		defer m.disposeRetired(hitID)
-		if fl.received == 0 {
-			m.traceDirectGone(fl.span, err.Error())
-			fl.done(nil, fmt.Errorf("taskmgr: %s: %v", fl.def.Name, err))
-			return
-		}
-		m.finalizeRank(fl)
-		return
-	}
+	delete(s.hits, hitID)
 	s.mu.Unlock()
+	fl.unregister(hitID)
+	m.hitRetired(fl)
+	defer m.disposeRetired(hitID)
+	if fl.received == 0 {
+		m.traceHITAbandoned(fl, err)
+		fl.fail(fmt.Errorf("taskmgr: %s: %v", fl.hit.Task, err))
+		return
+	}
+	m.finalizeInflight(fl)
 }
 
 // Cache returns the manager's task cache.
@@ -736,47 +771,15 @@ func (m *Manager) Submit(req Request) {
 	pol := st.scopedPolicyLocked(base, req.Scope)
 	st.mu.Unlock()
 
-	// 1. Task Cache: a prior answer costs nothing. The key rides on the
+	// A cached or modelled answer costs nothing. The key rides on the
 	// item to the finalize Put and the journal.
 	ckey := cache.NewKey(req.Def.Name, req.Args)
-	if pol.UseCache {
-		if entry, ok := m.cache.Get(ckey); ok && len(entry.Answers) > 0 {
-			st.mu.Lock()
-			st.cacheHits++
-			st.mu.Unlock()
-			req.Trace.AddCacheHits(1)
-			if reg := m.obsRegistry(); reg != nil {
-				reg.Counter(obs.MetricCacheHits, obs.L("task", req.Def.Name)).Add(1)
-			}
-			out := reduce(req.Def, entry.Answers)
-			out.FromCache = true
-			if isBooleanTask(req.Def) {
-				st.observeSelectivity(out.Value.Truthy(), req.StatSide)
-			}
-			req.Done(out)
-			return
-		}
+	if out, ok := m.answerFree(st, pol, req.Def, req.Args, ckey, req.StatSide, req.Trace); ok {
+		req.Done(out)
+		return
 	}
 
-	// 2. Task Model: a confident classifier answers boolean tasks.
-	if pol.UseModel && isBooleanTask(req.Def) {
-		if tm, ok := m.models.For(st.name); ok {
-			if v, _, ok := tm.TryAnswer(req.Args); ok {
-				st.mu.Lock()
-				st.modelAnswers++
-				st.mu.Unlock()
-				req.Trace.AddModelHits(1)
-				if reg := m.obsRegistry(); reg != nil {
-					reg.Counter(obs.MetricModelAnswers, obs.L("task", req.Def.Name)).Add(1)
-				}
-				st.observeSelectivity(v.Truthy(), req.StatSide)
-				req.Done(Outcome{Value: v, Answers: []relation.Value{v}, Agreement: 1, FromModel: true})
-				return
-			}
-		}
-	}
-
-	// 3. Queue for humans; batch with other applications of this task.
+	// Queue for humans; batch with other applications of this task.
 	item := pendingItem{
 		key:         m.newKey(),
 		args:        req.Args,
@@ -829,6 +832,48 @@ func (m *Manager) Submit(req Request) {
 	}
 	st.mu.Unlock()
 	m.postBatches(st, batches)
+}
+
+// answerFree answers one task application without a human when it can:
+// from the Task Cache, or, for a boolean task, from a confident Task
+// Model. A free answer counts on the task's state, observes the task's
+// selectivity under side, and counts on span (nil when tracing is off)
+// and the metrics. ok is false when the application needs the crowd.
+func (m *Manager) answerFree(st *taskState, pol Policy, def *qlang.TaskDef, args []relation.Value,
+	ckey cache.Key, side string, span *obs.Span) (out Outcome, ok bool) {
+	if pol.UseCache {
+		if entry, ok := m.cache.Get(ckey); ok && len(entry.Answers) > 0 {
+			st.mu.Lock()
+			st.cacheHits++
+			st.mu.Unlock()
+			span.AddCacheHits(1)
+			if reg := m.obsRegistry(); reg != nil {
+				reg.Counter(obs.MetricCacheHits, obs.L("task", def.Name)).Add(1)
+			}
+			out := reduce(def, entry.Answers)
+			out.FromCache = true
+			if isBooleanTask(def) {
+				st.observeSelectivity(out.Value.Truthy(), side)
+			}
+			return out, true
+		}
+	}
+	if pol.UseModel && isBooleanTask(def) {
+		if tm, ok := m.models.For(st.name); ok {
+			if v, _, ok := tm.TryAnswer(args); ok {
+				st.mu.Lock()
+				st.modelAnswers++
+				st.mu.Unlock()
+				span.AddModelHits(1)
+				if reg := m.obsRegistry(); reg != nil {
+					reg.Counter(obs.MetricModelAnswers, obs.L("task", def.Name)).Add(1)
+				}
+				st.observeSelectivity(v.Truthy(), side)
+				return Outcome{Value: v, Answers: []relation.Value{v}, Agreement: 1, FromModel: true}, true
+			}
+		}
+	}
+	return Outcome{}, false
 }
 
 // armLingerLocked arms a linger timer covering the current pending
@@ -1118,10 +1163,11 @@ func splitCost(total budget.Cents, counts []int) []budget.Cents {
 }
 
 // shareOut counts a batch's items per scope, in first-appearance order,
-// and splits the HIT cost across the scopes by item count. A batch of
-// one scope — the usual case — takes the whole cost.
-func shareOut(items []pendingItem, cost budget.Cents) []hitShare {
-	shares := make([]hitShare, 0, 1)
+// and splits the HIT cost across the scopes by item count, appending the
+// shares to dst[:0]. A batch of one scope — the usual case — takes the
+// whole cost.
+func shareOut(items []pendingItem, cost budget.Cents, dst []hitShare) []hitShare {
+	shares := dst[:0]
 	for _, it := range items {
 		i := 0
 		for i < len(shares) && shares[i].scope != it.scope { // few scopes per batch
@@ -1186,6 +1232,106 @@ func (m *Manager) batchPolicy(st *taskState, batch []pendingItem) Policy {
 	return pol
 }
 
+// openHIT starts the in-flight record of a HIT of kind asking def under
+// pol. Batch and grid HITs take the task's inference plan: under an EM
+// aggregator an eligible HIT posts at the MinAssignments floor and buys
+// further assignments only while the posterior stays unsure. A shared
+// batch stays at fixed redundancy (an extension charges one scope;
+// co-batched items span several), as does every HIT once a backend has
+// rejected an extension. Group and comparison HITs resolve without an
+// aggregator, at the policy's redundancy.
+func (m *Manager) openHIT(kind hitKind, def *qlang.TaskDef, st *taskState, pol Policy, shared bool) *inflightHIT {
+	fl := &inflightHIT{kind: kind, def: def, state: st, assign: pol.Assignments, capA: pol.Assignments,
+		boolTask: isBooleanTask(def), backend: m.servingBackend(def)}
+	if kind == kindBatch || kind == kindGrid {
+		agg, target, minA := m.inferencePlan(def, pol)
+		fl.agg, fl.target = agg, target
+		fl.adaptive = agg != nil && minA > 0 && minA < pol.Assignments && !shared && !m.extendBroken.Load()
+		if fl.adaptive {
+			fl.assign = minA
+		}
+	}
+	fl.needed = fl.assign
+	return fl
+}
+
+// chargeSole charges a HIT of one scope its cost, the scope first and
+// then the account, and books the scope's stake on fl.
+func (m *Manager) chargeSole(fl *inflightHIT, sc *Scope, cost budget.Cents) error {
+	if err := sc.spend(cost); err != nil {
+		return err
+	}
+	if err := m.account.Spend(cost); err != nil {
+		sc.refund(cost)
+		return err
+	}
+	fl.cost = cost
+	fl.sole[0] = hitShare{scope: sc, items: fl.hit.QuestionCount(), cost: cost}
+	fl.shares = fl.sole[:]
+	return nil
+}
+
+// countPosted books a charged HIT on its task's statistics: the HIT and
+// its cost under the HIT's task, each question under the task asking it.
+func (m *Manager) countPosted(fl *inflightHIT) {
+	st := fl.state
+	st.mu.Lock()
+	st.spent += fl.cost
+	st.hitsPosted++
+	if fl.kind != kindGroup {
+		st.questionsAsked += int64(fl.hit.QuestionCount())
+	}
+	st.mu.Unlock()
+	if fl.kind == kindGroup {
+		for i := range fl.items {
+			qs := m.state(fl.items[i].def.Name, fl.items[i].def)
+			qs.mu.Lock()
+			qs.questionsAsked++
+			qs.mu.Unlock()
+		}
+	}
+}
+
+// launch posts a charged HIT of any kind. The HIT enters the in-flight
+// table before the backend sees it, so no completion can miss it; once
+// posted it registers with each scope, and a scope canceled meanwhile
+// (whose Cancel waits for this post) has its stake withdrawn here. A
+// HIT the backend refuses leaves the table, every share is refunded
+// with the attribution it was charged with — once, so a HIT spanning
+// scopes cannot double-refund — and the error its questions must
+// resolve with is returned. No locks are held: posting calls into the
+// backend and, on a synchronous cancel, into outcome callbacks.
+func (m *Manager) launch(fl *inflightHIT) error {
+	id := fl.hit.ID
+	fl.byWorker = make([]hit.Answers, 0, fl.capA)
+	fl.postedAt = m.market.Clock().Now()
+	s := m.flights.stripeFor(id)
+	s.mu.Lock()
+	if s.hits == nil {
+		s.hits = make(map[string]*inflightHIT)
+	}
+	s.hits[id] = fl
+	s.mu.Unlock()
+	if err := m.post(fl.hit, m.onAssignment); err != nil {
+		s.mu.Lock()
+		delete(s.hits, id)
+		s.mu.Unlock()
+		m.traceHITPostFailed(fl, err)
+		for i := range fl.shares {
+			m.account.Refund(fl.shares[i].cost)
+			fl.shares[i].scope.refund(fl.shares[i].cost)
+		}
+		return fmt.Errorf("taskmgr: post %s: %v", fl.hit.Task, err)
+	}
+	m.traceHITPosted(fl)
+	for i := range fl.shares {
+		if cause := fl.shares[i].scope.registerHIT(id); cause != nil {
+			m.cancelScopeHIT(id, fl.shares[i].scope, cause)
+		}
+	}
+	return nil
+}
+
 // postBatch compiles one batch into a HIT and posts it, reporting
 // whether a HIT actually reached the marketplace (the admission
 // scheduler releases the slot otherwise). Items in a batch share one
@@ -1202,20 +1348,8 @@ func (m *Manager) batchPolicy(st *taskState, batch []pendingItem) Policy {
 // wait.
 func (m *Manager) postBatch(st *taskState, batch []pendingItem, queuedAt mturk.VirtualTime) bool {
 	pol := m.batchPolicy(st, batch)
-	def := st.defOf()
-
-	// Adaptive redundancy: under an EM aggregator, eligible batches post
-	// at the MinAssignments floor and buy further assignments only while
-	// the posterior stays unsure. Shared batches stay fixed-redundancy
-	// (extensions charge one scope; co-batched items span several), as
-	// does everything once a backend has rejected an extension.
-	agg, target, minA := m.inferencePlan(def, pol)
-	postAssign := pol.Assignments
-	adaptive := agg != nil && minA > 0 && minA < pol.Assignments &&
-		!batch[0].shared && !m.extendBroken.Load()
-	if adaptive {
-		postAssign = minA
-	}
+	fl := m.openHIT(kindBatch, st.defOf(), st, pol, batch[0].shared)
+	def := fl.def
 
 	// Drop items whose scope was canceled between cut and post: a
 	// linger flush or the admission queue may still carry them, and in
@@ -1247,10 +1381,10 @@ func (m *Manager) postBatch(st *taskState, batch []pendingItem, queuedAt mturk.V
 	// does not depend on how many scopes fill it, so the loop strictly
 	// shrinks the scope set and terminates.
 	price := m.priceFor(def, pol)
-	cost := budget.Cents(price * int64(postAssign))
+	cost := budget.Cents(price * int64(fl.assign))
 	var shares []hitShare
 	for len(live) > 0 {
-		shares = shareOut(live, cost)
+		shares = shareOut(live, cost, fl.sole[:0])
 		failed := -1
 		var ferr error
 		for i := range shares {
@@ -1297,7 +1431,7 @@ func (m *Manager) postBatch(st *taskState, batch []pendingItem, queuedAt mturk.V
 		Question:    batchQuestion(def, live),
 		Response:    responseFor(def),
 		RewardCents: price,
-		Assignments: postAssign,
+		Assignments: fl.assign,
 		Items:       make([]hit.Item, len(live)),
 	}
 	for i, it := range live {
@@ -1307,77 +1441,27 @@ func (m *Manager) postBatch(st *taskState, batch []pendingItem, queuedAt mturk.V
 		}
 		h.Items[i] = hit.Item{Key: it.key, Args: it.args, Prompt: prompt}
 	}
-
-	st.mu.Lock()
-	st.spent += cost
-	st.hitsPosted++
-	st.questionsAsked += int64(len(live))
-	st.mu.Unlock()
+	fl.hit, fl.items, fl.shares, fl.cost, fl.admitted = h, live, shares, cost, true
+	m.countPosted(fl)
 	if len(shares) > 1 {
 		m.sharedHITs.Add(1)
 		m.sharedItems.Add(int64(len(live)))
 		m.sharedSaved.Add(int64(len(shares) - 1))
 		m.savedCents.Add(int64(cost) * int64(len(shares)-1))
 	}
-
-	fl := &inflightHIT{
-		hit:      h,
-		state:    st,
-		shares:   shares,
-		cost:     cost,
-		items:    live,
-		byWorker: make([]hit.Answers, 0, pol.Assignments),
-		needed:   postAssign,
-		assign:   postAssign,
-		admitted: true,
-		postedAt: m.market.Clock().Now(),
-		backend:  m.servingBackend(def),
-		agg:      agg,
-		adaptive: adaptive,
-		boolTask: isBooleanTask(def),
-		target:   target,
-		capA:     pol.Assignments,
-	}
 	m.traceBatchSpans(fl, pol, queuedAt)
-	s := m.flights.stripeFor(h.ID)
-	s.mu.Lock()
-	if s.hits == nil {
-		s.hits = make(map[string]*inflightHIT)
-	}
-	s.hits[h.ID] = fl
-	s.mu.Unlock()
-	if err := m.post(h, m.onAssignment); err != nil {
-		s.mu.Lock()
-		delete(s.hits, h.ID)
-		s.mu.Unlock()
-		m.traceHITPostFailed(fl, err)
-		// Refund with the same split attribution as the charge: each
-		// scope gets back exactly its share, once, and the account the
-		// exact total — a batch spanning scopes cannot double-refund.
-		for i := range shares {
-			m.account.Refund(shares[i].cost)
-			shares[i].scope.refund(shares[i].cost)
-		}
-		for _, it := range live {
-			it.done(Outcome{Err: fmt.Errorf("taskmgr: post %s: %v", def.Name, err)})
-		}
+	if err := m.launch(fl); err != nil {
+		fl.fail(err)
 		return false
 	}
 	m.traceBatchMetrics(fl, pol, queuedAt)
-	for i := range shares {
-		if cause := shares[i].scope.registerHIT(h.ID); cause != nil {
-			// The scope was canceled while the HIT was being posted;
-			// withdraw its stake ourselves — cancellation never saw it.
-			m.cancelScopeHIT(h.ID, shares[i].scope, cause)
-		}
-	}
 	return true
 }
 
-// onAssignment collects one completed assignment; when the HIT has all
-// of them, every batched item resolves. Only one goroutine can observe
-// received == needed under the stripe lock, so finalization runs exactly
-// once, outside all locks.
+// onAssignment collects one completed assignment of a HIT of any kind;
+// when the HIT has all of them, it finalizes. Only one goroutine can
+// observe received == needed under the stripe lock, so finalization runs
+// exactly once, outside all locks.
 func (m *Manager) onAssignment(res mturk.AssignmentResult) {
 	s := m.flights.stripeFor(res.HITID)
 	s.mu.Lock()
@@ -1413,32 +1497,36 @@ func (m *Manager) onAssignment(res mturk.AssignmentResult) {
 // disposeRetired disposes of a retired HIT at its backend: once every
 // assignment has reported or failed, the backend's copy of its items,
 // answers and status would only grow a long-lived engine. Every
-// terminal path of every HIT kind calls it after the HIT's items have
-// resolved, so a backend whose Dispose makes a network call does not
-// delay results. (The cancel paths dispose through cancelScopeHIT and
-// expireHIT.)
+// terminal path calls it after the HIT's questions have resolved, so a
+// backend whose Dispose makes a network call does not delay results.
+// (The cancel path disposes through cancelScopeHIT.)
 func (m *Manager) disposeRetired(hitID string) { m.market.Dispose(hitID) }
 
-// resolution is one item's outcome, held until every item of its HIT
-// has been accounted for and the Done callbacks may run.
+// resolution is one question's outcome, held until every question of
+// its HIT has been accounted for and the outcomes may be delivered. q
+// is the question's position (for SubmitGroup and JoinBlockIn's free
+// answers, the request's or the grid cell's).
 type resolution struct {
-	done func(Outcome)
-	out  Outcome
+	q   int
+	out Outcome
 }
 
 // resolvedInline sizes the finalize paths' stack buffer of resolutions:
-// a HIT with more items spills it to the heap.
+// a HIT with more questions spills it to the heap.
 const resolvedInline = 8
 
-// finalizeInflight resolves every batched item of a completed (or
-// partially failed) HIT, in the HIT's item order so reruns resolve
-// identically. It must not hold any manager lock: the Done callbacks may
-// reenter Submit.
+// finalizeInflight resolves a completed (or partially failed) HIT of
+// any kind. Every kind observes the round trip and journals it the same
+// way; a comparison then resolves its rankings (finalizeRank), and the
+// other kinds learn from every question in the HIT's question order, so
+// reruns resolve identically: reduce (or take the EM posterior), feed
+// the task's agreement and selectivity estimators and the workers'
+// reputations, cache the answers, train the model, journal it all, and
+// deliver the outcomes owed once every question is learned. A grid
+// learns from every cell it showed but delivers only those its caller
+// waits on; a group item learns under its own task's state. It must not
+// hold any manager lock: outcome callbacks may reenter Submit.
 func (m *Manager) finalizeInflight(fl *inflightHIT) {
-	if fl.group {
-		m.finalizeGroup(fl)
-		return
-	}
 	st := fl.state
 	latencyMin := (m.market.Clock().Now() - fl.postedAt).Minutes()
 	st.latency.Observe(latencyMin)
@@ -1461,66 +1549,93 @@ func (m *Manager) finalizeInflight(fl *inflightHIT) {
 	// evidence. The fit reads the same votes in the same order as the
 	// adaptive loop's confidence checks, so the finalized answer is the
 	// posterior that stopped the extensions.
-	var posts []infer.Posterior // by item slot; nil without a fit
+	n := fl.hit.QuestionCount()
+	var posts []infer.Posterior // by question; nil without a fit
 	if em, ok := fl.agg.(*infer.EM); ok {
 		votes, slots := fl.votesByItem()
 		ps, accs := em.Fit(votes, fl.boolTask)
-		posts = make([]infer.Posterior, len(fl.items))
+		posts = make([]infer.Posterior, n)
 		for k, i := range slots {
 			posts[i] = ps[k]
 		}
 		m.noteWorkerQuality(accs)
 	}
 	m.traceHITDone(fl, latencyMin, posts)
+	if fl.kind == kindRank {
+		m.finalizeRank(fl, j, latencyMin)
+		return
+	}
 
-	var resolvedBuf [resolvedInline]resolution
-	resolved := resolvedBuf[:0]
 	base := m.basePolicy()
 	st.mu.Lock()
 	pol := st.effectivePolicyLocked(base)
 	st.mu.Unlock()
+	var resolvedBuf [resolvedInline]resolution
+	resolved := resolvedBuf[:0]
+	if n > resolvedInline {
+		owed := 0
+		for i := 0; i < n; i++ {
+			if fl.owes(i) {
+				owed++
+			}
+		}
+		resolved = make([]resolution, 0, owed)
+	}
 	var agreeSum float64
 	var agreeN int
 	k := len(fl.byWorker)
-	cols := byQuestion(fl.byWorker, len(fl.items))
-	for i := range fl.items {
-		item := &fl.items[i]
-		if item.detached {
-			continue
+	cols := byQuestion(fl.byWorker, n)
+	for i := 0; i < n; i++ {
+		qs, def, side := st, fl.def, ""
+		var args []relation.Value
+		var ckey cache.Key
+		if fl.kind == kindGrid {
+			args, ckey = fl.cells[i].args, fl.cells[i].ckey
+		} else {
+			item := &fl.items[i]
+			if item.detached {
+				continue
+			}
+			def, args, ckey, side = item.def, item.args, item.ckey, item.side
+			if fl.kind == kindGroup {
+				qs = m.state(def.Name, def)
+			}
 		}
 		answers := answersOf(cols, i, k)
-		out := reduce(item.def, answers)
+		out := reduce(def, answers)
 		if posts != nil && len(answers) > 0 {
 			out.Value = posts[i].Value
 			out.Agreement = posts[i].Confidence
 		}
-		st.agreement.Observe(out.Agreement)
+		qs.agreement.Observe(out.Agreement)
 		agreeSum += out.Agreement
 		agreeN++
-		if isBooleanTask(item.def) {
-			st.observeSelectivity(out.Value.Truthy(), item.side)
+		if isBooleanTask(def) {
+			qs.observeSelectivity(out.Value.Truthy(), side)
 			m.noteWorkerVotes(fl.byWorker, i, out.Value.Truthy())
 		}
 		var enc cache.Answers
 		if pol.UseCache {
 			enc = cache.EncodeAnswers(answers)
-			m.cache.Put(item.ckey, enc)
+			m.cache.Put(ckey, enc)
 		}
-		if pol.TrainModel && isBooleanTask(item.def) {
-			if tm, ok := m.models.For(st.name); ok {
-				tm.Train(item.args, out.Value.Truthy())
+		if pol.TrainModel && isBooleanTask(def) {
+			if tm, ok := m.models.For(qs.name); ok {
+				tm.Train(args, out.Value.Truthy())
 			}
 		}
 		if j != nil {
-			m.journalItem(j, pol, item.def, item.ckey, item.side, enc, out)
+			m.journalItem(j, pol, def, ckey, side, enc, out)
 		}
-		resolved = append(resolved, resolution{done: item.done, out: out})
+		if fl.owes(i) {
+			resolved = append(resolved, resolution{q: i, out: out})
+		}
 	}
 	if agreeN > 0 {
 		m.observeBackend(fl.backend, fl.hit.Type, fl.hit.RewardCents, latencyMin, agreeSum/float64(agreeN))
 	}
 	for _, r := range resolved {
-		r.done(r.out)
+		fl.deliver(r.q, r.out)
 	}
 }
 
@@ -1739,7 +1854,8 @@ func (m *Manager) Sharing() SharingStats {
 	}
 }
 
-// Inflight reports posted HITs that have not collected all assignments.
+// Inflight reports posted HITs of every kind (batch, group, grid and
+// comparison) that have not collected all assignments.
 func (m *Manager) Inflight() int {
 	n := 0
 	for i := range m.flights.stripes {
