@@ -3,7 +3,6 @@ package taskmgr
 import (
 	"fmt"
 
-	"repro/internal/budget"
 	"repro/internal/cache"
 	"repro/internal/hit"
 	"repro/internal/qlang"
@@ -103,18 +102,6 @@ func (m *Manager) SubmitGroup(reqs []Request) error {
 		h.GroupKeys[i] = it.def.Name
 	}
 	fl.hit, fl.items = h, items
-
-	// The HIT and its cost count once under the first task, each
-	// question under its own task (countPosted).
-	if err := m.chargeSole(fl, scope, budget.Cents(price*int64(fl.assign))); err != nil {
-		failErr = fmt.Errorf("taskmgr: group: %w", err)
-		return nil
-	}
-	m.countPosted(fl)
-	if sp := m.traceDirectHIT(fl, scope); sp != nil {
-		sp.Annotate("grouped", fmt.Sprintf("%d", len(items)))
-		attributeOps(fl, fl.cost)
-	}
-	failErr = m.launch(fl)
+	failErr = m.postDirect(fl, scope)
 	return nil
 }

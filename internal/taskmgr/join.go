@@ -3,7 +3,6 @@ package taskmgr
 import (
 	"fmt"
 
-	"repro/internal/budget"
 	"repro/internal/cache"
 	"repro/internal/hit"
 	"repro/internal/qlang"
@@ -130,15 +129,7 @@ func (m *Manager) JoinBlockIn(scope *Scope, def *qlang.TaskDef, left, right []Jo
 		failErr = fmt.Errorf("taskmgr: %s: %w", def.Name, err)
 		return
 	}
-	if err := m.chargeSole(fl, scope, budget.Cents(price*int64(fl.assign))); err != nil {
-		failErr = fmt.Errorf("taskmgr: %s: %w", def.Name, err)
-		return
-	}
-	m.countPosted(fl)
-	if sp := m.traceDirectHIT(fl, scope); sp != nil {
-		sp.Annotate("grid", fmt.Sprintf("%dx%d", len(rows), len(cols)))
-	}
-	failErr = m.launch(fl)
+	failErr = m.postDirect(fl, scope)
 }
 
 // joinCell is one cell of a join grid, from the walk that asks to the

@@ -291,13 +291,14 @@ func (m *Manager) traceHITCanceled(fl *inflightHIT, refund budget.Cents, expired
 
 // traceDirectHIT opens the HIT span of a grouped, grid or comparison
 // HIT, parented to the scope's query span (or a synthetic root when
-// unscoped). Like traceBatchSpans it runs before the HIT becomes
-// visible to completions; the posting metrics follow once the backend
-// accepts the HIT (traceHITPosted).
-func (m *Manager) traceDirectHIT(fl *inflightHIT, scope *Scope) *obs.Span {
+// unscoped), notes the HIT's shape, and attributes a group's HIT to its
+// submitting operators. Like traceBatchSpans it runs before the HIT
+// becomes visible to completions; the posting metrics follow once the
+// backend accepts the HIT (traceHITPosted).
+func (m *Manager) traceDirectHIT(fl *inflightHIT, scope *Scope) {
 	tr := m.getObs()
 	if tr == nil {
-		return nil
+		return
 	}
 	var sp *obs.Span
 	if parent := scope.Span(); parent != nil {
@@ -307,8 +308,16 @@ func (m *Manager) traceDirectHIT(fl *inflightHIT, scope *Scope) *obs.Span {
 	}
 	sp.Annotate("task", fl.hit.Task)
 	sp.Annotate("backend", fl.backend)
+	switch fl.kind {
+	case kindGroup:
+		sp.Annotate("grouped", strconv.Itoa(len(fl.items)))
+		attributeOps(fl, fl.cost)
+	case kindGrid:
+		sp.Annotate("grid", fmt.Sprintf("%dx%d", len(fl.hit.Left), len(fl.hit.Right)))
+	case kindRank:
+		sp.Annotate("group_size", strconv.Itoa(len(fl.hit.Items)))
+	}
 	sp.AddHITs(1)
 	sp.AddCost(int64(fl.cost))
 	fl.span = sp
-	return sp
 }

@@ -3,7 +3,6 @@ package taskmgr
 import (
 	"fmt"
 
-	"repro/internal/budget"
 	"repro/internal/hit"
 	"repro/internal/qlang"
 	"repro/internal/relation"
@@ -85,15 +84,7 @@ func (m *Manager) RankBlockIn(scope *Scope, def *qlang.TaskDef, items []RankItem
 		h.Items[i] = hit.Item{Key: it.Key, Args: it.Args}
 	}
 	fl.hit, fl.rankDone = h, done
-	if err := m.chargeSole(fl, scope, budget.Cents(price*int64(fl.assign))); err != nil {
-		failErr = fmt.Errorf("taskmgr: %s: %w", def.Name, err)
-		return
-	}
-	m.countPosted(fl)
-	if sp := m.traceDirectHIT(fl, scope); sp != nil {
-		sp.Annotate("group_size", fmt.Sprintf("%d", len(items)))
-	}
-	failErr = m.launch(fl)
+	failErr = m.postDirect(fl, scope)
 }
 
 // finalizeRank is a comparison HIT's resolve step: it turns the

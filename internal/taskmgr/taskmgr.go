@@ -1255,20 +1255,25 @@ func (m *Manager) openHIT(kind hitKind, def *qlang.TaskDef, st *taskState, pol P
 	return fl
 }
 
-// chargeSole charges a HIT of one scope its cost, the scope first and
-// then the account, and books the scope's stake on fl.
-func (m *Manager) chargeSole(fl *inflightHIT, sc *Scope, cost budget.Cents) error {
+// postDirect charges a grouped, grid or comparison HIT its cost — its
+// one scope first, then the account — and posts it. It returns the
+// error the HIT's questions resolve with when the HIT was not posted;
+// the caller delivers it once the scope's post admission has ended.
+func (m *Manager) postDirect(fl *inflightHIT, sc *Scope) error {
+	cost := budget.Cents(fl.hit.RewardCents * int64(fl.assign))
 	if err := sc.spend(cost); err != nil {
-		return err
+		return fmt.Errorf("taskmgr: %s: %w", fl.hit.Task, err)
 	}
 	if err := m.account.Spend(cost); err != nil {
 		sc.refund(cost)
-		return err
+		return fmt.Errorf("taskmgr: %s: %w", fl.hit.Task, err)
 	}
 	fl.cost = cost
 	fl.sole[0] = hitShare{scope: sc, items: fl.hit.QuestionCount(), cost: cost}
 	fl.shares = fl.sole[:]
-	return nil
+	m.countPosted(fl)
+	m.traceDirectHIT(fl, sc)
+	return m.launch(fl)
 }
 
 // countPosted books a charged HIT on its task's statistics: the HIT and
