@@ -250,10 +250,7 @@ func (m *Manager) finalizeAdaptive(s *flightStripe, hitID string, fl *inflightHI
 	}
 	delete(s.hits, hitID)
 	s.mu.Unlock()
-	fl.unregister(hitID)
-	m.hitRetired(fl)
-	m.finalizeInflight(fl)
-	m.disposeRetired(hitID)
+	m.retire(hitID, fl, nil)
 }
 
 // noteWorkerQuality folds one fit's per-worker accuracies into the

@@ -644,15 +644,7 @@ func (m *Manager) onAssignmentFailed(hitID string, err error) {
 	}
 	delete(s.hits, hitID)
 	s.mu.Unlock()
-	fl.unregister(hitID)
-	m.hitRetired(fl)
-	defer m.disposeRetired(hitID)
-	if fl.received == 0 {
-		m.traceHITAbandoned(fl, err)
-		fl.fail(fmt.Errorf("taskmgr: %s: %v", fl.hit.Task, err))
-		return
-	}
-	m.finalizeInflight(fl)
+	m.retire(hitID, fl, err)
 }
 
 // Cache returns the manager's task cache.
@@ -840,7 +832,7 @@ func (m *Manager) Submit(req Request) {
 // selectivity under side, and counts on span (nil when tracing is off)
 // and the metrics. ok is false when the application needs the crowd.
 func (m *Manager) answerFree(st *taskState, pol Policy, def *qlang.TaskDef, args []relation.Value,
-	ckey cache.Key, side string, span *obs.Span) (out Outcome, ok bool) {
+	ckey cache.Key, side string, span *obs.Span) (Outcome, bool) {
 	if pol.UseCache {
 		if entry, ok := m.cache.Get(ckey); ok && len(entry.Answers) > 0 {
 			st.mu.Lock()
@@ -1493,19 +1485,28 @@ func (m *Manager) onAssignment(res mturk.AssignmentResult) {
 	}
 	delete(s.hits, res.HITID)
 	s.mu.Unlock()
-	fl.unregister(res.HITID)
-	m.hitRetired(fl)
-	m.finalizeInflight(fl)
-	m.disposeRetired(res.HITID)
+	m.retire(res.HITID, fl, nil)
 }
 
-// disposeRetired disposes of a retired HIT at its backend: once every
-// assignment has reported or failed, the backend's copy of its items,
-// answers and status would only grow a long-lived engine. Every
-// terminal path calls it after the HIT's questions have resolved, so a
-// backend whose Dispose makes a network call does not delay results.
-// (The cancel path disposes through cancelScopeHIT.)
-func (m *Manager) disposeRetired(hitID string) { m.market.Dispose(hitID) }
+// retire ends a HIT that has left the in-flight table with every
+// assignment reported or failed: its scopes forget it, its admission
+// slot frees, and it finalizes from the sheets it holds — or, when none
+// arrived, fails everything it owes with err. Last, it is disposed of
+// at its backend, whose copy of its items, answers and status would
+// only grow a long-lived engine; that comes after the questions have
+// resolved, so a backend whose Dispose makes a network call does not
+// delay results. (Cancellation disposes through cancelScopeHIT.)
+func (m *Manager) retire(hitID string, fl *inflightHIT, err error) {
+	fl.unregister(hitID)
+	m.hitRetired(fl)
+	if fl.received == 0 {
+		m.traceHITAbandoned(fl, err)
+		fl.fail(fmt.Errorf("taskmgr: %s: %v", fl.hit.Task, err))
+	} else {
+		m.finalizeInflight(fl)
+	}
+	m.market.Dispose(hitID)
+}
 
 // resolution is one question's outcome, held until every question of
 // its HIT has been accounted for and the outcomes may be delivered. q
