@@ -193,8 +193,12 @@ func TestHITLifecycleMatrix(t *testing.T) {
 						t.Errorf("question %s resolved %d times", q, calls)
 					}
 				}
-				if want := map[bool]int{true: kind.questions}[c.failed]; len(log.errs) != want {
-					t.Errorf("%d outcomes carry an error, want %d: %v", len(log.errs), want, log.errs)
+				wantErrs := 0
+				if c.failed {
+					wantErrs = kind.questions
+				}
+				if len(log.errs) != wantErrs {
+					t.Errorf("%d outcomes carry an error, want %d: %v", len(log.errs), wantErrs, log.errs)
 				}
 				for _, err := range log.errs {
 					if c.canceled && !errors.Is(err, qerr.ErrCanceled) {
