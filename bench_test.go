@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/hit"
-	"repro/internal/load"
 	"repro/internal/mturk"
 	"repro/internal/qlang"
 	"repro/internal/relation"
@@ -209,27 +208,6 @@ func BenchmarkMarketplaceThroughput(b *testing.B) {
 		time.Sleep(100 * time.Microsecond)
 	}
 	b.ReportMetric(float64(completed.Load())/b.Elapsed().Seconds(), "HITs/sec")
-}
-
-// BenchmarkLoadHarness runs a small crowd-scale load scenario per
-// iteration and reports its headline metrics (see internal/load).
-func BenchmarkLoadHarness(b *testing.B) {
-	var rep load.Report
-	for i := 0; i < b.N; i++ {
-		var err error
-		rep, err = load.Run(load.Config{
-			Workload: load.WorkloadFilter,
-			Tuples:   400,
-			Workers:  200,
-			Seed:     int64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rep.HITsPerSec, "HITs/sec")
-	b.ReportMetric(rep.P99.Minutes(), "p99_vmin")
-	b.ReportMetric(rep.DollarsPerQuery, "dollars/query")
 }
 
 // BenchmarkE11SpamDefense measures the reputation blocklist extension.

@@ -1,352 +1,23 @@
 // Command qurk-bench regenerates every experiment table from
-// EXPERIMENTS.md (the paper's evaluation artifacts) and prints them,
-// plus the STORE scenario benchmarking the durable knowledge store's
-// cold-start vs warm-start economics (emitting BENCH_store.json).
+// EXPERIMENTS.md (the paper's evaluation artifacts) and prints them.
 //
 //	qurk-bench                  # all experiments, default scale
 //	qurk-bench -only E3 -seed 7 # one experiment, custom seed
 //	qurk-bench -scale 3         # 3× larger workloads
-//	qurk-bench -only STORE      # cold vs warm run, writes BENCH_store.json
-//	qurk-bench -only SORT       # ranking-strategy economics, writes BENCH_sort.json
-//	qurk-bench -only MT         # multi-tenant sharing economics, writes BENCH_mt.json
-//	qurk-bench -only BACKEND    # worker-backend routing economics, writes BENCH_backend.json
-//	qurk-bench -only INFER      # adaptive-redundancy inference economics, writes BENCH_infer.json
-//	qurk-bench -only OBS        # tracing on/off A/B overhead + volume, writes BENCH_obs.json
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/load"
 )
-
-// storeBench is the BENCH_store.json schema: one cold run against a
-// fresh store, one warm run replaying it, on identical config.
-type storeBench struct {
-	Workload       string  `json:"workload"`
-	Tuples         int     `json:"tuples"`
-	Seed           int64   `json:"seed"`
-	ColdHITs       int64   `json:"cold_hits"`
-	WarmHITs       int64   `json:"warm_hits"`
-	ColdSpentCents int64   `json:"cold_spent_cents"`
-	WarmSpentCents int64   `json:"warm_spent_cents"`
-	CacheServed    int64   `json:"warm_cache_served"`
-	ReplayedAnswer int64   `json:"replayed_answers"`
-	ReplayedObs    int64   `json:"replayed_observations"`
-	ColdWallMs     float64 `json:"cold_wall_ms"`
-	WarmWallMs     float64 `json:"warm_wall_ms"`
-	ReplayMs       float64 `json:"replay_ms"`
-	SameFinger     bool    `json:"fingerprints_match"`
-}
-
-// runStoreBench measures the store's cold→warm payoff and writes
-// BENCH_store.json next to the other BENCH artifacts.
-func runStoreBench(seed int64, scale int) error {
-	dir, err := os.MkdirTemp("", "qurk-store-bench")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	cfg := load.Config{Workload: load.WorkloadWarmstart,
-		Tuples: 2000 * scale, Workers: 500, Seed: seed, StorePath: dir}
-	cold, err := load.Run(cfg)
-	if err != nil {
-		return err
-	}
-	warm, err := load.Run(cfg)
-	if err != nil {
-		return err
-	}
-	out := storeBench{
-		Workload:       string(cfg.Workload),
-		Tuples:         cfg.Tuples,
-		Seed:           seed,
-		ColdHITs:       cold.HITs,
-		WarmHITs:       warm.HITs,
-		ColdSpentCents: int64(cold.Spent),
-		WarmSpentCents: int64(warm.Spent),
-		CacheServed:    warm.CacheServed,
-		ReplayedAnswer: warm.ReplayedAnswers,
-		ReplayedObs:    warm.ReplayedObservations,
-		ColdWallMs:     float64(cold.Wall) / float64(time.Millisecond),
-		WarmWallMs:     float64(warm.Wall) / float64(time.Millisecond),
-		ReplayMs:       float64(warm.Replay) / float64(time.Millisecond),
-		SameFinger:     cold.PassedKeysFNV == warm.PassedKeysFNV && cold.Passed == warm.Passed,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_store.json", append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("STORE: cold %d HITs (%d¢, %.0f ms) → warm %d HITs (%d¢, %.0f ms; replay %.1f ms, %d answers + %d observations); fingerprints match: %v\n",
-		out.ColdHITs, out.ColdSpentCents, out.ColdWallMs,
-		out.WarmHITs, out.WarmSpentCents, out.WarmWallMs,
-		out.ReplayMs, out.ReplayedAnswer, out.ReplayedObs, out.SameFinger)
-	fmt.Println("wrote BENCH_store.json")
-	return nil
-}
-
-// sortBench is the BENCH_sort.json schema: one seed-pinned sort
-// workload run comparing the ranking strategies' HIT economics.
-type sortBench struct {
-	Workload         string  `json:"workload"`
-	Tuples           int     `json:"tuples"`
-	TopK             int     `json:"topk"`
-	Seed             int64   `json:"seed"`
-	RateHITs         int64   `json:"rate_hits"`
-	CompareHITs      int64   `json:"compare_hits"`
-	TopKHITs         int64   `json:"topk_hits"`
-	HybridHITs       int64   `json:"hybrid_hits"`
-	SpentCents       int64   `json:"spent_cents"`
-	WallMs           float64 `json:"wall_ms"`
-	HybridOrderMatch bool    `json:"hybrid_order_matches_compare"`
-	TopKPrefixMatch  bool    `json:"topk_prefix_matches_compare"`
-}
-
-// runSortBench measures the ranking subsystem's strategy economics and
-// writes BENCH_sort.json next to the other BENCH artifacts.
-func runSortBench(seed int64, scale int) error {
-	cfg := load.Config{Workload: load.WorkloadSort,
-		Tuples: 120 * scale, Workers: 200, Seed: seed}
-	rep, err := load.Run(cfg)
-	if err != nil {
-		return err
-	}
-	out := sortBench{
-		Workload:         string(cfg.Workload),
-		Tuples:           rep.Config.Tuples,
-		TopK:             rep.Config.TopK,
-		Seed:             seed,
-		RateHITs:         rep.SortRateHITs,
-		CompareHITs:      rep.SortCompareHITs,
-		TopKHITs:         rep.SortTopKHITs,
-		HybridHITs:       rep.SortHybridHITs,
-		SpentCents:       int64(rep.Spent),
-		WallMs:           float64(rep.Wall) / float64(time.Millisecond),
-		HybridOrderMatch: rep.SortHybridFNV == rep.SortOrderFNV,
-		TopKPrefixMatch:  rep.SortTopKFNV == rep.SortTopKBaseFNV,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_sort.json", append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("SORT: %d items — rate %d HITs, compare %d, top-%d %d, hybrid %d (%d¢, %.0f ms); hybrid order matches compare: %v\n",
-		out.Tuples, out.RateHITs, out.CompareHITs, out.TopK, out.TopKHITs, out.HybridHITs,
-		out.SpentCents, out.WallMs, out.HybridOrderMatch)
-	fmt.Println("wrote BENCH_sort.json")
-	return nil
-}
-
-// mtBench is the BENCH_mt.json schema: the same concurrent-query fleet
-// run with cross-query HIT sharing on and off, on identical config.
-type mtBench struct {
-	Workload           string  `json:"workload"`
-	Queries            int     `json:"queries"`
-	Tuples             int     `json:"tuples"`
-	Seed               int64   `json:"seed"`
-	MaxInflight        int     `json:"max_inflight"`
-	SharedHITs         int64   `json:"shared_hits"`
-	UnsharedHITs       int64   `json:"unshared_hits"`
-	HITsSaved          int64   `json:"hits_saved"`
-	SharedSpentCents   int64   `json:"shared_spent_cents"`
-	UnsharedSpentCents int64   `json:"unshared_spent_cents"`
-	SharedWallMs       float64 `json:"shared_wall_ms"`
-	UnsharedWallMs     float64 `json:"unshared_wall_ms"`
-	FairSpreadCents    int64   `json:"fairness_spread_cents"`
-	SameFinger         bool    `json:"fingerprints_match"`
-}
-
-// runMTBench measures the multi-tenant serving payoff — HITs and cents
-// saved by cross-query co-batching at identical per-query results —
-// and writes BENCH_mt.json next to the other BENCH artifacts.
-func runMTBench(seed int64, scale int) error {
-	cfg := load.Config{Workload: load.WorkloadMultiTenant,
-		Queries: 100 * scale, Tuples: 600 * scale, Workers: 300, Seed: seed}
-	shared, err := load.Run(cfg)
-	if err != nil {
-		return err
-	}
-	base := cfg
-	base.NoShare = true
-	unshared, err := load.Run(base)
-	if err != nil {
-		return err
-	}
-	same := shared.PassedKeysFNV == unshared.PassedKeysFNV && shared.Passed == unshared.Passed
-	out := mtBench{
-		Workload:           string(cfg.Workload),
-		Queries:            shared.Config.Queries,
-		Tuples:             shared.Config.Tuples,
-		Seed:               seed,
-		MaxInflight:        shared.Config.MaxInflight,
-		SharedHITs:         shared.HITs,
-		UnsharedHITs:       unshared.HITs,
-		HITsSaved:          unshared.HITs - shared.HITs,
-		SharedSpentCents:   int64(shared.Spent),
-		UnsharedSpentCents: int64(unshared.Spent),
-		SharedWallMs:       float64(shared.Wall) / float64(time.Millisecond),
-		UnsharedWallMs:     float64(unshared.Wall) / float64(time.Millisecond),
-		FairSpreadCents:    int64(shared.FairSpreadCents),
-		SameFinger:         same,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_mt.json", append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("MT: %d queries — shared %d HITs (%d¢, %.0f ms) vs unshared %d HITs (%d¢, %.0f ms): %d HITs saved, fairness spread %d¢; fingerprints match: %v\n",
-		out.Queries, out.SharedHITs, out.SharedSpentCents, out.SharedWallMs,
-		out.UnsharedHITs, out.UnsharedSpentCents, out.UnsharedWallMs,
-		out.HITsSaved, out.FairSpreadCents, out.SameFinger)
-	fmt.Println("wrote BENCH_mt.json")
-	return nil
-}
-
-// backendBench is the BENCH_backend.json schema: the same filter
-// cascade run sim-only and through the worker-backend router, inside one
-// seed-pinned deterministic workload run.
-type backendBench struct {
-	Workload         string  `json:"workload"`
-	Tuples           int     `json:"tuples"`
-	Seed             int64   `json:"seed"`
-	SimOnlyHITs      int64   `json:"sim_only_hits"`
-	SimOnlySpent     int64   `json:"sim_only_spent_cents"`
-	RoutedHITs       int64   `json:"routed_hits"`
-	RoutedSpent      int64   `json:"routed_spent_cents"`
-	RoutedSimHITs    int64   `json:"routed_sim_hits"`
-	RoutedLLMHITs    int64   `json:"routed_llm_hits"`
-	RoutedSavedCents int64   `json:"routed_saved_cents"`
-	WallMs           float64 `json:"wall_ms"`
-	SameFinger       bool    `json:"fingerprints_match"`
-}
-
-// runBackendBench measures the worker-backend routing payoff — cents
-// saved by serving part of the cascade from the LLM crowd at identical
-// results — and writes BENCH_backend.json next to the other artifacts.
-func runBackendBench(seed int64, scale int) error {
-	cfg := load.Config{Workload: load.WorkloadHybridCrowd,
-		Tuples: 2000 * scale, Workers: 500, Seed: seed}
-	rep, err := load.Run(cfg)
-	if err != nil {
-		return err
-	}
-	out := backendBench{
-		Workload:         string(cfg.Workload),
-		Tuples:           rep.Config.Tuples,
-		Seed:             seed,
-		SimOnlyHITs:      rep.HybridSimHITs,
-		SimOnlySpent:     int64(rep.HybridSimSpent),
-		RoutedHITs:       rep.HITs,
-		RoutedSpent:      int64(rep.Spent),
-		RoutedSimHITs:    rep.BackendSimHITs,
-		RoutedLLMHITs:    rep.BackendLLMHITs,
-		RoutedSavedCents: int64(rep.RoutedSavedCents),
-		WallMs:           float64(rep.Wall) / float64(time.Millisecond),
-		SameFinger:       rep.PassedKeysFNV == rep.HybridSimFNV,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_backend.json", append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("BACKEND: sim-only %d HITs (%d¢) vs routed %d HITs (%d¢, %d sim / %d llm): %d¢ saved by routing (%.0f ms); fingerprints match: %v\n",
-		out.SimOnlyHITs, out.SimOnlySpent, out.RoutedHITs, out.RoutedSpent,
-		out.RoutedSimHITs, out.RoutedLLMHITs, out.SimOnlySpent-out.RoutedSpent, out.WallMs, out.SameFinger)
-	fmt.Println("wrote BENCH_backend.json")
-	return nil
-}
-
-// inferBench is the BENCH_infer.json schema: the same filter cascade run
-// under fixed-redundancy majority voting and under EM answer inference
-// with adaptive redundancy, on identical config over a noisy crowd (so
-// the adaptive loop both stops early on agreement and buys extensions on
-// disagreement).
-type inferBench struct {
-	Workload            string  `json:"workload"`
-	Tuples              int     `json:"tuples"`
-	Seed                int64   `json:"seed"`
-	Skill               float64 `json:"mean_skill"`
-	MinAssignments      int     `json:"min_assignments"`
-	Assignments         int     `json:"assignments_cap"`
-	BaseHITs            int64   `json:"baseline_hits"`
-	BaseAssignments     int64   `json:"baseline_assignments"`
-	BaseSpentCents      int64   `json:"baseline_spent_cents"`
-	AdaptiveHITs        int64   `json:"adaptive_hits"`
-	AdaptiveAssignments int64   `json:"adaptive_assignments"`
-	AdaptiveSpentCents  int64   `json:"adaptive_spent_cents"`
-	Extensions          int64   `json:"extensions"`
-	ExtendFailures      int64   `json:"extend_failures"`
-	SavedCents          int64   `json:"saved_cents"`
-	WallMs              float64 `json:"wall_ms"`
-	SameFinger          bool    `json:"fingerprints_match"`
-}
-
-// runInferBench measures the answer-inference payoff — assignments and
-// cents the adaptive redundancy loop avoided buying at identical results
-// — and writes BENCH_infer.json next to the other artifacts. Unlike the
-// load workload's perfect-crowd verify posture, the bench crowd is noisy
-// (0.93 mean skill) so the adaptive column shows real extensions, not
-// just floor posting.
-func runInferBench(seed int64, scale int) error {
-	cfg := load.Config{Workload: load.WorkloadInference,
-		Tuples: 2000 * scale, Workers: 500, Seed: seed,
-		Skill: 0.93, SkillStd: 0.02, Spam: 1e-12, Abandon: 1e-12, BatchPenalty: 1e-12}
-	rep, err := load.Run(cfg)
-	if err != nil {
-		return err
-	}
-	out := inferBench{
-		Workload:            string(cfg.Workload),
-		Tuples:              rep.Config.Tuples,
-		Seed:                seed,
-		Skill:               rep.Config.Skill,
-		MinAssignments:      rep.Config.MinAssignments,
-		Assignments:         rep.Config.Assignments,
-		BaseHITs:            rep.InferBaseHITs,
-		BaseAssignments:     rep.InferBaseAssignments,
-		BaseSpentCents:      int64(rep.InferBaseSpent),
-		AdaptiveHITs:        rep.HITs,
-		AdaptiveAssignments: rep.Assignments,
-		AdaptiveSpentCents:  int64(rep.Spent),
-		Extensions:          rep.InferExtensions,
-		ExtendFailures:      rep.InferExtendFailures,
-		SavedCents:          int64(rep.InferSavedCents),
-		WallMs:              float64(rep.Wall) / float64(time.Millisecond),
-		SameFinger:          rep.PassedKeysFNV == rep.InferBaseFNV,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_infer.json", append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("INFER: baseline %d assignments over %d HITs (%d¢) vs adaptive %d over %d (%d¢, %d extensions): %d¢ saved (%.0f ms); fingerprints match: %v\n",
-		out.BaseAssignments, out.BaseHITs, out.BaseSpentCents,
-		out.AdaptiveAssignments, out.AdaptiveHITs, out.AdaptiveSpentCents,
-		out.Extensions, out.BaseSpentCents-out.AdaptiveSpentCents, out.WallMs, out.SameFinger)
-	fmt.Println("wrote BENCH_infer.json")
-	return nil
-}
 
 func main() {
 	seed := flag.Int64("seed", 1, "crowd and workload random seed")
-	only := flag.String("only", "", "run a single experiment (E1..E11, STORE, SORT, MT, BACKEND, EXEC, INFER, OBS)")
+	only := flag.String("only", "", "run a single experiment (E1..E11)")
 	scale := flag.Int("scale", 1, "workload scale multiplier")
 	flag.Parse()
 	if *scale < 1 {
@@ -379,57 +50,8 @@ func main() {
 		matched = true
 		fmt.Println(r.run().String())
 	}
-	if *only == "" || strings.EqualFold(*only, "STORE") {
-		matched = true
-		if err := runStoreBench(*seed, s); err != nil {
-			fmt.Fprintln(os.Stderr, "qurk-bench: STORE:", err)
-			os.Exit(1)
-		}
-	}
-	if *only == "" || strings.EqualFold(*only, "SORT") {
-		matched = true
-		if err := runSortBench(*seed, s); err != nil {
-			fmt.Fprintln(os.Stderr, "qurk-bench: SORT:", err)
-			os.Exit(1)
-		}
-	}
-	if *only == "" || strings.EqualFold(*only, "MT") {
-		matched = true
-		if err := runMTBench(*seed, s); err != nil {
-			fmt.Fprintln(os.Stderr, "qurk-bench: MT:", err)
-			os.Exit(1)
-		}
-	}
-	if *only == "" || strings.EqualFold(*only, "BACKEND") {
-		matched = true
-		if err := runBackendBench(*seed, s); err != nil {
-			fmt.Fprintln(os.Stderr, "qurk-bench: BACKEND:", err)
-			os.Exit(1)
-		}
-	}
-	if *only == "" || strings.EqualFold(*only, "EXEC") {
-		matched = true
-		if err := runExecBench(); err != nil {
-			fmt.Fprintln(os.Stderr, "qurk-bench: EXEC:", err)
-			os.Exit(1)
-		}
-	}
-	if *only == "" || strings.EqualFold(*only, "INFER") {
-		matched = true
-		if err := runInferBench(*seed, s); err != nil {
-			fmt.Fprintln(os.Stderr, "qurk-bench: INFER:", err)
-			os.Exit(1)
-		}
-	}
-	if *only == "" || strings.EqualFold(*only, "OBS") {
-		matched = true
-		if err := runObsBench(*seed, s); err != nil {
-			fmt.Fprintln(os.Stderr, "qurk-bench: OBS:", err)
-			os.Exit(1)
-		}
-	}
 	if !matched {
-		fmt.Fprintf(os.Stderr, "qurk-bench: unknown experiment %q (want E1..E11, STORE, SORT, MT, BACKEND, EXEC, INFER, OBS)\n", *only)
+		fmt.Fprintf(os.Stderr, "qurk-bench: unknown experiment %q (want E1..E11)\n", *only)
 		os.Exit(2)
 	}
 }

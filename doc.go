@@ -14,10 +14,11 @@
 // priority, adaptive joins), context cancellation propagates through
 // the executor and task manager to the marketplace (open HITs expired,
 // unspent budget refunded), and terminal errors are typed
-// (ErrBudgetExhausted, ErrCanceled, ErrDeadline, *ParseError). The
-// pre-context entry points (Run, QueryAndWait, QueryHandle.Wait) are
-// deprecated shims over Query; see README.md § "Querying" for the
-// deprecation policy and the qurk/api.txt surface pin.
+// (ErrBudgetExhausted, ErrCanceled, ErrDeadline, *ParseError). Query
+// is the one query entry point; see README.md § "Querying" for the
+// qurk/api.txt surface pin. TestEngineClaims (internal/core) proves the
+// engine's A/B claims — sharing, routing, inference, tracing, the plan
+// cache, pre-filtering, warm starts, sorts and streaming — through it.
 //
 // ORDER BY over a human ranking task runs through the ranking
 // subsystem (internal/rank): batched S-way comparison HITs, per-item
@@ -40,7 +41,7 @@
 // restarts through the durable knowledge store (internal/store): an
 // embedded, append-only, CRC-framed WAL with snapshot compaction and
 // corruption-tolerant replay. Set Config.StorePath (or the -store flag
-// on cmd/qurk and cmd/qurk-load) and a fresh engine warm-starts from
+// on cmd/qurk) and a fresh engine warm-starts from
 // every previous run's paid-for answers; README.md § "Durable knowledge
 // store" documents the record kinds, compaction policy and crash-safety
 // guarantees.

@@ -74,7 +74,7 @@ SELECT id, text FROM reviews WHERE isPositive(text)`,
 	fmt.Printf("crowd kept %d of 40 reviews as positive\n", kept)
 
 	// ORDER BY buffers before emitting, so a plain drained cursor is
-	// natural here; QueryAndWait remains as a deprecated one-call shim.
+	// natural here.
 	ranked, err := eng.Query(ctx, `
 SELECT img, appeal(img) AS score FROM items ORDER BY score DESC LIMIT 5`)
 	if err != nil {

@@ -46,8 +46,8 @@
 //
 // The reference Sim backend wraps the sharded in-process marketplace
 // unchanged: all completions are scheduled on the discrete-event virtual
-// clock, so a seeded run replays identically and every qurk-load -verify
-// fingerprint is a pure function of the workload. The LLM backend keeps
+// clock, so a seeded run replays identically and every result and spend
+// figure is a pure function of the workload. The LLM backend keeps
 // the same property by scheduling its model answers on the shared
 // virtual clock. Only the HTTP driver introduces wall-clock time, and it
 // is excluded from the deterministic verify paths for that reason.

@@ -190,7 +190,7 @@ func TestReopenAllocGate(t *testing.T) {
 	}
 	warmed := filepath.Join(t.TempDir(), "warmed")
 	e := open(warmed)
-	if _, err := e.QueryAndWait(`SELECT id FROM photos WHERE isCat(img)`); err != nil {
+	if _, err := queryAll(e, `SELECT id FROM photos WHERE isCat(img)`); err != nil {
 		t.Fatal(err)
 	}
 	e.Close()

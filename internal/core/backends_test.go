@@ -35,7 +35,7 @@ RETURNS Bool:
 `); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := e.QueryAndWait(`SELECT img FROM photos WHERE llmIsCat(img)`)
+	rows, err := queryAll(e, `SELECT img FROM photos WHERE llmIsCat(img)`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestEngineRouteChoosesLLMForFilters(t *testing.T) {
 	}}, ds)
 	// isCat is unpinned; the optimizer's chooser routes filters to the
 	// cheap high-prior LLM crowd.
-	rows, err := e.QueryAndWait(`SELECT img FROM photos WHERE isCat(img)`)
+	rows, err := queryAll(e, `SELECT img FROM photos WHERE isCat(img)`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -154,15 +154,9 @@ type QueryHandle struct {
 	span      atomic.Pointer[obs.Span] // query root span; nil when tracing is off or the query left the window
 }
 
-// Wait blocks until the query finishes and returns its rows.
-//
-// Deprecated: Wait cannot report errors — failures hide in
-// Exec.Errors(). Iterate Rows (or call Err after Wait) instead.
-func (h *QueryHandle) Wait() []relation.Tuple { return h.Exec.Wait() }
-
 // Result returns the pollable results table. Once a Rows of the query
 // is closed and the stream has ended, the table's rows are released;
-// its Len still counts them. A query started by Run or RunScript has
+// its Len still counts them. A query started by RunScript has
 // no Rows until QueryHandle.Rows opens one, so its table keeps its rows.
 func (h *QueryHandle) Result() *relation.Table { return h.Exec.Result() }
 
@@ -533,19 +527,6 @@ func (e *Engine) Tasks() []*qlang.TaskDef {
 	return append([]*qlang.TaskDef(nil), e.script.Tasks...)
 }
 
-// Run parses, plans and starts one SELECT query, returning its handle.
-//
-// Deprecated: use Query — it takes a context, per-query options and
-// returns a streaming cursor with typed errors. Run remains as a shim
-// (no cancellation context, engine-default options).
-func (e *Engine) Run(sql string) (*QueryHandle, error) {
-	stmt, err := qlang.ParseQuery(sql)
-	if err != nil {
-		return nil, err
-	}
-	return e.runStmt(sql, stmt)
-}
-
 // RunScript executes a full script: TASK definitions first, then every
 // query, returning one handle per query.
 func (e *Engine) RunScript(src string) ([]*QueryHandle, error) {
@@ -558,17 +539,13 @@ func (e *Engine) RunScript(src string) ([]*QueryHandle, error) {
 	}
 	var handles []*QueryHandle
 	for _, stmt := range script.Queries {
-		h, err := e.runStmt(stmt.String(), stmt)
+		h, err := e.startQuery(context.Background(), stmt.String(), stmt, queryOptions{})
 		if err != nil {
 			return handles, err
 		}
 		handles = append(handles, h)
 	}
 	return handles, nil
-}
-
-func (e *Engine) runStmt(sql string, stmt *qlang.SelectStmt) (*QueryHandle, error) {
-	return e.startQuery(context.Background(), sql, stmt, queryOptions{})
 }
 
 // startQuery plans and launches one SELECT under a context and
@@ -702,26 +679,6 @@ func (e *Engine) startQuery(ctx context.Context, sql string, stmt *qlang.SelectS
 		e.clock.Schedule(o.deadline, func() { q.Cancel(qerr.ErrDeadline) })
 	}
 	return h, nil
-}
-
-// QueryAndWait runs one query to completion and returns its rows. A
-// failure mid-query returns the completed prefix alongside the typed
-// error (ErrBudgetExhausted, ErrCanceled, … — the first operator error
-// is never silently dropped).
-//
-// Deprecated: use Query — it adds a context, per-query options and
-// streaming results. QueryAndWait remains as a shim over it.
-func (e *Engine) QueryAndWait(sql string) ([]relation.Tuple, error) {
-	rows, err := e.Query(context.Background(), sql)
-	if err != nil {
-		return nil, err
-	}
-	defer rows.Close()
-	var out []relation.Tuple
-	for rows.Next() {
-		out = append(out, rows.Tuple())
-	}
-	return out, rows.Err()
 }
 
 // Queries lists every submitted query's handle, in ID order. A handle

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"net/http/httptest"
 	"reflect"
 	"sort"
@@ -72,10 +73,26 @@ func newEngine(t *testing.T, cfg Config, datasets ...workload.Dataset) *Engine {
 	return e
 }
 
+// queryAll runs sql through Engine.Query to the end of its rows and
+// returns them with the query's error, as a caller draining Rows sees
+// them: a failure mid-query still returns the rows before it.
+func queryAll(e *Engine, sql string) ([]relation.Tuple, error) {
+	rows, err := e.Query(context.Background(), sql)
+	if err != nil {
+		return nil, err
+	}
+	defer rows.Close()
+	var out []relation.Tuple
+	for rows.Next() {
+		out = append(out, rows.Tuple())
+	}
+	return out, rows.Err()
+}
+
 func TestEngineQuery1EndToEnd(t *testing.T) {
 	ds := workload.Companies(8, 3)
 	e := newEngine(t, Config{}, ds)
-	rows, err := e.QueryAndWait(`
+	rows, err := queryAll(e, `
 SELECT companyName, findCEO(companyName).CEO, findCEO(companyName).Phone
 FROM companies`)
 	if err != nil {
@@ -100,7 +117,7 @@ FROM companies`)
 func TestEngineQuery2EndToEnd(t *testing.T) {
 	ds := workload.Celebrities(6, 12, 0.5, 4)
 	e := newEngine(t, Config{}, ds)
-	rows, err := e.QueryAndWait(`
+	rows, err := queryAll(e, `
 SELECT celebrities.name, spottedstars.id
 FROM celebrities, spottedstars
 WHERE samePerson(celebrities.image, spottedstars.image)`)
@@ -151,7 +168,7 @@ WHERE samePerson(celebrities.image, spottedstars.image)`
 		SkillStd: 1e-9, BatchPenalty: 1e-9, SpamFraction: 1e-12, AbandonRate: 1e-12}
 
 	base := newEngine(t, Config{Crowd: accurate}, ds)
-	baseRows, err := base.QueryAndWait(joinQuery)
+	baseRows, err := queryAll(base, joinQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,22 +178,18 @@ WHERE samePerson(celebrities.image, spottedstars.image)`
 	// (all-celebrity) side inflates the shared selectivity estimate
 	// until enough junk sightings have been observed.
 	adaptive.Optimizer().MinPreFilterTrials = 60
-	h, err := adaptive.Run(joinQuery)
+	adaptiveRows, err := queryAll(adaptive, joinQuery)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("adaptive join: %v", err)
 	}
-	if !strings.Contains(plan.Explain(h.Plan), "PreFilter(isCeleb") {
+	if h := adaptive.Queries()[0]; !strings.Contains(plan.Explain(h.Plan), "PreFilter(isCeleb") {
 		t.Fatalf("rewrite did not fire:\n%s", plan.Explain(h.Plan))
-	}
-	adaptiveRows := h.Wait()
-	if errs := h.Exec.Errors(); len(errs) > 0 {
-		t.Fatalf("adaptive errors: %v", errs)
 	}
 
 	for name, rows := range map[string][]relation.Tuple{"baseline": baseRows, "adaptive": adaptiveRows} {
 		// Workers cap at 99% accuracy, so allow a little answer noise;
-		// the strict rerun-identical comparison lives in the
-		// deterministic load harness (internal/load).
+		// the strict identical-rows comparison on a perfect crowd is
+		// TestEngineClaims' pre-filter case.
 		if len(rows) < truthMatches-3 || len(rows) > truthMatches+6 {
 			t.Fatalf("%s rows = %d, truth %d", name, len(rows), truthMatches)
 		}
@@ -221,8 +234,8 @@ SELECT count() AS n FROM photos
 	if len(handles) != 2 {
 		t.Fatalf("handles = %d", len(handles))
 	}
-	handles[0].Wait()
-	rows := handles[1].Wait()
+	handles[0].Exec.Wait()
+	rows := handles[1].Exec.Wait()
 	if len(rows) != 1 || rows[0].Get("n").Int() != 10 {
 		t.Fatalf("count = %v", rows)
 	}
@@ -234,10 +247,10 @@ SELECT count() AS n FROM photos
 func TestEngineErrors(t *testing.T) {
 	ds := workload.Photos(2, 0.5, 0.5, 2)
 	e := newEngine(t, Config{}, ds)
-	if _, err := e.Run(`SELECT nope FROM photos`); err == nil {
+	if _, err := e.Query(context.Background(), `SELECT nope FROM photos`); err == nil {
 		t.Error("bad column accepted")
 	}
-	if _, err := e.Run(`SELEC x`); err == nil {
+	if _, err := e.Query(context.Background(), `SELEC x`); err == nil {
 		t.Error("parse error accepted")
 	}
 	if err := e.Define(taskSrc); err == nil {
@@ -247,7 +260,7 @@ func TestEngineErrors(t *testing.T) {
 		t.Error("engine without oracle accepted")
 	}
 	e.Close()
-	if _, err := e.Run(`SELECT img FROM photos`); err == nil {
+	if _, err := e.Query(context.Background(), `SELECT img FROM photos`); err == nil {
 		t.Error("closed engine accepted a query")
 	}
 }
@@ -293,7 +306,7 @@ func TestEngineAttachModels(t *testing.T) {
 func TestEngineSnapshotAndDashboard(t *testing.T) {
 	ds := workload.Photos(6, 0.5, 0.5, 2)
 	e := newEngine(t, Config{}, ds)
-	if _, err := e.QueryAndWait(`SELECT img FROM photos WHERE isCat(img)`); err != nil {
+	if _, err := queryAll(e, `SELECT img FROM photos WHERE isCat(img)`); err != nil {
 		t.Fatal(err)
 	}
 	snap := e.Snapshot()
@@ -317,7 +330,7 @@ func TestEngineSnapshotAndDashboard(t *testing.T) {
 func TestEngineHTTPDashboard(t *testing.T) {
 	ds := workload.Photos(4, 0.5, 0.5, 2)
 	e := newEngine(t, Config{}, ds)
-	if _, err := e.QueryAndWait(`SELECT img FROM photos WHERE isCat(img)`); err != nil {
+	if _, err := queryAll(e, `SELECT img FROM photos WHERE isCat(img)`); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(dashboard.NewHandler(e))
@@ -346,11 +359,11 @@ func TestEngineCacheAcrossQueries(t *testing.T) {
 	ds := workload.Companies(5, 9)
 	e := newEngine(t, Config{}, ds)
 	q := `SELECT companyName, findCEO(companyName).CEO FROM companies`
-	if _, err := e.QueryAndWait(q); err != nil {
+	if _, err := queryAll(e, q); err != nil {
 		t.Fatal(err)
 	}
 	spent := e.Manager().Account().Spent()
-	if _, err := e.QueryAndWait(q); err != nil {
+	if _, err := queryAll(e, q); err != nil {
 		t.Fatal(err)
 	}
 	if e.Manager().Account().Spent() != spent {
@@ -372,7 +385,7 @@ func TestEngineLoadCSV(t *testing.T) {
 	if tab.Len() != 1 {
 		t.Fatal("csv load failed")
 	}
-	rows, err := e.QueryAndWait(`SELECT name FROM pets WHERE age > 2`)
+	rows, err := queryAll(e, `SELECT name FROM pets WHERE age > 2`)
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("rows=%v err=%v", rows, err)
 	}
@@ -389,7 +402,7 @@ func TestEngineCachePersistence(t *testing.T) {
 	ds := workload.Companies(4, 21)
 	e := newEngine(t, Config{StorePath: dir}, ds)
 	q := `SELECT companyName, findCEO(companyName).CEO FROM companies`
-	rows1, err := e.QueryAndWait(q)
+	rows1, err := queryAll(e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +412,7 @@ func TestEngineCachePersistence(t *testing.T) {
 	// free — paid answers (here whole tuples) survive process restarts.
 	ds2 := workload.Companies(4, 21) // same seed: same companies
 	e2 := newEngine(t, Config{StorePath: dir}, ds2)
-	rows2, err := e2.QueryAndWait(q)
+	rows2, err := queryAll(e2, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 func TestEngineInferenceAdaptiveRedundancy(t *testing.T) {
 	ds := workload.Photos(30, 0.5, 0.5, 11)
 	e := newEngine(t, Config{Inference: &InferenceConfig{Method: "em"}}, ds)
-	rows, err := e.QueryAndWait(`SELECT img FROM photos WHERE isCat(img)`)
+	rows, err := queryAll(e, `SELECT img FROM photos WHERE isCat(img)`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 )
 
 // Typed query errors. They surface (wrapped — test with errors.Is /
-// errors.As) from Rows.Err, QueryHandle.Err and QueryAndWait.
+// errors.As) from Rows.Err and QueryHandle.Err.
 var (
 	// ErrCanceled reports the query's context was canceled, its Rows
 	// closed early, or the engine shut down under it.

@@ -11,6 +11,7 @@ import (
 	"repro/internal/budget"
 	"repro/internal/crowd"
 	"repro/internal/dashboard"
+	"repro/internal/store"
 	"repro/internal/taskmgr"
 	"repro/internal/workload"
 )
@@ -274,6 +275,44 @@ func TestWithPolicyPerQuery(t *testing.T) {
 		t.Fatalf("want 1 assignment per HIT under the per-query policy, got %d for %d HITs",
 			mkt.AssignmentsCompleted, st.HITsPosted)
 	}
+
+	// A query that turns caching and training off learns nothing for
+	// later queries: finalize writes no cache entry, trains no model and
+	// journals neither, though the engine-wide policy would do all three.
+	e = newEngine(t, Config{AttachModels: true}, ds)
+	journal := &journalRecorder{}
+	e.Manager().SetJournal(journal)
+	rows, err = e.Query(context.Background(), `SELECT img FROM photos WHERE isCat(img)`,
+		WithPolicy("isCat", taskmgr.Policy{Assignments: 3, BatchSize: 1, PriceCents: 1,
+			Linger: time.Minute, UseCache: false, TrainModel: false}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rows.Next() {
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if e.Manager().StatsFor("iscat").HITsPosted == 0 {
+		t.Fatal("no HITs posted")
+	}
+	if n := len(e.Manager().Cache().Export()); n != 0 {
+		t.Errorf("%d cache entries written under UseCache: false", n)
+	}
+	tm, ok := e.Manager().Models().For("isCat")
+	if !ok {
+		t.Fatal("no model attached to isCat")
+	}
+	if n := tm.Stats().Examples; n != 0 {
+		t.Errorf("model trained on %d examples under TrainModel: false", n)
+	}
+	journal.mu.Lock()
+	for _, r := range journal.recs {
+		if r.Kind == store.KindCacheEntry || r.Kind == store.KindModelExample {
+			t.Errorf("journaled a %v record under the per-query policy", r.Kind)
+		}
+	}
+	journal.mu.Unlock()
 }
 
 func TestParseErrorPosition(t *testing.T) {
@@ -290,13 +329,14 @@ func TestParseErrorPosition(t *testing.T) {
 }
 
 // TestQueryAndWaitSurfacesOperatorError is the regression test for the
-// old silent-partial-rows behavior: when the engine budget dies
-// mid-query, QueryAndWait must return the completed prefix AND the
-// first operator error, typed.
+// old silent-partial-rows behavior of the one-call query shim it is
+// named after: when the engine budget dies mid-query, a caller draining
+// Rows gets the completed prefix AND, from Rows.Err, the first operator
+// error, typed.
 func TestQueryAndWaitSurfacesOperatorError(t *testing.T) {
 	ds := workload.Photos(30, 0.5, 0.6, 3)
 	e := newEngine(t, Config{BudgetCents: budget.Cents(9)}, ds)
-	rows, err := e.QueryAndWait(`SELECT img FROM photos WHERE isCat(img)`)
+	rows, err := queryAll(e, `SELECT img FROM photos WHERE isCat(img)`)
 	if err == nil {
 		t.Fatalf("want a budget error, got %d rows and no error", len(rows))
 	}

@@ -61,7 +61,7 @@ func newRankEngine(t *testing.T, n int) *Engine {
 // out in the latent order.
 func TestEngineRankOrderBy(t *testing.T) {
 	e := newRankEngine(t, 24)
-	rows, err := e.QueryAndWait(`SELECT img, truth FROM items ORDER BY rateSq(img)`)
+	rows, err := queryAll(e, `SELECT img, truth FROM items ORDER BY rateSq(img)`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestEngineRankTopKPushdown(t *testing.T) {
 	// Force the compare strategy so the test pins tournament economics
 	// (the default chooser would pick hybrid).
 	e.cfg.Exec.RankStrategy = nil // engine default installs the chooser at query start
-	rows, err := e.QueryAndWait(`SELECT img, truth FROM items ORDER BY rateSq(img) DESC LIMIT 3`)
+	rows, err := queryAll(e, `SELECT img, truth FROM items ORDER BY rateSq(img) DESC LIMIT 3`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestRankAgreementSurvivesRestart(t *testing.T) {
 	if err := e1.Define(rankTaskSrc); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e1.QueryAndWait(`SELECT img FROM items ORDER BY rateSq(img)`); err != nil {
+	if _, err := queryAll(e1, `SELECT img FROM items ORDER BY rateSq(img)`); err != nil {
 		t.Fatal(err)
 	}
 	want, n1 := e1.Manager().RankAgreement("orderSq")
@@ -179,7 +179,7 @@ func TestRankAgreementSurvivesRestart(t *testing.T) {
 // agreement estimator the optimizer's hybrid window model reads.
 func TestRankAgreementWarmsChooser(t *testing.T) {
 	e := newRankEngine(t, 20)
-	if _, err := e.QueryAndWait(`SELECT img FROM items ORDER BY rateSq(img)`); err != nil {
+	if _, err := queryAll(e, `SELECT img FROM items ORDER BY rateSq(img)`); err != nil {
 		t.Fatal(err)
 	}
 	est, n := e.Manager().RankAgreement("orderSq")

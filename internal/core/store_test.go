@@ -30,7 +30,7 @@ func TestEngineWarmStart(t *testing.T) {
 	query := `SELECT img FROM photos WHERE isCat(img)`
 
 	run1 := newEngine(t, Config{StorePath: dir}, ds)
-	rows1, err := run1.QueryAndWait(query)
+	rows1, err := queryAll(run1, query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestEngineWarmStart(t *testing.T) {
 	if run2.WarmStart().CacheEntries == 0 || run2.WarmStart().Observations == 0 {
 		t.Fatalf("run 2 replayed nothing: %+v", run2.WarmStart())
 	}
-	rows2, err := run2.QueryAndWait(query)
+	rows2, err := queryAll(run2, query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestReputationDurability(t *testing.T) {
 	}
 
 	run1 := newSpammyEngine()
-	if _, err := run1.QueryAndWait(`SELECT img FROM photos WHERE isCat(img)`); err != nil {
+	if _, err := queryAll(run1, `SELECT img FROM photos WHERE isCat(img)`); err != nil {
 		t.Fatal(err)
 	}
 	quals := run1.Manager().WorkerQualities()
@@ -129,7 +129,7 @@ RETURNS Bool:
 `); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := run2.QueryAndWait(`SELECT img FROM photos WHERE isOutdoor(img)`); err != nil {
+	if _, err := queryAll(run2, `SELECT img FROM photos WHERE isOutdoor(img)`); err != nil {
 		t.Fatal(err)
 	}
 	after := findQuality(run2.Manager().WorkerQualities(), worst.ID)

@@ -9,21 +9,15 @@ import (
 	"repro/internal/relation"
 )
 
-// BenchCase is one local-only operator pipeline measured by the EXEC
-// benchmark suite. The same cases back the Benchmark* functions in
-// bench_test.go, the alloc-regression gate, and `qurk-bench -only EXEC`,
-// so every consumer measures identical plans.
+// BenchCase is one local-only operator pipeline measured by the
+// executor benchmarks. The same cases back the Benchmark* functions in
+// bench_test.go and the alloc-regression gates, so every consumer
+// measures identical plans.
 type BenchCase struct {
 	Name     string
 	SQL      string
 	WantRows int
-	// BaselineNsOp / BaselineAllocs are the pre-refactor (goroutine-per-
-	// node, queue-bridged) executor's measurements, committed so
-	// BENCH_exec.json can report the rewrite's gains against a fixed
-	// reference.
-	BaselineNsOp   float64
-	BaselineAllocs int64
-	Tables         func() []*relation.Table
+	Tables   func() []*relation.Table
 }
 
 // Plan builds the case's plan over fresh tables.
@@ -79,17 +73,14 @@ func benchSeq(n int) []int64 {
 func BenchSuite() []BenchCase {
 	return []BenchCase{
 		{Name: "FilterPipeline", SQL: `SELECT v FROM vals WHERE v < 2048`, WantRows: 2048,
-			BaselineNsOp: 2053415, BaselineAllocs: 4217,
 			Tables: func() []*relation.Table {
 				return []*relation.Table{benchIntTable("vals", "v", benchSeq(4096))}
 			}},
 		{Name: "JoinGrid", SQL: `SELECT a.x, b.y FROM a, b WHERE a.x = b.y`, WantRows: 64,
-			BaselineNsOp: 1578326, BaselineAllocs: 4305,
 			Tables: func() []*relation.Table {
 				return []*relation.Table{benchIntTable("a", "x", benchSeq(64)), benchIntTable("b", "y", benchSeq(64))}
 			}},
 		{Name: "Distinct", SQL: `SELECT DISTINCT v FROM vals`, WantRows: 256,
-			BaselineNsOp: 2230091, BaselineAllocs: 16452,
 			Tables: func() []*relation.Table {
 				vals := make([]int64, 4096)
 				for i := range vals {
@@ -98,7 +89,6 @@ func BenchSuite() []BenchCase {
 				return []*relation.Table{benchIntTable("vals", "v", vals)}
 			}},
 		{Name: "OrderBy", SQL: `SELECT v FROM vals ORDER BY v DESC`, WantRows: 4096,
-			BaselineNsOp: 6472494, BaselineAllocs: 16589,
 			Tables: func() []*relation.Table {
 				vals := benchSeq(4096)
 				rng := rand.New(rand.NewSource(42))

@@ -6,35 +6,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/crowd"
-	"repro/internal/load"
 	"repro/internal/workload"
 )
-
-// TestLoadHarnessDeterministic asserts the crowd-scale load harness
-// reports identical virtual-time metrics across reruns for every
-// workload it supports.
-func TestLoadHarnessDeterministic(t *testing.T) {
-	for _, wl := range []load.Workload{load.WorkloadFilter, load.WorkloadJoin,
-		load.WorkloadJoinPreFilter, load.WorkloadOrderBy} {
-		t.Run(string(wl), func(t *testing.T) {
-			cfg := load.Config{Workload: wl, Tuples: 200, Workers: 120, Seed: 11}
-			a, err := load.Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := load.Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a.HITs != b.HITs || a.Assignments != b.Assignments || a.Questions != b.Questions ||
-				a.Spent != b.Spent || a.Outcomes != b.Outcomes || a.Passed != b.Passed ||
-				a.Makespan != b.Makespan || a.P50 != b.P50 || a.P99 != b.P99 ||
-				a.JoinPairs != b.JoinPairs || a.PassedKeysFNV != b.PassedKeysFNV {
-				t.Fatalf("virtual-time metrics differ across reruns:\n%s\n---\n%s", a, b)
-			}
-		})
-	}
-}
 
 // TestExperimentsDeterministic reruns representative experiments with
 // the same seed and requires byte-identical result tables: workload

@@ -205,8 +205,7 @@ func settle(e *core.Engine) {
 }
 
 // queryAndWait drains one query through the context API, returning the
-// rows and the typed terminal error (the experiments' one-call idiom,
-// kept off the deprecated Engine.QueryAndWait shim).
+// rows and the typed terminal error (the experiments' one-call idiom).
 func queryAndWait(e *core.Engine, sql string) ([]relation.Tuple, error) {
 	rows, err := e.Query(context.Background(), sql)
 	if err != nil {

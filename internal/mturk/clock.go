@@ -26,9 +26,8 @@
 // Step begins runs in strictly increasing (time, seq) order; a Schedule
 // overlapping a Step races it exactly as it would have raced the old
 // single-mutex pop (see Step). When all scheduling happens from the
-// pump goroutine itself (the single-threaded harness pattern — see
-// internal/load), no such races exist and the whole simulation is a
-// pure function of its seeds.
+// pump goroutine itself (a single-threaded driver), no such races exist
+// and the whole simulation is a pure function of its seeds.
 //
 // When other goroutines feed the clock — the engine's executor runs
 // producer goroutines beside its pump — Run waits for them: it steps

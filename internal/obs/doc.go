@@ -19,8 +19,8 @@
 // discrete-event virtual clock, never from wall time or randomness, so
 // the same seed yields byte-identical traces. Creating or ending a span
 // never schedules clock events — tracing cannot perturb a simulation,
-// which is what keeps `-verify` fingerprints identical with tracing on
-// or off.
+// which is what keeps rows, spend and the journal identical with
+// tracing on or off (TestEngineClaims in internal/core).
 //
 // # Zero overhead when disabled
 //
@@ -39,5 +39,5 @@
 //     behind Rows.Explain() and the REPL's EXPLAIN ANALYZE.
 //   - Registry.WritePrometheus serves text-format /metrics.
 //   - MarshalTree serves JSON /trace/{id}; WriteJSONL streams a whole
-//     run's forest for qurk-load -trace.
+//     run's forest (Tracer.Roots) as JSON Lines.
 package obs

@@ -1,5 +1,5 @@
 // Package qerr defines the typed error taxonomy of the query API.
-// Every terminal query failure surfaced through Rows.Err, QueryAndWait
+// Every terminal query failure surfaced through Rows.Err, QueryHandle.Err
 // or a task Outcome wraps one of these sentinels (or *ParseError), so
 // callers branch with errors.Is / errors.As instead of string matching —
 // the contract production database drivers converged on.

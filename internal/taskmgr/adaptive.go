@@ -144,8 +144,11 @@ func (fl *inflightHIT) votesByItem() (votes [][]infer.Vote, slots []int) {
 }
 
 // itemsConfident reports whether every live item's posterior has
-// reached the stopping target under the HIT's aggregator. Stripe lock
-// held; the EM fit takes repMu inside (stripe → repMu never inverts:
+// reached the stopping target under the HIT's aggregator. Votes, not
+// priors, end a disagreement: an item whose paid votes conflict is
+// unsure until a third is in, however trusted one side's worker is
+// (the final resolution still weighs the priors). Stripe lock held;
+// the EM fit takes repMu inside (stripe → repMu never inverts:
 // reputation paths take repMu alone).
 func (m *Manager) itemsConfident(fl *inflightHIT) bool {
 	em, ok := fl.agg.(*infer.EM)
@@ -153,6 +156,11 @@ func (m *Manager) itemsConfident(fl *inflightHIT) bool {
 		return true
 	}
 	items, _ := fl.votesByItem()
+	for _, votes := range items {
+		if len(votes) < 3 && votesConflict(votes, fl.boolTask) {
+			return false
+		}
+	}
 	ps, _ := em.Fit(items, fl.boolTask)
 	for _, p := range ps {
 		if p.Confidence < fl.target {
@@ -160,6 +168,18 @@ func (m *Manager) itemsConfident(fl *inflightHIT) bool {
 		}
 	}
 	return true
+}
+
+// votesConflict reports whether an item's votes disagree: on the truth
+// value for a boolean task, on the exact value otherwise.
+func votesConflict(votes []infer.Vote, boolean bool) bool {
+	for _, v := range votes[1:] {
+		if boolean && v.Value.Truthy() != votes[0].Value.Truthy() ||
+			!boolean && !v.Value.Equal(votes[0].Value) {
+			return true
+		}
+	}
+	return false
 }
 
 // extendInflight buys one more assignment for an unsure adaptive HIT.
@@ -308,7 +328,7 @@ func (m *Manager) RestoreWorkerQuality(worker string, st stats.EWMAState) {
 }
 
 // InferenceStats aggregates the adaptive redundancy loop's activity for
-// the dashboard and the load harness.
+// the dashboard.
 type InferenceStats struct {
 	// Method is the engine-wide inference method ("majority", "em").
 	Method string

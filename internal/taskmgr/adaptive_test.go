@@ -10,9 +10,11 @@ import (
 	"repro/internal/cache"
 	"repro/internal/crowd"
 	"repro/internal/hit"
+	"repro/internal/infer"
 	"repro/internal/model"
 	"repro/internal/mturk"
 	"repro/internal/relation"
+	"repro/internal/stats"
 )
 
 // submitMany submits n distinct filter items and pumps until all resolve,
@@ -208,5 +210,81 @@ func TestAdaptiveExtendChargeRefundedWhenCancelRaces(t *testing.T) {
 	// the pro-rata refund is exactly the 1¢ extension slot.
 	if got := unconsumed(3, 3, 2); got != 1 {
 		t.Fatalf("unconsumed(3¢, 3 slots, 2 done) = %v, want exactly the 1¢ extension slot", got)
+	}
+}
+
+// heldBackend keeps every posted HIT's assignment callback instead of
+// asking a crowd, so a test chooses which worker answers what, and
+// records the extensions the adaptive loop buys.
+type heldBackend struct {
+	backend.Backend
+	mu       sync.Mutex
+	posted   map[string]func(mturk.AssignmentResult)
+	extended map[string]int
+}
+
+func (b *heldBackend) Post(h *hit.HIT, onAssignment func(mturk.AssignmentResult)) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.posted[h.ID] = onAssignment
+	return nil
+}
+
+func (b *heldBackend) ExtendAssignments(hitID string, extra int) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.extended[hitID] += extra
+	return nil
+}
+
+// answer delivers one worker's single-question sheet to a held HIT.
+func (b *heldBackend) answer(hitID, worker string, v relation.Value) {
+	b.mu.Lock()
+	on := b.posted[hitID]
+	b.mu.Unlock()
+	on(mturk.AssignmentResult{HITID: hitID, Answers: hit.Answers{WorkerID: worker, Values: []relation.Value{v}}})
+}
+
+// Two floor votes that disagree must not end an adaptive HIT, however
+// trusted one side's worker is. Workers rated 0.97 and 0.8 who cast
+// opposite votes give the trusted side a 0.89 posterior, over the 0.85
+// target, so the priors alone would stop the HIT at two assignments and
+// let one worker decide the item. The HIT buys a third vote instead.
+func TestAdaptiveConflictingFloorVotesBuyThirdAssignment(t *testing.T) {
+	clock := mturk.NewClock()
+	market := mturk.NewMarketplace(clock, crowd.NewPool(crowd.Config{Seed: 1}, catOracle))
+	b := &heldBackend{Backend: backend.NewSim(market),
+		posted: map[string]func(mturk.AssignmentResult){}, extended: map[string]int{}}
+	m := NewWithBackend(b, cache.New(), model.NewRegistry(), budget.NewAccount(0))
+	m.SetInference("em", 2, 0)
+	m.RestoreWorkerQuality("w-trusted", stats.EWMAState{Value: 0.97, N: 1000})
+	m.RestoreWorkerQuality("w-fair", stats.EWMAState{Value: 0.8, N: 1000})
+	split := []infer.Vote{{Worker: "w-trusted", Value: relation.NewBool(false)}, {Worker: "w-fair", Value: relation.NewBool(true)}}
+	if _, conf := (&infer.EM{Prior: m.workerPrior}).Bool(split); conf <= DefaultTargetConfidence {
+		t.Fatalf("priors give the split a %.3f posterior; the case needs one over the %.2f target", conf, DefaultTargetConfidence)
+	}
+
+	var got []Outcome
+	m.Submit(Request{Def: filterDef(), Args: []relation.Value{relation.NewImage("cat-1.png")},
+		Done: func(o Outcome) { got = append(got, o) }})
+	m.FlushAll()
+	if len(b.posted) != 1 {
+		t.Fatalf("posted %d HITs, want 1", len(b.posted))
+	}
+	var id string
+	for id = range b.posted {
+	}
+	b.answer(id, "w-trusted", relation.NewBool(false))
+	b.answer(id, "w-fair", relation.NewBool(true))
+	if b.extended[id] != 1 || len(got) != 0 {
+		t.Fatalf("after two conflicting floor votes: %d extensions and %d outcomes; want a third assignment bought and nothing resolved",
+			b.extended[id], len(got))
+	}
+	b.answer(id, "w-third", relation.NewBool(true))
+	if len(got) != 1 || got[0].Err != nil || len(got[0].Answers) != 3 {
+		t.Fatalf("after the third vote: outcomes %+v; want one resolved on three answers", got)
+	}
+	if spent := m.Account().Spent(); spent != 3 {
+		t.Fatalf("spent = %v, want 3 (two floor assignments and one extension at 1¢)", spent)
 	}
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // RestoreSummary reports what Restore installed, for the dashboard's
-// warm-start panel and the load harness.
+// warm-start panel.
 type RestoreSummary struct {
 	// CacheEntries / CacheAnswers are the Task Cache contents restored.
 	CacheEntries, CacheAnswers int64

@@ -490,6 +490,16 @@ type inflightHIT struct {
 	extSpans []*obs.Span
 }
 
+// shareOf returns the index of sc's share of the HIT.
+func (fl *inflightHIT) shareOf(sc *Scope) int {
+	for i := range fl.shares {
+		if fl.shares[i].scope == sc {
+			return i
+		}
+	}
+	return 0
+}
+
 // byQuestion lays a HIT's answer sheets out question by question in
 // one backing array of n questions × len(sheets): question i's answers,
 // in arrival order, are byQuestion(...)[i*k : (i+1)*k] for k sheets.
@@ -1572,9 +1582,16 @@ func (m *Manager) finalizeInflight(fl *inflightHIT) {
 		return
 	}
 
+	// Each question learns under the policy of the query that asked it:
+	// its share's scope, resolved once per share, or for a group item
+	// its own task's policy under the group's scope.
 	base := m.basePolicy()
+	var polBuf [1]Policy
+	pols := polBuf[:0]
 	st.mu.Lock()
-	pol := st.effectivePolicyLocked(base)
+	for i := range fl.shares {
+		pols = append(pols, st.scopedPolicyLocked(base, fl.shares[i].scope))
+	}
 	st.mu.Unlock()
 	var resolvedBuf [resolvedInline]resolution
 	resolved := resolvedBuf[:0]
@@ -1592,7 +1609,7 @@ func (m *Manager) finalizeInflight(fl *inflightHIT) {
 	k := len(fl.byWorker)
 	cols := byQuestion(fl.byWorker, n)
 	for i := 0; i < n; i++ {
-		qs, def, side := st, fl.def, ""
+		qs, def, side, pol := st, fl.def, "", pols[0]
 		var args []relation.Value
 		var ckey cache.Key
 		if fl.kind == kindGrid {
@@ -1605,6 +1622,11 @@ func (m *Manager) finalizeInflight(fl *inflightHIT) {
 			def, args, ckey, side = item.def, item.args, item.ckey, item.side
 			if fl.kind == kindGroup {
 				qs = m.state(def.Name, def)
+				qs.mu.Lock()
+				pol = qs.scopedPolicyLocked(base, item.scope)
+				qs.mu.Unlock()
+			} else {
+				pol = pols[fl.shareOf(item.scope)]
 			}
 		}
 		answers := answersOf(cols, i, k)

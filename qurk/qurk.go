@@ -57,15 +57,14 @@
 // programs finish in milliseconds. See DESIGN.md for the architecture
 // and EXPERIMENTS.md for the reproduced evaluation.
 //
-// # Deprecation policy
+// # API surface
 //
-// Engine.Run, Engine.QueryAndWait and QueryHandle.Wait predate the
-// context API and remain as thin shims over Engine.Query. Deprecated
-// entry points keep working for at least two further releases of this
-// module and are removed only with a major-version bump; new code
-// should use Query. The exported surface of this package is pinned by
-// qurk/api.txt (enforced in CI): changing it requires regenerating that
-// file and noting the change in CHANGES.md.
+// Engine.Query is the one way to run a query: it takes a context and
+// per-query options and returns a streaming cursor with typed errors
+// (Engine.RunScript runs a whole script of them). The exported surface
+// of this package is pinned by qurk/api.txt (enforced in CI): changing
+// it requires regenerating that file and noting the change in
+// CHANGES.md.
 package qurk
 
 import (
@@ -122,7 +121,7 @@ type (
 	Snapshot = dashboard.Snapshot
 )
 
-// Typed query errors; returned wrapped from Rows.Err / QueryAndWait,
+// Typed query errors; returned wrapped from Rows.Err,
 // test with errors.Is.
 var (
 	// ErrCanceled: the query's context was canceled, its Rows closed

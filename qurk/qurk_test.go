@@ -36,15 +36,22 @@ RETURNS (String CEO, String Phone):
 `); err != nil {
 		t.Fatal(err)
 	}
-	//lint:ignore SA1019 the deprecated shim must keep working; this is its test
-	rows, err := eng.QueryAndWait(`
+	rows, err := eng.Query(context.Background(), `
 SELECT companyName, findCEO(companyName).CEO, findCEO(companyName).Phone
 FROM companies`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 5 {
-		t.Fatalf("rows = %d", len(rows))
+	defer rows.Close()
+	n := 0
+	for rows.Next() {
+		n++
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if n != 5 {
+		t.Fatalf("rows = %d", n)
 	}
 	// Policy knobs are reachable through the facade.
 	pol := qurk.DefaultPolicy()
