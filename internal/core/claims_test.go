@@ -650,6 +650,38 @@ func engineClaims() []engineClaim {
 			},
 		},
 		{
+			// A grid join and a top-4 comparison sort behind a cap of two
+			// HITs in flight: every grid and comparison HIT waits for a
+			// slot, and the perfect crowd answers them as it would
+			// uncapped.
+			name: "an admission cap changes no join or sort result",
+			sides: func(t *testing.T, seed int64) []claimSide {
+				data := func() workload.Dataset {
+					items, celebs := workload.RankItems(30, 9, "rateSq", seed), workload.Celebrities(10, 30, 0.2, seed)
+					return workload.Dataset{Tables: append(items.Tables, celebs.Tables...), Oracle: workload.Combine(
+						items.Oracle, workload.OrderOracle(items.Tables[0], "orderSq"), celebs.Oracle)}
+				}
+				capped := claimSide{cfg: forceRank(rank.StrategyCompare), data: data,
+					tasks: rankTaskSrc + fmt.Sprintf(claimJoinTasks, 5, ""), read: readRank,
+					stmts: []claimStmt{{sql: claimJoin}, {sql: `SELECT img, truth FROM items ORDER BY rateSq(img) DESC LIMIT 4`}}}
+				capped.cfg.Crowd, capped.cfg.MaxInflightHITs = perfectCrowd(seed), 2
+				uncapped := capped
+				uncapped.cfg.MaxInflightHITs = 0
+				return []claimSide{capped, uncapped}
+			},
+			check: func(t *testing.T, runs []claimRun) {
+				capped, uncapped := runs[0], runs[1]
+				if !sameWork(capped, uncapped) || capped.Extra["compare_hits"] != uncapped.Extra["compare_hits"] {
+					t.Errorf("the cap changed the run:\n capped   %+v\n uncapped %+v", capped, uncapped)
+				}
+				if capped.Extra["compare_hits"] <= 2 || capped.HITs-int(capped.Extra["compare_hits"]) <= 2 {
+					t.Errorf("the sort (%d comparison HITs) or the join (%d HITs) never queued behind the cap",
+						capped.Extra["compare_hits"], capped.HITs-int(capped.Extra["compare_hits"]))
+				}
+			},
+			repeats: sameCrowd,
+		},
+		{
 			// One worker answers one photo per HIT, and at most eight
 			// photos are in flight, so rows stream while later HITs are
 			// still to be posted. Cancellation lands at a wall-time
@@ -690,8 +722,8 @@ func engineClaims() []engineClaim {
 // TestEngineClaims proves, through Engine.Query on fresh engines, each
 // claim the engine makes about two or more ways of running the same
 // SQL: sharing, routing, adaptive inference, tracing, the plan cache,
-// join pre-filtering, warm starts, sort strategies and streaming
-// cancellation. Each case runs every side at seeds 1 and 2, checks the
+// join pre-filtering, warm starts, sort strategies, the admission cap
+// and streaming cancellation. Each case runs every side at seeds 1 and 2, checks the
 // sides against each other, and reruns its first side to check that it
 // repeats.
 func TestEngineClaims(t *testing.T) {

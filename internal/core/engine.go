@@ -72,11 +72,12 @@ type Config struct {
 	// informed estimators, trained models and already-blocked spammers.
 	// Empty means no persistence (seed behavior).
 	StorePath string
-	// MaxInflightHITs gates batch posting: at most this many
-	// scheduler-admitted HITs are in flight at once; further batches
-	// queue in priority / weighted-fair-share order (see WithPriority
-	// and WithWeight) so a burst of concurrent queries degrades
-	// gracefully instead of flooding the marketplace. 0 = unlimited.
+	// MaxInflightHITs gates HIT posting: at most this many HITs of any
+	// kind (batches, grouped filters, join grids and comparisons) are in
+	// flight at once; further HITs queue in priority /
+	// weighted-fair-share order (see WithPriority and WithWeight) so a
+	// burst of concurrent queries degrades gracefully instead of
+	// flooding the marketplace. 0 = unlimited.
 	MaxInflightHITs int
 	// PlanCacheSize bounds the normalized-SQL plan cache (LRU entries).
 	// 0 means the default (256); negative disables plan caching
@@ -913,9 +914,7 @@ func (e *Engine) Snapshot() dashboard.Snapshot {
 			snap.Warmstart.SavedCents += budget.Cents(float64(entries) * perEntry)
 		}
 	}
-	// Remaining-work estimate: pending batched questions plus open
-	// assignments, at one (price × assignment) unit each.
-	snap.EstimatedRemainingCents = budget.Cents(e.mgr.Pending() + e.mgr.Inflight())
+	snap.EstimatedRemainingCents = e.mgr.EstimatedRemainingCents()
 	now := e.clock.Now()
 	for _, sq := range shown {
 		h := sq.h

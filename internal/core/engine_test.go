@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"reflect"
 	"sort"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/qlang"
 	"repro/internal/relation"
+	"repro/internal/taskmgr"
 	"repro/internal/workload"
 )
 
@@ -437,4 +439,45 @@ func rowStrings(rows []relation.Tuple) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// TestSnapshotPricesRemainingWork: the dashboard's remaining-work
+// figure is cents of crowd work not yet posted. Two questions wait to
+// fill a batch of five at 5¢ × 3 assignments, 3¢ each; of two one-item
+// HITs at 4¢ × 2 assignments, one is in flight (spent already, so it
+// adds nothing) and one waits behind the admission cap of 1 at its 8¢
+// provisional cost: 14¢ in all.
+func TestSnapshotPricesRemainingWork(t *testing.T) {
+	e := newEngine(t, Config{MaxInflightHITs: 1}, workload.Photos(4, 0.5, 0.5, 1))
+	// Hold the clock, so nothing completes, lingers or admits meanwhile.
+	gate := e.Clock().Gate()
+	gate.Hold()
+	defer gate.Release()
+	task := func(name string, batch, price, assignments int) *qlang.TaskDef {
+		def, err := qlang.ParseTaskDef(fmt.Sprintf(`
+TASK %s(Image photo)
+RETURNS Bool:
+  TaskType: Filter
+  Text: "Is this it? %%s", photo
+  Response: YesNo
+  Batch: %d
+  Price: %d
+  Assignments: %d
+`, name, batch, price, assignments))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return def
+	}
+	batched, single := task("isCat", 5, 5, 3), task("isOld", 1, 4, 2)
+	for i, def := range []*qlang.TaskDef{batched, batched, single, single} {
+		e.Manager().Submit(taskmgr.Request{Def: def, Args: []relation.Value{relation.NewImage(fmt.Sprint("photo", i))},
+			Done: func(taskmgr.Outcome) {}})
+	}
+	if n, in := e.Manager().Pending(), e.Manager().Inflight(); n != 3 || in != 1 {
+		t.Fatalf("Pending = %d, Inflight = %d; want 2 batching and 1 queued, 1 in flight", n, in)
+	}
+	if got := e.Snapshot().EstimatedRemainingCents; got != 14 {
+		t.Errorf("EstimatedRemainingCents = %v, want 14¢ (2 × 3¢ batching + 8¢ queued + 0¢ in flight)", got)
+	}
 }

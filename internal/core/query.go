@@ -86,7 +86,8 @@ func WithPlanCache(on bool) QueryOption {
 }
 
 // WithPriority orders this query's pending work ahead of (positive) or
-// behind (negative) other queries when HIT batches are cut. Default 0.
+// behind (negative) other queries when HIT batches are cut and when its
+// HITs, of any kind, wait for admission. Default 0.
 func WithPriority(p int) QueryOption {
 	return func(o *queryOptions) { o.priority = p }
 }
@@ -106,7 +107,7 @@ func WithSharedBatching(on bool) QueryOption {
 
 // WithWeight sets this query's fair-share weight (default 1) for the
 // admission scheduler: at equal priority, a weight-2 query is granted
-// HIT slots twice as often as a weight-1 query while both have batches
+// HIT slots twice as often as a weight-1 query while both have HITs
 // queued. Only meaningful with Config.MaxInflightHITs set.
 func WithWeight(w int) QueryOption {
 	return func(o *queryOptions) { o.weight = w }

@@ -147,8 +147,11 @@ type Snapshot struct {
 	// Workers lists agreement-based reputations, suspects first
 	// (capped by the snapshot builder).
 	Workers []taskmgr.WorkerQuality
-	// EstimatedRemainingCents projects completing all pending and
-	// in-flight work at current policies.
+	// EstimatedRemainingCents prices the crowd work not yet posted:
+	// each question waiting to fill a batch at its scoped policy's
+	// price × assignments ÷ batch size, and each HIT waiting for
+	// admission at its provisional cost. HITs in flight add nothing;
+	// their cost is already in Budget.Spent.
 	EstimatedRemainingCents budget.Cents
 	// Warmstart is what the knowledge store replayed at engine start
 	// (zero when no store is configured).

@@ -1,6 +1,6 @@
 // Package obs is the engine's observability layer: virtual-clock span
 // traces, a labeled metrics registry, and the renderers (EXPLAIN
-// ANALYZE, Prometheus text, JSONL) the rest of the system exposes them
+// ANALYZE, Prometheus text, JSON) the rest of the system exposes them
 // through.
 //
 // # Spans
@@ -38,6 +38,5 @@
 //   - ExplainAnalyze renders a finished tree as the per-operator table
 //     behind Rows.Explain() and the REPL's EXPLAIN ANALYZE.
 //   - Registry.WritePrometheus serves text-format /metrics.
-//   - MarshalTree serves JSON /trace/{id}; WriteJSONL streams a whole
-//     run's forest (Tracer.Roots) as JSON Lines.
+//   - MarshalTree serves JSON /trace/{id}.
 package obs

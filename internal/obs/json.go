@@ -1,11 +1,8 @@
 package obs
 
-import (
-	"encoding/json"
-	"io"
-)
+import "encoding/json"
 
-// SpanRecord is the JSONL wire form of one span.
+// SpanRecord is the JSON wire form of one span.
 type SpanRecord struct {
 	ID          int64             `json:"id"`
 	Parent      int64             `json:"parent,omitempty"`
@@ -27,8 +24,8 @@ type SpanRecord struct {
 	Children    []SpanRecord      `json:"children,omitempty"`
 }
 
-// record converts a span (and, when deep, its subtree) to wire form.
-func record(s *Span, deep bool) SpanRecord {
+// record converts a span and its subtree to wire form.
+func record(s *Span) SpanRecord {
 	r := SpanRecord{
 		ID:          s.ID,
 		Parent:      s.Parent,
@@ -55,10 +52,8 @@ func record(s *Span, deep bool) SpanRecord {
 			}
 		}
 	}
-	if deep {
-		for _, c := range s.Children() {
-			r.Children = append(r.Children, record(c, true))
-		}
+	for _, c := range s.Children() {
+		r.Children = append(r.Children, record(c))
 	}
 	return r
 }
@@ -69,46 +64,5 @@ func MarshalTree(root *Span) ([]byte, error) {
 	if root == nil {
 		return []byte("null"), nil
 	}
-	return json.MarshalIndent(record(root, true), "", "  ")
-}
-
-// jsonlHeader is the first line of every trace file: a schema note so a
-// replayer knows what it is reading without out-of-band docs.
-type jsonlHeader struct {
-	Schema string `json:"schema"`
-	Note   string `json:"note"`
-	Spans  int    `json:"spans"`
-}
-
-// WriteJSONL emits the given trace forest as JSON Lines: one header
-// object, then one flat span record per line in pre-order per tree
-// (parents always precede children, so a replayer can stream-build the
-// forest in one pass; virtual-clock start_ms/end_ms replay the original
-// schedule).
-func WriteJSONL(w io.Writer, roots []*Span) error {
-	total := 0
-	for _, r := range roots {
-		r.Walk(func(*Span) { total++ })
-	}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(jsonlHeader{
-		Schema: "qurk-trace/v1",
-		Note: "one span per line, pre-order per tree; parent=0 marks roots; " +
-			"start_ms/end_ms are virtual-clock milliseconds (replay by sorting on start_ms)",
-		Spans: total,
-	}); err != nil {
-		return err
-	}
-	for _, root := range roots {
-		var err error
-		root.Walk(func(s *Span) {
-			if err == nil {
-				err = enc.Encode(record(s, false))
-			}
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return json.MarshalIndent(record(root), "", "  ")
 }

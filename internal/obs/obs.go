@@ -264,7 +264,7 @@ func (t *Tracer) newSpan(kind Kind, name string) *Span {
 
 // StartRoot opens a parentless span (a query root, or a synthetic root
 // for manager-level tracing without an engine) and records it so Roots
-// and JSONL export can find the whole forest. Nil-receiver safe.
+// can find the whole forest. Nil-receiver safe.
 func (t *Tracer) StartRoot(kind Kind, name string) *Span {
 	if t == nil {
 		return nil

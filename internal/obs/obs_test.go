@@ -162,43 +162,6 @@ func TestRegistryPrometheusDeterministic(t *testing.T) {
 	}
 }
 
-func TestWriteJSONLSchema(t *testing.T) {
-	clk := &fakeClock{}
-	tr := New(clk.Now, nil)
-	q := tr.StartRoot(KindQuery, "q1")
-	op := q.Child(KindOperator, "Filter")
-	op.AddRowsOut(7)
-	clk.now = mturk.VirtualTime(60 * 1e9)
-	op.End()
-	q.End()
-
-	var b strings.Builder
-	if err := WriteJSONL(&b, tr.Roots()); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("want header + 2 spans, got %d lines", len(lines))
-	}
-	var hdr jsonlHeader
-	if err := json.Unmarshal([]byte(lines[0]), &hdr); err != nil {
-		t.Fatal(err)
-	}
-	if hdr.Schema != "qurk-trace/v1" || hdr.Spans != 2 || hdr.Note == "" {
-		t.Fatalf("bad header: %+v", hdr)
-	}
-	var rec SpanRecord
-	if err := json.Unmarshal([]byte(lines[2]), &rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Kind != KindOperator || rec.RowsOut != 7 || rec.EndMs != 60000 {
-		t.Fatalf("bad operator record: %+v", rec)
-	}
-	if rec.Parent == 0 {
-		t.Fatal("operator record lost its parent")
-	}
-}
-
 func TestExplainAnalyzeTable(t *testing.T) {
 	clk := &fakeClock{}
 	tr := New(clk.Now, nil)

@@ -31,7 +31,7 @@ func submitMany(t *testing.T, m *Manager, clock *mturk.Clock, n int) []Outcome {
 		m.Submit(Request{Def: def, Args: []relation.Value{relation.NewImage(img)},
 			Done: func(o Outcome) { mu.Lock(); outs[i] = o; done++; mu.Unlock() }})
 	}
-	m.FlushAll()
+	m.Flush(def.Name)
 	runUntil(t, clock, func() bool { mu.Lock(); defer mu.Unlock(); return done == n })
 	return outs
 }
@@ -265,9 +265,10 @@ func TestAdaptiveConflictingFloorVotesBuyThirdAssignment(t *testing.T) {
 	}
 
 	var got []Outcome
-	m.Submit(Request{Def: filterDef(), Args: []relation.Value{relation.NewImage("cat-1.png")},
+	def := filterDef()
+	m.Submit(Request{Def: def, Args: []relation.Value{relation.NewImage("cat-1.png")},
 		Done: func(o Outcome) { got = append(got, o) }})
-	m.FlushAll()
+	m.Flush(def.Name)
 	if len(b.posted) != 1 {
 		t.Fatalf("posted %d HITs, want 1", len(b.posted))
 	}

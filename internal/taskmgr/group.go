@@ -28,36 +28,21 @@ func (m *Manager) SubmitGroup(reqs []Request) error {
 	}
 
 	// Grouped requests come from one operator over one tuple, so they
-	// share a scope; a HIT still belongs to exactly one scope. The scope
-	// admits the post (beginPost), so a Cancel racing it waits until the
-	// HIT is registered or refunded. Outcomes are delivered after the
-	// admission ends.
+	// share a scope; a HIT still belongs to exactly one scope.
 	scope := reqs[0].Scope
-	if cause := scope.beginPost(); cause != nil {
+	if cause := scope.Err(); cause != nil {
 		for _, r := range reqs {
 			r.Done(Outcome{Err: fmt.Errorf("taskmgr: %s: %w", r.Def.Name, cause)})
 		}
 		return nil
 	}
-	var resolved []resolution // free answers, by request
-	var fl *inflightHIT
-	var failErr error // fails every item of fl
-	defer func() {
-		scope.endPost()
-		for _, r := range resolved {
-			reqs[r.q].Done(r.out)
-		}
-		if failErr != nil {
-			fl.fail(failErr)
-		}
-	}()
-
 	lead := m.state(reqs[0].Def.Name, reqs[0].Def)
 	base := m.basePolicy()
 	lead.mu.Lock()
 	pol := lead.scopedPolicyLocked(base, scope)
 	lead.mu.Unlock()
 
+	var resolved []resolution // free answers, by request
 	items := make([]pendingItem, 0, len(reqs))
 	for i, r := range reqs {
 		st := m.state(r.Def.Name, r.Def)
@@ -72,13 +57,21 @@ func (m *Manager) SubmitGroup(reqs []Request) error {
 		items = append(items, pendingItem{args: r.Args, ckey: ckey, prompt: r.Prompt, def: r.Def,
 			side: r.StatSide, scope: scope, done: r.Done, span: r.Trace})
 	}
+	var free func()
+	if res := resolved; len(res) > 0 {
+		free = func() {
+			for _, r := range res {
+				reqs[r.q].Done(r.out)
+			}
+		}
+	}
 	if len(items) == 0 {
+		free()
 		return nil
 	}
 
 	first := items[0].def
-	fl = m.openHIT(kindGroup, first, m.state(first.Name, first), pol, false)
-	price := m.priceFor(first, pol)
+	fl := m.openHIT(kindGroup, first, m.state(first.Name, first), pol, scope, items)
 	h := &hit.HIT{
 		ID:          m.market.NewHITID(),
 		Task:        first.Name,
@@ -86,7 +79,6 @@ func (m *Manager) SubmitGroup(reqs []Request) error {
 		Title:       "Answer a few questions",
 		Question:    fmt.Sprintf("Answer the following %d questions about the data shown.", len(items)),
 		Response:    qlang.Response{Kind: qlang.ResponseYesNo},
-		RewardCents: price,
 		Assignments: fl.assign,
 		Items:       make([]hit.Item, len(items)),
 		GroupKeys:   make([]string, len(items)),
@@ -101,7 +93,8 @@ func (m *Manager) SubmitGroup(reqs []Request) error {
 		h.Items[i] = hit.Item{Key: it.key, Args: it.args, Task: it.def.Name, Prompt: prompt}
 		h.GroupKeys[i] = it.def.Name
 	}
-	fl.hit, fl.items = h, items
-	failErr = m.postDirect(fl, scope)
+	fl.hit = h
+	m.enqueue(fl, pol, free)
+	m.dispatch()
 	return nil
 }

@@ -17,7 +17,7 @@ type JoinItem struct {
 	Args []relation.Value
 }
 
-// JoinBlock evaluates the cross product of left×right through the
+// JoinBlockIn evaluates the cross product of left×right through the
 // two-column JoinColumns interface: one HIT answers |left|·|right| pair
 // questions at once, the batching that makes human joins affordable.
 // done fires exactly once per (l, r) position, where l indexes left and
@@ -33,21 +33,15 @@ type JoinItem struct {
 // shown columns must hold distinct, non-empty keys (hit.Validate): a
 // grid that would post otherwise resolves each of its uncached pairs
 // with an error, and posts and charges nothing.
-func (m *Manager) JoinBlock(def *qlang.TaskDef, left, right []JoinItem, done func(l, r int, out Outcome)) {
-	m.JoinBlockIn(nil, def, left, right, done)
-}
-
-// JoinBlockIn is JoinBlock bound to a query scope: a canceled scope
+//
+// scope binds the grid to a query (nil = unscoped): a canceled scope
 // resolves every pair immediately with the cause, and the posted grid
 // HIT is registered for expiry/refund should the scope cancel mid-HIT.
 func (m *Manager) JoinBlockIn(scope *Scope, def *qlang.TaskDef, left, right []JoinItem, done func(l, r int, out Outcome)) {
 	if len(left) == 0 || len(right) == 0 {
 		return
 	}
-	// The scope admits the post (beginPost), so a Cancel racing it waits
-	// until the grid HIT is registered or refunded. Outcomes are
-	// delivered after the admission ends.
-	if cause := scope.beginPost(); cause != nil {
+	if cause := scope.Err(); cause != nil {
 		err := fmt.Errorf("taskmgr: %s: %w", def.Name, cause)
 		for l := range left {
 			for r := range right {
@@ -56,18 +50,6 @@ func (m *Manager) JoinBlockIn(scope *Scope, def *qlang.TaskDef, left, right []Jo
 		}
 		return
 	}
-	var resolved []resolution // free answers, by grid position
-	var fl *inflightHIT
-	var failErr error // fails every waited-on cell of fl
-	defer func() {
-		scope.endPost()
-		for _, res := range resolved {
-			done(res.q/len(right), res.q%len(right), res.out)
-		}
-		if failErr != nil {
-			fl.fail(failErr)
-		}
-	}()
 	st := m.state(def.Name, def)
 	base := m.basePolicy()
 	st.mu.Lock()
@@ -78,6 +60,7 @@ func (m *Manager) JoinBlockIn(scope *Scope, def *qlang.TaskDef, left, right []Jo
 	// Walk left×right once, row-major, resolving what we can from cache
 	// and model. The cells that remain are the ones the caller waits on.
 	grid := newJoinGrid(def.Name, left, right)
+	var resolved []resolution // free answers, by grid position
 	unresolved := 0
 	for i := range grid {
 		c := &grid[i]
@@ -88,13 +71,21 @@ func (m *Manager) JoinBlockIn(scope *Scope, def *qlang.TaskDef, left, right []Jo
 		c.wait = true
 		unresolved++
 	}
+	var free func()
+	if res := resolved; len(res) > 0 {
+		free = func() {
+			for _, r := range res {
+				done(r.q/len(right), r.q%len(right), r.out)
+			}
+		}
+	}
 	if unresolved == 0 {
+		free()
 		return
 	}
 
 	rows, cols := shrinkJoinGrid(grid, len(left), len(right))
-	fl = m.openHIT(kindGrid, def, st, pol, false)
-	price := m.priceFor(def, pol)
+	fl := m.openHIT(kindGrid, def, st, pol, scope, nil)
 	h := &hit.HIT{
 		ID:          m.market.NewHITID(),
 		Task:        def.Name,
@@ -102,7 +93,6 @@ func (m *Manager) JoinBlockIn(scope *Scope, def *qlang.TaskDef, left, right []Jo
 		Title:       def.Name,
 		Question:    hit.RenderText(def.Text, def.TextArgs, def.Params, nil),
 		Response:    joinResponse(def),
-		RewardCents: price,
 		Assignments: fl.assign,
 		Left:        make([]hit.Item, len(rows)),
 		Right:       make([]hit.Item, len(cols)),
@@ -126,10 +116,12 @@ func (m *Manager) JoinBlockIn(scope *Scope, def *qlang.TaskDef, left, right []Jo
 	}
 	fl.hit, fl.cells, fl.gridDone = h, cells, done
 	if err := h.Validate(); err != nil {
-		failErr = fmt.Errorf("taskmgr: %s: %w", def.Name, err)
+		q := queuedHIT{fl: fl, free: free}
+		q.settle(fmt.Errorf("taskmgr: %s: %w", def.Name, err))
 		return
 	}
-	failErr = m.postDirect(fl, scope)
+	m.enqueue(fl, pol, free)
+	m.dispatch()
 }
 
 // joinCell is one cell of a join grid, from the walk that asks to the

@@ -49,7 +49,7 @@ func TestJoinBlockRepeatedKeyResolvesEveryPair(t *testing.T) {
 			def := joinDef()
 			if c.cached[0] >= 0 {
 				// Answer the cached pair through a grid with distinct keys.
-				m.JoinBlock(def, []JoinItem{{Key: "x", Args: c.left[c.cached[0]].Args}},
+				m.JoinBlockIn(nil, def, []JoinItem{{Key: "x", Args: c.left[c.cached[0]].Args}},
 					[]JoinItem{{Key: "y", Args: c.right[c.cached[1]].Args}}, func(int, int, Outcome) {})
 				for clock.Step() {
 				}
@@ -59,7 +59,7 @@ func TestJoinBlockRepeatedKeyResolvesEveryPair(t *testing.T) {
 			var mu sync.Mutex
 			calls := 0
 			got := map[[2]int]Outcome{}
-			m.JoinBlock(def, c.left, c.right, func(l, r int, out Outcome) {
+			m.JoinBlockIn(nil, def, c.left, c.right, func(l, r int, out Outcome) {
 				mu.Lock()
 				defer mu.Unlock()
 				calls++
@@ -170,7 +170,7 @@ func TestJoinShrinkMatchesReference(t *testing.T) {
 		}
 
 		posted = nil
-		m.JoinBlock(def, left, right, func(int, int, Outcome) {})
+		m.JoinBlockIn(nil, def, left, right, func(int, int, Outcome) {})
 		if len(unresolved) == 0 {
 			if posted != nil {
 				t.Fatalf("trial %d: fully cached grid posted %s", trial, posted.ID)

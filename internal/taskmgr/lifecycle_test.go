@@ -116,14 +116,16 @@ func received(m *Manager) int {
 }
 
 // TestHITLifecycleMatrix drives every HIT kind through every way a HIT
-// ends: it completes, every assignment fails, the post fails, or its
-// scope cancels before the first or after the first of three
-// assignments (refunding two thirds of the cost). Each outcome is
-// delivered exactly once; scope and account spend agree; the scope's
-// HIT set is released, the marketplace holds no HIT and nothing is in
-// flight; with tracing on no span is left open, the in-flight gauge is
-// back to 0 and a canceled HIT's span says so. While a HIT is open,
-// Inflight counts it, whatever its kind.
+// ends: it completes, every assignment fails, the post fails, its scope
+// cancels before the first or after the first of three assignments
+// (refunding two thirds of the cost), or its scope cancels while it
+// waits for admission behind a full cap, holding its cost against the
+// scope's budget until then. Each outcome is delivered exactly once;
+// scope and account spend agree; the scope's HIT set is released, the
+// marketplace holds no HIT and nothing is pending or in flight; with
+// tracing on no span is left open, the in-flight gauge is back to 0
+// and a canceled HIT's span says so. While a HIT is open, Inflight
+// counts it, whatever its kind.
 func TestHITLifecycleMatrix(t *testing.T) {
 	type step = func(t *testing.T, m *Manager, clock *mturk.Clock, s *Scope, post func())
 	cases := []struct {
@@ -131,6 +133,7 @@ func TestHITLifecycleMatrix(t *testing.T) {
 		spent    budget.Cents // scope and account spend at the end
 		failed   bool         // every outcome carries an error
 		canceled bool         // ... the cancellation cause
+		queued   bool         // never admitted, so it has no HIT span
 		run      step
 	}{
 		{name: "completes", spent: 3, run: func(t *testing.T, m *Manager, clock *mturk.Clock, s *Scope, post func()) {
@@ -170,6 +173,25 @@ func TestHITLifecycleMatrix(t *testing.T) {
 				t.Errorf("Inflight = %d with the HIT open, want 1", n)
 			}
 			s.Cancel(nil)
+		}},
+		{name: "canceled while queued for admission", spent: 0, failed: true, canceled: true, queued: true, run: func(t *testing.T, m *Manager, clock *mturk.Clock, s *Scope, post func()) {
+			m.SetAdmission(1)
+			blocker, blk := m.NewScope(), filterDef()
+			blk.Name = "isBlocker"
+			m.Submit(Request{Def: blk, Args: imageArgs("cat-blocker"), Scope: blocker, Done: func(Outcome) {}})
+			s.SetBudget(100)
+			post()
+			if rem, _ := s.RemainingBudget(); rem != 97 {
+				t.Errorf("RemainingBudget = %v with the HIT queued, want 97 (its 3¢ held)", rem)
+			}
+			if m.Pending() == 0 || m.Inflight() != 1 {
+				t.Errorf("Pending = %d, Inflight = %d with the HIT queued behind the blocker", m.Pending(), m.Inflight())
+			}
+			s.Cancel(nil)
+			if rem, _ := s.RemainingBudget(); rem != 100 {
+				t.Errorf("RemainingBudget = %v after the cancel, want 100 (the hold released)", rem)
+			}
+			blocker.Cancel(nil)
 		}},
 	}
 	for _, kind := range lifecycleKinds {
@@ -222,6 +244,9 @@ func TestHITLifecycleMatrix(t *testing.T) {
 				if n := m.Inflight(); n != 0 {
 					t.Errorf("Inflight = %d at the end", n)
 				}
+				if n := m.Pending(); n != 0 {
+					t.Errorf("Pending = %d at the end", n)
+				}
 				if g := tr.Registry().Gauge(obs.MetricInflightHITs).Value(); g != 0 {
 					t.Errorf("in-flight gauge = %d at the end", g)
 				}
@@ -241,8 +266,12 @@ func TestHITLifecycleMatrix(t *testing.T) {
 						t.Errorf("canceled HIT span %s refunded %d¢, want %d", sp.Name, refund, 3-c.spent)
 					}
 				})
-				if hitSpans != 1 {
-					t.Errorf("%d HIT spans in the query's tree, want 1", hitSpans)
+				wantSpans := 1
+				if c.queued {
+					wantSpans = 0
+				}
+				if hitSpans != wantSpans {
+					t.Errorf("%d HIT spans in the query's tree, want %d", hitSpans, wantSpans)
 				}
 				root.End()
 				if open := tr.OpenSpans(root); open != 0 {
@@ -250,6 +279,71 @@ func TestHITLifecycleMatrix(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestAdmissionCapsEveryHITKind submits three join grids, three
+// comparisons, two grouped HITs and three batches at once under
+// SetAdmission(2). The cap holds for every kind: Inflight, read at
+// every clock step, never exceeds 2. Every outcome arrives exactly
+// once, without error, and scope spend equals account spend.
+func TestAdmissionCapsEveryHITKind(t *testing.T) {
+	m, clock := newRig(t, lifecycleOracle, crowd.Config{}, 0)
+	m.SetAdmission(2)
+	s := m.NewScope()
+	log := &outcomeLog{}
+	filter, dog, join, cmp := filterDef(), filterDef(), joinDef(), rankDef()
+	dog.Name = "isDog"
+	m.SetPolicy(filter.Name, Policy{Assignments: 3, BatchSize: 2, PriceCents: 1, Linger: time.Hour})
+	owed := 0
+	for i := 0; i < 3; i++ {
+		left := []JoinItem{{Key: "L", Args: imageArgs(fmt.Sprint("cat-l", i))}}
+		right := []JoinItem{{Key: "R1", Args: imageArgs(fmt.Sprint("cat-r", i))}, {Key: "R2", Args: imageArgs(fmt.Sprint("dog-r", i))}}
+		m.JoinBlockIn(s, join, left, right, func(l, r int, o Outcome) { log.deliver(fmt.Sprint("grid", i, l, r), o.Err) })
+		m.RankBlockIn(s, cmp, rankItemsN(3), func(_ []Ranking, err error) { log.deliver(fmt.Sprint("cmp", i), err) })
+		for j := 0; j < 2; j++ {
+			q := fmt.Sprint("batch", i, j)
+			m.Submit(Request{Def: filter, Args: imageArgs("cat-" + q), Scope: s, Done: func(o Outcome) { log.deliver(q, o.Err) }})
+		}
+		owed += 2 + 1 + 2
+	}
+	for i := 0; i < 2; i++ {
+		var reqs []Request
+		for _, def := range []*qlang.TaskDef{filter, dog} {
+			q := fmt.Sprint("group", i, def.Name)
+			reqs = append(reqs, Request{Def: def, Args: imageArgs(fmt.Sprint("cat-g", i)), Scope: s,
+				Done: func(o Outcome) { log.deliver(q, o.Err) }})
+		}
+		if err := m.SubmitGroup(reqs); err != nil {
+			t.Fatal(err)
+		}
+		owed += 2
+	}
+	peak := m.Inflight()
+	for clock.Step() {
+		peak = max(peak, m.Inflight())
+	}
+	if peak > 2 {
+		t.Errorf("%d HITs in flight at once under SetAdmission(2)", peak)
+	}
+	if n := log.delivered(); n != owed {
+		t.Errorf("%d outcomes delivered, want %d", n, owed)
+	}
+	log.mu.Lock()
+	for q, calls := range log.calls {
+		if calls != 1 {
+			t.Errorf("question %s resolved %d times", q, calls)
+		}
+	}
+	if len(log.errs) != 0 {
+		t.Errorf("outcomes carry errors: %v", log.errs)
+	}
+	log.mu.Unlock()
+	if s.Spent() != m.Account().Spent() || s.Spent() == 0 {
+		t.Errorf("spent: scope %v, account %v", s.Spent(), m.Account().Spent())
+	}
+	if m.Pending() != 0 || m.Inflight() != 0 {
+		t.Errorf("Pending = %d, Inflight = %d at the end", m.Pending(), m.Inflight())
 	}
 }
 
@@ -283,7 +377,7 @@ RETURNS Bool:
 	}
 	var mu sync.Mutex
 	outs := map[[2]int]Outcome{}
-	m.JoinBlock(def, left, right, func(l, r int, o Outcome) {
+	m.JoinBlockIn(nil, def, left, right, func(l, r int, o Outcome) {
 		mu.Lock()
 		outs[[2]int{l, r}] = o
 		mu.Unlock()

@@ -50,38 +50,61 @@ func (s *Scope) Span() *obs.Span {
 	return s.span.Load()
 }
 
-// traceBatchSpans opens the batch → hit span pair for one compiled
-// batch HIT and attributes it to each submitting operator's span. It
-// runs before the in-flight entry becomes visible to completions, so
-// onAssignment always observes fl.span fully built. The batch span is
-// backdated to queuedAt — its duration is the admission wait — and
-// closed at post time; the HIT span stays open until the HIT retires.
-func (m *Manager) traceBatchSpans(fl *inflightHIT, pol Policy, queuedAt mturk.VirtualTime) {
+// traceHITSpans opens the spans of a charged HIT of any kind, parented
+// to its first share's query span (or a synthetic root when unscoped),
+// and attributes the HIT to its submitting operators. A batch gets a
+// batch → HIT pair: the batch span is backdated to queuedAt — its
+// duration is the admission wait — and closed at post time. Any other
+// kind gets one HIT span noting the HIT's shape. It runs before the
+// in-flight entry becomes visible to completions, so onAssignment
+// always observes fl.span fully built; the HIT span stays open until
+// the HIT retires, and the posting metrics follow once the backend
+// accepts the HIT (traceHITPosted).
+func (m *Manager) traceHITSpans(fl *inflightHIT, pol Policy, queuedAt mturk.VirtualTime) {
 	tr := m.getObs()
 	if tr == nil {
 		return
 	}
-	var bs *obs.Span
+	kind, name := obs.KindHIT, fl.hit.ID
+	if fl.kind == kindBatch {
+		kind, name = obs.KindBatch, fl.hit.Task
+	}
+	var sp *obs.Span
 	if parent := fl.shares[0].scope.Span(); parent != nil {
-		bs = parent.Child(obs.KindBatch, fl.hit.Task)
+		sp = parent.Child(kind, name)
 	} else {
-		bs = tr.StartRoot(obs.KindBatch, fl.hit.Task)
+		sp = tr.StartRoot(kind, name)
 	}
-	if queuedAt > 0 && queuedAt < bs.Start {
-		bs.Start = queuedAt
+	hs := sp
+	if fl.kind == kindBatch {
+		if queuedAt > 0 && queuedAt < sp.Start {
+			sp.Start = queuedAt
+		}
+		sp.Annotate("fill", fmt.Sprintf("%d/%d", len(fl.items), pol.BatchSize))
+		if len(fl.shares) > 1 {
+			sp.Annotate("shared_scopes", strconv.Itoa(len(fl.shares)))
+		}
+		if fl.adaptive {
+			sp.Annotate("adaptive", fmt.Sprintf("min=%d cap=%d", fl.assign, fl.capA))
+		}
+		hs = sp.Child(obs.KindHIT, fl.hit.ID)
+	} else {
+		hs.Annotate("task", fl.hit.Task)
 	}
-	bs.Annotate("fill", fmt.Sprintf("%d/%d", len(fl.items), pol.BatchSize))
-	if len(fl.shares) > 1 {
-		bs.Annotate("shared_scopes", strconv.Itoa(len(fl.shares)))
-	}
-	if fl.adaptive {
-		bs.Annotate("adaptive", fmt.Sprintf("min=%d cap=%d", fl.assign, fl.capA))
-	}
-	hs := bs.Child(obs.KindHIT, fl.hit.ID)
 	hs.Annotate("backend", fl.backend)
+	switch fl.kind {
+	case kindGroup:
+		hs.Annotate("grouped", strconv.Itoa(len(fl.items)))
+	case kindGrid:
+		hs.Annotate("grid", fmt.Sprintf("%dx%d", len(fl.hit.Left), len(fl.hit.Right)))
+	case kindRank:
+		hs.Annotate("group_size", strconv.Itoa(len(fl.hit.Items)))
+	}
 	hs.AddHITs(1)
 	hs.AddCost(int64(fl.cost))
-	bs.End()
+	if hs != sp {
+		sp.End()
+	}
 	fl.span = hs
 	attributeOps(fl, fl.cost)
 }
@@ -91,6 +114,9 @@ func (m *Manager) traceBatchSpans(fl *inflightHIT, pol Policy, queuedAt mturk.Vi
 // share of the cost (largest-remainder split, so shares sum exactly to
 // the charge).
 func attributeOps(fl *inflightHIT, cost budget.Cents) {
+	if len(fl.items) == 0 {
+		return
+	}
 	var ops []*obs.Span
 	var counts []int
 	idx := make(map[*obs.Span]int, 1)
@@ -287,37 +313,4 @@ func (m *Manager) traceHITCanceled(fl *inflightHIT, refund budget.Cents, expired
 			reg.Gauge(obs.MetricInflightHITs).Add(-1)
 		}
 	}
-}
-
-// traceDirectHIT opens the HIT span of a grouped, grid or comparison
-// HIT, parented to the scope's query span (or a synthetic root when
-// unscoped), notes the HIT's shape, and attributes a group's HIT to its
-// submitting operators. Like traceBatchSpans it runs before the HIT
-// becomes visible to completions; the posting metrics follow once the
-// backend accepts the HIT (traceHITPosted).
-func (m *Manager) traceDirectHIT(fl *inflightHIT, scope *Scope) {
-	tr := m.getObs()
-	if tr == nil {
-		return
-	}
-	var sp *obs.Span
-	if parent := scope.Span(); parent != nil {
-		sp = parent.Child(obs.KindHIT, fl.hit.ID)
-	} else {
-		sp = tr.StartRoot(obs.KindHIT, fl.hit.ID)
-	}
-	sp.Annotate("task", fl.hit.Task)
-	sp.Annotate("backend", fl.backend)
-	switch fl.kind {
-	case kindGroup:
-		sp.Annotate("grouped", strconv.Itoa(len(fl.items)))
-		attributeOps(fl, fl.cost)
-	case kindGrid:
-		sp.Annotate("grid", fmt.Sprintf("%dx%d", len(fl.hit.Left), len(fl.hit.Right)))
-	case kindRank:
-		sp.Annotate("group_size", strconv.Itoa(len(fl.hit.Items)))
-	}
-	sp.AddHITs(1)
-	sp.AddCost(int64(fl.cost))
-	fl.span = sp
 }

@@ -84,7 +84,7 @@ func TestCancelAnnotatesExtensionRefund(t *testing.T) {
 	// whose extra assignment is then provably still outstanding.
 	for m.InferenceStats().Extensions == 0 {
 		if !clock.Step() {
-			m.FlushAll()
+			m.Flush(def.Name)
 			if !clock.Step() {
 				t.Fatal("run drained without ever extending; pick another seed")
 			}

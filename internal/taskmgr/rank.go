@@ -43,20 +43,10 @@ func (m *Manager) RankBlockIn(scope *Scope, def *qlang.TaskDef, items []RankItem
 		done(nil, fmt.Errorf("taskmgr: %s: empty comparison group", def.Name))
 		return
 	}
-	// The scope admits the post (beginPost), so a Cancel racing it waits
-	// until the HIT is registered or refunded. A failure is reported
-	// after the admission ends.
-	if cause := scope.beginPost(); cause != nil {
+	if cause := scope.Err(); cause != nil {
 		done(nil, fmt.Errorf("taskmgr: %s: %w", def.Name, cause))
 		return
 	}
-	var failErr error
-	defer func() {
-		scope.endPost()
-		if failErr != nil {
-			done(nil, failErr)
-		}
-	}()
 	st := m.state(def.Name, def)
 	base := m.basePolicy()
 	st.mu.Lock()
@@ -64,8 +54,7 @@ func (m *Manager) RankBlockIn(scope *Scope, def *qlang.TaskDef, items []RankItem
 	st.submitted += int64(len(items))
 	st.mu.Unlock()
 
-	fl := m.openHIT(kindRank, def, st, pol, false)
-	price := m.priceFor(def, pol)
+	fl := m.openHIT(kindRank, def, st, pol, scope, nil)
 	h := &hit.HIT{
 		ID:          m.market.NewHITID(),
 		Task:        def.Name,
@@ -73,7 +62,6 @@ func (m *Manager) RankBlockIn(scope *Scope, def *qlang.TaskDef, items []RankItem
 		Title:       def.Name,
 		Question:    hit.RenderText(def.Text, def.TextArgs, def.Params, nil),
 		Response:    rankResponse(def),
-		RewardCents: price,
 		Assignments: fl.assign,
 		Items:       make([]hit.Item, len(items)),
 	}
@@ -84,7 +72,8 @@ func (m *Manager) RankBlockIn(scope *Scope, def *qlang.TaskDef, items []RankItem
 		h.Items[i] = hit.Item{Key: it.Key, Args: it.Args}
 	}
 	fl.hit, fl.rankDone = h, done
-	failErr = m.postDirect(fl, scope)
+	m.enqueue(fl, pol, nil)
+	m.dispatch()
 }
 
 // finalizeRank is a comparison HIT's resolve step: it turns the

@@ -39,11 +39,11 @@ type Scope struct {
 	shared   bool
 	weight   int // fair-share weight; <1 reads as 1
 	spent    budget.Cents
-	queued   budget.Cents    // provisional cost of admission-queued batches
+	queued   budget.Cents    // provisional cost of admission-queued HITs
 	hits     map[string]bool // open HIT IDs posted for this scope; nil while none is open
 	label    string          // optional metrics label (per-scope series)
 
-	// posting counts batch posts that passed the cancellation check and
+	// posting counts HIT posts that passed the cancellation check and
 	// have not registered their HIT yet; Cancel waits on postDone for
 	// them, so no HIT of this scope reaches the marketplace after Cancel
 	// returns.
@@ -135,8 +135,8 @@ func (s *Scope) sharedNow() bool {
 }
 
 // SetWeight sets this scope's fair-share weight (default 1): under an
-// admission gate, a weight-2 scope is offered batch slots twice as
-// often as a weight-1 scope at equal priority. Values below 1 read
+// admission gate, a weight-2 scope is offered HIT slots twice as often
+// as a weight-1 scope at equal priority. Values below 1 read
 // as 1.
 func (s *Scope) SetWeight(w int) {
 	s.mu.Lock()
@@ -178,7 +178,7 @@ func (s *Scope) labelNow() string {
 	return s.label
 }
 
-// addQueuedCost tracks the provisional cost of this scope's batches
+// addQueuedCost tracks the provisional cost of this scope's HITs
 // sitting in the admission queue (positive at enqueue, negative at
 // admission or sweep), so RemainingBudget does not over-report
 // headroom while work is queued but not yet charged.
@@ -207,7 +207,7 @@ func (s *Scope) Err() error {
 // RemainingBudget reports the scope's unspent budget headroom. ok is
 // false when the scope is nil or uncapped (unlimited headroom); the
 // sort subsystem uses it to size hybrid comparison refinement. The
-// headroom is net of batches sitting in the admission queue — they
+// headroom is net of HITs sitting in the admission queue — they
 // have not been charged yet, but they will be, so planners sizing
 // future work against a concurrently-charged scope see a conservative
 // snapshot rather than a stale one.
@@ -291,7 +291,7 @@ func (s *Scope) registerHIT(hitID string) error {
 	return nil
 }
 
-// beginPost admits one batch post for this scope: it fails with the
+// beginPost admits one HIT post for this scope: it fails with the
 // cancellation cause once the scope is canceled, and otherwise makes a
 // later Cancel wait for the matching endPost.
 func (s *Scope) beginPost() error {
@@ -379,24 +379,10 @@ func (s *Scope) Cancel(cause error) {
 // sweepCanceledPending removes the scope's queued-but-unposted items
 // from every task state and resolves them with the cause.
 func (m *Manager) sweepCanceledPending(s *Scope, cause error) {
-	m.mu.Lock()
-	states := make([]*taskState, 0, len(m.tasks))
-	for _, st := range m.tasks {
-		states = append(states, st)
-	}
-	m.mu.Unlock()
 	var dropped []pendingItem
-	for _, st := range states {
+	for _, st := range m.states() {
 		st.mu.Lock()
-		kept := st.pending[:0]
-		for _, it := range st.pending {
-			if it.scope == s {
-				dropped = append(dropped, it)
-			} else {
-				kept = append(kept, it)
-			}
-		}
-		st.pending = kept
+		st.pending, dropped = takeScope(st.pending, s, dropped)
 		st.mu.Unlock()
 	}
 	for _, it := range dropped {
@@ -484,7 +470,7 @@ func (m *Manager) cancelScopeHIT(hitID string, sc *Scope, cause error) {
 		sc.refund(refund)
 	}
 	fl.fail(err)
-	m.hitRetired(fl)
+	m.hitRetired()
 }
 
 // unconsumed is the slice of a share's cost covering assignments that

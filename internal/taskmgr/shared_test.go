@@ -278,7 +278,7 @@ func TestPostBatchDropsCanceledScopeItems(t *testing.T) {
 	// Cancel a after the batch was cut but before it posts (a linger
 	// flush or admission queue can hold it across that window).
 	a.Cancel(nil)
-	m.postBatches(st, [][]pendingItem{batch})
+	m.admitBatches(st, [][]pendingItem{batch})
 	if out := aOut.Load(); out == nil || !errors.Is(out.Err, qerr.ErrCanceled) {
 		t.Fatalf("canceled scope's item posted anyway: %+v", out)
 	}

@@ -6,15 +6,15 @@
 // multi-answer lists redundancy produces, and feeds the Statistics
 // Manager's estimators.
 //
-// Every posted HIT, whatever its kind — a batch of one task's items, a
-// group of several filters over one tuple, a JoinColumns grid or an
-// S-way comparison — lives through one lifecycle as an inflightHIT:
-// charge, register, post, collect answer sheets, extend, finalize or
-// fail, cancel and refund, dispose and trace. A kind supplies only
-// where its questions come from (pending items or grid cells), how an
-// outcome is delivered (each item's Done, the grid's callback, or the
-// comparison's rankings), and whether answer inference and adaptive
-// extension apply.
+// Every HIT, whatever its kind — a batch of one task's items, a group of
+// several filters over one tuple, a JoinColumns grid or an S-way
+// comparison — lives through one lifecycle as an inflightHIT: open,
+// queue for admission, charge, register, post, collect answer sheets,
+// extend, finalize or fail, cancel and refund, dispose and trace. A
+// kind supplies only where its questions come from (pending items or
+// grid cells), how an outcome is delivered (each item's Done, the
+// grid's callback, or the comparison's rankings), and whether answer
+// inference and adaptive extension apply.
 //
 // Concurrency: the manager has no global lock on its hot paths. Each
 // task's batching state carries its own mutex, in-flight HIT collection
@@ -30,6 +30,7 @@ package taskmgr
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -331,7 +332,7 @@ type Manager struct {
 	nextKey atomic.Int64
 	flights flightTable
 
-	// sched orders batch posting across scopes (priority, then weighted
+	// sched orders HIT posting across scopes (priority, then weighted
 	// fair share) behind an optional max-in-flight admission gate.
 	sched scheduler
 
@@ -438,11 +439,12 @@ const (
 	kindRank
 )
 
-// inflightHIT is one posted HIT, of any kind, while it collects
-// assignments. Its questions are held by position: question i is
-// question i of hit and of every sheet in byWorker, and items[i] (the
-// pending item that asked, with its Done callback) or cells[i], from
-// the post until it resolves, so no path looks a question up by key.
+// inflightHIT is one HIT, of any kind, from the moment it is opened —
+// through the admission queue — until it resolves. Its questions are
+// held by position: question i is question i of hit and of every sheet
+// in byWorker, and items[i] (the pending item that asked, with its Done
+// callback) or cells[i], so no path looks a question up by key. A
+// batch's hit is built only once it is admitted, from its live items.
 // The sheets, in arrival order, are the only copy of the answers until
 // finalize lays them out per question. A scope that withdraws from a
 // shared HIT marks its items detached under the stripe lock;
@@ -452,11 +454,12 @@ type inflightHIT struct {
 	def      *qlang.TaskDef // the task asked (a group's first item's)
 	state    *taskState     // def's state: latency, policy and spend
 	kind     hitKind
-	admitted bool // holds an admission-scheduler slot until retired
 	adaptive bool // posted below capA; completions may buy assignments
 	boolTask bool // boolean vs categorical EM model
-	// shares are the per-scope stakes; a HIT of one scope keeps its
-	// share in sole, so the stake costs no allocation of its own.
+	// shares are the per-scope stakes — provisional while the HIT is
+	// queued for admission, charged once it posts; a HIT of one scope
+	// keeps its share in sole, so the stake costs no allocation of its
+	// own.
 	shares []hitShare
 	sole   [1]hitShare
 	cost   budget.Cents // total charged at post time (sum of shares)
@@ -490,14 +493,72 @@ type inflightHIT struct {
 	extSpans []*obs.Span
 }
 
-// shareOf returns the index of sc's share of the HIT.
+// shareOf returns the index of sc's share of the HIT, or -1.
 func (fl *inflightHIT) shareOf(sc *Scope) int {
 	for i := range fl.shares {
 		if fl.shares[i].scope == sc {
 			return i
 		}
 	}
-	return 0
+	return -1
+}
+
+// questions counts the HIT's questions. A batch counts its items: its
+// hit is built only at admission.
+func (fl *inflightHIT) questions() int {
+	switch fl.kind {
+	case kindGrid:
+		return len(fl.cells)
+	case kindRank:
+		return len(fl.hit.Items)
+	}
+	return len(fl.items)
+}
+
+// split divides cost across the HIT's scopes: a batch's by item count
+// (shareOut), any other kind's to its one scope.
+func (fl *inflightHIT) split(cost budget.Cents) {
+	if fl.kind == kindBatch {
+		fl.shares = shareOut(fl.items, cost, fl.sole[:0])
+		return
+	}
+	fl.sole[0].items, fl.sole[0].cost = fl.questions(), cost
+}
+
+// drop resolves the questions scope sc asked with cause before the HIT
+// posts. Only a batch holds several scopes' questions: sc's items leave
+// it, and the rest still run. drop returns the error the HIT must fail
+// with once nothing is left to ask — at once for any other kind, which
+// fails whole after its caller's free answers are out.
+func (fl *inflightHIT) drop(sc *Scope, cause error) error {
+	err := fmt.Errorf("taskmgr: %s: %w", fl.def.Name, cause)
+	if fl.kind != kindBatch {
+		return err
+	}
+	var gone []pendingItem
+	fl.items, gone = takeScope(fl.items, sc, nil)
+	for _, it := range gone {
+		it.done(Outcome{Err: err})
+	}
+	if len(fl.items) > 0 {
+		return nil
+	}
+	return err
+}
+
+// takeScope moves sc's items out of items, in place, appending them to
+// taken; the rest keep their order.
+func takeScope(items []pendingItem, sc *Scope, taken []pendingItem) ([]pendingItem, []pendingItem) {
+	rest := items[:0]
+	for _, it := range items {
+		if it.scope == sc {
+			taken = append(taken, it)
+		} else {
+			rest = append(rest, it)
+		}
+	}
+	clear(items[len(rest):])
+	return rest, taken
 }
 
 // byQuestion lays a HIT's answer sheets out question by question in
@@ -561,7 +622,7 @@ func (fl *inflightHIT) fail(err error) {
 		fl.rankDone(nil, err)
 		return
 	}
-	for i, n := 0, fl.hit.QuestionCount(); i < n; i++ {
+	for i, n := 0, fl.questions(); i < n; i++ {
 		if fl.owes(i) {
 			fl.deliver(i, Outcome{Err: err})
 		}
@@ -833,7 +894,7 @@ func (m *Manager) Submit(req Request) {
 		m.market.Clock().Schedule(pol.Linger, func() { m.lingerFlush(taskName) })
 	}
 	st.mu.Unlock()
-	m.postBatches(st, batches)
+	m.admitBatches(st, batches)
 }
 
 // answerFree answers one task application without a human when it can:
@@ -911,7 +972,7 @@ func (m *Manager) lingerFlush(task string) {
 	st.lingerArmed = false
 	batches := st.cutBatchesLocked(base, true)
 	st.mu.Unlock()
-	m.postBatches(st, batches)
+	m.admitBatches(st, batches)
 }
 
 // Flush posts any partial batch for the named task immediately.
@@ -951,22 +1012,7 @@ func (m *Manager) FlushScope(task string, sc *Scope) {
 		batches = append(batches, st.cutBatchesLocked(base, true)...)
 	}
 	st.mu.Unlock()
-	m.postBatches(st, batches)
-}
-
-// FlushAll posts every partial batch, in task-name order so the posting
-// sequence is deterministic.
-func (m *Manager) FlushAll() {
-	m.mu.Lock()
-	names := make([]string, 0, len(m.tasks))
-	for name := range m.tasks {
-		names = append(names, name)
-	}
-	m.mu.Unlock()
-	sort.Strings(names)
-	for _, name := range names {
-		m.flushState(m.state(name, nil))
-	}
+	m.admitBatches(st, batches)
 }
 
 func (m *Manager) flushState(st *taskState) {
@@ -974,7 +1020,7 @@ func (m *Manager) flushState(st *taskState) {
 	st.mu.Lock()
 	batches := st.cutBatchesLocked(base, true)
 	st.mu.Unlock()
-	m.postBatches(st, batches)
+	m.admitBatches(st, batches)
 }
 
 // batchGroup keys one batchable family of pending items: items with
@@ -1116,15 +1162,16 @@ func (st *taskState) cutBatchesLocked(base Policy, force bool) [][]pendingItem {
 	return batches
 }
 
-// postBatches hands cut batches to the admission scheduler, which
-// posts them immediately when the gate has room and queues them in
-// priority / weighted-fair-share order otherwise.
-func (m *Manager) postBatches(st *taskState, batches [][]pendingItem) {
+// admitBatches opens each cut batch as a HIT and queues them all for
+// admission before dispatching, so the scheduler orders one cut's
+// batches by priority and weighted fair share even with no gate set.
+func (m *Manager) admitBatches(st *taskState, batches [][]pendingItem) {
 	if len(batches) == 0 {
 		return
 	}
 	for _, batch := range batches {
-		m.enqueueBatch(st, batch)
+		pol := m.batchPolicy(st, batch)
+		m.enqueue(m.openHIT(kindBatch, st.defOf(), st, pol, batch[0].scope, batch), pol, nil)
 	}
 	m.dispatch()
 }
@@ -1194,21 +1241,6 @@ func shareOut(items []pendingItem, cost budget.Cents, dst []hitShare) []hitShare
 	return shares
 }
 
-func endPosts(scopes []*Scope) {
-	for _, sc := range scopes {
-		sc.endPost()
-	}
-}
-
-func containsScope(scopes []*Scope, sc *Scope) bool {
-	for _, s := range scopes {
-		if s == sc {
-			return true
-		}
-	}
-	return false
-}
-
 // post sends a HIT of any kind to the backend, via the test hook when
 // one is installed.
 func (m *Manager) post(h *hit.HIT, onAssignment func(mturk.AssignmentResult)) error {
@@ -1234,20 +1266,24 @@ func (m *Manager) batchPolicy(st *taskState, batch []pendingItem) Policy {
 	return pol
 }
 
-// openHIT starts the in-flight record of a HIT of kind asking def under
-// pol. Batch and grid HITs take the task's inference plan: under an EM
-// aggregator an eligible HIT posts at the MinAssignments floor and buys
-// further assignments only while the posterior stays unsure. A shared
-// batch stays at fixed redundancy (an extension charges one scope;
-// co-batched items span several), as does every HIT once a backend has
-// rejected an extension. Group and comparison HITs resolve without an
-// aggregator, at the policy's redundancy.
-func (m *Manager) openHIT(kind hitKind, def *qlang.TaskDef, st *taskState, pol Policy, shared bool) *inflightHIT {
-	fl := &inflightHIT{kind: kind, def: def, state: st, assign: pol.Assignments, capA: pol.Assignments,
-		boolTask: isBooleanTask(def), backend: m.servingBackend(def)}
+// openHIT starts the record of a HIT of kind asking def under pol for
+// scope sc — a batch's scopes come from its items. Batch and grid HITs
+// take the task's inference plan: under an EM aggregator an eligible
+// HIT posts at the MinAssignments floor and buys further assignments
+// only while the posterior stays unsure. A shared batch stays at fixed
+// redundancy (an extension charges one scope; co-batched items span
+// several), as does every HIT once a backend has rejected an extension.
+// Group and comparison HITs resolve without an aggregator, at the
+// policy's redundancy.
+func (m *Manager) openHIT(kind hitKind, def *qlang.TaskDef, st *taskState, pol Policy, sc *Scope, items []pendingItem) *inflightHIT {
+	fl := &inflightHIT{kind: kind, def: def, state: st, items: items, assign: pol.Assignments, capA: pol.Assignments,
+		boolTask: isBooleanTask(def)}
+	fl.sole[0].scope = sc
+	fl.shares = fl.sole[:]
 	if kind == kindBatch || kind == kindGrid {
 		agg, target, minA := m.inferencePlan(def, pol)
 		fl.agg, fl.target = agg, target
+		shared := kind == kindBatch && items[0].shared
 		fl.adaptive = agg != nil && minA > 0 && minA < pol.Assignments && !shared && !m.extendBroken.Load()
 		if fl.adaptive {
 			fl.assign = minA
@@ -1255,27 +1291,6 @@ func (m *Manager) openHIT(kind hitKind, def *qlang.TaskDef, st *taskState, pol P
 	}
 	fl.needed = fl.assign
 	return fl
-}
-
-// postDirect charges a grouped, grid or comparison HIT its cost — its
-// one scope first, then the account — and posts it. It returns the
-// error the HIT's questions resolve with when the HIT was not posted;
-// the caller delivers it once the scope's post admission has ended.
-func (m *Manager) postDirect(fl *inflightHIT, sc *Scope) error {
-	cost := budget.Cents(fl.hit.RewardCents * int64(fl.assign))
-	if err := sc.spend(cost); err != nil {
-		return fmt.Errorf("taskmgr: %s: %w", fl.hit.Task, err)
-	}
-	if err := m.account.Spend(cost); err != nil {
-		sc.refund(cost)
-		return fmt.Errorf("taskmgr: %s: %w", fl.hit.Task, err)
-	}
-	fl.cost = cost
-	fl.sole[0] = hitShare{scope: sc, items: fl.hit.QuestionCount(), cost: cost}
-	fl.shares = fl.sole[:]
-	m.countPosted(fl)
-	m.traceDirectHIT(fl, sc)
-	return m.launch(fl)
 }
 
 // countPosted books a charged HIT on its task's statistics: the HIT and
@@ -1339,130 +1354,104 @@ func (m *Manager) launch(fl *inflightHIT) error {
 	return nil
 }
 
-// postBatch compiles one batch into a HIT and posts it, reporting
-// whether a HIT actually reached the marketplace (the admission
-// scheduler releases the slot otherwise). Items in a batch share one
-// assignments override and either one scope or — for sharing-opted
-// items — one effective posting policy across several scopes; the HIT
-// cost is split across the participating scopes by item count (integer
-// cents, largest-remainder rounding) so per-scope budgets and refunds
-// stay exact. The batch is owned by the caller once cut (nothing else
-// edits its array), so postBatch filters it in place and the posted
-// HIT keeps it as its item slots. No locks are held: posting calls into
-// the marketplace and, on synchronous failure, back into user
-// callbacks. queuedAt is the admission-scheduler enqueue time (zero for
-// paths that bypass it); tracing reports the difference as admission
-// wait.
-func (m *Manager) postBatch(st *taskState, batch []pendingItem, queuedAt mturk.VirtualTime) bool {
-	pol := m.batchPolicy(st, batch)
-	fl := m.openHIT(kindBatch, st.defOf(), st, pol, batch[0].shared)
-	def := fl.def
-
-	// Drop items whose scope was canceled between cut and post: a
-	// linger flush or the admission queue may still carry them, and in
-	// a shared batch the other scopes' items must run regardless —
-	// without paying for the canceled ones. Each live scope admits the
-	// post (beginPost), so a Cancel racing it waits until the HIT is
-	// registered and never returns with a post still on its way.
-	live := batch[:0]
-	var admittedBuf [1]*Scope // a batch usually has one scope
-	admitted := admittedBuf[:0]
-	for _, it := range batch {
-		var cause error
-		if !containsScope(admitted, it.scope) {
-			if cause = it.scope.beginPost(); cause == nil {
-				admitted = append(admitted, it.scope)
-			}
+// postHIT admits one dequeued HIT of any kind and reports whether it
+// reached its backend (the scheduler frees the slot otherwise). The
+// HIT's provisional hold releases, and each of its scopes opens the
+// post (beginPost), so a Cancel racing it waits until the HIT is
+// registered and never returns with a post still on its way; a
+// canceled scope's questions resolve with the cause (drop). The live
+// scopes are charged their shares, then the account. When a scope's
+// budget cannot cover its share, the scopes already charged are
+// refunded, that scope's questions fail and the rest retry — the HIT
+// price does not depend on how many scopes fill it, so the loop
+// strictly shrinks the scope set and terminates; a single-scope HIT is
+// its one-share case. A batch then becomes a HIT of its live items,
+// drawing its ID only now (other kinds drew theirs when opened), and
+// the HIT is counted, traced and launched. Last, the answers its caller
+// resolved without the crowd are delivered, and a refused post's error
+// after them. A batch's items are owned by the HIT once cut (nothing
+// else edits their array), so drop filters them in place and the
+// posted HIT keeps them as its item slots. No locks are held: posting
+// calls into the backend and back into outcome callbacks.
+func (m *Manager) postHIT(q queuedHIT) bool {
+	fl, pol, def := q.fl, q.pol, q.fl.def
+	var openedBuf [1]*Scope // a HIT usually has one scope
+	opened := openedBuf[:0]
+	var err error
+	for _, sh := range fl.shares {
+		sh.scope.addQueuedCost(-sh.cost)
+		if cause := sh.scope.beginPost(); cause != nil {
+			err = fl.drop(sh.scope, cause)
+		} else {
+			opened = append(opened, sh.scope)
 		}
-		if cause != nil {
-			it.done(Outcome{Err: fmt.Errorf("taskmgr: %s: %w", it.def.Name, cause)})
-			continue
-		}
-		live = append(live, it)
 	}
-	defer endPosts(admitted)
-
-	// Charge each participating scope its share. When one scope's
-	// budget cannot cover its slice, refund the scopes already charged,
-	// fail that scope's items, and retry with the rest — the HIT price
-	// does not depend on how many scopes fill it, so the loop strictly
-	// shrinks the scope set and terminates.
 	price := m.priceFor(def, pol)
 	cost := budget.Cents(price * int64(fl.assign))
-	var shares []hitShare
-	for len(live) > 0 {
-		shares = shareOut(live, cost, fl.sole[:0])
+	for err == nil {
+		fl.split(cost)
 		failed := -1
 		var ferr error
-		for i := range shares {
-			if err := shares[i].scope.spend(shares[i].cost); err != nil {
-				failed, ferr = i, err
+		for i := range fl.shares {
+			if ferr = fl.shares[i].scope.spend(fl.shares[i].cost); ferr != nil {
+				failed = i
 				break
 			}
 		}
 		if failed < 0 {
 			break
 		}
-		for i := 0; i < failed; i++ {
-			shares[i].scope.refund(shares[i].cost)
+		for _, sh := range fl.shares[:failed] {
+			sh.scope.refund(sh.cost)
 		}
-		bad := shares[failed].scope
-		kept := live[:0]
-		for _, it := range live {
-			if it.scope == bad {
-				it.done(Outcome{Err: fmt.Errorf("taskmgr: %s: %w", def.Name, ferr)})
-			} else {
-				kept = append(kept, it)
+		err = fl.drop(fl.shares[failed].scope, ferr)
+	}
+	if err == nil {
+		if aerr := m.account.Spend(cost); aerr != nil {
+			for _, sh := range fl.shares {
+				sh.scope.refund(sh.cost)
+			}
+			err = fmt.Errorf("taskmgr: %s: %w", def.Name, aerr)
+		}
+	}
+	if err == nil {
+		if fl.kind == kindBatch {
+			fl.hit = &hit.HIT{
+				ID:          m.market.NewHITID(),
+				Task:        def.Name,
+				Type:        def.Type,
+				Title:       def.Name,
+				Question:    batchQuestion(def, fl.items),
+				Response:    responseFor(def),
+				Assignments: fl.assign,
+				Items:       make([]hit.Item, len(fl.items)),
+			}
+			for i, it := range fl.items {
+				prompt := it.prompt
+				if prompt == "" && len(fl.items) > 1 {
+					prompt = hit.RenderText(it.def.Text, it.def.TextArgs, it.def.Params, it.args)
+				}
+				fl.hit.Items[i] = hit.Item{Key: it.key, Args: it.args, Prompt: prompt}
 			}
 		}
-		live = kept
-	}
-	if len(live) == 0 {
-		return false
-	}
-	if err := m.account.Spend(cost); err != nil {
-		for i := range shares {
-			shares[i].scope.refund(shares[i].cost)
+		fl.hit.RewardCents, fl.cost, fl.backend = price, cost, m.servingBackend(def)
+		m.countPosted(fl)
+		if len(fl.shares) > 1 {
+			m.sharedHITs.Add(1)
+			m.sharedItems.Add(int64(len(fl.items)))
+			m.sharedSaved.Add(int64(len(fl.shares) - 1))
+			m.savedCents.Add(int64(cost) * int64(len(fl.shares)-1))
 		}
-		for _, it := range live {
-			it.done(Outcome{Err: fmt.Errorf("taskmgr: %s: %w", def.Name, err)})
+		m.traceHITSpans(fl, pol, q.at)
+		if err = m.launch(fl); err == nil && fl.kind == kindBatch {
+			m.traceBatchMetrics(fl, pol, q.at)
 		}
-		return false
 	}
-
-	h := &hit.HIT{
-		ID:          m.market.NewHITID(),
-		Task:        def.Name,
-		Type:        def.Type,
-		Title:       def.Name,
-		Question:    batchQuestion(def, live),
-		Response:    responseFor(def),
-		RewardCents: price,
-		Assignments: fl.assign,
-		Items:       make([]hit.Item, len(live)),
+	for _, sc := range opened {
+		sc.endPost()
 	}
-	for i, it := range live {
-		prompt := it.prompt
-		if prompt == "" && len(live) > 1 {
-			prompt = hit.RenderText(it.def.Text, it.def.TextArgs, it.def.Params, it.args)
-		}
-		h.Items[i] = hit.Item{Key: it.key, Args: it.args, Prompt: prompt}
-	}
-	fl.hit, fl.items, fl.shares, fl.cost, fl.admitted = h, live, shares, cost, true
-	m.countPosted(fl)
-	if len(shares) > 1 {
-		m.sharedHITs.Add(1)
-		m.sharedItems.Add(int64(len(live)))
-		m.sharedSaved.Add(int64(len(shares) - 1))
-		m.savedCents.Add(int64(cost) * int64(len(shares)-1))
-	}
-	m.traceBatchSpans(fl, pol, queuedAt)
-	if err := m.launch(fl); err != nil {
-		fl.fail(err)
-		return false
-	}
-	m.traceBatchMetrics(fl, pol, queuedAt)
-	return true
+	q.settle(err)
+	return err == nil
 }
 
 // onAssignment collects one completed assignment of a HIT of any kind;
@@ -1508,7 +1497,7 @@ func (m *Manager) onAssignment(res mturk.AssignmentResult) {
 // delay results. (Cancellation disposes through cancelScopeHIT.)
 func (m *Manager) retire(hitID string, fl *inflightHIT, err error) {
 	fl.unregister(hitID)
-	m.hitRetired(fl)
+	m.hitRetired()
 	if fl.received == 0 {
 		m.traceHITAbandoned(fl, err)
 		fl.fail(fmt.Errorf("taskmgr: %s: %v", fl.hit.Task, err))
@@ -1758,22 +1747,12 @@ func responseFor(def *qlang.TaskDef) qlang.Response {
 
 // Stats returns per-task statistics, sorted by task name.
 func (m *Manager) Stats() []TaskStats {
-	m.mu.Lock()
-	type named struct {
-		name string
-		st   *taskState
-	}
-	states := make([]named, 0, len(m.tasks))
-	for name, st := range m.tasks {
-		states = append(states, named{name, st})
-	}
-	m.mu.Unlock()
+	states := m.states()
 	out := make([]TaskStats, 0, len(states))
-	for _, n := range states {
-		st := n.st
+	for _, st := range states {
 		st.mu.Lock()
 		ts := TaskStats{
-			Task:           n.name,
+			Task:           st.name,
 			Submitted:      st.submitted,
 			HITsPosted:     st.hitsPosted,
 			QuestionsAsked: st.questionsAsked,
@@ -1840,23 +1819,62 @@ func sortTaskStats(ss []TaskStats) {
 	sort.Slice(ss, func(i, j int) bool { return ss[i].Task < ss[j].Task })
 }
 
-// Pending reports queued-but-unposted items across all tasks,
-// including items cut into batches still waiting in the admission
-// queue.
-func (m *Manager) Pending() int {
+// states snapshots the task registry.
+func (m *Manager) states() []*taskState {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	states := make([]*taskState, 0, len(m.tasks))
 	for _, st := range m.tasks {
 		states = append(states, st)
 	}
-	m.mu.Unlock()
+	return states
+}
+
+// Pending reports the questions not yet posted: items waiting to fill a
+// batch across all tasks, and the questions of every HIT, of any kind,
+// waiting in the admission queue.
+func (m *Manager) Pending() int {
 	n := 0
-	for _, st := range states {
+	for _, st := range m.states() {
 		st.mu.Lock()
 		n += len(st.pending)
 		st.mu.Unlock()
 	}
-	return n + m.sched.queuedItems()
+	m.sched.mu.Lock()
+	defer m.sched.mu.Unlock()
+	for _, q := range m.sched.queue {
+		n += q.fl.questions()
+	}
+	return n
+}
+
+// EstimatedRemainingCents prices the work not yet posted: each item
+// waiting to fill a batch at its scoped policy's price × assignments ÷
+// batch size (its share of the batch it will join), and each HIT in the
+// admission queue at its provisional cost. HITs in flight count nothing:
+// their cost is already spent.
+func (m *Manager) EstimatedRemainingCents() budget.Cents {
+	base := m.basePolicy()
+	var cents float64
+	for _, st := range m.states() {
+		st.mu.Lock()
+		for _, it := range st.pending {
+			pol := st.scopedPolicyLocked(base, it.scope)
+			if it.assignments > 0 {
+				pol.Assignments = it.assignments
+			}
+			cents += float64(pol.PriceCents) * float64(pol.Assignments) / float64(pol.BatchSize)
+		}
+		st.mu.Unlock()
+	}
+	m.sched.mu.Lock()
+	defer m.sched.mu.Unlock()
+	for _, q := range m.sched.queue {
+		for _, sh := range q.fl.shares {
+			cents += float64(sh.cost)
+		}
+	}
+	return budget.Cents(math.Round(cents))
 }
 
 // SharingStats aggregates cross-query co-batching activity.

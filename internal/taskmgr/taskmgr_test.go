@@ -202,7 +202,7 @@ func TestExplicitFlush(t *testing.T) {
 	done := 0
 	m.Submit(Request{Def: def, Args: []relation.Value{relation.NewImage("cat-a")},
 		Done: func(Outcome) { mu.Lock(); done++; mu.Unlock() }})
-	m.FlushAll()
+	m.Flush(def.Name)
 	runUntil(t, clock, func() bool { mu.Lock(); defer mu.Unlock(); return done == 1 })
 	if m.Pending() != 0 || m.Inflight() != 0 {
 		t.Fatalf("pending=%d inflight=%d", m.Pending(), m.Inflight())
@@ -278,7 +278,7 @@ func TestJoinBlockAnswersEveryPair(t *testing.T) {
 	}
 	var mu sync.Mutex
 	got := map[[2]int]bool{} // by (left, right) position
-	m.JoinBlock(def, left, right, func(l, r int, out Outcome) {
+	m.JoinBlockIn(nil, def, left, right, func(l, r int, out Outcome) {
 		mu.Lock()
 		got[[2]int{l, r}] = out.Value.Bool()
 		mu.Unlock()
@@ -309,13 +309,13 @@ func TestJoinBlockFullyCachedPostsNothing(t *testing.T) {
 	right := []JoinItem{{Key: "r1", Args: []relation.Value{relation.NewImage("b.png")}}}
 	var mu sync.Mutex
 	n := 0
-	m.JoinBlock(def, left, right, func(int, int, Outcome) { mu.Lock(); n++; mu.Unlock() })
+	m.JoinBlockIn(nil, def, left, right, func(int, int, Outcome) { mu.Lock(); n++; mu.Unlock() })
 	runUntil(t, clock, func() bool { mu.Lock(); defer mu.Unlock(); return n == 1 })
 	spent := m.Account().Spent()
 	// Re-run the same block with different keys but identical values.
 	left2 := []JoinItem{{Key: "x1", Args: []relation.Value{relation.NewImage("a.png")}}}
 	right2 := []JoinItem{{Key: "y1", Args: []relation.Value{relation.NewImage("b.png")}}}
-	m.JoinBlock(def, left2, right2, func(_, _ int, out Outcome) {
+	m.JoinBlockIn(nil, def, left2, right2, func(_, _ int, out Outcome) {
 		mu.Lock()
 		n++
 		mu.Unlock()

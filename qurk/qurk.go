@@ -48,7 +48,8 @@
 // refunds and dashboard spend stay exact. Canceling one participant
 // detaches its items and refunds its share of the unconsumed cost; the
 // HIT keeps running for the others. Config.MaxInflightHITs adds an
-// admission gate: excess batches queue and post in priority order
+// admission gate: excess HITs of every kind (batches, grouped filters,
+// join grids and comparisons) queue and post in priority order
 // (WithPriority), then by weighted fair share of admitted HITs
 // (WithWeight), so a burst of queries degrades gracefully.
 //
@@ -145,7 +146,7 @@ var (
 	WithPolicy = core.WithPolicy
 	// WithAdaptiveJoins toggles cost-based join pre-filtering per query.
 	WithAdaptiveJoins = core.WithAdaptiveJoins
-	// WithPriority orders this query's HIT batches relative to others.
+	// WithPriority orders this query's HITs relative to others.
 	WithPriority = core.WithPriority
 	// WithSharedBatching lets this query's items co-fill HITs with
 	// other sharing queries, cost split by item count.
