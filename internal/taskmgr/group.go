@@ -58,9 +58,9 @@ func (m *Manager) SubmitGroup(reqs []Request) error {
 			side: r.StatSide, scope: scope, done: r.Done, span: r.Trace})
 	}
 	var free func()
-	if res := resolved; len(res) > 0 {
+	if len(resolved) > 0 {
 		free = func() {
-			for _, r := range res {
+			for _, r := range resolved {
 				reqs[r.q].Done(r.out)
 			}
 		}

@@ -72,9 +72,9 @@ func (m *Manager) JoinBlockIn(scope *Scope, def *qlang.TaskDef, left, right []Jo
 		unresolved++
 	}
 	var free func()
-	if res := resolved; len(res) > 0 {
+	if len(resolved) > 0 {
 		free = func() {
-			for _, r := range res {
+			for _, r := range resolved {
 				done(r.q/len(right), r.q%len(right), r.out)
 			}
 		}
