@@ -8,6 +8,7 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -90,6 +91,47 @@ WHERE samePerson(celebrities.image, spottedstars.image)`)
 	}
 }
 
+// TestPlanCacheHitAllocGate gates a plan-cache hit through
+// Engine.Query. Once an engine has cached every isCat answer,
+// SELECT id, img FROM photos WHERE id = k AND isCat(img) over 200 keys
+// runs from the stored program and the task cache alone. It fails above
+// 1.25× the allocations or the bytes allocated per query committed in
+// testdata/crowd_alloc_baseline.json.
+func TestPlanCacheHitAllocGate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc gate needs steady-state measurements; skipped in -short")
+	}
+	baseline := readAllocBaseline(t)
+	const keys = 200
+	photos := workload.Photos(keys, 0.5, 0.5, 1)
+	e := gateEngine(t, photos.Oracle, photos.Tables, cascadeTasks)
+	defer e.Close()
+	drain(t, e, `SELECT id, img FROM photos WHERE isCat(img)`) // caches every answer
+	sqls := make([]string, keys)
+	for k := range sqls {
+		sqls[k] = fmt.Sprintf(`SELECT id, img FROM photos WHERE id = %d AND isCat(img)`, k+1)
+	}
+	allocs, bytes := perRun(3, func() {
+		for _, sql := range sqls {
+			drain(t, e, sql)
+		}
+	})
+	allocs, bytes = allocs/keys, bytes/keys
+	t.Logf("plan cache hit: %.1f allocs/query, %.0f B/query (baseline %.1f allocs, %.0f B)",
+		allocs, bytes, baseline.PlanCacheHit, baseline.PlanCacheHitBytes)
+	if st := e.PlanCacheStats(); st.Misses != 2 {
+		t.Fatalf("plan cache %+v, want the warm-up and the first lookup to miss and every other lookup to hit", st)
+	}
+	if limit := 1.25 * baseline.PlanCacheHit; allocs > limit {
+		t.Errorf("plan cache hit allocs/query = %.1f, over the 1.25x gate (baseline %.1f, limit %.1f); if the growth is intentional, refresh testdata/crowd_alloc_baseline.json",
+			allocs, baseline.PlanCacheHit, limit)
+	}
+	if limit := 1.25 * baseline.PlanCacheHitBytes; bytes > limit {
+		t.Errorf("plan cache hit bytes/query = %.0f, over the 1.25x gate (baseline %.0f, limit %.0f); if the growth is intentional, refresh testdata/crowd_alloc_baseline.json",
+			bytes, baseline.PlanCacheHitBytes, limit)
+	}
+}
+
 // gateEngine builds a fresh engine over tables with the simulated crowd.
 func gateEngine(t *testing.T, oracle crowd.Oracle, tables []*relation.Table, tasks string) *Engine {
 	t.Helper()
@@ -147,6 +189,8 @@ type allocBaseline struct {
 	JoinSortBytes      float64 `json:"join_sort_bytes"`
 	ReopenAllocs       float64 `json:"reopen_allocs"`
 	ReopenBytes        float64 `json:"reopen_bytes"`
+	PlanCacheHit       float64 `json:"plan_cache_hit_allocs"`
+	PlanCacheHitBytes  float64 `json:"plan_cache_hit_bytes"`
 }
 
 func readAllocBaseline(t *testing.T) allocBaseline {

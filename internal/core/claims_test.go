@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -364,6 +365,52 @@ func readPairs(e *Engine, r *claimRun) {
 	}
 }
 
+// claimCEOTask is Query 1's generative task.
+const claimCEOTask = `
+TASK findCEO(String companyName)
+RETURNS (String CEO, String Phone):
+  TaskType: Question
+  Text: "Find the CEO and the CEO's phone number for the company %s", companyName
+  Response: Form(("CEO", String), ("Phone", String))
+`
+
+// planCacheData is every table the plan cache case queries.
+func planCacheData(seed int64) func() workload.Dataset {
+	return func() workload.Dataset {
+		photos, companies := workload.Photos(60, 0.5, 0.6, seed), workload.Companies(8, seed)
+		items := workload.RankItems(30, 9, "rateSq", seed)
+		return workload.Dataset{
+			Tables: append(append(append([]*relation.Table(nil), photos.Tables...), companies.Tables...), items.Tables...),
+			Oracle: workload.Combine(photos.Oracle, companies.Oracle, items.Oracle, workload.OrderOracle(items.Tables[0], "orderSq")),
+		}
+	}
+}
+
+// withoutPlanCache is side with every statement run under
+// WithPlanCache(false).
+func withoutPlanCache(side claimSide) claimSide {
+	side.stmts = slices.Clone(side.stmts)
+	for i := range side.stmts {
+		side.stmts[i].opts = append(slices.Clone(side.stmts[i].opts), WithPlanCache(false))
+	}
+	return side
+}
+
+// readPlanCache records the plan cache's counters and a hash of every
+// query's plan and operator labels, in query order.
+func readPlanCache(e *Engine, r *claimRun) {
+	st := e.PlanCacheStats()
+	r.Extra["plan_cache_hits"], r.Extra["plan_cache_invalidations"] = st.Hits, st.Invalidations
+	h := fnv.New64a()
+	for _, q := range e.Queries() {
+		fmt.Fprintf(h, "%s\n", plan.Explain(q.Plan))
+		for _, op := range q.Exec.OpStats() {
+			fmt.Fprintf(h, "%s\n", op.Label)
+		}
+	}
+	r.Extra["labels"] = int64(h.Sum64())
+}
+
 // readRank records the one sort's comparison HITs.
 func readRank(e *Engine, r *claimRun) {
 	qs := e.Queries()
@@ -499,31 +546,68 @@ func engineClaims() []engineClaim {
 			},
 		},
 		{
-			// One shape at four literals: the cached side plans it once.
-			// The later statements meet a partly filled task cache. Under
-			// heavy load such a cascade has ended at another makespan,
-			// with its journal in another order, on either side (see
-			// CHANGES.md), so this case compares rows and crowd work.
+			// Each shape runs at two or more literal sets: the cached side
+			// plans it once and runs every later statement from the stored
+			// program, the uncached side plans each from scratch
+			// (WithPlanCache(false)). The later statements meet a partly
+			// filled task cache. Under heavy load such a cascade has ended
+			// at another makespan, with its journal in another order, on
+			// either side (see CHANGES.md), so this case compares rows,
+			// crowd work, and every query's plan and operator labels. The
+			// pre-filtered join runs on sides of its own: its two filter
+			// stages race for HIT composition (ROADMAP item 2), so only
+			// its rows, labels and cache outcomes are compared. Its second
+			// statement meets side evidence the first bought, which moves
+			// the pre-filter decision and invalidates the cached program.
 			name: "plan cache changes nothing the crowd sees",
 			sides: func(t *testing.T, seed int64) []claimSide {
 				cached := claimSide{cfg: Config{Crowd: crowd.Config{Seed: seed}},
-					data: photoData(60, seed), tasks: crowdPathFilters,
-					read: func(e *Engine, r *claimRun) { r.Extra["plan_cache_hits"] = e.PlanCacheStats().Hits }}
+					data: planCacheData(seed), tasks: crowdPathFilters + claimCEOTask + rankTaskSrc, read: readPlanCache}
 				for _, bound := range []int{10, 25, 40, 60} {
 					cached.stmts = append(cached.stmts, claimStmt{sql: fmt.Sprintf(
 						`SELECT id, img FROM photos WHERE id <= %d AND isCat(img) AND isOutdoor(img)`, bound)})
 				}
-				uncached := cached
-				uncached.cfg.PlanCacheSize = -1
-				return []claimSide{cached, uncached}
+				for _, sql := range []string{
+					`SELECT id, truth * -1.5 FROM items WHERE truth > 2.5 AND id >= -3 AND id < 20`,
+					`SELECT id, truth * -0.5 FROM items WHERE truth > 4.25 AND id >= -1 AND id < 25`,
+					`SELECT companyName, findCEO(companyName).CEO FROM companies WHERE companyName >= 'M'`,
+					`SELECT companyName, findCEO(companyName).CEO FROM companies WHERE companyName >= 'G'`,
+					`SELECT id, img FROM photos WHERE id >= 5 AND isCat(img) LIMIT 5`,
+					`SELECT id, img FROM photos WHERE id >= 30 AND isCat(img) LIMIT 5`,
+					`SELECT img FROM items WHERE id <= 20 ORDER BY rateSq(img) DESC LIMIT 5`,
+					`SELECT img FROM items WHERE id <= 30 ORDER BY rateSq(img) DESC LIMIT 5`,
+					`SELECT isCat(img), count(id), sum(id * 2) FROM photos WHERE id <= 30 GROUP BY isCat(img)`,
+					`SELECT isCat(img), count(id), sum(id * 3) FROM photos WHERE id <= 50 GROUP BY isCat(img)`,
+					// Equal call arguments share a call site, so the second
+					// statement cannot run the first one's program.
+					`SELECT companyName, findCEO('Apex').CEO, findCEO('Atlas').Phone FROM companies WHERE companyName >= 'S'`,
+					`SELECT companyName, findCEO('Quantum').CEO, findCEO('Quantum').Phone FROM companies WHERE companyName >= 'P'`,
+				} {
+					cached.stmts = append(cached.stmts, claimStmt{sql: sql})
+				}
+				keep := func(*plan.PreFilter, int) bool { return true }
+				joined := claimSide{cfg: Config{Crowd: perfectCrowd(seed), AdaptiveJoins: true, Exec: exec.Config{PreFilterKeep: keep}},
+					data:  func() workload.Dataset { return workload.Celebrities(10, 100, 0.2, seed) },
+					tasks: fmt.Sprintf(claimJoinTasks, 5, "PreFilter: isCeleb"), read: readPlanCache}
+				for _, bound := range []int{100, 90, 80} {
+					joined.stmts = append(joined.stmts, claimStmt{sql: fmt.Sprintf(`%s AND spottedstars.id <= %d`, claimJoin, bound)})
+				}
+				return []claimSide{cached, withoutPlanCache(cached), joined, withoutPlanCache(joined)}
 			},
 			check: func(t *testing.T, runs []claimRun) {
-				on, off := runs[0], runs[1]
-				if !sameWork(on, off) {
+				on, off, joinOn, joinOff := runs[0], runs[1], runs[2], runs[3]
+				if !sameWork(on, off) || on.Extra["labels"] != off.Extra["labels"] {
 					t.Errorf("the plan cache changed the run:\n on  %+v\n off %+v", on, off)
 				}
-				if on.Extra["plan_cache_hits"] != 3 || off.Extra["plan_cache_hits"] != 0 {
+				if on.Extra["plan_cache_hits"] != 8 || off.Extra["plan_cache_hits"] != 0 {
 					t.Errorf("plan cache hits: %d cached, %d uncached", on.Extra["plan_cache_hits"], off.Extra["plan_cache_hits"])
+				}
+				if !sameRows(joinOn, joinOff) || joinOn.Extra["labels"] != joinOff.Extra["labels"] {
+					t.Errorf("the plan cache changed the pre-filtered join:\n on  %+v\n off %+v", joinOn, joinOff)
+				}
+				if joinOn.Extra["plan_cache_hits"] != 1 || joinOn.Extra["plan_cache_invalidations"] != 1 {
+					t.Errorf("pre-filtered join: %d hits and %d invalidations, want 1 and 1",
+						joinOn.Extra["plan_cache_hits"], joinOn.Extra["plan_cache_invalidations"])
 				}
 			},
 			repeats: func(a, b claimRun) bool { return sameWork(a, b) && reflect.DeepEqual(a.Extra, b.Extra) },

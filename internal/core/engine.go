@@ -540,7 +540,12 @@ func (e *Engine) RunScript(src string) ([]*QueryHandle, error) {
 	}
 	var handles []*QueryHandle
 	for _, stmt := range script.Queries {
-		h, err := e.startQuery(context.Background(), stmt.String(), stmt, queryOptions{})
+		sql := stmt.String()
+		p, err := e.prepare(sql, stmt, queryOptions{})
+		if err != nil {
+			return handles, err
+		}
+		h, err := e.startQuery(context.Background(), sql, p, queryOptions{})
 		if err != nil {
 			return handles, err
 		}
@@ -549,9 +554,19 @@ func (e *Engine) RunScript(src string) ([]*QueryHandle, error) {
 	return handles, nil
 }
 
-// startQuery plans and launches one SELECT under a context and
-// per-query options; every public query entry point funnels through it.
-func (e *Engine) startQuery(ctx context.Context, sql string, stmt *qlang.SelectStmt, o queryOptions) (*QueryHandle, error) {
+// adaptiveJoins reports whether cost-based join pre-filtering applies to
+// a query with options o.
+func (e *Engine) adaptiveJoins(o queryOptions) bool {
+	if o.adaptive != nil {
+		return *o.adaptive
+	}
+	return e.cfg.AdaptiveJoins
+}
+
+// startQuery plans and launches one SELECT, through the front end as
+// prepare left it, under a context and per-query options; every public
+// query entry point funnels through it.
+func (e *Engine) startQuery(ctx context.Context, sql string, p planned, o queryOptions) (*QueryHandle, error) {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -614,10 +629,7 @@ func (e *Engine) startQuery(ctx context.Context, sql string, stmt *qlang.SelectS
 	if e.cfg.AdaptiveFilters && cfg.FilterOrder == nil {
 		cfg.FilterOrder = e.opt.FilterOrder(script)
 	}
-	adaptive := e.cfg.AdaptiveJoins
-	if o.adaptive != nil {
-		adaptive = *o.adaptive
-	}
+	adaptive := e.adaptiveJoins(o)
 	var decide plan.PreFilterDecider
 	if adaptive {
 		decide = e.opt.PreFilterDeciderFor(cfg)
@@ -629,7 +641,7 @@ func (e *Engine) startQuery(ctx context.Context, sql string, stmt *qlang.SelectS
 	if root != nil {
 		planSpan = root.Child(obs.KindPlan, "plan")
 	}
-	node, outcome, err := e.buildPlan(sql, stmt, script, adaptive, decide, !o.noPlanCache)
+	prog, vals, outcome, err := e.buildPlan(p, script, adaptive, decide)
 	if err != nil {
 		abandonTrace()
 		return nil, err
@@ -651,7 +663,7 @@ func (e *Engine) startQuery(ctx context.Context, sql string, stmt *qlang.SelectS
 	gate := e.clock.Gate()
 	gate.Hold()
 	defer gate.Release()
-	q, err := exec.StartContext(ctx, node, cfg)
+	q, err := prog.StartContext(ctx, vals, cfg)
 	if err != nil {
 		abandonTrace()
 		return nil, err
@@ -666,7 +678,7 @@ func (e *Engine) startQuery(ctx context.Context, sql string, stmt *qlang.SelectS
 	}
 	e.nextID++
 	h := &QueryHandle{
-		ID: e.nextID, SQL: sql, Plan: node, Exec: q,
+		ID: e.nextID, SQL: sql, Plan: q.Plan(), Exec: q,
 		StartedAt: e.clock.Now(), scope: scope,
 	}
 	h.span.Store(root)

@@ -2,38 +2,49 @@ package core
 
 import (
 	"container/list"
-	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/qlang"
+	"repro/internal/relation"
 )
 
-// planCache memoizes logical plans keyed by their normalized SQL
-// fingerprint (qlang.NormalizeQuery — literals stripped), so repeated
-// query shapes skip parsing-independent planning work: plan construction,
-// pushdown and the pre-filter cost walk.
+// planCache memoizes compiled programs keyed by their normalized SQL
+// fingerprint (qlang.NormalizeQuery — literals stripped), so a repeated
+// query shape skips parsing, planning, pushdown, the pre-filter rewrite
+// and compilation: a hit runs the stored program with the fresh
+// statement's literal values.
 //
 // Correctness invariants:
 //
-//   - Literals are re-bound on every hit. The cached template records
-//     where each stripped literal lives in the plan; a hit deep-clones
-//     the template with the fresh statement's constants substituted, so
-//     two queries differing only in literals share a template yet each
-//     executes with its own values.
+//   - Literals are re-bound on every hit. Equal fingerprints mean equal
+//     token streams apart from literal values, so the fresh text parses
+//     to the template's shape, and the one lexing pass that made the
+//     key also yields its values in the order of the template's
+//     statement literals, which are the program's first parameters.
+//     Which human calls of an operator share a site depends on literal
+//     values; a hit whose call arguments would share differently
+//     (exec.Program.Fits) plans afresh.
 //
 //   - The key embeds a config epoch, bumped whenever the engine's
 //     environment changes in ways planning observes — new task
 //     definitions, new tables. Old entries die wholesale.
 //
 //   - Adaptive pre-filter decisions are never trusted across queries.
-//     A hit re-runs plan.ApplyPreFilters over the fresh clone with the
+//     A hit re-runs plan.ApplyPreFilters over the template with the
 //     live cost decider (fed by the Statistics Manager); if the decision
-//     vector differs from the one recorded at miss time, the Statistics
-//     Manager's evidence has crossed an optimizer threshold and the
-//     entry is counted as invalidated (and refreshed), not hit.
+//     vector differs from the one recorded when the program was
+//     compiled, the Statistics Manager's evidence has crossed an
+//     optimizer threshold, so the entry is recompiled from its template
+//     and counted as invalidated, not hit.
+//
+//   - Entries are immutable: plans are never mutated once built, and a
+//     program is shared by every query that runs it. A recompiled entry
+//     replaces the old one; queries already running keep theirs.
 type planCache struct {
 	mu      sync.Mutex
 	max     int
@@ -48,19 +59,14 @@ type planCache struct {
 
 type planEntry struct {
 	key string
-	// template is the pre-ApplyPreFilters plan clone; hits clone it
-	// again (with substitution), so the cached tree is never executed
-	// or mutated directly.
+	// template is the plan before ApplyPreFilters; lits are its
+	// statement's literals (qlang.CollectStmtLiterals order), the
+	// program's first parameters.
 	template plan.Node
-	// stmt is the statement the template was planned from; its literal
-	// list (qlang.CollectStmtLiterals order) aligns index-for-index
-	// with slots.
-	stmt *qlang.SelectStmt
-	// slots are the template plan's literal nodes, one per statement
-	// literal, targeted by substitution on a hit.
-	slots []*qlang.Literal
-	// decisions is the pre-filter decision vector recorded when the
-	// entry was (re)planned, in ApplyPreFilters walk order.
+	lits     []*qlang.Literal
+	// prog is the template compiled with the pre-filters decisions
+	// chose, recorded in ApplyPreFilters walk order.
+	prog      *exec.Program
 	decisions []plan.PreFilterDecision
 	// planNs is the measured planning cost this entry saves per hit.
 	planNs int64
@@ -74,21 +80,23 @@ func newPlanCache(max int) *planCache {
 }
 
 // planCacheKey builds the cache key for a query under the given epoch
-// and adaptive-join setting. ok is false when the text cannot be
-// fingerprinted (never for a statement that already parsed).
-func planCacheKey(sql string, epoch int64, adaptive bool) (string, bool) {
-	norm, err := qlang.NormalizeQuery(sql)
-	if err != nil {
-		return "", false
-	}
-	return fmt.Sprintf("%d|%t|%s", epoch, adaptive, norm), true
+// and adaptive-join setting, and returns the values of the query's
+// literals from the same lexing pass. It fails when the text does not
+// fingerprint; ParseQuery then reports why.
+func planCacheKey(sql string, epoch int64, adaptive bool) ([]byte, []relation.Value, error) {
+	key := make([]byte, 0, 24+len(sql))
+	key = strconv.AppendInt(key, epoch, 10)
+	key = append(key, '|')
+	key = strconv.AppendBool(key, adaptive)
+	key = append(key, '|')
+	return qlang.NormalizeQuery(key, sql)
 }
 
 // lookup returns the entry for key, refreshing its LRU position.
-func (c *planCache) lookup(key string) *planEntry {
+func (c *planCache) lookup(key []byte) *planEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
+	el, ok := c.entries[string(key)]
 	if !ok {
 		return nil
 	}
@@ -146,12 +154,48 @@ const (
 	planOutcomeUncached    = "uncached"
 )
 
-// buildPlan produces the executable plan for one query, through the
-// cache when it is enabled and the caller did not opt out. The decider
-// (nil when adaptive joins are off) is invoked live on both misses and
-// hits; on a hit its decision vector is compared against the entry's.
-// outcome reports how the plan cache participated (planOutcome*).
-func (e *Engine) buildPlan(sql string, stmt *qlang.SelectStmt, script *qlang.Script, adaptive bool, decide plan.PreFilterDecider, useCache bool) (node plan.Node, outcome string, err error) {
+// planned is one query through the front end: its cache key and
+// literal values when the cache takes part and the text fingerprints,
+// the entry whose program it runs on a hit, and otherwise the parsed
+// statement.
+type planned struct {
+	key   []byte
+	lits  []relation.Value
+	entry *planEntry
+	stmt  *qlang.SelectStmt
+}
+
+// prepare runs sql through the front end. A hit needs no syntax tree;
+// anything else is parsed (stmt, when the caller has it, is used
+// instead), so a malformed text fails here with its *ParseError.
+func (e *Engine) prepare(sql string, stmt *qlang.SelectStmt, o queryOptions) (planned, error) {
+	var p planned
+	if e.plans != nil && !o.noPlanCache {
+		key, lits, err := planCacheKey(sql, atomic.LoadInt64(&e.planEpoch), e.adaptiveJoins(o))
+		if err == nil {
+			p.key, p.lits = key, lits
+			if entry := e.plans.lookup(key); entry != nil && entry.prog.Fits(lits) {
+				p.entry = entry
+				return p, nil
+			}
+		}
+	}
+	if stmt == nil {
+		var err error
+		if stmt, err = qlang.ParseQuery(sql); err != nil {
+			return p, err
+		}
+	}
+	p.stmt = stmt
+	return p, nil
+}
+
+// buildPlan produces the program one query runs and the values of its
+// statement literals (nil: as planned). The decider (nil when adaptive
+// joins are off) is invoked live on misses and hits alike; on a hit its
+// decision vector is compared against the entry's. outcome reports how
+// the plan cache participated (planOutcome*).
+func (e *Engine) buildPlan(p planned, script *qlang.Script, adaptive bool, decide plan.PreFilterDecider) (prog *exec.Program, vals []relation.Value, outcome string, err error) {
 	var recorded []plan.PreFilterDecision
 	var recording plan.PreFilterDecider
 	if decide != nil {
@@ -162,99 +206,48 @@ func (e *Engine) buildPlan(sql string, stmt *qlang.SelectStmt, script *qlang.Scr
 		}
 	}
 
-	cache := e.plans
-	key, keyOK := "", false
-	if cache != nil && useCache {
-		key, keyOK = planCacheKey(sql, atomic.LoadInt64(&e.planEpoch), adaptive)
-	}
-
-	if keyOK {
-		if entry := cache.lookup(key); entry != nil {
-			if node, outcome, ok := e.replanFromEntry(entry, stmt, script, adaptive, recording, &recorded); ok {
-				return node, outcome, nil
+	if entry := p.entry; entry != nil {
+		if adaptive {
+			node := plan.ApplyPreFilters(entry.template, script, recording)
+			if !decisionsEqual(recorded, entry.decisions) {
+				prog, err := exec.Compile(node, script, entry.lits)
+				if err != nil {
+					return nil, nil, "", err
+				}
+				e.plans.noteInvalidate()
+				fresh := *entry
+				fresh.prog, fresh.decisions = prog, recorded
+				e.plans.store(&fresh)
+				return prog, p.lits, planOutcomeInvalidated, nil
 			}
 		}
+		e.plans.noteHit(entry.planNs)
+		return entry.prog, p.lits, planOutcomeHit, nil
 	}
 
 	// Miss (or cache bypassed): full planning pass.
 	start := time.Now()
-	node, err = plan.Build(stmt, script, e.catalog)
+	template, err := plan.Build(p.stmt, script, e.catalog)
 	if err != nil {
-		return nil, "", err
+		return nil, nil, "", err
 	}
-	node = plan.Pushdown(node)
-
-	var entry *planEntry
-	if keyOK {
-		// Snapshot the template before ApplyPreFilters mutates the tree.
-		entry = newPlanEntry(key, node, stmt)
-	}
+	template = plan.Pushdown(template)
+	node := template
 	if adaptive {
-		node = plan.ApplyPreFilters(node, script, recording)
+		node = plan.ApplyPreFilters(template, script, recording)
 	}
-	planNs := time.Since(start).Nanoseconds()
-	if entry != nil {
-		entry.decisions = recorded
-		entry.planNs = planNs
-		cache.noteMiss()
-		cache.store(entry)
-		return node, planOutcomeMiss, nil
+	lits := qlang.CollectStmtLiterals(p.stmt)
+	prog, err = exec.Compile(node, script, lits)
+	if err != nil {
+		return nil, nil, "", err
 	}
-	return node, planOutcomeUncached, nil
-}
-
-// newPlanEntry clones the pre-ApplyPreFilters plan into a cache template
-// and maps the statement's literal order onto the clone's literal nodes.
-// It returns nil when the plan's literals cannot be tracked back to the
-// statement (planning rewrote them), making the query uncacheable.
-func newPlanEntry(key string, node plan.Node, stmt *qlang.SelectStmt) *planEntry {
-	template, rec := plan.Clone(node, nil)
-	lits := qlang.CollectStmtLiterals(stmt)
-	slots := make([]*qlang.Literal, len(lits))
-	for i, l := range lits {
-		cl, ok := rec[l]
-		if !ok {
-			return nil
-		}
-		slots[i] = cl
+	if p.key == nil {
+		return prog, nil, planOutcomeUncached, nil
 	}
-	return &planEntry{key: key, template: template, stmt: stmt, slots: slots}
-}
-
-// replanFromEntry instantiates a cached template for a fresh statement:
-// substitute the fresh literals into a deep clone, then re-run the live
-// pre-filter decider over it. A decision vector differing from the
-// recorded one means the Statistics Manager's evidence moved an
-// optimizer decision across its threshold — the entry is refreshed and
-// counted as an invalidation rather than a hit.
-func (e *Engine) replanFromEntry(entry *planEntry, stmt *qlang.SelectStmt, script *qlang.Script, adaptive bool, recording plan.PreFilterDecider, recorded *[]plan.PreFilterDecision) (plan.Node, string, bool) {
-	fresh := qlang.CollectStmtLiterals(stmt)
-	if len(fresh) != len(entry.slots) {
-		// Same fingerprint must mean isomorphic literal lists; a mismatch
-		// means the normalizer and the collector disagree — fall back to
-		// full planning rather than risk binding the wrong constant.
-		return nil, "", false
-	}
-	sub := make(map[*qlang.Literal]qlang.Expr, len(fresh))
-	for i, slot := range entry.slots {
-		sub[slot] = &qlang.Literal{Value: fresh[i].Value}
-	}
-	node, _ := plan.Clone(entry.template, sub)
-	if adaptive {
-		node = plan.ApplyPreFilters(node, script, recording)
-		if !decisionsEqual(*recorded, entry.decisions) {
-			e.plans.noteInvalidate()
-			// Refresh the recorded vector so the next identical query hits
-			// under the new stats regime.
-			c := e.plans
-			c.mu.Lock()
-			entry.decisions = append([]plan.PreFilterDecision(nil), *recorded...)
-			c.mu.Unlock()
-			return node, planOutcomeInvalidated, true
-		}
-	}
-	e.plans.noteHit(entry.planNs)
-	return node, planOutcomeHit, true
+	e.plans.noteMiss()
+	e.plans.store(&planEntry{key: string(p.key), template: template, lits: lits, prog: prog,
+		decisions: recorded, planNs: time.Since(start).Nanoseconds()})
+	return prog, nil, planOutcomeMiss, nil
 }
 
 func decisionsEqual(a, b []plan.PreFilterDecision) bool {

@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/dashboard"
+	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/qlang"
 	"repro/internal/relation"
@@ -133,11 +136,11 @@ func TestPlanCacheEpochInvalidation(t *testing.T) {
 	}
 }
 
-// TestPlanCacheDecisionFlipInvalidates drives buildPlan directly with a
-// controllable pre-filter decider standing in for the optimizer: when
-// live statistics flip the decision vector a cached plan baked in, the
-// hit becomes an invalidation and the fresh plan follows the new
-// decisions.
+// TestPlanCacheDecisionFlipInvalidates drives prepare and buildPlan
+// directly with a controllable pre-filter decider standing in for the
+// optimizer: when live statistics flip the decision vector a cached
+// program baked in, the hit becomes an invalidation and the recompiled
+// program follows the new decisions.
 func TestPlanCacheDecisionFlipInvalidates(t *testing.T) {
 	ds := workload.Celebrities(6, 6, 0.5, 3)
 	e := newEngine(t, Config{}, ds)
@@ -145,10 +148,6 @@ func TestPlanCacheDecisionFlipInvalidates(t *testing.T) {
 	const sql = `SELECT celebrities.name, spottedstars.id
 FROM celebrities, spottedstars
 WHERE samePerson(celebrities.image, spottedstars.image)`
-	stmt, err := qlang.ParseQuery(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
 	e.mu.Lock()
 	script := e.script
 	e.mu.Unlock()
@@ -158,51 +157,53 @@ WHERE samePerson(celebrities.image, spottedstars.image)`
 		return plan.PreFilterDecision{Left: wrap, Right: wrap}
 	}
 
-	countPreFilters := func(n plan.Node) int {
+	countPreFilters := func(prog *exec.Program) int {
 		count := 0
-		plan.Walk(n, func(m plan.Node) {
+		plan.Walk(prog.Root(), func(m plan.Node) {
 			if _, ok := m.(*plan.PreFilter); ok {
 				count++
 			}
 		})
 		return count
 	}
-
-	first, _, err := e.buildPlan(sql, stmt, script, true, decide, true)
-	if err != nil {
-		t.Fatal(err)
+	build := func() *exec.Program {
+		t.Helper()
+		on := true
+		p, err := e.prepare(sql, nil, queryOptions{adaptive: &on})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, _, _, err := e.buildPlan(p, script, true, decide)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog
 	}
+	first := build()
 	if got := countPreFilters(first); got != 2 {
-		t.Fatalf("miss-path pre-filters = %d, want 2:\n%s", got, plan.Explain(first))
+		t.Fatalf("miss-path pre-filters = %d, want 2:\n%s", got, plan.Explain(first.Root()))
 	}
 
-	// Same stats regime: a clean hit with the same decisions.
-	second, _, err := e.buildPlan(sql, stmt, script, true, decide, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := countPreFilters(second); got != 2 {
-		t.Fatalf("hit-path pre-filters = %d, want 2", got)
+	// Same stats regime: a clean hit runs the same program.
+	if second := build(); second != first {
+		t.Fatal("a hit under the same decisions recompiled")
 	}
 
 	// Statistics crossed the optimizer threshold: decisions flip, the
-	// entry invalidates, and the plan follows the live decider.
+	// entry invalidates, and the program follows the live decider.
 	wrap = false
-	third, _, err := e.buildPlan(sql, stmt, script, true, decide, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	third := build()
 	if got := countPreFilters(third); got != 0 {
-		t.Fatalf("post-flip pre-filters = %d, want 0:\n%s", got, plan.Explain(third))
+		t.Fatalf("post-flip pre-filters = %d, want 0:\n%s", got, plan.Explain(third.Root()))
 	}
 	st := e.PlanCacheStats()
 	if st.Misses != 1 || st.Hits != 1 || st.Invalidations != 1 {
 		t.Fatalf("stats = %+v, want 1 miss, 1 hit, 1 invalidation", st)
 	}
 
-	// The refreshed decision vector makes the next query a hit again.
-	if _, _, err := e.buildPlan(sql, stmt, script, true, decide, true); err != nil {
-		t.Fatal(err)
+	// The recompiled entry makes the next query a hit again.
+	if fourth := build(); fourth != third {
+		t.Fatal("the query after an invalidation did not run the recompiled program")
 	}
 	if st := e.PlanCacheStats(); st.Hits != 2 || st.Invalidations != 1 {
 		t.Fatalf("stats after refresh = %+v, want 2 hits, 1 invalidation", st)
@@ -224,5 +225,55 @@ func TestPlanCacheDashboardLine(t *testing.T) {
 	rendered := dashboard.Render(snap)
 	if !strings.Contains(rendered, "Plan cache: 1 hits, 0 invalidations") {
 		t.Fatalf("dashboard missing plan-cache line:\n%s", rendered)
+	}
+}
+
+// TestPlanCacheConcurrentHits runs one shape with different literals
+// from two goroutines at once, 200 times each, on one engine: they share
+// one compiled program, and each must see exactly its own rows, tagged
+// with its own string literal.
+func TestPlanCacheConcurrentHits(t *testing.T) {
+	e := newEngine(t, Config{}, workload.Companies(4, 3))
+	localTable(t, e)
+	const runs = 200
+	errs := make(chan error, 2)
+	for _, tag := range []string{"a", "b"} {
+		go func() {
+			for i := 0; i < runs; i++ {
+				lo := i % 10
+				if tag == "b" {
+					lo += 10
+				}
+				hi := lo + 1 + i%3
+				rows, err := e.Query(context.Background(),
+					fmt.Sprintf(`SELECT v, '%s' FROM nums WHERE v >= %d AND v < %d`, tag, lo, hi))
+				if err != nil {
+					errs <- err
+					return
+				}
+				var got []string
+				for rows.Next() {
+					got = append(got, rows.Tuple().Values[0].String()+rows.Tuple().Values[1].String())
+				}
+				rows.Close()
+				var want []string
+				for v := lo; v < hi && v < 20; v++ {
+					want = append(want, fmt.Sprintf("%d%s", v, tag))
+				}
+				if !slices.Equal(got, want) {
+					errs <- fmt.Errorf("client %s, [%d,%d): rows %v, want %v", tag, lo, hi, got, want)
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := e.PlanCacheStats(); st.Hits+st.Misses != 2*runs || st.Hits < 2*runs-2 {
+		t.Fatalf("stats = %+v, want every query but the first of each client at most to hit", st)
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/budget"
 	"repro/internal/qerr"
-	"repro/internal/qlang"
 	"repro/internal/relation"
 	"repro/internal/taskmgr"
 )
@@ -219,11 +218,11 @@ func (e *Engine) Query(ctx context.Context, sql string, opts ...QueryOption) (*R
 	for _, opt := range opts {
 		opt(&o)
 	}
-	stmt, err := qlang.ParseQuery(sql)
+	p, err := e.prepare(sql, nil, o)
 	if err != nil {
 		return nil, qerr.Classify(err)
 	}
-	h, err := e.startQuery(ctx, sql, stmt, o)
+	h, err := e.startQuery(ctx, sql, p, o)
 	if err != nil {
 		return nil, qerr.Classify(err)
 	}

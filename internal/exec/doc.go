@@ -30,16 +30,28 @@
 // Closing the root propagates Close upstream, so LIMIT and cancellation
 // stop scans and upstream producers early instead of draining them.
 //
-// # Call-site binding
+// # Compiled programs and call-site binding
 //
-// A human operator binds its expressions' task calls once, when it
-// starts (bindCalls): the distinct invocations in first-appearance order
-// with their task definitions, and a map from every call node to its
-// invocation's slot. Field projections of one call share a slot. Per
-// tuple, the operator evaluates all call arguments into one block before
-// submitting anything, submits one request per slot, and gathers the
-// answers into a slot-indexed []relation.Value that eval reads; no call
-// is printed or its arguments encoded per tuple just to dedupe it.
+// Compile turns a plan into an immutable Program once. Each operator's
+// expressions are compiled against its fixed input schema: a column
+// reference becomes its slot in the input tuple, a literal an index into
+// the query's parameter values, and a human task call its slot in the
+// operator's binding. The binding holds the distinct invocations in
+// first-appearance order, each with its task definition, its compiled
+// arguments and their offset in one per-tuple argument block; field
+// projections of one call share a slot. Per tuple, the operator
+// evaluates all call arguments into that block before submitting
+// anything, submits one request per slot, and gathers the answers into
+// a slot-indexed []relation.Value that the compiled expressions read. No
+// name is resolved, no call printed and no argument encoded per tuple.
+//
+// Program.Start runs a program with one query's parameter values; Start
+// compiles a plan and runs it as planned, so every query takes the same
+// path. Parameters, call values and counters live in the query's run,
+// never in the program, so concurrent queries share one. Labels
+// (OpStats, RankStat.Op, JoinReduction.Join, Query.Plan and operator
+// span names) are rendered when read, from the shared plan and the
+// query's parameter values, which a retired query keeps.
 //
 // # Virtual-time determinism
 //
@@ -57,7 +69,9 @@
 // # Plan caching
 //
 // The executor itself is stateless across queries; plan reuse lives in
-// internal/core's normalized-SQL plan cache (literal-stripped
-// fingerprints from qlang.NormalizeQuery, re-validated against the live
-// pre-filter cost decisions on every hit). See internal/core/plancache.go.
+// internal/core's plan cache, which stores a Program per normalized-SQL
+// fingerprint (qlang.NormalizeQuery, whose one lexing pass also yields
+// the literal values a hit runs the program with) and re-validates it
+// against the live pre-filter cost decisions on every hit. See
+// internal/core/plancache.go.
 package exec

@@ -14,61 +14,181 @@ import (
 	"repro/internal/taskmgr"
 )
 
+// opcode is what one compiled expression node computes.
+type opcode uint8
+
+const (
+	opColumn opcode = iota // the input tuple's value at slot
+	opParam                // the query's parameter at slot
+	opCall                 // the tuple's call answer at slot, projected to field
+	opFail                 // fail's error: the expression cannot evaluate
+	opNot
+	opPossibly
+	opNeg
+	opAnd
+	opOr
+	opEq
+	opNe
+	opLt
+	opLe
+	opGt
+	opGe
+	opAdd
+	opSub
+	opMul
+	opDiv
+)
+
+var binaryOps = map[string]opcode{
+	"AND": opAnd, "OR": opOr, "=": opEq, "!=": opNe, "<": opLt, "<=": opLe,
+	">": opGt, ">=": opGe, "+": opAdd, "-": opSub, "*": opMul, "/": opDiv,
+}
+
+var unaryOps = map[string]opcode{"NOT": opNot, "POSSIBLY": opPossibly, "-": opNeg}
+
+// expr is an expression compiled against an operator's fixed input
+// schema: columns read their slot in the tuple, literals the query's
+// parameter, and human calls their slot in the operator's binding, so
+// evaluation resolves no name. Compiled expressions are immutable and
+// shared by every query that runs their program.
+type expr struct {
+	op   opcode
+	slot int
+	// field is an opCall's field projection ("" for none).
+	field string
+	l, r  *expr // operands; unary operators use l
+	fail  func(p *params) error
+}
+
+// eval evaluates e over tuple t, whose human calls resolved into calls
+// (nil for call-free operators), under the query's parameters p.
+func (e *expr) eval(t relation.Tuple, p *params, calls []relation.Value) (relation.Value, error) {
+	switch e.op {
+	case opColumn:
+		return t.Values[e.slot], nil
+	case opParam:
+		return p.vals[e.slot], nil
+	case opCall:
+		if e.field != "" {
+			return calls[e.slot].Field(e.field), nil
+		}
+		return calls[e.slot], nil
+	case opFail:
+		return relation.Null, e.fail(p)
+	case opNot, opPossibly, opNeg:
+		x, err := e.l.eval(t, p, calls)
+		if err != nil {
+			return relation.Null, err
+		}
+		switch e.op {
+		case opNot:
+			return relation.NewBool(!x.Truthy()), nil
+		case opPossibly:
+			return relation.NewBool(x.Truthy()), nil
+		}
+		if x.Kind() == relation.KindInt {
+			return relation.NewInt(-x.Int()), nil
+		}
+		return relation.NewFloat(-x.Float()), nil
+	case opAnd, opOr:
+		// Short-circuit on the left operand.
+		l, err := e.l.eval(t, p, calls)
+		if err != nil {
+			return relation.Null, err
+		}
+		if lt := l.Truthy(); lt == (e.op == opOr) {
+			return relation.NewBool(lt), nil
+		}
+		r, err := e.r.eval(t, p, calls)
+		if err != nil {
+			return relation.Null, err
+		}
+		return relation.NewBool(r.Truthy()), nil
+	}
+	l, err := e.l.eval(t, p, calls)
+	if err != nil {
+		return relation.Null, err
+	}
+	r, err := e.r.eval(t, p, calls)
+	if err != nil {
+		return relation.Null, err
+	}
+	switch e.op {
+	case opEq:
+		return relation.NewBool(l.Compare(r) == 0), nil
+	case opNe:
+		return relation.NewBool(l.Compare(r) != 0), nil
+	case opLt:
+		return relation.NewBool(l.Compare(r) < 0), nil
+	case opLe:
+		return relation.NewBool(l.Compare(r) <= 0), nil
+	case opGt:
+		return relation.NewBool(l.Compare(r) > 0), nil
+	case opGe:
+		return relation.NewBool(l.Compare(r) >= 0), nil
+	}
+	return evalArith(e.op, l, r)
+}
+
+func evalArith(op opcode, l, r relation.Value) (relation.Value, error) {
+	if l.Kind() == relation.KindInt && r.Kind() == relation.KindInt && op != opDiv {
+		a, b := l.Int(), r.Int()
+		switch op {
+		case opAdd:
+			return relation.NewInt(a + b), nil
+		case opSub:
+			return relation.NewInt(a - b), nil
+		default:
+			return relation.NewInt(a * b), nil
+		}
+	}
+	a, b := l.Float(), r.Float()
+	switch op {
+	case opAdd:
+		return relation.NewFloat(a + b), nil
+	case opSub:
+		return relation.NewFloat(a - b), nil
+	case opMul:
+		return relation.NewFloat(a * b), nil
+	}
+	if b == 0 {
+		return relation.Null, fmt.Errorf("exec: division by zero")
+	}
+	return relation.NewFloat(a / b), nil
+}
+
+// params are one query's values for its program's literals. They
+// implement qlang.Bindings, so a label rendered from the shared plan
+// shows the query's own constants.
+type params struct {
+	prog *Program
+	vals []relation.Value
+}
+
+// Literal implements qlang.Bindings.
+func (p *params) Literal(l *qlang.Literal) (relation.Value, bool) {
+	i, ok := p.prog.lits[l]
+	if !ok {
+		return relation.Null, false
+	}
+	return p.vals[i], true
+}
+
 // callSite is one distinct human invocation among an operator's
 // expressions. Field projections of one call share it: the paper runs
 // findCEO once per company even though Query 1 mentions it twice.
 type callSite struct {
-	call *qlang.Call // first appearance
 	def  *qlang.TaskDef
+	args []*expr
 	off  int // offset of the site's arguments in a tuple's argument block
 }
 
-// binding is an operator's human call sites, bound once when the
-// operator starts: the distinct invocations in first-appearance order
-// and, for every call node, the slot of the invocation it reads. A tuple
-// resolves into a []relation.Value indexed by slot, and eval reads each
-// call node's value from there.
+// binding is an operator's human call sites, in first-appearance order;
+// each call node of its expressions compiles to the slot of the site it
+// reads. A tuple resolves into a []relation.Value indexed by slot.
 type binding struct {
 	sites []callSite
-	slot  map[*qlang.Call]int
 	nargs int // arguments across all sites
-}
-
-// bindCalls binds the human task calls of exprs. Two call nodes share a
-// slot when they print the same without their field projection.
-func bindCalls(script *qlang.Script, exprs ...qlang.Expr) *binding {
-	b := &binding{slot: make(map[*qlang.Call]int)}
-	seen := make(map[string]int)
-	for _, e := range exprs {
-		walkCalls(e, script, func(c *qlang.Call, def *qlang.TaskDef) {
-			sig := (&qlang.Call{Name: c.Name, Args: c.Args}).String()
-			i, ok := seen[sig]
-			if !ok {
-				i = len(b.sites)
-				seen[sig] = i
-				b.sites = append(b.sites, callSite{call: c, def: def, off: b.nargs})
-				b.nargs += len(c.Args)
-			}
-			b.slot[c] = i
-		})
-	}
-	return b
-}
-
-// taskNames lists the distinct tasks the bindings call, for flushing
-// their partial batches once the operator's input ends.
-func taskNames(bs ...*binding) []string {
-	var names []string
-	seen := make(map[*qlang.TaskDef]bool)
-	for _, b := range bs {
-		for _, s := range b.sites {
-			if !seen[s.def] {
-				seen[s.def] = true
-				names = append(names, s.def.Name)
-			}
-		}
-	}
-	return names
 }
 
 // prepare evaluates every site's arguments for t and returns them in one
@@ -77,11 +197,11 @@ func taskNames(bs ...*binding) []string {
 // the marketplace retains them. Operators call prepare before their
 // first submission for the tuple, so an argument error posts and pays
 // for nothing.
-func (b *binding) prepare(t relation.Tuple) (args, vals []relation.Value, err error) {
+func (b *binding) prepare(t relation.Tuple, p *params) (args, vals []relation.Value, err error) {
 	args = make([]relation.Value, b.nargs)
 	for _, s := range b.sites {
-		for j, a := range s.call.Args {
-			v, err := Eval(a, t)
+		for j, a := range s.args {
+			v, err := a.eval(t, p, nil)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -104,7 +224,7 @@ type gather struct {
 // request builds the task request for site i of b, reporting into g.
 func (q *run) request(op *operator, b *binding, i int, args []relation.Value, assignments int, g *gather) taskmgr.Request {
 	s := b.sites[i]
-	end := s.off + len(s.call.Args)
+	end := s.off + len(s.args)
 	return taskmgr.Request{
 		Def:         s.def,
 		Args:        args[s.off:end:end],
@@ -147,149 +267,22 @@ func walkCalls(e qlang.Expr, script *qlang.Script, visit func(*qlang.Call, *qlan
 	}
 }
 
+// callSig identifies an invocation: two call nodes are one site when
+// they print the same without their field projection.
+func callSig(c *qlang.Call) string {
+	return (&qlang.Call{Name: c.Name, Args: c.Args}).String()
+}
+
 // CollectCalls returns the distinct human task calls in an expression,
 // in first-appearance order.
 func CollectCalls(e qlang.Expr, script *qlang.Script) []*qlang.Call {
-	b := bindCalls(script, e)
-	out := make([]*qlang.Call, len(b.sites))
-	for i, s := range b.sites {
-		out[i] = s.call
-	}
+	var out []*qlang.Call
+	seen := make(map[string]bool)
+	walkCalls(e, script, func(c *qlang.Call, _ *qlang.TaskDef) {
+		if sig := callSig(c); !seen[sig] {
+			seen[sig] = true
+			out = append(out, c)
+		}
+	})
 	return out
-}
-
-// Eval evaluates a call-free expression over a tuple.
-func Eval(e qlang.Expr, t relation.Tuple) (relation.Value, error) {
-	return eval(e, t, nil, nil)
-}
-
-// eval evaluates an expression over a tuple whose human calls resolved
-// into vals under binding b. A call without a slot is an error: the
-// operator must resolve calls first.
-func eval(e qlang.Expr, t relation.Tuple, b *binding, vals []relation.Value) (relation.Value, error) {
-	switch v := e.(type) {
-	case *qlang.Literal:
-		return v.Value, nil
-	case *qlang.ColumnRef:
-		if t.Schema != nil {
-			if i, ok := t.Schema.Lookup(v.QualifiedName()); ok {
-				return t.Values[i], nil
-			}
-		}
-		return relation.Null, fmt.Errorf("exec: unknown column %q in %v", v.QualifiedName(), t.Schema)
-	case *qlang.Call:
-		i, ok := 0, false
-		if b != nil {
-			i, ok = b.slot[v]
-		}
-		if !ok {
-			return relation.Null, fmt.Errorf("exec: unresolved call %s", v)
-		}
-		if v.Field != "" {
-			return vals[i].Field(v.Field), nil
-		}
-		return vals[i], nil
-	case *qlang.Binary:
-		return evalBinary(v, t, b, vals)
-	case *qlang.Unary:
-		x, err := eval(v.X, t, b, vals)
-		if err != nil {
-			return relation.Null, err
-		}
-		switch v.Op {
-		case "NOT":
-			return relation.NewBool(!x.Truthy()), nil
-		case "POSSIBLY":
-			return relation.NewBool(x.Truthy()), nil
-		case "-":
-			if x.Kind() == relation.KindInt {
-				return relation.NewInt(-x.Int()), nil
-			}
-			return relation.NewFloat(-x.Float()), nil
-		default:
-			return relation.Null, fmt.Errorf("exec: unknown unary op %q", v.Op)
-		}
-	case *qlang.Star:
-		return relation.Null, fmt.Errorf("exec: * cannot be evaluated")
-	default:
-		return relation.Null, fmt.Errorf("exec: unsupported expression %T", e)
-	}
-}
-
-func evalBinary(v *qlang.Binary, t relation.Tuple, b *binding, vals []relation.Value) (relation.Value, error) {
-	// AND/OR short-circuit on the left operand.
-	if v.Op == "AND" || v.Op == "OR" {
-		l, err := eval(v.L, t, b, vals)
-		if err != nil {
-			return relation.Null, err
-		}
-		lt := l.Truthy()
-		if v.Op == "AND" && !lt {
-			return relation.NewBool(false), nil
-		}
-		if v.Op == "OR" && lt {
-			return relation.NewBool(true), nil
-		}
-		r, err := eval(v.R, t, b, vals)
-		if err != nil {
-			return relation.Null, err
-		}
-		return relation.NewBool(r.Truthy()), nil
-	}
-	l, err := eval(v.L, t, b, vals)
-	if err != nil {
-		return relation.Null, err
-	}
-	r, err := eval(v.R, t, b, vals)
-	if err != nil {
-		return relation.Null, err
-	}
-	switch v.Op {
-	case "=":
-		return relation.NewBool(l.Compare(r) == 0), nil
-	case "!=":
-		return relation.NewBool(l.Compare(r) != 0), nil
-	case "<":
-		return relation.NewBool(l.Compare(r) < 0), nil
-	case "<=":
-		return relation.NewBool(l.Compare(r) <= 0), nil
-	case ">":
-		return relation.NewBool(l.Compare(r) > 0), nil
-	case ">=":
-		return relation.NewBool(l.Compare(r) >= 0), nil
-	case "+", "-", "*", "/":
-		return evalArith(v.Op, l, r)
-	default:
-		return relation.Null, fmt.Errorf("exec: unknown operator %q", v.Op)
-	}
-}
-
-func evalArith(op string, l, r relation.Value) (relation.Value, error) {
-	bothInt := l.Kind() == relation.KindInt && r.Kind() == relation.KindInt
-	if bothInt && op != "/" {
-		a, b := l.Int(), r.Int()
-		switch op {
-		case "+":
-			return relation.NewInt(a + b), nil
-		case "-":
-			return relation.NewInt(a - b), nil
-		case "*":
-			return relation.NewInt(a * b), nil
-		}
-	}
-	a, b := l.Float(), r.Float()
-	switch op {
-	case "+":
-		return relation.NewFloat(a + b), nil
-	case "-":
-		return relation.NewFloat(a - b), nil
-	case "*":
-		return relation.NewFloat(a * b), nil
-	case "/":
-		if b == 0 {
-			return relation.Null, fmt.Errorf("exec: division by zero")
-		}
-		return relation.NewFloat(a / b), nil
-	}
-	return relation.Null, fmt.Errorf("exec: unknown arithmetic op %q", op)
 }

@@ -38,9 +38,9 @@ type Config struct {
 	// cascading them with short-circuit.
 	GroupFilters bool
 	// FilterOrder optionally reorders a Filter node's human conjuncts
-	// per tuple; it receives the conjuncts and returns an evaluation
-	// order (indices). The adaptive optimizer plugs in here. Nil keeps
-	// query order.
+	// per tuple; it receives the conjuncts, which it must not modify,
+	// and returns an evaluation order (indices). The adaptive optimizer
+	// plugs in here. Nil keeps query order.
 	FilterOrder func(conjuncts []qlang.Expr) []int
 	// FilterWindow bounds how many tuples run a human-filter cascade
 	// concurrently (0 = unbounded). A small window lets selectivity
@@ -126,11 +126,11 @@ type OpStats struct {
 // operators run a producer goroutine and own an output queue; local
 // operators fuse into their consumer's pull chain and leave out nil.
 type operator struct {
-	label string
-	out   *queue.Queue // nil for fused local operators
-	in    int64        // atomic
-	emit  int64        // atomic
-	done  int32        // atomic
+	step *step
+	out  *queue.Queue // nil for fused local operators
+	in   int64        // atomic
+	emit int64        // atomic
+	done int32        // atomic
 	// decided counts input tuples whose fate is settled; only
 	// pre-filter stages maintain it (block submission lags input
 	// arrival, so `in` alone would make undecided tuples look
@@ -141,12 +141,13 @@ type operator struct {
 	span *obs.Span
 }
 
+// stats snapshots the operator's counters; its label renders on read
+// (Query.OpStats).
 func (o *operator) stats() OpStats {
 	return OpStats{
-		Label: o.label,
-		In:    atomic.LoadInt64(&o.in),
-		Out:   atomic.LoadInt64(&o.emit),
-		Done:  atomic.LoadInt32(&o.done) == 1,
+		In:   atomic.LoadInt64(&o.in),
+		Out:  atomic.LoadInt64(&o.emit),
+		Done: atomic.LoadInt32(&o.done) == 1,
 	}
 }
 
@@ -171,14 +172,16 @@ func (o *operator) finish() {
 // has resolved too; a LIMIT query's producers and their request
 // callbacks can outlive its stream. An over query retires: it freezes
 // its operator stats, join reductions and peak resident count, and
-// drops its execution state (operators and their queues, join
-// trackers, its Config and the gate), so a finished query costs a small
-// fixed record. Every accessor answers the same before and after
-// retirement.
+// drops its execution state (operators and their queues, its Config
+// and the gate), so a finished query costs a small fixed record. Every
+// accessor answers the same before and after retirement. Labels render
+// on read from the shared program and the query's own parameter values,
+// which it keeps.
 type Query struct {
 	result *relation.Table
 	done   chan struct{} // closed when the result stream has fully drained
 	stop   int32         // atomic; set by Cancel so fused iterators bail out
+	params params        // the program and this query's values for its literals
 
 	// live is the execution state; nil once the query has retired.
 	live atomic.Pointer[run]
@@ -191,8 +194,8 @@ type Query struct {
 	endedAt     mturk.VirtualTime
 	hasFirstRow bool
 	hasEnded    bool
-	rankStats   []RankStat
-	// Frozen from the execution state at retirement.
+	rankStats   []rankStat
+	// Frozen from the execution state at retirement, without labels.
 	opStats []OpStats
 	joins   []JoinReduction
 	peak    int64
@@ -204,14 +207,12 @@ type Query struct {
 type run struct {
 	*Query
 	cfg Config
-	ops []*operator
+	ops []*operator // by step id
 	// gate is the quiescence gate of the task manager's clock: every
 	// executor goroutine holds it while runnable and parks on it while
 	// waiting, so the clock's pump never advances virtual time past work
 	// the executor could still submit. Nil without a task manager.
 	gate *quiesce.Gate
-
-	trackers []*joinTracker
 
 	// residentSum accumulates the buffer sizes of barrier operators
 	// (sorts, joins, aggregates); with queue high-water marks it bounds
@@ -242,7 +243,9 @@ func (q *run) spawn(f func()) {
 	})
 }
 
-// exit ends one counted goroutine; the last one retires the query.
+// exit ends one counted goroutine; the last one retires the query. A
+// retired query's scope posts nothing more, so the task manager drops
+// its fair-share history.
 func (q *run) exit() {
 	if q.running.Add(-1) > 0 {
 		return
@@ -252,6 +255,24 @@ func (q *run) exit() {
 	q.opStats, q.joins, q.peak = ops, joins, peak
 	q.live.Store(nil)
 	q.mu.Unlock()
+	q.cfg.Scope.Retire()
+}
+
+// label renders step s's label with the query's parameter values.
+func (q *Query) label(s *step) string { return s.node.Label(&q.params) }
+
+// opName renders an operator span's name when the trace is read.
+type opName struct {
+	q *Query
+	s *step
+}
+
+func (n opName) String() string { return n.q.label(n.s) }
+
+// Plan returns the plan the query runs, labeled with its own literal
+// values.
+func (q *Query) Plan() plan.Node {
+	return plan.Bind(q.params.prog.root.node, &q.params)
 }
 
 // RankStat reports one Rank operator's chosen strategy and spend, for
@@ -273,32 +294,34 @@ type RankStat struct {
 	Windows, Refined int
 }
 
+// rankStat is a Rank operator's report before its label renders.
+type rankStat struct {
+	RankStat
+	step *step
+}
+
 // RankStats snapshots every completed Rank operator's report.
 func (q *Query) RankStats() []RankStat {
 	q.mu.Lock()
-	defer q.mu.Unlock()
-	return append([]RankStat(nil), q.rankStats...)
+	recs := slices.Clone(q.rankStats)
+	q.mu.Unlock()
+	out := make([]RankStat, len(recs))
+	for i, r := range recs {
+		out[i] = r.RankStat
+		out[i].Op = q.label(r.step)
+	}
+	return out
 }
 
-func (q *Query) noteRankStat(rs RankStat) {
+func (q *Query) noteRankStat(s *step, rs RankStat) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.rankStats = append(q.rankStats, rs)
+	q.rankStats = append(q.rankStats, rankStat{rs, s})
 }
 
 // maxRecordedErrors bounds Query.Errors so a canceled or failing query
 // over a large input cannot hoard memory; ErrorCount keeps the total.
 const maxRecordedErrors = 1000
-
-// joinTracker pairs a human join with its input operators so the
-// dashboard can report how much of the cross product the pre-filter
-// stages avoided.
-type joinTracker struct {
-	label             string
-	task              string
-	left, right       *operator
-	leftPre, rightPre bool
-}
 
 // JoinReduction quantifies one pre-filtered join's cross-product
 // shrinkage: In counts tuples entering each side's pre-filter stage,
@@ -319,28 +342,42 @@ type JoinReduction struct {
 // JoinReductions snapshots the cross-product reduction of every human
 // join that has at least one pre-filter stage.
 func (q *Query) JoinReductions() []JoinReduction {
+	var out []JoinReduction
 	if r := q.state(); r != nil {
-		return r.joinReductionsNow()
+		out = r.joinReductionsNow()
+	} else {
+		q.mu.Lock()
+		out = slices.Clone(q.joins)
+		q.mu.Unlock()
 	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return slices.Clone(q.joins)
+	for i, s := range q.params.prog.joins {
+		out[i].Join = q.label(s)
+	}
+	return out
 }
 
+// joinReductionsNow reads the reductions from the operators, without
+// labels.
 func (q *run) joinReductionsNow() []JoinReduction {
-	out := make([]JoinReduction, 0, len(q.trackers))
-	for _, tr := range q.trackers {
-		ls, rs := tr.left.stats(), tr.right.stats()
-		jr := JoinReduction{Join: tr.label, Task: tr.task,
-			LeftIn: ls.Out, LeftKept: ls.Out, RightIn: rs.Out, RightKept: rs.Out}
-		var droppedL, droppedR int64
-		if tr.leftPre {
-			jr.LeftIn, jr.LeftKept = ls.In, ls.Out
-			droppedL = atomic.LoadInt64(&tr.left.decided) - jr.LeftKept
+	out := make([]JoinReduction, 0, len(q.params.prog.joins))
+	for _, s := range q.params.prog.joins {
+		v := s.node.(*plan.Join)
+		left, right := q.ops[s.kids[0].id], q.ops[s.kids[1].id]
+		_, leftPre := v.Left.(*plan.PreFilter)
+		_, rightPre := v.Right.(*plan.PreFilter)
+		ls, rs := left.stats(), right.stats()
+		jr := JoinReduction{LeftIn: ls.Out, LeftKept: ls.Out, RightIn: rs.Out, RightKept: rs.Out}
+		if v.HumanTask != nil {
+			jr.Task = v.HumanTask.Name
 		}
-		if tr.rightPre {
+		var droppedL, droppedR int64
+		if leftPre {
+			jr.LeftIn, jr.LeftKept = ls.In, ls.Out
+			droppedL = atomic.LoadInt64(&left.decided) - jr.LeftKept
+		}
+		if rightPre {
 			jr.RightIn, jr.RightKept = rs.In, rs.Out
-			droppedR = atomic.LoadInt64(&tr.right.decided) - jr.RightKept
+			droppedR = atomic.LoadInt64(&right.decided) - jr.RightKept
 		}
 		// Every dropped-left tuple avoids the full right input and vice
 		// versa; dropped×dropped pairs would be double-counted.
@@ -509,14 +546,21 @@ func (q *run) noteFirstRow() {
 	}
 }
 
-// OpStats snapshots every operator's progress, leaves first.
+// OpStats snapshots every operator's progress, in plan order (pre-order,
+// the root first).
 func (q *Query) OpStats() []OpStats {
+	var out []OpStats
 	if r := q.state(); r != nil {
-		return r.opStatsNow()
+		out = r.opStatsNow()
+	} else {
+		q.mu.Lock()
+		out = slices.Clone(q.opStats)
+		q.mu.Unlock()
 	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return slices.Clone(q.opStats)
+	for i := range out {
+		out[i].Label = q.label(q.params.prog.steps[i])
+	}
+	return out
 }
 
 func (q *run) opStatsNow() []OpStats {
@@ -547,18 +591,37 @@ func (q *run) reportError(err error) {
 	q.errors = append(q.errors, err)
 }
 
-// Start launches the plan as a composed pull-iterator chain: local
-// (call-free) operators fuse into the sink's pull loop, human-powered
-// operators get a producer goroutine bridged through a queue. It
-// returns immediately; results stream into Query.Result().
+// Start compiles the plan against cfg.Script and launches it as planned
+// (see Program.Start).
 func Start(root plan.Node, cfg Config) (*Query, error) {
 	cfg = cfg.withDefaults()
-	if needsHumans(root) && cfg.Mgr == nil {
+	prog, err := Compile(root, cfg.Script, nil)
+	if err != nil {
+		return nil, err
+	}
+	return prog.Start(nil, cfg)
+}
+
+// Start launches the program as a composed pull-iterator chain: local
+// (call-free) operators fuse into the sink's pull loop, human-powered
+// operators get a producer goroutine bridged through a queue. vals are
+// the query's values for the program's parameters, which Fits them; nil
+// runs the program as planned. cfg.Script must define the tasks the
+// program was compiled against. It returns immediately; results stream
+// into Query.Result().
+func (p *Program) Start(vals []relation.Value, cfg Config) (*Query, error) {
+	cfg = cfg.withDefaults()
+	if p.humans && cfg.Mgr == nil {
 		return nil, fmt.Errorf("exec: plan has human operators but no task manager")
 	}
+	if vals == nil {
+		vals = p.params
+	}
 	q := &run{
-		Query: &Query{done: make(chan struct{}), result: relation.NewTable("result", root.Schema())},
-		cfg:   cfg,
+		Query: &Query{done: make(chan struct{}), result: relation.NewTable("result", p.root.node.Schema()),
+			params: params{prog: p, vals: vals}},
+		cfg: cfg,
+		ops: make([]*operator, len(p.steps)),
 	}
 	q.live.Store(q)
 	if cfg.Mgr != nil {
@@ -567,11 +630,7 @@ func Start(root plan.Node, cfg Config) (*Query, error) {
 	// The sink's count is taken before build, so a producer that ends
 	// before the sink starts cannot retire the query.
 	q.running.Store(1)
-	top, _, err := q.build(root, cfg.Trace)
-	if err != nil {
-		close(q.done)
-		return nil, err
-	}
+	top := q.build(p.root, cfg.Trace)
 	q.gate.Go(func() {
 		defer q.exit()
 		stable := top.Stable()
@@ -629,8 +688,8 @@ func (q *run) endSpans() {
 // cause, which propagates through the task manager to the marketplace —
 // open HITs for the dead query are expired and unspent budget released.
 // The watcher goroutine exits when the query finishes on its own.
-func StartContext(ctx context.Context, root plan.Node, cfg Config) (*Query, error) {
-	q, err := Start(root, cfg)
+func (p *Program) StartContext(ctx context.Context, vals []relation.Value, cfg Config) (*Query, error) {
+	q, err := p.Start(vals, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -660,26 +719,6 @@ func Run(root plan.Node, cfg Config) ([]relation.Tuple, error) {
 	return rows, nil
 }
 
-func needsHumans(n plan.Node) bool {
-	found := false
-	plan.Walk(n, func(node plan.Node) {
-		switch v := node.(type) {
-		case *plan.Join:
-			if v.HumanTask != nil {
-				found = true
-			}
-		case *plan.PreFilter:
-			found = true
-		case *plan.Rank:
-			found = true
-		}
-	})
-	// Calls inside filters/projections are checked at runtime against
-	// the script; a conservative true when any Call exists would need
-	// the script here, so operators also error helpfully at runtime.
-	return found
-}
-
 // async sets up the queue bridge for a human-powered operator: the
 // caller launches a producer goroutine that pushes into op.out, and
 // downstream pulls through the returned queueIter.
@@ -688,142 +727,74 @@ func (q *run) async(op *operator) *queueIter {
 	return &queueIter{op: op}
 }
 
-// build composes the iterator chain for a node, appending one operator
-// record per plan node pre-order (top-down) so OpStats keeps plan
-// order. Call-free operators fuse into the consumer's pull chain;
+// build composes the iterator chain for step s, recording one operator
+// per step. Call-free operators fuse into the consumer's pull chain;
 // human-powered ones keep a producer goroutine. Async operators wrap
 // their inputs in ensureStable: HIT callbacks retain tuples
 // indefinitely, which transient iterators do not allow.
-func (q *run) build(n plan.Node, parent *obs.Span) (Iterator, *operator, error) {
-	op := &operator{label: n.Label()}
+func (q *run) build(s *step, parent *obs.Span) Iterator {
+	op := &operator{step: s}
 	if parent != nil {
-		op.span = parent.Child(obs.KindOperator, n.Label())
+		op.span = parent.ChildNamed(obs.KindOperator, opName{q.Query, s})
 	}
-	q.ops = append(q.ops, op)
-	switch v := n.(type) {
+	q.ops[s.id] = op
+	var in, right Iterator // inputs; only a join has a right one
+	if len(s.kids) > 0 {
+		in = q.build(s.kids[0], op.span)
+	}
+	if len(s.kids) > 1 {
+		right = q.build(s.kids[1], op.span)
+	}
+	switch v := s.node.(type) {
 	case *plan.Scan:
-		return &scanIter{q: q, op: op, v: v}, op, nil
+		return &scanIter{q: q, op: op, v: v}
 	case *plan.Filter:
-		in, _, err := q.build(v.Input, op.span)
-		if err != nil {
-			return nil, nil, err
-		}
-		// runFilter binds each human conjunct on its own.
-		if len(bindCalls(q.cfg.Script, v.Conjuncts...).sites) == 0 {
-			return &filterIter{q: q, op: op, child: in, conjuncts: v.Conjuncts}, op, nil
+		if len(s.human) == 0 {
+			return &filterIter{q: q, op: op, child: in}
 		}
 		it := q.async(op)
-		q.spawn(func() { q.runFilter(op, v, ensureStable(in)) })
-		return it, op, nil
+		q.spawn(func() { q.runFilter(op, ensureStable(in)) })
+		return it
 	case *plan.Project:
-		in, _, err := q.build(v.Input, op.span)
-		if err != nil {
-			return nil, nil, err
-		}
-		exprs := make([]qlang.Expr, len(v.Items))
-		for i, item := range v.Items {
-			exprs[i] = item.Expr
-		}
-		b := bindCalls(q.cfg.Script, exprs...)
-		if len(b.sites) == 0 {
-			return &projectIter{q: q, op: op, v: v, child: in}, op, nil
+		if len(s.calls.sites) == 0 {
+			return &projectIter{q: q, op: op, v: v, child: in}
 		}
 		it := q.async(op)
-		q.spawn(func() { q.runProject(op, v, b, ensureStable(in)) })
-		return it, op, nil
+		q.spawn(func() { q.runProject(op, v, ensureStable(in)) })
+		return it
 	case *plan.PreFilter:
-		in, _, err := q.build(v.Input, op.span)
-		if err != nil {
-			return nil, nil, err
-		}
 		it := q.async(op)
 		q.spawn(func() { q.runPreFilter(op, v, ensureStable(in)) })
-		return it, op, nil
+		return it
 	case *plan.Join:
-		left, lop, err := q.build(v.Left, op.span)
-		if err != nil {
-			return nil, nil, err
-		}
-		right, rop, err := q.build(v.Right, op.span)
-		if err != nil {
-			return nil, nil, err
-		}
-		_, lpre := v.Left.(*plan.PreFilter)
-		_, rpre := v.Right.(*plan.PreFilter)
-		if lpre || rpre {
-			task := ""
-			if v.HumanTask != nil {
-				task = v.HumanTask.Name
-			}
-			q.trackers = append(q.trackers, &joinTracker{
-				label: v.Label(), task: task,
-				left: lop, right: rop, leftPre: lpre, rightPre: rpre,
-			})
-		}
 		if v.HumanTask == nil {
-			return &localJoinIter{q: q, op: op, v: v, left: left, right: ensureStable(right)}, op, nil
+			return &localJoinIter{q: q, op: op, v: v, left: in, right: ensureStable(right)}
 		}
 		it := q.async(op)
-		q.spawn(func() { q.runJoin(op, v, ensureStable(left), ensureStable(right)) })
-		return it, op, nil
+		q.spawn(func() { q.runJoin(op, v, ensureStable(in), ensureStable(right)) })
+		return it
 	case *plan.OrderBy:
-		in, _, err := q.build(v.Input, op.span)
-		if err != nil {
-			return nil, nil, err
-		}
-		exprs := make([]qlang.Expr, len(v.Keys))
-		for i, k := range v.Keys {
-			exprs[i] = k.Expr
-		}
-		b := bindCalls(q.cfg.Script, exprs...)
-		if len(b.sites) == 0 {
-			return &orderByIter{q: q, op: op, v: v, child: in}, op, nil
+		if len(s.calls.sites) == 0 {
+			return &orderByIter{q: q, op: op, v: v, child: in}
 		}
 		it := q.async(op)
-		q.spawn(func() { q.runOrderBy(op, v, b, ensureStable(in)) })
-		return it, op, nil
+		q.spawn(func() { q.runOrderBy(op, v, ensureStable(in)) })
+		return it
 	case *plan.Rank:
-		in, _, err := q.build(v.Input, op.span)
-		if err != nil {
-			return nil, nil, err
-		}
 		it := q.async(op)
 		q.spawn(func() { q.runRank(op, v, ensureStable(in)) })
-		return it, op, nil
+		return it
 	case *plan.Aggregate:
-		exprs := append([]qlang.Expr(nil), v.Keys...)
-		for _, item := range v.Items {
-			if call, isAgg := aggCall(item.Expr); isAgg {
-				exprs = append(exprs, call.Args...)
-			} else {
-				exprs = append(exprs, item.Expr)
-			}
-		}
-		in, _, err := q.build(v.Input, op.span)
-		if err != nil {
-			return nil, nil, err
-		}
-		b := bindCalls(q.cfg.Script, exprs...)
-		if len(b.sites) == 0 {
-			return &aggregateIter{q: q, op: op, v: v, child: in}, op, nil
+		if len(s.calls.sites) == 0 {
+			return &aggregateIter{q: q, op: op, v: v, child: in}
 		}
 		it := q.async(op)
-		q.spawn(func() { q.runAggregate(op, v, b, ensureStable(in)) })
-		return it, op, nil
+		q.spawn(func() { q.runAggregate(op, v, ensureStable(in)) })
+		return it
 	case *plan.Distinct:
-		in, _, err := q.build(v.Input, op.span)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &distinctIter{q: q, op: op, child: in, seen: make(map[string]struct{})}, op, nil
-	case *plan.Limit:
-		in, _, err := q.build(v.Input, op.span)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &limitIter{q: q, op: op, child: in, n: v.N}, op, nil
-	default:
-		return nil, nil, fmt.Errorf("exec: unsupported plan node %T", n)
+		return &distinctIter{q: q, op: op, child: in, seen: make(map[string]struct{})}
+	default: // *plan.Limit; Compile admits no other node
+		return &limitIter{q: q, op: op, child: in, n: v.(*plan.Limit).N}
 	}
 }
 
@@ -841,7 +812,7 @@ func (q *run) resolve(op *operator, b *binding, t relation.Tuple, assignments in
 		then(nil, fmt.Errorf("exec: human call without task manager"))
 		return
 	}
-	args, vals, err := b.prepare(t)
+	args, vals, err := b.prepare(t, &q.params)
 	if err != nil {
 		then(nil, err)
 		return

@@ -2,12 +2,10 @@ package exec
 
 import (
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/plan"
-	"repro/internal/qlang"
 	"repro/internal/relation"
 )
 
@@ -134,10 +132,9 @@ func (s *scanIter) Stable() bool { return true }
 // filterIter evaluates call-free conjuncts inline. A tuple whose
 // conjunct errors is reported and dropped, as in the async cascade.
 type filterIter struct {
-	q         *run
-	op        *operator
-	child     Iterator
-	conjuncts []qlang.Expr
+	q     *run
+	op    *operator
+	child Iterator
 }
 
 func (f *filterIter) Next() (relation.Tuple, bool) {
@@ -153,8 +150,8 @@ func (f *filterIter) Next() (relation.Tuple, bool) {
 		}
 		atomic.AddInt64(&f.op.in, 1)
 		pass := true
-		for _, c := range f.conjuncts {
-			val, err := Eval(c, t)
+		for _, c := range f.op.step.exprs {
+			val, err := c.eval(t, &f.q.params, nil)
 			if err != nil {
 				f.q.reportError(err)
 				pass = false
@@ -204,12 +201,12 @@ func (p *projectIter) Next() (relation.Tuple, bool) {
 		atomic.AddInt64(&p.op.in, 1)
 		vals := p.scratch[:0]
 		ok = true
-		for _, it := range p.v.Items {
-			if _, isStar := it.Expr.(*qlang.Star); isStar {
+		for _, e := range p.op.step.exprs {
+			if e == nil { // *
 				vals = append(vals, t.Values...)
 				continue
 			}
-			val, err := Eval(it.Expr, t)
+			val, err := e.eval(t, &p.q.params, nil)
 			if err != nil {
 				p.q.reportError(err)
 				ok = false
@@ -285,7 +282,7 @@ func (j *localJoinIter) Next() (relation.Tuple, bool) {
 			vals = append(vals, rt.Values...)
 			j.scratch = vals
 			joined := relation.Tuple{Schema: j.v.Schema(), Values: vals}
-			if j.q.passesAll(j.v.Residual, joined) {
+			if j.q.passesAll(j.op.step.exprs, joined) {
 				atomic.AddInt64(&j.op.emit, 1)
 				return joined, true
 			}
@@ -443,8 +440,8 @@ func (o *orderByIter) consume() {
 			t = relation.Tuple{Schema: t.Schema, Values: *buf}
 		}
 		o.rows = append(o.rows, t)
-		for _, k := range o.v.Keys {
-			val, err := Eval(k.Expr, t)
+		for _, k := range o.op.step.exprs {
+			val, err := k.eval(t, &o.q.params, nil)
 			if err != nil {
 				o.q.reportError(err)
 				val = relation.Null
@@ -520,14 +517,8 @@ func (a *aggregateIter) Next() (relation.Tuple, bool) {
 }
 
 func (a *aggregateIter) consume() {
-	type group struct {
-		first relation.Tuple
-		count int64
-		sums  map[int]float64
-		mins  map[int]relation.Value
-		maxs  map[int]relation.Value
-	}
-	groups := make(map[string]*group)
+	s := a.op.step
+	groups := make(map[string]*aggGroup)
 	var order []string
 	childStable := a.child.Stable()
 	var keyEnc []byte
@@ -541,8 +532,8 @@ func (a *aggregateIter) consume() {
 		n++
 		keyEnc = keyEnc[:0]
 		evalOK := true
-		for _, k := range a.v.Keys {
-			kv, err := Eval(k, t)
+		for _, k := range s.exprs {
+			kv, err := k.eval(t, &a.q.params, nil)
 			if err != nil {
 				a.q.reportError(err)
 				evalOK = false
@@ -559,61 +550,83 @@ func (a *aggregateIter) consume() {
 			if !childStable {
 				first = cloneTuple(t)
 			}
-			g = &group{first: first,
-				sums: map[int]float64{}, mins: map[int]relation.Value{}, maxs: map[int]relation.Value{}}
+			g = newAggGroup(first, nil)
 			groups[string(keyEnc)] = g
 			order = append(order, string(keyEnc))
 		}
-		g.count++
-		for i, it := range a.v.Items {
-			call, isAgg := aggCall(it.Expr)
-			if !isAgg || len(call.Args) == 0 {
-				continue
-			}
-			val, err := Eval(call.Args[0], t)
-			if err != nil {
-				a.q.reportError(err)
-				continue
-			}
-			g.sums[i] += val.Float()
-			if cur, ok := g.mins[i]; !ok || val.Compare(cur) < 0 {
-				g.mins[i] = val
-			}
-			if cur, ok := g.maxs[i]; !ok || val.Compare(cur) > 0 {
-				g.maxs[i] = val
-			}
-		}
+		g.add(a.q, s.aggs, t, nil)
 	}
 	a.q.noteResident(n)
 	sort.Strings(order)
 	for _, key := range order {
-		g := groups[key]
-		vals := make([]relation.Value, 0, len(a.v.Items))
-		for i, it := range a.v.Items {
-			if call, isAgg := aggCall(it.Expr); isAgg {
-				switch strings.ToLower(call.Name) {
-				case "count":
-					vals = append(vals, relation.NewInt(g.count))
-				case "sum":
-					vals = append(vals, relation.NewFloat(g.sums[i]))
-				case "avg":
-					vals = append(vals, relation.NewFloat(g.sums[i]/float64(g.count)))
-				case "min":
-					vals = append(vals, g.mins[i])
-				case "max":
-					vals = append(vals, g.maxs[i])
-				}
-				continue
-			}
-			val, err := Eval(it.Expr, g.first)
+		a.out = append(a.out, relation.Tuple{Schema: a.v.Schema(), Values: groups[key].result(a.q, s.aggs)})
+	}
+}
+
+// aggGroup accumulates one group's aggregates, per item index.
+type aggGroup struct {
+	first      relation.Tuple
+	firstCalls []relation.Value
+	count      int64
+	sums       map[int]float64
+	mins       map[int]relation.Value
+	maxs       map[int]relation.Value
+}
+
+func newAggGroup(first relation.Tuple, calls []relation.Value) *aggGroup {
+	return &aggGroup{first: first, firstCalls: calls,
+		sums: map[int]float64{}, mins: map[int]relation.Value{}, maxs: map[int]relation.Value{}}
+}
+
+// add folds tuple t, whose human calls resolved into calls, into the
+// group.
+func (g *aggGroup) add(q *run, aggs []aggItem, t relation.Tuple, calls []relation.Value) {
+	g.count++
+	for i, it := range aggs {
+		if it.arg == nil {
+			continue
+		}
+		val, err := it.arg.eval(t, &q.params, calls)
+		if err != nil {
+			q.reportError(err)
+			continue
+		}
+		g.sums[i] += val.Float()
+		if cur, ok := g.mins[i]; !ok || val.Compare(cur) < 0 {
+			g.mins[i] = val
+		}
+		if cur, ok := g.maxs[i]; !ok || val.Compare(cur) > 0 {
+			g.maxs[i] = val
+		}
+	}
+}
+
+// result computes the group's output row: each aggregate, and each plain
+// item over the group's first tuple.
+func (g *aggGroup) result(q *run, aggs []aggItem) []relation.Value {
+	vals := make([]relation.Value, 0, len(aggs))
+	for i, it := range aggs {
+		switch it.fn {
+		case "count":
+			vals = append(vals, relation.NewInt(g.count))
+		case "sum":
+			vals = append(vals, relation.NewFloat(g.sums[i]))
+		case "avg":
+			vals = append(vals, relation.NewFloat(g.sums[i]/float64(g.count)))
+		case "min":
+			vals = append(vals, g.mins[i])
+		case "max":
+			vals = append(vals, g.maxs[i])
+		default:
+			val, err := it.e.eval(g.first, &q.params, g.firstCalls)
 			if err != nil {
-				a.q.reportError(err)
+				q.reportError(err)
 				val = relation.Null
 			}
 			vals = append(vals, val)
 		}
-		a.out = append(a.out, relation.Tuple{Schema: a.v.Schema(), Values: vals})
 	}
+	return vals
 }
 
 func (a *aggregateIter) Close() {

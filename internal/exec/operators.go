@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -19,23 +18,11 @@ import (
 // runFilter evaluates local conjuncts immediately and human conjuncts as
 // a short-circuiting cascade (or one grouped HIT when GroupFilters is
 // set). Tuples flow out as soon as their last predicate passes.
-func (q *run) runFilter(op *operator, v *plan.Filter, in Iterator) {
+func (q *run) runFilter(op *operator, in Iterator) {
 	defer op.finish()
-	var local, human []qlang.Expr
-	var bound []*binding // per human conjunct
-	for _, c := range v.Conjuncts {
-		if b := bindCalls(q.cfg.Script, c); len(b.sites) > 0 {
-			human = append(human, c)
-			bound = append(bound, b)
-		} else {
-			local = append(local, c)
-		}
-	}
-	var grouped *binding // all human conjuncts in one HIT per tuple
-	if q.cfg.GroupFilters && len(human) > 1 {
-		grouped = bindCalls(q.cfg.Script, human...)
-	}
-	tasks := taskNames(bound...)
+	s := op.step
+	local, human := s.exprs, s.human
+	grouped := q.cfg.GroupFilters && s.grouped != nil // all human conjuncts in one HIT per tuple
 
 	wg := quiesce.WaitGroup{Gate: q.gate}
 	var sem *quiesce.Sem
@@ -50,7 +37,7 @@ func (q *run) runFilter(op *operator, v *plan.Filter, in Iterator) {
 	}
 	process := func(t relation.Tuple) {
 		for _, c := range local {
-			pass, err := Eval(c, t)
+			pass, err := c.eval(t, &q.params, nil)
 			if err != nil {
 				q.reportError(err)
 				return
@@ -64,8 +51,8 @@ func (q *run) runFilter(op *operator, v *plan.Filter, in Iterator) {
 			return
 		}
 		wg.Add(1)
-		if grouped != nil {
-			q.groupFilter(op, t, human, grouped, &wg)
+		if grouped {
+			q.groupFilter(op, t, &wg)
 			return
 		}
 		if sem != nil {
@@ -73,11 +60,11 @@ func (q *run) runFilter(op *operator, v *plan.Filter, in Iterator) {
 			// The window is open: flush whatever the previous tuples
 			// queued so their results (and selectivity updates) arrive
 			// while later tuples wait here.
-			q.flushTasks(tasks)
+			q.flushTasks(s.tasks)
 		}
 		// Order is chosen when the tuple enters its cascade, so the
 		// optimizer's live selectivity estimates steer later tuples.
-		order := q.filterOrder(human)
+		order := q.filterOrder(s)
 		var step func(k int)
 		step = func(k int) {
 			if k == len(order) {
@@ -85,18 +72,18 @@ func (q *run) runFilter(op *operator, v *plan.Filter, in Iterator) {
 				finish()
 				return
 			}
-			c, b := human[order[k]], bound[order[k]]
+			c := &human[order[k]]
 			asg := 0
-			if u, ok := c.(*qlang.Unary); ok && u.Op == "POSSIBLY" {
+			if c.possibly {
 				asg = 1 // approximate predicate: no redundancy
 			}
-			q.resolve(op, b, t, asg, func(vals []relation.Value, err error) {
+			q.resolve(op, c.b, t, asg, func(vals []relation.Value, err error) {
 				if err != nil {
 					q.reportError(err)
 					finish()
 					return
 				}
-				pass, err := eval(c, t, b, vals)
+				pass, err := c.e.eval(t, &q.params, vals)
 				if err != nil {
 					q.reportError(err)
 					finish()
@@ -120,13 +107,14 @@ func (q *run) runFilter(op *operator, v *plan.Filter, in Iterator) {
 		atomic.AddInt64(&op.in, 1)
 		process(t)
 	}
-	q.flushTasks(tasks)
+	q.flushTasks(s.tasks)
 	wg.Wait()
 }
 
-func (q *run) filterOrder(human []qlang.Expr) []int {
+func (q *run) filterOrder(s *step) []int {
+	human := s.human
 	if q.cfg.FilterOrder != nil {
-		order := q.cfg.FilterOrder(human)
+		order := q.cfg.FilterOrder(s.humanSrc)
 		if len(order) == len(human) {
 			return order
 		}
@@ -139,10 +127,11 @@ func (q *run) filterOrder(human []qlang.Expr) []int {
 }
 
 // groupFilter asks all human conjuncts about one tuple in a single HIT;
-// b binds their calls jointly, so a call two conjuncts share is asked
-// once.
-func (q *run) groupFilter(op *operator, t relation.Tuple, human []qlang.Expr, b *binding, wg *quiesce.WaitGroup) {
-	args, vals, err := b.prepare(t)
+// the step's grouped binding binds their calls jointly, so a call two
+// conjuncts share is asked once.
+func (q *run) groupFilter(op *operator, t relation.Tuple, wg *quiesce.WaitGroup) {
+	b := op.step.grouped
+	args, vals, err := b.prepare(t, &q.params)
 	if err != nil {
 		q.reportError(err)
 		wg.Done()
@@ -154,8 +143,8 @@ func (q *run) groupFilter(op *operator, t relation.Tuple, human []qlang.Expr, b 
 			q.reportError(err)
 			return
 		}
-		for _, c := range human {
-			pass, err := eval(c, t, b, vals)
+		for _, c := range op.step.human {
+			pass, err := c.inGroup.eval(t, &q.params, vals)
 			if err != nil {
 				q.reportError(err)
 				return
@@ -176,10 +165,10 @@ func (q *run) groupFilter(op *operator, t relation.Tuple, human []qlang.Expr, b 
 	}
 }
 
-// runProject resolves each tuple's human calls (bound in b), then
-// computes outputs.
-func (q *run) runProject(op *operator, v *plan.Project, b *binding, in Iterator) {
+// runProject resolves each tuple's human calls, then computes outputs.
+func (q *run) runProject(op *operator, v *plan.Project, in Iterator) {
 	defer op.finish()
+	s := op.step
 	wg := quiesce.WaitGroup{Gate: q.gate}
 	for {
 		t, ok := in.Next()
@@ -188,19 +177,19 @@ func (q *run) runProject(op *operator, v *plan.Project, b *binding, in Iterator)
 		}
 		atomic.AddInt64(&op.in, 1)
 		wg.Add(1)
-		q.resolve(op, b, t, 0, func(calls []relation.Value, err error) {
+		q.resolve(op, s.calls, t, 0, func(calls []relation.Value, err error) {
 			defer wg.Done()
 			if err != nil {
 				q.reportError(err)
 				return
 			}
 			vals := make([]relation.Value, 0, v.Schema().Len())
-			for _, it := range v.Items {
-				if _, isStar := it.Expr.(*qlang.Star); isStar {
+			for _, e := range s.exprs {
+				if e == nil { // *
 					vals = append(vals, t.Values...)
 					continue
 				}
-				val, err := eval(it.Expr, t, b, calls)
+				val, err := e.eval(t, &q.params, calls)
 				if err != nil {
 					q.reportError(err)
 					return
@@ -210,7 +199,7 @@ func (q *run) runProject(op *operator, v *plan.Project, b *binding, in Iterator)
 			op.push(relation.Tuple{Schema: v.Schema(), Values: vals})
 		})
 	}
-	q.flushTasks(taskNames(b))
+	q.flushTasks(s.tasks)
 	wg.Wait()
 }
 
@@ -255,8 +244,8 @@ func (q *run) runJoin(op *operator, v *plan.Join, left, right Iterator) {
 	dw.Wait()
 	q.noteResident(int64(len(lbuf) + len(rbuf)))
 
-	ls := q.evalSide(lbuf, v.LeftArg)
-	rs := q.evalSide(rbuf, v.RightArg)
+	ls := q.evalSide(lbuf, op.step.args[0])
+	rs := q.evalSide(rbuf, op.step.args[1])
 	if q.cfg.JoinPairwise {
 		q.joinPairwise(op, v, ls, rs)
 		return
@@ -264,10 +253,10 @@ func (q *run) runJoin(op *operator, v *plan.Join, left, right Iterator) {
 	q.joinTwoColumn(op, v, ls, rs)
 }
 
-func (q *run) evalSide(buf []relation.Tuple, arg qlang.Expr) []joinSide {
+func (q *run) evalSide(buf []relation.Tuple, arg *expr) []joinSide {
 	out := make([]joinSide, 0, len(buf))
 	for _, t := range buf {
-		val, err := Eval(arg, t)
+		val, err := arg.eval(t, &q.params, nil)
 		if err != nil {
 			q.reportError(err)
 			continue
@@ -283,9 +272,9 @@ func concatValues(l, r relation.Tuple) []relation.Value {
 	return append(vals, r.Values...)
 }
 
-func (q *run) passesAll(conjuncts []qlang.Expr, t relation.Tuple) bool {
+func (q *run) passesAll(conjuncts []*expr, t relation.Tuple) bool {
 	for _, c := range conjuncts {
-		pass, err := Eval(c, t)
+		pass, err := c.eval(t, &q.params, nil)
 		if err != nil {
 			q.reportError(err)
 			return false
@@ -324,7 +313,7 @@ func (q *run) joinTwoColumn(op *operator, v *plan.Join, ls, rs []joinSide) {
 					return
 				}
 				joined := relation.Tuple{Schema: v.Schema(), Values: concatValues(ls[li+l].tuple, rs[ri+r].tuple)}
-				if q.passesAll(v.Residual, joined) {
+				if q.passesAll(op.step.exprs, joined) {
 					op.push(joined)
 				}
 			})
@@ -371,7 +360,7 @@ func (q *run) joinPairwise(op *operator, v *plan.Join, ls, rs []joinSide) {
 						return
 					}
 					joined := relation.Tuple{Schema: v.Schema(), Values: concatValues(l.tuple, r.tuple)}
-					if q.passesAll(v.Residual, joined) {
+					if q.passesAll(op.step.exprs, joined) {
 						op.push(joined)
 					}
 				},
@@ -433,7 +422,7 @@ func (q *run) runPreFilter(op *operator, v *plan.PreFilter, in Iterator) {
 			}
 			atomic.AddInt64(&op.in, 1)
 			rows = append(rows, t)
-			a, err := Eval(v.Arg, t)
+			a, err := op.step.exprs[0].eval(t, &q.params, nil)
 			args, argErr = append(args, a), append(argErr, err)
 			if err == nil && !c.Contains(cache.NewKey(v.Task.Name, []relation.Value{a})) {
 				uncached++
@@ -573,10 +562,10 @@ func (q *run) runRank(op *operator, v *plan.Rank, in Iterator) {
 	itemRow := make([]int, 0, len(rows)) // item index → row index
 	var failed []int
 	for i, t := range rows {
-		args := make([]relation.Value, len(v.Args))
+		args := make([]relation.Value, len(op.step.exprs))
 		ok := true
-		for j, e := range v.Args {
-			val, err := Eval(e, t)
+		for j, e := range op.step.exprs {
+			val, err := e.eval(t, &q.params, nil)
 			if err != nil {
 				q.reportError(err)
 				ok = false
@@ -615,8 +604,7 @@ func (q *run) runRank(op *operator, v *plan.Rank, in Iterator) {
 	if v.Compare != nil {
 		compare = v.Compare.Name
 	}
-	q.noteRankStat(RankStat{
-		Op:          v.Label(),
+	q.noteRankStat(op.step, RankStat{
 		Task:        v.Task.Name,
 		CompareTask: compare,
 		Strategy:    string(rst.Strategy),
@@ -674,10 +662,10 @@ func defaultRankStrategy(v *plan.Rank, n int) rank.Decision {
 // runOrderBy is the generic sort for multi-key or mixed-expression
 // ORDER BY clauses: it buffers the input (a barrier, like runRank),
 // resolves human sort keys (e.g. rating tasks) per tuple, sorts, and
-// emits in order — releasing each buffered tuple as it streams out. b
-// binds the keys' human calls.
-func (q *run) runOrderBy(op *operator, v *plan.OrderBy, b *binding, in Iterator) {
+// emits in order — releasing each buffered tuple as it streams out.
+func (q *run) runOrderBy(op *operator, v *plan.OrderBy, in Iterator) {
 	defer op.finish()
+	s := op.step
 	var rows []relation.Tuple
 	for {
 		t, ok := in.Next()
@@ -693,7 +681,7 @@ func (q *run) runOrderBy(op *operator, v *plan.OrderBy, b *binding, in Iterator)
 	for i, t := range rows {
 		i, t := i, t
 		wg.Add(1)
-		q.resolve(op, b, t, 0, func(calls []relation.Value, err error) {
+		q.resolve(op, s.calls, t, 0, func(calls []relation.Value, err error) {
 			defer wg.Done()
 			if err != nil {
 				q.reportError(err)
@@ -707,8 +695,8 @@ func (q *run) runOrderBy(op *operator, v *plan.OrderBy, b *binding, in Iterator)
 				return
 			}
 			ks := make([]relation.Value, len(v.Keys))
-			for j, k := range v.Keys {
-				val, err := eval(k.Expr, t, b, calls)
+			for j, k := range s.exprs {
+				val, err := k.eval(t, &q.params, calls)
 				if err != nil {
 					q.reportError(err)
 					val = relation.Null
@@ -718,7 +706,7 @@ func (q *run) runOrderBy(op *operator, v *plan.OrderBy, b *binding, in Iterator)
 			keys[i] = ks
 		})
 	}
-	q.flushTasks(taskNames(b))
+	q.flushTasks(s.tasks)
 	wg.Wait()
 
 	idx := make([]int, len(rows))
@@ -748,20 +736,13 @@ func (q *run) runOrderBy(op *operator, v *plan.OrderBy, b *binding, in Iterator)
 	}
 }
 
-// runAggregate groups rows and computes aggregates, resolving the human
-// calls bound in b per tuple; the call-free case fuses into
-// aggregateIter instead.
-func (q *run) runAggregate(op *operator, v *plan.Aggregate, b *binding, in Iterator) {
+// runAggregate groups rows and computes aggregates, resolving each
+// tuple's human calls; the call-free case fuses into aggregateIter
+// instead.
+func (q *run) runAggregate(op *operator, v *plan.Aggregate, in Iterator) {
 	defer op.finish()
-	type group struct {
-		first      relation.Tuple
-		firstCalls []relation.Value
-		count      int64
-		sums       map[int]float64
-		mins       map[int]relation.Value
-		maxs       map[int]relation.Value
-	}
-	groups := make(map[string]*group)
+	s := op.step
+	groups := make(map[string]*aggGroup)
 	var order []string
 
 	var mu sync.Mutex
@@ -773,15 +754,15 @@ func (q *run) runAggregate(op *operator, v *plan.Aggregate, b *binding, in Itera
 		}
 		atomic.AddInt64(&op.in, 1)
 		wg.Add(1)
-		q.resolve(op, b, t, 0, func(calls []relation.Value, err error) {
+		q.resolve(op, s.calls, t, 0, func(calls []relation.Value, err error) {
 			defer wg.Done()
 			if err != nil {
 				q.reportError(err)
 				return
 			}
 			var keyEnc []byte
-			for _, k := range v.Keys {
-				kv, err := eval(k, t, b, calls)
+			for _, k := range s.exprs {
+				kv, err := k.eval(t, &q.params, calls)
 				if err != nil {
 					q.reportError(err)
 					return
@@ -792,75 +773,20 @@ func (q *run) runAggregate(op *operator, v *plan.Aggregate, b *binding, in Itera
 			defer mu.Unlock()
 			g, ok := groups[string(keyEnc)]
 			if !ok {
-				g = &group{first: t, firstCalls: calls,
-					sums: map[int]float64{}, mins: map[int]relation.Value{}, maxs: map[int]relation.Value{}}
+				g = newAggGroup(t, calls)
 				groups[string(keyEnc)] = g
 				order = append(order, string(keyEnc))
 			}
-			g.count++
-			for i, it := range v.Items {
-				call, isAgg := aggCall(it.Expr)
-				if !isAgg || len(call.Args) == 0 {
-					continue
-				}
-				val, err := eval(call.Args[0], t, b, calls)
-				if err != nil {
-					q.reportError(err)
-					continue
-				}
-				g.sums[i] += val.Float()
-				if cur, ok := g.mins[i]; !ok || val.Compare(cur) < 0 {
-					g.mins[i] = val
-				}
-				if cur, ok := g.maxs[i]; !ok || val.Compare(cur) > 0 {
-					g.maxs[i] = val
-				}
-			}
+			g.add(q, s.aggs, t, calls)
 		})
 	}
-	q.flushTasks(taskNames(b))
+	q.flushTasks(s.tasks)
 	wg.Wait()
 
 	sort.Strings(order)
 	for _, key := range order {
-		g := groups[key]
-		vals := make([]relation.Value, 0, len(v.Items))
-		for i, it := range v.Items {
-			if call, isAgg := aggCall(it.Expr); isAgg {
-				switch strings.ToLower(call.Name) {
-				case "count":
-					vals = append(vals, relation.NewInt(g.count))
-				case "sum":
-					vals = append(vals, relation.NewFloat(g.sums[i]))
-				case "avg":
-					vals = append(vals, relation.NewFloat(g.sums[i]/float64(g.count)))
-				case "min":
-					vals = append(vals, g.mins[i])
-				case "max":
-					vals = append(vals, g.maxs[i])
-				}
-				continue
-			}
-			val, err := eval(it.Expr, g.first, b, g.firstCalls)
-			if err != nil {
-				q.reportError(err)
-				val = relation.Null
-			}
-			vals = append(vals, val)
-		}
-		op.push(relation.Tuple{Schema: v.Schema(), Values: vals})
+		op.push(relation.Tuple{Schema: v.Schema(), Values: groups[key].result(q, s.aggs)})
 	}
-}
-
-func aggCall(e qlang.Expr) (*qlang.Call, bool) {
-	call, ok := e.(*qlang.Call)
-	if !ok {
-		return nil, false
-	}
-	if plan.AggregateFuncs[strings.ToLower(call.Name)] {
-		return call, true
-	}
-	return nil, false
 }
 
 func (q *run) flushTasks(names []string) {

@@ -53,10 +53,18 @@ func TestPossiblyEvaluatesAsOperand(t *testing.T) {
 	schema := relation.MustSchema(relation.Column{Name: "b", Kind: relation.KindBool})
 	tup := relation.MustTuple(schema, relation.NewBool(true))
 	e := &qlang.Unary{Op: "POSSIBLY", X: &qlang.ColumnRef{Name: "b"}}
-	v, err := Eval(e, tup)
+	v, err := evalCallFree(e, tup)
 	if err != nil || !v.Bool() {
 		t.Fatalf("POSSIBLY true = %v err=%v", v, err)
 	}
+}
+
+// evalCallFree compiles a call-free expression against t's schema and
+// evaluates it over t.
+func evalCallFree(e qlang.Expr, t relation.Tuple) (relation.Value, error) {
+	c := &compiler{prog: &Program{lits: map[*qlang.Literal]int{}}, script: &qlang.Script{}}
+	compiled := c.expr(e, t.Schema, nil)
+	return compiled.eval(t, &params{prog: c.prog, vals: c.prog.params}, nil)
 }
 
 // TestFilterWindowLimitsConcurrency verifies windowed cascades still

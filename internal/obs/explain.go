@@ -36,8 +36,8 @@ func ExplainAnalyze(root *Span) string {
 	for _, r := range rows {
 		s := r.span
 		name := strings.Repeat("  ", r.depth) + string(s.Kind)
-		if s.Name != "" {
-			name += " " + s.Name
+		if label := s.Label(); label != "" {
+			name += " " + label
 		}
 		if s.Kind == KindPlan {
 			if v, ok := s.Attr("cache"); ok {

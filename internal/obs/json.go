@@ -30,7 +30,7 @@ func record(s *Span) SpanRecord {
 		ID:          s.ID,
 		Parent:      s.Parent,
 		Kind:        s.Kind,
-		Name:        s.Name,
+		Name:        s.Label(),
 		StartMs:     s.Start.Duration().Milliseconds(),
 		EndMs:       s.EndTime().Duration().Milliseconds(),
 		Open:        !s.Ended(),

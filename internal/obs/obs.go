@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -52,6 +53,9 @@ type Span struct {
 	ModelHits   atomic.Int64
 	Extensions  atomic.Int64
 
+	// namer renders the name of a span opened by ChildNamed.
+	namer fmt.Stringer
+
 	mu       sync.Mutex
 	attrs    []Attr
 	children []*Span
@@ -63,11 +67,18 @@ type Span struct {
 // Child opens a sub-span under s, stamped at the tracer's current
 // virtual time. Returns nil when s is nil, so call chains degrade to
 // no-ops when tracing is off.
-func (s *Span) Child(kind Kind, name string) *Span {
+func (s *Span) Child(kind Kind, name string) *Span { return s.child(kind, name, nil) }
+
+// ChildNamed is Child for a span whose name is rendered from namer each
+// time Label reads it, so opening the span formats nothing.
+func (s *Span) ChildNamed(kind Kind, namer fmt.Stringer) *Span { return s.child(kind, "", namer) }
+
+func (s *Span) child(kind Kind, name string, namer fmt.Stringer) *Span {
 	if s == nil {
 		return nil
 	}
 	c := s.tracer.newSpan(kind, name)
+	c.namer = namer
 	c.Parent = s.ID
 	c.open = s.open
 	c.open.Add(1)
@@ -75,6 +86,15 @@ func (s *Span) Child(kind Kind, name string) *Span {
 	s.children = append(s.children, c)
 	s.mu.Unlock()
 	return c
+}
+
+// Label returns the span's name: Name, or its namer's rendering for a
+// span opened by ChildNamed.
+func (s *Span) Label() string {
+	if s.namer != nil {
+		return s.namer.String()
+	}
+	return s.Name
 }
 
 // End closes the span at the tracer's current virtual time. Idempotent;
@@ -324,6 +344,7 @@ func (t *Tracer) recycle(s *Span) {
 	kids := s.children
 	s.children = nil
 	s.attrs = nil
+	s.namer = nil
 	s.mu.Unlock()
 	for _, c := range kids {
 		t.recycle(c)

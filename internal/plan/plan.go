@@ -1,9 +1,11 @@
 // Package plan builds logical query plans from parsed SELECT statements.
-// Plans are trees of Nodes; the executor (internal/exec) fuses call-free
-// nodes into pull-iterator chains and bridges human-task nodes with
-// queued producer goroutines, and the optimizer (internal/optimizer)
-// tunes operator parameters. Pushdown applies cheap always-safe
-// rewrites; Clone supports the engine's normalized-SQL plan cache.
+// Plans are trees of Nodes; the executor (internal/exec) compiles them
+// into programs that fuse call-free nodes into pull-iterator chains and
+// bridge human-task nodes with queued producer goroutines, and the
+// optimizer (internal/optimizer) tunes operator parameters. Pushdown
+// applies cheap always-safe rewrites. A plan is never mutated once
+// built, so the engine's plan cache shares one among every query of its
+// shape; Bind renders it with one query's literal values.
 package plan
 
 import (
@@ -20,8 +22,10 @@ type Node interface {
 	Schema() *relation.Schema
 	// Children returns input nodes, left to right.
 	Children() []Node
-	// Label names the node for EXPLAIN and the dashboard.
-	Label() string
+	// Label names the node for EXPLAIN and the dashboard. b supplies
+	// one execution's values for the plan's literals; nil prints them as
+	// planned.
+	Label(b qlang.Bindings) string
 }
 
 // Scan reads a base table.
@@ -38,7 +42,7 @@ func (s *Scan) Schema() *relation.Schema { return s.schema }
 func (s *Scan) Children() []Node { return nil }
 
 // Label implements Node.
-func (s *Scan) Label() string {
+func (s *Scan) Label(qlang.Bindings) string {
 	if s.Alias != s.Table.Name() {
 		return fmt.Sprintf("Scan(%s AS %s)", s.Table.Name(), s.Alias)
 	}
@@ -60,12 +64,8 @@ func (f *Filter) Schema() *relation.Schema { return f.Input.Schema() }
 func (f *Filter) Children() []Node { return []Node{f.Input} }
 
 // Label implements Node.
-func (f *Filter) Label() string {
-	parts := make([]string, len(f.Conjuncts))
-	for i, c := range f.Conjuncts {
-		parts[i] = c.String()
-	}
-	return "Filter(" + strings.Join(parts, " AND ") + ")"
+func (f *Filter) Label(b qlang.Bindings) string {
+	return "Filter(" + join(f.Conjuncts, " AND ", b) + ")"
 }
 
 // Join matches left and right tuples. Pred is the join predicate; when
@@ -88,18 +88,14 @@ func (j *Join) Schema() *relation.Schema { return j.schema }
 func (j *Join) Children() []Node { return []Node{j.Left, j.Right} }
 
 // Label implements Node.
-func (j *Join) Label() string {
+func (j *Join) Label(b qlang.Bindings) string {
 	if j.HumanTask != nil {
-		return fmt.Sprintf("HumanJoin(%s(%s, %s))", j.HumanTask.Name, j.LeftArg, j.RightArg)
+		return "HumanJoin(" + j.HumanTask.Name + "(" + qlang.Format(j.LeftArg, b) + ", " + qlang.Format(j.RightArg, b) + "))"
 	}
-	parts := make([]string, len(j.Residual))
-	for i, c := range j.Residual {
-		parts[i] = c.String()
-	}
-	if len(parts) == 0 {
+	if len(j.Residual) == 0 {
 		return "CrossJoin"
 	}
-	return "Join(" + strings.Join(parts, " AND ") + ")"
+	return "Join(" + join(j.Residual, " AND ", b) + ")"
 }
 
 // Project computes the SELECT items (including human UDF calls).
@@ -116,10 +112,10 @@ func (p *Project) Schema() *relation.Schema { return p.schema }
 func (p *Project) Children() []Node { return []Node{p.Input} }
 
 // Label implements Node.
-func (p *Project) Label() string {
+func (p *Project) Label(b qlang.Bindings) string {
 	parts := make([]string, len(p.Items))
 	for i, it := range p.Items {
-		parts[i] = it.Expr.String()
+		parts[i] = qlang.Format(it.Expr, b)
 	}
 	return "Project(" + strings.Join(parts, ", ") + ")"
 }
@@ -139,12 +135,8 @@ func (a *Aggregate) Schema() *relation.Schema { return a.schema }
 func (a *Aggregate) Children() []Node { return []Node{a.Input} }
 
 // Label implements Node.
-func (a *Aggregate) Label() string {
-	keys := make([]string, len(a.Keys))
-	for i, k := range a.Keys {
-		keys[i] = k.String()
-	}
-	return "Aggregate(by " + strings.Join(keys, ", ") + ")"
+func (a *Aggregate) Label(b qlang.Bindings) string {
+	return "Aggregate(by " + join(a.Keys, ", ", b) + ")"
 }
 
 // OrderBy sorts; human keys (rating/rank tasks) resolve through HITs.
@@ -160,10 +152,10 @@ func (o *OrderBy) Schema() *relation.Schema { return o.Input.Schema() }
 func (o *OrderBy) Children() []Node { return []Node{o.Input} }
 
 // Label implements Node.
-func (o *OrderBy) Label() string {
+func (o *OrderBy) Label(b qlang.Bindings) string {
 	parts := make([]string, len(o.Keys))
 	for i, k := range o.Keys {
-		parts[i] = k.Expr.String()
+		parts[i] = qlang.Format(k.Expr, b)
 		if k.Desc {
 			parts[i] += " DESC"
 		}
@@ -200,12 +192,8 @@ func (r *Rank) Schema() *relation.Schema { return r.Input.Schema() }
 func (r *Rank) Children() []Node { return []Node{r.Input} }
 
 // Label implements Node.
-func (r *Rank) Label() string {
-	args := make([]string, len(r.Args))
-	for i, a := range r.Args {
-		args[i] = a.String()
-	}
-	s := fmt.Sprintf("Rank(%s(%s)", r.Task.Name, strings.Join(args, ", "))
+func (r *Rank) Label(b qlang.Bindings) string {
+	s := "Rank(" + r.Task.Name + "(" + join(r.Args, ", ", b) + ")"
 	if r.Desc {
 		s += " DESC"
 	}
@@ -225,7 +213,7 @@ func (d *Distinct) Schema() *relation.Schema { return d.Input.Schema() }
 func (d *Distinct) Children() []Node { return []Node{d.Input} }
 
 // Label implements Node.
-func (d *Distinct) Label() string { return "Distinct" }
+func (d *Distinct) Label(qlang.Bindings) string { return "Distinct" }
 
 // Limit passes through the first N rows.
 type Limit struct {
@@ -240,7 +228,39 @@ func (l *Limit) Schema() *relation.Schema { return l.Input.Schema() }
 func (l *Limit) Children() []Node { return []Node{l.Input} }
 
 // Label implements Node.
-func (l *Limit) Label() string { return fmt.Sprintf("Limit(%d)", l.N) }
+func (l *Limit) Label(qlang.Bindings) string { return fmt.Sprintf("Limit(%d)", l.N) }
+
+// join renders exprs with b, separated by sep.
+func join(exprs []qlang.Expr, sep string, b qlang.Bindings) string {
+	parts := make([]string, len(exprs))
+	for i, e := range exprs {
+		parts[i] = qlang.Format(e, b)
+	}
+	return strings.Join(parts, sep)
+}
+
+// Bind returns n as one execution of a shared plan sees it: a read-only
+// view whose labels, and its children's, print b's values for the
+// plan's literals, whatever bindings they are passed. Walk visits the
+// planned nodes beneath a view.
+func Bind(n Node, b qlang.Bindings) Node { return &bound{n: n, b: b} }
+
+type bound struct {
+	n Node
+	b qlang.Bindings
+}
+
+func (v *bound) Schema() *relation.Schema    { return v.n.Schema() }
+func (v *bound) Label(qlang.Bindings) string { return v.n.Label(v.b) }
+
+func (v *bound) Children() []Node {
+	kids := v.n.Children()
+	out := make([]Node, len(kids))
+	for i, c := range kids {
+		out[i] = Bind(c, v.b)
+	}
+	return out
+}
 
 // Explain renders the plan tree, one node per line, children indented.
 func Explain(n Node) string {
@@ -248,7 +268,7 @@ func Explain(n Node) string {
 	var walk func(Node, int)
 	walk = func(n Node, depth int) {
 		b.WriteString(strings.Repeat("  ", depth))
-		b.WriteString(n.Label())
+		b.WriteString(n.Label(nil))
 		b.WriteByte('\n')
 		for _, c := range n.Children() {
 			walk(c, depth+1)
@@ -260,6 +280,9 @@ func Explain(n Node) string {
 
 // Walk visits every node pre-order.
 func Walk(n Node, visit func(Node)) {
+	if v, ok := n.(*bound); ok {
+		n = v.n
+	}
 	visit(n)
 	for _, c := range n.Children() {
 		Walk(c, visit)

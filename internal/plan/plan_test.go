@@ -130,15 +130,15 @@ func TestFilterPushdown(t *testing.T) {
 	if !ok {
 		t.Fatalf("left = %T; want filter pushdown", join.Left)
 	}
-	if !strings.Contains(leftFilter.Label(), "isCat") {
-		t.Fatalf("left filter = %s", leftFilter.Label())
+	if !strings.Contains(leftFilter.Label(nil), "isCat") {
+		t.Fatalf("left filter = %s", leftFilter.Label(nil))
 	}
 	rightFilter, ok := join.Right.(*Filter)
 	if !ok {
 		t.Fatalf("right = %T", join.Right)
 	}
-	if !strings.Contains(rightFilter.Label(), "id") {
-		t.Fatalf("right filter = %s", rightFilter.Label())
+	if !strings.Contains(rightFilter.Label(nil), "id") {
+		t.Fatalf("right filter = %s", rightFilter.Label(nil))
 	}
 }
 

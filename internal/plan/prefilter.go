@@ -1,8 +1,6 @@
 package plan
 
 import (
-	"fmt"
-
 	"repro/internal/qlang"
 	"repro/internal/relation"
 )
@@ -32,8 +30,8 @@ func (p *PreFilter) Schema() *relation.Schema { return p.Input.Schema() }
 func (p *PreFilter) Children() []Node { return []Node{p.Input} }
 
 // Label implements Node.
-func (p *PreFilter) Label() string {
-	return fmt.Sprintf("PreFilter(%s(%s))", p.Task.Name, p.Arg)
+func (p *PreFilter) Label(b qlang.Bindings) string {
+	return "PreFilter(" + p.Task.Name + "(" + qlang.Format(p.Arg, b) + "))"
 }
 
 // PreFilterDecision says which inputs of one join to wrap.
@@ -48,40 +46,79 @@ type PreFilterDecision struct {
 // Statistics Manager's live selectivity estimates.
 type PreFilterDecider func(join, filter *qlang.TaskDef, leftRows, rightRows int) PreFilterDecision
 
-// ApplyPreFilters rewrites the plan, wrapping the inputs of every human
-// join whose task declares a PreFilter in feature-filter nodes when
-// decide predicts the filter pays for itself. A missing or ineligible
-// filter task (not boolean, not unary) leaves the join untouched: the
-// rewrite is an optimization, never a requirement.
+// ApplyPreFilters returns the plan with the inputs of every human join
+// whose task declares a PreFilter wrapped in feature-filter nodes, on
+// the sides decide predicts the filter pays for itself. A missing or
+// ineligible filter task (not boolean, not unary) leaves the join
+// untouched: the rewrite is an optimization, never a requirement. n is
+// not modified: every node above a wrapped input is copied, and a plan
+// without one comes back as n itself. decide is asked once per eligible
+// join, inputs first, so a recorded vector of its answers identifies
+// the rewrite.
 func ApplyPreFilters(n Node, script *qlang.Script, decide PreFilterDecider) Node {
 	switch v := n.(type) {
 	case *Filter:
-		v.Input = ApplyPreFilters(v.Input, script, decide)
+		if in := ApplyPreFilters(v.Input, script, decide); in != v.Input {
+			cp := *v
+			cp.Input = in
+			return &cp
+		}
 	case *Project:
-		v.Input = ApplyPreFilters(v.Input, script, decide)
+		if in := ApplyPreFilters(v.Input, script, decide); in != v.Input {
+			cp := *v
+			cp.Input = in
+			return &cp
+		}
 	case *Aggregate:
-		v.Input = ApplyPreFilters(v.Input, script, decide)
+		if in := ApplyPreFilters(v.Input, script, decide); in != v.Input {
+			cp := *v
+			cp.Input = in
+			return &cp
+		}
 	case *OrderBy:
-		v.Input = ApplyPreFilters(v.Input, script, decide)
+		if in := ApplyPreFilters(v.Input, script, decide); in != v.Input {
+			cp := *v
+			cp.Input = in
+			return &cp
+		}
 	case *Rank:
-		v.Input = ApplyPreFilters(v.Input, script, decide)
+		if in := ApplyPreFilters(v.Input, script, decide); in != v.Input {
+			cp := *v
+			cp.Input = in
+			return &cp
+		}
 	case *Distinct:
-		v.Input = ApplyPreFilters(v.Input, script, decide)
+		if in := ApplyPreFilters(v.Input, script, decide); in != v.Input {
+			return &Distinct{Input: in}
+		}
 	case *Limit:
-		v.Input = ApplyPreFilters(v.Input, script, decide)
+		if in := ApplyPreFilters(v.Input, script, decide); in != v.Input {
+			cp := *v
+			cp.Input = in
+			return &cp
+		}
 	case *Join:
-		v.Left = ApplyPreFilters(v.Left, script, decide)
-		v.Right = ApplyPreFilters(v.Right, script, decide)
-		fdef, ok := eligiblePreFilter(v, script)
-		if !ok || decide == nil {
-			return v
+		left := ApplyPreFilters(v.Left, script, decide)
+		right := ApplyPreFilters(v.Right, script, decide)
+		var d PreFilterDecision
+		if fdef, ok := eligiblePreFilter(v, script); ok && decide != nil {
+			d = decide(v.HumanTask, fdef, EstimateRows(left), EstimateRows(right))
+			if d.Left || d.Right {
+				cp := *v
+				if d.Left {
+					left = &PreFilter{Input: left, Task: fdef, Arg: v.LeftArg, Join: &cp, Left: true}
+				}
+				if d.Right {
+					right = &PreFilter{Input: right, Task: fdef, Arg: v.RightArg, Join: &cp, Left: false}
+				}
+				cp.Left, cp.Right = left, right
+				return &cp
+			}
 		}
-		d := decide(v.HumanTask, fdef, EstimateRows(v.Left), EstimateRows(v.Right))
-		if d.Left {
-			v.Left = &PreFilter{Input: v.Left, Task: fdef, Arg: v.LeftArg, Join: v, Left: true}
-		}
-		if d.Right {
-			v.Right = &PreFilter{Input: v.Right, Task: fdef, Arg: v.RightArg, Join: v, Left: false}
+		if left != v.Left || right != v.Right {
+			cp := *v
+			cp.Left, cp.Right = left, right
+			return &cp
 		}
 	}
 	return n

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -22,84 +23,75 @@ func buildPlan(t *testing.T, query string) (Node, *qlang.SelectStmt) {
 	return n, stmt
 }
 
-func TestCloneIsDeepAndRecordsLiterals(t *testing.T) {
+// TestBindRendersBoundLiterals: a bound view of a plan labels it with
+// another execution's literal values, and the plan itself is untouched.
+func TestBindRendersBoundLiterals(t *testing.T) {
 	n, stmt := buildPlan(t, `SELECT id FROM spottedstars WHERE id < 10 ORDER BY id LIMIT 3`)
-	clone, rec := Clone(n, nil)
-	if Explain(clone) != Explain(n) {
-		t.Fatalf("clone explain differs:\n%s\nvs\n%s", Explain(clone), Explain(n))
-	}
-	// The statement's literal appears in the plan's Filter; it must be
-	// recorded with a distinct copy.
 	lits := qlang.CollectStmtLiterals(stmt)
 	if len(lits) != 1 {
 		t.Fatalf("statement literals = %d, want 1", len(lits))
 	}
-	cl, ok := rec[lits[0]]
-	if !ok {
-		t.Fatal("plan clone did not record the statement's literal (Build must share literal pointers with the stmt)")
+	planned := Explain(n)
+	view := Bind(n, literalMap{lits[0]: relation.NewInt(42)})
+	if got, want := Explain(view), strings.Replace(planned, "< 10", "< 42", 1); got != want {
+		t.Fatalf("bound explain:\n%s\nwant\n%s", got, want)
 	}
-	if cl == lits[0] {
-		t.Fatal("recorded clone aliases the source literal")
+	if Explain(n) != planned || Explain(Bind(n, literalMap{})) != planned {
+		t.Fatalf("binding changed the planned labels:\n%s", Explain(n))
 	}
-
-	// Mutating the clone's literal must not leak into the original plan.
-	cl.Value = relation.NewInt(99)
-	if strings.Contains(Explain(n), "99") {
-		t.Fatalf("original plan saw the clone's mutation:\n%s", Explain(n))
-	}
-	if !strings.Contains(Explain(clone), "99") {
-		t.Fatalf("clone does not reflect its own literal:\n%s", Explain(clone))
+	var planNodes, viewNodes []Node
+	Walk(n, func(m Node) { planNodes = append(planNodes, m) })
+	Walk(view, func(m Node) { viewNodes = append(viewNodes, m) })
+	if !reflect.DeepEqual(viewNodes, planNodes) {
+		t.Fatalf("Walk over a view visited %v, want the planned nodes %v", viewNodes, planNodes)
 	}
 }
 
-func TestCloneSubstitutesLiterals(t *testing.T) {
-	n, stmt := buildPlan(t, `SELECT id FROM spottedstars WHERE id < 10`)
-	lits := qlang.CollectStmtLiterals(stmt)
-	sub := map[*qlang.Literal]qlang.Expr{
-		lits[0]: &qlang.Literal{Value: relation.NewInt(42)},
-	}
-	clone, _ := Clone(n, sub)
-	if !strings.Contains(Explain(clone), "42") {
-		t.Fatalf("substituted clone:\n%s", Explain(clone))
-	}
-	if !strings.Contains(Explain(n), "10") {
-		t.Fatalf("original plan mutated:\n%s", Explain(n))
-	}
-}
-
-func TestClonePreFilterBackpointer(t *testing.T) {
+// TestApplyPreFiltersLeavesTemplate: the rewrite copies the nodes above
+// a wrapped input, points each PreFilter at its copied join, and leaves
+// the plan it was given as it was.
+func TestApplyPreFiltersLeavesTemplate(t *testing.T) {
 	script, cat := preFilterEnv(t, 3, 3)
 	n := buildJoinPlan(t, script, cat)
-	// Force-wrap both sides regardless of cost.
-	n = ApplyPreFilters(n, script, func(_, _ *qlang.TaskDef, _, _ int) PreFilterDecision {
+	before := Explain(n)
+	wrap := func(_, _ *qlang.TaskDef, _, _ int) PreFilterDecision {
 		return PreFilterDecision{Left: true, Right: true}
-	})
+	}
+	applied := ApplyPreFilters(n, script, wrap)
+	if Explain(n) != before {
+		t.Fatalf("the template changed:\n%s", Explain(n))
+	}
+	var j *Join
 	var pfs []*PreFilter
-	Walk(n, func(m Node) {
-		if pf, ok := m.(*PreFilter); ok {
-			pfs = append(pfs, pf)
+	Walk(applied, func(m Node) {
+		switch v := m.(type) {
+		case *Join:
+			j = v
+		case *PreFilter:
+			pfs = append(pfs, v)
 		}
 	})
 	if len(pfs) != 2 {
-		t.Fatalf("pre-filters applied = %d, want 2:\n%s", len(pfs), Explain(n))
+		t.Fatalf("pre-filters applied = %d, want 2:\n%s", len(pfs), Explain(applied))
 	}
+	for _, pf := range pfs {
+		if pf.Join != j {
+			t.Fatalf("PreFilter.Join points outside the rewritten plan (got %p, want %p)", pf.Join, j)
+		}
+	}
+	if same := ApplyPreFilters(n, script, func(_, _ *qlang.TaskDef, _, _ int) PreFilterDecision {
+		return PreFilterDecision{}
+	}); same != n {
+		t.Fatal("a rewrite that wrapped nothing copied the plan")
+	}
+}
 
-	clone, _ := Clone(n, nil)
-	var cj *Join
-	var cpfs []*PreFilter
-	Walk(clone, func(m Node) {
-		switch v := m.(type) {
-		case *Join:
-			cj = v
-		case *PreFilter:
-			cpfs = append(cpfs, v)
-		}
-	})
-	for _, pf := range cpfs {
-		if pf.Join != cj {
-			t.Fatalf("cloned PreFilter.Join points outside the clone (got %p, want %p)", pf.Join, cj)
-		}
-	}
+// literalMap binds literals by identity.
+type literalMap map[*qlang.Literal]relation.Value
+
+func (m literalMap) Literal(l *qlang.Literal) (relation.Value, bool) {
+	v, ok := m[l]
+	return v, ok
 }
 
 func TestPushdownLimitThroughProject(t *testing.T) {

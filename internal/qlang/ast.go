@@ -21,12 +21,7 @@ type ColumnRef struct {
 
 func (*ColumnRef) exprNode() {}
 
-func (c *ColumnRef) String() string {
-	if c.Table != "" {
-		return c.Table + "." + c.Name
-	}
-	return c.Name
-}
+func (c *ColumnRef) String() string { return Format(c, nil) }
 
 // QualifiedName returns the full dotted name.
 func (c *ColumnRef) QualifiedName() string { return c.String() }
@@ -38,14 +33,7 @@ type Literal struct {
 
 func (*Literal) exprNode() {}
 
-func (l *Literal) String() string {
-	if l.Value.Kind() == relation.KindString {
-		// Re-escape embedded quotes ('' is the literal quote in the
-		// surface syntax), so String() output always reparses.
-		return "'" + strings.ReplaceAll(l.Value.Str(), "'", "''") + "'"
-	}
-	return l.Value.String()
-}
+func (l *Literal) String() string { return Format(l, nil) }
 
 // Call invokes a UDF/task, e.g. findCEO(companyName).CEO — Field holds
 // the optional tuple-field projection after the call.
@@ -57,17 +45,7 @@ type Call struct {
 
 func (*Call) exprNode() {}
 
-func (c *Call) String() string {
-	args := make([]string, len(c.Args))
-	for i, a := range c.Args {
-		args[i] = a.String()
-	}
-	s := c.Name + "(" + strings.Join(args, ", ") + ")"
-	if c.Field != "" {
-		s += "." + c.Field
-	}
-	return s
-}
+func (c *Call) String() string { return Format(c, nil) }
 
 // Binary is an infix operation. Op is one of
 // = != < <= > >= AND OR + - * /.
@@ -78,9 +56,7 @@ type Binary struct {
 
 func (*Binary) exprNode() {}
 
-func (b *Binary) String() string {
-	return "(" + b.L.String() + " " + b.Op + " " + b.R.String() + ")"
-}
+func (b *Binary) String() string { return Format(b, nil) }
 
 // Unary is a prefix operation; Op is NOT or -.
 type Unary struct {
@@ -90,13 +66,85 @@ type Unary struct {
 
 func (*Unary) exprNode() {}
 
-func (u *Unary) String() string { return u.Op + " " + u.X.String() }
+func (u *Unary) String() string { return Format(u, nil) }
 
 // Star is the * select item.
 type Star struct{}
 
 func (*Star) exprNode()      {}
 func (*Star) String() string { return "*" }
+
+// Bindings supply one execution's values for the literals of a plan
+// that several queries share: queries that differ only in constants
+// run one plan, and each renders it with its own values.
+type Bindings interface {
+	// Literal returns the value bound to lit, or ok=false to print lit
+	// as written.
+	Literal(lit *Literal) (v relation.Value, ok bool)
+}
+
+// Format renders e as String does, printing each literal that b binds
+// with its bound value. A nil b prints every literal as written.
+func Format(e Expr, b Bindings) string {
+	var sb strings.Builder
+	writeExpr(&sb, e, b)
+	return sb.String()
+}
+
+func writeExpr(sb *strings.Builder, e Expr, b Bindings) {
+	switch v := e.(type) {
+	case *ColumnRef:
+		if v.Table != "" {
+			sb.WriteString(v.Table)
+			sb.WriteByte('.')
+		}
+		sb.WriteString(v.Name)
+	case *Literal:
+		val := v.Value
+		if b != nil {
+			if bound, ok := b.Literal(v); ok {
+				val = bound
+			}
+		}
+		if val.Kind() == relation.KindString {
+			// Re-escape embedded quotes ('' is the literal quote in the
+			// surface syntax), so String() output always reparses.
+			sb.WriteByte('\'')
+			sb.WriteString(strings.ReplaceAll(val.Str(), "'", "''"))
+			sb.WriteByte('\'')
+			return
+		}
+		sb.WriteString(val.String())
+	case *Call:
+		sb.WriteString(v.Name)
+		sb.WriteByte('(')
+		for i, a := range v.Args {
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			writeExpr(sb, a, b)
+		}
+		sb.WriteByte(')')
+		if v.Field != "" {
+			sb.WriteByte('.')
+			sb.WriteString(v.Field)
+		}
+	case *Binary:
+		sb.WriteByte('(')
+		writeExpr(sb, v.L, b)
+		sb.WriteByte(' ')
+		sb.WriteString(v.Op)
+		sb.WriteByte(' ')
+		writeExpr(sb, v.R, b)
+		sb.WriteByte(')')
+	case *Unary:
+		sb.WriteString(v.Op)
+		sb.WriteByte(' ')
+		writeExpr(sb, v.X, b)
+	case *Star:
+		sb.WriteByte('*')
+	}
+}
 
 // SelectItem is one output column of a SELECT.
 type SelectItem struct {

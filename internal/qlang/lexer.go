@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // TokenKind classifies lexical tokens.
@@ -50,13 +51,44 @@ type Token struct {
 	Col  int
 }
 
-// keywords recognized case-insensitively in query and task bodies.
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "AND": true, "OR": true,
-	"NOT": true, "ORDER": true, "GROUP": true, "BY": true, "LIMIT": true,
-	"ASC": true, "DESC": true, "AS": true, "TASK": true, "RETURNS": true,
-	"TRUE": true, "FALSE": true, "NULL": true, "POSSIBLY": true,
-	"DISTINCT": true, "ON": true, "JOIN": true, "IS": true,
+// keywords recognized case-insensitively in query and task bodies,
+// each mapped to itself so a lookup yields the token text.
+var keywords = func() map[string]string {
+	m := make(map[string]string)
+	for _, kw := range []string{
+		"SELECT", "FROM", "WHERE", "AND", "OR", "NOT", "ORDER", "GROUP", "BY",
+		"LIMIT", "ASC", "DESC", "AS", "TASK", "RETURNS", "TRUE", "FALSE",
+		"NULL", "POSSIBLY", "DISTINCT", "ON", "JOIN", "IS",
+	} {
+		m[kw] = kw
+	}
+	return m
+}()
+
+// maxKeywordLen is the length of the longest keyword.
+const maxKeywordLen = 8
+
+// keyword returns the keyword text spells in any letter case, without
+// allocating. Keywords are ASCII, and an identifier's other bytes are
+// Latin-1 letters that no upper-casing folds into ASCII, so text holding
+// one is never a keyword.
+func keyword(text string) (string, bool) {
+	if len(text) > maxKeywordLen {
+		return "", false
+	}
+	var buf [maxKeywordLen]byte
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		if c >= utf8.RuneSelf {
+			return "", false
+		}
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	kw, ok := keywords[string(buf[:len(text)])]
+	return kw, ok
 }
 
 // Lexer tokenizes qlang source.
@@ -161,9 +193,8 @@ func (l *Lexer) Next() (Token, error) {
 			l.advance()
 		}
 		text := l.src[start:l.pos]
-		upper := strings.ToUpper(text)
-		if keywords[upper] {
-			tok.Kind, tok.Text = TokKeyword, upper
+		if kw, ok := keyword(text); ok {
+			tok.Kind, tok.Text = TokKeyword, kw
 		} else {
 			tok.Kind, tok.Text = TokIdent, text
 		}

@@ -1,59 +1,100 @@
 package qlang
 
-import "strings"
+import (
+	"fmt"
+	"strconv"
+	"strings"
 
-// NormalizeQuery strips literal values from a query's token stream,
-// producing a fingerprint under which queries differing only in
-// constants collide. Integer literals become "?i", float literals "?f",
-// and string literals "?s"; everything else — identifiers, keywords,
-// punctuation — is kept verbatim (keywords upper-cased by the lexer) and
-// joined with single spaces.
+	"repro/internal/relation"
+)
+
+// NormalizeQuery lexes src once and returns both halves of a plan-cache
+// lookup: dst with src's fingerprint appended, and the values of its
+// literals. The fingerprint strips literal values from the token stream,
+// so queries differing only in constants collide: integer literals
+// become "?i", float literals "?f", and string literals "?s";
+// everything else — identifiers, keywords, punctuation — is kept
+// verbatim (keywords upper-cased by the lexer) and joined with single
+// spaces. The values come in token order, which for any text ParseQuery
+// accepts is CollectStmtLiterals order, so equal fingerprints mean equal
+// token streams apart from these values and the texts parse to the same
+// shape.
 //
 // Two exceptions keep the fingerprint honest as a plan-cache key:
 //
-//   - The number following LIMIT stays verbatim. SelectStmt carries the
-//     limit as a plain int, not a Literal expression, so a cached plan
-//     cannot be re-parameterized over it; different limits must map to
-//     different cache entries.
+//   - The number following LIMIT stays verbatim and yields no value.
+//     SelectStmt carries the limit as a plain int, not a Literal
+//     expression, so a cached plan cannot be re-parameterized over it;
+//     different limits must map to different cache entries.
 //   - TRUE/FALSE/NULL are keywords, not literal tokens, and are kept —
 //     boolean constants routinely flip which plan shape is sensible.
-func NormalizeQuery(src string) (string, error) {
-	toks, err := Tokenize(src)
-	if err != nil {
-		return "", err
-	}
-	var sb strings.Builder
+//     They still yield their values, as the parser makes them literals.
+//
+// A lexing error, or a number the parser would reject, is returned as
+// an *Error; ParseQuery reports such text with its own position.
+func NormalizeQuery(dst []byte, src string) ([]byte, []relation.Value, error) {
+	l := NewLexer(src)
+	var lits []relation.Value
 	prevLimit := false
-	for i, tok := range toks {
-		if tok.Kind == TokEOF {
-			break
+	for first := true; ; first = false {
+		tok, err := l.Next()
+		if err != nil {
+			return dst, nil, err
 		}
-		if i > 0 {
-			sb.WriteByte(' ')
+		if tok.Kind == TokEOF {
+			return dst, lits, nil
+		}
+		if !first {
+			dst = append(dst, ' ')
 		}
 		switch {
 		case tok.Kind == TokNumber && !prevLimit:
-			if strings.ContainsRune(tok.Text, '.') {
-				sb.WriteString("?f")
-			} else {
-				sb.WriteString("?i")
+			v, isFloat, ok := parseNumber(tok.Text)
+			if !ok {
+				return dst, nil, &Error{Line: tok.Line, Col: tok.Col, Msg: fmt.Sprintf("bad number %q", tok.Text)}
 			}
+			if isFloat {
+				dst = append(dst, "?f"...)
+			} else {
+				dst = append(dst, "?i"...)
+			}
+			lits = append(lits, v)
 		case tok.Kind == TokString:
-			sb.WriteString("?s")
+			dst = append(dst, "?s"...)
+			lits = append(lits, relation.NewString(tok.Text))
 		default:
-			sb.WriteString(tok.Text)
+			dst = append(dst, tok.Text...)
+			if tok.Kind == TokKeyword {
+				switch tok.Text {
+				case "TRUE":
+					lits = append(lits, relation.NewBool(true))
+				case "FALSE":
+					lits = append(lits, relation.NewBool(false))
+				case "NULL":
+					lits = append(lits, relation.Null)
+				}
+			}
 		}
 		prevLimit = tok.Kind == TokKeyword && tok.Text == "LIMIT"
 	}
-	return sb.String(), nil
+}
+
+// parseNumber reads a number token as the parser does: a float when it
+// holds a '.', an int otherwise.
+func parseNumber(text string) (v relation.Value, isFloat, ok bool) {
+	if strings.Contains(text, ".") {
+		f, err := strconv.ParseFloat(text, 64)
+		return relation.NewFloat(f), true, err == nil
+	}
+	i, err := strconv.ParseInt(text, 10, 64)
+	return relation.NewInt(i), false, err == nil
 }
 
 // CollectStmtLiterals walks a parsed statement in a fixed order — select
 // items, WHERE, GROUP BY, ORDER BY — and returns every *Literal it
-// contains. Two statements with the same NormalizeQuery fingerprint have
-// isomorphic ASTs, so their literal lists align index-for-index; the
-// plan cache relies on that to pair a cached template's literal slots
-// with a fresh statement's values.
+// contains. The order is the literals' token order, so it is the order
+// in which NormalizeQuery returns their values; the plan cache relies on
+// that to number a cached program's parameters.
 func CollectStmtLiterals(stmt *SelectStmt) []*Literal {
 	var out []*Literal
 	for _, it := range stmt.Items {
@@ -87,45 +128,5 @@ func collectExprLiterals(e Expr, out []*Literal) []*Literal {
 		return out
 	default: // *ColumnRef, *Star carry no literals
 		return out
-	}
-}
-
-// CloneExpr deep-copies an expression tree. When sub maps a source
-// *Literal to a replacement expression, the replacement is used in place
-// of a copy. When rec is non-nil, every copied literal is recorded as
-// rec[original] = copy so callers can locate a clone's literal slots.
-func CloneExpr(e Expr, sub map[*Literal]Expr, rec map[*Literal]*Literal) Expr {
-	switch v := e.(type) {
-	case nil:
-		return nil
-	case *Literal:
-		if r, ok := sub[v]; ok {
-			return r
-		}
-		c := &Literal{Value: v.Value}
-		if rec != nil {
-			rec[v] = c
-		}
-		return c
-	case *ColumnRef:
-		c := *v
-		return &c
-	case *Star:
-		return &Star{}
-	case *Binary:
-		return &Binary{Op: v.Op, L: CloneExpr(v.L, sub, rec), R: CloneExpr(v.R, sub, rec)}
-	case *Unary:
-		return &Unary{Op: v.Op, X: CloneExpr(v.X, sub, rec)}
-	case *Call:
-		c := &Call{Name: v.Name, Field: v.Field}
-		if v.Args != nil {
-			c.Args = make([]Expr, len(v.Args))
-			for i, a := range v.Args {
-				c.Args[i] = CloneExpr(a, sub, rec)
-			}
-		}
-		return c
-	default:
-		return e
 	}
 }

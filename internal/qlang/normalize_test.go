@@ -26,28 +26,42 @@ func TestNormalizeQueryStripsLiterals(t *testing.T) {
 		{`SELECT v FROM t WHERE v < 3`, `SELECT v FROM t WHERE v > 3`, false},
 	}
 	for _, c := range cases {
-		na, err := NormalizeQuery(c.a)
+		na, _, err := NormalizeQuery(nil, c.a)
 		if err != nil {
 			t.Fatalf("%q: %v", c.a, err)
 		}
-		nb, err := NormalizeQuery(c.b)
+		nb, _, err := NormalizeQuery(nil, c.b)
 		if err != nil {
 			t.Fatalf("%q: %v", c.b, err)
 		}
-		if (na == nb) != c.same {
+		if (string(na) == string(nb)) != c.same {
 			t.Errorf("NormalizeQuery(%q)=%q vs NormalizeQuery(%q)=%q; want same=%v", c.a, na, c.b, nb, c.same)
 		}
 	}
 }
 
 func TestNormalizeQueryShape(t *testing.T) {
-	got, err := NormalizeQuery(`SELECT name FROM t WHERE age > 21 AND city = 'nyc' ORDER BY name LIMIT 3`)
+	got, lits, err := NormalizeQuery([]byte("key|"), `SELECT name FROM t WHERE age > 21 AND city = 'nyc' AND ok = TRUE AND r < -2.5 ORDER BY name LIMIT 3`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `SELECT name FROM t WHERE age > ?i AND city = ?s ORDER BY name LIMIT 3`
-	if got != want {
+	want := `key|SELECT name FROM t WHERE age > ?i AND city = ?s AND ok = TRUE AND r < - ?f ORDER BY name LIMIT 3`
+	if string(got) != want {
 		t.Errorf("normalized = %q, want %q", got, want)
+	}
+	wantLits := []relation.Value{relation.NewInt(21), relation.NewString("nyc"), relation.NewBool(true), relation.NewFloat(2.5)}
+	if len(lits) != len(wantLits) {
+		t.Fatalf("literals = %v, want %v", lits, wantLits)
+	}
+	for i, v := range wantLits {
+		if lits[i].Kind() != v.Kind() || lits[i].Compare(v) != 0 {
+			t.Errorf("literal[%d] = %v, want %v", i, lits[i], v)
+		}
+	}
+	// A number the parser rejects is an error here too, so the caller
+	// reports the parser's own.
+	if _, _, err := NormalizeQuery(nil, `SELECT v FROM t WHERE v = 1.2.3`); err == nil {
+		t.Error("a malformed number fingerprinted")
 	}
 }
 
@@ -80,41 +94,33 @@ func TestCollectStmtLiteralsLockstep(t *testing.T) {
 	}
 }
 
-func TestCloneExprSubstituteAndRecord(t *testing.T) {
-	stmt, err := ParseQuery(`SELECT v FROM t WHERE v < 10`)
+// TestFormatBindsLiterals renders one expression with another
+// execution's literal values, leaving the expression as written.
+func TestFormatBindsLiterals(t *testing.T) {
+	stmt, err := ParseQuery(`SELECT v FROM t WHERE v < 10 AND name = 'x'`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lits := CollectStmtLiterals(stmt)
-	if len(lits) != 1 {
-		t.Fatalf("literals = %d, want 1", len(lits))
+	if len(lits) != 2 {
+		t.Fatalf("literals = %d, want 2", len(lits))
 	}
+	b := literalMap{lits[0]: relation.NewInt(99), lits[1]: relation.NewString("it's")}
+	if got, want := Format(stmt.Where, b), `((v < 99) AND (name = 'it''s'))`; got != want {
+		t.Errorf("bound render = %q, want %q", got, want)
+	}
+	if got, want := stmt.Where.String(), `((v < 10) AND (name = 'x'))`; got != want {
+		t.Errorf("plain render = %q, want %q", got, want)
+	}
+	if got := Format(stmt.Where, literalMap{}); got != stmt.Where.String() {
+		t.Errorf("unbound render = %q, want %q", got, stmt.Where.String())
+	}
+}
 
-	// Recording clone: the copy is a distinct node with the same value.
-	rec := map[*Literal]*Literal{}
-	clone := CloneExpr(stmt.Where, nil, rec)
-	cl, ok := rec[lits[0]]
-	if !ok {
-		t.Fatal("clone did not record the literal slot")
-	}
-	if cl == lits[0] {
-		t.Fatal("recorded literal aliases the original")
-	}
-	if cl.Value.String() != "10" {
-		t.Errorf("cloned literal = %s, want 10", cl.Value.String())
-	}
-	if clone.String() != stmt.Where.String() {
-		t.Errorf("clone renders %q, want %q", clone.String(), stmt.Where.String())
-	}
+// literalMap binds literals by identity.
+type literalMap map[*Literal]relation.Value
 
-	// Substituting clone: the slot is replaced by a new expression.
-	repl := &Literal{Value: relation.NewInt(99)}
-	sub := CloneExpr(stmt.Where, map[*Literal]Expr{lits[0]: repl}, nil)
-	if want := "(v < 99)"; sub.String() != want {
-		t.Errorf("substituted clone renders %q, want %q", sub.String(), want)
-	}
-	// Original untouched.
-	if stmt.Where.String() != "(v < 10)" {
-		t.Errorf("original mutated to %q", stmt.Where.String())
-	}
+func (m literalMap) Literal(l *Literal) (relation.Value, bool) {
+	v, ok := m[l]
+	return v, ok
 }

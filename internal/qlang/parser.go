@@ -436,18 +436,11 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	switch {
 	case t.Kind == TokNumber:
 		p.next()
-		if strings.Contains(t.Text, ".") {
-			f, err := strconv.ParseFloat(t.Text, 64)
-			if err != nil {
-				return nil, p.errf("bad number %q", t.Text)
-			}
-			return &Literal{Value: relation.NewFloat(f)}, nil
-		}
-		i, err := strconv.ParseInt(t.Text, 10, 64)
-		if err != nil {
+		v, _, ok := parseNumber(t.Text)
+		if !ok {
 			return nil, p.errf("bad number %q", t.Text)
 		}
-		return &Literal{Value: relation.NewInt(i)}, nil
+		return &Literal{Value: v}, nil
 	case t.Kind == TokString:
 		p.next()
 		return &Literal{Value: relation.NewString(t.Text)}, nil

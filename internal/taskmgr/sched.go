@@ -201,6 +201,29 @@ func (m *Manager) sweepScheduler(sc *Scope, cause error) {
 	}
 }
 
+// Retire drops the scope's fair-share history once its query is over:
+// every request it submitted has resolved, so it holds no queued HIT and
+// never queues another, and the admission order of the rest does not
+// change. Nil-safe.
+func (s *Scope) Retire() {
+	if s == nil {
+		return
+	}
+	sc := &s.mgr.sched
+	sc.mu.Lock()
+	delete(sc.admitted, s)
+	sc.mu.Unlock()
+}
+
+// FairShareScopes reports how many scopes the admission scheduler holds
+// fair-share history for: those with an admitted HIT that have neither
+// retired nor been canceled.
+func (m *Manager) FairShareScopes() int {
+	m.sched.mu.Lock()
+	defer m.sched.mu.Unlock()
+	return len(m.sched.admitted)
+}
+
 // settle ends a dequeued HIT's admission: the answers its caller
 // resolved without the crowd are delivered first, then, when err is
 // set, everything the HIT still owes fails with it.

@@ -150,10 +150,10 @@ func Photos(n int, catFraction, outdoorFraction float64, seed int64) Dataset {
 		if !ok {
 			return relation.Null
 		}
-		switch strings.ToLower(task) {
-		case "iscat":
+		switch {
+		case strings.EqualFold(task, "isCat"):
 			return relation.NewBool(tr.cat)
-		case "isoutdoor":
+		case strings.EqualFold(task, "isOutdoor"):
 			return relation.NewBool(tr.outdoor)
 		default:
 			return relation.Null
@@ -253,12 +253,12 @@ func Reviews(n int, positiveFraction float64, seed int64) Dataset {
 		if len(args) == 0 {
 			return relation.Null
 		}
-		switch strings.ToLower(task) {
-		case "sentiment":
+		switch {
+		case strings.EqualFold(task, "sentiment"):
 			if s, ok := sentiments[args[0].Str()]; ok {
 				return relation.NewString(s)
 			}
-		case "ispositive":
+		case strings.EqualFold(task, "isPositive"):
 			if s, ok := sentiments[args[0].Str()]; ok {
 				return relation.NewBool(s == "positive")
 			}
