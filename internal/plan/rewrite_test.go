@@ -23,9 +23,12 @@ func buildPlan(t *testing.T, query string) (Node, *qlang.SelectStmt) {
 	return n, stmt
 }
 
-// TestBindRendersBoundLiterals: a bound view of a plan labels it with
-// another execution's literal values, and the plan itself is untouched.
-func TestBindRendersBoundLiterals(t *testing.T) {
+// TestCloneIsDeepAndRecordsLiterals: one execution's copy of a shared
+// plan is a bound view. The plan holds the statement's own literals, so
+// binding them by identity relabels the Filter beneath OrderBy and
+// Limit; Walk over the view visits the planned nodes, and neither the
+// plan nor an empty binding sees the bound value.
+func TestCloneIsDeepAndRecordsLiterals(t *testing.T) {
 	n, stmt := buildPlan(t, `SELECT id FROM spottedstars WHERE id < 10 ORDER BY id LIMIT 3`)
 	lits := qlang.CollectStmtLiterals(stmt)
 	if len(lits) != 1 {
@@ -34,7 +37,7 @@ func TestBindRendersBoundLiterals(t *testing.T) {
 	planned := Explain(n)
 	view := Bind(n, literalMap{lits[0]: relation.NewInt(42)})
 	if got, want := Explain(view), strings.Replace(planned, "< 10", "< 42", 1); got != want {
-		t.Fatalf("bound explain:\n%s\nwant\n%s", got, want)
+		t.Fatalf("bound explain (Build must share literal pointers with the stmt):\n%s\nwant\n%s", got, want)
 	}
 	if Explain(n) != planned || Explain(Bind(n, literalMap{})) != planned {
 		t.Fatalf("binding changed the planned labels:\n%s", Explain(n))
@@ -44,6 +47,20 @@ func TestBindRendersBoundLiterals(t *testing.T) {
 	Walk(view, func(m Node) { viewNodes = append(viewNodes, m) })
 	if !reflect.DeepEqual(viewNodes, planNodes) {
 		t.Fatalf("Walk over a view visited %v, want the planned nodes %v", viewNodes, planNodes)
+	}
+}
+
+// TestCloneSubstitutesLiterals: a view bound with another value for the
+// statement's literal prints that value, and the plan keeps its own.
+func TestCloneSubstitutesLiterals(t *testing.T) {
+	n, stmt := buildPlan(t, `SELECT id FROM spottedstars WHERE id < 10`)
+	lits := qlang.CollectStmtLiterals(stmt)
+	view := Bind(n, literalMap{lits[0]: relation.NewInt(42)})
+	if got := Explain(view); !strings.Contains(got, "42") || strings.Contains(got, "10") {
+		t.Fatalf("substituted view:\n%s", got)
+	}
+	if got := Explain(n); !strings.Contains(got, "10") || strings.Contains(got, "42") {
+		t.Fatalf("original plan mutated:\n%s", got)
 	}
 }
 
