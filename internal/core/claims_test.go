@@ -578,10 +578,12 @@ func engineClaims() []engineClaim {
 					`SELECT img FROM items WHERE id <= 30 ORDER BY rateSq(img) DESC LIMIT 5`,
 					`SELECT isCat(img), count(id), sum(id * 2) FROM photos WHERE id <= 30 GROUP BY isCat(img)`,
 					`SELECT isCat(img), count(id), sum(id * 3) FROM photos WHERE id <= 50 GROUP BY isCat(img)`,
-					// Equal call arguments share a call site, so the second
-					// statement cannot run the first one's program.
+					// Equal call arguments share a call site, so neither of
+					// the last two statements can run the program of the one
+					// before it.
 					`SELECT companyName, findCEO('Apex').CEO, findCEO('Atlas').Phone FROM companies WHERE companyName >= 'S'`,
 					`SELECT companyName, findCEO('Quantum').CEO, findCEO('Quantum').Phone FROM companies WHERE companyName >= 'P'`,
+					`SELECT companyName, findCEO('Nova').CEO, findCEO('Orbit').Phone FROM companies WHERE companyName >= 'K'`,
 				} {
 					cached.stmts = append(cached.stmts, claimStmt{sql: sql})
 				}

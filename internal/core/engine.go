@@ -704,7 +704,8 @@ func (e *Engine) Queries() []*QueryHandle {
 }
 
 // trimLocked keeps shown to the live queries and the last recentQueries
-// finished ones. Each older finished query drops its plan and span, and
+// finished ones. Each older finished query drops its plan and span
+// (its executor keeps the plan only when other queries share it), and
 // its savings are added to folded, priced at the policies in force as
 // it leaves. Callers hold e.mu.
 func (e *Engine) trimLocked() {
@@ -715,6 +716,7 @@ func (e *Engine) trimLocked() {
 			if finished++; finished > recentQueries {
 				e.addSavings(&e.folded, h.Exec, e.policyLocked)
 				h.Plan = nil
+				h.Exec.ReleasePlan()
 				h.span.Store(nil)
 				continue
 			}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dashboard"
@@ -139,8 +140,8 @@ func TestPlanCacheEpochInvalidation(t *testing.T) {
 // TestPlanCacheDecisionFlipInvalidates drives prepare and buildPlan
 // directly with a controllable pre-filter decider standing in for the
 // optimizer: when live statistics flip the decision vector a cached
-// program baked in, the hit becomes an invalidation and the recompiled
-// program follows the new decisions.
+// program baked in, the hit becomes an invalidation and the entry is
+// recompiled under the new decisions.
 func TestPlanCacheDecisionFlipInvalidates(t *testing.T) {
 	ds := workload.Celebrities(6, 6, 0.5, 3)
 	e := newEngine(t, Config{}, ds)
@@ -157,14 +158,15 @@ WHERE samePerson(celebrities.image, spottedstars.image)`
 		return plan.PreFilterDecision{Left: wrap, Right: wrap}
 	}
 
-	countPreFilters := func(prog *exec.Program) int {
-		count := 0
-		plan.Walk(prog.Root(), func(m plan.Node) {
-			if _, ok := m.(*plan.PreFilter); ok {
-				count++
-			}
-		})
-		return count
+	// stored reports the program the cache holds for sql and the
+	// pre-filter decisions it was compiled under.
+	stored := func() (*exec.Program, []plan.PreFilterDecision) {
+		key, _, err := planCacheKey(sql, atomic.LoadInt64(&e.planEpoch), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entry := e.plans.lookup(key)
+		return entry.prog, entry.decisions
 	}
 	build := func() *exec.Program {
 		t.Helper()
@@ -180,8 +182,8 @@ WHERE samePerson(celebrities.image, spottedstars.image)`
 		return prog
 	}
 	first := build()
-	if got := countPreFilters(first); got != 2 {
-		t.Fatalf("miss-path pre-filters = %d, want 2:\n%s", got, plan.Explain(first.Root()))
+	if prog, ds := stored(); prog != first || len(ds) != 1 || ds[0] != (plan.PreFilterDecision{Left: true, Right: true}) {
+		t.Fatalf("miss stored decisions %+v (its own program: %v), want both sides pre-filtered", ds, prog == first)
 	}
 
 	// Same stats regime: a clean hit runs the same program.
@@ -193,8 +195,9 @@ WHERE samePerson(celebrities.image, spottedstars.image)`
 	// entry invalidates, and the program follows the live decider.
 	wrap = false
 	third := build()
-	if got := countPreFilters(third); got != 0 {
-		t.Fatalf("post-flip pre-filters = %d, want 0:\n%s", got, plan.Explain(third.Root()))
+	if prog, ds := stored(); third == first || prog != third || len(ds) != 1 || ds[0] != (plan.PreFilterDecision{}) {
+		t.Fatalf("post-flip stored decisions %+v (recompiled: %v, stored: %v), want no pre-filter",
+			ds, third != first, prog == third)
 	}
 	st := e.PlanCacheStats()
 	if st.Misses != 1 || st.Hits != 1 || st.Invalidations != 1 {

@@ -410,33 +410,3 @@ WHERE samePerson(celebrities.image, spottedstars.image)`
 		t.Fatalf("the workload produced no join or sort savings to fold: %+v", ref)
 	}
 }
-
-// TestRetiredQueriesReleaseFairShare runs 500 queries on one engine that
-// each post one HIT. The admission scheduler keeps each query's
-// fair-share history only while the query can still queue a HIT: once
-// all of them have retired, it holds none.
-func TestRetiredQueriesReleaseFairShare(t *testing.T) {
-	const queries = 500
-	e := newEngine(t, Config{}, workload.Photos(queries, 0.5, 0.5, 4))
-	for k := 1; k <= queries; k++ {
-		rows, err := e.Query(context.Background(), fmt.Sprintf(`SELECT id FROM photos WHERE id = %d AND isCat(img)`, k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for rows.Next() {
-		}
-		if err := rows.Err(); err != nil {
-			t.Fatal(err)
-		}
-		rows.Close()
-	}
-	for _, h := range e.Queries() {
-		waitFor(t, "the query retires", h.Exec.Retired)
-	}
-	if posted := e.Marketplace().Stats().HITsPosted; posted != queries {
-		t.Fatalf("posted %d HITs, want one per query (%d)", posted, queries)
-	}
-	if n := e.Manager().FairShareScopes(); n != 0 {
-		t.Fatalf("the scheduler keeps fair-share history for %d retired queries", n)
-	}
-}

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/plan"
+	"repro/internal/qlang"
 	"repro/internal/relation"
 )
 
@@ -86,5 +88,45 @@ func TestCallDedupePerOperator(t *testing.T) {
 				t.Errorf("spent %d cents, want %d (one assignment per request)", spent, tc.spent)
 			}
 		})
+	}
+}
+
+// TestFitsKeepsCallSharing: which calls of an operator share a site
+// depends on their argument values, so a program runs another query of
+// its shape only when the literals inside call arguments are equal
+// exactly where the planned ones are, in whichever call of a site they
+// sit.
+func TestFitsKeepsCallSharing(t *testing.T) {
+	r := newExecRig(t, 0.99)
+	r.addTable(t, "companies", []relation.Column{{Name: "companyName", Kind: relation.KindString}})
+	s := relation.NewString
+	cases := []struct {
+		query string
+		vals  []relation.Value
+		fits  bool
+	}{
+		{`SELECT findCEO('Q').CEO, findCEO('Q').Phone FROM companies WHERE companyName >= 'P'`, []relation.Value{s("A"), s("A"), s("S")}, true},
+		{`SELECT findCEO('Q').CEO, findCEO('Q').Phone FROM companies WHERE companyName >= 'P'`, []relation.Value{s("A"), s("B"), s("S")}, false},
+		{`SELECT findCEO('A').CEO, findCEO('B').Phone FROM companies WHERE companyName >= 'P'`, []relation.Value{s("C"), s("D"), s("C")}, true},
+		{`SELECT findCEO('A').CEO, findCEO('B').Phone FROM companies WHERE companyName >= 'P'`, []relation.Value{s("C"), s("C"), s("S")}, false},
+		{`SELECT findCEO('1').CEO, findCEO('1').Phone FROM companies`, []relation.Value{s("1"), relation.NewInt(1)}, false},
+		{`SELECT companyName FROM companies WHERE findCEO('Q').CEO = findCEO('Q').Phone`, []relation.Value{s("A"), s("B")}, false},
+	}
+	for _, tc := range cases {
+		stmt, err := qlang.ParseQuery(tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node, err := plan.Build(stmt, r.script, r.catalog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := Compile(node, r.script, qlang.CollectStmtLiterals(stmt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := prog.Fits(tc.vals); got != tc.fits {
+			t.Errorf("%s: Fits(%v) = %v, want %v", tc.query, tc.vals, got, tc.fits)
+		}
 	}
 }

@@ -51,7 +51,9 @@
 // never in the program, so concurrent queries share one. Labels
 // (OpStats, RankStat.Op, JoinReduction.Join, Query.Plan and operator
 // span names) are rendered when read, from the shared plan and the
-// query's parameter values, which a retired query keeps.
+// query's parameter values. A retired query keeps those, not the
+// compiled steps; Query.ReleasePlan renders the labels of a query whose
+// program no other query ran into text and lets its plan go.
 //
 // # Virtual-time determinism
 //

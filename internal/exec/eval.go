@@ -161,13 +161,13 @@ func evalArith(op opcode, l, r relation.Value) (relation.Value, error) {
 // implement qlang.Bindings, so a label rendered from the shared plan
 // shows the query's own constants.
 type params struct {
-	prog *Program
+	*labels
 	vals []relation.Value
 }
 
 // Literal implements qlang.Bindings.
 func (p *params) Literal(l *qlang.Literal) (relation.Value, bool) {
-	i, ok := p.prog.lits[l]
+	i, ok := p.lits[l]
 	if !ok {
 		return relation.Null, false
 	}

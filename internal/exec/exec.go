@@ -175,13 +175,18 @@ func (o *operator) finish() {
 // drops its execution state (operators and their queues, its Config
 // and the gate), so a finished query costs a small fixed record. Every
 // accessor answers the same before and after retirement. Labels render
-// on read from the shared program and the query's own parameter values,
-// which it keeps.
+// on read from the program's plan and the query's own parameter values,
+// which it keeps; ReleasePlan trades a plan no other query ran for its
+// rendered labels.
 type Query struct {
 	result *relation.Table
 	done   chan struct{} // closed when the result stream has fully drained
 	stop   int32         // atomic; set by Cancel so fused iterators bail out
-	params params        // the program and this query's values for its literals
+	// src is what the labels render from: the program's plan and this
+	// query's values for its literals. nil once ReleasePlan has rendered
+	// them into text, by step id.
+	src  atomic.Pointer[params]
+	text []string
 
 	// live is the execution state; nil once the query has retired.
 	live atomic.Pointer[run]
@@ -206,8 +211,9 @@ type Query struct {
 // record that outlives it.
 type run struct {
 	*Query
-	cfg Config
-	ops []*operator // by step id
+	params *params // the values expressions read
+	cfg    Config
+	ops    []*operator // by step id
 	// gate is the quiescence gate of the task manager's clock: every
 	// executor goroutine holds it while runnable and parks on it while
 	// waiting, so the clock's pump never advances virtual time past work
@@ -258,21 +264,52 @@ func (q *run) exit() {
 	q.cfg.Scope.Retire()
 }
 
-// label renders step s's label with the query's parameter values.
-func (q *Query) label(s *step) string { return s.node.Label(&q.params) }
+// label renders step id's label with the query's parameter values.
+func (q *Query) label(id int) string {
+	if p := q.src.Load(); p != nil {
+		return p.nodes[id].Label(p)
+	}
+	return q.text[id]
+}
+
+// ReleasePlan drops a retired query's hold on its plan when no other
+// query ran its program: it renders the labels once, and the plan, with
+// its schemas and statement, can go. A plan that other queries ran is
+// shared and costs this query nothing, so it stays. Plan answers nil
+// once the plan is released; every other accessor answers as before.
+func (q *Query) ReleasePlan() {
+	p := q.src.Load()
+	if p == nil || !q.Retired() || p.runs.Load() > 1 {
+		return
+	}
+	text := make([]string, len(p.nodes))
+	for i, n := range p.nodes {
+		text[i] = n.Label(p)
+	}
+	q.mu.Lock()
+	for i, id := range p.joins {
+		q.joins[i].Join = text[id]
+	}
+	q.text = text
+	q.mu.Unlock()
+	q.src.Store(nil)
+}
 
 // opName renders an operator span's name when the trace is read.
 type opName struct {
-	q *Query
-	s *step
+	q  *Query
+	id int
 }
 
-func (n opName) String() string { return n.q.label(n.s) }
+func (n opName) String() string { return n.q.label(n.id) }
 
 // Plan returns the plan the query runs, labeled with its own literal
-// values.
+// values, or nil once ReleasePlan has released it.
 func (q *Query) Plan() plan.Node {
-	return plan.Bind(q.params.prog.root.node, &q.params)
+	if p := q.src.Load(); p != nil {
+		return plan.Bind(p.nodes[0], p)
+	}
+	return nil
 }
 
 // RankStat reports one Rank operator's chosen strategy and spend, for
@@ -297,7 +334,7 @@ type RankStat struct {
 // rankStat is a Rank operator's report before its label renders.
 type rankStat struct {
 	RankStat
-	step *step
+	id int // the operator's step
 }
 
 // RankStats snapshots every completed Rank operator's report.
@@ -308,15 +345,15 @@ func (q *Query) RankStats() []RankStat {
 	out := make([]RankStat, len(recs))
 	for i, r := range recs {
 		out[i] = r.RankStat
-		out[i].Op = q.label(r.step)
+		out[i].Op = q.label(r.id)
 	}
 	return out
 }
 
-func (q *Query) noteRankStat(s *step, rs RankStat) {
+func (q *Query) noteRankStat(id int, rs RankStat) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.rankStats = append(q.rankStats, rankStat{rs, s})
+	q.rankStats = append(q.rankStats, rankStat{rs, id})
 }
 
 // maxRecordedErrors bounds Query.Errors so a canceled or failing query
@@ -342,6 +379,9 @@ type JoinReduction struct {
 // JoinReductions snapshots the cross-product reduction of every human
 // join that has at least one pre-filter stage.
 func (q *Query) JoinReductions() []JoinReduction {
+	// Loaded first: a reader that finds the plan released finds the
+	// labels in the frozen record.
+	p := q.src.Load()
 	var out []JoinReduction
 	if r := q.state(); r != nil {
 		out = r.joinReductionsNow()
@@ -350,8 +390,10 @@ func (q *Query) JoinReductions() []JoinReduction {
 		out = slices.Clone(q.joins)
 		q.mu.Unlock()
 	}
-	for i, s := range q.params.prog.joins {
-		out[i].Join = q.label(s)
+	if p != nil {
+		for i, id := range p.joins {
+			out[i].Join = p.nodes[id].Label(p)
+		}
 	}
 	return out
 }
@@ -359,8 +401,9 @@ func (q *Query) JoinReductions() []JoinReduction {
 // joinReductionsNow reads the reductions from the operators, without
 // labels.
 func (q *run) joinReductionsNow() []JoinReduction {
-	out := make([]JoinReduction, 0, len(q.params.prog.joins))
-	for _, s := range q.params.prog.joins {
+	out := make([]JoinReduction, 0, len(q.params.joins))
+	for _, id := range q.params.joins {
+		s := q.ops[id].step
 		v := s.node.(*plan.Join)
 		left, right := q.ops[s.kids[0].id], q.ops[s.kids[1].id]
 		_, leftPre := v.Left.(*plan.PreFilter)
@@ -558,7 +601,7 @@ func (q *Query) OpStats() []OpStats {
 		q.mu.Unlock()
 	}
 	for i := range out {
-		out[i].Label = q.label(q.params.prog.steps[i])
+		out[i].Label = q.label(i)
 	}
 	return out
 }
@@ -617,12 +660,14 @@ func (p *Program) Start(vals []relation.Value, cfg Config) (*Query, error) {
 	if vals == nil {
 		vals = p.params
 	}
+	p.labels.runs.Add(1)
 	q := &run{
-		Query: &Query{done: make(chan struct{}), result: relation.NewTable("result", p.root.node.Schema()),
-			params: params{prog: p, vals: vals}},
-		cfg: cfg,
-		ops: make([]*operator, len(p.steps)),
+		Query:  &Query{done: make(chan struct{}), result: relation.NewTable("result", p.root.node.Schema())},
+		params: &params{labels: p.labels, vals: vals},
+		cfg:    cfg,
+		ops:    make([]*operator, len(p.labels.nodes)),
 	}
+	q.src.Store(q.params)
 	q.live.Store(q)
 	if cfg.Mgr != nil {
 		q.gate = cfg.Mgr.Backend().Clock().Gate()
@@ -735,7 +780,7 @@ func (q *run) async(op *operator) *queueIter {
 func (q *run) build(s *step, parent *obs.Span) Iterator {
 	op := &operator{step: s}
 	if parent != nil {
-		op.span = parent.ChildNamed(obs.KindOperator, opName{q.Query, s})
+		op.span = parent.ChildNamed(obs.KindOperator, opName{q.Query, s.id})
 	}
 	q.ops[s.id] = op
 	var in, right Iterator // inputs; only a join has a right one
@@ -812,7 +857,7 @@ func (q *run) resolve(op *operator, b *binding, t relation.Tuple, assignments in
 		then(nil, fmt.Errorf("exec: human call without task manager"))
 		return
 	}
-	args, vals, err := b.prepare(t, &q.params)
+	args, vals, err := b.prepare(t, q.params)
 	if err != nil {
 		then(nil, err)
 		return

@@ -151,7 +151,7 @@ func (f *filterIter) Next() (relation.Tuple, bool) {
 		atomic.AddInt64(&f.op.in, 1)
 		pass := true
 		for _, c := range f.op.step.exprs {
-			val, err := c.eval(t, &f.q.params, nil)
+			val, err := c.eval(t, f.q.params, nil)
 			if err != nil {
 				f.q.reportError(err)
 				pass = false
@@ -206,7 +206,7 @@ func (p *projectIter) Next() (relation.Tuple, bool) {
 				vals = append(vals, t.Values...)
 				continue
 			}
-			val, err := e.eval(t, &p.q.params, nil)
+			val, err := e.eval(t, p.q.params, nil)
 			if err != nil {
 				p.q.reportError(err)
 				ok = false
@@ -441,7 +441,7 @@ func (o *orderByIter) consume() {
 		}
 		o.rows = append(o.rows, t)
 		for _, k := range o.op.step.exprs {
-			val, err := k.eval(t, &o.q.params, nil)
+			val, err := k.eval(t, o.q.params, nil)
 			if err != nil {
 				o.q.reportError(err)
 				val = relation.Null
@@ -533,7 +533,7 @@ func (a *aggregateIter) consume() {
 		keyEnc = keyEnc[:0]
 		evalOK := true
 		for _, k := range s.exprs {
-			kv, err := k.eval(t, &a.q.params, nil)
+			kv, err := k.eval(t, a.q.params, nil)
 			if err != nil {
 				a.q.reportError(err)
 				evalOK = false
@@ -586,7 +586,7 @@ func (g *aggGroup) add(q *run, aggs []aggItem, t relation.Tuple, calls []relatio
 		if it.arg == nil {
 			continue
 		}
-		val, err := it.arg.eval(t, &q.params, calls)
+		val, err := it.arg.eval(t, q.params, calls)
 		if err != nil {
 			q.reportError(err)
 			continue
@@ -618,7 +618,7 @@ func (g *aggGroup) result(q *run, aggs []aggItem) []relation.Value {
 		case "max":
 			vals = append(vals, g.maxs[i])
 		default:
-			val, err := it.e.eval(g.first, &q.params, g.firstCalls)
+			val, err := it.e.eval(g.first, q.params, g.firstCalls)
 			if err != nil {
 				q.reportError(err)
 				val = relation.Null

@@ -37,7 +37,7 @@ func (q *run) runFilter(op *operator, in Iterator) {
 	}
 	process := func(t relation.Tuple) {
 		for _, c := range local {
-			pass, err := c.eval(t, &q.params, nil)
+			pass, err := c.eval(t, q.params, nil)
 			if err != nil {
 				q.reportError(err)
 				return
@@ -83,7 +83,7 @@ func (q *run) runFilter(op *operator, in Iterator) {
 					finish()
 					return
 				}
-				pass, err := c.e.eval(t, &q.params, vals)
+				pass, err := c.e.eval(t, q.params, vals)
 				if err != nil {
 					q.reportError(err)
 					finish()
@@ -131,7 +131,7 @@ func (q *run) filterOrder(s *step) []int {
 // conjuncts share is asked once.
 func (q *run) groupFilter(op *operator, t relation.Tuple, wg *quiesce.WaitGroup) {
 	b := op.step.grouped
-	args, vals, err := b.prepare(t, &q.params)
+	args, vals, err := b.prepare(t, q.params)
 	if err != nil {
 		q.reportError(err)
 		wg.Done()
@@ -144,7 +144,7 @@ func (q *run) groupFilter(op *operator, t relation.Tuple, wg *quiesce.WaitGroup)
 			return
 		}
 		for _, c := range op.step.human {
-			pass, err := c.inGroup.eval(t, &q.params, vals)
+			pass, err := c.inGroup.eval(t, q.params, vals)
 			if err != nil {
 				q.reportError(err)
 				return
@@ -189,7 +189,7 @@ func (q *run) runProject(op *operator, v *plan.Project, in Iterator) {
 					vals = append(vals, t.Values...)
 					continue
 				}
-				val, err := e.eval(t, &q.params, calls)
+				val, err := e.eval(t, q.params, calls)
 				if err != nil {
 					q.reportError(err)
 					return
@@ -256,7 +256,7 @@ func (q *run) runJoin(op *operator, v *plan.Join, left, right Iterator) {
 func (q *run) evalSide(buf []relation.Tuple, arg *expr) []joinSide {
 	out := make([]joinSide, 0, len(buf))
 	for _, t := range buf {
-		val, err := arg.eval(t, &q.params, nil)
+		val, err := arg.eval(t, q.params, nil)
 		if err != nil {
 			q.reportError(err)
 			continue
@@ -274,7 +274,7 @@ func concatValues(l, r relation.Tuple) []relation.Value {
 
 func (q *run) passesAll(conjuncts []*expr, t relation.Tuple) bool {
 	for _, c := range conjuncts {
-		pass, err := c.eval(t, &q.params, nil)
+		pass, err := c.eval(t, q.params, nil)
 		if err != nil {
 			q.reportError(err)
 			return false
@@ -422,7 +422,7 @@ func (q *run) runPreFilter(op *operator, v *plan.PreFilter, in Iterator) {
 			}
 			atomic.AddInt64(&op.in, 1)
 			rows = append(rows, t)
-			a, err := op.step.exprs[0].eval(t, &q.params, nil)
+			a, err := op.step.exprs[0].eval(t, q.params, nil)
 			args, argErr = append(args, a), append(argErr, err)
 			if err == nil && !c.Contains(cache.NewKey(v.Task.Name, []relation.Value{a})) {
 				uncached++
@@ -565,7 +565,7 @@ func (q *run) runRank(op *operator, v *plan.Rank, in Iterator) {
 		args := make([]relation.Value, len(op.step.exprs))
 		ok := true
 		for j, e := range op.step.exprs {
-			val, err := e.eval(t, &q.params, nil)
+			val, err := e.eval(t, q.params, nil)
 			if err != nil {
 				q.reportError(err)
 				ok = false
@@ -604,7 +604,7 @@ func (q *run) runRank(op *operator, v *plan.Rank, in Iterator) {
 	if v.Compare != nil {
 		compare = v.Compare.Name
 	}
-	q.noteRankStat(op.step, RankStat{
+	q.noteRankStat(op.step.id, RankStat{
 		Task:        v.Task.Name,
 		CompareTask: compare,
 		Strategy:    string(rst.Strategy),
@@ -696,7 +696,7 @@ func (q *run) runOrderBy(op *operator, v *plan.OrderBy, in Iterator) {
 			}
 			ks := make([]relation.Value, len(v.Keys))
 			for j, k := range s.exprs {
-				val, err := k.eval(t, &q.params, calls)
+				val, err := k.eval(t, q.params, calls)
 				if err != nil {
 					q.reportError(err)
 					val = relation.Null
@@ -762,7 +762,7 @@ func (q *run) runAggregate(op *operator, v *plan.Aggregate, in Iterator) {
 			}
 			var keyEnc []byte
 			for _, k := range s.exprs {
-				kv, err := k.eval(t, &q.params, calls)
+				kv, err := k.eval(t, q.params, calls)
 				if err != nil {
 					q.reportError(err)
 					return

@@ -62,9 +62,9 @@ func TestPossiblyEvaluatesAsOperand(t *testing.T) {
 // evalCallFree compiles a call-free expression against t's schema and
 // evaluates it over t.
 func evalCallFree(e qlang.Expr, t relation.Tuple) (relation.Value, error) {
-	c := &compiler{prog: &Program{lits: map[*qlang.Literal]int{}}, script: &qlang.Script{}}
+	c := &compiler{prog: &Program{labels: &labels{lits: map[*qlang.Literal]int{}}}, script: &qlang.Script{}}
 	compiled := c.expr(e, t.Schema, nil)
-	return compiled.eval(t, &params{prog: c.prog, vals: c.prog.params}, nil)
+	return compiled.eval(t, &params{labels: c.prog.labels, vals: c.prog.params}, nil)
 }
 
 // TestFilterWindowLimitsConcurrency verifies windowed cascades still

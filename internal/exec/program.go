@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/plan"
 	"repro/internal/qlang"
@@ -16,14 +17,9 @@ import (
 // the engine's plan cache runs one for every query of its shape, each
 // with its own parameter values.
 type Program struct {
-	root  *step
-	steps []*step // pre-order, the order OpStats reports
-	// joins are the human joins with a pre-filtered input, in plan
-	// order, for JoinReductions.
-	joins []*step
-	// lits numbers the plan's literals; params holds each one's planned
-	// value.
-	lits   map[*qlang.Literal]int
+	root   *step
+	labels *labels
+	// params holds each literal's planned value.
 	params []relation.Value
 	// callParams are the parameters inside human-call arguments. Which
 	// calls of an operator share a site depends on their values, so a
@@ -33,11 +29,26 @@ type Program struct {
 	humans     bool
 }
 
+// labels is what a query renders its labels from, while it runs and
+// after it has retired: the plan's nodes and the numbering of their
+// literals. It is allocated apart from the compiled steps, which a
+// retired query drops.
+type labels struct {
+	nodes []plan.Node // by step id: pre-order, the order OpStats reports
+	// joins are the step ids of the human joins with a pre-filtered
+	// input, in plan order, for JoinReductions.
+	joins []int
+	lits  map[*qlang.Literal]int
+	// runs counts the queries started from the program; a plan only one
+	// of them ran is that query's to release (Query.ReleasePlan).
+	runs atomic.Int64
+}
+
 // step is one plan node compiled against its input schema. Which fields
 // a step uses depends on its node; the rest stay nil.
 type step struct {
 	node plan.Node
-	id   int // position in Program.steps
+	id   int // position in labels.nodes
 	kids []*step
 
 	// exprs are a Filter's call-free conjuncts, a Project's items (nil
@@ -94,7 +105,7 @@ func Compile(root plan.Node, script *qlang.Script, lits []*qlang.Literal) (*Prog
 	if script == nil {
 		script = &qlang.Script{}
 	}
-	p := &Program{lits: make(map[*qlang.Literal]int, len(lits))}
+	p := &Program{labels: &labels{lits: make(map[*qlang.Literal]int, len(lits))}}
 	for _, l := range lits {
 		p.param(l)
 	}
@@ -109,10 +120,10 @@ func Compile(root plan.Node, script *qlang.Script, lits []*qlang.Literal) (*Prog
 
 // param returns l's parameter, numbering it on first sight.
 func (p *Program) param(l *qlang.Literal) int {
-	i, ok := p.lits[l]
+	i, ok := p.labels.lits[l]
 	if !ok {
 		i = len(p.params)
-		p.lits[l] = i
+		p.labels.lits[l] = i
 		p.params = append(p.params, l.Value)
 	}
 	return i
@@ -142,9 +153,6 @@ func samePrint(a, b relation.Value) bool {
 	return (a.Kind() == relation.KindString) == (b.Kind() == relation.KindString) && a.String() == b.String()
 }
 
-// Root returns the plan the program runs, with its planned literals.
-func (p *Program) Root() plan.Node { return p.root.node }
-
 type compiler struct {
 	prog   *Program
 	script *qlang.Script
@@ -153,8 +161,9 @@ type compiler struct {
 
 // step compiles n and its inputs, numbering steps pre-order.
 func (c *compiler) step(n plan.Node) (*step, error) {
-	s := &step{node: n, id: len(c.prog.steps)}
-	c.prog.steps = append(c.prog.steps, s)
+	lab := c.prog.labels
+	s := &step{node: n, id: len(lab.nodes)}
+	lab.nodes = append(lab.nodes, n)
 	for _, kid := range n.Children() {
 		k, err := c.step(kid)
 		if err != nil {
@@ -215,7 +224,7 @@ func (c *compiler) step(n plan.Node) (*step, error) {
 		_, lpre := v.Left.(*plan.PreFilter)
 		_, rpre := v.Right.(*plan.PreFilter)
 		if lpre || rpre {
-			c.prog.joins = append(c.prog.joins, s)
+			c.prog.labels.joins = append(c.prog.labels.joins, s.id)
 		}
 	case *plan.OrderBy:
 		exprs := make([]qlang.Expr, len(v.Keys))
@@ -267,25 +276,27 @@ func (c *compiler) step(n plan.Node) (*step, error) {
 
 // bind compiles exprs against schema in, with their human calls bound
 // jointly: two call nodes that print the same without their field
-// projection share a site. A call's arguments compile call-free.
+// projection share a site. A call's arguments compile call-free. Every
+// call's arguments compile, also those of a call that joins an earlier
+// site, so that each literal deciding the sharing is a call parameter.
 func (c *compiler) bind(in *relation.Schema, exprs ...qlang.Expr) (*binding, []*expr) {
 	b := &binding{}
 	slot := make(map[*qlang.Call]int)
 	seen := make(map[string]int)
 	for _, e := range exprs {
 		walkCalls(e, c.script, func(call *qlang.Call, def *qlang.TaskDef) {
+			c.inCall = true
+			args := make([]*expr, len(call.Args))
+			for j, a := range call.Args {
+				args[j] = c.expr(a, in, nil)
+			}
+			c.inCall = false
 			sig := callSig(call)
 			i, ok := seen[sig]
 			if !ok {
 				i = len(b.sites)
 				seen[sig] = i
-				site := callSite{def: def, off: b.nargs}
-				c.inCall = true
-				for _, a := range call.Args {
-					site.args = append(site.args, c.expr(a, in, nil))
-				}
-				c.inCall = false
-				b.sites = append(b.sites, site)
+				b.sites = append(b.sites, callSite{def: def, args: args, off: b.nargs})
 				b.nargs += len(call.Args)
 			}
 			slot[call] = i

@@ -215,15 +215,6 @@ func (s *Scope) Retire() {
 	sc.mu.Unlock()
 }
 
-// FairShareScopes reports how many scopes the admission scheduler holds
-// fair-share history for: those with an admitted HIT that have neither
-// retired nor been canceled.
-func (m *Manager) FairShareScopes() int {
-	m.sched.mu.Lock()
-	defer m.sched.mu.Unlock()
-	return len(m.sched.admitted)
-}
-
 // settle ends a dequeued HIT's admission: the answers its caller
 // resolved without the crowd are delivered first, then, when err is
 // set, everything the HIT still owes fails with it.

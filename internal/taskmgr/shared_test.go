@@ -418,6 +418,43 @@ func TestAdmissionGateOrdersByPriorityThenFairShare(t *testing.T) {
 	}
 }
 
+// TestRetiredScopesReleaseFairShare: 500 scopes each post one HIT and
+// see it answered. The admission scheduler keeps a scope's fair-share
+// history while it can still queue a HIT; once the scope retires (its
+// query is over) the history goes, so a long-lived engine keeps none
+// for its finished queries.
+func TestRetiredScopesReleaseFairShare(t *testing.T) {
+	const scopes = 500
+	m, clock := newRig(t, catOracle, crowd.Config{Workers: 1}, 0)
+	def := filterDef()
+	m.SetPolicy(def.Name, Policy{Assignments: 1, BatchSize: 1, PriceCents: 1, Linger: time.Hour, UseCache: false})
+	all := make([]*Scope, scopes)
+	var answered atomic.Int64
+	for i := range all {
+		all[i] = m.NewScope()
+		m.Submit(Request{Def: def, Args: []relation.Value{relation.NewString(fmt.Sprintf("cat-%d", i))}, Scope: all[i],
+			Done: func(Outcome) { answered.Add(1) }})
+	}
+	runUntil(t, clock, func() bool { return answered.Load() == scopes })
+	if st := m.StatsFor(def.Name); st.HITsPosted != scopes {
+		t.Fatalf("posted %d HITs, want one per scope (%d)", st.HITsPosted, scopes)
+	}
+	held := func() int {
+		m.sched.mu.Lock()
+		defer m.sched.mu.Unlock()
+		return len(m.sched.admitted)
+	}
+	if n := held(); n != scopes {
+		t.Fatalf("the scheduler holds fair-share history for %d scopes before they retire, want %d", n, scopes)
+	}
+	for _, sc := range all {
+		sc.Retire()
+	}
+	if n := held(); n != 0 {
+		t.Fatalf("the scheduler keeps fair-share history for %d retired scopes", n)
+	}
+}
+
 // Queued-but-unposted batches are provisionally charged against
 // RemainingBudget so concurrent planners cannot over-commit headroom.
 func TestQueuedBatchVisibleToRemainingBudget(t *testing.T) {
