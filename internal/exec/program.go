@@ -13,9 +13,10 @@ import (
 
 // Program is a plan compiled for execution: every operator's
 // expressions are resolved once against its input schema, and every
-// literal of the plan becomes a parameter. A Program is immutable, so
-// the engine's plan cache runs one for every query of its shape, each
-// with its own parameter values.
+// literal of the plan becomes a parameter. A Program is immutable but
+// for the count of queries started from it, so the engine's plan cache
+// runs one for every query of its shape, each with its own parameter
+// values.
 type Program struct {
 	root   *step
 	labels *labels
