@@ -21,9 +21,11 @@ type Key struct {
 	Args string // canonical encoding of the argument values
 }
 
-// NewKey canonicalizes a task invocation.
+// NewKey canonicalizes a task invocation. It encodes into a stack
+// buffer, so only the key's string is allocated.
 func NewKey(task string, args []relation.Value) Key {
-	var enc []byte
+	var stack [128]byte
+	enc := stack[:0]
 	for _, a := range args {
 		enc = a.Encode(enc)
 	}

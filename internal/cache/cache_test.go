@@ -385,3 +385,17 @@ func TestCacheEntryRetention(t *testing.T) {
 	}
 	runtime.KeepAlive(c)
 }
+
+var keySink Key
+
+// TestNewKeyAllocatesOnce: a key encodes its arguments into a stack
+// buffer, so a key with one image argument costs its string alone.
+func TestNewKeyAllocatesOnce(t *testing.T) {
+	args := []relation.Value{relation.NewImage("photos/cat-000123.jpg")}
+	if n := testing.AllocsPerRun(100, func() { keySink = NewKey("isCat", args) }); n != 1 {
+		t.Fatalf("NewKey allocates %.1f times, want 1", n)
+	}
+	if want := string(args[0].Encode(nil)); keySink.Args != want {
+		t.Fatalf("key args = %q, want %q", keySink.Args, want)
+	}
+}

@@ -38,12 +38,21 @@
 // the query's parameter values, and a human task call its slot in the
 // operator's binding. The binding holds the distinct invocations in
 // first-appearance order, each with its task definition, its compiled
-// arguments and their offset in one per-tuple argument block; field
-// projections of one call share a slot. Per tuple, the operator
-// evaluates all call arguments into that block before submitting
-// anything, submits one request per slot, and gathers the answers into
-// a slot-indexed []relation.Value that the compiled expressions read. No
-// name is resolved, no call printed and no argument encoded per tuple.
+// arguments and their offset in the binding's argument region; field
+// projections of one call share a slot. Each tuple gets one record
+// (tupleCalls) for its human calls: the tuple, its place in a filter
+// cascade, one argument block with a region for every binding it may
+// resolve, the slot values of the binding in flight and the count of
+// outcomes still due. Per binding, the record evaluates all call
+// arguments into a fresh region before submitting anything, submits one
+// request per slot and collects the answers into the slot values that
+// the compiled expressions read; the operator's continuation then judges
+// the tuple, and a cascade asks its next conjunct from the same record.
+// The record binds its Done callback once; only a binding with more than
+// one site binds one per further site. Regions are never reused, because
+// posted HITs keep their arguments. No name is resolved, no call printed
+// and no argument encoded per tuple, and a cascade allocates the same
+// per tuple whatever its number of conjuncts.
 //
 // Program.Start runs a program with one query's parameter values; Start
 // compiles a plan and runs it as planned, so every query takes the same

@@ -185,67 +185,123 @@ type callSite struct {
 
 // binding is an operator's human call sites, in first-appearance order;
 // each call node of its expressions compiles to the slot of the site it
-// reads. A tuple resolves into a []relation.Value indexed by slot.
+// reads. A tuple's record resolves it into its slot values.
 type binding struct {
 	sites []callSite
 	nargs int // arguments across all sites
 }
 
-// prepare evaluates every site's arguments for t and returns them in one
-// block, with an empty slot-indexed value slice. The two are allocated
-// apart because posted HITs keep their items' arguments for as long as
-// the marketplace retains them. Operators call prepare before their
-// first submission for the tuple, so an argument error posts and pays
-// for nothing.
-func (b *binding) prepare(t relation.Tuple, p *params) (args, vals []relation.Value, err error) {
-	args = make([]relation.Value, b.nargs)
+// tupleCalls is one tuple's record while an operator resolves its human
+// calls: the tuple, its place in a Filter's cascade, its argument block,
+// the slot values of the binding in flight and the count of outcomes
+// still due. One allocation holds the block and the values. The block
+// has a region for each binding the tuple may resolve, and no region is
+// reused: posted HITs keep their items' arguments for as long as the
+// marketplace retains them.
+type tupleCalls struct {
+	q  *run
+	op *operator
+	t  relation.Tuple
+	// then is the operator's continuation: it runs after the last
+	// outcome of each binding the record resolves, with the first error.
+	then func(r *tupleCalls, err error)
+	// order is a Filter's conjunct order and k the place in it of the
+	// conjunct in flight; row is an OrderBy's buffered row.
+	order  []int
+	k, row int
+	args   []relation.Value // the argument block's unused regions
+	vals   []relation.Value
+	// done is slot 0's Done callback, bound once per tuple; a binding
+	// with more than one site binds one per further site.
+	done func(taskmgr.Outcome)
+
+	mu        sync.Mutex
+	remaining int
+	err       error
+}
+
+// newCalls makes t's record, sized for every binding op's step resolves.
+func (q *run) newCalls(op *operator, t relation.Tuple, then func(*tupleCalls, error)) *tupleCalls {
+	s := op.step
+	block := make([]relation.Value, s.nargs+s.nvals)
+	r := &tupleCalls{q: q, op: op, t: t, then: then, args: block[:s.nargs:s.nargs], vals: block[s.nargs:]}
+	r.done = func(out taskmgr.Outcome) { r.deliver(0, out) }
+	return r
+}
+
+// resolve asks b's calls about the record's tuple. It evaluates every
+// argument into the block's next region before anything is submitted,
+// so an argument error posts and pays for nothing, then submits one
+// request per site, or all of them as one HIT when group is set. then
+// runs after the last outcome, synchronously when every answer is free,
+// and at once with the error when nothing could be asked. assignments > 0
+// overrides the per-task redundancy (POSSIBLY predicates pass 1).
+func (r *tupleCalls) resolve(b *binding, assignments int, group bool) {
+	q := r.q
+	if q.cfg.Mgr == nil {
+		r.then(r, fmt.Errorf("exec: human call without task manager"))
+		return
+	}
+	args := r.args[:b.nargs:b.nargs]
 	for _, s := range b.sites {
 		for j, a := range s.args {
-			v, err := a.eval(t, p, nil)
+			v, err := a.eval(r.t, q.params, nil)
 			if err != nil {
-				return nil, nil, err
+				r.then(r, err)
+				return
 			}
 			args[s.off+j] = v
 		}
 	}
-	return args, make([]relation.Value, len(b.sites)), nil
-}
-
-// gather collects one tuple's call outcomes into slot order and runs
-// then after the last one, with the first error if any failed.
-type gather struct {
-	mu        sync.Mutex
-	vals      []relation.Value
-	remaining int
-	err       error
-	then      func([]relation.Value, error)
-}
-
-// request builds the task request for site i of b, reporting into g.
-func (q *run) request(op *operator, b *binding, i int, args []relation.Value, assignments int, g *gather) taskmgr.Request {
-	s := b.sites[i]
-	end := s.off + len(s.args)
-	return taskmgr.Request{
-		Def:         s.def,
-		Args:        args[s.off:end:end],
-		Assignments: assignments,
-		Scope:       q.cfg.Scope,
-		Trace:       op.span,
-		Done: func(out taskmgr.Outcome) {
-			g.mu.Lock()
-			if out.Err != nil && g.err == nil {
-				g.err = out.Err
-			} else {
-				g.vals[i] = out.Value
-			}
-			g.remaining--
-			last, err := g.remaining == 0, g.err
-			g.mu.Unlock()
-			if last {
-				g.then(g.vals, err)
-			}
-		},
+	r.args = r.args[b.nargs:]
+	r.remaining = len(b.sites)
+	if !group {
+		for i := range b.sites {
+			q.cfg.Mgr.Submit(r.request(b, i, args, assignments))
+		}
+		return
 	}
+	reqs := make([]taskmgr.Request, len(b.sites))
+	for i := range reqs {
+		reqs[i] = r.request(b, i, args, assignments)
+	}
+	if err := q.cfg.Mgr.SubmitGroup(reqs); err != nil {
+		r.then(r, err)
+	}
+}
+
+// request is the task request for site i of b, reporting into slot i.
+func (r *tupleCalls) request(b *binding, i int, args []relation.Value, assignments int) taskmgr.Request {
+	s := &b.sites[i]
+	done := r.done
+	if i > 0 {
+		done = func(out taskmgr.Outcome) { r.deliver(i, out) }
+	}
+	end := s.off + len(s.args)
+	return taskmgr.Request{Def: s.def, Args: args[s.off:end:end], Assignments: assignments,
+		Scope: r.q.cfg.Scope, Trace: r.op.span, Done: done}
+}
+
+// deliver records slot i's outcome; the last one due runs then, with the
+// first error if any failed.
+func (r *tupleCalls) deliver(i int, out taskmgr.Outcome) {
+	r.mu.Lock()
+	if out.Err != nil && r.err == nil {
+		r.err = out.Err
+	}
+	r.vals[i] = out.Value
+	r.remaining--
+	last, err := r.remaining == 0, r.err
+	r.mu.Unlock()
+	if last {
+		r.then(r, err)
+	}
+}
+
+// holds evaluates e over the record's tuple and answers.
+func (r *tupleCalls) holds(e *expr) (bool, error) {
+	v, err := e.eval(r.t, r.q.params, r.vals)
+	return err == nil && v.Truthy(), err
 }
 
 // walkCalls visits every human task call node of e in first-appearance

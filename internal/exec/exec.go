@@ -39,8 +39,8 @@ type Config struct {
 	GroupFilters bool
 	// FilterOrder optionally reorders a Filter node's human conjuncts
 	// per tuple; it receives the conjuncts, which it must not modify,
-	// and returns an evaluation order (indices). The adaptive optimizer
-	// plugs in here. Nil keeps query order.
+	// and returns an evaluation order (a permutation of their indices).
+	// The adaptive optimizer plugs in here. Nil keeps query order.
 	FilterOrder func(conjuncts []qlang.Expr) []int
 	// FilterWindow bounds how many tuples run a human-filter cascade
 	// concurrently (0 = unbounded). A small window lets selectivity
@@ -840,30 +840,5 @@ func (q *run) build(s *step, parent *obs.Span) Iterator {
 		return &distinctIter{q: q, op: op, child: in, seen: make(map[string]struct{})}
 	default: // *plan.Limit; Compile admits no other node
 		return &limitIter{q: q, op: op, child: in, n: v.(*plan.Limit).N}
-	}
-}
-
-// resolve submits one request per bound call of tuple t and invokes then
-// with the slot-indexed values (or the first error). All arguments are
-// evaluated before the first submission. then runs synchronously when
-// there are no calls or all are cached. assignments > 0 overrides the
-// per-task redundancy (POSSIBLY predicates pass 1).
-func (q *run) resolve(op *operator, b *binding, t relation.Tuple, assignments int, then func([]relation.Value, error)) {
-	if len(b.sites) == 0 {
-		then(nil, nil)
-		return
-	}
-	if q.cfg.Mgr == nil {
-		then(nil, fmt.Errorf("exec: human call without task manager"))
-		return
-	}
-	args, vals, err := b.prepare(t, q.params)
-	if err != nil {
-		then(nil, err)
-		return
-	}
-	g := &gather{vals: vals, remaining: len(b.sites), then: then}
-	for i := range b.sites {
-		q.cfg.Mgr.Submit(q.request(op, b, i, args, assignments, g))
 	}
 }

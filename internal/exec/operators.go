@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cache"
+	"repro/internal/mturk"
 	"repro/internal/plan"
 	"repro/internal/qlang"
 	"repro/internal/quiesce"
@@ -17,43 +18,68 @@ import (
 
 // runFilter evaluates local conjuncts immediately and human conjuncts as
 // a short-circuiting cascade (or one grouped HIT when GroupFilters is
-// set). Tuples flow out as soon as their last predicate passes.
+// set), through one record per tuple. Tuples flow out as soon as their
+// last predicate passes.
 func (q *run) runFilter(op *operator, in Iterator) {
 	defer op.finish()
 	s := op.step
-	local, human := s.exprs, s.human
+	human := s.human
 	grouped := q.cfg.GroupFilters && s.grouped != nil // all human conjuncts in one HIT per tuple
 
 	wg := quiesce.WaitGroup{Gate: q.gate}
 	var sem *quiesce.Sem
-	if q.cfg.FilterWindow > 0 && len(human) > 0 && !q.cfg.GroupFilters {
+	if q.cfg.FilterWindow > 0 && !q.cfg.GroupFilters {
 		sem = quiesce.NewSem(q.gate, q.cfg.FilterWindow)
 	}
-	finish := func() {
+	ask := func(r *tupleCalls) {
+		c := &human[r.order[r.k]]
+		r.resolve(c.b, c.assignments, false)
+	}
+	// settle judges the tuple once the calls in flight have answered:
+	// grouped, on every conjunct; in the cascade, on the conjunct at k,
+	// asking the next one while the tuple passes.
+	settle := func(r *tupleCalls, err error) {
+		pass := err == nil
+		if grouped {
+			for i := 0; pass && i < len(human); i++ {
+				pass, err = r.holds(human[i].inGroup)
+			}
+		} else if pass {
+			pass, err = r.holds(human[r.order[r.k]].e)
+		}
+		if err != nil {
+			q.reportError(err)
+		}
+		if pass && !grouped && r.k+1 < len(r.order) {
+			r.k++
+			ask(r)
+			return
+		}
+		if pass {
+			op.push(r.t)
+		}
 		if sem != nil {
 			sem.Release()
 		}
 		wg.Done()
 	}
-	process := func(t relation.Tuple) {
-		for _, c := range local {
-			pass, err := c.eval(t, q.params, nil)
-			if err != nil {
-				q.reportError(err)
-				return
-			}
-			if !pass.Truthy() {
-				return
-			}
+
+	for {
+		t, ok := in.Next()
+		if !ok {
+			break
 		}
-		if len(human) == 0 {
-			op.push(t)
-			return
+		atomic.AddInt64(&op.in, 1)
+		if !q.passesAll(s.exprs, t) {
+			continue
 		}
 		wg.Add(1)
+		r := q.newCalls(op, t, settle)
 		if grouped {
-			q.groupFilter(op, t, &wg)
-			return
+			// The grouped binding binds every conjunct's calls jointly,
+			// so a call two conjuncts share is asked once.
+			r.resolve(s.grouped, 0, true)
+			continue
 		}
 		if sem != nil {
 			sem.Acquire()
@@ -64,105 +90,22 @@ func (q *run) runFilter(op *operator, in Iterator) {
 		}
 		// Order is chosen when the tuple enters its cascade, so the
 		// optimizer's live selectivity estimates steer later tuples.
-		order := q.filterOrder(s)
-		var step func(k int)
-		step = func(k int) {
-			if k == len(order) {
-				op.push(t)
-				finish()
-				return
-			}
-			c := &human[order[k]]
-			asg := 0
-			if c.possibly {
-				asg = 1 // approximate predicate: no redundancy
-			}
-			q.resolve(op, c.b, t, asg, func(vals []relation.Value, err error) {
-				if err != nil {
-					q.reportError(err)
-					finish()
-					return
-				}
-				pass, err := c.e.eval(t, q.params, vals)
-				if err != nil {
-					q.reportError(err)
-					finish()
-					return
-				}
-				if !pass.Truthy() {
-					finish()
-					return
-				}
-				step(k + 1)
-			})
-		}
-		step(0)
-	}
-
-	for {
-		t, ok := in.Next()
-		if !ok {
-			break
-		}
-		atomic.AddInt64(&op.in, 1)
-		process(t)
+		r.order = q.filterOrder(s)
+		ask(r)
 	}
 	q.flushTasks(s.tasks)
 	wg.Wait()
 }
 
+// filterOrder is the cascade order of a tuple entering it: the
+// optimizer's, or query order.
 func (q *run) filterOrder(s *step) []int {
-	human := s.human
 	if q.cfg.FilterOrder != nil {
-		order := q.cfg.FilterOrder(s.humanSrc)
-		if len(order) == len(human) {
+		if order := q.cfg.FilterOrder(s.humanSrc); len(order) == len(s.human) {
 			return order
 		}
 	}
-	order := make([]int, len(human))
-	for i := range order {
-		order[i] = i
-	}
-	return order
-}
-
-// groupFilter asks all human conjuncts about one tuple in a single HIT;
-// the step's grouped binding binds their calls jointly, so a call two
-// conjuncts share is asked once.
-func (q *run) groupFilter(op *operator, t relation.Tuple, wg *quiesce.WaitGroup) {
-	b := op.step.grouped
-	args, vals, err := b.prepare(t, q.params)
-	if err != nil {
-		q.reportError(err)
-		wg.Done()
-		return
-	}
-	g := &gather{vals: vals, remaining: len(b.sites), then: func(vals []relation.Value, err error) {
-		defer wg.Done()
-		if err != nil {
-			q.reportError(err)
-			return
-		}
-		for _, c := range op.step.human {
-			pass, err := c.inGroup.eval(t, q.params, vals)
-			if err != nil {
-				q.reportError(err)
-				return
-			}
-			if !pass.Truthy() {
-				return
-			}
-		}
-		op.push(t)
-	}}
-	reqs := make([]taskmgr.Request, len(b.sites))
-	for i := range b.sites {
-		reqs[i] = q.request(op, b, i, args, 0, g)
-	}
-	if err := q.cfg.Mgr.SubmitGroup(reqs); err != nil {
-		q.reportError(err)
-		wg.Done()
-	}
+	return s.order
 }
 
 // runProject resolves each tuple's human calls, then computes outputs.
@@ -170,6 +113,27 @@ func (q *run) runProject(op *operator, v *plan.Project, in Iterator) {
 	defer op.finish()
 	s := op.step
 	wg := quiesce.WaitGroup{Gate: q.gate}
+	emit := func(r *tupleCalls, err error) {
+		defer wg.Done()
+		if err != nil {
+			q.reportError(err)
+			return
+		}
+		vals := make([]relation.Value, 0, v.Schema().Len())
+		for _, e := range s.exprs {
+			if e == nil { // *
+				vals = append(vals, r.t.Values...)
+				continue
+			}
+			val, err := e.eval(r.t, q.params, r.vals)
+			if err != nil {
+				q.reportError(err)
+				return
+			}
+			vals = append(vals, val)
+		}
+		op.push(relation.Tuple{Schema: v.Schema(), Values: vals})
+	}
 	for {
 		t, ok := in.Next()
 		if !ok {
@@ -177,27 +141,7 @@ func (q *run) runProject(op *operator, v *plan.Project, in Iterator) {
 		}
 		atomic.AddInt64(&op.in, 1)
 		wg.Add(1)
-		q.resolve(op, s.calls, t, 0, func(calls []relation.Value, err error) {
-			defer wg.Done()
-			if err != nil {
-				q.reportError(err)
-				return
-			}
-			vals := make([]relation.Value, 0, v.Schema().Len())
-			for _, e := range s.exprs {
-				if e == nil { // *
-					vals = append(vals, t.Values...)
-					continue
-				}
-				val, err := e.eval(t, q.params, calls)
-				if err != nil {
-					q.reportError(err)
-					return
-				}
-				vals = append(vals, val)
-			}
-			op.push(relation.Tuple{Schema: v.Schema(), Values: vals})
-		})
+		q.newCalls(op, t, emit).resolve(s.calls, 0, false)
 	}
 	q.flushTasks(s.tasks)
 	wg.Wait()
@@ -329,7 +273,7 @@ func joinItems(sides []joinSide, prefix string) []taskmgr.JoinItem {
 	args := make([]relation.Value, len(sides))
 	for i, s := range sides {
 		args[i] = s.arg
-		items[i] = taskmgr.JoinItem{Key: fmt.Sprintf("%s%06d", prefix, i), Args: args[i : i+1 : i+1]}
+		items[i] = taskmgr.JoinItem{Key: mturk.PaddedID(prefix, int64(i)), Args: args[i : i+1 : i+1]}
 	}
 	return items
 }
@@ -577,7 +521,7 @@ func (q *run) runRank(op *operator, v *plan.Rank, in Iterator) {
 			failed = append(failed, i)
 			continue
 		}
-		items = append(items, rank.Item{Key: fmt.Sprintf("r%06d", i), Args: args})
+		items = append(items, rank.Item{Key: mturk.PaddedID("r", int64(i)), Args: args})
 		itemRow = append(itemRow, i)
 	}
 
@@ -678,33 +622,30 @@ func (q *run) runOrderBy(op *operator, v *plan.OrderBy, in Iterator) {
 	q.noteResident(int64(len(rows)))
 	keys := make([][]relation.Value, len(rows))
 	wg := quiesce.WaitGroup{Gate: q.gate}
-	for i, t := range rows {
-		i, t := i, t
-		wg.Add(1)
-		q.resolve(op, s.calls, t, 0, func(calls []relation.Value, err error) {
-			defer wg.Done()
+	sortKeys := func(r *tupleCalls, err error) {
+		defer wg.Done()
+		// A key that fails stays Null, so Compare during the sort sees a
+		// well-defined value.
+		ks := make([]relation.Value, len(v.Keys))
+		keys[r.row] = ks
+		if err != nil {
+			q.reportError(err)
+			return
+		}
+		for j, k := range s.exprs {
+			val, err := k.eval(r.t, q.params, r.vals)
 			if err != nil {
 				q.reportError(err)
-				// Fill with Null like the per-key error path below, so
-				// Compare during the sort sees a well-defined value.
-				ks := make([]relation.Value, len(v.Keys))
-				for j := range ks {
-					ks[j] = relation.Null
-				}
-				keys[i] = ks
-				return
+				val = relation.Null
 			}
-			ks := make([]relation.Value, len(v.Keys))
-			for j, k := range s.exprs {
-				val, err := k.eval(t, q.params, calls)
-				if err != nil {
-					q.reportError(err)
-					val = relation.Null
-				}
-				ks[j] = val
-			}
-			keys[i] = ks
-		})
+			ks[j] = val
+		}
+	}
+	for i, t := range rows {
+		wg.Add(1)
+		r := q.newCalls(op, t, sortKeys)
+		r.row = i
+		r.resolve(s.calls, 0, false)
 	}
 	q.flushTasks(s.tasks)
 	wg.Wait()
@@ -747,6 +688,31 @@ func (q *run) runAggregate(op *operator, v *plan.Aggregate, in Iterator) {
 
 	var mu sync.Mutex
 	wg := quiesce.WaitGroup{Gate: q.gate}
+	group := func(r *tupleCalls, err error) {
+		defer wg.Done()
+		if err != nil {
+			q.reportError(err)
+			return
+		}
+		var keyEnc []byte
+		for _, k := range s.exprs {
+			kv, err := k.eval(r.t, q.params, r.vals)
+			if err != nil {
+				q.reportError(err)
+				return
+			}
+			keyEnc = kv.Encode(keyEnc)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		g, ok := groups[string(keyEnc)]
+		if !ok {
+			g = newAggGroup(r.t, r.vals)
+			groups[string(keyEnc)] = g
+			order = append(order, string(keyEnc))
+		}
+		g.add(q, s.aggs, r.t, r.vals)
+	}
 	for {
 		t, ok := in.Next()
 		if !ok {
@@ -754,31 +720,7 @@ func (q *run) runAggregate(op *operator, v *plan.Aggregate, in Iterator) {
 		}
 		atomic.AddInt64(&op.in, 1)
 		wg.Add(1)
-		q.resolve(op, s.calls, t, 0, func(calls []relation.Value, err error) {
-			defer wg.Done()
-			if err != nil {
-				q.reportError(err)
-				return
-			}
-			var keyEnc []byte
-			for _, k := range s.exprs {
-				kv, err := k.eval(t, q.params, calls)
-				if err != nil {
-					q.reportError(err)
-					return
-				}
-				keyEnc = kv.Encode(keyEnc)
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			g, ok := groups[string(keyEnc)]
-			if !ok {
-				g = newAggGroup(t, calls)
-				groups[string(keyEnc)] = g
-				order = append(order, string(keyEnc))
-			}
-			g.add(q, s.aggs, t, calls)
-		})
+		q.newCalls(op, t, group).resolve(s.calls, 0, false)
 	}
 	q.flushTasks(s.tasks)
 	wg.Wait()

@@ -60,15 +60,19 @@ type step struct {
 	// Aggregate's expressions; it has no sites when they call no task.
 	calls *binding
 	// tasks are the distinct tasks the step's bindings call, flushed
-	// once its input ends.
-	tasks []string
+	// once its input ends. A tuple's record holds nargs arguments, those
+	// of every binding it may resolve, and nvals slot values, those of
+	// the widest.
+	tasks        []string
+	nargs, nvals int
 
 	// human are a Filter's conjuncts that call tasks, humanSrc the same
-	// as planned (for Config.FilterOrder), and grouped binds them
-	// together for one HIT per tuple (Config.GroupFilters); nil with
-	// fewer than two.
+	// as planned (for Config.FilterOrder), order their query order (the
+	// cascade's default), and grouped binds them together for one HIT
+	// per tuple (Config.GroupFilters); nil with fewer than two.
 	human    []conjunct
 	humanSrc []qlang.Expr
+	order    []int
 	grouped  *binding
 
 	// args are a human Join's left and right arguments.
@@ -84,8 +88,9 @@ type conjunct struct {
 	// inGroup is the conjunct compiled against the step's grouped
 	// binding.
 	inGroup *expr
-	// possibly marks an approximate predicate, asked of one worker.
-	possibly bool
+	// assignments is 1 for an approximate (POSSIBLY) predicate, asked of
+	// one worker, and 0 for the task's redundancy.
+	assignments int
 }
 
 // aggItem is one compiled Aggregate item: e for a plain item, or the
@@ -182,22 +187,28 @@ func (c *compiler) step(n plan.Node) (*step, error) {
 				s.exprs = append(s.exprs, bound[0])
 				continue
 			}
-			u, isUnary := e.(*qlang.Unary)
-			s.human = append(s.human, conjunct{e: bound[0], b: b, possibly: isUnary && u.Op == "POSSIBLY"})
+			h := conjunct{e: bound[0], b: b}
+			if u, isUnary := e.(*qlang.Unary); isUnary && u.Op == "POSSIBLY" {
+				h.assignments = 1
+			}
+			s.order = append(s.order, len(s.human))
+			s.human = append(s.human, h)
 			s.humanSrc = append(s.humanSrc, e)
 		}
 		var bs []*binding
 		for _, h := range s.human {
 			bs = append(bs, h.b)
 		}
+		s.resolves(bs...)
 		if len(s.human) > 1 {
 			var inGroup []*expr
 			s.grouped, inGroup = c.bind(in, s.humanSrc...)
 			for i := range s.human {
 				s.human[i].inGroup = inGroup[i]
 			}
+			// Its calls are the conjuncts' calls, so their arguments fit.
+			s.nvals = max(s.nvals, len(s.grouped.sites))
 		}
-		s.tasks = taskNames(bs...)
 	case *plan.Project:
 		exprs := make([]qlang.Expr, len(v.Items))
 		for i, it := range v.Items {
@@ -209,7 +220,7 @@ func (c *compiler) step(n plan.Node) (*step, error) {
 				s.exprs[i] = nil
 			}
 		}
-		s.tasks = taskNames(s.calls)
+		s.resolves(s.calls)
 	case *plan.PreFilter:
 		s.exprs = []*expr{c.expr(v.Arg, v.Input.Schema(), nil)}
 		c.prog.humans = true
@@ -233,7 +244,7 @@ func (c *compiler) step(n plan.Node) (*step, error) {
 			exprs[i] = k.Expr
 		}
 		s.calls, s.exprs = c.bind(v.Input.Schema(), exprs...)
-		s.tasks = taskNames(s.calls)
+		s.resolves(s.calls)
 	case *plan.Rank:
 		for _, a := range v.Args {
 			s.exprs = append(s.exprs, c.expr(a, v.Input.Schema(), nil))
@@ -268,7 +279,7 @@ func (c *compiler) step(n plan.Node) (*step, error) {
 				s.aggs[i] = aggItem{fn: strings.ToLower(call.Name), arg: bound[at[i]]}
 			}
 		}
-		s.tasks = taskNames(s.calls)
+		s.resolves(s.calls)
 	default:
 		return nil, fmt.Errorf("exec: unsupported plan node %T", n)
 	}
@@ -352,19 +363,20 @@ func (c *compiler) expr(e qlang.Expr, in *relation.Schema, slot map[*qlang.Call]
 	}
 }
 
-// taskNames lists the distinct tasks the bindings call.
-func taskNames(bs ...*binding) []string {
-	var names []string
+// resolves sizes the step's tuple records for resolving bs one after
+// another and lists the distinct tasks they call.
+func (s *step) resolves(bs ...*binding) {
 	seen := make(map[*qlang.TaskDef]bool)
 	for _, b := range bs {
-		for _, s := range b.sites {
-			if !seen[s.def] {
-				seen[s.def] = true
-				names = append(names, s.def.Name)
+		s.nargs += b.nargs
+		s.nvals = max(s.nvals, len(b.sites))
+		for _, site := range b.sites {
+			if !seen[site.def] {
+				seen[site.def] = true
+				s.tasks = append(s.tasks, site.def.Name)
 			}
 		}
 	}
-	return names
 }
 
 func aggCall(e qlang.Expr) (*qlang.Call, bool) {

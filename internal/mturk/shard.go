@@ -17,10 +17,11 @@ func ShardIndex(key string, n int) int {
 
 // PaddedID formats prefix + n zero-padded to at least 6 digits (the
 // "%06d" wire format of HIT and task keys) without fmt overhead: IDs
-// are minted on posting hot paths.
+// are minted on posting hot paths. It formats into a stack buffer, so
+// only the ID's string is allocated.
 func PaddedID(prefix string, n int64) string {
-	buf := make([]byte, 0, len(prefix)+8)
-	buf = append(buf, prefix...)
+	var stack [32]byte
+	buf := append(stack[:0], prefix...)
 	for pad := int64(100000); n < pad && pad > 1; pad /= 10 {
 		buf = append(buf, '0')
 	}

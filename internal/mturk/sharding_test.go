@@ -186,3 +186,20 @@ func TestHITIDFormatStable(t *testing.T) {
 		t.Fatalf("fmt parity broken at %s", want)
 	}
 }
+
+// TestPaddedIDAllocatesOnce: an ID formats into a stack buffer, so it
+// costs its string alone, and prints what "%06d" prints.
+func TestPaddedIDAllocatesOnce(t *testing.T) {
+	var id string
+	if n := testing.AllocsPerRun(100, func() { id = PaddedID("HIT-", 4242) }); n != 1 {
+		t.Fatalf("PaddedID allocates %.1f times, want 1", n)
+	}
+	for _, n := range []int64{0, 7, 4242, 999999, 1234567} {
+		if got, want := PaddedID("t", n), fmt.Sprintf("t%06d", n); got != want {
+			t.Errorf("PaddedID(%d) = %q, want %q", n, got, want)
+		}
+	}
+	if id != "HIT-004242" {
+		t.Fatalf("id = %q", id)
+	}
+}

@@ -54,7 +54,7 @@ func (m *Manager) SubmitGroup(reqs []Request) error {
 			resolved = append(resolved, resolution{q: i, out: out})
 			continue
 		}
-		items = append(items, pendingItem{args: r.Args, ckey: ckey, prompt: r.Prompt, def: r.Def,
+		items = append(items, pendingItem{args: r.Args, ckey: ckey, def: r.Def,
 			side: r.StatSide, scope: scope, done: r.Done, span: r.Trace})
 	}
 	var free func()
@@ -86,10 +86,7 @@ func (m *Manager) SubmitGroup(reqs []Request) error {
 	for i := range items {
 		it := &items[i]
 		it.key = m.newKey()
-		prompt := it.prompt
-		if prompt == "" {
-			prompt = hit.RenderText(it.def.Text, it.def.TextArgs, it.def.Params, it.args)
-		}
+		prompt := hit.RenderText(it.def.Text, it.def.TextArgs, it.def.Params, it.args)
 		h.Items[i] = hit.Item{Key: it.key, Args: it.args, Task: it.def.Name, Prompt: prompt}
 		h.GroupKeys[i] = it.def.Name
 	}

@@ -162,9 +162,6 @@ const (
 type Request struct {
 	Def  *qlang.TaskDef
 	Args []relation.Value
-	// Prompt overrides the rendered instruction (used by grouped HITs);
-	// empty means render from the task definition.
-	Prompt string
 	// Assignments overrides the policy's redundancy for this request
 	// (0 = use policy). POSSIBLY predicates use 1.
 	Assignments int
@@ -274,7 +271,6 @@ type pendingItem struct {
 	key         string
 	args        []relation.Value
 	ckey        cache.Key // task cache key, encoded once at submission
-	prompt      string
 	def         *qlang.TaskDef
 	assignments int    // 0 = policy default
 	side        string // join-side tag for selectivity observations
@@ -847,7 +843,6 @@ func (m *Manager) Submit(req Request) {
 		key:         m.newKey(),
 		args:        req.Args,
 		ckey:        ckey,
-		prompt:      req.Prompt,
 		def:         req.Def,
 		assignments: req.Assignments,
 		side:        req.StatSide,
@@ -1427,8 +1422,8 @@ func (m *Manager) postHIT(q queuedHIT) bool {
 				Items:       make([]hit.Item, len(fl.items)),
 			}
 			for i, it := range fl.items {
-				prompt := it.prompt
-				if prompt == "" && len(fl.items) > 1 {
+				var prompt string
+				if len(fl.items) > 1 {
 					prompt = hit.RenderText(it.def.Text, it.def.TextArgs, it.def.Params, it.args)
 				}
 				fl.hit.Items[i] = hit.Item{Key: it.key, Args: it.args, Prompt: prompt}
@@ -1708,9 +1703,6 @@ func isBooleanTask(def *qlang.TaskDef) bool {
 // header (per-item prompts carry the specifics).
 func batchQuestion(def *qlang.TaskDef, batch []pendingItem) string {
 	if len(batch) == 1 {
-		if batch[0].prompt != "" {
-			return batch[0].prompt
-		}
 		return hit.RenderText(def.Text, def.TextArgs, def.Params, batch[0].args)
 	}
 	return fmt.Sprintf("Answer the following %d questions. %s", len(batch), def.Text)

@@ -419,8 +419,7 @@ func TestGroupedPromptsCarriedPerItem(t *testing.T) {
 	done := 0
 	for i := 0; i < 2; i++ {
 		m.Submit(Request{Def: def, Args: []relation.Value{relation.NewImage(fmt.Sprintf("cat-%d", i))},
-			Prompt: fmt.Sprintf("Custom prompt %d", i),
-			Done:   func(Outcome) { mu.Lock(); done++; mu.Unlock() }})
+			Done: func(Outcome) { mu.Lock(); done++; mu.Unlock() }})
 	}
 	runUntil(t, clock, func() bool { mu.Lock(); defer mu.Unlock(); return done == 2 })
 	if m.StatsFor("iscat").HITsPosted != 1 {
