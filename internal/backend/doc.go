@@ -44,10 +44,10 @@
 //
 // # Determinism
 //
-// The reference Sim backend wraps the sharded in-process marketplace
-// unchanged: all completions are scheduled on the discrete-event virtual
-// clock, so a seeded run replays identically and every result and spend
-// figure is a pure function of the workload. The LLM backend keeps
+// The reference Sim backend wraps the in-process marketplace unchanged:
+// all completions are scheduled on the discrete-event virtual clock, so
+// a seeded run replays identically and every result and spend figure is
+// a pure function of the workload. The LLM backend keeps
 // the same property by scheduling its model answers on the shared
 // virtual clock. Only the HTTP driver introduces wall-clock time, and it
 // is excluded from the deterministic verify paths for that reason.

@@ -2,10 +2,10 @@ package backend
 
 import "repro/internal/mturk"
 
-// Sim is the reference backend: the sharded in-process simulated
-// marketplace, unchanged. Every method forwards to the embedded
-// marketplace, so the sim path is byte-for-byte the pre-extraction
-// engine — virtual-clock determinism and verify fingerprints included.
+// Sim is the reference backend: the in-process simulated marketplace,
+// unchanged. Every method forwards to the embedded marketplace, so the
+// sim path is byte-for-byte the pre-extraction engine — virtual-clock
+// determinism and verify fingerprints included.
 type Sim struct {
 	*mturk.Marketplace
 }

@@ -42,9 +42,9 @@ type Config struct {
 	Pool mturk.WorkerPool
 	// BudgetCents caps total spend (0 = unlimited).
 	BudgetCents budget.Cents
-	// Exec carries executor knobs (join blocks, pairwise mode,
-	// grouped filters, queue sizes). Mgr/Script/FilterOrder fields are
-	// managed by the engine.
+	// Exec carries executor knobs. Every query sets its Mgr, Script, Now
+	// and Scope, and Trace when tracing; it fills a nil RankStrategy, and
+	// a nil FilterOrder or PreFilterKeep under the adaptive options.
 	Exec exec.Config
 	// AutoTune runs the optimizer over every defined task (assignments
 	// from the redundancy model, batch size from accuracy decay).

@@ -29,10 +29,10 @@ type Oracle interface {
 	//
 	// Truth must be pure: its answer may depend on task and args only,
 	// never on when or how often it is called. The pool calls it while
-	// claiming — under a claim stripe's lock, at the claim's place in
-	// the marketplace's schedule rather than when the assignment
-	// completes — so an oracle that kept state, or called back into the
-	// pool or the marketplace, would change or stall the simulation.
+	// claiming — under the pool's lock, at the claim's place in the
+	// marketplace's schedule rather than when the assignment completes
+	// — so an oracle that kept state, or called back into the pool or
+	// the marketplace, would change or stall the simulation.
 	Truth(task string, args []relation.Value) relation.Value
 }
 
@@ -68,12 +68,6 @@ type Config struct {
 	// decay (default 0.015): acc = skill * (1 - p*(q-1)), floored at
 	// 0.55 * skill.
 	BatchPenalty float64
-	// Shards partitions the population into independently locked claim
-	// stripes: a claim scans only the stripe its HIT hashes to, so the
-	// claim path is O(Workers/Shards) and concurrent claims on
-	// different stripes never contend. Default 1, which reproduces the
-	// unsharded pool's random sequence exactly.
-	Shards int
 }
 
 func (c Config) withDefaults() Config {
@@ -104,12 +98,6 @@ func (c Config) withDefaults() Config {
 	if c.BatchPenalty == 0 {
 		c.BatchPenalty = 0.015
 	}
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
-	if c.Shards > c.Workers {
-		c.Shards = c.Workers
-	}
 	return c
 }
 
@@ -123,42 +111,25 @@ type worker struct {
 	correct  int
 }
 
-// Pool is a synthetic worker pool implementing mturk.WorkerPool. The
-// population is partitioned into Config.Shards claim stripes, each with
-// its own lock and noise source; a HIT's claims always land on the
-// stripe its ID hashes to, so claim scans stay O(Workers/Shards) and
-// stripes never contend with each other.
+// Pool is a synthetic worker pool implementing mturk.WorkerPool. One
+// lock guards the workers' schedules and tallies and the noise source,
+// so the random sequence is the claim order's.
 type Pool struct {
-	cfg     Config
-	oracle  Oracle
-	stripes []*stripe
-}
+	cfg    Config
+	oracle Oracle
 
-// stripe is one independently locked slice of the population.
-type stripe struct {
 	mu      sync.Mutex
 	rng     *rand.Rand
 	workers []*worker
 }
 
-// NewPool builds a population from cfg and a ground-truth oracle. The
-// population itself is identical for every shard count (attributes are
-// drawn from one sequence before partitioning).
+// NewPool builds a population from cfg and a ground-truth oracle. One
+// random sequence draws the workers' attributes and then, continuing,
+// every claim's noise.
 func NewPool(cfg Config, oracle Oracle) *Pool {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	p := &Pool{cfg: cfg, oracle: oracle}
-	for i := 0; i < cfg.Shards; i++ {
-		// Offset by (i+1): stripe seeds must never collide with
-		// cfg.Seed itself, or a stripe's noise stream would replay the
-		// population-attribute draws above and correlate with them.
-		p.stripes = append(p.stripes, &stripe{rng: rand.New(rand.NewSource(cfg.Seed + int64(i+1)*7919))})
-	}
-	if cfg.Shards == 1 {
-		// Single-stripe claims continue the population sequence,
-		// matching the historical unsharded pool draw for draw.
-		p.stripes[0].rng = rng
-	}
+	p := &Pool{cfg: cfg, oracle: oracle, rng: rng}
 	for i := 0; i < cfg.Workers; i++ {
 		// The ceiling admits effectively-perfect reference crowds
 		// (MeanSkill 1, tiny SkillStd): harnesses that run concurrent
@@ -171,50 +142,40 @@ func NewPool(cfg Config, oracle Oracle) *Pool {
 			speed:   clamp(rng.NormFloat64()*0.3+1.0, 0.4, 2.5),
 			spammer: rng.Float64() < cfg.SpamFraction,
 		}
-		s := p.stripes[i%len(p.stripes)]
-		s.workers = append(s.workers, w)
+		p.workers = append(p.workers, w)
 	}
 	return p
-}
-
-// stripeFor routes a HIT ID to its claim stripe.
-func (p *Pool) stripeFor(id string) *stripe {
-	return p.stripes[mturk.ShardIndex(id, len(p.stripes))]
 }
 
 func clamp(x, lo, hi float64) float64 {
 	return math.Max(lo, math.Min(hi, x))
 }
 
-// Claim implements mturk.WorkerPool: it picks the soonest-free worker
-// of the HIT's stripe, reserves their time, draws their (possibly
-// noisy) answer to every question of the HIT, and returns a claim whose
-// Answer callback delivers that sheet.
+// Claim implements mturk.WorkerPool: it picks the soonest-free worker,
+// reserves their time, draws their (possibly noisy) answer to every
+// question of the HIT, and returns a claim whose Answer callback
+// delivers that sheet.
 func (p *Pool) Claim(h *hit.HIT, now mturk.VirtualTime) (mturk.Claim, bool) {
-	if len(p.stripes) == 0 {
-		return mturk.Claim{}, false
-	}
-	s := p.stripeFor(h.ID)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	w := s.pickLocked(now)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	w := p.pickLocked(now)
 	if w == nil {
 		return mturk.Claim{}, false
 	}
 	q := effortOf(h)
 	service := time.Duration(float64(p.cfg.Overhead+time.Duration(q)*p.cfg.PerQuestion) * w.speed)
 	// Jitter ±20% so parallel workers desynchronize.
-	service = time.Duration(float64(service) * (0.8 + 0.4*s.rng.Float64()))
+	service = time.Duration(float64(service) * (0.8 + 0.4*p.rng.Float64()))
 	start := w.nextFree
 	if now > start {
 		start = now
 	}
 	finish := start + mturk.VirtualTime(service)
 	w.nextFree = finish
-	abandon := s.rng.Float64() < p.cfg.AbandonRate
+	abandon := p.rng.Float64() < p.cfg.AbandonRate
 	// Draw the whole sheet under the lock so the Answer closure is
-	// race-free and the stripe's random sequence is the claim order's.
-	answer := p.prepareAnswersLocked(s, w, h, abandon)
+	// race-free and the pool's random sequence is the claim order's.
+	answer := p.prepareAnswersLocked(w, h, abandon)
 	return mturk.Claim{
 		WorkerID: w.id,
 		Delay:    (finish - now).Duration(),
@@ -222,22 +183,22 @@ func (p *Pool) Claim(h *hit.HIT, now mturk.VirtualTime) (mturk.Claim, bool) {
 	}, true
 }
 
-// pickLocked returns the stripe worker who can start soonest; among
-// equally free workers it picks uniformly at random. Returns nil only
-// for an empty stripe.
-func (s *stripe) pickLocked(now mturk.VirtualTime) *worker {
-	if len(s.workers) == 0 {
+// pickLocked returns the worker who can start soonest; among equally
+// free workers it picks uniformly at random. Returns nil only for an
+// empty pool.
+func (p *Pool) pickLocked(now mturk.VirtualTime) *worker {
+	if len(p.workers) == 0 {
 		return nil
 	}
-	best := s.workers[0]
+	best := p.workers[0]
 	ties := 1
-	for _, w := range s.workers[1:] {
+	for _, w := range p.workers[1:] {
 		switch {
 		case w.nextFree < best.nextFree:
 			best, ties = w, 1
 		case w.nextFree == best.nextFree:
 			ties++
-			if s.rng.Intn(ties) == 0 {
+			if p.rng.Intn(ties) == 0 {
 				best = w
 			}
 		}
@@ -267,13 +228,13 @@ func (p *Pool) effectiveAccuracy(w *worker, questions int) float64 {
 }
 
 // prepareAnswersLocked draws the worker's answer sheet now, under the
-// stripe's lock, and returns a closure that delivers it. The draws go
+// pool's lock, and returns a closure that delivers it. The draws go
 // question by question in the HIT's order — Items, or the Left×Right
 // grid row by row — each drawing correct (for non-spammers only), then
 // u1, then u2, and the question's answer goes straight into its slot of
 // the sheet. The closure only credits the worker's counts when the
 // assignment completes.
-func (p *Pool) prepareAnswersLocked(s *stripe, w *worker, h *hit.HIT, abandon bool) func() (hit.Answers, error) {
+func (p *Pool) prepareAnswersLocked(w *worker, h *hit.HIT, abandon bool) func() (hit.Answers, error) {
 	if abandon {
 		return func() (hit.Answers, error) {
 			return hit.Answers{}, fmt.Errorf("crowd: %s abandoned the assignment", w.id)
@@ -283,9 +244,9 @@ func (p *Pool) prepareAnswersLocked(s *stripe, w *worker, h *hit.HIT, abandon bo
 	vals := make([]relation.Value, h.QuestionCount())
 	correct := 0
 	answer := func(i int, task string, args []relation.Value) {
-		c := !w.spammer && s.rng.Float64() < acc
-		u1 := s.rng.Float64()
-		u2 := s.rng.NormFloat64()
+		c := !w.spammer && p.rng.Float64() < acc
+		u1 := p.rng.Float64()
+		u2 := p.rng.NormFloat64()
 		if c {
 			correct++
 		}
@@ -311,10 +272,10 @@ func (p *Pool) prepareAnswersLocked(s *stripe, w *worker, h *hit.HIT, abandon bo
 	sheet := hit.Answers{WorkerID: w.id, Values: vals}
 	nCorrect := correct // a copy: capturing correct would move it to the heap
 	return func() (hit.Answers, error) {
-		s.mu.Lock()
+		p.mu.Lock()
 		w.answered += len(sheet.Values)
 		w.correct += nCorrect
-		s.mu.Unlock()
+		p.mu.Unlock()
 		return sheet, nil
 	}
 }
@@ -432,26 +393,15 @@ type WorkerStats struct {
 // Stats returns per-worker simulation statistics sorted by ID.
 func (p *Pool) Stats() []WorkerStats {
 	out := make([]WorkerStats, 0, p.Size())
-	for _, s := range p.stripes {
-		s.mu.Lock()
-		for _, w := range s.workers {
-			out = append(out, WorkerStats{ID: w.id, Skill: w.skill, Spammer: w.spammer,
-				Answered: w.answered, Correct: w.correct})
-		}
-		s.mu.Unlock()
+	p.mu.Lock()
+	for _, w := range p.workers {
+		out = append(out, WorkerStats{ID: w.id, Skill: w.skill, Spammer: w.spammer,
+			Answered: w.answered, Correct: w.correct})
 	}
+	p.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
 // Size returns the population size.
-func (p *Pool) Size() int {
-	n := 0
-	for _, s := range p.stripes {
-		n += len(s.workers)
-	}
-	return n
-}
-
-// Shards returns the number of claim stripes.
-func (p *Pool) Shards() int { return len(p.stripes) }
+func (p *Pool) Size() int { return len(p.workers) }

@@ -25,8 +25,6 @@ type Config struct {
 	Mgr *taskmgr.Manager
 	// Script supplies task definitions for calls in expressions.
 	Script *qlang.Script
-	// QueueSize is the operator queue capacity (default 64).
-	QueueSize int
 	// JoinLeftBlock × JoinRightBlock is the two-column join grid size
 	// per HIT (defaults 5×5, the shape of Figure 3).
 	JoinLeftBlock, JoinRightBlock int
@@ -89,9 +87,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.QueueSize <= 0 {
-		c.QueueSize = 64
-	}
 	c.JoinLeftBlock, c.JoinRightBlock = c.JoinGrid()
 	if c.PreFilterBlock <= 0 {
 		c.PreFilterBlock = 25
@@ -764,11 +759,15 @@ func Run(root plan.Node, cfg Config) ([]relation.Tuple, error) {
 	return rows, nil
 }
 
+// opQueueCap bounds how far an async operator's producer runs ahead of
+// its consumer before it parks; the ring grows only with the backlog.
+const opQueueCap = 64
+
 // async sets up the queue bridge for a human-powered operator: the
 // caller launches a producer goroutine that pushes into op.out, and
 // downstream pulls through the returned queueIter.
 func (q *run) async(op *operator) *queueIter {
-	op.out = queue.NewGated(q.cfg.QueueSize, q.gate)
+	op.out = queue.NewGated(opQueueCap, q.gate)
 	return &queueIter{op: op}
 }
 

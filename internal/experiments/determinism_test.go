@@ -11,8 +11,8 @@ import (
 
 // TestExperimentsDeterministic reruns representative experiments with
 // the same seed and requires byte-identical result tables: workload
-// generation, crowd noise, batching, the sharded marketplace and the
-// sharded virtual clock are all pure functions of the seed. The engine's
+// generation, crowd noise, batching, the marketplace and the virtual
+// clock are all pure functions of the seed. The engine's
 // clock pump waits on its quiescence gate until every executor
 // goroutine is parked (and experiments that submit to the task manager
 // directly hold the gate while they do), so scheduling — including the
@@ -45,15 +45,16 @@ func TestExperimentsDeterministic(t *testing.T) {
 }
 
 // TestConcurrentQueriesRaceClean drives several queries through one
-// engine at once — executor goroutines, the clock pump, the sharded
-// marketplace and the task manager's striped state all running
-// concurrently. Its value multiplies under `go test -race`, which CI
-// runs; without -race it still asserts the results are correct.
+// engine at once — executor goroutines, the clock pump, and the locks
+// of the marketplace, the clock, the task manager's in-flight table and
+// the crowd all in use concurrently. Its value multiplies under `go
+// test -race`, which CI runs; without -race it still asserts the
+// results are correct.
 func TestConcurrentQueriesRaceClean(t *testing.T) {
 	photos := workload.Photos(30, 0.5, 0.5, 9)
 	cfg := core.Config{
 		Crowd: crowd.Config{Seed: 9, Workers: 150, MeanSkill: 0.97, SkillStd: 0.01,
-			SpamFraction: 1e-12, AbandonRate: 1e-12, Shards: 4},
+			SpamFraction: 1e-12, AbandonRate: 1e-12},
 		Oracle: photos.Oracle,
 	}
 	e, err := core.New(cfg)

@@ -4,30 +4,25 @@
 // same asynchrony and minutes-scale latency accounting while experiments
 // finish in milliseconds. See DESIGN.md §2 for the substitution argument.
 //
-// # Sharding design
+// # Locking design
 //
-// Both the marketplace and the clock are lock-striped so that the
-// thousands-of-async-HITs regime the paper targets scales with cores
-// instead of serializing behind one mutex:
+// The marketplace keeps its posted HITs in one map under one mutex, and
+// the clock keeps its pending events in one heap under another. Each
+// lock covers one map or heap operation and is never held across a
+// callback: Step pops under the lock and runs the event outside it, and
+// the marketplace notifies requesters and observers after releasing its
+// lock. The marketplace-wide Stats counters are atomics, so dashboards
+// read them without the lock. One lock each suffices: in an engine,
+// the quiescence gate (below) keeps the pump from stepping while
+// executor goroutines run, so posts and completions rarely contend for
+// the same lock.
 //
-//   - Marketplace state is partitioned across DefaultMarketShards
-//     shards keyed by an FNV-1a hash of the HIT ID; Post, complete,
-//     Status and SubmitExternal touch only one shard's lock, and the
-//     marketplace-wide Stats counters are atomics, so concurrent
-//     requesters on different shards never contend.
-//   - The clock keeps one logical timeline but spreads pending events
-//     over per-shard queues (round-robin by sequence number). Schedule
-//     takes only one shard lock; Step merges the queues by (time, seq),
-//     which is a deterministic total order because seq comes from one
-//     atomic counter. The shard count therefore never changes execution
-//     order: identical schedules replay identically at any shard count.
-//
-// Determinism guarantee: every event whose Schedule completed before a
-// Step begins runs in strictly increasing (time, seq) order; a Schedule
-// overlapping a Step races it exactly as it would have raced the old
-// single-mutex pop (see Step). When all scheduling happens from the
-// pump goroutine itself (a single-threaded driver), no such races exist
-// and the whole simulation is a pure function of its seeds.
+// Determinism guarantee: Step runs the (time, seq) minimum of the
+// events pending when it takes the lock, and seq numbers schedules in
+// the order they took it, so equal-time events run in schedule order.
+// When all scheduling happens from the pump goroutine itself (a
+// single-threaded driver), the whole simulation is a pure function of
+// its seeds.
 //
 // When other goroutines feed the clock — the engine's executor runs
 // producer goroutines beside its pump — Run waits for them: it steps
@@ -39,7 +34,6 @@ package mturk
 
 import (
 	"container/heap"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,45 +81,16 @@ func (h *eventHeap) Pop() interface{} {
 	return e
 }
 
-// clockShard is one independently locked slice of the pending-event set.
-// The padding keeps shards on separate cache lines.
-type clockShard struct {
-	mu     sync.Mutex
-	events eventHeap
-	_      [40]byte
-}
-
-// MaxClockShards caps the number of event queues a clock stripes
-// schedules across. The effective count is min(MaxClockShards,
-// GOMAXPROCS): striping only pays when schedulers actually run in
-// parallel, and because Step merges shards by the global (time, seq)
-// order, the shard count never affects execution order.
-const MaxClockShards = 8
-
-func clockShardCount() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > MaxClockShards {
-		n = MaxClockShards
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // Clock is a deterministic discrete-event scheduler. Events run on the
 // pump goroutine (Step/Run) in (time, seq) order; Schedule is safe from
-// any goroutine and takes only one shard lock.
+// any goroutine.
 type Clock struct {
 	now    atomic.Int64 // VirtualTime; written by the pump only
-	seq    atomic.Int64
 	closed atomic.Bool
-	// schedVersion counts completed insertions; Step rescans when it
-	// changes mid-scan so a concurrently scheduled earlier event on an
-	// already-visited shard is not passed over.
-	schedVersion atomic.Int64
 
-	shards []clockShard
+	mu     sync.Mutex
+	seq    int64 // last sequence number issued; mu held
+	events eventHeap
 
 	// wake is a one-slot nudge channel for a blocked Run loop; waiting
 	// gates the sends so the common Schedule path is allocation- and
@@ -140,10 +105,7 @@ type Clock struct {
 
 // NewClock returns a clock at virtual time zero.
 func NewClock() *Clock {
-	c := &Clock{
-		shards: make([]clockShard, clockShardCount()),
-		wake:   make(chan struct{}, 1),
-	}
+	c := &Clock{wake: make(chan struct{}, 1)}
 	c.gate = quiesce.New(func() {
 		if c.waiting.CompareAndSwap(true, false) {
 			c.wakeAll()
@@ -165,20 +127,18 @@ func (c *Clock) Schedule(delay time.Duration, fn func()) {
 	if delay < 0 {
 		delay = 0
 	}
-	seq := c.seq.Add(1)
 	e := eventPool.Get().(*event)
 	e.at = c.Now() + VirtualTime(delay)
-	e.seq = seq
 	e.fn = fn
-	sh := &c.shards[uint64(seq)%uint64(len(c.shards))]
-	sh.mu.Lock()
+	c.mu.Lock()
 	if c.closed.Load() {
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		return
 	}
-	heap.Push(&sh.events, e)
-	sh.mu.Unlock()
-	c.schedVersion.Add(1)
+	c.seq++
+	e.seq = c.seq
+	heap.Push(&c.events, e)
+	c.mu.Unlock()
 	if c.waiting.CompareAndSwap(true, false) {
 		c.wakeAll()
 	}
@@ -196,74 +156,29 @@ func (c *Clock) wakeAll() {
 
 // Pending reports the number of scheduled events.
 func (c *Clock) Pending() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += len(sh.events)
-		sh.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.events)
 }
 
-// Step runs the earliest event — the (time, seq) minimum across every
-// shard queue — advancing virtual time to it. It reports false when no
-// events are pending.
-//
-// Every event whose Schedule call completed before Step began is merged
-// in strict (time, seq) order: the scan retries whenever an insertion
-// lands mid-scan (schedVersion) or the chosen shard's head changes. A
-// Schedule still racing Step after several retries may see its event
-// deferred to the next Step, where it runs at the already-advanced
-// virtual now — observably the same as having scheduled just after the
-// popped event fired, which is the only honest ordering for a schedule
-// that overlaps the pop.
+// Step runs the earliest pending event in (time, seq) order, advancing
+// virtual time to it. It reports false when no events are pending.
 func (c *Clock) Step() bool {
-	const maxRescans = 4
-	for attempt := 0; ; attempt++ {
-		version := c.schedVersion.Load()
-		best := -1
-		var bestAt VirtualTime
-		var bestSeq int64
-		for i := range c.shards {
-			sh := &c.shards[i]
-			sh.mu.Lock()
-			if len(sh.events) > 0 {
-				e := sh.events[0]
-				if best < 0 || e.at < bestAt || (e.at == bestAt && e.seq < bestSeq) {
-					best, bestAt, bestSeq = i, e.at, e.seq
-				}
-			}
-			sh.mu.Unlock()
-		}
-		if best < 0 {
-			if c.schedVersion.Load() != version {
-				continue // an insert raced the empty scan; look again
-			}
-			return false
-		}
-		if attempt < maxRescans && c.schedVersion.Load() != version {
-			continue // something landed mid-scan; re-establish the minimum
-		}
-		sh := &c.shards[best]
-		sh.mu.Lock()
-		if len(sh.events) == 0 || sh.events[0].seq != bestSeq {
-			// An earlier event arrived on this shard between the scan
-			// and the pop; rescan so the merge order stays correct.
-			sh.mu.Unlock()
-			continue
-		}
-		e := heap.Pop(&sh.events).(*event)
-		sh.mu.Unlock()
-		if at := int64(e.at); at > c.now.Load() {
-			c.now.Store(at)
-		}
-		fn := e.fn
-		*e = event{}
-		eventPool.Put(e)
-		fn() // run outside all locks so events may Schedule more events
-		return true
+	c.mu.Lock()
+	if len(c.events) == 0 {
+		c.mu.Unlock()
+		return false
 	}
+	e := heap.Pop(&c.events).(*event)
+	c.mu.Unlock()
+	if at := int64(e.at); at > c.now.Load() {
+		c.now.Store(at)
+	}
+	fn := e.fn
+	*e = event{}
+	eventPool.Put(e)
+	fn() // run outside the lock so events may Schedule more events
+	return true
 }
 
 // Run pumps events until stop reports true and the event queue is idle.
@@ -347,12 +262,9 @@ func (c *Clock) Close() {
 	if c.closed.Swap(true) {
 		return
 	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.events = nil
-		sh.mu.Unlock()
-	}
+	c.mu.Lock()
+	c.events = nil
+	c.mu.Unlock()
 	c.wakeAll()
 }
 

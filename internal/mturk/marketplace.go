@@ -3,6 +3,7 @@ package mturk
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,7 +71,7 @@ type postedHIT struct {
 // Stats are marketplace-wide counters for the dashboard. They are
 // maintained as atomics, so a snapshot taken while assignments complete
 // concurrently may be off by the in-flight increment — fine for a
-// dashboard, and it keeps Stats() off every shard's lock.
+// dashboard, and it keeps Stats() off the marketplace's lock.
 type Stats struct {
 	HITsPosted           int
 	AssignmentsCompleted int
@@ -79,22 +80,8 @@ type Stats struct {
 	ExternalSubmissions  int
 }
 
-// DefaultMarketShards is the number of lock stripes HIT state is
-// partitioned across (a power of two; HIT IDs hash uniformly).
-const DefaultMarketShards = 16
-
-// marketShard is one independently locked partition of posted HITs.
-// The padding keeps shard locks on separate cache lines.
-type marketShard struct {
-	mu   sync.Mutex
-	hits map[string]*postedHIT
-	_    [40]byte
-}
-
 // Marketplace accepts HITs and routes them to a worker pool under the
-// virtual clock, mimicking MTurk's requester API surface. State is
-// sharded by HIT ID (see the package comment), so concurrent Post,
-// complete and Status calls only contend when they hit the same shard.
+// virtual clock, mimicking MTurk's requester API surface.
 type Marketplace struct {
 	clock *Clock
 	pool  WorkerPool
@@ -106,7 +93,8 @@ type Marketplace struct {
 	// out. At least 1 attempt is always made.
 	MaxRetries int
 
-	shards []marketShard
+	mu     sync.Mutex
+	hits   map[string]*postedHIT // posted and not disposed; mu held
 	nextID atomic.Int64
 
 	hitsPosted           atomic.Int64
@@ -134,22 +122,13 @@ type Marketplace struct {
 
 // NewMarketplace wires a marketplace to a clock and worker pool.
 func NewMarketplace(clock *Clock, pool WorkerPool) *Marketplace {
-	m := &Marketplace{
+	return &Marketplace{
 		clock:        clock,
 		pool:         pool,
 		RetryBackoff: 30 * time.Second,
 		MaxRetries:   10,
-		shards:       make([]marketShard, DefaultMarketShards),
+		hits:         make(map[string]*postedHIT),
 	}
-	for i := range m.shards {
-		m.shards[i].hits = make(map[string]*postedHIT)
-	}
-	return m
-}
-
-// shardFor routes a HIT ID to its shard.
-func (m *Marketplace) shardFor(hitID string) *marketShard {
-	return &m.shards[ShardIndex(hitID, len(m.shards))]
 }
 
 // Clock returns the marketplace's virtual clock.
@@ -198,14 +177,13 @@ func (m *Marketplace) SetAutoDispose(on bool, observer func(HITStatus)) {
 // Dispose removes a HIT's state (like MTurk's DeleteHIT), returning its
 // last status. Late submissions for a disposed HIT are discarded.
 func (m *Marketplace) Dispose(hitID string) (HITStatus, bool) {
-	sh := m.shardFor(hitID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ph, ok := sh.hits[hitID]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ph, ok := m.hits[hitID]
 	if !ok {
 		return HITStatus{}, false
 	}
-	delete(sh.hits, hitID)
+	delete(m.hits, hitID)
 	return ph.status, true
 }
 
@@ -221,6 +199,20 @@ func (m *Marketplace) NewHITID() string {
 	return PaddedID("HIT-", m.nextID.Add(1))
 }
 
+// PaddedID formats prefix + n zero-padded to at least 6 digits (the
+// "%06d" wire format of HIT and task keys) without fmt overhead: IDs
+// are minted on posting hot paths. It formats into a stack buffer, so
+// only the ID's string is allocated.
+func PaddedID(prefix string, n int64) string {
+	var stack [32]byte
+	buf := append(stack[:0], prefix...)
+	for pad := int64(100000); n < pad && pad > 1; pad /= 10 {
+		buf = append(buf, '0')
+	}
+	buf = strconv.AppendInt(buf, n, 10)
+	return string(buf)
+}
+
 // Post publishes a HIT. onAssignment is invoked (on the clock goroutine)
 // once per completed assignment, h.Assignments times in total unless
 // retries are exhausted.
@@ -233,14 +225,13 @@ func (m *Marketplace) Post(h *hit.HIT, onAssignment func(AssignmentResult)) erro
 		status:   HITStatus{HIT: h, PostedAt: now},
 		callback: onAssignment,
 	}
-	sh := m.shardFor(h.ID)
-	sh.mu.Lock()
-	if _, dup := sh.hits[h.ID]; dup {
-		sh.mu.Unlock()
+	m.mu.Lock()
+	if _, dup := m.hits[h.ID]; dup {
+		m.mu.Unlock()
 		return fmt.Errorf("mturk: duplicate HIT id %s", h.ID)
 	}
-	sh.hits[h.ID] = ph
-	sh.mu.Unlock()
+	m.hits[h.ID] = ph
+	m.mu.Unlock()
 	m.hitsPosted.Add(1)
 	for i := 0; i < h.Assignments; i++ {
 		m.dispatch(h, 0)
@@ -284,14 +275,13 @@ func (m *Marketplace) dispatch(h *hit.HIT, attempt int) {
 
 // complete records one finished assignment and notifies the requester.
 func (m *Marketplace) complete(hitID string, ans hit.Answers, external bool) {
-	sh := m.shardFor(hitID)
-	sh.mu.Lock()
-	ph, ok := sh.hits[hitID]
+	m.mu.Lock()
+	ph, ok := m.hits[hitID]
 	if !ok || !ph.status.Open() {
 		// Slot already filled (e.g. an external submission raced a
 		// simulated worker): the extra work is discarded unpaid,
 		// like MTurk rejecting a submission on an expired HIT.
-		sh.mu.Unlock()
+		m.mu.Unlock()
 		return
 	}
 	ph.status.Completed++
@@ -301,7 +291,7 @@ func (m *Marketplace) complete(hitID string, ans hit.Answers, external bool) {
 	if !ph.status.Open() {
 		ph.status.DoneAt = now
 		if m.autoDispose.Load() {
-			delete(sh.hits, hitID)
+			delete(m.hits, hitID)
 			disposed = true
 		}
 	}
@@ -309,7 +299,7 @@ func (m *Marketplace) complete(hitID string, ans hit.Answers, external bool) {
 	reward := ph.status.HIT.RewardCents
 	cb := ph.callback
 	final := ph.status
-	sh.mu.Unlock()
+	m.mu.Unlock()
 	if disposed {
 		m.cfgMu.RLock()
 		observer := m.onDisposed
@@ -351,16 +341,15 @@ func (m *Marketplace) ExtendAssignments(hitID string, extra int) error {
 	if extra <= 0 {
 		return fmt.Errorf("mturk: extend HIT %s by %d assignments", hitID, extra)
 	}
-	sh := m.shardFor(hitID)
-	sh.mu.Lock()
-	ph, ok := sh.hits[hitID]
+	m.mu.Lock()
+	ph, ok := m.hits[hitID]
 	if !ok {
-		sh.mu.Unlock()
+		m.mu.Unlock()
 		return fmt.Errorf("mturk: unknown HIT %s", hitID)
 	}
 	ph.status.Extended += extra
 	h := ph.status.HIT
-	sh.mu.Unlock()
+	m.mu.Unlock()
 	for i := 0; i < extra; i++ {
 		m.dispatch(h, 0)
 	}
@@ -372,15 +361,14 @@ func (m *Marketplace) ExtendAssignments(hitID string, extra int) error {
 // or already fully assigned, or when ans does not answer every question
 // of the HIT.
 func (m *Marketplace) SubmitExternal(hitID string, ans hit.Answers) error {
-	sh := m.shardFor(hitID)
-	sh.mu.Lock()
-	ph, ok := sh.hits[hitID]
+	m.mu.Lock()
+	ph, ok := m.hits[hitID]
 	open := ok && ph.status.Open()
 	var h *hit.HIT
 	if ok {
 		h = ph.status.HIT
 	}
-	sh.mu.Unlock()
+	m.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("mturk: unknown HIT %s", hitID)
 	}
@@ -396,10 +384,9 @@ func (m *Marketplace) SubmitExternal(hitID string, ans hit.Answers) error {
 
 // Status returns a HIT's lifecycle snapshot.
 func (m *Marketplace) Status(hitID string) (HITStatus, bool) {
-	sh := m.shardFor(hitID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ph, ok := sh.hits[hitID]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ph, ok := m.hits[hitID]
 	if !ok {
 		return HITStatus{}, false
 	}
@@ -407,9 +394,9 @@ func (m *Marketplace) Status(hitID string) (HITStatus, bool) {
 }
 
 // OpenHITs lists HITs with outstanding assignments, oldest first, for
-// the task-completion UI. Each shard is snapshotted under its own lock;
-// the merge and sort run outside all locks, so dashboard polling never
-// stalls query execution.
+// the task-completion UI. The statuses are copied under the lock and
+// sorted outside it, so dashboard polling stalls query execution only
+// for the copy.
 func (m *Marketplace) OpenHITs() []HITStatus {
 	return m.snapshot(true)
 }
@@ -421,16 +408,13 @@ func (m *Marketplace) AllHITs() []HITStatus {
 
 func (m *Marketplace) snapshot(openOnly bool) []HITStatus {
 	var out []HITStatus
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		for _, ph := range sh.hits {
-			if !openOnly || ph.status.Open() {
-				out = append(out, ph.status)
-			}
+	m.mu.Lock()
+	for _, ph := range m.hits {
+		if !openOnly || ph.status.Open() {
+			out = append(out, ph.status)
 		}
-		sh.mu.Unlock()
 	}
+	m.mu.Unlock()
 	sortStatuses(out)
 	return out
 }

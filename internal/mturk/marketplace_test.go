@@ -8,52 +8,8 @@ import (
 	"time"
 )
 
-// TestClockManyEqualTimeEventsFIFO schedules enough same-time events to
-// span every shard queue several times over and asserts the merged
-// execution order is exactly schedule order — the (time, seq) merge the
-// package comment guarantees.
-func TestClockManyEqualTimeEventsFIFO(t *testing.T) {
-	c := NewClock()
-	const n = 1000
-	var got []int
-	for i := 0; i < n; i++ {
-		i := i
-		c.Schedule(time.Minute, func() { got = append(got, i) })
-	}
-	for c.Step() {
-	}
-	if len(got) != n {
-		t.Fatalf("ran %d of %d events", len(got), n)
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("event %d ran at position %d (cross-shard merge broke FIFO)", v, i)
-		}
-	}
-}
-
-// TestClockInterleavedDelaysOrdered mixes delays so consecutive seqs
-// land at different times on different shards and asserts global time
-// order wins over shard placement.
-func TestClockInterleavedDelaysOrdered(t *testing.T) {
-	c := NewClock()
-	var got []time.Duration
-	delays := []time.Duration{9, 1, 8, 2, 7, 3, 6, 4, 5, 0}
-	for _, d := range delays {
-		d := d
-		c.Schedule(d*time.Minute, func() { got = append(got, d) })
-	}
-	for c.Step() {
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i-1] > got[i] {
-			t.Fatalf("events out of time order: %v", got)
-		}
-	}
-}
-
 // TestAutoDisposeDropsCompletedHITs checks the production retention
-// mode: completed HITs leave the shard maps (Status/AllHITs no longer
+// mode: completed HITs leave the marketplace (Status/AllHITs no longer
 // see them), the observer receives each final status exactly once, and
 // the atomic counters still account for everything.
 func TestAutoDisposeDropsCompletedHITs(t *testing.T) {
@@ -123,11 +79,11 @@ func TestDisposeRemovesHIT(t *testing.T) {
 	}
 }
 
-// TestConcurrentPostsAcrossShards hammers Post from many goroutines
-// while the pump completes assignments — the contention pattern the
-// sharding exists for. Run under -race this doubles as the marketplace's
-// data-race probe.
-func TestConcurrentPostsAcrossShards(t *testing.T) {
+// TestConcurrentPosts hammers Post from many goroutines while the pump
+// completes assignments, so posts and completions contend for the
+// marketplace's one lock. Run under -race this doubles as the
+// marketplace's data-race probe.
+func TestConcurrentPosts(t *testing.T) {
 	clock := NewClock()
 	m := NewMarketplace(clock, &fakePool{})
 	const goroutines = 8

@@ -28,21 +28,14 @@ func (c *Clock) SetPace(factor float64) {
 	c.wakeAll()
 }
 
-// peekNext reports the earliest pending event time across all shards.
+// peekNext reports the earliest pending event time.
 func (c *Clock) peekNext() (VirtualTime, bool) {
-	var bestAt VirtualTime
-	found := false
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		if len(sh.events) > 0 {
-			if at := sh.events[0].at; !found || at < bestAt {
-				bestAt, found = at, true
-			}
-		}
-		sh.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.events) == 0 {
+		return 0, false
 	}
-	return bestAt, found
+	return c.events[0].at, true
 }
 
 // paceWait sleeps toward the next event at the configured rate, in

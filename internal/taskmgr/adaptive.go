@@ -122,7 +122,7 @@ func (m *Manager) workerPrior(worker string) (acc, weight float64) {
 // votesByItem rebuilds per-question vote lists (in question order, so
 // fits are deterministic) from the collected per-worker answer sheets,
 // skipping detached items; slots gives each list's question. The lists
-// share one backing array. Called under the stripe lock or after the
+// share one backing array. Called under the table lock or after the
 // HIT left the in-flight table.
 func (fl *inflightHIT) votesByItem() (votes [][]infer.Vote, slots []int) {
 	n := fl.hit.QuestionCount()
@@ -147,8 +147,8 @@ func (fl *inflightHIT) votesByItem() (votes [][]infer.Vote, slots []int) {
 // reached the stopping target under the HIT's aggregator. Votes, not
 // priors, end a disagreement: an item whose paid votes conflict is
 // unsure until a third is in, however trusted one side's worker is
-// (the final resolution still weighs the priors). Stripe lock held;
-// the EM fit takes repMu inside (stripe → repMu never inverts:
+// (the final resolution still weighs the priors). Table lock held;
+// the EM fit takes repMu inside (table → repMu never inverts:
 // reputation paths take repMu alone).
 func (m *Manager) itemsConfident(fl *inflightHIT) bool {
 	em, ok := fl.agg.(*infer.EM)
@@ -184,8 +184,8 @@ func votesConflict(votes []infer.Vote, boolean bool) bool {
 
 // extendInflight buys one more assignment for an unsure adaptive HIT.
 // Money first, bookkeeping second, backend last: the scope and account
-// are charged with no stripe lock held (cancellation's scope.mu →
-// stripe order), the in-flight counters commit only if the HIT is
+// are charged with no table lock held (cancellation's scope.mu →
+// table order), the in-flight counters commit only if the HIT is
 // still live — a cancel that raced the charge gets the money straight
 // back — and a backend that rejects the extension rolls everything
 // back, finalizes the HIT at its current posterior, and flips the
@@ -193,26 +193,27 @@ func votesConflict(votes []infer.Vote, boolean bool) bool {
 // HIT keeps cost == reward × assign, a cancel landing after the commit
 // refunds exactly the one unconsumed extension slot through the normal
 // unconsumed() pro-rata path.
-func (m *Manager) extendInflight(s *flightStripe, hitID string, fl *inflightHIT) {
+func (m *Manager) extendInflight(hitID string, fl *inflightHIT) {
 	price := budget.Cents(fl.hit.RewardCents)
 	sc := fl.shares[0].scope
 	if err := sc.spend(price); err != nil {
 		// Scope budget exhausted mid-extension: stop here and finalize
 		// with the posterior the paid-for assignments bought.
-		m.finalizeAdaptive(s, hitID, fl)
+		m.finalizeAdaptive(hitID, fl)
 		return
 	}
 	if err := m.account.Spend(price); err != nil {
 		sc.refund(price)
-		m.finalizeAdaptive(s, hitID, fl)
+		m.finalizeAdaptive(hitID, fl)
 		return
 	}
-	s.mu.Lock()
-	if _, live := s.hits[hitID]; !live {
+	t := &m.flights
+	t.mu.Lock()
+	if _, live := t.hits[hitID]; !live {
 		// Cancellation raced the charge; its refund was computed against
 		// the pre-extension assignment count, so this charge comes back
 		// here, in full.
-		s.mu.Unlock()
+		t.mu.Unlock()
 		m.account.Refund(price)
 		sc.refund(price)
 		return
@@ -221,7 +222,7 @@ func (m *Manager) extendInflight(s *flightStripe, hitID string, fl *inflightHIT)
 	fl.assign++
 	fl.cost += price
 	fl.shares[0].cost += price
-	s.mu.Unlock()
+	t.mu.Unlock()
 	st := fl.state
 	st.mu.Lock()
 	st.spent += price
@@ -230,15 +231,15 @@ func (m *Manager) extendInflight(s *flightStripe, hitID string, fl *inflightHIT)
 		m.extendFailures.Add(1)
 		m.extendBroken.Store(true)
 		rolledBack := false
-		s.mu.Lock()
-		if _, live := s.hits[hitID]; live {
+		t.mu.Lock()
+		if _, live := t.hits[hitID]; live {
 			fl.needed--
 			fl.assign--
 			fl.cost -= price
 			fl.shares[0].cost -= price
 			rolledBack = true
 		}
-		s.mu.Unlock()
+		t.mu.Unlock()
 		if !rolledBack {
 			// The HIT was canceled between the commit and the backend
 			// call; cancellation's pro-rata refund already covered the
@@ -251,25 +252,26 @@ func (m *Manager) extendInflight(s *flightStripe, hitID string, fl *inflightHIT)
 		st.mu.Unlock()
 		m.account.Refund(price)
 		sc.refund(price)
-		m.finalizeAdaptive(s, hitID, fl)
+		m.finalizeAdaptive(hitID, fl)
 		return
 	}
 	m.adaptiveExt.Add(1)
-	m.traceExtension(s, hitID, fl, price)
+	m.traceExtension(fl, price)
 }
 
 // finalizeAdaptive retires an adaptive HIT that stops below its cap —
 // budget exhausted or extension rejected — and finalizes it with the
 // assignments it already holds. A concurrent cancel may have retired it
 // first; then there is nothing left to do.
-func (m *Manager) finalizeAdaptive(s *flightStripe, hitID string, fl *inflightHIT) {
-	s.mu.Lock()
-	if _, live := s.hits[hitID]; !live {
-		s.mu.Unlock()
+func (m *Manager) finalizeAdaptive(hitID string, fl *inflightHIT) {
+	t := &m.flights
+	t.mu.Lock()
+	if _, live := t.hits[hitID]; !live {
+		t.mu.Unlock()
 		return
 	}
-	delete(s.hits, hitID)
-	s.mu.Unlock()
+	delete(t.hits, hitID)
+	t.mu.Unlock()
 	m.retire(hitID, fl, nil)
 }
 

@@ -182,7 +182,8 @@ func TestAdaptiveExtendChargeRefundedWhenCancelRaces(t *testing.T) {
 	sc := m.NewScope()
 	sc.SetBudget(50)
 
-	// The HIT is absent from its stripe: the cancel already retired it.
+	// The HIT is absent from the in-flight table: the cancel already
+	// retired it.
 	fl := &inflightHIT{
 		hit:      &hit.HIT{ID: "hit-gone", RewardCents: 1},
 		state:    m.state(def.Name, def),
@@ -194,8 +195,7 @@ func TestAdaptiveExtendChargeRefundedWhenCancelRaces(t *testing.T) {
 		adaptive: true,
 		capA:     3,
 	}
-	s := m.flights.stripeFor("hit-gone")
-	m.extendInflight(s, "hit-gone", fl)
+	m.extendInflight("hit-gone", fl)
 	if spent := m.Account().Spent(); spent != 0 {
 		t.Fatalf("account spent = %v after a raced extension; charge must come back in full", spent)
 	}

@@ -193,10 +193,9 @@ func TestJoinShrinkMatchesReference(t *testing.T) {
 			t.Fatalf("trial %d: HIT columns %v × %v, want %v × %v", trial, gotLeft, gotRight, wantLeft, wantRight)
 		}
 
-		s := m.flights.stripeFor(posted.ID)
-		s.mu.Lock()
-		fl := s.hits[posted.ID]
-		s.mu.Unlock()
+		m.flights.mu.Lock()
+		fl := m.flights.hits[posted.ID]
+		m.flights.mu.Unlock()
 		if len(fl.cells) != len(gotLeft)*len(gotRight) {
 			t.Fatalf("trial %d: %d cells for a %dx%d grid", trial, len(fl.cells), len(gotLeft), len(gotRight))
 		}

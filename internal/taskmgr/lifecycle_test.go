@@ -104,14 +104,11 @@ var lifecycleKinds = []struct {
 // received sums the assignments the in-flight HITs have collected.
 func received(m *Manager) int {
 	n := 0
-	for i := range m.flights.stripes {
-		s := &m.flights.stripes[i]
-		s.mu.Lock()
-		for _, fl := range s.hits {
-			n += fl.received
-		}
-		s.mu.Unlock()
+	m.flights.mu.Lock()
+	for _, fl := range m.flights.hits {
+		n += fl.received
 	}
+	m.flights.mu.Unlock()
 	return n
 }
 

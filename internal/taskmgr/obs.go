@@ -198,8 +198,8 @@ func (m *Manager) traceHITPostFailed(fl *inflightHIT, err error) {
 }
 
 // traceAssignment records one received assignment as an instantaneous
-// child span. Called with the HIT's stripe lock held; span mutexes
-// nest under stripe locks everywhere.
+// child span. Called with the in-flight table's lock held; span
+// mutexes nest under the table lock everywhere.
 func (m *Manager) traceAssignment(fl *inflightHIT, workerID string) {
 	if fl.span == nil {
 		return
@@ -213,9 +213,9 @@ func (m *Manager) traceAssignment(fl *inflightHIT, workerID string) {
 
 // traceExtension records one purchased adaptive extension: an
 // instantaneous child span carrying the price, remembered (under the
-// stripe lock) so a later cancellation can annotate the refunded
+// table lock) so a later cancellation can annotate the refunded
 // remainder onto the very spans that bought the slots.
-func (m *Manager) traceExtension(s *flightStripe, hitID string, fl *inflightHIT, price budget.Cents) {
+func (m *Manager) traceExtension(fl *inflightHIT, price budget.Cents) {
 	if fl.span == nil {
 		return
 	}
@@ -224,9 +224,9 @@ func (m *Manager) traceExtension(s *flightStripe, hitID string, fl *inflightHIT,
 	ext.End()
 	fl.span.AddExtensions(1)
 	fl.span.AddCost(int64(price))
-	s.mu.Lock()
+	m.flights.mu.Lock()
 	fl.extSpans = append(fl.extSpans, ext)
-	s.mu.Unlock()
+	m.flights.mu.Unlock()
 	if len(fl.opSpans) > 0 {
 		fl.opSpans[0].AddExtensions(1)
 		fl.opSpans[0].AddCost(int64(price))

@@ -399,14 +399,14 @@ func (m *Manager) sweepCanceledPending(s *Scope, cause error) {
 // with other live scopes the stake merely detaches: the scope's items
 // resolve with the cause, its share of the cost covering assignments
 // not yet completed refunds, and the HIT keeps running for the
-// remaining participants. The stripe lock arbitrates against
+// remaining participants. The table lock arbitrates against
 // finalization, so each question still resolves exactly once.
 func (m *Manager) cancelScopeHIT(hitID string, sc *Scope, cause error) {
-	str := m.flights.stripeFor(hitID)
-	str.mu.Lock()
-	fl, ok := str.hits[hitID]
+	t := &m.flights
+	t.mu.Lock()
+	fl, ok := t.hits[hitID]
 	if !ok {
-		str.mu.Unlock()
+		t.mu.Unlock()
 		return
 	}
 	idx, live := -1, 0
@@ -422,7 +422,7 @@ func (m *Manager) cancelScopeHIT(hitID string, sc *Scope, cause error) {
 	if idx < 0 {
 		// The scope's share already detached (or was never here);
 		// nothing left to withdraw.
-		str.mu.Unlock()
+		t.mu.Unlock()
 		return
 	}
 	sh := &fl.shares[idx]
@@ -444,7 +444,7 @@ func (m *Manager) cancelScopeHIT(hitID string, sc *Scope, cause error) {
 		refund := unconsumed(sh.cost, fl.assign, fl.received)
 		sh.cost -= refund
 		m.traceHITCanceled(fl, refund, false)
-		str.mu.Unlock()
+		t.mu.Unlock()
 		if refund > 0 {
 			m.account.Refund(refund)
 			sc.refund(refund)
@@ -455,15 +455,15 @@ func (m *Manager) cancelScopeHIT(hitID string, sc *Scope, cause error) {
 		return
 	}
 	// Sole live participant: full expiry. The refund and its trace
-	// record are computed under the stripe lock (a racing extension
+	// record are computed under the table lock (a racing extension
 	// could otherwise append to extSpans mid-read); the backend and
 	// ledgers are only touched after release. An assignment the backend
 	// completed after this point never reaches the HIT and is refunded
 	// with the rest: the scope pays only for answers it received.
-	delete(str.hits, hitID)
+	delete(t.hits, hitID)
 	refund := unconsumed(sh.cost, fl.assign, fl.received)
 	m.traceHITCanceled(fl, refund, true)
-	str.mu.Unlock()
+	t.mu.Unlock()
 	m.market.Dispose(hitID)
 	if refund > 0 {
 		m.account.Refund(refund)

@@ -16,12 +16,14 @@
 // grid's callback, or the comparison's rankings), and whether answer
 // inference and adaptive extension apply.
 //
-// Concurrency: the manager has no global lock on its hot paths. Each
-// task's batching state carries its own mutex, in-flight HIT collection
-// state is striped by HIT ID (flightTable), and the manager-level mutex
-// guards only the task registry and base policy. Assignment completions
-// for different HITs therefore never contend, matching the sharded
-// marketplace underneath (see internal/mturk's package comment).
+// Concurrency: each task's batching state carries its own mutex, the
+// HITs in flight share one table under one mutex (flightTable), and the
+// manager-level mutex guards only the task registry and base policy.
+// Lock order: a scope's mutex before the table, the table before the
+// reputation mutex (repMu), and span mutexes under the table. On the
+// simulated marketplace every simulated completion arrives on the
+// clock's pump, so completions never contend with each other for the
+// table.
 //
 // Determinism: every finalization resolves its batched items in the
 // HIT's item order (never map order), so a completed HIT triggers
@@ -283,24 +285,10 @@ type pendingItem struct {
 	span        *obs.Span // submitting operator's trace span (nil = tracing off)
 }
 
-// flightStripes is the number of lock stripes for in-flight HIT state.
-const flightStripes = 16
-
-// flightStripe holds the in-flight HITs whose IDs hash to it.
-type flightStripe struct {
+// flightTable holds the posted HITs that have not retired, by HIT ID.
+type flightTable struct {
 	mu   sync.Mutex
 	hits map[string]*inflightHIT
-}
-
-// flightTable stripes in-flight collection state by HIT ID, mirroring
-// the marketplace's shards: completions of different HITs take
-// different locks.
-type flightTable struct {
-	stripes [flightStripes]flightStripe
-}
-
-func (t *flightTable) stripeFor(hitID string) *flightStripe {
-	return &t.stripes[mturk.ShardIndex(hitID, flightStripes)]
 }
 
 // Manager routes task applications to the cache, the model, or batched
@@ -407,7 +395,7 @@ func (m *Manager) getJournal() Journal {
 // charged. The items themselves are found by scope in the HIT's item
 // slots. cost is maintained as charged-and-not-yet-refunded, so detach
 // and expiry refunds can never double-pay; mutations after posting
-// happen under the HIT's stripe lock.
+// happen under the in-flight table's lock.
 type hitShare struct {
 	scope    *Scope
 	items    int
@@ -443,7 +431,7 @@ const (
 // batch's hit is built only once it is admitted, from its live items.
 // The sheets, in arrival order, are the only copy of the answers until
 // finalize lays them out per question. A scope that withdraws from a
-// shared HIT marks its items detached under the stripe lock;
+// shared HIT marks its items detached under the table lock;
 // finalization, failure and the EM vote builder skip them.
 type inflightHIT struct {
 	hit      *hit.HIT
@@ -483,7 +471,7 @@ type inflightHIT struct {
 	// spans (HIT/cost attribution), extSpans the adaptive extension
 	// spans in purchase order. span and opSpans are fixed before the
 	// HIT becomes visible to completions; extSpans appends take the
-	// stripe lock.
+	// table lock.
 	span     *obs.Span
 	opSpans  []*obs.Span
 	extSpans []*obs.Span
@@ -697,20 +685,20 @@ func (m *Manager) observeBackend(name string, tt qlang.TaskType, rewardCents int
 // onAssignmentFailed reduces an inflight HIT's expected assignment count;
 // when nothing more can arrive the HIT finalizes with whatever it has.
 func (m *Manager) onAssignmentFailed(hitID string, err error) {
-	s := m.flights.stripeFor(hitID)
-	s.mu.Lock()
-	fl, ok := s.hits[hitID]
+	t := &m.flights
+	t.mu.Lock()
+	fl, ok := t.hits[hitID]
 	if !ok {
-		s.mu.Unlock()
+		t.mu.Unlock()
 		return
 	}
 	fl.needed--
 	if fl.received < fl.needed {
-		s.mu.Unlock()
+		t.mu.Unlock()
 		return
 	}
-	delete(s.hits, hitID)
-	s.mu.Unlock()
+	delete(t.hits, hitID)
+	t.mu.Unlock()
 	m.retire(hitID, fl, err)
 }
 
@@ -1322,17 +1310,17 @@ func (m *Manager) launch(fl *inflightHIT) error {
 	id := fl.hit.ID
 	fl.byWorker = make([]hit.Answers, 0, fl.capA)
 	fl.postedAt = m.market.Clock().Now()
-	s := m.flights.stripeFor(id)
-	s.mu.Lock()
-	if s.hits == nil {
-		s.hits = make(map[string]*inflightHIT)
+	t := &m.flights
+	t.mu.Lock()
+	if t.hits == nil {
+		t.hits = make(map[string]*inflightHIT)
 	}
-	s.hits[id] = fl
-	s.mu.Unlock()
+	t.hits[id] = fl
+	t.mu.Unlock()
 	if err := m.post(fl.hit, m.onAssignment); err != nil {
-		s.mu.Lock()
-		delete(s.hits, id)
-		s.mu.Unlock()
+		t.mu.Lock()
+		delete(t.hits, id)
+		t.mu.Unlock()
 		m.traceHITPostFailed(fl, err)
 		for i := range fl.shares {
 			m.account.Refund(fl.shares[i].cost)
@@ -1451,21 +1439,21 @@ func (m *Manager) postHIT(q queuedHIT) bool {
 
 // onAssignment collects one completed assignment of a HIT of any kind;
 // when the HIT has all of them, it finalizes. Only one goroutine can
-// observe received == needed under the stripe lock, so finalization runs
+// observe received == needed under the table lock, so finalization runs
 // exactly once, outside all locks.
 func (m *Manager) onAssignment(res mturk.AssignmentResult) {
-	s := m.flights.stripeFor(res.HITID)
-	s.mu.Lock()
-	fl, ok := s.hits[res.HITID]
+	t := &m.flights
+	t.mu.Lock()
+	fl, ok := t.hits[res.HITID]
 	if !ok {
-		s.mu.Unlock()
+		t.mu.Unlock()
 		return
 	}
 	fl.byWorker = append(fl.byWorker, res.Answers)
 	fl.received++
 	m.traceAssignment(fl, res.Answers.WorkerID)
 	if fl.received < fl.needed {
-		s.mu.Unlock()
+		t.mu.Unlock()
 		return
 	}
 	if fl.adaptive && fl.needed < fl.capA && !m.itemsConfident(fl) {
@@ -1473,12 +1461,12 @@ func (m *Manager) onAssignment(res mturk.AssignmentResult) {
 		// and buy one more assignment. No other completion can race in —
 		// every posted slot has reported — so this goroutine alone
 		// decides extend-or-finalize.
-		s.mu.Unlock()
-		m.extendInflight(s, res.HITID, fl)
+		t.mu.Unlock()
+		m.extendInflight(res.HITID, fl)
 		return
 	}
-	delete(s.hits, res.HITID)
-	s.mu.Unlock()
+	delete(t.hits, res.HITID)
+	t.mu.Unlock()
 	m.retire(res.HITID, fl, nil)
 }
 
@@ -1895,12 +1883,7 @@ func (m *Manager) Sharing() SharingStats {
 // Inflight reports posted HITs of every kind (batch, group, grid and
 // comparison) that have not collected all assignments.
 func (m *Manager) Inflight() int {
-	n := 0
-	for i := range m.flights.stripes {
-		s := &m.flights.stripes[i]
-		s.mu.Lock()
-		n += len(s.hits)
-		s.mu.Unlock()
-	}
-	return n
+	m.flights.mu.Lock()
+	defer m.flights.mu.Unlock()
+	return len(m.flights.hits)
 }
