@@ -184,7 +184,7 @@ func BenchmarkMarketplaceThroughput(b *testing.B) {
 	// marketplace throughput rather than GC over an unbounded backlog.
 	const maxInflight = 4096
 	var posted, completed atomic.Int64
-	items := []hit.Item{{Key: "k"}} // HITs never mutate Items; share one
+	items := []hit.Item{{}} // HITs never mutate Items; share one
 	onDone := func(mturk.AssignmentResult) { completed.Add(1) }
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {

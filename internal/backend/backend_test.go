@@ -18,7 +18,7 @@ func filterHIT(id, task string, assignments int) *hit.HIT {
 	return &hit.HIT{
 		ID: id, Task: task, Type: qlang.TaskFilter,
 		Question: "cat?", Response: qlang.Response{Kind: qlang.ResponseYesNo},
-		Items:       []hit.Item{{Key: "k1", Args: []relation.Value{relation.NewImage("x.png")}}},
+		Items:       []hit.Item{{Args: []relation.Value{relation.NewImage("x.png")}}},
 		RewardCents: 2, Assignments: assignments,
 	}
 }
@@ -30,7 +30,7 @@ func orderHIT(id string, keys ...string) *hit.HIT {
 		RewardCents: 3, Assignments: 1,
 	}
 	for _, k := range keys {
-		h.Items = append(h.Items, hit.Item{Key: k, Args: []relation.Value{relation.NewString(k)}})
+		h.Items = append(h.Items, hit.Item{Args: []relation.Value{relation.NewString(k)}})
 	}
 	return h
 }
@@ -41,11 +41,11 @@ func joinHIT(id string) *hit.HIT {
 		Question: "same person?",
 		Response: qlang.Response{Kind: qlang.ResponseJoinColumns},
 		Left: []hit.Item{
-			{Key: "l1", Args: []relation.Value{relation.NewString("a")}},
-			{Key: "l2", Args: []relation.Value{relation.NewString("b")}},
+			{Args: []relation.Value{relation.NewString("a")}},
+			{Args: []relation.Value{relation.NewString("b")}},
 		},
 		Right: []hit.Item{
-			{Key: "r1", Args: []relation.Value{relation.NewString("a")}},
+			{Args: []relation.Value{relation.NewString("a")}},
 		},
 		RewardCents: 4, Assignments: 1,
 	}
@@ -140,7 +140,7 @@ func TestLLMOrderScoresBecomeRanks(t *testing.T) {
 	}
 	for i, rank := range want {
 		if vals[i].Kind() != relation.KindInt || vals[i].Int() != rank {
-			t.Errorf("rank of %s = %v, want %d", h.Items[i].Key, vals[i], rank)
+			t.Errorf("rank of %v = %v, want %d", h.Items[i].Args[0], vals[i], rank)
 		}
 	}
 }

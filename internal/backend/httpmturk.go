@@ -252,16 +252,8 @@ func (c *HTTP) Post(h *hit.HIT, onAssignment func(mturk.AssignmentResult)) error
 	wh := wireHIT{
 		ID: h.ID, Task: h.Task, Type: int(h.Type), Title: h.Title,
 		Question: h.Question, Response: h.Response,
-		RewardCents: h.RewardCents, Assignments: h.Assignments, GroupKeys: h.GroupKeys,
-	}
-	for _, it := range h.Items {
-		wh.Items = append(wh.Items, wireItem{Key: it.Key, Task: it.Task, Prompt: it.Prompt, Args: encodeArgs(it.Args)})
-	}
-	for _, it := range h.Left {
-		wh.Left = append(wh.Left, wireItem{Key: it.Key, Args: encodeArgs(it.Args)})
-	}
-	for _, it := range h.Right {
-		wh.Right = append(wh.Right, wireItem{Key: it.Key, Args: encodeArgs(it.Args)})
+		RewardCents: h.RewardCents, Assignments: h.Assignments,
+		Items: encodeWireItems(h.Items), Left: encodeWireItems(h.Left), Right: encodeWireItems(h.Right),
 	}
 	body, err := json.Marshal(wh)
 	if err != nil {
@@ -360,8 +352,8 @@ func (c *HTTP) poll(ctx context.Context, ph *httpHIT, onAssignment func(mturk.As
 	}
 }
 
-// SubmitExternal implements Backend: the sheet goes over the wire keyed
-// by the HIT's question keys, so the HIT must still be posted here.
+// SubmitExternal implements Backend: the sheet goes over the wire
+// checked against the HIT, so the HIT must still be posted here.
 func (c *HTTP) SubmitExternal(hitID string, ans hit.Answers) error {
 	c.mu.Lock()
 	ph, ok := c.hits[hitID]

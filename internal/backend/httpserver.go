@@ -17,10 +17,9 @@ import (
 
 // Wire types: the MTurk-shaped REST surface both sides of the HTTP
 // driver speak. Values travel as base64 of the relation binary codec so
-// every Kind round-trips exactly.
+// every Kind round-trips exactly; an assignment's are in question order.
 
 type wireItem struct {
-	Key    string   `json:"key"`
 	Task   string   `json:"task,omitempty"`
 	Prompt string   `json:"prompt,omitempty"`
 	Args   []string `json:"args,omitempty"`
@@ -38,15 +37,14 @@ type wireHIT struct {
 	Right       []wireItem     `json:"right,omitempty"`
 	RewardCents int64          `json:"rewardCents"`
 	Assignments int            `json:"assignments"`
-	GroupKeys   []string       `json:"groupKeys,omitempty"`
 }
 
 type wireAssignment struct {
-	ID          string            `json:"id"`
-	WorkerID    string            `json:"workerId"`
-	Values      map[string]string `json:"values"`
-	SubmittedAt int64             `json:"submittedAt"`
-	External    bool              `json:"external"`
+	ID          string   `json:"id"`
+	WorkerID    string   `json:"workerId"`
+	Values      []string `json:"values"`
+	SubmittedAt int64    `json:"submittedAt"`
+	External    bool     `json:"external"`
 }
 
 type wireFailure struct {
@@ -75,6 +73,8 @@ func encodeValue(v relation.Value) string {
 	return base64.StdEncoding.EncodeToString(v.Encode(nil))
 }
 
+// decodeWireValue decodes one wire value, spelled as encodeValue spells
+// it: base64 alone would also accept line breaks and stray low bits.
 func decodeWireValue(s string) (relation.Value, error) {
 	raw, err := base64.StdEncoding.DecodeString(s)
 	if err != nil {
@@ -84,36 +84,41 @@ func decodeWireValue(s string) (relation.Value, error) {
 	if err != nil || len(rest) != 0 {
 		return relation.Value{}, fmt.Errorf("backend: bad value encoding: %v", err)
 	}
+	if encodeValue(v) != s {
+		return relation.Value{}, fmt.Errorf("backend: non-canonical value encoding")
+	}
 	return v, nil
 }
 
-// encodeWireAssignment addresses ans by the HIT's question keys, the
-// form the wire carries. It fails unless ans answers every question.
+// encodeWireAssignment lays ans out as the wire carries it. It fails
+// unless ans answers every question.
 func encodeWireAssignment(h *hit.HIT, ans hit.Answers) (wireAssignment, error) {
-	keyed, err := h.KeyedAnswers(ans)
-	if err != nil {
+	if err := h.CheckAnswers(ans); err != nil {
 		return wireAssignment{}, err
 	}
-	wa := wireAssignment{WorkerID: ans.WorkerID, Values: make(map[string]string, len(keyed))}
-	for k, v := range keyed {
-		wa.Values[k] = encodeValue(v)
+	wa := wireAssignment{WorkerID: ans.WorkerID, Values: make([]string, len(ans.Values))}
+	for i, v := range ans.Values {
+		wa.Values[i] = encodeValue(v)
 	}
 	return wa, nil
 }
 
-// decodeWireAssignment lays a wire assignment out as its worker's sheet
-// for h. It fails on an undecodable value, a question without an answer
-// or an answer to a question h does not ask.
+// decodeWireAssignment decodes a wire assignment as its worker's sheet
+// for h. It fails on an undecodable value, or unless the assignment
+// answers every question of h and no more.
 func decodeWireAssignment(h *hit.HIT, wa wireAssignment) (hit.Answers, error) {
-	keyed := make(map[string]relation.Value, len(wa.Values))
-	for k, enc := range wa.Values {
+	ans := hit.Answers{WorkerID: wa.WorkerID, Values: make([]relation.Value, len(wa.Values))}
+	if err := h.CheckAnswers(ans); err != nil {
+		return hit.Answers{}, err
+	}
+	for i, enc := range wa.Values {
 		v, err := decodeWireValue(enc)
 		if err != nil {
-			return hit.Answers{}, fmt.Errorf("answer %q: %v", k, err)
+			return hit.Answers{}, fmt.Errorf("answer %d: %v", i, err)
 		}
-		keyed[k] = v
+		ans.Values[i] = v
 	}
-	return h.AnswersFromKeyed(wa.WorkerID, keyed)
+	return ans, nil
 }
 
 func encodeArgs(args []relation.Value) []string {
@@ -124,16 +129,30 @@ func encodeArgs(args []relation.Value) []string {
 	return out
 }
 
-func decodeWireItem(w wireItem) (hit.Item, error) {
-	it := hit.Item{Key: w.Key, Task: w.Task, Prompt: w.Prompt}
-	for _, s := range w.Args {
-		v, err := decodeWireValue(s)
-		if err != nil {
-			return it, err
-		}
-		it.Args = append(it.Args, v)
+// encodeWireItems encodes a HIT's items or one of its grid columns.
+func encodeWireItems(items []hit.Item) []wireItem {
+	var out []wireItem
+	for _, it := range items {
+		out = append(out, wireItem{Task: it.Task, Prompt: it.Prompt, Args: encodeArgs(it.Args)})
 	}
-	return it, nil
+	return out
+}
+
+// decodeWireItems decodes a wire HIT's items or one of its grid columns.
+func decodeWireItems(ws []wireItem) ([]hit.Item, error) {
+	var items []hit.Item
+	for _, w := range ws {
+		it := hit.Item{Task: w.Task, Prompt: w.Prompt}
+		for _, s := range w.Args {
+			v, err := decodeWireValue(s)
+			if err != nil {
+				return nil, err
+			}
+			it.Args = append(it.Args, v)
+		}
+		items = append(items, it)
+	}
+	return items, nil
 }
 
 // serverHIT is one posted HIT's server-side collection log: every
@@ -323,28 +342,16 @@ func (s *Server) handlePost(r *http.Request) ([]byte, int, error) {
 		Response:    wh.Response,
 		RewardCents: wh.RewardCents,
 		Assignments: wh.Assignments,
-		GroupKeys:   wh.GroupKeys,
 	}
-	for _, wi := range wh.Items {
-		it, err := decodeWireItem(wi)
-		if err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-		h.Items = append(h.Items, it)
+	var err error
+	if h.Items, err = decodeWireItems(wh.Items); err != nil {
+		return nil, http.StatusBadRequest, err
 	}
-	for _, wi := range wh.Left {
-		it, err := decodeWireItem(wi)
-		if err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-		h.Left = append(h.Left, it)
+	if h.Left, err = decodeWireItems(wh.Left); err != nil {
+		return nil, http.StatusBadRequest, err
 	}
-	for _, wi := range wh.Right {
-		it, err := decodeWireItem(wi)
-		if err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-		h.Right = append(h.Right, it)
+	if h.Right, err = decodeWireItems(wh.Right); err != nil {
+		return nil, http.StatusBadRequest, err
 	}
 
 	s.mu.Lock()
@@ -352,7 +359,7 @@ func (s *Server) handlePost(r *http.Request) ([]byte, int, error) {
 	s.mu.Unlock()
 	if err := s.market.Post(h, func(res mturk.AssignmentResult) {
 		// The marketplace delivers only sheets that answer every
-		// question, so the keyed form always exists.
+		// question, so the encoding cannot fail.
 		wa, _ := encodeWireAssignment(h, res.Answers)
 		s.mu.Lock()
 		defer s.mu.Unlock()

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -224,37 +223,30 @@ func TestTaskmgrScopeCancelRefundsOverWire(t *testing.T) {
 	waitUntil(t, "inflight drain", func() bool { return r.mgr.Inflight() == 0 })
 }
 
-// malformedService is a wire service whose first posted HIT's three
-// assignments are one good answer, one that skips the HIT's question
-// and one that also answers a question the HIT does not ask.
-type malformedService struct {
-	mu  sync.Mutex
-	key string // the posted HIT's one item key
-}
+// malformedService is a wire service whose posted one-question HIT's
+// four assignments are one good answer, one with no value, one with two
+// values and one whose value does not decode.
+type malformedService struct{}
 
-func (s *malformedService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (malformedService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	yes := base64.StdEncoding.EncodeToString(relation.NewBool(true).Encode(nil))
 	switch {
 	case r.Method == http.MethodPost && r.URL.Path == "/hits":
 		var posted struct {
-			Items []struct {
-				Key string `json:"key"`
-			} `json:"items"`
+			Items []json.RawMessage `json:"items"`
 		}
 		if err := json.NewDecoder(r.Body).Decode(&posted); err != nil || len(posted.Items) != 1 {
 			http.Error(w, "want one item", http.StatusBadRequest)
 			return
 		}
-		s.key = posted.Items[0].Key
 		w.WriteHeader(http.StatusCreated)
 		fmt.Fprint(w, `{}`)
 	case r.Method == http.MethodGet && strings.HasSuffix(r.URL.Path, "/assignments"):
-		page := map[string]any{"next": 3, "done": true, "assignments": []map[string]any{
-			{"id": "a1", "workerId": "w1", "values": map[string]string{s.key: yes}},
-			{"id": "a2", "workerId": "w2", "values": map[string]string{}},
-			{"id": "a3", "workerId": "w3", "values": map[string]string{s.key: yes, "other": yes}},
+		page := map[string]any{"next": 4, "done": true, "assignments": []map[string]any{
+			{"id": "a1", "workerId": "w1", "values": []string{yes}},
+			{"id": "a2", "workerId": "w2", "values": []string{}},
+			{"id": "a3", "workerId": "w3", "values": []string{yes, yes}},
+			{"id": "a4", "workerId": "w4", "values": []string{"!!not base64"}},
 		}}
 		_ = json.NewEncoder(w).Encode(page)
 	default:
@@ -262,11 +254,11 @@ func (s *malformedService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// TestTaskmgrFinalizesShortOnMalformedWire: wire assignments that skip
-// a question or answer a foreign one fail like undecodable ones, so the
+// TestTaskmgrFinalizesShortOnMalformedWire: wire assignments with one
+// value too few or one too many fail like an undecodable one, so the
 // Task Manager finalizes the item from the one good vote.
 func TestTaskmgrFinalizesShortOnMalformedWire(t *testing.T) {
-	ts := httptest.NewServer(&malformedService{})
+	ts := httptest.NewServer(malformedService{})
 	t.Cleanup(ts.Close)
 	engineClock := mturk.NewClock()
 	client, err := backend.NewHTTP(backend.HTTPConfig{BaseURL: ts.URL, Clock: engineClock,
@@ -284,9 +276,10 @@ func TestTaskmgrFinalizesShortOnMalformedWire(t *testing.T) {
 	mgr := taskmgr.NewWithBackend(client, nil, nil, account)
 	outcome := make(chan taskmgr.Outcome, 1)
 	mgr.Submit(taskmgr.Request{
-		Def:  def,
-		Args: []relation.Value{relation.NewImage("cat.png")},
-		Done: func(o taskmgr.Outcome) { outcome <- o },
+		Def:         def,
+		Args:        []relation.Value{relation.NewImage("cat.png")},
+		Assignments: 4,
+		Done:        func(o taskmgr.Outcome) { outcome <- o },
 	})
 	select {
 	case o := <-outcome:
@@ -300,9 +293,9 @@ func TestTaskmgrFinalizesShortOnMalformedWire(t *testing.T) {
 		t.Fatal("item never resolved")
 	}
 	waitUntil(t, "inflight drain", func() bool { return mgr.Inflight() == 0 })
-	// The account paid for three assignments at post time; the client
+	// The account paid for four assignments at post time; the client
 	// paid out only the one it delivered.
-	if st := client.Stats(); st.AssignmentsCompleted != 1 || st.SpentCents == 0 || 3*st.SpentCents != account.Spent() {
-		t.Fatalf("stats = %+v with %v charged, want one of three assignments paid", st, account.Spent())
+	if st := client.Stats(); st.AssignmentsCompleted != 1 || st.SpentCents == 0 || 4*st.SpentCents != account.Spent() {
+		t.Fatalf("stats = %+v with %v charged, want one of four assignments paid", st, account.Spent())
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -16,28 +17,29 @@ import (
 	"repro/internal/relation"
 )
 
-// twoItemHIT is a two-question yes/no HIT (keys k1, k2).
+// twoItemHIT is a two-question yes/no HIT.
 func twoItemHIT(id string, assignments int) *hit.HIT {
 	return &hit.HIT{
 		ID: id, Task: "isCat", Type: qlang.TaskFilter,
 		Question: "cat?", Response: qlang.Response{Kind: qlang.ResponseYesNo},
 		Items: []hit.Item{
-			{Key: "k1", Args: []relation.Value{relation.NewImage("a.png")}},
-			{Key: "k2", Args: []relation.Value{relation.NewImage("b.png")}},
+			{Args: []relation.Value{relation.NewImage("a.png")}},
+			{Args: []relation.Value{relation.NewImage("b.png")}},
 		},
 		RewardCents: 2, Assignments: assignments,
 	}
 }
 
-// wireValues builds a wire assignment's values from key/value pairs.
-func wireValues(kv ...any) map[string]string {
-	out := make(map[string]string)
-	for i := 0; i < len(kv); i += 2 {
-		switch v := kv[i+1].(type) {
+// wireValues builds a wire assignment's values in question order: a
+// relation.Value is encoded, a string goes on the wire as it is.
+func wireValues(vals ...any) []string {
+	out := make([]string, len(vals))
+	for i, v := range vals {
+		switch v := v.(type) {
 		case relation.Value:
-			out[kv[i].(string)] = encodeValue(v)
+			out[i] = encodeValue(v)
 		case string:
-			out[kv[i].(string)] = v // raw, possibly undecodable
+			out[i] = v // raw, possibly undecodable
 		}
 	}
 	return out
@@ -67,18 +69,18 @@ func (s *scriptedService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// TestHTTPClientRejectsMalformedAssignments: a page assignment that
-// skips a question or answers a foreign one is undecodable, exactly like
-// one carrying a bad value — reported to the error handler, never
+// TestHTTPClientRejectsMalformedAssignments: a page assignment with one
+// value too few or one too many is undecodable, exactly like one
+// carrying a bad value — reported to the error handler, never
 // delivered, and neither counted as completed nor paid.
 func TestHTTPClientRejectsMalformedAssignments(t *testing.T) {
 	yes, no := relation.NewBool(true), relation.NewBool(false)
 	svc := &scriptedService{page: wirePage{Next: 5, Done: true, Assignments: []wireAssignment{
-		{ID: "a1", WorkerID: "w1", Values: wireValues("k1", yes, "k2", no)},
-		{ID: "a2", WorkerID: "w2", Values: wireValues("k1", yes)},
-		{ID: "a3", WorkerID: "w3", Values: wireValues("k1", yes, "k2", no, "k9", yes)},
-		{ID: "a4", WorkerID: "w4", Values: wireValues("k1", yes, "k2", "!!not base64")},
-		{ID: "a5", WorkerID: "w5", Values: wireValues("k2", yes, "k1", no)},
+		{ID: "a1", WorkerID: "w1", Values: wireValues(yes, no)},
+		{ID: "a2", WorkerID: "w2", Values: wireValues(yes)},
+		{ID: "a3", WorkerID: "w3", Values: wireValues(yes, no, yes)},
+		{ID: "a4", WorkerID: "w4", Values: wireValues(yes, "!!not base64")},
+		{ID: "a5", WorkerID: "w5", Values: wireValues(no, yes)},
 	}}}
 	ts := httptest.NewServer(svc)
 	defer ts.Close()
@@ -119,8 +121,7 @@ func TestHTTPClientRejectsMalformedAssignments(t *testing.T) {
 	if len(got.results) != 2 {
 		t.Fatalf("delivered %d assignments, want a1 and a5", len(got.results))
 	}
-	// Keyed answers land at their questions' positions, whatever the
-	// wire's key order.
+	// The i-th wire value answers question i.
 	for i, want := range [][2]bool{{true, false}, {false, true}} {
 		vals := got.results[i].Answers.Values
 		if len(vals) != 2 || vals[0].Truthy() != want[0] || vals[1].Truthy() != want[1] {
@@ -134,9 +135,9 @@ func TestHTTPClientRejectsMalformedAssignments(t *testing.T) {
 }
 
 // TestHTTPExternalChecksSheet: the server's external endpoint answers 400
-// to an assignment missing a question, naming a foreign one or carrying
-// a bad value, and fills no slot; the client refuses a sheet of the
-// wrong length before it reaches the wire.
+// to an assignment with one value too few, one too many or a bad value,
+// and fills no slot; the client refuses a sheet of the wrong length
+// before it reaches the wire.
 func TestHTTPExternalChecksSheet(t *testing.T) {
 	// No simulated worker ever claims, so every slot stays open for
 	// external submissions.
@@ -146,7 +147,7 @@ func TestHTTPExternalChecksSheet(t *testing.T) {
 		t.Fatal(err)
 	}
 	yes := relation.NewBool(true)
-	post := func(values map[string]string) int {
+	post := func(values []string) int {
 		body, _ := json.Marshal(wireAssignment{WorkerID: "human", Values: values})
 		resp, err := http.Post(r.ts.URL+"/hits/"+h.ID+"/external", "application/json", bytes.NewReader(body))
 		if err != nil {
@@ -155,10 +156,10 @@ func TestHTTPExternalChecksSheet(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode
 	}
-	for name, values := range map[string]map[string]string{
-		"missing key": wireValues("k1", yes),
-		"foreign key": wireValues("k1", yes, "k2", yes, "k9", yes),
-		"bad value":   wireValues("k1", yes, "k2", "!!"),
+	for name, values := range map[string][]string{
+		"one too few":  wireValues(yes),
+		"one too many": wireValues(yes, yes, yes),
+		"bad value":    wireValues(yes, "!!"),
 	} {
 		if code := post(values); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, code)
@@ -173,8 +174,8 @@ func TestHTTPExternalChecksSheet(t *testing.T) {
 	if st, _ := r.srv.market.Status(h.ID); st.Completed != 0 {
 		t.Fatalf("malformed submissions filled %d slots", st.Completed)
 	}
-	if code := post(wireValues("k2", yes, "k1", yes)); code != http.StatusOK {
-		t.Fatalf("well-formed keyed submission: status %d", code)
+	if code := post(wireValues(yes, yes)); code != http.StatusOK {
+		t.Fatalf("well-formed submission: status %d", code)
 	}
 	if err := r.client.SubmitExternal(h.ID, hit.Answers{WorkerID: "human-2", Values: []relation.Value{yes, yes}}); err != nil {
 		t.Fatal(err)
@@ -189,4 +190,72 @@ type noWorkerPool struct{}
 
 func (noWorkerPool) Claim(h *hit.HIT, now mturk.VirtualTime) (mturk.Claim, bool) {
 	return mturk.Claim{}, false
+}
+
+// FuzzWireAssignment decodes arbitrary wire value arrays against four
+// HITs: a yes/no batch, a two-field form HIT, a 2×3 grid and an Order
+// HIT. Decoding never panics and accepts exactly the arrays of
+// QuestionCount decodable values, and an accepted sheet re-encodes to
+// the same array.
+func FuzzWireAssignment(f *testing.F) {
+	str := func(s string) []relation.Value { return []relation.Value{relation.NewString(s)} }
+	hits := []*hit.HIT{
+		twoItemHIT("HY", 1),
+		{ID: "HF", Task: "findCEO", Type: qlang.TaskQuestion, Question: "CEO?",
+			Response: qlang.Response{Kind: qlang.ResponseForm, Fields: []qlang.FormField{
+				{Label: "CEO", Kind: relation.KindString}, {Label: "Phone", Kind: relation.KindString}}},
+			Items: []hit.Item{{Args: str("Acme")}}, RewardCents: 1, Assignments: 1},
+		{ID: "HG", Task: "samePerson", Type: qlang.TaskJoinPredicate, Question: "Match.",
+			Response:    qlang.Response{Kind: qlang.ResponseJoinColumns},
+			Left:        []hit.Item{{Args: str("a")}, {Args: str("b")}},
+			Right:       []hit.Item{{Args: str("c")}, {Args: str("d")}, {Args: str("e")}},
+			RewardCents: 1, Assignments: 1},
+		{ID: "HO", Task: "rank", Type: qlang.TaskRank, Question: "Order.",
+			Response:    qlang.Response{Kind: qlang.ResponseOrder},
+			Items:       []hit.Item{{Args: str("x")}, {Args: str("y")}, {Args: str("z")}},
+			RewardCents: 1, Assignments: 1},
+	}
+	yes, no := encodeValue(relation.NewBool(true)), encodeValue(relation.NewBool(false))
+	ceo := encodeValue(relation.NewTuple(relation.Field{Name: "CEO", Value: relation.NewString("Jane")},
+		relation.Field{Name: "Phone", Value: relation.Null}))
+	seed := func(which int, values ...string) {
+		body, _ := json.Marshal(values)
+		f.Add(uint8(which), body)
+	}
+	seed(0, yes, no)
+	seed(0, yes)
+	seed(0, yes, no, yes)
+	seed(0, yes, "!!not base64")
+	seed(1, ceo)
+	seed(1, yes+"\n")
+	seed(2, yes, no, no, yes, no, no)
+	seed(3, encodeValue(relation.NewInt(2)), encodeValue(relation.NewInt(0)), encodeValue(relation.NewInt(1)))
+	f.Add(uint8(1), []byte(`null`))
+	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
+		var values []string
+		if json.Unmarshal(body, &values) != nil {
+			return
+		}
+		h := hits[int(which)%len(hits)]
+		decodable := len(values) == h.QuestionCount()
+		for _, s := range values {
+			if _, err := decodeWireValue(s); err != nil {
+				decodable = false
+			}
+		}
+		ans, err := decodeWireAssignment(h, wireAssignment{WorkerID: "w", Values: values})
+		if (err == nil) != decodable {
+			t.Fatalf("HIT %s: %q decoded with error %v; want accepted = %v", h.ID, values, err, decodable)
+		}
+		if err != nil {
+			return
+		}
+		back, err := encodeWireAssignment(h, ans)
+		if err != nil {
+			t.Fatalf("HIT %s: accepted sheet does not encode: %v", h.ID, err)
+		}
+		if back.WorkerID != "w" || !slices.Equal(back.Values, values) {
+			t.Fatalf("HIT %s: %q re-encodes to %q", h.ID, values, back.Values)
+		}
+	})
 }

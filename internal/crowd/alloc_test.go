@@ -18,8 +18,8 @@ func gridHIT(n int) *hit.HIT {
 		Response: qlang.Response{Kind: qlang.ResponseJoinColumns, LeftLabel: "L", RightLabel: "R"},
 	}
 	for i := 0; i < n; i++ {
-		h.Left = append(h.Left, hit.Item{Key: fmt.Sprintf("l%d", i), Args: []relation.Value{relation.NewImage(fmt.Sprintf("cat-%d.png", i))}})
-		h.Right = append(h.Right, hit.Item{Key: fmt.Sprintf("r%d", i), Args: []relation.Value{relation.NewImage(fmt.Sprintf("cat-%d.jpg", i))}})
+		h.Left = append(h.Left, hit.Item{Args: []relation.Value{relation.NewImage(fmt.Sprintf("cat-%d.png", i))}})
+		h.Right = append(h.Right, hit.Item{Args: []relation.Value{relation.NewImage(fmt.Sprintf("cat-%d.jpg", i))}})
 	}
 	return h
 }

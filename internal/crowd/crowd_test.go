@@ -23,7 +23,7 @@ func ynHIT(id string, keys ...string) *hit.HIT {
 		RewardCents: 1, Assignments: 1,
 	}
 	for _, k := range keys {
-		h.Items = append(h.Items, hit.Item{Key: k, Args: []relation.Value{relation.NewImage(k + ".png")}})
+		h.Items = append(h.Items, hit.Item{Args: []relation.Value{relation.NewImage(k + ".png")}})
 	}
 	return h
 }
@@ -208,9 +208,9 @@ func TestJoinColumnsAnswers(t *testing.T) {
 		Question: "match", RewardCents: 1, Assignments: 1,
 		Response: qlang.Response{Kind: qlang.ResponseJoinColumns,
 			LeftLabel: "L", RightLabel: "R", LeftParam: "a", RightParam: "b"},
-		Left: []hit.Item{{Key: "l1", Args: []relation.Value{relation.NewString("ann-1")}}},
-		Right: []hit.Item{{Key: "r1", Args: []relation.Value{relation.NewString("ann-2")}},
-			{Key: "r2", Args: []relation.Value{relation.NewString("bob-1")}}},
+		Left: []hit.Item{{Args: []relation.Value{relation.NewString("ann-1")}}},
+		Right: []hit.Item{{Args: []relation.Value{relation.NewString("ann-2")}},
+			{Args: []relation.Value{relation.NewString("bob-1")}}},
 	}
 	match, nomatch := 0, 0
 	for i := 0; i < 100; i++ {
@@ -239,7 +239,7 @@ func TestRatingAnswersStayInScale(t *testing.T) {
 		ID: "r", Task: "score", Type: qlang.TaskRating,
 		Question: "rate", RewardCents: 1, Assignments: 1,
 		Response: qlang.Response{Kind: qlang.ResponseRating, ScaleMin: 1, ScaleMax: 5},
-		Items:    []hit.Item{{Key: "a", Args: []relation.Value{relation.NewImage("a.png")}}},
+		Items:    []hit.Item{{Args: []relation.Value{relation.NewImage("a.png")}}},
 	}
 	for i := 0; i < 200; i++ {
 		ans := mustAnswer(t, p, h)
@@ -260,9 +260,9 @@ func TestOrderAnswersArePermutation(t *testing.T) {
 		Question: "order", RewardCents: 1, Assignments: 1,
 		Response: qlang.Response{Kind: qlang.ResponseOrder},
 		Items: []hit.Item{
-			{Key: "a", Args: []relation.Value{relation.NewString("x")}},
-			{Key: "b", Args: []relation.Value{relation.NewString("xxx")}},
-			{Key: "c", Args: []relation.Value{relation.NewString("xx")}},
+			{Args: []relation.Value{relation.NewString("x")}},
+			{Args: []relation.Value{relation.NewString("xxx")}},
+			{Args: []relation.Value{relation.NewString("xx")}},
 		},
 	}
 	ans := mustAnswer(t, p, h)
@@ -284,7 +284,7 @@ func TestChoiceAnswers(t *testing.T) {
 		ID: "c", Task: "sentiment", Type: qlang.TaskQuestion,
 		Question: "sentiment?", RewardCents: 1, Assignments: 1,
 		Response: qlang.Response{Kind: qlang.ResponseChoice, Options: []string{"pos", "neg", "neutral"}},
-		Items:    []hit.Item{{Key: "s", Args: []relation.Value{relation.NewString("great")}}},
+		Items:    []hit.Item{{Args: []relation.Value{relation.NewString("great")}}},
 	}
 	pos := 0
 	for i := 0; i < 100; i++ {
@@ -321,7 +321,7 @@ func TestFormCorruption(t *testing.T) {
 		Question: "find", RewardCents: 1, Assignments: 1,
 		Response: qlang.Response{Kind: qlang.ResponseForm, Fields: []qlang.FormField{
 			{Label: "CEO", Kind: relation.KindString}, {Label: "Phone", Kind: relation.KindString}}},
-		Items: []hit.Item{{Key: "k", Args: []relation.Value{relation.NewString("Acme")}}},
+		Items: []hit.Item{{Args: []relation.Value{relation.NewString("Acme")}}},
 	}
 	ans := mustAnswer(t, p, h)
 	if ans.Values[0].Equal(truth) {

@@ -1,10 +1,13 @@
 package dashboard
 
 import (
+	"html"
 	"io"
 	"net/http/httptest"
 	"net/url"
+	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/cache"
@@ -113,84 +116,155 @@ type liveSource struct {
 func (s liveSource) Snapshot() Snapshot              { return sampleSnapshot() }
 func (s liveSource) Marketplace() *mturk.Marketplace { return s.market }
 
+// catHIT is a one-question yes/no HIT.
+func catHIT() *hit.HIT {
+	return &hit.HIT{
+		Task: "isCat", Type: qlang.TaskFilter,
+		Title: "Cat?", Question: "Is this a cat?",
+		Response:    qlang.Response{Kind: qlang.ResponseYesNo},
+		Items:       []hit.Item{{Args: []relation.Value{relation.NewImage("x.png")}}},
+		RewardCents: 1, Assignments: 1,
+	}
+}
+
 func newLiveSource(t *testing.T) (liveSource, *hit.HIT) {
 	t.Helper()
+	h := catHIT()
+	src, _ := postLive(t, h)
+	return src, h
+}
+
+// sheetLog records the answer sheets a live HIT receives.
+type sheetLog struct {
+	mu     sync.Mutex
+	sheets []hit.Answers
+}
+
+func (l *sheetLog) add(res mturk.AssignmentResult) {
+	l.mu.Lock()
+	l.sheets = append(l.sheets, res.Answers)
+	l.mu.Unlock()
+}
+
+// postLive gives h an ID and posts it to a fresh marketplace whose pool
+// never supplies a worker, which keeps the HIT open for the audience.
+func postLive(t *testing.T, h *hit.HIT) (liveSource, *sheetLog) {
+	t.Helper()
 	clock := mturk.NewClock()
-	// A pool that never supplies workers keeps HITs open for the
-	// audience.
 	pool := crowd.NewPool(crowd.Config{Workers: 1, Seed: 1,
 		Overhead: 1 << 40}, crowd.OracleFunc(
 		func(task string, args []relation.Value) relation.Value { return relation.NewBool(true) }))
 	market := mturk.NewMarketplace(clock, pool)
-	h := &hit.HIT{
-		ID: market.NewHITID(), Task: "isCat", Type: qlang.TaskFilter,
-		Title: "Cat?", Question: "Is this a cat?",
-		Response:    qlang.Response{Kind: qlang.ResponseYesNo},
-		Items:       []hit.Item{{Key: "k1", Args: []relation.Value{relation.NewImage("x.png")}}},
-		RewardCents: 1, Assignments: 1,
-	}
-	if err := market.Post(h, nil); err != nil {
+	h.ID = market.NewHITID()
+	log := &sheetLog{}
+	if err := market.Post(h, log.add); err != nil {
 		t.Fatal(err)
 	}
-	return liveSource{market: market}, h
+	return liveSource{market: market}, log
 }
 
+// formInput matches one radio or checkbox the HIT page renders: its
+// name, its value and the label text after it.
+var formInput = regexp.MustCompile(`<input type="(?:radio|checkbox)" name="([^"]*)" value="([^"]*)">([^<]*)</label>`)
+
+// TestHTTPTaskFlow answers a yes/no HIT and a 2×2 join grid through the
+// served pages. It submits the input names the /hit page renders, so the
+// names hit.Compile writes and the names hit.ParseForm reads cannot
+// drift apart, and each ticked input must answer its own question.
 func TestHTTPTaskFlow(t *testing.T) {
-	src, h := newLiveSource(t)
-	srv := httptest.NewServer(NewHandler(src))
-	defer srv.Close()
+	img := func(name string) hit.Item { return hit.Item{Args: []relation.Value{relation.NewImage(name)}} }
+	cases := []struct {
+		name string
+		h    *hit.HIT
+		pick func(value, label string) bool // the inputs to submit
+		want []bool
+	}{
+		{name: "yes-no", h: catHIT(),
+			pick: func(value, _ string) bool { return value == "yes" },
+			want: []bool{true}},
+		{name: "join grid",
+			h: &hit.HIT{Task: "samePerson", Type: qlang.TaskJoinPredicate, Title: "Match", Question: "Match the pictures.",
+				Response:    qlang.Response{Kind: qlang.ResponseJoinColumns, LeftLabel: "Celebrity", RightLabel: "Spotted"},
+				Left:        []hit.Item{img("c1.png"), img("c2.png")},
+				Right:       []hit.Item{img("s1.png"), img("s2.png")},
+				RewardCents: 1, Assignments: 1},
+			// Cell (1, 0) is question 1·2+0 = 2.
+			pick: func(_, label string) bool { return strings.TrimSpace(label) == "c2.png ↔ s1.png" },
+			want: []bool{false, false, true, false}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			src, log := postLive(t, tc.h)
+			srv := httptest.NewServer(NewHandler(src))
+			defer srv.Close()
+			get := func(path string) string {
+				resp, err := srv.Client().Get(srv.URL + path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				return string(body)
+			}
 
-	// The task list shows the open HIT.
-	resp, err := srv.Client().Get(srv.URL + "/tasks")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(body), h.ID) {
-		t.Fatalf("/tasks missing %s:\n%s", h.ID, body)
-	}
+			// The task list shows the open HIT.
+			if body := get("/tasks"); !strings.Contains(body, tc.h.ID) {
+				t.Fatalf("/tasks missing %s:\n%s", tc.h.ID, body)
+			}
 
-	// The HIT form renders.
-	resp, err = srv.Client().Get(srv.URL + "/hit?id=" + h.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(body), "Is this a cat?") {
-		t.Fatalf("/hit missing question:\n%s", body)
-	}
+			// The HIT form renders; the submission uses its input names.
+			page := get("/hit?id=" + tc.h.ID)
+			if !strings.Contains(page, tc.h.Question) {
+				t.Fatalf("/hit missing question:\n%s", page)
+			}
+			form := url.Values{}
+			form.Set("hit", tc.h.ID)
+			for _, m := range formInput.FindAllStringSubmatch(page, -1) {
+				if tc.pick(html.UnescapeString(m[2]), html.UnescapeString(m[3])) {
+					form.Set(html.UnescapeString(m[1]), html.UnescapeString(m[2]))
+				}
+			}
+			if len(form) != 2 {
+				t.Fatalf("picked %v from the page:\n%s", form, page)
+			}
 
-	// Submitting the form completes the assignment.
-	form := url.Values{}
-	form.Set("hit", h.ID)
-	form.Set("yn_k1", "yes")
-	resp, err = srv.Client().PostForm(srv.URL+"/submit", form)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("submit status = %d", resp.StatusCode)
-	}
-	st, _ := src.market.Status(h.ID)
-	if st.Completed != 1 {
-		t.Fatalf("assignment not recorded: %+v", st)
-	}
-	stats := src.market.Stats()
-	if stats.ExternalSubmissions != 1 {
-		t.Fatalf("external submissions = %d", stats.ExternalSubmissions)
-	}
+			// Submitting the form completes the assignment.
+			resp, err := srv.Client().PostForm(srv.URL+"/submit", form)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != 200 {
+				t.Fatalf("submit status = %d", resp.StatusCode)
+			}
+			st, _ := src.market.Status(tc.h.ID)
+			if st.Completed != 1 {
+				t.Fatalf("assignment not recorded: %+v", st)
+			}
+			if stats := src.market.Stats(); stats.ExternalSubmissions != 1 {
+				t.Fatalf("external submissions = %d", stats.ExternalSubmissions)
+			}
+			log.mu.Lock()
+			if len(log.sheets) != 1 || len(log.sheets[0].Values) != len(tc.want) {
+				t.Fatalf("sheets = %v, want one of %d answers", log.sheets, len(tc.want))
+			}
+			for i, v := range log.sheets[0].Values {
+				if v.Truthy() != tc.want[i] {
+					t.Errorf("question %d = %v, want %v", i, v, tc.want[i])
+				}
+			}
+			log.mu.Unlock()
 
-	// Second submission is rejected: no open assignments remain.
-	resp, err = srv.Client().PostForm(srv.URL+"/submit", form)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode == 200 {
-		t.Fatal("second submit should be rejected")
+			// Second submission is rejected: no open assignments remain.
+			resp, err = srv.Client().PostForm(srv.URL+"/submit", form)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode == 200 {
+				t.Fatal("second submit should be rejected")
+			}
+		})
 	}
 }
 

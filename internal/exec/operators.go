@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cache"
-	"repro/internal/mturk"
 	"repro/internal/plan"
 	"repro/internal/qlang"
 	"repro/internal/quiesce"
@@ -236,8 +235,8 @@ func (q *run) passesAll(conjuncts []*expr, t relation.Tuple) bool {
 // manager reports each pair by its positions within the block.
 func (q *run) joinTwoColumn(op *operator, v *plan.Join, ls, rs []joinSide) {
 	lb, rb := q.cfg.JoinLeftBlock, q.cfg.JoinRightBlock
-	leftItems := joinItems(ls, "L")
-	rightItems := joinItems(rs, "R")
+	leftItems := joinItems(ls)
+	rightItems := joinItems(rs)
 	wg := quiesce.WaitGroup{Gate: q.gate}
 	for li := 0; li < len(ls); li += lb {
 		if q.Canceled() {
@@ -266,14 +265,14 @@ func (q *run) joinTwoColumn(op *operator, v *plan.Join, ls, rs []joinSide) {
 	wg.Wait()
 }
 
-// joinItems renders one join input as grid items keyed prefix%06d by
-// input position, every item's single argument carved from one array.
-func joinItems(sides []joinSide, prefix string) []taskmgr.JoinItem {
-	items := make([]taskmgr.JoinItem, len(sides))
+// joinItems renders one join input as grid rows by input position,
+// every row's single argument carved from one array.
+func joinItems(sides []joinSide) [][]relation.Value {
+	items := make([][]relation.Value, len(sides))
 	args := make([]relation.Value, len(sides))
 	for i, s := range sides {
 		args[i] = s.arg
-		items[i] = taskmgr.JoinItem{Key: mturk.PaddedID(prefix, int64(i)), Args: args[i : i+1 : i+1]}
+		items[i] = args[i : i+1 : i+1]
 	}
 	return items
 }
@@ -502,7 +501,7 @@ func (q *run) runRank(op *operator, v *plan.Rank, in Iterator) {
 		return
 	}
 
-	items := make([]rank.Item, 0, len(rows))
+	items := make([][]relation.Value, 0, len(rows))
 	itemRow := make([]int, 0, len(rows)) // item index → row index
 	var failed []int
 	for i, t := range rows {
@@ -521,7 +520,7 @@ func (q *run) runRank(op *operator, v *plan.Rank, in Iterator) {
 			failed = append(failed, i)
 			continue
 		}
-		items = append(items, rank.Item{Key: mturk.PaddedID("r", int64(i)), Args: args})
+		items = append(items, args)
 		itemRow = append(itemRow, i)
 	}
 

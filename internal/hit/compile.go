@@ -56,32 +56,38 @@ func renderArgs(b *strings.Builder, args []relation.Value) {
 	}
 }
 
-// itemName namespaces a form input by item key; keys are URL-escaped so
-// the \x1f pair separator survives HTML transport.
-func itemName(prefix, key string) string {
-	return prefix + "_" + url.QueryEscape(key)
+// inputName names question i's form input: a prefix for the response
+// kind and the question's index.
+func inputName(prefix string, i int) string {
+	return prefix + "_" + strconv.Itoa(i)
+}
+
+// fieldName names one field of question i's Form response. The label is
+// URL-escaped, so like every input name it needs no HTML escaping.
+func fieldName(i int, label string) string {
+	return inputName("f", i) + "_" + url.QueryEscape(label)
 }
 
 func compileForm(b *strings.Builder, h *HIT) {
-	for _, it := range h.Items {
-		fmt.Fprintf(b, "<fieldset class=\"item\" data-key=\"%s\">", html.EscapeString(it.Key))
+	for i, it := range h.Items {
+		b.WriteString("<fieldset class=\"item\">")
 		renderArgs(b, it.Args)
 		for _, f := range h.Response.Fields {
 			fmt.Fprintf(b, "<label>%s <input type=\"text\" name=\"%s\"></label>",
-				html.EscapeString(f.Label), itemName("f", it.Key+"\x1e"+f.Label))
+				html.EscapeString(f.Label), fieldName(i, f.Label))
 		}
 		b.WriteString("</fieldset>\n")
 	}
 }
 
 func compileYesNo(b *strings.Builder, h *HIT) {
-	for _, it := range h.Items {
-		fmt.Fprintf(b, "<fieldset class=\"item\" data-key=\"%s\">", html.EscapeString(it.Key))
+	for i, it := range h.Items {
+		b.WriteString("<fieldset class=\"item\">")
 		if it.Prompt != "" {
 			fmt.Fprintf(b, "<p class=\"prompt\">%s</p>", html.EscapeString(it.Prompt))
 		}
 		renderArgs(b, it.Args)
-		name := itemName("yn", it.Key)
+		name := inputName("yn", i)
 		fmt.Fprintf(b, "<label><input type=\"radio\" name=\"%s\" value=\"yes\"> Yes</label>", name)
 		fmt.Fprintf(b, "<label><input type=\"radio\" name=\"%s\" value=\"no\"> No</label>", name)
 		b.WriteString("</fieldset>\n")
@@ -90,10 +96,10 @@ func compileYesNo(b *strings.Builder, h *HIT) {
 
 func compileRating(b *strings.Builder, h *HIT) {
 	lo, hi := h.Response.ScaleMin, h.Response.ScaleMax
-	for _, it := range h.Items {
-		fmt.Fprintf(b, "<fieldset class=\"item\" data-key=\"%s\">", html.EscapeString(it.Key))
+	for i, it := range h.Items {
+		b.WriteString("<fieldset class=\"item\">")
 		renderArgs(b, it.Args)
-		name := itemName("r", it.Key)
+		name := inputName("r", i)
 		for v := lo; v <= hi; v++ {
 			fmt.Fprintf(b, "<label><input type=\"radio\" name=\"%s\" value=\"%d\"> %d</label>", name, v, v)
 		}
@@ -103,10 +109,10 @@ func compileRating(b *strings.Builder, h *HIT) {
 
 func compileOrder(b *strings.Builder, h *HIT) {
 	n := len(h.Items)
-	for _, it := range h.Items {
-		fmt.Fprintf(b, "<fieldset class=\"item\" data-key=\"%s\">", html.EscapeString(it.Key))
+	for i, it := range h.Items {
+		b.WriteString("<fieldset class=\"item\">")
 		renderArgs(b, it.Args)
-		name := itemName("o", it.Key)
+		name := inputName("o", i)
 		fmt.Fprintf(b, "<select name=\"%s\">", name)
 		for v := 1; v <= n; v++ {
 			fmt.Fprintf(b, "<option value=\"%d\">%d</option>", v, v)
@@ -116,10 +122,10 @@ func compileOrder(b *strings.Builder, h *HIT) {
 }
 
 func compileChoice(b *strings.Builder, h *HIT) {
-	for _, it := range h.Items {
-		fmt.Fprintf(b, "<fieldset class=\"item\" data-key=\"%s\">", html.EscapeString(it.Key))
+	for i, it := range h.Items {
+		b.WriteString("<fieldset class=\"item\">")
 		renderArgs(b, it.Args)
-		name := itemName("c", it.Key)
+		name := inputName("c", i)
 		for _, opt := range h.Response.Options {
 			fmt.Fprintf(b, "<label><input type=\"radio\" name=\"%s\" value=\"%s\"> %s</label>",
 				name, html.EscapeString(opt), html.EscapeString(opt))
@@ -129,38 +135,43 @@ func compileChoice(b *strings.Builder, h *HIT) {
 }
 
 // compileJoinColumns renders the two-column matching interface of
-// Figure 3: each left item paired with each right item is one checkbox.
+// Figure 3: each left item paired with each right item is one checkbox,
+// row-major, so the checkbox of cell (l, r) is named for question
+// l*len(Right)+r.
 func compileJoinColumns(b *strings.Builder, h *HIT) {
 	fmt.Fprintf(b, "<table class=\"join\"><tr><th>%s</th><th>%s</th></tr>\n",
 		html.EscapeString(h.Response.LeftLabel), html.EscapeString(h.Response.RightLabel))
 	b.WriteString("<tr><td>")
 	for _, l := range h.Left {
-		fmt.Fprintf(b, "<div class=\"cell\" data-key=\"%s\">", html.EscapeString(l.Key))
+		b.WriteString("<div class=\"cell\">")
 		renderArgs(b, l.Args)
 		b.WriteString("</div>")
 	}
 	b.WriteString("</td><td>")
 	for _, r := range h.Right {
-		fmt.Fprintf(b, "<div class=\"cell\" data-key=\"%s\">", html.EscapeString(r.Key))
+		b.WriteString("<div class=\"cell\">")
 		renderArgs(b, r.Args)
 		b.WriteString("</div>")
 	}
 	b.WriteString("</td></tr></table>\n<div class=\"matches\">\n")
+	i := 0
 	for _, l := range h.Left {
 		for _, r := range h.Right {
-			name := itemName("m", PairKey(l.Key, r.Key))
 			fmt.Fprintf(b, "<label><input type=\"checkbox\" name=\"%s\" value=\"match\"> %s ↔ %s</label>\n",
-				name, html.EscapeString(displayValue(firstArg(l))), html.EscapeString(displayValue(firstArg(r))))
+				inputName("m", i), html.EscapeString(cellLabel(l)), html.EscapeString(cellLabel(r)))
+			i++
 		}
 	}
 	b.WriteString("</div>\n")
 }
 
-func firstArg(it Item) relation.Value {
-	if len(it.Args) > 0 {
-		return it.Args[0]
+// cellLabel names a grid row or column beside its checkboxes: its first
+// argument, or nothing when it has none.
+func cellLabel(it Item) string {
+	if len(it.Args) == 0 {
+		return ""
 	}
-	return relation.NewString(it.Key)
+	return displayValue(it.Args[0])
 }
 
 // ParseForm decodes a submitted form (as url.Values) into workerID's
@@ -171,21 +182,17 @@ func ParseForm(h *HIT, form url.Values, workerID string) (Answers, error) {
 	ans := Answers{WorkerID: workerID, Values: make([]relation.Value, h.QuestionCount())}
 	switch h.Response.Kind {
 	case qlang.ResponseJoinColumns:
-		i := 0
-		for _, l := range h.Left {
-			for _, r := range h.Right {
-				ans.Values[i] = relation.NewBool(form.Get(itemName("m", PairKey(l.Key, r.Key))) == "match")
-				i++
-			}
+		for i := range ans.Values {
+			ans.Values[i] = relation.NewBool(form.Get(inputName("m", i)) == "match")
 		}
 	case qlang.ResponseForm:
-		for i, it := range h.Items {
+		for i := range h.Items {
 			fields := make([]relation.Field, 0, len(h.Response.Fields))
 			for _, f := range h.Response.Fields {
-				raw := form.Get(itemName("f", it.Key+"\x1e"+f.Label))
+				raw := form.Get(fieldName(i, f.Label))
 				v, err := parseFieldValue(f.Kind, raw)
 				if err != nil {
-					return Answers{}, fmt.Errorf("hit %s item %s field %s: %v", h.ID, it.Key, f.Label, err)
+					return Answers{}, fmt.Errorf("hit %s question %d field %s: %v", h.ID, i, f.Label, err)
 				}
 				fields = append(fields, relation.Field{Name: f.Label, Value: v})
 			}
@@ -196,32 +203,32 @@ func ParseForm(h *HIT, form url.Values, workerID string) (Answers, error) {
 			}
 		}
 	case qlang.ResponseYesNo:
-		for i, it := range h.Items {
-			switch form.Get(itemName("yn", it.Key)) {
+		for i := range h.Items {
+			switch form.Get(inputName("yn", i)) {
 			case "yes":
 				ans.Values[i] = relation.NewBool(true)
 			case "no":
 				ans.Values[i] = relation.NewBool(false)
 			default:
-				return Answers{}, fmt.Errorf("hit %s item %s: yes/no not answered", h.ID, it.Key)
+				return Answers{}, fmt.Errorf("hit %s question %d: yes/no not answered", h.ID, i)
 			}
 		}
 	case qlang.ResponseRating:
-		for i, it := range h.Items {
-			raw := form.Get(itemName("r", it.Key))
+		for i := range h.Items {
+			raw := form.Get(inputName("r", i))
 			n, err := strconv.Atoi(raw)
 			if err != nil || n < h.Response.ScaleMin || n > h.Response.ScaleMax {
-				return Answers{}, fmt.Errorf("hit %s item %s: rating %q out of scale", h.ID, it.Key, raw)
+				return Answers{}, fmt.Errorf("hit %s question %d: rating %q out of scale", h.ID, i, raw)
 			}
 			ans.Values[i] = relation.NewInt(int64(n))
 		}
 	case qlang.ResponseOrder:
 		seen := make(map[int]bool, len(h.Items))
-		for i, it := range h.Items {
-			raw := form.Get(itemName("o", it.Key))
+		for i := range h.Items {
+			raw := form.Get(inputName("o", i))
 			n, err := strconv.Atoi(raw)
 			if err != nil || n < 1 || n > len(h.Items) {
-				return Answers{}, fmt.Errorf("hit %s item %s: position %q invalid", h.ID, it.Key, raw)
+				return Answers{}, fmt.Errorf("hit %s question %d: position %q invalid", h.ID, i, raw)
 			}
 			if seen[n] {
 				return Answers{}, fmt.Errorf("hit %s: duplicate position %d", h.ID, n)
@@ -234,10 +241,10 @@ func ParseForm(h *HIT, form url.Values, workerID string) (Answers, error) {
 		for _, o := range h.Response.Options {
 			valid[o] = true
 		}
-		for i, it := range h.Items {
-			raw := form.Get(itemName("c", it.Key))
+		for i := range h.Items {
+			raw := form.Get(inputName("c", i))
 			if !valid[raw] {
-				return Answers{}, fmt.Errorf("hit %s item %s: choice %q invalid", h.ID, it.Key, raw)
+				return Answers{}, fmt.Errorf("hit %s question %d: choice %q invalid", h.ID, i, raw)
 			}
 			ans.Values[i] = relation.NewString(raw)
 		}
@@ -255,54 +262,39 @@ func parseFieldValue(kind relation.Kind, raw string) (relation.Value, error) {
 	return relation.ParseValue(kind, raw)
 }
 
-// EncodeAnswers is the inverse of ParseForm for the simulated crowd and
-// the HTTP task UI: it renders an answer sheet as the url.Values a
-// browser would submit for this HIT's form. ans must answer every
-// question (see CheckAnswers).
+// EncodeAnswers renders an answer sheet as the url.Values a browser
+// would submit for this HIT's form. It is the reference inverse of
+// ParseForm that the form round-trip tests check against; ans must
+// answer every question (see CheckAnswers).
 func EncodeAnswers(h *HIT, ans Answers) url.Values {
 	form := url.Values{}
 	form.Set("hit", h.ID)
-	switch h.Response.Kind {
-	case qlang.ResponseJoinColumns:
-		i := 0
-		for _, l := range h.Left {
-			for _, r := range h.Right {
-				if ans.Values[i].Truthy() {
-					form.Set(itemName("m", PairKey(l.Key, r.Key)), "match")
-				}
-				i++
+	for i, v := range ans.Values {
+		switch h.Response.Kind {
+		case qlang.ResponseJoinColumns:
+			if v.Truthy() {
+				form.Set(inputName("m", i), "match")
 			}
-		}
-	case qlang.ResponseForm:
-		for i, it := range h.Items {
-			v := ans.Values[i]
+		case qlang.ResponseForm:
 			if len(h.Response.Fields) == 1 {
-				form.Set(itemName("f", it.Key+"\x1e"+h.Response.Fields[0].Label), rawText(v))
+				form.Set(fieldName(i, h.Response.Fields[0].Label), rawText(v))
 				continue
 			}
 			for _, f := range h.Response.Fields {
-				form.Set(itemName("f", it.Key+"\x1e"+f.Label), rawText(v.Field(f.Label)))
+				form.Set(fieldName(i, f.Label), rawText(v.Field(f.Label)))
 			}
-		}
-	case qlang.ResponseYesNo:
-		for i, it := range h.Items {
-			if ans.Values[i].Truthy() {
-				form.Set(itemName("yn", it.Key), "yes")
+		case qlang.ResponseYesNo:
+			if v.Truthy() {
+				form.Set(inputName("yn", i), "yes")
 			} else {
-				form.Set(itemName("yn", it.Key), "no")
+				form.Set(inputName("yn", i), "no")
 			}
-		}
-	case qlang.ResponseRating:
-		for i, it := range h.Items {
-			form.Set(itemName("r", it.Key), strconv.FormatInt(ans.Values[i].Int(), 10))
-		}
-	case qlang.ResponseOrder:
-		for i, it := range h.Items {
-			form.Set(itemName("o", it.Key), strconv.FormatInt(ans.Values[i].Int()+1, 10))
-		}
-	case qlang.ResponseChoice:
-		for i, it := range h.Items {
-			form.Set(itemName("c", it.Key), ans.Values[i].Str())
+		case qlang.ResponseRating:
+			form.Set(inputName("r", i), strconv.FormatInt(v.Int(), 10))
+		case qlang.ResponseOrder:
+			form.Set(inputName("o", i), strconv.FormatInt(v.Int()+1, 10))
+		case qlang.ResponseChoice:
+			form.Set(inputName("c", i), v.Str())
 		}
 	}
 	return form

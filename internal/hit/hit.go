@@ -3,9 +3,8 @@
 // Compiler: a task (or a batch of tasks) is compiled into an HTML form a
 // turker fills out, and the submitted form is decoded back into one
 // worker's answer sheet: one typed value per question, by the
-// question's position in the HIT. Item keys name the form's inputs and
-// the HTTP wire's answers; KeyedAnswers and AnswersFromKeyed convert a
-// sheet to and from that key-addressed form.
+// question's position in the HIT. The position is a question's only
+// name, in the form's inputs and on the HTTP wire alike.
 package hit
 
 import (
@@ -19,17 +18,15 @@ import (
 	"repro/internal/relation"
 )
 
-// Item is one batched sub-question inside a HIT. Key names the item's
-// form inputs and its answers on the HTTP wire; Args are the values
-// rendered for the worker (e.g. the company name, or the two images of
-// a join pair).
+// Item is one batched sub-question inside a HIT, or one row of a
+// JoinColumns column. Args are the values rendered for the worker (e.g.
+// the company name, or the image of a celebrity).
 //
 // Task and Prompt are set when several *different* operators share one
 // HIT (the paper's operator-grouping optimization: "generate HITs from a
 // set of operators, e.g. grouping multiple filter operations over the
 // same tuple"); empty values inherit the HIT-level Task and Question.
 type Item struct {
-	Key    string
 	Args   []relation.Value
 	Task   string
 	Prompt string
@@ -45,11 +42,10 @@ func (h *HIT) EffectiveTask(it Item) string {
 
 // HIT is a compiled human task, possibly batching several Items.
 //
-// Its questions are its Items, in order. For JoinColumns HITs the Left
-// and Right columns are rendered instead of Items; the implied
-// questions are all Left×Right pairs, row-major: cell (l, r) is
-// question l*len(Right)+r, and its form and wire name is
-// PairKey(Left[l].Key, Right[r].Key).
+// Its questions are its Items, in order: question i is Items[i]. For
+// JoinColumns HITs the Left and Right columns are rendered instead of
+// Items; the implied questions are all Left×Right pairs, row-major:
+// cell (l, r) is question l*len(Right)+r.
 //
 // A posted HIT is immutable. The marketplace, the backends and the worker
 // pools keep reading it after Post returns — the simulated crowd reads a
@@ -67,40 +63,10 @@ type HIT struct {
 	Left, Right []Item // JoinColumns layout
 	RewardCents int64
 	Assignments int
-	// GroupKeys lists the task keys of *grouped* operators sharing this
-	// HIT (several predicates asked about one tuple); empty otherwise.
-	GroupKeys []string
-}
-
-// PairKey builds the form and wire name of one cell of a JoinColumns
-// grid.
-func PairKey(leftKey, rightKey string) string {
-	return leftKey + "\x1f" + rightKey
-}
-
-// Keys returns every question's form and wire name in question order:
-// item keys, or all pair keys for a JoinColumns HIT.
-func (h *HIT) Keys() []string {
-	if h.Response.Kind == qlang.ResponseJoinColumns {
-		keys := make([]string, 0, len(h.Left)*len(h.Right))
-		for _, l := range h.Left {
-			for _, r := range h.Right {
-				keys = append(keys, PairKey(l.Key, r.Key))
-			}
-		}
-		return keys
-	}
-	keys := make([]string, len(h.Items))
-	for i, it := range h.Items {
-		keys[i] = it.Key
-	}
-	return keys
 }
 
 // QuestionCount returns how many logical questions the HIT answers —
 // the batching leverage the Task Manager gets from one worker payment.
-// It is called per completed assignment, so unlike Keys it allocates
-// nothing.
 func (h *HIT) QuestionCount() int {
 	if h.Response.Kind == qlang.ResponseJoinColumns {
 		return len(h.Left) * len(h.Right)
@@ -132,47 +98,6 @@ func (h *HIT) CheckAnswers(ans Answers) error {
 		return fmt.Errorf("hit %s: %d answers for %d questions", h.ID, len(ans.Values), n)
 	}
 	return nil
-}
-
-// KeyedAnswers returns ans addressed by question key (see Keys), the
-// form the HTTP wire carries. It fails on a sheet CheckAnswers rejects.
-func (h *HIT) KeyedAnswers(ans Answers) (map[string]relation.Value, error) {
-	if err := h.CheckAnswers(ans); err != nil {
-		return nil, err
-	}
-	keys := h.Keys()
-	out := make(map[string]relation.Value, len(keys))
-	for i, k := range keys {
-		out[k] = ans.Values[i]
-	}
-	return out, nil
-}
-
-// AnswersFromKeyed lays key-addressed answers out as workerID's sheet
-// in question order. Every question's key must be present and no other
-// key may be: a keyed assignment that skips a question or answers one
-// the HIT does not ask is rejected.
-func (h *HIT) AnswersFromKeyed(workerID string, keyed map[string]relation.Value) (Answers, error) {
-	keys := h.Keys()
-	ans := Answers{WorkerID: workerID, Values: make([]relation.Value, len(keys))}
-	for i, k := range keys {
-		v, ok := keyed[k]
-		if !ok {
-			return Answers{}, fmt.Errorf("hit %s: no answer for question %q", h.ID, k)
-		}
-		ans.Values[i] = v
-	}
-	if len(keyed) != len(keys) {
-		for k := range keyed {
-			if !slices.Contains(keys, k) {
-				return Answers{}, fmt.Errorf("hit %s: answer for unknown question %q", h.ID, k)
-			}
-		}
-		// Every key is the HIT's, yet the counts differ: the HIT
-		// repeats a key, which no keyed form can answer.
-		return Answers{}, fmt.Errorf("hit %s: repeated question key", h.ID)
-	}
-	return ans, nil
 }
 
 // RankPositions replaces each score in vals with its rank position
@@ -307,40 +232,10 @@ func (h *HIT) Validate() error {
 		if len(h.Items) != 0 {
 			return fmt.Errorf("hit %s: JoinColumns must not also carry Items", h.ID)
 		}
-		if err := checkColumn(h.ID, "left", h.Left); err != nil {
-			return err
-		}
-		return checkColumn(h.ID, "right", h.Right)
+		return nil
 	}
 	if len(h.Items) == 0 {
 		return fmt.Errorf("hit %s: no items", h.ID)
-	}
-	seen := make(map[string]bool, len(h.Items))
-	for _, it := range h.Items {
-		if it.Key == "" {
-			return fmt.Errorf("hit %s: item with empty key", h.ID)
-		}
-		if seen[it.Key] {
-			return fmt.Errorf("hit %s: duplicate item key %q", h.ID, it.Key)
-		}
-		seen[it.Key] = true
-	}
-	return nil
-}
-
-// checkColumn rejects a JoinColumns column whose keys are empty or
-// repeat: a grid's keys name its cells on the wire. Columns are a few
-// items, so a nested scan does without a map.
-func checkColumn(id, side string, col []Item) error {
-	for i, it := range col {
-		if it.Key == "" {
-			return fmt.Errorf("hit %s: %s column item with empty key", id, side)
-		}
-		for _, prev := range col[:i] {
-			if prev.Key == it.Key {
-				return fmt.Errorf("hit %s: %s column repeats key %q", id, side, it.Key)
-			}
-		}
 	}
 	return nil
 }

@@ -24,8 +24,8 @@ func questionHIT() *HIT {
 			},
 		},
 		Items: []Item{
-			{Key: "t1", Args: []relation.Value{relation.NewString("Acme")}},
-			{Key: "t2", Args: []relation.Value{relation.NewString("Globex")}},
+			{Args: []relation.Value{relation.NewString("Acme")}},
+			{Args: []relation.Value{relation.NewString("Globex")}},
 		},
 		RewardCents: 3,
 		Assignments: 2,
@@ -45,28 +45,19 @@ func joinHIT() *HIT {
 			LeftParam: "celebs", RightParam: "spotted",
 		},
 		Left: []Item{
-			{Key: "c1", Args: []relation.Value{relation.NewImage("c1.png")}},
-			{Key: "c2", Args: []relation.Value{relation.NewImage("c2.png")}},
+			{Args: []relation.Value{relation.NewImage("c1.png")}},
+			{Args: []relation.Value{relation.NewImage("c2.png")}},
 		},
 		Right: []Item{
-			{Key: "s1", Args: []relation.Value{relation.NewImage("s1.png")}},
+			{Args: []relation.Value{relation.NewImage("s1.png")}},
 		},
 		RewardCents: 2,
 		Assignments: 3,
 	}
 }
 
-func TestKeysAndQuestionCount(t *testing.T) {
-	q := questionHIT()
-	if got := q.Keys(); len(got) != 2 || got[0] != "t1" {
-		t.Fatalf("keys = %v", got)
-	}
-	j := joinHIT()
-	keys := j.Keys()
-	if len(keys) != 2 {
-		t.Fatalf("join keys = %v", keys)
-	}
-	if j.QuestionCount() != 2 || questionHIT().QuestionCount() != 2 {
+func TestQuestionCount(t *testing.T) {
+	if joinHIT().QuestionCount() != 2 || questionHIT().QuestionCount() != 2 {
 		t.Error("question counts wrong")
 	}
 }
@@ -85,8 +76,6 @@ func TestValidate(t *testing.T) {
 		func(h *HIT) { h.Assignments = 0 },
 		func(h *HIT) { h.RewardCents = -1 },
 		func(h *HIT) { h.Items = nil },
-		func(h *HIT) { h.Items[1].Key = "t1" },
-		func(h *HIT) { h.Items[0].Key = "" },
 	}
 	for i, mutate := range cases {
 		h := questionHIT()
@@ -101,27 +90,9 @@ func TestValidate(t *testing.T) {
 		t.Error("join without right column must fail")
 	}
 	j2 := joinHIT()
-	j2.Items = []Item{{Key: "x"}}
+	j2.Items = []Item{{}}
 	if err := j2.Validate(); err == nil {
 		t.Error("join with stray items must fail")
-	}
-}
-
-// TestValidateJoinColumnKeys: a grid's keys name its cells on the wire,
-// so a column that repeats a key or has an empty one is refused.
-func TestValidateJoinColumnKeys(t *testing.T) {
-	cases := map[string]func(*HIT){
-		"repeated left key":  func(h *HIT) { h.Left[1].Key = h.Left[0].Key },
-		"repeated right key": func(h *HIT) { h.Right = append(h.Right, Item{Key: h.Right[0].Key}) },
-		"empty left key":     func(h *HIT) { h.Left[0].Key = "" },
-		"empty right key":    func(h *HIT) { h.Right[0].Key = "" },
-	}
-	for name, mutate := range cases {
-		h := joinHIT()
-		mutate(h)
-		if err := h.Validate(); err == nil {
-			t.Errorf("%s: Validate accepted the grid", name)
-		}
 	}
 }
 
@@ -227,7 +198,7 @@ func TestFormRoundTripJoin(t *testing.T) {
 	// Cells are row-major: (c1, s1) is question 0, (c2, s1) question 1.
 	want := Answers{Values: []relation.Value{relation.NewBool(true), relation.NewBool(false)}}
 	form := EncodeAnswers(h, want)
-	if form.Get(itemName("m", PairKey("c1", "s1"))) != "match" || form.Has(itemName("m", PairKey("c2", "s1"))) {
+	if form.Get(inputName("m", 0)) != "match" || form.Has(inputName("m", 1)) {
 		t.Fatalf("form = %v", form)
 	}
 	got, err := ParseForm(h, form, "w")
@@ -248,8 +219,8 @@ func ratingHIT() *HIT {
 		Question: "Rate each.",
 		Response: qlang.Response{Kind: qlang.ResponseRating, ScaleMin: 1, ScaleMax: 5},
 		Items: []Item{
-			{Key: "a", Args: []relation.Value{relation.NewImage("a.png")}},
-			{Key: "b", Args: []relation.Value{relation.NewImage("b.png")}},
+			{Args: []relation.Value{relation.NewImage("a.png")}},
+			{Args: []relation.Value{relation.NewImage("b.png")}},
 		},
 		RewardCents: 1, Assignments: 1,
 	}
@@ -270,8 +241,8 @@ func TestFormRoundTripRating(t *testing.T) {
 func TestParseFormRatingOutOfScale(t *testing.T) {
 	h := ratingHIT()
 	form := url.Values{}
-	form.Set("r_a", "9")
-	form.Set("r_b", "1")
+	form.Set("r_0", "9")
+	form.Set("r_1", "1")
 	if _, err := ParseForm(h, form, "w"); err == nil {
 		t.Error("out-of-scale rating must error")
 	}
@@ -285,7 +256,7 @@ func orderHIT(n int) *HIT {
 		RewardCents: 1, Assignments: 1,
 	}
 	for i := 0; i < n; i++ {
-		h.Items = append(h.Items, Item{Key: string(rune('a' + i)), Args: []relation.Value{relation.NewInt(int64(i))}})
+		h.Items = append(h.Items, Item{Args: []relation.Value{relation.NewInt(int64(i))}})
 	}
 	return h
 }
@@ -307,8 +278,8 @@ func TestFormRoundTripOrder(t *testing.T) {
 func TestParseFormOrderDuplicate(t *testing.T) {
 	h := orderHIT(2)
 	form := url.Values{}
-	form.Set("o_a", "1")
-	form.Set("o_b", "1")
+	form.Set("o_0", "1")
+	form.Set("o_1", "1")
 	if _, err := ParseForm(h, form, "w"); err == nil {
 		t.Error("duplicate order positions must error")
 	}
@@ -318,7 +289,7 @@ func TestFormRoundTripYesNoAndChoice(t *testing.T) {
 	yn := &HIT{
 		ID: "HY", Task: "isCat", Type: qlang.TaskFilter,
 		Question: "Cat?", Response: qlang.Response{Kind: qlang.ResponseYesNo},
-		Items:       []Item{{Key: "x", Args: []relation.Value{relation.NewImage("x.png")}}},
+		Items:       []Item{{Args: []relation.Value{relation.NewImage("x.png")}}},
 		RewardCents: 1, Assignments: 1,
 	}
 	want := Answers{Values: []relation.Value{relation.NewBool(true)}}
@@ -338,7 +309,7 @@ func TestFormRoundTripYesNoAndChoice(t *testing.T) {
 		ID: "HC", Task: "sentiment", Type: qlang.TaskQuestion,
 		Question:    "Sentiment?",
 		Response:    qlang.Response{Kind: qlang.ResponseChoice, Options: []string{"pos", "neg"}},
-		Items:       []Item{{Key: "s", Args: []relation.Value{relation.NewString("great!")}}},
+		Items:       []Item{{Args: []relation.Value{relation.NewString("great!")}}},
 		RewardCents: 1, Assignments: 1,
 	}
 	wantC := Answers{Values: []relation.Value{relation.NewString("pos")}}
@@ -350,7 +321,7 @@ func TestFormRoundTripYesNoAndChoice(t *testing.T) {
 		t.Errorf("choice = %v", gotC.Values[0])
 	}
 	bad := url.Values{}
-	bad.Set("c_s", "meh")
+	bad.Set("c_0", "meh")
 	if _, err := ParseForm(ch, bad, "w"); err == nil {
 		t.Error("invalid choice must error")
 	}
@@ -362,7 +333,7 @@ func TestSingleFieldFormDecodesScalar(t *testing.T) {
 		Question: "Caption this.",
 		Response: qlang.Response{Kind: qlang.ResponseForm,
 			Fields: []qlang.FormField{{Label: "Caption", Kind: relation.KindString}}},
-		Items:       []Item{{Key: "k", Args: []relation.Value{relation.NewImage("k.png")}}},
+		Items:       []Item{{Args: []relation.Value{relation.NewImage("k.png")}}},
 		RewardCents: 1, Assignments: 1,
 	}
 	want := Answers{Values: []relation.Value{relation.NewString("a cat")}}

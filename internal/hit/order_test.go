@@ -21,9 +21,9 @@ func compileOrderHIT() *HIT {
 		Response:    qlang.Response{Kind: qlang.ResponseOrder},
 		Assignments: 1,
 		Items: []Item{
-			{Key: "a", Args: []relation.Value{relation.NewString("alpha")}},
-			{Key: "b", Args: []relation.Value{relation.NewString("beta")}},
-			{Key: "c", Args: []relation.Value{relation.NewString("gamma")}},
+			{Args: []relation.Value{relation.NewString("alpha")}},
+			{Args: []relation.Value{relation.NewString("beta")}},
+			{Args: []relation.Value{relation.NewString("gamma")}},
 		},
 	}
 }
@@ -48,11 +48,11 @@ func TestOrderCompileRendersSelects(t *testing.T) {
 
 func TestOrderParseFormRejectsMalformedPermutations(t *testing.T) {
 	h := compileOrderHIT()
-	set := func(vals map[string]string) url.Values {
+	set := func(vals ...string) url.Values {
 		form := url.Values{}
 		form.Set("hit", h.ID)
-		for key, v := range vals {
-			form.Set(itemName("o", key), v)
+		for i, v := range vals {
+			form.Set(inputName("o", i), v)
 		}
 		return form
 	}
@@ -60,12 +60,12 @@ func TestOrderParseFormRejectsMalformedPermutations(t *testing.T) {
 		name string
 		form url.Values
 	}{
-		{"duplicate position", set(map[string]string{"a": "1", "b": "1", "c": "2"})},
-		{"position zero", set(map[string]string{"a": "0", "b": "1", "c": "2"})},
-		{"position beyond n", set(map[string]string{"a": "1", "b": "2", "c": "4"})},
-		{"partial order", set(map[string]string{"a": "1", "b": "2"})},
-		{"not a number", set(map[string]string{"a": "first", "b": "2", "c": "3"})},
-		{"empty submission", set(nil)},
+		{"duplicate position", set("1", "1", "2")},
+		{"position zero", set("0", "1", "2")},
+		{"position beyond n", set("1", "2", "4")},
+		{"partial order", set("1", "2")},
+		{"not a number", set("first", "2", "3")},
+		{"empty submission", set()},
 	}
 	for _, tc := range cases {
 		if _, err := ParseForm(h, tc.form, "w1"); err == nil {
@@ -74,20 +74,10 @@ func TestOrderParseFormRejectsMalformedPermutations(t *testing.T) {
 	}
 }
 
-func TestOrderHITValidateDuplicateKeys(t *testing.T) {
+func TestOrderHITValidateNoItems(t *testing.T) {
 	h := compileOrderHIT()
-	h.Items[2].Key = "a"
-	if err := h.Validate(); err == nil {
-		t.Fatal("Validate accepted duplicate item keys")
-	}
-	h = compileOrderHIT()
 	h.Items = nil
 	if err := h.Validate(); err == nil {
 		t.Fatal("Validate accepted an Order HIT with no items")
-	}
-	h = compileOrderHIT()
-	h.Items[0].Key = ""
-	if err := h.Validate(); err == nil {
-		t.Fatal("Validate accepted an empty item key")
 	}
 }

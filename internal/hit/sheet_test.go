@@ -17,10 +17,9 @@ func groupHIT() *HIT {
 		ID: "HG", Task: "isCat", Type: qlang.TaskFilter,
 		Question: "Answer both.", Response: qlang.Response{Kind: qlang.ResponseYesNo},
 		Items: []Item{
-			{Key: "g1", Task: "isCat", Args: []relation.Value{relation.NewImage("x.png")}},
-			{Key: "g2", Task: "isOutdoor", Args: []relation.Value{relation.NewImage("x.png")}},
+			{Task: "isCat", Args: []relation.Value{relation.NewImage("x.png")}},
+			{Task: "isOutdoor", Args: []relation.Value{relation.NewImage("x.png")}},
 		},
-		GroupKeys:   []string{"isCat", "isOutdoor"},
 		RewardCents: 1, Assignments: 1,
 	}
 }
@@ -29,13 +28,16 @@ func groupHIT() *HIT {
 func gridHIT() *HIT {
 	h := joinHIT()
 	h.Right = append(h.Right,
-		Item{Key: "s2", Args: []relation.Value{relation.NewImage("s2.png")}},
-		Item{Key: "s3", Args: []relation.Value{relation.NewImage("s3.png")}})
+		Item{Args: []relation.Value{relation.NewImage("s2.png")}},
+		Item{Args: []relation.Value{relation.NewImage("s3.png")}})
 	return h
 }
 
 func sheetOf(vals ...relation.Value) Answers { return Answers{WorkerID: "w7", Values: vals} }
 
+// TestSheetWireRoundTrip: every HIT kind's full sheet passes
+// CheckAnswers and comes back from its form unchanged, each question at
+// its own position.
 func TestSheetWireRoundTrip(t *testing.T) {
 	b := relation.NewBool
 	cases := []struct {
@@ -52,20 +54,7 @@ func TestSheetWireRoundTrip(t *testing.T) {
 		if err := tc.h.CheckAnswers(tc.sheet); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		keyed, err := tc.h.KeyedAnswers(tc.sheet)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		keys := tc.h.Keys()
-		if len(keyed) != len(keys) {
-			t.Fatalf("%s: keyed = %v, want keys %q", tc.name, keyed, keys)
-		}
-		for i, k := range keys {
-			if v, ok := keyed[k]; !ok || !v.Equal(tc.sheet.Values[i]) {
-				t.Errorf("%s: key %q = %v, want question %d's %v", tc.name, k, v, i, tc.sheet.Values[i])
-			}
-		}
-		back, err := tc.h.AnswersFromKeyed(tc.sheet.WorkerID, keyed)
+		back, err := ParseForm(tc.h, EncodeAnswers(tc.h, tc.sheet), tc.sheet.WorkerID)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -78,56 +67,21 @@ func TestSheetWireRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// Cell (l, r) of a grid is question l*len(Right)+r under its pair key.
+	// Cell (l, r) of a grid is question l*len(Right)+r.
 	h := gridHIT()
-	keyed, _ := h.KeyedAnswers(sheetOf(b(false), b(false), b(false), b(false), b(true), b(false)))
-	if !keyed[PairKey("c2", "s2")].Bool() {
-		t.Errorf("cell (1, 1) is not question 4: %v", keyed)
+	form := EncodeAnswers(h, sheetOf(b(false), b(false), b(false), b(false), b(true), b(false)))
+	if form.Get(inputName("m", 4)) != "match" || len(form) != 2 {
+		t.Errorf("cell (1, 1) is not question 4: %v", form)
 	}
 }
 
 func TestSheetRejectsMalformed(t *testing.T) {
-	b := relation.NewBool
 	h := gridHIT()
 	for _, n := range []int{0, 5, 7} {
 		sheet := Answers{Values: make([]relation.Value, n)}
 		if err := h.CheckAnswers(sheet); err == nil {
 			t.Errorf("CheckAnswers accepted %d answers for 6 questions", n)
 		}
-		if _, err := h.KeyedAnswers(sheet); err == nil {
-			t.Errorf("KeyedAnswers accepted %d answers for 6 questions", n)
-		}
-	}
-	full := func() map[string]relation.Value {
-		keyed := make(map[string]relation.Value)
-		for _, k := range h.Keys() {
-			keyed[k] = b(true)
-		}
-		return keyed
-	}
-	missing := full()
-	delete(missing, PairKey("c1", "s3"))
-	if _, err := h.AnswersFromKeyed("w", missing); err == nil {
-		t.Error("a keyed assignment missing a question was accepted")
-	}
-	foreign := full()
-	foreign[PairKey("c9", "s1")] = b(true)
-	if _, err := h.AnswersFromKeyed("w", foreign); err == nil {
-		t.Error("a keyed assignment answering a foreign question was accepted")
-	}
-	swapped := full()
-	delete(swapped, PairKey("c1", "s1"))
-	swapped["c1"] = b(true)
-	if _, err := h.AnswersFromKeyed("w", swapped); err == nil {
-		t.Error("a keyed assignment with one key swapped for a foreign one was accepted")
-	}
-	// A grid that repeats a right key has fewer distinct names than
-	// questions, so no keyed assignment can answer it.
-	rep := joinHIT()
-	rep.Right = append(rep.Right, rep.Right[0])
-	keyed := map[string]relation.Value{PairKey("c1", "s1"): b(true), PairKey("c2", "s1"): b(false)}
-	if _, err := rep.AnswersFromKeyed("w", keyed); err == nil {
-		t.Error("a keyed assignment for a HIT with repeated keys was accepted")
 	}
 }
 

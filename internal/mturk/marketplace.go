@@ -200,9 +200,9 @@ func (m *Marketplace) NewHITID() string {
 }
 
 // PaddedID formats prefix + n zero-padded to at least 6 digits (the
-// "%06d" wire format of HIT and task keys) without fmt overhead: IDs
-// are minted on posting hot paths. It formats into a stack buffer, so
-// only the ID's string is allocated.
+// "%06d" format of HIT IDs) without fmt overhead: IDs are minted on
+// posting hot paths. It formats into a stack buffer, so only the ID's
+// string is allocated.
 func PaddedID(prefix string, n int64) string {
 	var stack [32]byte
 	buf := append(stack[:0], prefix...)

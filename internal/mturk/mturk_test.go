@@ -178,7 +178,7 @@ func filterHIT(id string, assignments int) *hit.HIT {
 	return &hit.HIT{
 		ID: id, Task: "isCat", Type: qlang.TaskFilter,
 		Question: "cat?", Response: qlang.Response{Kind: qlang.ResponseYesNo},
-		Items:       []hit.Item{{Key: "k1", Args: []relation.Value{relation.NewImage("x.png")}}},
+		Items:       []hit.Item{{Args: []relation.Value{relation.NewImage("x.png")}}},
 		RewardCents: 2, Assignments: assignments,
 	}
 }

@@ -53,13 +53,6 @@ const (
 // task definition (GroupSize:) nor the decision specifies one.
 const DefaultGroupSize = 5
 
-// Item is one tuple to order: Key routes results (unique, in input
-// order), Args are the values the ranking task is applied to.
-type Item struct {
-	Key  string
-	Args []relation.Value
-}
-
 // Decision says how to order one input, typically produced by
 // optimizer.ChooseRankStrategy.
 type Decision struct {
@@ -105,7 +98,7 @@ type Manager interface {
 	Submit(req taskmgr.Request)
 	Flush(task string)
 	FlushScope(task string, scope *taskmgr.Scope)
-	RankBlockIn(scope *taskmgr.Scope, def *qlang.TaskDef, items []taskmgr.RankItem, done func(rankings []taskmgr.Ranking, err error))
+	RankBlockIn(scope *taskmgr.Scope, def *qlang.TaskDef, items [][]relation.Value, done func(rankings []taskmgr.Ranking, err error))
 	PolicyFor(def *qlang.TaskDef) taskmgr.Policy
 }
 
@@ -137,12 +130,13 @@ type Stats struct {
 
 // Run orders items with the decided strategy and calls done exactly
 // once with the permutation of input indices (first = first output
-// row) and the run's stats. Submissions happen on the caller's
-// goroutine and inside task-manager Done callbacks; done may therefore
-// fire on either. Errors are reported through cfg.OnError and counted;
-// the permutation is always a valid total order (errored items keep
-// their input order).
-func Run(items []Item, rateDef, cmpDef *qlang.TaskDef, d Decision, cfg Config, done func(perm []int, st Stats)) {
+// row) and the run's stats. Each item is one tuple's arguments, the
+// values the ranking task is applied to; its index names it.
+// Submissions happen on the caller's goroutine and inside task-manager
+// Done callbacks; done may therefore fire on either. Errors are
+// reported through cfg.OnError and counted; the permutation is always a
+// valid total order (errored items keep their input order).
+func Run(items [][]relation.Value, rateDef, cmpDef *qlang.TaskDef, d Decision, cfg Config, done func(perm []int, st Stats)) {
 	d = d.withDefaults()
 	r := &runner{items: items, rateDef: rateDef, cmpDef: cmpDef, d: d, cfg: cfg, done: done}
 	r.st.Strategy = d.Strategy
@@ -179,7 +173,7 @@ func Run(items []Item, rateDef, cmpDef *qlang.TaskDef, d Decision, cfg Config, d
 // task-manager callbacks fire on the clock goroutine while the caller's
 // goroutine may still be submitting.
 type runner struct {
-	items   []Item
+	items   [][]relation.Value
 	rateDef *qlang.TaskDef
 	cmpDef  *qlang.TaskDef
 	d       Decision
@@ -235,14 +229,14 @@ func (r *runner) runRate(then func(scores []float64, errored []bool, answers [][
 			then(scores, errored, answers)
 		}
 	}
-	for i, it := range r.items {
+	for i, args := range r.items {
 		i := i
 		r.mu.Lock()
 		r.st.RateAsks++
 		r.mu.Unlock()
 		r.cfg.Mgr.Submit(taskmgr.Request{
 			Def:   r.rateDef,
-			Args:  it.Args,
+			Args:  args,
 			Scope: r.cfg.Scope,
 			Done: func(out taskmgr.Outcome) {
 				if out.Err != nil {
@@ -465,10 +459,10 @@ func (w *winTable) order(indices []int, desc bool) []int {
 
 // rankItemsFor renders a group of global indices as the task manager's
 // HIT rows.
-func (r *runner) rankItemsFor(group []int) []taskmgr.RankItem {
-	rows := make([]taskmgr.RankItem, len(group))
+func (r *runner) rankItemsFor(group []int) [][]relation.Value {
+	rows := make([][]relation.Value, len(group))
 	for i, gi := range group {
-		rows[i] = taskmgr.RankItem{Key: r.items[gi].Key, Args: r.items[gi].Args}
+		rows[i] = r.items[gi]
 	}
 	return rows
 }

@@ -53,7 +53,7 @@ func (f *fakeMgr) Flush(string) {}
 
 func (f *fakeMgr) FlushScope(string, *taskmgr.Scope) {}
 
-func (f *fakeMgr) RankBlockIn(_ *taskmgr.Scope, def *qlang.TaskDef, items []taskmgr.RankItem, done func([]taskmgr.Ranking, error)) {
+func (f *fakeMgr) RankBlockIn(_ *taskmgr.Scope, def *qlang.TaskDef, items [][]relation.Value, done func([]taskmgr.Ranking, error)) {
 	f.compareHITs++
 	if f.failCompare {
 		done(nil, fmt.Errorf("fake: comparison down"))
@@ -65,7 +65,7 @@ func (f *fakeMgr) RankBlockIn(_ *taskmgr.Scope, def *qlang.TaskDef, items []task
 	}
 	// Stable sort by latent score: ties keep HIT order, like the crowd.
 	sort.SliceStable(idx, func(a, b int) bool {
-		return f.scores[items[idx[a]].Key] < f.scores[items[idx[b]].Key]
+		return f.scores[items[idx[a]][0].Str()] < f.scores[items[idx[b]][0].Str()]
 	})
 	rank := make([]int, len(items))
 	for pos, i := range idx {
@@ -104,8 +104,8 @@ RETURNS Int:
 
 // makeItems builds n items whose latent score follows a fixed
 // pseudo-random permutation (deterministic, no two equal).
-func makeItems(n int) ([]Item, *fakeMgr, []int) {
-	items := make([]Item, n)
+func makeItems(n int) ([][]relation.Value, *fakeMgr, []int) {
+	items := make([][]relation.Value, n)
 	mgr := &fakeMgr{scores: make(map[string]float64, n)}
 	type scored struct {
 		idx   int
@@ -115,7 +115,7 @@ func makeItems(n int) ([]Item, *fakeMgr, []int) {
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("item%03d", i)
 		score := float64((i*7919)%104729) / 1000 // deterministic shuffle
-		items[i] = Item{Key: key, Args: []relation.Value{relation.NewString(key)}}
+		items[i] = []relation.Value{relation.NewString(key)}
 		mgr.scores[key] = score
 		ss[i] = scored{idx: i, score: score}
 	}
@@ -127,7 +127,7 @@ func makeItems(n int) ([]Item, *fakeMgr, []int) {
 	return items, mgr, want
 }
 
-func runSync(t *testing.T, items []Item, rate, cmp *qlang.TaskDef, d Decision, mgr Manager) ([]int, Stats) {
+func runSync(t *testing.T, items [][]relation.Value, rate, cmp *qlang.TaskDef, d Decision, mgr Manager) ([]int, Stats) {
 	t.Helper()
 	var perm []int
 	var st Stats

@@ -66,10 +66,13 @@ func (st *taskState) refCutBatchesLocked(base Policy, force bool) [][]pendingIte
 	return batches
 }
 
+// itemKeys names each item by its side tag, which the test sets to the
+// item's position in the pending list it built (the cut never reads
+// it).
 func itemKeys(items []pendingItem) []string {
 	keys := make([]string, len(items))
 	for i, it := range items {
-		keys[i] = it.key
+		keys[i] = it.side
 	}
 	return keys
 }
@@ -109,7 +112,7 @@ func TestCutMatchesReference(t *testing.T) {
 		pending := make([]pendingItem, rng.Intn(45))
 		for i := range pending {
 			it := pendingItem{
-				key:         fmt.Sprintf("t%03d", i),
+				side:        fmt.Sprintf("t%03d", i),
 				scope:       scopes[rng.Intn(len(scopes))],
 				assignments: []int{0, 0, 0, 1, 5}[rng.Intn(5)],
 				shared:      rng.Intn(3) == 0,
@@ -150,9 +153,9 @@ func TestCutMatchesReference(t *testing.T) {
 		keys := batchKeys(batches)
 		for i := range batches {
 			b := batches[i]
-			_ = append(b, pendingItem{key: "appended"})
+			_ = append(b, pendingItem{side: "appended"})
 			for j := range b {
-				b[j].key = "overwritten"
+				b[j].side = "overwritten"
 			}
 			if !reflect.DeepEqual(itemKeys(got.pending), leftKeys) {
 				t.Fatalf("%s: writing batch %d changed pending", tag, i)
@@ -166,7 +169,7 @@ func TestCutMatchesReference(t *testing.T) {
 				t.Fatalf("%s: batch %d has spare capacity %d", tag, i, cap(b)-len(b))
 			}
 			for j := range b {
-				b[j].key = keys[i][j]
+				b[j].side = keys[i][j]
 			}
 		}
 	}

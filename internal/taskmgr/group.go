@@ -81,14 +81,10 @@ func (m *Manager) SubmitGroup(reqs []Request) error {
 		Response:    qlang.Response{Kind: qlang.ResponseYesNo},
 		Assignments: fl.assign,
 		Items:       make([]hit.Item, len(items)),
-		GroupKeys:   make([]string, len(items)),
 	}
-	for i := range items {
-		it := &items[i]
-		it.key = m.newKey()
+	for i, it := range items {
 		prompt := hit.RenderText(it.def.Text, it.def.TextArgs, it.def.Params, it.args)
-		h.Items[i] = hit.Item{Key: it.key, Args: it.args, Task: it.def.Name, Prompt: prompt}
-		h.GroupKeys[i] = it.def.Name
+		h.Items[i] = hit.Item{Args: it.args, Task: it.def.Name, Prompt: prompt}
 	}
 	fl.hit = h
 	m.enqueue(fl, pol, free)

@@ -9,19 +9,13 @@ import (
 	"repro/internal/relation"
 )
 
-// JoinItem is one row shown in a column of the two-column join interface
-// (Figure 3). Key names the row in the HIT's form and on the wire; Args
-// are the rendered values (typically one image).
-type JoinItem struct {
-	Key  string
-	Args []relation.Value
-}
-
 // JoinBlockIn evaluates the cross product of left×right through the
-// two-column JoinColumns interface: one HIT answers |left|·|right| pair
-// questions at once, the batching that makes human joins affordable.
-// done fires exactly once per (l, r) position, where l indexes left and
-// r indexes right.
+// two-column JoinColumns interface (Figure 3): one HIT answers
+// |left|·|right| pair questions at once, the batching that makes human
+// joins affordable. Each element of left and right is one row's
+// arguments, the values shown for it (typically one image). done fires
+// exactly once per (l, r) position, where l indexes left and r indexes
+// right.
 //
 // Cached pairs are answered for free; if every pair is cached no HIT is
 // posted. Otherwise the grid shrinks to the rows/columns still needed
@@ -29,15 +23,13 @@ type JoinItem struct {
 // The grid HIT lives through the same lifecycle as every other HIT, so
 // it honours the task's answer inference: under EM it posts at the
 // adaptive floor and extends while a cell's posterior stays unsure.
-// Keys name the grid's cells in the HIT's form and on the wire, so the
-// shown columns must hold distinct, non-empty keys (hit.Validate): a
-// grid that would post otherwise resolves each of its uncached pairs
-// with an error, and posts and charges nothing.
+// Each cell is answered at its own position, so two rows with equal
+// arguments are two rows of the posted grid.
 //
 // scope binds the grid to a query (nil = unscoped): a canceled scope
 // resolves every pair immediately with the cause, and the posted grid
 // HIT is registered for expiry/refund should the scope cancel mid-HIT.
-func (m *Manager) JoinBlockIn(scope *Scope, def *qlang.TaskDef, left, right []JoinItem, done func(l, r int, out Outcome)) {
+func (m *Manager) JoinBlockIn(scope *Scope, def *qlang.TaskDef, left, right [][]relation.Value, done func(l, r int, out Outcome)) {
 	if len(left) == 0 || len(right) == 0 {
 		return
 	}
@@ -101,10 +93,10 @@ func (m *Manager) JoinBlockIn(scope *Scope, def *qlang.TaskDef, left, right []Jo
 		h.Question = "Match the items in the left column with the items in the right column."
 	}
 	for i, l := range rows {
-		h.Left[i] = hit.Item{Key: left[l].Key, Args: left[l].Args}
+		h.Left[i] = hit.Item{Args: left[l]}
 	}
 	for j, r := range cols {
-		h.Right[j] = hit.Item{Key: right[r].Key, Args: right[r].Args}
+		h.Right[j] = hit.Item{Args: right[r]}
 	}
 	// The HIT's cells, row-major over h.Left×h.Right: cell i is the
 	// HIT's question i.
@@ -115,11 +107,6 @@ func (m *Manager) JoinBlockIn(scope *Scope, def *qlang.TaskDef, left, right []Jo
 		}
 	}
 	fl.hit, fl.cells, fl.gridDone = h, cells, done
-	if err := h.Validate(); err != nil {
-		q := queuedHIT{fl: fl, free: free}
-		q.settle(fmt.Errorf("taskmgr: %s: %w", def.Name, err))
-		return
-	}
 	m.enqueue(fl, pol, free)
 	m.dispatch()
 }
@@ -136,20 +123,20 @@ type joinCell struct {
 
 // newJoinGrid lays out left×right row-major, carving every cell's
 // arguments from one backing array and encoding each cache key once.
-func newJoinGrid(task string, left, right []JoinItem) []joinCell {
+func newJoinGrid(task string, left, right [][]relation.Value) []joinCell {
 	var leftArgs, rightArgs int
-	for _, it := range left {
-		leftArgs += len(it.Args)
+	for _, args := range left {
+		leftArgs += len(args)
 	}
-	for _, it := range right {
-		rightArgs += len(it.Args)
+	for _, args := range right {
+		rightArgs += len(args)
 	}
 	backing := make([]relation.Value, leftArgs*len(right)+rightArgs*len(left))
 	grid := make([]joinCell, 0, len(left)*len(right))
 	for l := range left {
 		for r := range right {
-			n := len(left[l].Args) + len(right[r].Args)
-			args := append(append(backing[:0:n], left[l].Args...), right[r].Args...)
+			n := len(left[l]) + len(right[r])
+			args := append(append(backing[:0:n], left[l]...), right[r]...)
 			backing = backing[n:]
 			grid = append(grid, joinCell{args: args, ckey: cache.NewKey(task, args), l: l, r: r})
 		}

@@ -17,97 +17,102 @@ func imageArgs(name string) []relation.Value {
 	return []relation.Value{relation.NewImage(name)}
 }
 
-// TestJoinBlockRepeatedKeyResolvesEveryPair: keys route the workers'
-// answers, so a grid whose posted columns repeat a key would collapse
-// two pairs into one question and leave the caller waiting on a
-// callback that never comes. Every uncached pair must resolve with an
-// error instead, with nothing posted or charged; a cached pair resolves
-// from the cache as usual.
-func TestJoinBlockRepeatedKeyResolvesEveryPair(t *testing.T) {
+// TestJoinBlockRepeatedArgsResolveEachPair: a grid names its cells by
+// position, so two rows (or columns) with identical arguments are two
+// rows of the posted HIT, and each pair resolves once, at its own
+// position. Pairs already in the cache resolve from it, beside the
+// posted ones.
+func TestJoinBlockRepeatedArgsResolveEachPair(t *testing.T) {
 	yes := crowd.OracleFunc(func(string, []relation.Value) relation.Value { return relation.NewBool(true) })
+	a, b, c := imageArgs("a.png"), imageArgs("b.png"), imageArgs("c.png")
 	cases := []struct {
 		name        string
-		left, right []JoinItem
-		cached      [2]int // position answered from the cache, or {-1, -1}
+		left, right [][]relation.Value
+		cached      [][2]int // positions answered from the cache
+		rows, cols  int      // the posted grid's shape
 	}{
-		{name: "left",
-			left:   []JoinItem{{Key: "l1", Args: imageArgs("a.png")}, {Key: "l1", Args: imageArgs("b.png")}},
-			right:  []JoinItem{{Key: "r1", Args: imageArgs("c.png")}},
-			cached: [2]int{-1, -1}},
-		{name: "right",
-			left:   []JoinItem{{Key: "l1", Args: imageArgs("a.png")}},
-			right:  []JoinItem{{Key: "r1", Args: imageArgs("b.png")}, {Key: "r1", Args: imageArgs("c.png")}},
-			cached: [2]int{-1, -1}},
-		{name: "beside a cached pair",
-			left:   []JoinItem{{Key: "l1", Args: imageArgs("a.png")}, {Key: "l1", Args: imageArgs("b.png")}},
-			right:  []JoinItem{{Key: "r1", Args: imageArgs("c.png")}, {Key: "r2", Args: imageArgs("d.png")}},
-			cached: [2]int{0, 0}},
+		{name: "left", left: [][]relation.Value{a, a}, right: [][]relation.Value{b}, rows: 2, cols: 1},
+		{name: "right", left: [][]relation.Value{a}, right: [][]relation.Value{b, b}, rows: 1, cols: 2},
+		{name: "beside a cached pair", left: [][]relation.Value{a, a}, right: [][]relation.Value{b, c},
+			cached: [][2]int{{0, 0}, {1, 0}}, rows: 2, cols: 1},
 	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
 			m, clock := newRig(t, yes, crowd.Config{MeanSkill: 0.99}, 0)
 			def := joinDef()
-			if c.cached[0] >= 0 {
-				// Answer the cached pair through a grid with distinct keys.
-				m.JoinBlockIn(nil, def, []JoinItem{{Key: "x", Args: c.left[c.cached[0]].Args}},
-					[]JoinItem{{Key: "y", Args: c.right[c.cached[1]].Args}}, func(int, int, Outcome) {})
+			if len(tc.cached) > 0 {
+				// Answer the cached pair through a grid of its own.
+				pos := tc.cached[0]
+				m.JoinBlockIn(nil, def, tc.left[pos[0]:pos[0]+1], tc.right[pos[1]:pos[1]+1], func(int, int, Outcome) {})
 				for clock.Step() {
 				}
 			}
 			spent, posted := m.Account().Spent(), m.StatsFor(def.Name).HITsPosted
+			var grid *hit.HIT
+			hook := func(h *hit.HIT) error { grid = h; return nil }
+			m.postHook.Store(&hook)
 
 			var mu sync.Mutex
-			calls := 0
+			calls := map[[2]int]int{}
 			got := map[[2]int]Outcome{}
-			m.JoinBlockIn(nil, def, c.left, c.right, func(l, r int, out Outcome) {
+			m.JoinBlockIn(nil, def, tc.left, tc.right, func(l, r int, out Outcome) {
 				mu.Lock()
 				defer mu.Unlock()
-				calls++
+				calls[[2]int{l, r}]++
 				got[[2]int{l, r}] = out
 			})
 			for clock.Step() {
 			}
 			mu.Lock()
 			defer mu.Unlock()
-			want := len(c.left) * len(c.right)
-			if calls != want || len(got) != want {
-				t.Fatalf("%d callbacks over %d positions, want one per pair (%d)", calls, len(got), want)
-			}
-			for pos, out := range got {
-				if pos == c.cached {
-					if out.Err != nil || !out.FromCache {
-						t.Errorf("cached pair %v: %+v, want a cache hit", pos, out)
+			for l := range tc.left {
+				for r := range tc.right {
+					pos := [2]int{l, r}
+					out := got[pos]
+					switch {
+					case calls[pos] != 1:
+						t.Errorf("pair %v resolved %d times, want once", pos, calls[pos])
+					case out.Err != nil || !out.Value.Truthy():
+						t.Errorf("pair %v: %+v, want a match", pos, out)
+					case out.FromCache != slices.Contains(tc.cached, pos):
+						t.Errorf("pair %v: from cache %v, want %v", pos, out.FromCache, !out.FromCache)
 					}
-				} else if out.Err == nil {
-					t.Errorf("pair %v resolved to %v without an error", pos, out.Value)
 				}
 			}
-			if s := m.Account().Spent(); s != spent {
-				t.Errorf("spent %v, want %v: nothing should be charged", s, spent)
+			if len(calls) != len(tc.left)*len(tc.right) {
+				t.Errorf("callbacks at %d positions, want %d", len(calls), len(tc.left)*len(tc.right))
 			}
-			if n := m.StatsFor(def.Name).HITsPosted; n != posted {
-				t.Errorf("%d HITs posted, want %d", n, posted)
+			if grid == nil || len(grid.Left) != tc.rows || len(grid.Right) != tc.cols {
+				t.Fatalf("posted grid %+v, want %d×%d", grid, tc.rows, tc.cols)
+			}
+			if n := m.StatsFor(def.Name).HITsPosted; n != posted+1 {
+				t.Errorf("%d HITs posted, want %d", n, posted+1)
+			}
+			if s := m.Account().Spent(); s <= spent {
+				t.Errorf("spent %v, want more than %v: the grid is paid", s, spent)
 			}
 		})
 	}
 }
 
-// joinRefPair is one unresolved cell of the reference shrink.
-type joinRefPair struct{ l, r JoinItem }
+// joinRefPair is one unresolved cell of the reference shrink, by its
+// left and right positions.
+type joinRefPair struct{ l, r int }
 
 // dedupeJoinItems is the shrink JoinBlockIn used before it carried
 // cells by position, kept as the reference: the distinct left (or
-// right) items of the unresolved pairs, preserving first-seen order.
-func dedupeJoinItems(pairs []joinRefPair, left bool) []JoinItem {
-	seen := make(map[string]bool)
-	var out []JoinItem
+// right) positions of the unresolved pairs, preserving first-seen
+// order.
+func dedupeJoinItems(pairs []joinRefPair, left bool) []int {
+	seen := make(map[int]bool)
+	var out []int
 	for _, p := range pairs {
 		it := p.r
 		if left {
 			it = p.l
 		}
-		if !seen[it.Key] {
-			seen[it.Key] = true
+		if !seen[it] {
+			seen[it] = true
 			out = append(out, it)
 		}
 	}
@@ -117,30 +122,38 @@ func dedupeJoinItems(pairs []joinRefPair, left bool) []JoinItem {
 // TestJoinShrinkMatchesReference posts grids over randomized masks of
 // cached cells, with whole rows and columns cached now and then, and
 // requires the HIT's Left and Right columns in the reference's order,
-// cells row-major over them, and the same set of waited-on cells.
+// cells row-major over them, and the same set of waited-on cells. Every
+// row and column shows one image of its own, so the image names it.
 func TestJoinShrinkMatchesReference(t *testing.T) {
 	m, _ := newRig(t, catOracle, crowd.Config{}, 0)
 	def := joinDef()
 	var posted *hit.HIT
 	hook := func(h *hit.HIT) error { posted = h; return nil }
 	m.postHook.Store(&hook)
-	keys := func(items []JoinItem) []string {
-		out := make([]string, len(items))
-		for i, it := range items {
-			out[i] = it.Key
+	names := func(side [][]relation.Value, positions []int) []string {
+		out := make([]string, len(positions))
+		for i, p := range positions {
+			out[i] = side[p][0].Str()
+		}
+		return out
+	}
+	shown := func(col []hit.Item) []string {
+		out := make([]string, len(col))
+		for i, it := range col {
+			out[i] = it.Args[0].Str()
 		}
 		return out
 	}
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 500; trial++ {
 		nl, nr := 1+rng.Intn(8), 1+rng.Intn(8)
-		left := make([]JoinItem, nl)
+		left := make([][]relation.Value, nl)
 		for i := range left {
-			left[i] = JoinItem{Key: fmt.Sprintf("L%d", i), Args: imageArgs(fmt.Sprintf("t%d-l%d.png", trial, i))}
+			left[i] = imageArgs(fmt.Sprintf("t%d-l%d.png", trial, i))
 		}
-		right := make([]JoinItem, nr)
+		right := make([][]relation.Value, nr)
 		for i := range right {
-			right[i] = JoinItem{Key: fmt.Sprintf("R%d", i), Args: imageArgs(fmt.Sprintf("t%d-r%d.png", trial, i))}
+			right[i] = imageArgs(fmt.Sprintf("t%d-r%d.png", trial, i))
 		}
 		p := rng.Float64()
 		cached := make([]bool, nl*nr)
@@ -161,10 +174,10 @@ func TestJoinShrinkMatchesReference(t *testing.T) {
 		for l := range left {
 			for r := range right {
 				if cached[l*nr+r] {
-					args := append(append([]relation.Value{}, left[l].Args...), right[r].Args...)
+					args := append(append([]relation.Value{}, left[l]...), right[r]...)
 					m.Cache().Put(cache.NewKey(def.Name, args), cache.EncodeAnswers([]relation.Value{relation.NewBool(true)}))
 				} else {
-					unresolved = append(unresolved, joinRefPair{left[l], right[r]})
+					unresolved = append(unresolved, joinRefPair{l, r})
 				}
 			}
 		}
@@ -180,15 +193,8 @@ func TestJoinShrinkMatchesReference(t *testing.T) {
 		if posted == nil {
 			t.Fatalf("trial %d: %d unresolved cells but no HIT", trial, len(unresolved))
 		}
-		wantLeft, wantRight := keys(dedupeJoinItems(unresolved, true)), keys(dedupeJoinItems(unresolved, false))
-		gotLeft := make([]string, len(posted.Left))
-		for i, it := range posted.Left {
-			gotLeft[i] = it.Key
-		}
-		gotRight := make([]string, len(posted.Right))
-		for i, it := range posted.Right {
-			gotRight[i] = it.Key
-		}
+		wantLeft, wantRight := names(left, dedupeJoinItems(unresolved, true)), names(right, dedupeJoinItems(unresolved, false))
+		gotLeft, gotRight := shown(posted.Left), shown(posted.Right)
 		if !slices.Equal(gotLeft, wantLeft) || !slices.Equal(gotRight, wantRight) {
 			t.Fatalf("trial %d: HIT columns %v × %v, want %v × %v", trial, gotLeft, gotRight, wantLeft, wantRight)
 		}
@@ -199,21 +205,21 @@ func TestJoinShrinkMatchesReference(t *testing.T) {
 		if len(fl.cells) != len(gotLeft)*len(gotRight) {
 			t.Fatalf("trial %d: %d cells for a %dx%d grid", trial, len(fl.cells), len(gotLeft), len(gotRight))
 		}
-		waited := map[string]bool{}
+		waited := map[joinRefPair]bool{}
 		for i, c := range fl.cells {
-			lk, rk := gotLeft[i/len(gotRight)], gotRight[i%len(gotRight)]
+			ln, rn := gotLeft[i/len(gotRight)], gotRight[i%len(gotRight)]
 			// Cell i is the HIT's question i: row-major over its columns.
-			if left[c.l].Key != lk || right[c.r].Key != rk {
+			if left[c.l][0].Str() != ln || right[c.r][0].Str() != rn {
 				t.Fatalf("trial %d: cell %d is (%s, %s) at (%d, %d), want (%s, %s)",
-					trial, i, left[c.l].Key, right[c.r].Key, c.l, c.r, lk, rk)
+					trial, i, left[c.l][0].Str(), right[c.r][0].Str(), c.l, c.r, ln, rn)
 			}
 			if c.wait {
-				waited[hit.PairKey(lk, rk)] = true
+				waited[joinRefPair{c.l, c.r}] = true
 			}
 		}
 		for _, p := range unresolved {
-			if key := hit.PairKey(p.l.Key, p.r.Key); !waited[key] {
-				t.Fatalf("trial %d: unresolved cell %s is not waited on", trial, key)
+			if !waited[p] {
+				t.Fatalf("trial %d: unresolved cell %v is not waited on", trial, p)
 			}
 		}
 		if len(waited) != len(unresolved) {

@@ -90,8 +90,8 @@ var lifecycleKinds = []struct {
 	{"grid", 4, func(m *Manager, s *Scope, log *outcomeLog) {
 		def := joinDef()
 		m.SetPolicy(def.Name, Policy{Assignments: 3, BatchSize: 1, PriceCents: 1})
-		left := []JoinItem{{Key: "L1", Args: imageArgs("cat-a")}, {Key: "L2", Args: imageArgs("dog-b")}}
-		right := []JoinItem{{Key: "R1", Args: imageArgs("cat-c")}, {Key: "R2", Args: imageArgs("dog-d")}}
+		left := [][]relation.Value{imageArgs("cat-a"), imageArgs("dog-b")}
+		right := [][]relation.Value{imageArgs("cat-c"), imageArgs("dog-d")}
 		m.JoinBlockIn(s, def, left, right, func(l, r int, o Outcome) { log.deliver(fmt.Sprint(l, r), o.Err) })
 	}},
 	{"comparison", 1, func(m *Manager, s *Scope, log *outcomeLog) {
@@ -294,8 +294,8 @@ func TestAdmissionCapsEveryHITKind(t *testing.T) {
 	m.SetPolicy(filter.Name, Policy{Assignments: 3, BatchSize: 2, PriceCents: 1, Linger: time.Hour})
 	owed := 0
 	for i := 0; i < 3; i++ {
-		left := []JoinItem{{Key: "L", Args: imageArgs(fmt.Sprint("cat-l", i))}}
-		right := []JoinItem{{Key: "R1", Args: imageArgs(fmt.Sprint("cat-r", i))}, {Key: "R2", Args: imageArgs(fmt.Sprint("dog-r", i))}}
+		left := [][]relation.Value{imageArgs(fmt.Sprint("cat-l", i))}
+		right := [][]relation.Value{imageArgs(fmt.Sprint("cat-r", i)), imageArgs(fmt.Sprint("dog-r", i))}
 		m.JoinBlockIn(s, join, left, right, func(l, r int, o Outcome) { log.deliver(fmt.Sprint("grid", i, l, r), o.Err) })
 		m.RankBlockIn(s, cmp, rankItemsN(3), func(_ []Ranking, err error) { log.deliver(fmt.Sprint("cmp", i), err) })
 		for j := 0; j < 2; j++ {
@@ -367,10 +367,10 @@ RETURNS Bool:
 	var posted []*hit.HIT
 	hook := func(h *hit.HIT) error { posted = append(posted, h); return nil }
 	m.postHook.Store(&hook)
-	var left, right []JoinItem
+	var left, right [][]relation.Value
 	for i := 0; i < 3; i++ {
-		left = append(left, JoinItem{Key: fmt.Sprint("L", i), Args: imageArgs(fmt.Sprintf("cat-%d", i))})
-		right = append(right, JoinItem{Key: fmt.Sprint("R", i), Args: imageArgs(fmt.Sprintf("dog-%d", i))})
+		left = append(left, imageArgs(fmt.Sprintf("cat-%d", i)))
+		right = append(right, imageArgs(fmt.Sprintf("dog-%d", i)))
 	}
 	var mu sync.Mutex
 	outs := map[[2]int]Outcome{}

@@ -239,9 +239,9 @@ func (m *Manager) traceExtension(fl *inflightHIT, price budget.Cents) {
 
 // traceHITDone closes out a finalized HIT of any kind: assignments are
 // attributed to the submitting operators, inference posteriors (posts,
-// by question, when an EM fit resolved the answers) are annotated under
-// each question's key in question order, and the round-trip and
-// extension-depth distributions observe the completion.
+// by question, when an EM fit resolved the answers) are annotated as
+// posterior.<i> for question i, and the round-trip and extension-depth
+// distributions observe the completion.
 func (m *Manager) traceHITDone(fl *inflightHIT, latencyMin float64, posts []infer.Posterior) {
 	sp := fl.span
 	if sp == nil {
@@ -251,10 +251,9 @@ func (m *Manager) traceHITDone(fl *inflightHIT, latencyMin float64, posts []infe
 		op.AddAssignments(int64(fl.assign))
 	}
 	if posts != nil {
-		keys := fl.hit.Keys()
 		for i, p := range posts {
 			if !fl.detached(i) {
-				sp.Annotate("posterior."+keys[i], fmt.Sprintf("%v p=%.3f", p.Value, p.Confidence))
+				sp.Annotate("posterior."+strconv.Itoa(i), fmt.Sprintf("%v p=%.3f", p.Value, p.Confidence))
 			}
 		}
 	}

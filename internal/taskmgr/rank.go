@@ -9,14 +9,6 @@ import (
 	"repro/internal/store"
 )
 
-// RankItem is one row shown in an S-way comparison (Order) HIT. Key
-// names the row in the HIT's form and on the wire; Args are the
-// rendered values.
-type RankItem struct {
-	Key  string
-	Args []relation.Value
-}
-
 // Ranking is one assignment's complete ordering of a comparison HIT:
 // Rank[i] is the position (0 = first) the worker gave the HIT's i-th
 // item, so Rank is aligned with the items RankBlockIn was given.
@@ -25,20 +17,21 @@ type Ranking struct {
 	Rank     []int
 }
 
-// RankBlockIn posts one S-way comparison HIT over exactly these items
-// through the Order response and calls done exactly once with every
-// assignment's full ranking (fewer than the policy's redundancy when
-// assignments failed terminally; none plus an error when the HIT could
-// not complete at all). The HIT lives through the same lifecycle as
-// every other HIT, at the policy's fixed redundancy: answer inference
-// does not apply to rankings.
+// RankBlockIn posts one S-way comparison HIT over exactly these items,
+// each one row's arguments (the values shown for it), through the Order
+// response and calls done exactly once with every assignment's full
+// ranking (fewer than the policy's redundancy when assignments failed
+// terminally; none plus an error when the HIT could not complete at
+// all). The HIT lives through the same lifecycle as every other HIT, at
+// the policy's fixed redundancy: answer inference does not apply to
+// rankings.
 //
 // Unlike Submit, comparison items are never answered from the Task
 // Cache or a Task Model: an Order answer is a position *within this
 // group* and is meaningless outside it, so caching per-item ranks would
 // poison later groups. The group composition is the caller's sorting
 // strategy — the manager posts exactly what it is given.
-func (m *Manager) RankBlockIn(scope *Scope, def *qlang.TaskDef, items []RankItem, done func(rankings []Ranking, err error)) {
+func (m *Manager) RankBlockIn(scope *Scope, def *qlang.TaskDef, items [][]relation.Value, done func(rankings []Ranking, err error)) {
 	if len(items) == 0 {
 		done(nil, fmt.Errorf("taskmgr: %s: empty comparison group", def.Name))
 		return
@@ -68,8 +61,8 @@ func (m *Manager) RankBlockIn(scope *Scope, def *qlang.TaskDef, items []RankItem
 	if h.Question == "" {
 		h.Question = "Order the shown items."
 	}
-	for i, it := range items {
-		h.Items[i] = hit.Item{Key: it.Key, Args: it.Args}
+	for i, args := range items {
+		h.Items[i] = hit.Item{Args: args}
 	}
 	fl.hit, fl.rankDone = h, done
 	m.enqueue(fl, pol, nil)

@@ -28,7 +28,7 @@ RETURNS Int:
 	return def
 }
 
-// scoreOracle ranks items by the numeric id embedded in the key.
+// scoreOracle ranks items by the numeric id embedded in the image name.
 var scoreOracle = crowd.OracleFunc(func(task string, args []relation.Value) relation.Value {
 	var n int
 	if _, err := fmt.Sscanf(args[0].Str(), "item%d.png", &n); err != nil {
@@ -37,16 +37,16 @@ var scoreOracle = crowd.OracleFunc(func(task string, args []relation.Value) rela
 	return relation.NewFloat(float64(n))
 })
 
-func rankItemsN(n int) []RankItem {
-	items := make([]RankItem, n)
+func rankItemsN(n int) [][]relation.Value {
+	items := make([][]relation.Value, n)
 	for i := range items {
-		key := fmt.Sprintf("item%02d.png", n-i) // reverse latent order
-		items[i] = RankItem{Key: key, Args: []relation.Value{relation.NewImage(key)}}
+		name := fmt.Sprintf("item%02d.png", n-i) // reverse latent order
+		items[i] = []relation.Value{relation.NewImage(name)}
 	}
 	return items
 }
 
-func rankAndWait(t *testing.T, m *Manager, clock interface{ Run(func() bool) }, scope *Scope, items []RankItem) ([]Ranking, error) {
+func rankAndWait(t *testing.T, m *Manager, clock interface{ Run(func() bool) }, scope *Scope, items [][]relation.Value) ([]Ranking, error) {
 	t.Helper()
 	var mu sync.Mutex
 	var rankings []Ranking

@@ -254,8 +254,8 @@ func TestScopeCancelWaitsForInflightDirectPosts(t *testing.T) {
 			}
 		}},
 		{"join", func(m *Manager, s *Scope, done func(error)) {
-			left := []JoinItem{{Key: "L1", Args: []relation.Value{relation.NewImage("a.png")}}}
-			right := []JoinItem{{Key: "R1", Args: []relation.Value{relation.NewImage("a.png")}}}
+			left := [][]relation.Value{{relation.NewImage("a.png")}}
+			right := [][]relation.Value{{relation.NewImage("a.png")}}
 			m.JoinBlockIn(s, joinDef(), left, right, func(_, _ int, o Outcome) { done(o.Err) })
 		}},
 		{"rank", func(m *Manager, s *Scope, done func(error)) {
@@ -316,8 +316,8 @@ func TestScopeReleasesHITSetOnceRetired(t *testing.T) {
 	if err := m.SubmitGroup([]Request{{Def: def, Args: []relation.Value{relation.NewString("cat-2")}, Scope: s, Done: done}}); err != nil {
 		t.Fatal(err)
 	}
-	left := []JoinItem{{Key: "L1", Args: []relation.Value{relation.NewImage("a.png")}}}
-	right := []JoinItem{{Key: "R1", Args: []relation.Value{relation.NewImage("a.png")}}}
+	left := [][]relation.Value{{relation.NewImage("a.png")}}
+	right := [][]relation.Value{{relation.NewImage("a.png")}}
 	m.JoinBlockIn(s, joinDef(), left, right, func(_, _ int, o Outcome) { done(o) })
 	m.RankBlockIn(s, rankDef(), rankItemsN(3), func([]Ranking, error) { outs.Add(1) })
 

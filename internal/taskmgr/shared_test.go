@@ -270,8 +270,8 @@ func TestPostBatchDropsCanceledScopeItems(t *testing.T) {
 	b.SetShared(true)
 	st := m.state(def.Name, def)
 	var aOut, bOut atomic.Pointer[Outcome]
-	mk := func(sc *Scope, key string, out *atomic.Pointer[Outcome]) pendingItem {
-		return pendingItem{key: m.newKey(), args: []relation.Value{relation.NewString(key)},
+	mk := func(sc *Scope, arg string, out *atomic.Pointer[Outcome]) pendingItem {
+		return pendingItem{args: []relation.Value{relation.NewString(arg)},
 			def: def, scope: sc, shared: true, done: func(o Outcome) { out.Store(&o) }}
 	}
 	batch := []pendingItem{mk(a, "cat-a", &aOut), mk(b, "cat-b", &bOut)}

@@ -270,7 +270,6 @@ func (st *taskState) sideEstimator(side string) *stats.Selectivity {
 }
 
 type pendingItem struct {
-	key         string
 	args        []relation.Value
 	ckey        cache.Key // task cache key, encoded once at submission
 	def         *qlang.TaskDef
@@ -313,7 +312,6 @@ type Manager struct {
 	spelled map[string]*taskState
 	base    Policy
 
-	nextKey atomic.Int64
 	flights flightTable
 
 	// sched orders HIT posting across scopes (priority, then weighted
@@ -427,7 +425,7 @@ const (
 // through the admission queue — until it resolves. Its questions are
 // held by position: question i is question i of hit and of every sheet
 // in byWorker, and items[i] (the pending item that asked, with its Done
-// callback) or cells[i], so no path looks a question up by key. A
+// callback) or cells[i]; the position is a question's only name. A
 // batch's hit is built only once it is admitted, from its live items.
 // The sheets, in arrival order, are the only copy of the answers until
 // finalize lays them out per question. A scope that withdraws from a
@@ -797,10 +795,6 @@ func (st *taskState) defOf() *qlang.TaskDef {
 	return st.def
 }
 
-func (m *Manager) newKey() string {
-	return mturk.PaddedID("t", m.nextKey.Add(1))
-}
-
 // Submit enqueues one task application. The Done callback fires exactly
 // once with the outcome.
 func (m *Manager) Submit(req Request) {
@@ -828,7 +822,6 @@ func (m *Manager) Submit(req Request) {
 
 	// Queue for humans; batch with other applications of this task.
 	item := pendingItem{
-		key:         m.newKey(),
 		args:        req.Args,
 		ckey:        ckey,
 		def:         req.Def,
@@ -1414,7 +1407,7 @@ func (m *Manager) postHIT(q queuedHIT) bool {
 				if len(fl.items) > 1 {
 					prompt = hit.RenderText(it.def.Text, it.def.TextArgs, it.def.Params, it.args)
 				}
-				fl.hit.Items[i] = hit.Item{Key: it.key, Args: it.args, Prompt: prompt}
+				fl.hit.Items[i] = hit.Item{Args: it.args, Prompt: prompt}
 			}
 		}
 		fl.hit.RewardCents, fl.cost, fl.backend = price, cost, m.servingBackend(def)

@@ -268,13 +268,13 @@ func TestJoinBlockAnswersEveryPair(t *testing.T) {
 	})
 	m, clock := newRig(t, oracle, crowd.Config{MeanSkill: 0.97, Workers: 200}, 0)
 	def := joinDef()
-	left := []JoinItem{
-		{Key: "l1", Args: []relation.Value{relation.NewImage("ann-celeb.png")}},
-		{Key: "l2", Args: []relation.Value{relation.NewImage("bob-celeb.png")}},
+	left := [][]relation.Value{
+		{relation.NewImage("ann-celeb.png")},
+		{relation.NewImage("bob-celeb.png")},
 	}
-	right := []JoinItem{
-		{Key: "r1", Args: []relation.Value{relation.NewImage("ann-spotted.png")}},
-		{Key: "r2", Args: []relation.Value{relation.NewImage("col-spotted.png")}},
+	right := [][]relation.Value{
+		{relation.NewImage("ann-spotted.png")},
+		{relation.NewImage("col-spotted.png")},
 	}
 	var mu sync.Mutex
 	got := map[[2]int]bool{} // by (left, right) position
@@ -305,16 +305,16 @@ func TestJoinBlockFullyCachedPostsNothing(t *testing.T) {
 	})
 	m, clock := newRig(t, oracle, crowd.Config{MeanSkill: 0.99}, 0)
 	def := joinDef()
-	left := []JoinItem{{Key: "l1", Args: []relation.Value{relation.NewImage("a.png")}}}
-	right := []JoinItem{{Key: "r1", Args: []relation.Value{relation.NewImage("b.png")}}}
+	left := [][]relation.Value{{relation.NewImage("a.png")}}
+	right := [][]relation.Value{{relation.NewImage("b.png")}}
 	var mu sync.Mutex
 	n := 0
 	m.JoinBlockIn(nil, def, left, right, func(int, int, Outcome) { mu.Lock(); n++; mu.Unlock() })
 	runUntil(t, clock, func() bool { mu.Lock(); defer mu.Unlock(); return n == 1 })
 	spent := m.Account().Spent()
-	// Re-run the same block with different keys but identical values.
-	left2 := []JoinItem{{Key: "x1", Args: []relation.Value{relation.NewImage("a.png")}}}
-	right2 := []JoinItem{{Key: "y1", Args: []relation.Value{relation.NewImage("b.png")}}}
+	// Re-run the block from fresh slices holding identical values.
+	left2 := [][]relation.Value{{relation.NewImage("a.png")}}
+	right2 := [][]relation.Value{{relation.NewImage("b.png")}}
 	m.JoinBlockIn(nil, def, left2, right2, func(_, _ int, out Outcome) {
 		mu.Lock()
 		n++
