@@ -104,8 +104,9 @@ func encodeWireAssignment(h *hit.HIT, ans hit.Answers) (wireAssignment, error) {
 }
 
 // decodeWireAssignment decodes a wire assignment as its worker's sheet
-// for h. It fails on an undecodable value, or unless the assignment
-// answers every question of h and no more.
+// for h. It fails on an undecodable value, unless the assignment
+// answers every question of h and no more, or on a value h's form
+// could not have produced (see hit.CheckValues).
 func decodeWireAssignment(h *hit.HIT, wa wireAssignment) (hit.Answers, error) {
 	ans := hit.Answers{WorkerID: wa.WorkerID, Values: make([]relation.Value, len(wa.Values))}
 	if err := h.CheckAnswers(ans); err != nil {
@@ -117,6 +118,9 @@ func decodeWireAssignment(h *hit.HIT, wa wireAssignment) (hit.Answers, error) {
 			return hit.Answers{}, fmt.Errorf("answer %d: %v", i, err)
 		}
 		ans.Values[i] = v
+	}
+	if err := h.CheckValues(ans); err != nil {
+		return hit.Answers{}, err
 	}
 	return ans, nil
 }

@@ -185,6 +185,27 @@ func TestHTTPExternalChecksSheet(t *testing.T) {
 	}
 }
 
+// TestWireRejectsWrongAnswerValues: a wire assignment that answers
+// every question, but with values the HIT's form could not produce,
+// does not decode. Both values of ["no" (a string), 7 (an int)] would
+// otherwise count as yes votes on a yes/no HIT.
+func TestWireRejectsWrongAnswerValues(t *testing.T) {
+	h := twoItemHIT("H1", 1)
+	for _, values := range [][]string{
+		wireValues(relation.NewString("no"), relation.NewInt(7)),
+		wireValues(relation.NewBool(true), relation.Null),
+	} {
+		if ans, err := decodeWireAssignment(h, wireAssignment{WorkerID: "w", Values: values}); err == nil {
+			t.Errorf("%v decoded as %v for a yes/no HIT", values, ans.Values)
+		}
+	}
+	ans, err := decodeWireAssignment(h, wireAssignment{WorkerID: "w",
+		Values: wireValues(relation.NewBool(false), relation.NewBool(true))})
+	if err != nil || ans.Values[0].Bool() || !ans.Values[1].Bool() {
+		t.Fatalf("a well-formed sheet decoded as %v, %v", ans.Values, err)
+	}
+}
+
 // noWorkerPool never produces a worker.
 type noWorkerPool struct{}
 
@@ -195,8 +216,8 @@ func (noWorkerPool) Claim(h *hit.HIT, now mturk.VirtualTime) (mturk.Claim, bool)
 // FuzzWireAssignment decodes arbitrary wire value arrays against four
 // HITs: a yes/no batch, a two-field form HIT, a 2×3 grid and an Order
 // HIT. Decoding never panics and accepts exactly the arrays of
-// QuestionCount decodable values, and an accepted sheet re-encodes to
-// the same array.
+// QuestionCount decodable values that hit.CheckValues accepts, and an
+// accepted sheet re-encodes to the same array.
 func FuzzWireAssignment(f *testing.F) {
 	str := func(s string) []relation.Value { return []relation.Value{relation.NewString(s)} }
 	hits := []*hit.HIT{
@@ -237,12 +258,16 @@ func FuzzWireAssignment(f *testing.F) {
 			return
 		}
 		h := hits[int(which)%len(hits)]
-		decodable := len(values) == h.QuestionCount()
-		for _, s := range values {
-			if _, err := decodeWireValue(s); err != nil {
+		decodable := true
+		sheet := hit.Answers{Values: make([]relation.Value, len(values))}
+		for i, s := range values {
+			v, err := decodeWireValue(s)
+			if err != nil {
 				decodable = false
 			}
+			sheet.Values[i] = v
 		}
+		decodable = decodable && h.CheckValues(sheet) == nil
 		ans, err := decodeWireAssignment(h, wireAssignment{WorkerID: "w", Values: values})
 		if (err == nil) != decodable {
 			t.Fatalf("HIT %s: %q decoded with error %v; want accepted = %v", h.ID, values, err, decodable)

@@ -324,13 +324,14 @@ func New(cfg Config) (*Engine, error) {
 		e.plans = newPlanCache(cfg.PlanCacheSize)
 	}
 	if cfg.StorePath != "" {
-		st, err := store.Open(cfg.StorePath)
+		st, replayed, err := store.OpenState(cfg.StorePath)
 		if err != nil {
 			return nil, fmt.Errorf("core: open store: %v", err)
 		}
-		// Replay before anything can submit work, then stream every new
-		// learned artifact back to the WAL.
-		st.View(func(s *store.State) { e.warm = mgr.Restore(s) })
+		// Restore what replay found before anything can submit work, and
+		// drop it: the store's files are its only copy. Then stream every
+		// new learned artifact back to the WAL.
+		e.warm = mgr.Restore(replayed)
 		mgr.SetJournal(st)
 		e.store = st
 	}

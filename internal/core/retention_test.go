@@ -46,30 +46,7 @@ func TestLongLivedEngineRetention(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := newEngine(t, tc.cfg, workload.Photos(tableRows, 0.5, 0.5, 4))
-			liveHeap := func() uint64 {
-				runtime.GC()
-				var ms runtime.MemStats
-				runtime.ReadMemStats(&ms)
-				return ms.HeapAlloc
-			}
-			var heapFrom uint64
-			for i := 0; i < queries; i++ {
-				if i == measureFrom {
-					heapFrom = liveHeap()
-				}
-				lo := (i * 10) % tableRows
-				rows, err := e.Query(context.Background(),
-					fmt.Sprintf(`SELECT id, img FROM photos WHERE id > %d AND id <= %d AND isCat(img)`, lo, lo+10))
-				if err != nil {
-					t.Fatal(err)
-				}
-				for rows.Next() {
-				}
-				if err := rows.Err(); err != nil {
-					t.Fatalf("query %d: %v", i, err)
-				}
-				rows.Close()
-			}
+			heapFrom := runRangeQueries(t, e, tableRows, queries, measureFrom)
 			// Assignments can still be landing for a moment after the last row.
 			retained := func() int { return len(e.Marketplace().AllHITs()) }
 			for deadline := time.Now().Add(5 * time.Second); retained() > 0 && time.Now().Before(deadline); {
@@ -78,7 +55,7 @@ func TestLongLivedEngineRetention(t *testing.T) {
 			if n := retained(); n > 0 {
 				t.Errorf("marketplace retains %d finished HITs", n)
 			}
-			heapTo := liveHeap()
+			heapTo := liveHeap(e)
 			perQuery := (float64(heapTo) - float64(heapFrom)) / (queries - measureFrom)
 			if perQuery > tc.maxPerQuery {
 				t.Errorf("live heap grew %.0f bytes per query between query %d and %d (%.1f MB -> %.1f MB), over the %.0f-byte gate",
@@ -88,4 +65,81 @@ func TestLongLivedEngineRetention(t *testing.T) {
 				float64(heapFrom)/(1<<20), measureFrom, float64(heapTo)/(1<<20), queries, perQuery)
 		})
 	}
+}
+
+// TestStoreRetention gates what the knowledge store adds to a long-lived
+// engine's live heap. One engine with a store and one without each run
+// 2,000 ten-row range queries with a crowd filter over a 20,000-row
+// table, so every query asks 10 new isCat questions and the Task Cache
+// grows by 10 entries. From query 1,000 on, the engine with a store may
+// grow its live heap by at most 1.5 times as much per query as the one
+// without: the store's files are its only copy of what it has learned,
+// so memory holds only the cache's own entries and the store's buffers.
+func TestStoreRetention(t *testing.T) {
+	if testing.Short() {
+		t.Skip("store retention gate runs 4,000 queries; skipped in -short")
+	}
+	const (
+		tableRows   = 20000
+		queries     = 2000
+		measureFrom = 1000
+		maxRatio    = 1.5
+	)
+	perQuery := func(cfg Config) float64 {
+		e := newEngine(t, cfg, workload.Photos(tableRows, 0.5, 0.5, 4))
+		defer e.Close()
+		from := runRangeQueries(t, e, tableRows, queries, measureFrom)
+		return (float64(liveHeap(e)) - float64(from)) / (queries - measureFrom)
+	}
+	without := perQuery(Config{})
+	with := perQuery(Config{StorePath: t.TempDir()})
+	t.Logf("live heap growth per query from query %d to %d: %.0f B with a store, %.0f B without (%.2fx)",
+		measureFrom, queries, with, without, with/without)
+	if with > maxRatio*without {
+		t.Errorf("with a store the live heap grew %.0f bytes per query, over %.1fx the %.0f bytes without one",
+			with, maxRatio, without)
+	}
+}
+
+// runRangeQueries runs queries ten-row range queries with an isCat
+// filter on e, query i over ids (10i, 10i+10] of a tableRows-row photos
+// table, closing each Rows, and returns e's live heap at query
+// measureFrom.
+func runRangeQueries(t *testing.T, e *Engine, tableRows, queries, measureFrom int) (heapFrom uint64) {
+	t.Helper()
+	for i := 0; i < queries; i++ {
+		if i == measureFrom {
+			heapFrom = liveHeap(e)
+		}
+		lo := (i * 10) % tableRows
+		rows, err := e.Query(context.Background(),
+			fmt.Sprintf(`SELECT id, img FROM photos WHERE id > %d AND id <= %d AND isCat(img)`, lo, lo+10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rows.Next() {
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		rows.Close()
+	}
+	return heapFrom
+}
+
+// liveHeap returns the live heap after a full collection, taken once
+// e's store (if any) has written every record appended so far, so the
+// append backlog is not counted.
+func liveHeap(e *Engine) uint64 {
+	if st := e.Store(); st != nil {
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if s := st.Stats(); s.Written+s.Dropped >= s.Appended {
+				break
+			}
+		}
+	}
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

@@ -69,9 +69,6 @@ type Config struct {
 	// to a static heuristic (rate when a rating surface exists,
 	// compare otherwise).
 	RankStrategy func(v *plan.Rank, n int) rank.Decision
-	// OnError receives per-tuple execution errors (default: collected
-	// in Query.Errors).
-	OnError func(error)
 	// Scope binds every human-task submission of this query to one
 	// taskmgr cancellation scope, so Cancel can expire the query's open
 	// HITs and release its unspent budget. Nil runs unscoped (HITs
@@ -610,10 +607,6 @@ func (q *run) opStatsNow() []OpStats {
 }
 
 func (q *run) reportError(err error) {
-	if q.cfg.OnError != nil {
-		q.cfg.OnError(err)
-		return
-	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	// After cancellation every outstanding item resolves with the cause;

@@ -175,9 +175,9 @@ func cellLabel(it Item) string {
 }
 
 // ParseForm decodes a submitted form (as url.Values) into workerID's
-// answer sheet for this HIT, one value per question in question order.
-// Missing radio/checkbox inputs decode to their negative or NULL
-// values, matching browser semantics.
+// answer sheet for this HIT, one value per question in question order,
+// and holds it to CheckValues. Missing radio/checkbox inputs decode to
+// their negative or NULL values, matching browser semantics.
 func ParseForm(h *HIT, form url.Values, workerID string) (Answers, error) {
 	ans := Answers{WorkerID: workerID, Values: make([]relation.Value, h.QuestionCount())}
 	switch h.Response.Kind {
@@ -217,39 +217,29 @@ func ParseForm(h *HIT, form url.Values, workerID string) (Answers, error) {
 		for i := range h.Items {
 			raw := form.Get(inputName("r", i))
 			n, err := strconv.Atoi(raw)
-			if err != nil || n < h.Response.ScaleMin || n > h.Response.ScaleMax {
-				return Answers{}, fmt.Errorf("hit %s question %d: rating %q out of scale", h.ID, i, raw)
+			if err != nil {
+				return Answers{}, fmt.Errorf("hit %s question %d: rating %q is not a number", h.ID, i, raw)
 			}
 			ans.Values[i] = relation.NewInt(int64(n))
 		}
 	case qlang.ResponseOrder:
-		seen := make(map[int]bool, len(h.Items))
 		for i := range h.Items {
 			raw := form.Get(inputName("o", i))
 			n, err := strconv.Atoi(raw)
-			if err != nil || n < 1 || n > len(h.Items) {
-				return Answers{}, fmt.Errorf("hit %s question %d: position %q invalid", h.ID, i, raw)
+			if err != nil {
+				return Answers{}, fmt.Errorf("hit %s question %d: position %q is not a number", h.ID, i, raw)
 			}
-			if seen[n] {
-				return Answers{}, fmt.Errorf("hit %s: duplicate position %d", h.ID, n)
-			}
-			seen[n] = true
-			ans.Values[i] = relation.NewInt(int64(n - 1))
+			ans.Values[i] = relation.NewInt(int64(n) - 1)
 		}
 	case qlang.ResponseChoice:
-		valid := make(map[string]bool, len(h.Response.Options))
-		for _, o := range h.Response.Options {
-			valid[o] = true
-		}
 		for i := range h.Items {
-			raw := form.Get(inputName("c", i))
-			if !valid[raw] {
-				return Answers{}, fmt.Errorf("hit %s question %d: choice %q invalid", h.ID, i, raw)
-			}
-			ans.Values[i] = relation.NewString(raw)
+			ans.Values[i] = relation.NewString(form.Get(inputName("c", i)))
 		}
 	default:
 		return Answers{}, fmt.Errorf("hit %s: unsupported response kind %v", h.ID, h.Response.Kind)
+	}
+	if err := h.CheckValues(ans); err != nil {
+		return Answers{}, err
 	}
 	return ans, nil
 }

@@ -90,14 +90,76 @@ type Answers struct {
 }
 
 // CheckAnswers reports an error unless ans answers every question of h
-// and no more. Sheets from outside the engine — an external
-// submission, a pluggable worker pool, a remote service — pass it
-// before they reach the Task Manager.
+// and no more. Sheets from a pluggable worker pool pass it before they
+// reach the Task Manager; sheets from outside the engine pass
+// CheckValues, which includes it.
 func (h *HIT) CheckAnswers(ans Answers) error {
 	if n := h.QuestionCount(); len(ans.Values) != n {
 		return fmt.Errorf("hit %s: %d answers for %d questions", h.ID, len(ans.Values), n)
 	}
 	return nil
+}
+
+// CheckValues reports an error unless ans answers every question of h
+// with a value the HIT's form could have produced: a Bool for a yes/no
+// question or a join-grid cell, an Int within the scale for a rating,
+// each of the positions 0..n-1 once for an order, a listed option for a
+// choice, and for a form each field's declared kind or NULL. Sheets
+// from outside the engine — a submitted form (ParseForm), an external
+// submission, an assignment off the HTTP wire — pass it before they
+// reach the Task Manager.
+func (h *HIT) CheckValues(ans Answers) error {
+	if err := h.CheckAnswers(ans); err != nil {
+		return err
+	}
+	var seen []bool // order positions taken
+	for i, v := range ans.Values {
+		ok := false
+		switch r := h.Response; r.Kind {
+		case qlang.ResponseYesNo, qlang.ResponseJoinColumns:
+			ok = v.Kind() == relation.KindBool
+		case qlang.ResponseRating:
+			ok = v.Kind() == relation.KindInt && v.Int() >= int64(r.ScaleMin) && v.Int() <= int64(r.ScaleMax)
+		case qlang.ResponseOrder:
+			if seen == nil {
+				seen = make([]bool, len(ans.Values))
+			}
+			if n := v.Int(); v.Kind() == relation.KindInt && n >= 0 && n < int64(len(seen)) && !seen[n] {
+				seen[n], ok = true, true
+			}
+		case qlang.ResponseChoice:
+			ok = v.Kind() == relation.KindString && slices.Contains(r.Options, v.Str())
+		case qlang.ResponseForm:
+			ok = formValueFits(r.Fields, v)
+		default:
+			return fmt.Errorf("hit %s: unsupported response kind %v", h.ID, r.Kind)
+		}
+		if !ok {
+			return fmt.Errorf("hit %s question %d: %v is not a %v answer", h.ID, i, v, h.Response.Kind)
+		}
+	}
+	return nil
+}
+
+// formValueFits reports whether v is a form answer ParseForm could
+// produce: the one field's value, or a tuple of every field, each of
+// its declared kind or NULL.
+func formValueFits(fields []qlang.FormField, v relation.Value) bool {
+	fits := func(f qlang.FormField, v relation.Value) bool { return v.IsNull() || v.Kind() == f.Kind }
+	if len(fields) == 1 {
+		return fits(fields[0], v)
+	}
+	got := v.Fields()
+	if v.Kind() != relation.KindTuple || len(got) != len(fields) {
+		return false
+	}
+	for _, f := range fields {
+		i := slices.IndexFunc(got, func(g relation.Field) bool { return g.Name == f.Label })
+		if i < 0 || !fits(f, got[i].Value) {
+			return false
+		}
+	}
+	return true
 }
 
 // RankPositions replaces each score in vals with its rank position

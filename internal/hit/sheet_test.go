@@ -85,6 +85,78 @@ func TestSheetRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestCheckValues holds a sheet from outside the engine to the values
+// the HIT's form could produce: each HIT kind accepts what ParseForm
+// decodes from its form and refuses a value of the wrong kind, out of
+// scale, a repeated or missing order position, an unlisted choice, and
+// a form field of the wrong kind or name.
+func TestCheckValues(t *testing.T) {
+	b, i, str := relation.NewBool, relation.NewInt, relation.NewString
+	tuple := func(ceo, phone relation.Value) relation.Value {
+		return relation.NewTuple(relation.Field{Name: "CEO", Value: ceo}, relation.Field{Name: "Phone", Value: phone})
+	}
+	choice := &HIT{
+		ID: "HC", Task: "sentiment", Type: qlang.TaskQuestion, Question: "Sentiment?",
+		Response:    qlang.Response{Kind: qlang.ResponseChoice, Options: []string{"pos", "neg"}},
+		Items:       []Item{{Args: []relation.Value{str("great!")}}},
+		RewardCents: 1, Assignments: 1,
+	}
+	oneField := questionHIT()
+	oneField.Response.Fields = oneField.Response.Fields[:1]
+	cases := []struct {
+		name      string
+		h         *HIT
+		good, bad []Answers
+	}{
+		{"yes/no", groupHIT(),
+			[]Answers{sheetOf(b(true), b(false))},
+			[]Answers{sheetOf(str("no"), i(7)), sheetOf(b(true), relation.Null), sheetOf(b(true))}},
+		{"grid", gridHIT(),
+			[]Answers{sheetOf(b(false), b(true), b(false), b(true), b(true), b(false))},
+			[]Answers{sheetOf(b(false), b(true), b(false), b(true), i(1), b(false))}},
+		{"rating", ratingHIT(),
+			[]Answers{sheetOf(i(1), i(5))},
+			[]Answers{sheetOf(i(0), i(5)), sheetOf(i(1), i(6)), sheetOf(i(1), relation.NewFloat(2))}},
+		{"order", orderHIT(3),
+			[]Answers{sheetOf(i(2), i(0), i(1))},
+			[]Answers{sheetOf(i(0), i(0), i(1)), sheetOf(i(1), i(2), i(3)), sheetOf(i(-1), i(0), i(1)), sheetOf(b(false), i(1), i(2))}},
+		{"choice", choice,
+			[]Answers{sheetOf(str("neg"))},
+			[]Answers{sheetOf(str("meh")), sheetOf(relation.NewImage("pos")), sheetOf(relation.Null)}},
+		{"form", questionHIT(),
+			[]Answers{sheetOf(tuple(str("Ada"), str("555")), tuple(relation.Null, relation.Null))},
+			[]Answers{
+				sheetOf(tuple(str("Ada"), i(555)), tuple(str("Bo"), str("1"))),
+				sheetOf(str("Ada"), tuple(str("Bo"), str("1"))),
+				sheetOf(relation.NewTuple(relation.Field{Name: "CEO", Value: str("Ada")}), tuple(str("Bo"), str("1"))),
+				sheetOf(relation.NewTuple(relation.Field{Name: "ceo", Value: str("Ada")}, relation.Field{Name: "Phone", Value: str("1")}), tuple(str("Bo"), str("1"))),
+			}},
+		{"one-field form", oneField,
+			[]Answers{sheetOf(str("Ada"), relation.Null)},
+			[]Answers{sheetOf(str("Ada"), b(true)), sheetOf(tuple(str("Ada"), relation.Null), str("Bo"))}},
+	}
+	for _, tc := range cases {
+		for _, sheet := range tc.good {
+			if err := tc.h.CheckValues(sheet); err != nil {
+				t.Errorf("%s: %v refused: %v", tc.name, sheet.Values, err)
+			}
+			// A sheet the form carries decodes to itself and passes.
+			back, err := ParseForm(tc.h, EncodeAnswers(tc.h, sheet), sheet.WorkerID)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if err := tc.h.CheckValues(back); err != nil {
+				t.Errorf("%s: ParseForm's %v refused: %v", tc.name, back.Values, err)
+			}
+		}
+		for _, sheet := range tc.bad {
+			if err := tc.h.CheckValues(sheet); err == nil {
+				t.Errorf("%s: %v accepted", tc.name, sheet.Values)
+			}
+		}
+	}
+}
+
 // TestRankPositionsMatchesSliceStable pins RankPositions to the stable
 // sort by < it replaced: ties and NaNs keep question order.
 func TestRankPositionsMatchesSliceStable(t *testing.T) {

@@ -358,8 +358,9 @@ func (m *Marketplace) ExtendAssignments(hitID string, extra int) error {
 
 // SubmitExternal accepts an assignment from a live human (the demo's
 // audience task-completion interface). It fails when the HIT is unknown
-// or already fully assigned, or when ans does not answer every question
-// of the HIT.
+// or already fully assigned, or unless ans answers every question of
+// the HIT with a value its form could have produced (see
+// hit.CheckValues).
 func (m *Marketplace) SubmitExternal(hitID string, ans hit.Answers) error {
 	m.mu.Lock()
 	ph, ok := m.hits[hitID]
@@ -375,7 +376,7 @@ func (m *Marketplace) SubmitExternal(hitID string, ans hit.Answers) error {
 	if !open {
 		return fmt.Errorf("mturk: HIT %s has no open assignments", hitID)
 	}
-	if err := h.CheckAnswers(ans); err != nil {
+	if err := h.CheckValues(ans); err != nil {
 		return fmt.Errorf("mturk: %w", err)
 	}
 	m.complete(hitID, ans, true)

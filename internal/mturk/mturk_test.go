@@ -377,6 +377,38 @@ func TestSubmitExternal(t *testing.T) {
 	}
 }
 
+// TestSubmitExternalChecksValues: an external sheet that answers the
+// HIT's one yes/no question with anything but a Bool is refused and
+// fills no slot, so a string "no" cannot count as a yes vote.
+func TestSubmitExternalChecksValues(t *testing.T) {
+	clock := NewClock()
+	m := NewMarketplace(clock, &fakePool{delay: time.Hour})
+	var mu sync.Mutex
+	var results []AssignmentResult
+	h := filterHIT(m.NewHITID(), 1)
+	_ = m.Post(h, func(r AssignmentResult) {
+		mu.Lock()
+		results = append(results, r)
+		mu.Unlock()
+	})
+	for _, bad := range []relation.Value{relation.NewString("no"), relation.NewInt(7), relation.Null} {
+		if err := m.SubmitExternal(h.ID, hit.Answers{Values: []relation.Value{bad}}); err == nil {
+			t.Errorf("submit of %v for a yes/no question accepted", bad)
+		}
+	}
+	if st, _ := m.Status(h.ID); st.Completed != 0 {
+		t.Fatalf("refused sheets filled %d slots", st.Completed)
+	}
+	if err := m.SubmitExternal(h.ID, hit.Answers{Values: []relation.Value{relation.NewBool(false)}}); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(results) != 1 || !results[0].External || results[0].Answers.Values[0].Bool() {
+		t.Fatalf("results = %+v, want the one external no", results)
+	}
+}
+
 func TestOpenAndAllHITs(t *testing.T) {
 	clock := NewClock()
 	m := NewMarketplace(clock, &fakePool{})

@@ -49,14 +49,12 @@ func FuzzWALReplay(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, snapName), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s1, err := Open(dir)
+		s1, st1, err := OpenState(dir)
 		if err != nil {
 			// Open only errors on filesystem problems, never on content.
 			t.Fatalf("open: %v", err)
 		}
-		var fp1 uint64
-		var n1 int64
-		s1.View(func(st *State) { fp1, n1 = st.Fingerprint(), st.Records() })
+		fp1, n1 := st1.Fingerprint(), s1.Replay().Records
 		s1.Close()
 
 		// Reopening over the same inputs must reproduce the state
@@ -68,13 +66,11 @@ func FuzzWALReplay(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir2, snapName), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s2, err := Open(dir2)
+		s2, st2, err := OpenState(dir2)
 		if err != nil {
 			t.Fatalf("reopen: %v", err)
 		}
-		var fp2 uint64
-		var n2 int64
-		s2.View(func(st *State) { fp2, n2 = st.Fingerprint(), st.Records() })
+		fp2, n2 := st2.Fingerprint(), s2.Replay().Records
 		s2.Close()
 		if fp1 != fp2 || n1 != n2 {
 			t.Fatalf("replay nondeterministic: %d records (%016x) vs %d (%016x)", n1, fp1, n2, fp2)

@@ -9,7 +9,7 @@ import (
 // snapshot round-trip as KindRankPairSum, and keep the state
 // fingerprint stable across replay.
 func TestRankPairRecordsFoldAndSnapshot(t *testing.T) {
-	s := NewState()
+	s := newState()
 	s.apply(Record{Kind: KindRankPair, Task: "orderit", X: 0.9, N: 10})
 	s.apply(Record{Kind: KindRankPair, Task: "orderit", X: 1.0, N: 6})
 	ra := s.RankAgreement("orderit")
@@ -24,7 +24,7 @@ func TestRankPairRecordsFoldAndSnapshot(t *testing.T) {
 	}
 
 	// Snapshot → replay reproduces the same estimator state.
-	s2 := NewState()
+	s2 := newState()
 	for _, rec := range s.snapshotRecords() {
 		payload := rec.encode(nil)
 		dec, err := decodeRecord(payload, interner{})
@@ -36,7 +36,7 @@ func TestRankPairRecordsFoldAndSnapshot(t *testing.T) {
 	if got := s2.RankAgreement("orderit"); got != ra {
 		t.Fatalf("replayed state = %+v, want %+v", got, ra)
 	}
-	if s.Fingerprint() == NewState().Fingerprint() {
+	if s.Fingerprint() == newState().Fingerprint() {
 		t.Fatal("fingerprint ignores rank records")
 	}
 

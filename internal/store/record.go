@@ -101,8 +101,8 @@ type Record struct {
 	Args string
 	// Answers is a cache entry's answer list in the form the WAL holds
 	// it, so encode writes it verbatim and replay keeps the validated
-	// bytes; the cache and the replayed state share the same string.
-	// Every other kind leaves it empty.
+	// bytes, which the Task Cache then installs without a copy. Every
+	// other kind leaves it empty.
 	Answers cache.Answers
 	Pass    bool
 	X, Y    float64
@@ -256,7 +256,7 @@ func DecodeArgs(args string) ([]relation.Value, error) {
 	return out, nil
 }
 
-// --- materialized state ---------------------------------------------------
+// --- replayed state -------------------------------------------------------
 
 // RepCounts is one worker's reputation totals.
 type RepCounts struct {
@@ -268,10 +268,10 @@ type RepCounts struct {
 // When exceeded, only the most recent cap examples survive compaction.
 const modelExampleCap = 10000
 
-// State is the store's materialized view of everything it has seen:
-// replay folds records into it at Open, the writer folds appended
-// records into it live, and compaction serializes it back out as the
-// snapshot. Access is synchronized by the owning Store (see Store.View).
+// State is a throwaway view of everything a store's files hold: replay
+// folds their records into a fresh State, which OpenState hands to its
+// caller once and Compact serializes back out as the snapshot. No Store
+// keeps one. A State is not safe for concurrent use.
 type State struct {
 	cacheOrder []cache.Key
 	cache      map[cache.Key]cache.Answers
@@ -300,8 +300,8 @@ func newBackendAgg() *backendAgg {
 	}
 }
 
-// NewState returns an empty state.
-func NewState() *State {
+// newState returns an empty state.
+func newState() *State {
 	return &State{
 		cache:    make(map[cache.Key]cache.Answers),
 		sel:      make(map[string]map[string]stats.SelectivityState),
@@ -526,13 +526,9 @@ func (s *State) StatTasks() []string {
 }
 
 // Selectivities returns one task's per-side estimator counts ("" is the
-// untagged side). The returned map is a copy.
+// untagged side). The map is the state's own, for reading.
 func (s *State) Selectivities(task string) map[string]stats.SelectivityState {
-	out := make(map[string]stats.SelectivityState, len(s.sel[task]))
-	for side, c := range s.sel[task] {
-		out[side] = c
-	}
-	return out
+	return s.sel[task]
 }
 
 // Latency returns one task's replayed latency EWMA state.
@@ -578,23 +574,13 @@ func (s *State) BackendObservations() map[string]map[string]stats.BackendObsStat
 	return out
 }
 
-// ModelExamples returns the replayed training examples per task.
-func (s *State) ModelExamples() map[string][]model.Example {
-	out := make(map[string][]model.Example, len(s.examples))
-	for task, exs := range s.examples {
-		out[task] = append([]model.Example(nil), exs...)
-	}
-	return out
-}
+// ModelExamples returns the replayed training examples per task. The
+// map and its slices are the state's own, for reading.
+func (s *State) ModelExamples() map[string][]model.Example { return s.examples }
 
-// Reputations returns the replayed per-worker vote totals.
-func (s *State) Reputations() map[string]RepCounts {
-	out := make(map[string]RepCounts, len(s.reput))
-	for w, c := range s.reput {
-		out[w] = c
-	}
-	return out
-}
+// Reputations returns the replayed per-worker vote totals. The map is
+// the state's own, for reading.
+func (s *State) Reputations() map[string]RepCounts { return s.reput }
 
 // WorkerQualityStates returns the replayed per-worker EM-quality EWMA
 // states.
@@ -605,9 +591,6 @@ func (s *State) WorkerQualityStates() map[string]stats.EWMAState {
 	}
 	return out
 }
-
-// Records returns how many records have been folded into the state.
-func (s *State) Records() int64 { return s.records }
 
 // Fingerprint hashes the entire state in deterministic order; replaying
 // the same bytes must always yield the same fingerprint (the fuzz

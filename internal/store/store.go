@@ -23,12 +23,16 @@
 // and counted too. Close marks the store closed under the queue lock, so
 // each Append is either written by the writer's final drain or dropped.
 //
-// Growth is bounded by snapshot + segment compaction: the store folds
-// every record into an in-memory State; when enough sealed segments
-// accumulate it writes the State as aggregate records to snapshot.qks
-// (atomic rename) and deletes the segments. The snapshot carries the
-// highest segment sequence it covers, so a crash between rename and
-// deletion can never double-apply.
+// The files are the store's only copy of what it knows. Open replays
+// the snapshot and the segments into a State and hands it to its caller
+// once; the store keeps no State, and the writer only frames and writes
+// records. Growth is bounded by snapshot + segment compaction: once
+// enough sealed segments accumulate, Compact replays the snapshot and
+// the segments it covers into a fresh State, through the replay Open
+// uses, writes that State as aggregate records to snapshot.qks (atomic
+// rename) and deletes the segments. The snapshot carries the highest
+// segment sequence it covers, so a crash between rename and deletion
+// can never double-apply.
 package store
 
 import (
@@ -41,32 +45,26 @@ import (
 	"sync/atomic"
 )
 
-// Options tunes a store; zero values take the documented defaults.
-type Options struct {
-	// BufferRecords is the largest backlog: records accepted by Append
-	// but not yet written (default 65536). An Append beyond it drops the
-	// record (counted in Stats.Dropped) instead of blocking the caller.
-	// Memory follows the backlog reached, not this bound.
-	BufferRecords int
-	// SegmentBytes rotates the active segment when it grows past this
-	// size (default 1 MiB).
-	SegmentBytes int64
-	// CompactSegments triggers snapshot compaction once this many sealed
-	// segments exist (default 4).
-	CompactSegments int
-}
+const (
+	// bufferRecords is the largest backlog: records accepted by Append
+	// but not yet written. An Append beyond it drops the record (counted
+	// in Stats.Dropped) instead of blocking the caller. Memory follows
+	// the backlog reached, not this bound.
+	bufferRecords = 1 << 16
+	// segmentBytes rotates the active segment when it grows past this
+	// size.
+	segmentBytes = 1 << 20
+	// compactSegments triggers snapshot compaction once this many
+	// segments have been sealed since the last one.
+	compactSegments = 4
+)
 
-func (o Options) withDefaults() Options {
-	if o.BufferRecords <= 0 {
-		o.BufferRecords = 1 << 16
-	}
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 1 << 20
-	}
-	if o.CompactSegments <= 0 {
-		o.CompactSegments = 4
-	}
-	return o
+// limits holds a store's bounds: Open uses the constants above, and
+// tests reach smaller ones through openWith.
+type limits struct {
+	bufferRecords   int
+	segmentBytes    int64
+	compactSegments int
 }
 
 // Stats counts store activity.
@@ -78,46 +76,37 @@ type Stats struct {
 	Compactions                int64
 }
 
-// ReplayInfo summarizes what Open recovered, for the dashboard's
-// warm-start panel.
+// ReplayInfo summarizes what Open recovered.
 type ReplayInfo struct {
 	// Records is how many records (including snapshot aggregates) were
 	// applied.
 	Records int64
-	// CacheEntries / CacheAnswers are the replayed Task Cache contents.
-	CacheEntries, CacheAnswers int64
-	// Observations totals the statistics evidence restored: selectivity
-	// trials plus latency and agreement observation counts.
-	Observations int64
-	// Examples counts replayed model training examples; Workers and
-	// Votes the replayed reputation.
-	Examples, Workers, Votes int64
 	// CorruptTail is true when replay stopped early at a torn or corrupt
-	// frame (everything before it was recovered).
+	// frame (everything before it was recovered), or could not read a
+	// file.
 	CorruptTail bool
 }
 
 // Store is an open knowledge store. All methods are safe for concurrent
 // use.
 type Store struct {
-	dir  string
-	opts Options
+	dir string
+	lim limits
 
 	lock *os.File // exclusive flock on the directory (nil on non-unix)
 
-	// mu guards state and the active segment; taken by the writer
-	// goroutine per batch, by View, and by Compact.
+	// mu guards the active segment; taken by the writer goroutine per
+	// batch and by Compact.
 	mu       sync.Mutex
-	state    *State
 	seg      *os.File // active segment; nil after a failed rotation
 	segSeq   uint64
 	segBytes int64
-	sealed   []uint64 // sealed segment seqs awaiting compaction
+	sealed   int // segments sealed since the last compaction
 
 	// qmu guards the append queue. queue collects appended records;
 	// spare is the writer's previous batch, reused for the next queue.
 	// backlog counts records accepted but not yet written (queue plus
-	// the batch in the writer's hands), bounded by Options.BufferRecords.
+	// the batch in the writer's hands), bounded by lim.bufferRecords.
 	qmu     sync.Mutex
 	queue   []Record
 	spare   []Record
@@ -134,51 +123,87 @@ type Store struct {
 	replay                                  ReplayInfo
 }
 
-// Open opens (creating if needed) the store rooted at dir with default
-// options and replays its contents into memory.
+// Open opens (creating if needed) the store rooted at dir and replays
+// its files; Replay reports what replay found. The store keeps none of
+// what the files hold: OpenState also returns the replayed State.
 func Open(dir string) (*Store, error) {
-	return OpenOptions(dir, Options{})
+	s, _, err := OpenState(dir)
+	return s, err
 }
 
-// OpenOptions is Open with explicit tuning.
-func OpenOptions(dir string, opts Options) (*Store, error) {
-	opts = opts.withDefaults()
+// OpenState is Open that also returns the State replay built, for the
+// caller to restore from once: the store keeps no reference to it.
+func OpenState(dir string) (*Store, *State, error) {
+	return openWith(dir, limits{bufferRecords, segmentBytes, compactSegments})
+}
+
+// openWith is OpenState under the given limits.
+func openWith(dir string, lim limits) (*Store, *State, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: %v", err)
+		return nil, nil, fmt.Errorf("store: %v", err)
 	}
 	lock, err := lockDir(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	s := &Store{
-		dir:   dir,
-		opts:  opts,
-		lock:  lock,
-		state: NewState(),
-		wake:  make(chan struct{}, 1),
-		wdone: make(chan struct{}),
-	}
-
-	rp := replayer{in: interner{}}
-	covered, _, snapClean := rp.snapshot(filepath.Join(dir, snapName), s.state.apply)
-	if !snapClean {
-		s.replay.CorruptTail = true
-	}
-	seqs, err := listSegments(dir)
+	rec, err := replayDir(dir)
 	if err != nil {
 		unlockDir(lock)
-		return nil, fmt.Errorf("store: %v", err)
+		return nil, nil, fmt.Errorf("store: %v", err)
 	}
-	maxSeq := covered
+	s := &Store{
+		dir:    dir,
+		lim:    lim,
+		lock:   lock,
+		wake:   make(chan struct{}, 1),
+		wdone:  make(chan struct{}),
+		replay: rec.info,
+	}
+	// Old segments (replayed or not) stay on disk until compaction; the
+	// store only ever appends to a fresh segment, so a torn tail in an
+	// old segment can never be extended into confusion.
+	s.segSeq = rec.lastSeq + 1
+	if err := s.openSegmentLocked(); err != nil {
+		unlockDir(lock)
+		return nil, nil, err
+	}
+	go s.writer()
+	return s, rec.state, nil
+}
+
+// recovered is what one replay of a store directory found.
+type recovered struct {
+	state *State
+	info  ReplayInfo
+	// segs are the segments replayed, ascending, and lastSeq the highest
+	// segment sequence the directory holds or the snapshot covers.
+	segs    []uint64
+	lastSeq uint64
+	// unread is the first store file that could not be opened or read.
+	// Replay goes on without it, as it does past a corrupt tail.
+	unread error
+}
+
+// replayDir folds dir's snapshot and every segment it does not cover
+// into a fresh State, in sequence order. Open and Compact both build
+// their State this way. Segments the snapshot covers are deleted
+// instead of replayed: a crash interrupted a previous compaction
+// between rename and delete, and replaying them would double-apply. It
+// fails only when the directory cannot be listed.
+func replayDir(dir string) (recovered, error) {
+	rec := recovered{state: newState()}
+	rp := replayer{in: interner{}}
+	covered, snapClean := rp.snapshot(filepath.Join(dir, snapName), rec.state.apply)
+	seqs, err := listSegments(dir)
+	if err != nil {
+		return recovered{}, err
+	}
+	clean := snapClean
+	rec.lastSeq = covered
 	for _, seq := range seqs {
-		if seq > maxSeq {
-			maxSeq = seq
-		}
+		path := filepath.Join(dir, segFileName(seq))
 		if seq <= covered {
-			// Already folded into the snapshot: a crash interrupted a
-			// previous compaction between rename and delete. Deleting it
-			// (instead of replaying) is what prevents double-apply.
-			os.Remove(filepath.Join(dir, segFileName(seq)))
+			os.Remove(path)
 			continue
 		}
 		// Each segment contributes its longest valid prefix; a torn or
@@ -186,54 +211,15 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 		// Later segments still replay: records are independent
 		// observations appended by a store that had already accepted the
 		// truncation, so applying them never depends on the lost tail.
-		_, clean := rp.segment(filepath.Join(dir, segFileName(seq)), s.state.apply)
-		if !clean {
-			s.replay.CorruptTail = true
+		if !rp.segment(path, rec.state.apply) {
+			clean = false
 		}
+		rec.segs = append(rec.segs, seq)
+		rec.lastSeq = seq
 	}
-	s.summarizeReplay()
-
-	// Old segments (replayed or not) stay on disk until compaction; the
-	// store only ever appends to a fresh segment, so a torn tail in an
-	// old segment can never be extended into confusion.
-	s.segSeq = maxSeq + 1
-	if err := s.openSegmentLocked(); err != nil {
-		unlockDir(lock)
-		return nil, err
-	}
-	go s.writer()
-	return s, nil
-}
-
-// summarizeReplay derives ReplayInfo counts from the replayed state.
-func (s *Store) summarizeReplay() {
-	st := s.state
-	s.replay.Records = st.records
-	s.replay.CacheEntries = int64(len(st.cache))
-	for _, answers := range st.cache {
-		s.replay.CacheAnswers += int64(answers.Len())
-	}
-	for _, sides := range st.sel {
-		// Each (task, side) entry holds distinct observations: the
-		// combined estimator is reconstituted at Restore as their sum,
-		// so summing here counts every observation exactly once.
-		for _, c := range sides {
-			s.replay.Observations += int64(c.Trials)
-		}
-	}
-	for _, e := range st.lat {
-		s.replay.Observations += int64(e.Count())
-	}
-	for _, e := range st.agr {
-		s.replay.Observations += int64(e.Count())
-	}
-	for _, exs := range st.examples {
-		s.replay.Examples += int64(len(exs))
-	}
-	s.replay.Workers = int64(len(st.reput))
-	for _, c := range st.reput {
-		s.replay.Votes += c.Votes
-	}
+	rec.info = ReplayInfo{Records: rec.state.records, CorruptTail: !clean}
+	rec.unread = rp.err
+	return rec, nil
 }
 
 // openSegmentLocked creates the next active segment and writes its
@@ -257,7 +243,7 @@ func (s *Store) openSegmentLocked() error {
 // increments Stats.Dropped.
 func (s *Store) Append(rec Record) {
 	s.qmu.Lock()
-	if s.closed || s.backlog >= s.opts.BufferRecords {
+	if s.closed || s.backlog >= s.lim.bufferRecords {
 		s.qmu.Unlock()
 		s.dropped.Add(1)
 		return
@@ -278,7 +264,7 @@ func (s *Store) signal() {
 }
 
 // writer is the single goroutine that writes records to the active
-// segment, folds them into the state, rotates segments and compacts.
+// segment, rotates segments and compacts.
 func (s *Store) writer() {
 	defer close(s.wdone)
 	var buf []byte
@@ -326,7 +312,7 @@ func (s *Store) writeBatch(batch []Record, buf []byte) []byte {
 		for n < len(batch) {
 			buf = appendRecordFrame(buf, batch[n])
 			n++
-			if s.segBytes+int64(len(buf)) >= s.opts.SegmentBytes {
+			if s.segBytes+int64(len(buf)) >= s.lim.segmentBytes {
 				break
 			}
 		}
@@ -336,10 +322,9 @@ func (s *Store) writeBatch(batch []Record, buf []byte) []byte {
 	return buf
 }
 
-// writeLocked writes recs, framed in buf, to the active segment and
-// folds them into the state. Records that cannot reach the segment (no
-// active segment after a failed rotation, or a failed write) are
-// dropped: counted, and kept out of the in-memory state too, so
+// writeLocked writes recs, framed in buf, to the active segment.
+// Records that cannot reach the segment (no active segment after a
+// failed rotation, or a failed write) are dropped and counted, so
 // Stats.Dropped is the one honest signal of what the next engine will
 // not see. A failed write may leave a torn frame, so it also seals the
 // segment; later records go to a fresh one, which replay still reaches.
@@ -355,10 +340,7 @@ func (s *Store) writeLocked(recs []Record, buf []byte) {
 	}
 	s.segBytes += int64(len(buf))
 	s.written.Add(int64(len(recs)))
-	for i := range recs {
-		s.state.apply(recs[i])
-	}
-	if s.segBytes >= s.opts.SegmentBytes {
+	if s.segBytes >= s.lim.segmentBytes {
 		s.rotateLocked()
 	}
 }
@@ -366,7 +348,7 @@ func (s *Store) writeLocked(recs []Record, buf []byte) {
 // rotateLocked seals the active segment and opens the next one.
 func (s *Store) rotateLocked() {
 	s.seg.Close()
-	s.sealed = append(s.sealed, s.segSeq)
+	s.sealed++
 	s.segSeq++
 	if err := s.openSegmentLocked(); err != nil {
 		s.seg = nil
@@ -375,16 +357,18 @@ func (s *Store) rotateLocked() {
 
 func (s *Store) maybeCompact() {
 	s.mu.Lock()
-	n := len(s.sealed)
+	n := s.sealed
 	s.mu.Unlock()
-	if n >= s.opts.CompactSegments {
+	if n >= s.lim.compactSegments {
 		s.Compact()
 	}
 }
 
-// Compact seals the active segment, writes the whole state as the new
-// snapshot (atomic rename), deletes every segment the snapshot covers,
-// and starts a fresh segment.
+// Compact seals the active segment, replays the snapshot and every
+// segment into a fresh State, writes it as the new snapshot (atomic
+// rename), deletes the segments the snapshot covers, and starts a fresh
+// segment. If a file cannot be read or the snapshot cannot be written,
+// the segments stay, eligible for the next attempt.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -393,38 +377,41 @@ func (s *Store) Compact() error {
 	}
 	s.seg.Close()
 	covered := s.segSeq
-	data := encodeRecordsFile(covered, s.state.snapshotRecords())
-	if err := writeFileAtomic(filepath.Join(s.dir, snapName), data); err != nil {
-		// Reopen a fresh segment so appends keep flowing; the sealed
-		// segments (including the one just closed) remain replayable and
-		// eligible for the next compaction attempt.
-		s.sealed = append(s.sealed, covered)
-		s.segSeq++
-		if oerr := s.openSegmentLocked(); oerr != nil {
-			s.seg = nil
+	s.segSeq++
+	segs, err := s.snapshotLocked(covered)
+	if err == nil {
+		for _, seq := range segs {
+			os.Remove(filepath.Join(s.dir, segFileName(seq)))
 		}
-		return err
+		s.sealed = 0
+		s.compactions.Add(1)
+	} else {
+		s.sealed++
 	}
-	for _, seq := range s.sealed {
-		os.Remove(filepath.Join(s.dir, segFileName(seq)))
-	}
-	os.Remove(filepath.Join(s.dir, segFileName(covered)))
-	s.sealed = nil
-	s.segSeq = covered + 1
-	s.compactions.Add(1)
-	if err := s.openSegmentLocked(); err != nil {
+	// Appends keep flowing to a fresh segment either way.
+	if oerr := s.openSegmentLocked(); oerr != nil {
 		s.seg = nil
-		return err
+		err = errors.Join(err, oerr)
 	}
-	return nil
+	return err
 }
 
-// View runs f with the store's materialized state under the store lock.
-// The state must not be retained or mutated; copy what you need.
-func (s *Store) View(f func(*State)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f(s.state)
+// snapshotLocked replays the store's files, through segment covered,
+// and writes what they hold as the snapshot covering it. It returns the
+// segments the snapshot folded.
+func (s *Store) snapshotLocked(covered uint64) ([]uint64, error) {
+	rec, err := replayDir(s.dir)
+	if err == nil {
+		err = rec.unread
+	}
+	if err != nil {
+		return nil, fmt.Errorf("store: compact: %v", err)
+	}
+	data := encodeRecordsFile(covered, rec.state.snapshotRecords())
+	if err := writeFileAtomic(filepath.Join(s.dir, snapName), data); err != nil {
+		return nil, err
+	}
+	return rec.segs, nil
 }
 
 // Replay reports what Open recovered.
@@ -439,9 +426,6 @@ func (s *Store) Stats() Stats {
 		Compactions: s.compactions.Load(),
 	}
 }
-
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Close drains the append queue, syncs the active segment, and shuts
 // the writer down. Records appended after Close are dropped.

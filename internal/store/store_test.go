@@ -67,13 +67,11 @@ func TestReplayRoundTrip(t *testing.T) {
 	}
 	recs := sampleRecords()
 	appendAll(t, s, recs)
-	var before uint64
-	s.View(func(st *State) { before = st.Fingerprint() })
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(dir)
+	s2, st, err := OpenState(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,37 +79,57 @@ func TestReplayRoundTrip(t *testing.T) {
 	if s2.Replay().CorruptTail {
 		t.Fatal("clean close replayed as corrupt")
 	}
-	var after uint64
-	var entries []cacheEntry
-	var sel map[string]struct{ P, T float64 }
-	s2.View(func(st *State) {
-		after = st.Fingerprint()
-		entries = cacheEntries(st)
-		sel = map[string]struct{ P, T float64 }{}
-		for side, c := range st.Selectivities("isCeleb") {
-			sel[side] = struct{ P, T float64 }{c.Passes, c.Trials}
-		}
-	})
-	if before != after {
-		t.Fatalf("fingerprint changed across restart: %x vs %x", before, after)
+	if want, got := stateOf(recs).Fingerprint(), st.Fingerprint(); want != got {
+		t.Fatalf("fingerprint changed across restart: %x vs %x", want, got)
 	}
+	entries := cacheEntries(st)
 	if len(entries) != 2 || entries[0].Key.Args != "k1" || entries[0].Answers.Len() != 3 {
 		t.Fatalf("cache entries = %+v", entries)
+	}
+	sel := map[string]struct{ P, T float64 }{}
+	for side, c := range st.Selectivities("isCeleb") {
+		sel[side] = struct{ P, T float64 }{c.Passes, c.Trials}
 	}
 	if sel["right"].T != 2 || sel["right"].P != 1 || sel[""].T != 1 {
 		t.Fatalf("selectivities = %+v", sel)
 	}
-	info := s2.Replay()
-	if info.CacheEntries != 2 || info.CacheAnswers != 4 || info.Workers != 2 || info.Votes != 3 {
-		t.Fatalf("replay info = %+v", info)
+	var answers, votes int64
+	for _, e := range entries {
+		answers += int64(e.Answers.Len())
+	}
+	reps := st.Reputations()
+	for _, c := range reps {
+		votes += c.Votes
+	}
+	if answers != 4 || len(reps) != 2 || votes != 3 {
+		t.Fatalf("replayed %d cache answers, %d workers and %d votes, want 4, 2 and 3", answers, len(reps), votes)
 	}
 	// 3 selectivity trials + 1 latency + 1 agreement.
-	if info.Observations != 5 {
-		t.Fatalf("observations = %d, want 5", info.Observations)
+	var observations int64
+	for _, task := range st.StatTasks() {
+		for _, c := range st.Selectivities(task) {
+			observations += int64(c.Trials)
+		}
+		observations += int64(st.Latency(task).N + st.Agreement(task).N)
 	}
-	if info.Examples != 1 {
-		t.Fatalf("examples = %d", info.Examples)
+	if observations != 5 {
+		t.Fatalf("observations = %d, want 5", observations)
 	}
+	if n := len(st.ModelExamples()["isCat"]); n != 1 {
+		t.Fatalf("examples = %d", n)
+	}
+	if n := s2.Replay().Records; n != int64(len(recs)) {
+		t.Fatalf("replay info counts %d records, want %d", n, len(recs))
+	}
+}
+
+// stateOf folds recs into a fresh State, as replay does.
+func stateOf(recs []Record) *State {
+	st := newState()
+	for _, r := range recs {
+		st.apply(r)
+	}
+	return st
 }
 
 // cacheEntry is one entry State.CacheEntries yields.
@@ -169,9 +187,7 @@ func TestTornWriteRecoversPrefix(t *testing.T) {
 		if err != nil {
 			t.Fatalf("open after torn write at %d: %v", cut, err)
 		}
-		var n int64
-		s2.View(func(st *State) { n = st.Records() })
-		if n != int64(len(recs)-1) {
+		if n := s2.Replay().Records; n != int64(len(recs)-1) {
 			t.Fatalf("cut %d: replayed %d records, want %d", cut, n, len(recs)-1)
 		}
 		if !s2.Replay().CorruptTail {
@@ -185,9 +201,7 @@ func TestTornWriteRecoversPrefix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var n3 int64
-		s3.View(func(st *State) { n3 = st.Records() })
-		if n3 != int64(len(recs)) { // len(recs)-1 recovered + 1 new
+		if n3 := s3.Replay().Records; n3 != int64(len(recs)) { // len(recs)-1 recovered + 1 new
 			t.Fatalf("cut %d: after recovery append, %d records, want %d", cut, n3, len(recs))
 		}
 		s3.Close()
@@ -226,18 +240,17 @@ func frameOffsets(t *testing.T, data []byte) []int {
 func TestCompactionFoldsSegmentsIntoSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments force rotation; low threshold forces compaction.
-	s, err := OpenOptions(dir, Options{SegmentBytes: 256, CompactSegments: 2})
+	s, _, err := openWith(dir, limits{bufferRecords: bufferRecords, segmentBytes: 256, compactSegments: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want int64
+	var recs []Record
 	for i := 0; i < 200; i++ {
-		s.Append(Record{Kind: KindSelectivity, Task: "isCat", Pass: i%3 == 0})
-		want++
+		rec := Record{Kind: KindSelectivity, Task: "isCat", Pass: i%3 == 0}
+		s.Append(rec)
+		recs = append(recs, rec)
 	}
-	waitWritten(t, s, want)
-	var before uint64
-	s.View(func(st *State) { before = st.Fingerprint() })
+	waitWritten(t, s, int64(len(recs)))
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -248,25 +261,71 @@ func TestCompactionFoldsSegmentsIntoSnapshot(t *testing.T) {
 		t.Fatalf("no snapshot: %v", err)
 	}
 
-	s2, err := Open(dir)
+	s2, st, err := OpenState(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	var after uint64
-	var counts map[string]float64
-	s2.View(func(st *State) {
-		after = st.Fingerprint()
-		counts = map[string]float64{}
-		for side, c := range st.Selectivities("isCat") {
-			counts[side] = c.Trials
-		}
-	})
-	if before != after {
-		t.Fatalf("compaction changed state: %x vs %x", before, after)
+	if want, got := stateOf(recs).Fingerprint(), st.Fingerprint(); want != got {
+		t.Fatalf("compaction changed state: %x vs %x", want, got)
+	}
+	counts := map[string]float64{}
+	for side, c := range st.Selectivities("isCat") {
+		counts[side] = c.Trials
 	}
 	if counts[""] != 200 {
 		t.Fatalf("trials = %v, want 200", counts)
+	}
+}
+
+// TestCompactKeepsSegmentsItCannotRead: a compaction whose replay
+// cannot read one of the store's files writes no snapshot and deletes
+// no segment, so nothing is lost; appends go on to a fresh segment, and
+// the next compaction that can read every file folds them all.
+func TestCompactKeepsSegmentsItCannotRead(t *testing.T) {
+	dir := t.TempDir()
+	// A directory named like a segment opens, but reading it fails.
+	unreadable := filepath.Join(dir, segFileName(1))
+	if err := os.MkdirAll(unreadable, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.Replay().CorruptTail {
+		t.Error("an unreadable segment was not reported")
+	}
+	recs := sampleRecords()
+	appendAll(t, s, recs)
+	if err := s.Compact(); err == nil {
+		t.Fatal("compaction over an unreadable segment succeeded")
+	}
+	if _, err := os.Stat(filepath.Join(dir, snapName)); !os.IsNotExist(err) {
+		t.Fatalf("a failed compaction left a snapshot: %v", err)
+	}
+	after := Record{Kind: KindLatency, Task: "after", X: 1}
+	s.Append(after)
+	waitWritten(t, s, int64(len(recs))+1)
+	if err := os.Remove(unreadable); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Compactions != 1 {
+		t.Fatalf("compactions = %d, want 1", st.Compactions)
+	}
+	s2, st, err := OpenState(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if want := stateOf(append(recs, after)); st.Fingerprint() != want.Fingerprint() {
+		t.Fatal("records written before or after the failed compaction are lost")
 	}
 }
 
@@ -298,14 +357,12 @@ func TestCrashedCompactionNeverDoubleApplies(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(dir)
+	s2, st, err := OpenState(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	var trials float64
-	s2.View(func(st *State) { trials = st.Selectivities("t")[""].Trials })
-	if trials != 50 {
+	if trials := st.Selectivities("t")[""].Trials; trials != 50 {
 		t.Fatalf("trials = %v, want 50 (double-apply?)", trials)
 	}
 	if _, err := os.Stat(segPath); !os.IsNotExist(err) {
@@ -315,8 +372,8 @@ func TestCrashedCompactionNeverDoubleApplies(t *testing.T) {
 
 // TestFailedSegmentWriteDropsBatch makes the active segment's writes
 // fail: every record of the failed batch must count as dropped, not as
-// written, stay out of the state, and be absent after a reopen, while
-// records before and after it survive.
+// written, be absent from the snapshot a compaction then writes and
+// after a reopen, while records before and after it survive.
 func TestFailedSegmentWriteDropsBatch(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -349,16 +406,25 @@ func TestFailedSegmentWriteDropsBatch(t *testing.T) {
 	if st := s.Stats(); st.Written != int64(len(good)) {
 		t.Fatalf("written = %d, want %d: a failed write counted as written", st.Written, len(good))
 	}
-	var lostTrials float64
-	s.View(func(st *State) { lostTrials = st.Selectivities("lost")[""].Trials })
-	if lostTrials != 0 {
-		t.Fatalf("state holds %v trials of dropped records", lostTrials)
-	}
 
-	// The store keeps going on a fresh segment.
+	// The store keeps going on a fresh segment, and a compaction folds
+	// only what reached a segment.
 	after := Record{Kind: KindSelectivity, Task: "after", Pass: true}
 	s.Append(after)
 	waitWritten(t, s, int64(len(good))+1)
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	want := stateOf(append(good, after))
+	snap := newState()
+	rp := replayer{in: interner{}}
+	if _, clean := rp.snapshot(filepath.Join(dir, snapName), snap.apply); !clean {
+		t.Fatal("snapshot does not replay cleanly")
+	}
+	if snap.Fingerprint() != want.Fingerprint() {
+		t.Fatalf("snapshot holds %v trials of dropped records and %v of the record after them, want 0 and 1",
+			snap.Selectivities("lost")[""].Trials, snap.Selectivities("after")[""].Trials)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -366,18 +432,15 @@ func TestFailedSegmentWriteDropsBatch(t *testing.T) {
 		t.Fatalf("dropped = %d after close, want 6", st.Dropped)
 	}
 
-	s2, err := Open(dir)
+	s2, st, err := OpenState(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	var n int64
-	s2.View(func(st *State) {
-		n = st.Records()
-		lostTrials = st.Selectivities("lost")[""].Trials
-	})
-	if n != int64(len(good))+1 || lostTrials != 0 {
-		t.Fatalf("reopen replayed %d records with %v lost trials, want %d and 0", n, lostTrials, len(good)+1)
+	// The snapshot holds one aggregate record per key.
+	n, lostTrials := s2.Replay().Records, st.Selectivities("lost")[""].Trials
+	if wantN := int64(len(want.snapshotRecords())); n != wantN || lostTrials != 0 || st.Fingerprint() != want.Fingerprint() {
+		t.Fatalf("reopen replayed %d records with %v lost trials, want %d and 0", n, lostTrials, wantN)
 	}
 }
 
@@ -449,16 +512,16 @@ func TestAppendRacingCloseCountsEveryRecord(t *testing.T) {
 }
 
 // TestAppendQueueBoundAndOrder pins the queue's contract: with the
-// writer stalled, exactly BufferRecords records are accepted and the
+// writer stalled, exactly bufferRecords records are accepted and the
 // rest dropped, and once the writer resumes every accepted record is
 // written in Append order.
 func TestAppendQueueBoundAndOrder(t *testing.T) {
 	const bound, extra = 64, 5
-	s, err := OpenOptions(t.TempDir(), Options{BufferRecords: bound})
+	dir := t.TempDir()
+	s, _, err := openWith(dir, limits{bufferRecords: bound, segmentBytes: segmentBytes, compactSegments: compactSegments})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	s.mu.Lock() // the writer cannot frame anything while this is held
 	for i := 0; i < bound+extra; i++ {
 		s.Append(Record{Kind: KindCacheEntry, Task: "t", Args: strconv.Itoa(i), Answers: boolAnswers(true)})
@@ -469,8 +532,15 @@ func TestAppendQueueBoundAndOrder(t *testing.T) {
 		t.Fatalf("stalled writer: appended %d dropped %d, want %d and %d", st.Appended, st.Dropped, bound, extra)
 	}
 	waitWritten(t, s, bound)
-	var entries []cacheEntry
-	s.View(func(st *State) { entries = cacheEntries(st) })
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, replayed, err := OpenState(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	entries := cacheEntries(replayed)
 	if len(entries) != bound {
 		t.Fatalf("%d cache entries, want %d", len(entries), bound)
 	}
@@ -530,7 +600,7 @@ func TestOpenStopsAtOversizedAnswerCount(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, segFileName(1)), seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(dir)
+	s, st, err := OpenState(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,9 +608,7 @@ func TestOpenStopsAtOversizedAnswerCount(t *testing.T) {
 	if !s.Replay().CorruptTail {
 		t.Error("replay did not report the bad frame")
 	}
-	var records int64
-	var entries []cacheEntry
-	s.View(func(st *State) { records, entries = st.Records(), cacheEntries(st) })
+	records, entries := s.Replay().Records, cacheEntries(st)
 	if records != 1 || len(entries) != 1 || entries[0].Key.Args != "k1" {
 		t.Fatalf("replayed %d records, cache %+v; want only the first record", records, entries)
 	}

@@ -60,6 +60,15 @@ type replayer struct {
 	r    *bufio.Reader
 	buf  []byte
 	left int64 // bytes of the current file not yet read
+	err  error // the first file that could not be opened or read
+}
+
+// fail records err as the first read failure and returns false.
+func (rp *replayer) fail(err error) bool {
+	if rp.err == nil {
+		rp.err = err
+	}
+	return false
 }
 
 // open opens path and points the shared reader at its start.
@@ -82,59 +91,63 @@ func (rp *replayer) open(path string) (*os.File, error) {
 	return f, nil
 }
 
-// read fills p from the current file.
-func (rp *replayer) read(p []byte) error {
+// read fills p from the current file. It reports false when the file
+// ends first, which is a torn file, or on a read error, which it also
+// records.
+func (rp *replayer) read(p []byte) bool {
 	n, err := io.ReadFull(rp.r, p)
 	rp.left -= int64(n)
-	return err
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return rp.fail(err)
+	}
+	return err == nil
 }
 
 // frames applies every valid frame up to the end of the current file,
-// stopping at the first torn or corrupt one. It returns how many
-// records were applied and whether the file ended cleanly.
-func (rp *replayer) frames(apply func(Record)) (applied int, clean bool) {
+// stopping at the first torn or corrupt one. It reports whether the
+// file ended cleanly.
+func (rp *replayer) frames(apply func(Record)) (clean bool) {
 	var hdr [frameHdr]byte
 	for rp.left > 0 {
-		if rp.read(hdr[:]) != nil {
-			return applied, false // torn header
+		if !rp.read(hdr[:]) {
+			return false // torn header
 		}
 		n := binary.LittleEndian.Uint32(hdr[:4])
 		crc := binary.LittleEndian.Uint32(hdr[4:8])
 		if n == 0 || n > maxRecordBytes || int64(n) > rp.left {
-			return applied, false // torn or corrupt length
+			return false // torn or corrupt length
 		}
 		if cap(rp.buf) < int(n) {
 			rp.buf = make([]byte, n)
 		}
 		payload := rp.buf[:n]
-		if rp.read(payload) != nil || crc32.Checksum(payload, crcTable) != crc {
-			return applied, false
+		if !rp.read(payload) || crc32.Checksum(payload, crcTable) != crc {
+			return false
 		}
 		rec, err := decodeRecord(payload, rp.in)
 		if err != nil {
-			return applied, false
+			return false
 		}
 		apply(rec)
-		applied++
 	}
-	return applied, true
+	return true
 }
 
-// segment folds one segment's valid prefix into apply. A missing,
-// empty or headerless file applies nothing; clean reports whether the
-// file ended without corruption.
-func (rp *replayer) segment(path string, apply func(Record)) (applied int, clean bool) {
+// segment folds one segment's valid prefix into apply. An empty or
+// headerless file applies nothing; clean reports whether the file ended
+// without corruption and could be read.
+func (rp *replayer) segment(path string, apply func(Record)) (clean bool) {
 	f, err := rp.open(path)
 	if err != nil {
-		return 0, false
+		return rp.fail(err)
 	}
 	defer f.Close()
 	if rp.left == 0 {
-		return 0, true // a crash before the header was written loses nothing
+		return true // a crash before the header was written loses nothing
 	}
 	var magic [len(segMagic)]byte
-	if rp.read(magic[:]) != nil || string(magic[:]) != segMagic {
-		return 0, false
+	if !rp.read(magic[:]) || string(magic[:]) != segMagic {
+		return false
 	}
 	return rp.frames(apply)
 }
@@ -206,20 +219,18 @@ func writeFileAtomic(path string, data []byte) error {
 
 // snapshot folds the snapshot's valid prefix into apply and returns the
 // segment sequence it covers. A missing snapshot is an empty one.
-func (rp *replayer) snapshot(path string, apply func(Record)) (coveredSeq uint64, applied int, clean bool) {
+func (rp *replayer) snapshot(path string, apply func(Record)) (coveredSeq uint64, clean bool) {
 	f, err := rp.open(path)
 	if os.IsNotExist(err) {
-		return 0, 0, true
+		return 0, true
 	}
 	if err != nil {
-		return 0, 0, false
+		return 0, rp.fail(err)
 	}
 	defer f.Close()
 	var hdr [len(snapMagic) + 8]byte
-	if rp.read(hdr[:]) != nil || string(hdr[:len(snapMagic)]) != snapMagic {
-		return 0, 0, false
+	if !rp.read(hdr[:]) || string(hdr[:len(snapMagic)]) != snapMagic {
+		return 0, false
 	}
-	coveredSeq = binary.LittleEndian.Uint64(hdr[len(snapMagic):])
-	applied, clean = rp.frames(apply)
-	return coveredSeq, applied, clean
+	return binary.LittleEndian.Uint64(hdr[len(snapMagic):]), rp.frames(apply)
 }

@@ -21,20 +21,22 @@ type RestoreSummary struct {
 	EntriesByTask map[string]int64
 }
 
-// Restore installs a replayed knowledge-store state into the manager's
-// learning layers: cache entries become live cache contents, estimator
-// counts become Statistics Manager state (combined and per join side),
-// training examples are staged in the model registry (they train
-// whatever model is attached, now or later), and reputation totals are
-// folded into the worker records. Call it before submitting work —
-// typically from engine construction — and call it at most once per
-// store: restoring the same state twice double-counts evidence.
+// Restore installs the state a knowledge store replayed at open
+// (store.OpenState) into the manager's learning layers: cache entries
+// become live cache contents, estimator counts become Statistics
+// Manager state (combined and per join side), training examples are
+// staged in the model registry (they train whatever model is attached,
+// now or later), and reputation totals are folded into the worker
+// records. The state is the caller's to drop afterwards: the manager
+// keeps only what it installed, and the store keeps none of it. Call
+// Restore before submitting work — typically from engine construction —
+// and at most once per store: restoring the same state twice
+// double-counts evidence.
 func (m *Manager) Restore(s *store.State) RestoreSummary {
 	sum := RestoreSummary{EntriesByTask: make(map[string]int64)}
 
 	for key, answers := range s.CacheEntries() {
-		// The cache and the state share each replayed list; neither
-		// copies it.
+		// The cache installs each replayed list without copying it.
 		m.cache.Put(key, answers)
 		sum.CacheEntries++
 		sum.CacheAnswers += int64(answers.Len())
