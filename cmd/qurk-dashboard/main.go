@@ -49,8 +49,8 @@ func run(addr string, seed int64, pace float64, workers int) error {
 			Seed:    seed,
 			Workers: workers, // a small pool keeps HITs open for the audience
 		},
-		// The demo serves /metrics and /trace/{id}; at audience speed the
-		// tracing overhead is invisible.
+		// The demo serves /trace/{id} (/metrics needs no tracing); at
+		// audience speed the tracing overhead is invisible.
 		Trace: true,
 	})
 	if err != nil {

@@ -58,12 +58,6 @@ type Extender interface {
 	ExtendAssignments(hitID string, extra int) error
 }
 
-// SupportsExtend reports whether b can add assignments to posted HITs.
-func SupportsExtend(b Backend) bool {
-	_, ok := b.(Extender)
-	return ok
-}
-
 // Extend adds assignment slots via b's Extender, or reports
 // ErrExtendUnsupported for backends without one.
 func Extend(b Backend, hitID string, extra int) error {

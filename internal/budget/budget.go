@@ -30,9 +30,6 @@ type Account struct {
 	mu    sync.Mutex
 	limit Cents
 	spent Cents
-	// reservations hold money for posted-but-uncompleted HITs so the
-	// optimizer cannot overcommit the remaining budget.
-	reserved Cents
 }
 
 // NewAccount creates an account with the given limit (0 = unlimited).
@@ -54,14 +51,7 @@ func (a *Account) Spent() Cents {
 	return a.spent
 }
 
-// Reserved returns the amount currently held for in-flight HITs.
-func (a *Account) Reserved() Cents {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.reserved
-}
-
-// Remaining returns limit - spent - reserved, or a very large value when
+// Remaining returns limit - spent, or a very large value when
 // unlimited.
 func (a *Account) Remaining() Cents {
 	a.mu.Lock()
@@ -73,49 +63,7 @@ func (a *Account) remainingLocked() Cents {
 	if a.limit == 0 {
 		return Cents(1<<62 - 1)
 	}
-	return a.limit - a.spent - a.reserved
-}
-
-// Reserve holds amount for an in-flight HIT. It fails without side
-// effects when the remaining budget cannot cover it.
-func (a *Account) Reserve(amount Cents) error {
-	if amount < 0 {
-		return fmt.Errorf("budget: negative reserve %d", amount)
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.limit != 0 && a.remainingLocked() < amount {
-		return ErrExhausted
-	}
-	a.reserved += amount
-	return nil
-}
-
-// Release returns an unused reservation.
-func (a *Account) Release(amount Cents) {
-	if amount < 0 {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.reserved -= amount
-	if a.reserved < 0 {
-		a.reserved = 0
-	}
-}
-
-// Commit converts a previously reserved amount into real spend.
-func (a *Account) Commit(amount Cents) {
-	if amount < 0 {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.reserved -= amount
-	if a.reserved < 0 {
-		a.reserved = 0
-	}
-	a.spent += amount
+	return a.limit - a.spent
 }
 
 // Refund returns previously spent money (e.g. the uncompleted
@@ -133,7 +81,8 @@ func (a *Account) Refund(amount Cents) {
 	}
 }
 
-// Spend charges without a prior reservation, failing when over limit.
+// Spend charges amount, failing without side effects when the remaining
+// budget cannot cover it.
 func (a *Account) Spend(amount Cents) error {
 	if amount < 0 {
 		return fmt.Errorf("budget: negative spend %d", amount)

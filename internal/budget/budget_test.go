@@ -50,48 +50,14 @@ func TestUnlimitedAccount(t *testing.T) {
 	}
 }
 
-func TestReserveCommitRelease(t *testing.T) {
-	a := NewAccount(100)
-	if err := a.Reserve(70); err != nil {
-		t.Fatal(err)
-	}
-	if a.Reserved() != 70 || a.Remaining() != 30 {
-		t.Fatalf("reserved=%v remaining=%v", a.Reserved(), a.Remaining())
-	}
-	if err := a.Reserve(31); err != ErrExhausted {
-		t.Fatalf("over-reserve err = %v", err)
-	}
-	a.Commit(50)
-	if a.Spent() != 50 || a.Reserved() != 20 {
-		t.Fatalf("after commit: spent=%v reserved=%v", a.Spent(), a.Reserved())
-	}
-	a.Release(20)
-	if a.Reserved() != 0 || a.Remaining() != 50 {
-		t.Fatalf("after release: reserved=%v remaining=%v", a.Reserved(), a.Remaining())
-	}
-}
-
 func TestNegativeAmounts(t *testing.T) {
 	a := NewAccount(10)
 	if err := a.Spend(-1); err == nil {
 		t.Error("negative spend accepted")
 	}
-	if err := a.Reserve(-1); err == nil {
-		t.Error("negative reserve accepted")
-	}
-	a.Release(-5) // no-op
-	a.Commit(-5)  // no-op
-	if a.Spent() != 0 || a.Reserved() != 0 {
-		t.Error("negative release/commit mutated account")
-	}
-}
-
-func TestOverReleaseClamps(t *testing.T) {
-	a := NewAccount(100)
-	_ = a.Reserve(10)
-	a.Release(50)
-	if a.Reserved() != 0 {
-		t.Fatalf("reserved = %v", a.Reserved())
+	a.Refund(-5) // no-op
+	if a.Spent() != 0 || a.Remaining() != 10 {
+		t.Error("negative refund mutated account")
 	}
 }
 
@@ -113,30 +79,20 @@ func TestConcurrentSpendNeverExceedsLimit(t *testing.T) {
 	}
 }
 
-// Property: spent + remaining + reserved == limit for limited accounts,
-// under any interleaving of successful operations.
+// Property: spent + remaining == limit for limited accounts, and spend
+// stays within [0, limit], under any interleaving of spends and
+// refunds.
 func TestAccountingInvariantProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
 		a := NewAccount(500)
 		for _, op := range ops {
 			amt := Cents(op % 97)
-			switch op % 4 {
-			case 0:
+			if op%2 == 0 {
 				_ = a.Spend(amt)
-			case 1:
-				_ = a.Reserve(amt)
-			case 2:
-				a.Commit(amt)
-			case 3:
-				a.Release(amt)
+			} else {
+				a.Refund(amt)
 			}
-			if a.Spent()+a.Reserved() > 500+amt {
-				// Commit without reserve can push spent past limit by
-				// design (it trusts the earlier Reserve); but spend and
-				// reserve alone must never exceed.
-				continue
-			}
-			if a.Remaining() < 0 && a.Spent() <= 500 {
+			if a.Spent()+a.Remaining() != 500 || a.Spent() < 0 || a.Spent() > 500 {
 				return false
 			}
 		}

@@ -150,8 +150,9 @@ WHERE celebrities.name < 'M' AND spottedstars.id <= 7 AND samePerson(celebrities
 
 // runCrowdPath runs one shape at one seed on a fresh engine over the
 // default (noisy) simulated crowd, so a vote that reaches the wrong
-// item changes the outputs.
-func runCrowdPath(t *testing.T, sh crowdPathShape, seed int64) crowdPathRun {
+// item changes the outputs. Each inspect function then reads the
+// engine before it closes.
+func runCrowdPath(t *testing.T, sh crowdPathShape, seed int64, inspect ...func(*Engine)) crowdPathRun {
 	t.Helper()
 	cfg, ds, tasks := sh.setup(seed)
 	cfg.Oracle = ds.Oracle
@@ -242,6 +243,9 @@ func runCrowdPath(t *testing.T, sh crowdPathShape, seed int64) crowdPathRun {
 	run.JournalRecords = len(journal.recs)
 	journal.mu.Unlock()
 	run.JournalHash = fmt.Sprintf("%016x", h.Sum64())
+	for _, f := range inspect {
+		f(e)
+	}
 	return run
 }
 

@@ -79,10 +79,6 @@ type Config struct {
 	// burst of concurrent queries degrades gracefully instead of
 	// flooding the marketplace. 0 = unlimited.
 	MaxInflightHITs int
-	// PlanCacheSize bounds the normalized-SQL plan cache (LRU entries).
-	// 0 means the default (256); negative disables plan caching
-	// entirely. Individual queries can opt out with WithPlanCache.
-	PlanCacheSize int
 	// Backends enables pluggable worker backends: the simulated crowd
 	// is joined by an LLM worker crowd and/or an MTurk-shaped HTTP
 	// service behind a per-task router. Nil runs on the plain simulated
@@ -91,12 +87,10 @@ type Config struct {
 	// Inference selects the answer-inference method and adaptive
 	// redundancy parameters. Nil keeps seed-identical majority voting.
 	Inference *InferenceConfig
-	// Trace turns on the observability layer: every query gets a span
-	// tree (query → plan → operator → batch → HIT → assignment) on the
-	// virtual clock, and the engine keeps a metrics registry
-	// (Engine.Metrics) covering HIT round-trips, admission waits, batch
-	// fill, cache hit rates and spend. Off (the default) costs nothing:
-	// no spans, no counters, no allocations on any hot path.
+	// Trace gives every query a span tree (query → plan → operator →
+	// batch → HIT → assignment) on the virtual clock. Off (the default)
+	// costs nothing: no spans, no allocations on any hot path. The
+	// metrics registry (Engine.Metrics) is always on either way.
 	Trace bool
 }
 
@@ -218,10 +212,14 @@ type Engine struct {
 	store   *store.Store // nil unless Config.StorePath was set
 	obs     *obs.Tracer  // nil unless Config.Trace was set
 	warm    taskmgr.RestoreSummary
-	plans   *planCache // nil when Config.PlanCacheSize < 0
+	plans   *planCache
 	// planEpoch versions the planning environment (tasks, tables);
 	// bumping it orphans every cached plan keyed under the old epoch.
 	planEpoch int64
+	// The engine's series in the manager's registry, each resolved at
+	// its first event: queries started, and how the plan cache served
+	// them.
+	started, planHits, planMisses, planInvalidations, planSavedNs obs.Ref
 
 	mu     sync.Mutex
 	script *qlang.Script
@@ -312,16 +310,14 @@ func New(cfg Config) (*Engine, error) {
 		mgr:     mgr,
 		opt:     optimizer.New(mgr),
 		script:  &qlang.Script{},
+		plans:   newPlanCache(),
 	}
 	if router != nil && cfg.Backends.Route {
 		router.SetChooser(e.opt.BackendChooser(e.backendCandidates()))
 	}
 	if cfg.Trace {
-		e.obs = obs.New(clock.Now, obs.NewRegistry())
+		e.obs = obs.New(clock.Now)
 		mgr.SetObs(e.obs)
-	}
-	if cfg.PlanCacheSize >= 0 {
-		e.plans = newPlanCache(cfg.PlanCacheSize)
 	}
 	if cfg.StorePath != "" {
 		st, replayed, err := store.OpenState(cfg.StorePath)
@@ -610,6 +606,7 @@ func (e *Engine) startQuery(ctx context.Context, sql string, p planned, o queryO
 	}
 	cfg.Scope = scope
 
+	e.count(&e.started, obs.MetricQueries, 1)
 	// Tracing: one root span per query; the scope carries it so
 	// cancellation can close the whole tree, operators and HITs hang
 	// their children off it via cfg.Trace and Request.Trace.
@@ -618,7 +615,6 @@ func (e *Engine) startQuery(ctx context.Context, sql string, p planned, o queryO
 		root = tr.StartRoot(obs.KindQuery, sql)
 		scope.SetSpan(root)
 		cfg.Trace = root
-		tr.Registry().Counter(obs.MetricQueries).Add(1)
 	}
 	abandonTrace := func() {
 		if root != nil {
@@ -650,13 +646,6 @@ func (e *Engine) startQuery(ctx context.Context, sql string, p planned, o queryO
 	if planSpan != nil {
 		planSpan.Annotate("plan_cache", outcome)
 		planSpan.End()
-		reg := e.obs.Registry()
-		switch outcome {
-		case planOutcomeHit:
-			reg.Counter(obs.MetricPlanCacheHits).Add(1)
-		case planOutcomeMiss, planOutcomeInvalidated:
-			reg.Counter(obs.MetricPlanCacheMiss).Add(1)
-		}
 	}
 	// Starting is one virtual instant: the pump must not step between
 	// the executor's first submissions and StartedAt or the deadline
@@ -773,12 +762,13 @@ func (e *Engine) addSavings(s *dashboard.Savings, q *exec.Query, policyFor func(
 }
 
 // PlanCacheStats reports the normalized-SQL plan cache's counters.
-// All-zero when the cache is disabled.
 func (e *Engine) PlanCacheStats() PlanCacheStats {
-	if e.plans == nil {
-		return PlanCacheStats{}
+	return PlanCacheStats{
+		Hits:          e.planHits.Value(),
+		Misses:        e.planMisses.Value(),
+		Invalidations: e.planInvalidations.Value(),
+		SavedMs:       float64(e.planSavedNs.Value()) / 1e6,
 	}
-	return e.plans.stats()
 }
 
 // Store returns the durable knowledge store, or nil when none is
@@ -789,10 +779,17 @@ func (e *Engine) Store() *store.Store { return e.store }
 // off.
 func (e *Engine) Tracer() *obs.Tracer { return e.obs }
 
-// Metrics returns the engine's metrics registry, or nil when
-// Config.Trace is off. The registry renders deterministically via
-// WritePrometheus.
-func (e *Engine) Metrics() *obs.Registry { return e.obs.Registry() }
+// count adds n to the engine's series ref of the counter family name.
+func (e *Engine) count(ref *obs.Ref, name string, n int64) {
+	ref.Counter(e.mgr.Metrics(), name).Add(n)
+}
+
+// Metrics returns the engine's metrics registry, which is always on,
+// whether or not Config.Trace is set: the counters behind the
+// dashboard, Manager.Stats, PlanCacheStats and /metrics. WritePrometheus
+// renders it in a fixed order, and every series but the planning time
+// the plan cache saved (wall time) is a pure function of the seed.
+func (e *Engine) Metrics() *obs.Registry { return e.mgr.Metrics() }
 
 // QueryTrace returns the root span of the query with the given ID, or
 // nil when tracing is off, no such query was submitted, or the query has
@@ -827,9 +824,11 @@ func (e *Engine) Snapshot() dashboard.Snapshot {
 			Spent:     account.Spent(),
 			Remaining: account.Remaining(),
 		},
-		Market: e.market.Stats(),
-		Tasks:  tasks,
-		Cache:  e.mgr.Cache().Stats(),
+		Market:    e.market.Stats(),
+		Tasks:     tasks,
+		Cache:     e.mgr.Cache().Stats(),
+		PlanCache: e.PlanCacheStats(),
+		Inference: e.mgr.InferenceStats(),
 	}
 	if e.router != nil {
 		counts, saved := e.router.Counts()
@@ -838,26 +837,6 @@ func (e *Engine) Snapshot() dashboard.Snapshot {
 				dashboard.BackendCount{Name: name, HITs: counts[name]})
 		}
 		snap.Backends.SavedCents = saved
-	}
-	if is := e.mgr.InferenceStats(); is.AdaptiveHITs > 0 || is.Method != "majority" {
-		snap.Inference = dashboard.InferenceInfo{
-			Method:          is.Method,
-			AdaptiveHITs:    is.AdaptiveHITs,
-			Extensions:      is.Extensions,
-			ExtendFailures:  is.ExtendFailures,
-			AssignmentsUsed: is.AssignmentsUsed,
-			AssignmentsCap:  is.AssignmentsCap,
-			SavedCents:      is.SavedCents,
-		}
-	}
-	if e.plans != nil {
-		pc := e.plans.stats()
-		snap.PlanCache = dashboard.PlanCacheInfo{
-			Hits:          pc.Hits,
-			Misses:        pc.Misses,
-			Invalidations: pc.Invalidations,
-			SavedMs:       pc.SavedMs,
-		}
 	}
 	for _, m := range e.mgr.Models().All() {
 		snap.Models = append(snap.Models, m.Stats())

@@ -7,7 +7,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/dashboard"
 	"repro/internal/exec"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/qlang"
 	"repro/internal/relation"
@@ -47,15 +49,12 @@ import (
 //     replaces the old one; queries already running keep theirs.
 type planCache struct {
 	mu      sync.Mutex
-	max     int
 	entries map[string]*list.Element // key → element whose Value is *planEntry
 	lru     list.List                // front = most recently used
-
-	hits          int64
-	misses        int64
-	invalidations int64
-	savedNs       int64
 }
+
+// planCacheEntries bounds the plan cache (LRU entries).
+const planCacheEntries = 256
 
 type planEntry struct {
 	key string
@@ -72,11 +71,8 @@ type planEntry struct {
 	planNs int64
 }
 
-func newPlanCache(max int) *planCache {
-	if max <= 0 {
-		max = 256
-	}
-	return &planCache{max: max, entries: make(map[string]*list.Element)}
+func newPlanCache() *planCache {
+	return &planCache{entries: make(map[string]*list.Element)}
 }
 
 // planCacheKey builds the cache key for a query under the given epoch
@@ -115,36 +111,15 @@ func (c *planCache) store(e *planEntry) {
 		return
 	}
 	c.entries[e.key] = c.lru.PushFront(e)
-	for c.lru.Len() > c.max {
+	for c.lru.Len() > planCacheEntries {
 		oldest := c.lru.Back()
 		delete(c.entries, oldest.Value.(*planEntry).key)
 		c.lru.Remove(oldest)
 	}
 }
 
-func (c *planCache) noteHit(savedNs int64) {
-	atomic.AddInt64(&c.hits, 1)
-	atomic.AddInt64(&c.savedNs, savedNs)
-}
-func (c *planCache) noteMiss()       { atomic.AddInt64(&c.misses, 1) }
-func (c *planCache) noteInvalidate() { atomic.AddInt64(&c.invalidations, 1) }
-
-// PlanCacheStats is the observable counter set (dashboard, tests).
-type PlanCacheStats struct {
-	Hits          int64
-	Misses        int64
-	Invalidations int64
-	SavedMs       float64
-}
-
-func (c *planCache) stats() PlanCacheStats {
-	return PlanCacheStats{
-		Hits:          atomic.LoadInt64(&c.hits),
-		Misses:        atomic.LoadInt64(&c.misses),
-		Invalidations: atomic.LoadInt64(&c.invalidations),
-		SavedMs:       float64(atomic.LoadInt64(&c.savedNs)) / 1e6,
-	}
-}
+// PlanCacheStats is the plan cache's counter set (dashboard, tests).
+type PlanCacheStats = dashboard.PlanCacheStats
 
 // Plan-cache outcomes, annotated onto plan spans by startQuery.
 const (
@@ -170,7 +145,7 @@ type planned struct {
 // instead), so a malformed text fails here with its *ParseError.
 func (e *Engine) prepare(sql string, stmt *qlang.SelectStmt, o queryOptions) (planned, error) {
 	var p planned
-	if e.plans != nil && !o.noPlanCache {
+	if !o.noPlanCache {
 		key, lits, err := planCacheKey(sql, atomic.LoadInt64(&e.planEpoch), e.adaptiveJoins(o))
 		if err == nil {
 			p.key, p.lits = key, lits
@@ -214,14 +189,15 @@ func (e *Engine) buildPlan(p planned, script *qlang.Script, adaptive bool, decid
 				if err != nil {
 					return nil, nil, "", err
 				}
-				e.plans.noteInvalidate()
+				e.count(&e.planInvalidations, obs.MetricPlanCacheInval, 1)
 				fresh := *entry
 				fresh.prog, fresh.decisions = prog, recorded
 				e.plans.store(&fresh)
 				return prog, p.lits, planOutcomeInvalidated, nil
 			}
 		}
-		e.plans.noteHit(entry.planNs)
+		e.count(&e.planHits, obs.MetricPlanCacheHits, 1)
+		e.count(&e.planSavedNs, obs.MetricPlanSavedNs, entry.planNs)
 		return entry.prog, p.lits, planOutcomeHit, nil
 	}
 
@@ -244,7 +220,7 @@ func (e *Engine) buildPlan(p planned, script *qlang.Script, adaptive bool, decid
 	if p.key == nil {
 		return prog, nil, planOutcomeUncached, nil
 	}
-	e.plans.noteMiss()
+	e.count(&e.planMisses, obs.MetricPlanCacheMiss, 1)
 	e.plans.store(&planEntry{key: string(p.key), template: template, lits: lits, prog: prog,
 		decisions: recorded, planNs: time.Since(start).Nanoseconds()})
 	return prog, nil, planOutcomeMiss, nil

@@ -106,18 +106,6 @@ func TestPlanCacheOptOut(t *testing.T) {
 	}
 }
 
-// TestPlanCacheDisabledByConfig: PlanCacheSize < 0 turns the cache off
-// engine-wide.
-func TestPlanCacheDisabledByConfig(t *testing.T) {
-	e := newEngine(t, Config{PlanCacheSize: -1}, workload.Companies(4, 3))
-	localTable(t, e)
-	collect(t, e, `SELECT v FROM nums WHERE v < 5`)
-	collect(t, e, `SELECT v FROM nums WHERE v < 5`)
-	if st := e.PlanCacheStats(); st != (PlanCacheStats{}) {
-		t.Fatalf("stats = %+v, want all-zero with the cache disabled", st)
-	}
-}
-
 // TestPlanCacheEpochInvalidation: registering a table orphans old
 // entries — the same SQL replans under the new epoch.
 func TestPlanCacheEpochInvalidation(t *testing.T) {

@@ -112,11 +112,10 @@ func WithWeight(w int) QueryOption {
 	return func(o *queryOptions) { o.weight = w }
 }
 
-// WithLabel tags this query's scope for observability: with
-// Config.Trace on, the query's HIT and cost metrics get an extra
-// per-scope series under scope="label". Unlabeled queries (the
-// default) only feed the aggregate series, keeping cardinality
-// bounded. No effect when tracing is off.
+// WithLabel tags this query's scope for observability: the query's
+// cost metrics get an extra per-scope series under scope="label",
+// whether or not Config.Trace is set. Unlabeled queries (the default)
+// only feed the aggregate series, keeping cardinality bounded.
 func WithLabel(label string) QueryOption {
 	return func(o *queryOptions) { o.label = label }
 }

@@ -38,15 +38,15 @@ func TestLongLivedEngineRetention(t *testing.T) {
 	)
 	for _, tc := range []struct {
 		name        string
-		cfg         Config
+		opts        []QueryOption
 		maxPerQuery float64 // bytes of live heap growth per query
 	}{
-		{"plan cache", Config{}, 1200},
-		{"no plan cache", Config{PlanCacheSize: -1}, 1700},
+		{"plan cache", nil, 1200},
+		{"no plan cache", []QueryOption{WithPlanCache(false)}, 1700},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := newEngine(t, tc.cfg, workload.Photos(tableRows, 0.5, 0.5, 4))
-			heapFrom := runRangeQueries(t, e, tableRows, queries, measureFrom)
+			e := newEngine(t, Config{}, workload.Photos(tableRows, 0.5, 0.5, 4))
+			heapFrom := runRangeQueries(t, e, tableRows, queries, measureFrom, tc.opts...)
 			// Assignments can still be landing for a moment after the last row.
 			retained := func() int { return len(e.Marketplace().AllHITs()) }
 			for deadline := time.Now().Add(5 * time.Second); retained() > 0 && time.Now().Before(deadline); {
@@ -102,10 +102,10 @@ func TestStoreRetention(t *testing.T) {
 }
 
 // runRangeQueries runs queries ten-row range queries with an isCat
-// filter on e, query i over ids (10i, 10i+10] of a tableRows-row photos
-// table, closing each Rows, and returns e's live heap at query
-// measureFrom.
-func runRangeQueries(t *testing.T, e *Engine, tableRows, queries, measureFrom int) (heapFrom uint64) {
+// filter on e under opts, query i over ids (10i, 10i+10] of a
+// tableRows-row photos table, closing each Rows, and returns e's live
+// heap at query measureFrom.
+func runRangeQueries(t *testing.T, e *Engine, tableRows, queries, measureFrom int, opts ...QueryOption) (heapFrom uint64) {
 	t.Helper()
 	for i := 0; i < queries; i++ {
 		if i == measureFrom {
@@ -113,7 +113,7 @@ func runRangeQueries(t *testing.T, e *Engine, tableRows, queries, measureFrom in
 		}
 		lo := (i * 10) % tableRows
 		rows, err := e.Query(context.Background(),
-			fmt.Sprintf(`SELECT id, img FROM photos WHERE id > %d AND id <= %d AND isCat(img)`, lo, lo+10))
+			fmt.Sprintf(`SELECT id, img FROM photos WHERE id > %d AND id <= %d AND isCat(img)`, lo, lo+10), opts...)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -88,11 +88,11 @@ type WarmstartInfo struct {
 	SavedCents budget.Cents
 }
 
-// PlanCacheInfo reports the engine's normalized-SQL plan cache: queries
+// PlanCacheStats reports the engine's normalized-SQL plan cache: queries
 // whose shape (literals stripped) matched a cached template skip
 // planning; entries invalidate when live statistics flip an optimizer
 // decision the cached plan baked in.
-type PlanCacheInfo struct {
+type PlanCacheStats struct {
 	Hits          int64
 	Misses        int64
 	Invalidations int64
@@ -113,25 +113,6 @@ type BackendsInfo struct {
 	Counts []BackendCount
 	// SavedCents is what routing saved versus each task's policy price.
 	SavedCents budget.Cents
-}
-
-// InferenceInfo summarizes the answer-inference layer: which aggregator
-// the engine runs and what the adaptive redundancy loop bought — or,
-// more to the point, did not buy (zero under plain majority voting).
-type InferenceInfo struct {
-	Method string
-	// AdaptiveHITs counts HITs posted below their redundancy cap;
-	// Extensions the single assignments bought afterward while the
-	// posterior stayed unsure; ExtendFailures the extensions a backend
-	// rejected.
-	AdaptiveHITs   int64
-	Extensions     int64
-	ExtendFailures int64
-	// AssignmentsUsed / AssignmentsCap sum actual versus fixed-redundancy
-	// assignment counts over those HITs; SavedCents prices the gap.
-	AssignmentsUsed int64
-	AssignmentsCap  int64
-	SavedCents      budget.Cents
 }
 
 // Snapshot is a point-in-time view of the whole system.
@@ -156,13 +137,14 @@ type Snapshot struct {
 	// Warmstart is what the knowledge store replayed at engine start
 	// (zero when no store is configured).
 	Warmstart WarmstartInfo
-	// PlanCache reports plan-cache activity (zero when disabled).
-	PlanCache PlanCacheInfo
+	// PlanCache reports plan-cache activity.
+	PlanCache PlanCacheStats
 	// Backends reports worker-backend routing (zero without a router).
 	Backends BackendsInfo
-	// Inference reports answer-inference activity (zero under the
-	// default majority voting).
-	Inference InferenceInfo
+	// Inference reports answer-inference activity: which aggregator the
+	// engine runs and what the adaptive redundancy loop bought — or,
+	// more to the point, did not buy.
+	Inference taskmgr.InferenceStats
 }
 
 // ComputeSavings derives the optimization-benefit panel from task stats:

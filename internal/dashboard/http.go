@@ -21,10 +21,9 @@ type Source interface {
 }
 
 // Observable is the optional Source extension behind the observability
-// endpoints (core.Engine implements it). Metrics returns nil when the
-// engine runs without Config.Trace; the endpoints then answer 404.
+// endpoints (core.Engine implements it).
 type Observable interface {
-	// Metrics is the engine's metrics registry, nil when tracing is off.
+	// Metrics is the engine's metrics registry, which is always on.
 	Metrics() *obs.Registry
 	// QueryTrace is the root span of the query with that dashboard ID,
 	// nil when tracing is off or the ID is unknown.
@@ -38,10 +37,10 @@ type Observable interface {
 //	GET  /hit?id=X    — one compiled HIT form (Figure 3 for joins)
 //	POST /submit      — submit a HIT form as an audience worker
 //
-// and, when src also implements Observable (and the engine traces):
+// and, when src also implements Observable:
 //
 //	GET  /metrics     — the metrics registry in Prometheus text format
-//	GET  /trace/{id}  — one query's span tree as JSON
+//	GET  /trace/{id}  — one query's span tree as JSON (when the engine traces)
 func NewHandler(src Source) http.Handler {
 	mux := http.NewServeMux()
 	if o, ok := src.(Observable); ok {
@@ -118,18 +117,13 @@ func NewHandler(src Source) http.Handler {
 	return withoutDirectoryListing(mux)
 }
 
-// registerObs wires the observability endpoints. Both answer 404 when
-// the engine runs without Config.Trace, so a tracing-off deployment
-// exposes nothing extra.
+// registerObs wires the observability endpoints. /metrics always
+// serves; /trace/{id} answers 404 when the engine runs without
+// Config.Trace.
 func registerObs(mux *http.ServeMux, o Observable) {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		reg := o.Metrics()
-		if reg == nil {
-			http.Error(w, "tracing disabled (run the engine with Config.Trace)", http.StatusNotFound)
-			return
-		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = reg.WritePrometheus(w)
+		_ = o.Metrics().WritePrometheus(w)
 	})
 	mux.HandleFunc("/trace/", func(w http.ResponseWriter, r *http.Request) {
 		id, err := strconv.Atoi(strings.TrimPrefix(r.URL.Path, "/trace/"))

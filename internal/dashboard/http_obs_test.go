@@ -11,15 +11,17 @@ import (
 	"repro/internal/obs"
 )
 
-// obsSource is a Source that also implements Observable, with the same
-// nil-when-off contract core.Engine has.
+// obsSource is a Source that also implements Observable, with the
+// contract core.Engine has: the registry is always on, and a query
+// trace exists only when tracing is.
 type obsSource struct {
 	liveSource
+	reg    *obs.Registry
 	tracer *obs.Tracer
 	root   *obs.Span
 }
 
-func (s *obsSource) Metrics() *obs.Registry { return s.tracer.Registry() }
+func (s *obsSource) Metrics() *obs.Registry { return s.reg }
 func (s *obsSource) QueryTrace(id int) *obs.Span {
 	if s.tracer == nil || id != 7 {
 		return nil
@@ -29,11 +31,11 @@ func (s *obsSource) QueryTrace(id int) *obs.Span {
 
 func newObsSource(t *testing.T, traced bool) *obsSource {
 	live, _ := newLiveSource(t)
-	src := &obsSource{liveSource: live}
+	src := &obsSource{liveSource: live, reg: obs.NewRegistry()}
+	src.reg.Counter(obs.MetricQueries).Add(3)
 	if traced {
 		var now mturk.VirtualTime
-		src.tracer = obs.New(func() mturk.VirtualTime { return now }, obs.NewRegistry())
-		src.tracer.Registry().Counter(obs.MetricQueries).Add(3)
+		src.tracer = obs.New(func() mturk.VirtualTime { return now })
 		src.root = src.tracer.StartRoot(obs.KindQuery, "SELECT 1")
 		now = mturk.VirtualTime(60_000)
 		op := src.root.Child(obs.KindOperator, "Filter(isCat)")
@@ -114,21 +116,25 @@ func TestHTTPTraceEndpoint(t *testing.T) {
 }
 
 // TestHTTPObsDisabled pins the tracing-off posture: a Source that
-// implements Observable but runs untraced (nil registry, nil spans)
-// exposes nothing — both endpoints answer 404, like core.Engine
-// without Config.Trace.
+// implements Observable but runs untraced (nil spans) still serves its
+// always-on registry at /metrics, and /trace answers 404, like
+// core.Engine without Config.Trace.
 func TestHTTPObsDisabled(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(newObsSource(t, false)))
 	defer srv.Close()
 
-	for _, path := range []string{"/metrics", "/trace/7"} {
+	for path, want := range map[string]int{"/metrics": 200, "/trace/7": 404} {
 		resp, err := srv.Client().Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
+		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != 404 {
-			t.Errorf("%s with tracing off = %d, want 404", path, resp.StatusCode)
+		if resp.StatusCode != want {
+			t.Errorf("%s with tracing off = %d, want %d", path, resp.StatusCode, want)
+		}
+		if path == "/metrics" && !strings.Contains(string(body), "qurk_queries_total 3") {
+			t.Errorf("/metrics with tracing off lacks the queries counter:\n%s", body)
 		}
 	}
 }

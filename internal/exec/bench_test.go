@@ -56,7 +56,7 @@ func benchCaseTraced(b *testing.B, name string) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		tr := obs.New(func() mturk.VirtualTime { return 0 }, obs.NewRegistry())
+		tr := obs.New(func() mturk.VirtualTime { return 0 })
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

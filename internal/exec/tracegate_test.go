@@ -45,7 +45,7 @@ func TestTraceAllocGate(t *testing.T) {
 				}
 			})
 
-			tr := obs.New(func() mturk.VirtualTime { return 0 }, obs.NewRegistry())
+			tr := obs.New(func() mturk.VirtualTime { return 0 })
 			runTraced := func() {
 				root := tr.StartRoot(obs.KindQuery, bc.SQL)
 				q, err := Start(node, Config{Script: &qlang.Script{}, Trace: root})

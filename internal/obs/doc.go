@@ -1,7 +1,13 @@
-// Package obs is the engine's observability layer: virtual-clock span
-// traces, a labeled metrics registry, and the renderers (EXPLAIN
-// ANALYZE, Prometheus text, JSON) the rest of the system exposes them
-// through.
+// Package obs is the engine's observability layer: a labeled metrics
+// registry, which is always on, virtual-clock span traces, which are
+// opt-in, and the renderers (EXPLAIN ANALYZE, Prometheus text, JSON)
+// the rest of the system exposes them through.
+//
+// # Metrics
+//
+// Each event is counted once, where it happens, on a Ref its owner
+// resolves at the series' first event: every later event is one atomic
+// operation on the instrument, with no key built and no lock taken.
 //
 // # Spans
 //
@@ -20,18 +26,10 @@
 // the same seed yields byte-identical traces. Creating or ending a span
 // never schedules clock events — tracing cannot perturb a simulation,
 // which is what keeps rows, spend and the journal identical with
-// tracing on or off (TestEngineClaims in internal/core).
-//
-// # Zero overhead when disabled
-//
-// Everything is nil-receiver safe: a nil *Tracer mints nil *Spans, and
-// every Span/Counter/Histogram method on a nil receiver is a no-op
-// branch with zero allocations. Instrumented layers hold the tracer in
-// an atomic pointer and skip label/span construction entirely when it
-// is unset, so the disabled path costs one atomic load per event site.
-// When enabled, spans come from a sync.Pool (recycled via
-// Tracer.Release once a tree is fully ended and owned) and all counters
-// are atomics.
+// tracing on or off (TestEngineClaims in internal/core). A nil *Tracer
+// mints nil *Spans, and every Span method on a nil receiver is a no-op
+// with zero allocations; enabled, spans come from a sync.Pool (recycled
+// via Tracer.Release once a tree is fully ended and owned).
 //
 // # Surfaces
 //

@@ -189,8 +189,7 @@ func (s *Span) Walk(fn func(*Span)) {
 	}
 }
 
-// Nil-safe counter helpers. Each is a single atomic add when tracing is
-// on and a predictable branch when the span is nil.
+// Nil-safe counter helpers: one atomic add when tracing, a branch when not.
 
 func (s *Span) AddRowsIn(n int64) {
 	if s != nil {
@@ -240,11 +239,9 @@ func (s *Span) AddExtensions(n int64) {
 
 // Tracer mints spans on the virtual clock. Span IDs come from a single
 // atomic counter, so identical runs produce identical trees; timestamps
-// come from the caller-supplied clock and never consume clock events,
-// so tracing cannot perturb the discrete-event simulation.
+// never consume clock events, so tracing cannot perturb a simulation.
 type Tracer struct {
 	now    func() mturk.VirtualTime
-	reg    *Registry
 	nextID atomic.Int64
 	pool   sync.Pool
 
@@ -252,21 +249,11 @@ type Tracer struct {
 	roots []*Span
 }
 
-// New builds a tracer. now supplies virtual timestamps (required); reg
-// receives derived metrics and may be nil.
-func New(now func() mturk.VirtualTime, reg *Registry) *Tracer {
-	t := &Tracer{now: now, reg: reg}
+// New builds a tracer; now supplies virtual timestamps.
+func New(now func() mturk.VirtualTime) *Tracer {
+	t := &Tracer{now: now}
 	t.pool.New = func() any { return new(Span) }
 	return t
-}
-
-// Registry returns the metrics registry wired at construction (may be
-// nil). Nil-receiver safe.
-func (t *Tracer) Registry() *Registry {
-	if t == nil {
-		return nil
-	}
-	return t.reg
 }
 
 // newSpan draws a span from the pool and stamps it.

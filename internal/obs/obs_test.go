@@ -16,7 +16,7 @@ func (f *fakeClock) Now() mturk.VirtualTime { return f.now }
 func TestSpanTreeDeterministicIDs(t *testing.T) {
 	build := func() []int64 {
 		clk := &fakeClock{}
-		tr := New(clk.Now, nil)
+		tr := New(clk.Now)
 		q := tr.StartRoot(KindQuery, "q1")
 		p := q.Child(KindPlan, "plan")
 		p.End()
@@ -45,7 +45,7 @@ func TestSpanTreeDeterministicIDs(t *testing.T) {
 
 func TestSpanEndIdempotentAndOpenCount(t *testing.T) {
 	clk := &fakeClock{}
-	tr := New(clk.Now, nil)
+	tr := New(clk.Now)
 	q := tr.StartRoot(KindQuery, "q")
 	op := q.Child(KindOperator, "Scan")
 	if got := tr.OpenSpans(q); got != 2 {
@@ -68,7 +68,7 @@ func TestSpanEndIdempotentAndOpenCount(t *testing.T) {
 
 func TestCloseTreeClosesOrphans(t *testing.T) {
 	clk := &fakeClock{}
-	tr := New(clk.Now, nil)
+	tr := New(clk.Now)
 	q := tr.StartRoot(KindQuery, "q")
 	op := q.Child(KindOperator, "Filter")
 	b := op.Child(KindBatch, "t")
@@ -87,7 +87,7 @@ func TestCloseTreeClosesOrphans(t *testing.T) {
 
 func TestReleaseRecyclesOnlyEndedTrees(t *testing.T) {
 	clk := &fakeClock{}
-	tr := New(clk.Now, nil)
+	tr := New(clk.Now)
 	q := tr.StartRoot(KindQuery, "q")
 	q.Child(KindOperator, "Scan") // left open
 	if tr.Release(q) {
@@ -164,7 +164,7 @@ func TestRegistryPrometheusDeterministic(t *testing.T) {
 
 func TestExplainAnalyzeTable(t *testing.T) {
 	clk := &fakeClock{}
-	tr := New(clk.Now, nil)
+	tr := New(clk.Now)
 	q := tr.StartRoot(KindQuery, "#1")
 	p := q.Child(KindPlan, "")
 	p.Annotate("cache", "hit")
@@ -197,7 +197,7 @@ func TestExplainAnalyzeTable(t *testing.T) {
 
 func TestMarshalTreeNests(t *testing.T) {
 	clk := &fakeClock{}
-	tr := New(clk.Now, nil)
+	tr := New(clk.Now)
 	q := tr.StartRoot(KindQuery, "q")
 	q.Child(KindOperator, "Scan").End()
 	q.End()

@@ -191,19 +191,13 @@ type PreFilterChoice struct {
 	CostBest    budget.Cents
 }
 
-// ChoosePreFilter prices all four pre-filter plans — none, left only,
-// right only, both — with per-side selectivities and picks the
-// cheapest. This is what per-side estimates buy over DecidePreFilter's
-// both-or-nothing model: a side the filter keeps whole (selectivity
-// near 1) stops paying for its filter stage while the decimated side
-// still shrinks the cross product. Ties prefer fewer filter stages.
-func ChoosePreFilter(l, r int, selL, selR float64, blockL, blockR int,
-	filterPol, joinPol taskmgr.Policy) PreFilterChoice {
-	return ChoosePreFilterWith(GridJoinCoster(blockL, blockR), l, r, selL, selR, filterPol, joinPol)
-}
-
-// ChoosePreFilterWith is ChoosePreFilter under an arbitrary join cost
-// model (see JoinCoster).
+// ChoosePreFilterWith prices all four pre-filter plans — none, left
+// only, right only, both — with per-side selectivities under the join
+// cost model joinCost (see JoinCoster) and picks the cheapest. This is
+// what per-side estimates buy over DecidePreFilter's both-or-nothing
+// model: a side the filter keeps whole (selectivity near 1) stops
+// paying for its filter stage while the decimated side still shrinks
+// the cross product. Ties prefer fewer filter stages.
 func ChoosePreFilterWith(joinCost JoinCoster, l, r int, selL, selR float64,
 	filterPol, joinPol taskmgr.Policy) PreFilterChoice {
 	fl := int(math.Ceil(float64(l) * selL))
@@ -390,7 +384,7 @@ func (o *Optimizer) PreFilterDecider(blockL, blockR int) plan.PreFilterDecider {
 
 // PreFilterDeciderFor returns the planner hook for plan.ApplyPreFilters:
 // it prices the join-only baseline against filtering the left input,
-// the right input, or both (ChoosePreFilter), using the Statistics
+// the right input, or both (ChoosePreFilterWith), using the Statistics
 // Manager's per-side selectivity estimates for the filter task. The
 // join cost model follows the executor config — the blockL×blockR grid
 // normally, the per-pair term when cfg.JoinPairwise runs the

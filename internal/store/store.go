@@ -368,7 +368,8 @@ func (s *Store) maybeCompact() {
 // segment into a fresh State, writes it as the new snapshot (atomic
 // rename), deletes the segments the snapshot covers, and starts a fresh
 // segment. If a file cannot be read or the snapshot cannot be written,
-// the segments stay, eligible for the next attempt.
+// the segments stay, eligible for the next attempt, which the writer
+// makes once compactSegments more segments have been sealed.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -383,11 +384,12 @@ func (s *Store) Compact() error {
 		for _, seq := range segs {
 			os.Remove(filepath.Join(s.dir, segFileName(seq)))
 		}
-		s.sealed = 0
 		s.compactions.Add(1)
-	} else {
-		s.sealed++
 	}
+	// A failed attempt waits, like a successful one, for compactSegments
+	// more seals: retrying at once would seal a segment and replay every
+	// file after each batch.
+	s.sealed = 0
 	// Appends keep flowing to a fresh segment either way.
 	if oerr := s.openSegmentLocked(); oerr != nil {
 		s.seg = nil

@@ -329,6 +329,41 @@ func TestCompactKeepsSegmentsItCannotRead(t *testing.T) {
 	}
 }
 
+// TestFailedCompactionBacksOff: while a compaction keeps failing (an
+// unreadable file named like segment 1), the writer retries only after
+// compactSegments more seals, not after every batch, so the failed
+// attempts do not leave a segment per batch behind: 400 one-record
+// batches over 256-byte segments leave under 100 files, where retrying
+// after every batch left one per batch.
+func TestFailedCompactionBacksOff(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, segFileName(1)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s, _, err := openWith(dir, limits{bufferRecords: bufferRecords, segmentBytes: 256, compactSegments: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batches = 400
+	for i := 0; i < batches; i++ {
+		s.Append(Record{Kind: KindSelectivity, Task: "isCat", Pass: i%3 == 0})
+		waitWritten(t, s, int64(i+1))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) > 100 {
+		t.Fatalf("%d files after %d one-record batches over a failing compaction, want at most 100", len(entries), batches)
+	}
+	if st := s.Stats(); st.Compactions != 0 || st.Written != batches {
+		t.Fatalf("stats %+v, want %d written and no compaction", st, batches)
+	}
+}
+
 // TestCrashedCompactionNeverDoubleApplies simulates a crash between the
 // snapshot rename and the segment deletion: reopening must skip (and
 // clean up) segments the snapshot already covers.

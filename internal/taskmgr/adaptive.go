@@ -6,6 +6,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/budget"
 	"repro/internal/infer"
+	"repro/internal/obs"
 	"repro/internal/qlang"
 	"repro/internal/stats"
 	"repro/internal/store"
@@ -223,12 +224,8 @@ func (m *Manager) extendInflight(hitID string, fl *inflightHIT) {
 	fl.cost += price
 	fl.shares[0].cost += price
 	t.mu.Unlock()
-	st := fl.state
-	st.mu.Lock()
-	st.spent += price
-	st.mu.Unlock()
 	if err := backend.Extend(m.market, hitID, 1); err != nil {
-		m.extendFailures.Add(1)
+		m.extendFailures.Counter(m.metrics, obs.MetricExtendFailures).Add(1)
 		m.extendBroken.Store(true)
 		rolledBack := false
 		t.mu.Lock()
@@ -243,20 +240,17 @@ func (m *Manager) extendInflight(hitID string, fl *inflightHIT) {
 		if !rolledBack {
 			// The HIT was canceled between the commit and the backend
 			// call; cancellation's pro-rata refund already covered the
-			// unconsumed extension slot, so the ledgers balance without
-			// another refund here.
+			// unconsumed extension slot, so the charge stands, as cost
+			// beside that refund, and needs no refund here.
+			m.count(fl.state, &fl.state.cost, obs.MetricCostCents, int64(price))
 			return
 		}
-		st.mu.Lock()
-		st.spent -= price
-		st.mu.Unlock()
 		m.account.Refund(price)
 		sc.refund(price)
 		m.finalizeAdaptive(hitID, fl)
 		return
 	}
-	m.adaptiveExt.Add(1)
-	m.traceExtension(fl, price)
+	m.noteExtension(fl, price)
 }
 
 // finalizeAdaptive retires an adaptive HIT that stops below its cap —
@@ -349,15 +343,19 @@ type InferenceStats struct {
 	SavedCents      budget.Cents
 }
 
-// InferenceStats reports the adaptive redundancy counters.
+// InferenceStats reports the adaptive redundancy counters; Extensions
+// sums the tasks' extension series.
 func (m *Manager) InferenceStats() InferenceStats {
-	return InferenceStats{
+	is := InferenceStats{
 		Method:          m.InferenceMethod(),
-		AdaptiveHITs:    m.adaptiveHITs.Load(),
-		Extensions:      m.adaptiveExt.Load(),
-		ExtendFailures:  m.extendFailures.Load(),
-		AssignmentsUsed: m.adaptiveAssign.Load(),
-		AssignmentsCap:  m.adaptiveCapSum.Load(),
-		SavedCents:      budget.Cents(m.inferSaved.Load()),
+		AdaptiveHITs:    m.adaptiveHITs.Value(),
+		ExtendFailures:  m.extendFailures.Value(),
+		AssignmentsUsed: m.adaptiveUsed.Value(),
+		AssignmentsCap:  m.adaptiveCap.Value(),
+		SavedCents:      budget.Cents(m.inferSaved.Value()),
 	}
+	for _, st := range m.states() {
+		is.Extensions += st.extensions.Value()
+	}
+	return is
 }

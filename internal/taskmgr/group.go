@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/hit"
+	"repro/internal/obs"
 	"repro/internal/qlang"
 )
 
@@ -46,9 +47,7 @@ func (m *Manager) SubmitGroup(reqs []Request) error {
 	items := make([]pendingItem, 0, len(reqs))
 	for i, r := range reqs {
 		st := m.state(r.Def.Name, r.Def)
-		st.mu.Lock()
-		st.submitted++
-		st.mu.Unlock()
+		m.count(st, &st.submitted, obs.MetricSubmissions, 1)
 		ckey := cache.NewKey(r.Def.Name, r.Args)
 		if out, ok := m.answerFree(st, pol, r.Def, r.Args, ckey, r.StatSide, nil); ok {
 			resolved = append(resolved, resolution{q: i, out: out})

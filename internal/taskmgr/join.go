@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/hit"
+	"repro/internal/obs"
 	"repro/internal/qlang"
 	"repro/internal/relation"
 )
@@ -46,8 +47,8 @@ func (m *Manager) JoinBlockIn(scope *Scope, def *qlang.TaskDef, left, right [][]
 	base := m.basePolicy()
 	st.mu.Lock()
 	pol := st.scopedPolicyLocked(base, scope)
-	st.submitted += int64(len(left) * len(right))
 	st.mu.Unlock()
+	m.count(st, &st.submitted, obs.MetricSubmissions, int64(len(left)*len(right)))
 
 	// Walk left×right once, row-major, resolving what we can from cache
 	// and model. The cells that remain are the ones the caller waits on.

@@ -195,7 +195,7 @@ func TestHITLifecycleMatrix(t *testing.T) {
 		for _, c := range cases {
 			t.Run(kind.name+"/"+c.name, func(t *testing.T) {
 				m, clock := newRig(t, lifecycleOracle, crowd.Config{}, 0)
-				tr := obs.New(clock.Now, obs.NewRegistry())
+				tr := obs.New(clock.Now)
 				m.SetObs(tr)
 				s := m.NewScope()
 				root := tr.StartRoot(obs.KindQuery, "SELECT test")
@@ -244,7 +244,7 @@ func TestHITLifecycleMatrix(t *testing.T) {
 				if n := m.Pending(); n != 0 {
 					t.Errorf("Pending = %d at the end", n)
 				}
-				if g := tr.Registry().Gauge(obs.MetricInflightHITs).Value(); g != 0 {
+				if g := m.Metrics().Gauge(obs.MetricInflightHITs).Value(); g != 0 {
 					t.Errorf("in-flight gauge = %d at the end", g)
 				}
 				var hitSpans int

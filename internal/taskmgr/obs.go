@@ -1,14 +1,13 @@
 package taskmgr
 
-// This file is the manager's entire tracing surface. Every hook in the
-// batching/posting/finalization paths funnels through the helpers here,
-// all of which collapse to a nil check when no tracer is installed:
-// the manager holds the tracer in an atomic pointer (the journal
-// pattern), spans ride on pendingItem/inflightHIT fields that stay nil
-// when tracing is off, and every obs call is nil-receiver safe. The
-// disabled path therefore costs one atomic load per event site and
-// zero allocations — and because spans never schedule clock events or
-// consume randomness, enabling tracing cannot perturb a simulation.
+// This file is the manager's observability surface. Each event is
+// counted once, where it happens, in the always-on registry, on a
+// series handle (obs.Ref) resolved at the series' first event and kept
+// on the task's state or the manager; TaskStats, InferenceStats and
+// Sharing read the same series. Spans are the only opt-in: they ride on
+// fields that stay nil when tracing is off. Neither spans nor counters
+// schedule clock events or consume randomness, so observing cannot
+// perturb a simulation.
 
 import (
 	"fmt"
@@ -20,17 +19,58 @@ import (
 	"repro/internal/obs"
 )
 
-// SetObs installs (or, with nil, removes) the tracer every batching and
-// posting path reports spans and metrics to.
-func (m *Manager) SetObs(t *obs.Tracer) {
-	m.tracer.Store(t)
+// count adds n to st's series ref of the counter family name.
+func (m *Manager) count(st *taskState, ref *obs.Ref, name string, n int64) {
+	ref.Counter(m.metrics, name, obs.L("task", st.name)).Add(n)
 }
 
-func (m *Manager) getObs() *obs.Tracer { return m.tracer.Load() }
+// backendSeries is a task's pair of series labeled by one serving
+// backend too: its posted HITs and their round trips.
+type backendSeries struct {
+	name      string
+	hits      *obs.Counter
+	roundTrip *obs.Histogram
+}
 
-// obsRegistry returns the metrics registry behind the installed tracer,
-// nil when tracing is off (every registry method no-ops on nil).
-func (m *Manager) obsRegistry() *obs.Registry { return m.getObs().Registry() }
+// servedBy returns st's series for backend, resolved at the first HIT
+// the task posts there.
+func (m *Manager) servedBy(st *taskState, backend string) backendSeries {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for _, bs := range st.backends {
+		if bs.name == backend {
+			return bs
+		}
+	}
+	labels := []obs.Label{obs.L("task", st.name), obs.L("backend", backend)}
+	bs := backendSeries{name: backend, hits: m.metrics.Counter(obs.MetricHITsPosted, labels...),
+		roundTrip: m.metrics.Histogram(obs.MetricHITRoundTrip, obs.MinuteBuckets, labels...)}
+	st.backends = append(st.backends, bs)
+	return bs
+}
+
+// scopeCost returns st's cost series for a scope label (WithLabel),
+// resolved at the label's first charge on the task.
+func (m *Manager) scopeCost(st *taskState, label string) *obs.Counter {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	c := st.scopeCost[label]
+	if c == nil {
+		if st.scopeCost == nil {
+			st.scopeCost = make(map[string]*obs.Counter)
+		}
+		c = m.metrics.Counter(obs.MetricCostCents, obs.L("task", st.name), obs.L("scope", label))
+		st.scopeCost[label] = c
+	}
+	return c
+}
+
+// Metrics returns the manager's metrics registry. It is never nil.
+func (m *Manager) Metrics() *obs.Registry { return m.metrics }
+
+// SetObs installs (or, with nil, removes) the tracer every batching and
+// posting path reports spans to.
+func (m *Manager) SetObs(t *obs.Tracer) { m.tracer.Store(t) }
 
 // SetSpan attaches the owning query's trace span to the scope: batch
 // spans parent under it and Cancel closes the whole tree.
@@ -58,10 +98,10 @@ func (s *Scope) Span() *obs.Span {
 // kind gets one HIT span noting the HIT's shape. It runs before the
 // in-flight entry becomes visible to completions, so onAssignment
 // always observes fl.span fully built; the HIT span stays open until
-// the HIT retires, and the posting metrics follow once the backend
-// accepts the HIT (traceHITPosted).
+// the HIT retires, and the HIT is counted once the backend accepts it
+// (countPosted).
 func (m *Manager) traceHITSpans(fl *inflightHIT, pol Policy, queuedAt mturk.VirtualTime) {
-	tr := m.getObs()
+	tr := m.tracer.Load()
 	if tr == nil {
 		return
 	}
@@ -144,47 +184,45 @@ func attributeOps(fl *inflightHIT, cost budget.Cents) {
 	fl.opSpans = ops
 }
 
-// traceHITPosted records the posting metrics of a HIT of any kind that
-// reached its backend: the HIT and its cost per task (and per labeled
-// scope), and one more HIT in flight.
-func (m *Manager) traceHITPosted(fl *inflightHIT) {
-	if fl.span == nil {
-		return
-	}
-	reg := m.obsRegistry()
-	if reg == nil {
-		return
-	}
-	task := fl.hit.Task
-	reg.Counter(obs.MetricHITsPosted, obs.L("task", task), obs.L("backend", fl.backend)).Add(1)
-	reg.Counter(obs.MetricCostCents, obs.L("task", task)).Add(int64(fl.cost))
+// countPosted counts a HIT of any kind its backend accepted: the HIT
+// per task and backend, its cost per task and per labeled scope, its
+// questions under the tasks asking them, its sharing across scopes and
+// one more HIT in flight, and for a batch the batch, its admission wait
+// and its fill.
+func (m *Manager) countPosted(q queuedHIT) {
+	fl, st := q.fl, q.fl.state
+	m.servedBy(st, fl.backend).hits.Add(1)
+	m.count(st, &st.cost, obs.MetricCostCents, int64(fl.cost))
 	for i := range fl.shares {
 		if label := fl.shares[i].scope.labelNow(); label != "" {
-			reg.Counter(obs.MetricCostCents, obs.L("task", task), obs.L("scope", label)).Add(int64(fl.shares[i].cost))
+			m.scopeCost(st, label).Add(int64(fl.shares[i].cost))
 		}
 	}
-	reg.Gauge(obs.MetricInflightHITs).Add(1)
-}
-
-// traceBatchMetrics records the batch-only posting metrics of a batch
-// HIT that reached the marketplace: the batch count, its admission wait
-// and its fill.
-func (m *Manager) traceBatchMetrics(fl *inflightHIT, pol Policy, queuedAt mturk.VirtualTime) {
-	if fl.span == nil {
-		return
+	if fl.kind == kindGroup {
+		for _, it := range fl.items {
+			qs := m.state(it.def.Name, it.def)
+			m.count(qs, &qs.questions, obs.MetricQuestions, 1)
+		}
+	} else {
+		m.count(st, &st.questions, obs.MetricQuestions, int64(fl.hit.QuestionCount()))
 	}
-	reg := m.obsRegistry()
-	if reg == nil {
-		return
+	if n := int64(len(fl.shares)); n > 1 {
+		m.sharedHITs.Counter(m.metrics, obs.MetricSharedHITs).Add(1)
+		m.coBatched.Counter(m.metrics, obs.MetricCoBatchedItems).Add(int64(len(fl.items)))
+		m.sharedSaved.Counter(m.metrics, obs.MetricSharedHITsSaved).Add(n - 1)
+		m.sharedCents.Counter(m.metrics, obs.MetricSharedSavedCents).Add(int64(fl.cost) * (n - 1))
 	}
-	task := fl.hit.Task
-	reg.Counter(obs.MetricBatchesPosted, obs.L("task", task)).Add(1)
-	if queuedAt > 0 {
-		reg.Histogram(obs.MetricAdmissionWait, obs.MinuteBuckets, obs.L("task", task)).
-			Observe((fl.postedAt - queuedAt).Minutes())
+	m.inflight.Gauge(m.metrics, obs.MetricInflightHITs).Add(1)
+	if fl.kind == kindBatch {
+		task := obs.L("task", st.name)
+		m.count(st, &st.batches, obs.MetricBatchesPosted, 1)
+		if q.at > 0 {
+			st.admissionWait.Histogram(m.metrics, obs.MetricAdmissionWait, obs.MinuteBuckets, task).
+				Observe((fl.postedAt - q.at).Minutes())
+		}
+		st.fill.Histogram(m.metrics, obs.MetricBatchFillRatio, obs.RatioBuckets, task).
+			Observe(float64(len(fl.items)) / float64(q.pol.BatchSize))
 	}
-	reg.Histogram(obs.MetricBatchFillRatio, obs.RatioBuckets, obs.L("task", task)).
-		Observe(float64(len(fl.items)) / float64(pol.BatchSize))
 }
 
 // traceHITPostFailed closes the span of a HIT its backend refused
@@ -197,25 +235,26 @@ func (m *Manager) traceHITPostFailed(fl *inflightHIT, err error) {
 	fl.span.End()
 }
 
-// traceAssignment records one received assignment as an instantaneous
-// child span. Called with the in-flight table's lock held; span
-// mutexes nest under the table lock everywhere.
-func (m *Manager) traceAssignment(fl *inflightHIT, workerID string) {
+// noteAssignment counts one received assignment and traces it as an
+// instantaneous child span. Called with the in-flight table's lock
+// held; span mutexes nest under the table lock everywhere.
+func (m *Manager) noteAssignment(fl *inflightHIT, workerID string) {
+	m.count(fl.state, &fl.state.assignments, obs.MetricAssignments, 1)
 	if fl.span == nil {
 		return
 	}
 	fl.span.Child(obs.KindAssignment, workerID).End()
 	fl.span.AddAssignments(1)
-	if reg := m.obsRegistry(); reg != nil {
-		reg.Counter(obs.MetricAssignments, obs.L("task", fl.hit.Task)).Add(1)
-	}
 }
 
-// traceExtension records one purchased adaptive extension: an
-// instantaneous child span carrying the price, remembered (under the
-// table lock) so a later cancellation can annotate the refunded
-// remainder onto the very spans that bought the slots.
-func (m *Manager) traceExtension(fl *inflightHIT, price budget.Cents) {
+// noteExtension counts one purchased adaptive extension and its price
+// and traces it: an instantaneous child span carrying the price,
+// remembered (under the table lock) so a later cancellation can
+// annotate the refunded remainder onto the very spans that bought the
+// slots.
+func (m *Manager) noteExtension(fl *inflightHIT, price budget.Cents) {
+	m.count(fl.state, &fl.state.extensions, obs.MetricExtensions, 1)
+	m.count(fl.state, &fl.state.cost, obs.MetricCostCents, int64(price))
 	if fl.span == nil {
 		return
 	}
@@ -231,18 +270,21 @@ func (m *Manager) traceExtension(fl *inflightHIT, price budget.Cents) {
 		fl.opSpans[0].AddExtensions(1)
 		fl.opSpans[0].AddCost(int64(price))
 	}
-	if reg := m.obsRegistry(); reg != nil {
-		reg.Counter(obs.MetricExtensions, obs.L("task", fl.hit.Task)).Add(1)
-		reg.Counter(obs.MetricCostCents, obs.L("task", fl.hit.Task)).Add(int64(price))
-	}
 }
 
-// traceHITDone closes out a finalized HIT of any kind: assignments are
-// attributed to the submitting operators, inference posteriors (posts,
-// by question, when an EM fit resolved the answers) are annotated as
-// posterior.<i> for question i, and the round-trip and extension-depth
-// distributions observe the completion.
-func (m *Manager) traceHITDone(fl *inflightHIT, latencyMin float64, posts []infer.Posterior) {
+// noteHITDone closes out a finalized HIT of any kind: the round-trip
+// and extension-depth distributions observe it and it leaves the
+// in-flight gauge; its assignments are attributed to the submitting
+// operators' spans, and inference posteriors (posts, by question, when
+// an EM fit resolved the answers) are annotated as posterior.<i> for
+// question i.
+func (m *Manager) noteHITDone(fl *inflightHIT, latencyMin float64, posts []infer.Posterior) {
+	m.servedBy(fl.state, fl.backend).roundTrip.Observe(latencyMin)
+	if st := fl.state; fl.adaptive {
+		st.extensionDepth.Histogram(m.metrics, obs.MetricExtensionDepth, obs.DepthBuckets, obs.L("task", st.name)).
+			Observe(float64(fl.assign - fl.hit.Assignments))
+	}
+	m.inflight.Gauge(m.metrics, obs.MetricInflightHITs).Add(-1)
 	sp := fl.span
 	if sp == nil {
 		return
@@ -258,37 +300,34 @@ func (m *Manager) traceHITDone(fl *inflightHIT, latencyMin float64, posts []infe
 		}
 	}
 	sp.End()
-	if reg := m.obsRegistry(); reg != nil {
-		reg.Histogram(obs.MetricHITRoundTrip, obs.MinuteBuckets,
-			obs.L("task", fl.hit.Task), obs.L("backend", fl.backend)).Observe(latencyMin)
-		if fl.adaptive {
-			reg.Histogram(obs.MetricExtensionDepth, obs.DepthBuckets,
-				obs.L("task", fl.hit.Task)).Observe(float64(len(fl.extSpans)))
-		}
-		reg.Gauge(obs.MetricInflightHITs).Add(-1)
-	}
 }
 
-// traceHITAbandoned closes the span of a HIT that retired with zero
-// assignments (terminal assignment failure).
-func (m *Manager) traceHITAbandoned(fl *inflightHIT, err error) {
+// noteHITAbandoned counts a HIT that retired with zero assignments
+// (terminal assignment failure) out of the in-flight gauge and closes
+// its span.
+func (m *Manager) noteHITAbandoned(fl *inflightHIT, err error) {
+	m.inflight.Gauge(m.metrics, obs.MetricInflightHITs).Add(-1)
 	if fl.span == nil {
 		return
 	}
 	fl.span.Annotate("error", err.Error())
 	fl.span.End()
-	if reg := m.obsRegistry(); reg != nil {
-		reg.Gauge(obs.MetricInflightHITs).Add(-1)
-	}
 }
 
-// traceHITCanceled records a cancellation's refund on the HIT span and
-// annotates the unconsumed extension spans with the remainder each gave
-// back — the pro-rata refund walks the last-purchased slots first, the
-// ones that cannot have completed yet. expired marks full expiry (the
-// span ends and the in-flight gauge drops); a shared-HIT detach leaves
-// the span open for the surviving participants.
-func (m *Manager) traceHITCanceled(fl *inflightHIT, refund budget.Cents, expired bool) {
+// noteHITCanceled counts a cancellation's refund and records it on the
+// HIT span, annotating the unconsumed extension spans with the
+// remainder each gave back — the pro-rata refund walks the
+// last-purchased slots first, the ones that cannot have completed yet.
+// expired marks full expiry (the HIT leaves the in-flight gauge and its
+// span ends); a shared-HIT detach leaves the span open for the
+// surviving participants.
+func (m *Manager) noteHITCanceled(fl *inflightHIT, refund budget.Cents, expired bool) {
+	if refund > 0 {
+		m.count(fl.state, &fl.state.refunds, obs.MetricRefundCents, int64(refund))
+	}
+	if expired {
+		m.inflight.Gauge(m.metrics, obs.MetricInflightHITs).Add(-1)
+	}
 	sp := fl.span
 	if sp == nil {
 		return
@@ -301,15 +340,9 @@ func (m *Manager) traceHITCanceled(fl *inflightHIT, refund budget.Cents, expired
 				strconv.FormatInt(fl.hit.RewardCents, 10))
 			slots--
 		}
-		if reg := m.obsRegistry(); reg != nil {
-			reg.Counter(obs.MetricRefundCents, obs.L("task", fl.hit.Task)).Add(int64(refund))
-		}
 	}
 	if expired {
 		sp.Annotate("canceled", "true")
 		sp.End()
-		if reg := m.obsRegistry(); reg != nil {
-			reg.Gauge(obs.MetricInflightHITs).Add(-1)
-		}
 	}
 }

@@ -1,11 +1,14 @@
 package taskmgr
 
 import (
+	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/crowd"
+	"repro/internal/hit"
 	"repro/internal/mturk"
 	"repro/internal/obs"
 	"repro/internal/relation"
@@ -16,7 +19,7 @@ import (
 func obsRig(t *testing.T, cfg crowd.Config) (*Manager, *mturk.Clock, *obs.Tracer, *Scope, *obs.Span) {
 	t.Helper()
 	m, clock := newRig(t, catOracle, cfg, 0)
-	tr := obs.New(clock.Now, obs.NewRegistry())
+	tr := obs.New(clock.Now)
 	m.SetObs(tr)
 	s := m.NewScope()
 	root := tr.StartRoot(obs.KindQuery, "SELECT test")
@@ -116,5 +119,50 @@ func TestCancelAnnotatesExtensionRefund(t *testing.T) {
 	}
 	if annotated == 0 {
 		t.Fatalf("none of %d extension spans carry the refund annotation", extSpans)
+	}
+}
+
+// TestRefusedPostsCountNothing: a HIT is counted when its backend
+// accepts it. Three posts the backend refuses are refunded and leave the
+// task at no HIT, no question and no spend, in TaskStats and in the
+// registry alike, and nothing in flight.
+func TestRefusedPostsCountNothing(t *testing.T) {
+	m, _ := newRig(t, catOracle, crowd.Config{}, 0)
+	def := filterDef()
+	m.SetPolicy(def.Name, Policy{Assignments: 3, BatchSize: 1, PriceCents: 1, Linger: time.Minute, UseCache: true})
+	hook := func(*hit.HIT) error { return errors.New("backend down") }
+	m.postHook.Store(&hook)
+	s := m.NewScope()
+	s.SetLabel("tenant")
+	var failed int
+	for i := 0; i < 3; i++ {
+		m.Submit(Request{Def: def, Args: imageArgs(relationKey(i)), Scope: s,
+			Done: func(o Outcome) {
+				if o.Err != nil {
+					failed++
+				}
+			}})
+	}
+	if failed != 3 {
+		t.Fatalf("%d of 3 refused posts failed their question", failed)
+	}
+	st := m.StatsFor(def.Name)
+	if st.Submitted != 3 || st.HITsPosted != 0 || st.QuestionsAsked != 0 || st.SpentCents != 0 {
+		t.Errorf("after 3 refused posts: %+v, want 3 submitted and no HIT, question or spend", st)
+	}
+	if spent := m.Account().Spent(); spent != 0 {
+		t.Errorf("account spent %v after refunds", spent)
+	}
+	var prom strings.Builder
+	if err := m.Metrics().WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	for _, family := range []string{obs.MetricHITsPosted, obs.MetricQuestions, obs.MetricCostCents} {
+		if strings.Contains(prom.String(), family) {
+			t.Errorf("refused posts left a %s series:\n%s", family, prom.String())
+		}
+	}
+	if g := m.Metrics().Gauge(obs.MetricInflightHITs).Value(); g != 0 {
+		t.Errorf("in-flight gauge = %d after refused posts", g)
 	}
 }

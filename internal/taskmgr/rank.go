@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/hit"
+	"repro/internal/obs"
 	"repro/internal/qlang"
 	"repro/internal/relation"
 	"repro/internal/store"
@@ -44,8 +45,8 @@ func (m *Manager) RankBlockIn(scope *Scope, def *qlang.TaskDef, items [][]relati
 	base := m.basePolicy()
 	st.mu.Lock()
 	pol := st.scopedPolicyLocked(base, scope)
-	st.submitted += int64(len(items))
 	st.mu.Unlock()
+	m.count(st, &st.submitted, obs.MetricSubmissions, int64(len(items)))
 
 	fl := m.openHIT(kindRank, def, st, pol, scope, nil)
 	h := &hit.HIT{

@@ -443,7 +443,7 @@ func (m *Manager) cancelScopeHIT(hitID string, sc *Scope, cause error) {
 		}
 		refund := unconsumed(sh.cost, fl.assign, fl.received)
 		sh.cost -= refund
-		m.traceHITCanceled(fl, refund, false)
+		m.noteHITCanceled(fl, refund, false)
 		t.mu.Unlock()
 		if refund > 0 {
 			m.account.Refund(refund)
@@ -462,7 +462,7 @@ func (m *Manager) cancelScopeHIT(hitID string, sc *Scope, cause error) {
 	// with the rest: the scope pays only for answers it received.
 	delete(t.hits, hitID)
 	refund := unconsumed(sh.cost, fl.assign, fl.received)
-	m.traceHITCanceled(fl, refund, true)
+	m.noteHITCanceled(fl, refund, true)
 	t.mu.Unlock()
 	m.market.Dispose(hitID)
 	if refund > 0 {

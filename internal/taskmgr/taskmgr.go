@@ -215,12 +215,14 @@ type taskState struct {
 	pending     []pendingItem // waiting to fill a batch
 	lingerArmed bool
 
-	submitted      int64
-	hitsPosted     int64
-	questionsAsked int64
-	cacheHits      int64
-	modelAnswers   int64
-	spent          budget.Cents
+	// The task's registry series, labeled by task and each resolved at
+	// its first event (obs.go); under mu, those labeled by serving
+	// backend or scope label too.
+	submitted, questions, cacheHits, modelAnswers, cost, refunds obs.Ref
+	batches, assignments, extensions, admissionWait, fill        obs.Ref
+	extensionDepth                                               obs.Ref
+	backends                                                     []backendSeries
+	scopeCost                                                    map[string]*obs.Counter
 
 	selectivity stats.Selectivity
 	// sideSel holds per-join-side selectivity estimators keyed by
@@ -322,11 +324,12 @@ type Manager struct {
 	// the marketplace, exercising the refund paths deterministically.
 	postHook atomic.Pointer[func(h *hit.HIT) error]
 
-	// Cross-query sharing counters (see Sharing).
-	sharedHITs  atomic.Int64
-	sharedItems atomic.Int64
-	sharedSaved atomic.Int64 // HITs avoided (scopes−1 per shared HIT)
-	savedCents  atomic.Int64 // those HITs priced at their actual cost
+	// metrics holds every counter the manager keeps (obs.go); these are
+	// its unlabeled series, each resolved at its first event.
+	metrics                                         *obs.Registry
+	sharedHITs, coBatched, sharedSaved, sharedCents obs.Ref
+	adaptiveHITs, extendFailures, adaptiveUsed      obs.Ref
+	adaptiveCap, inferSaved, inflight               obs.Ref
 
 	// journal, when set, receives a durable record for every learned
 	// artifact produced on the paid (human) paths: cache entries,
@@ -336,9 +339,9 @@ type Manager struct {
 	// block on persistence.
 	journal atomic.Pointer[Journal]
 
-	// tracer, when set (SetObs), receives span trees and metrics for
-	// every batching, posting and finalization event. Read atomically
-	// like the journal: the disabled path costs one load per site.
+	// tracer, when set (SetObs), receives span trees for every
+	// batching, posting and finalization event. Read atomically like
+	// the journal: the disabled path costs one load per site.
 	tracer atomic.Pointer[obs.Tracer]
 
 	// workers tracks agreement-based reputation and quality the
@@ -356,14 +359,6 @@ type Manager struct {
 	// buying assignments the backend cannot deliver.
 	inference    atomic.Pointer[inferConfig]
 	extendBroken atomic.Bool
-
-	// Adaptive redundancy counters (see InferenceStats).
-	adaptiveHITs   atomic.Int64
-	adaptiveExt    atomic.Int64
-	extendFailures atomic.Int64
-	adaptiveAssign atomic.Int64
-	adaptiveCapSum atomic.Int64
-	inferSaved     atomic.Int64
 }
 
 // Journal receives the records the manager emits on its learning paths;
@@ -618,7 +613,8 @@ func New(market *mturk.Marketplace, c *cache.Cache, models *model.Registry, acco
 }
 
 // NewWithBackend wires a manager to any worker backend — the simulator,
-// the HTTP driver, the LLM crowd, or a router mixing them per task.
+// the HTTP driver, the LLM crowd, or a router mixing them per task —
+// and builds the always-on metrics registry its events count in.
 func NewWithBackend(be backend.Backend, c *cache.Cache, models *model.Registry, account *budget.Account) *Manager {
 	if c == nil {
 		c = cache.New()
@@ -635,6 +631,7 @@ func NewWithBackend(be backend.Backend, c *cache.Cache, models *model.Registry, 
 		models:  models,
 		account: account,
 		book:    stats.NewBackendBook(),
+		metrics: obs.NewRegistry(),
 		tasks:   make(map[string]*taskState),
 		spelled: make(map[string]*taskState),
 		base:    DefaultPolicy(),
@@ -806,9 +803,9 @@ func (m *Manager) Submit(req Request) {
 		return
 	}
 	st := m.state(req.Def.Name, req.Def)
+	m.count(st, &st.submitted, obs.MetricSubmissions, 1)
 	base := m.basePolicy()
 	st.mu.Lock()
-	st.submitted++
 	pol := st.scopedPolicyLocked(base, req.Scope)
 	st.mu.Unlock()
 
@@ -876,19 +873,14 @@ func (m *Manager) Submit(req Request) {
 // answerFree answers one task application without a human when it can:
 // from the Task Cache, or, for a boolean task, from a confident Task
 // Model. A free answer counts on the task's state, observes the task's
-// selectivity under side, and counts on span (nil when tracing is off)
-// and the metrics. ok is false when the application needs the crowd.
+// selectivity under side, and counts on span (nil when tracing is off).
+// ok is false when the application needs the crowd.
 func (m *Manager) answerFree(st *taskState, pol Policy, def *qlang.TaskDef, args []relation.Value,
 	ckey cache.Key, side string, span *obs.Span) (Outcome, bool) {
 	if pol.UseCache {
 		if entry, ok := m.cache.Get(ckey); ok && len(entry.Answers) > 0 {
-			st.mu.Lock()
-			st.cacheHits++
-			st.mu.Unlock()
+			m.count(st, &st.cacheHits, obs.MetricCacheHits, 1)
 			span.AddCacheHits(1)
-			if reg := m.obsRegistry(); reg != nil {
-				reg.Counter(obs.MetricCacheHits, obs.L("task", def.Name)).Add(1)
-			}
 			out := reduce(def, entry.Answers)
 			out.FromCache = true
 			if isBooleanTask(def) {
@@ -900,13 +892,8 @@ func (m *Manager) answerFree(st *taskState, pol Policy, def *qlang.TaskDef, args
 	if pol.UseModel && isBooleanTask(def) {
 		if tm, ok := m.models.For(st.name); ok {
 			if v, _, ok := tm.TryAnswer(args); ok {
-				st.mu.Lock()
-				st.modelAnswers++
-				st.mu.Unlock()
+				m.count(st, &st.modelAnswers, obs.MetricModelAnswers, 1)
 				span.AddModelHits(1)
-				if reg := m.obsRegistry(); reg != nil {
-					reg.Counter(obs.MetricModelAnswers, obs.L("task", def.Name)).Add(1)
-				}
 				st.observeSelectivity(v.Truthy(), side)
 				return Outcome{Value: v, Answers: []relation.Value{v}, Agreement: 1, FromModel: true}, true
 			}
@@ -1269,37 +1256,18 @@ func (m *Manager) openHIT(kind hitKind, def *qlang.TaskDef, st *taskState, pol P
 	return fl
 }
 
-// countPosted books a charged HIT on its task's statistics: the HIT and
-// its cost under the HIT's task, each question under the task asking it.
-func (m *Manager) countPosted(fl *inflightHIT) {
-	st := fl.state
-	st.mu.Lock()
-	st.spent += fl.cost
-	st.hitsPosted++
-	if fl.kind != kindGroup {
-		st.questionsAsked += int64(fl.hit.QuestionCount())
-	}
-	st.mu.Unlock()
-	if fl.kind == kindGroup {
-		for i := range fl.items {
-			qs := m.state(fl.items[i].def.Name, fl.items[i].def)
-			qs.mu.Lock()
-			qs.questionsAsked++
-			qs.mu.Unlock()
-		}
-	}
-}
-
-// launch posts a charged HIT of any kind. The HIT enters the in-flight
-// table before the backend sees it, so no completion can miss it; once
-// posted it registers with each scope, and a scope canceled meanwhile
-// (whose Cancel waits for this post) has its stake withdrawn here. A
-// HIT the backend refuses leaves the table, every share is refunded
+// launch posts the charged HIT of a dequeued entry, of any kind. The
+// HIT enters the in-flight table before the backend sees it, so no
+// completion can miss it; once posted it is counted (countPosted) and
+// registers with each scope, and a scope canceled meanwhile (whose
+// Cancel waits for this post) has its stake withdrawn here. A HIT the
+// backend refuses leaves the table uncounted, every share is refunded
 // with the attribution it was charged with — once, so a HIT spanning
 // scopes cannot double-refund — and the error its questions must
 // resolve with is returned. No locks are held: posting calls into the
 // backend and, on a synchronous cancel, into outcome callbacks.
-func (m *Manager) launch(fl *inflightHIT) error {
+func (m *Manager) launch(q queuedHIT) error {
+	fl := q.fl
 	id := fl.hit.ID
 	fl.byWorker = make([]hit.Answers, 0, fl.capA)
 	fl.postedAt = m.market.Clock().Now()
@@ -1321,7 +1289,7 @@ func (m *Manager) launch(fl *inflightHIT) error {
 		}
 		return fmt.Errorf("taskmgr: post %s: %v", fl.hit.Task, err)
 	}
-	m.traceHITPosted(fl)
+	m.countPosted(q)
 	for i := range fl.shares {
 		if cause := fl.shares[i].scope.registerHIT(id); cause != nil {
 			m.cancelScopeHIT(id, fl.shares[i].scope, cause)
@@ -1343,7 +1311,7 @@ func (m *Manager) launch(fl *inflightHIT) error {
 // strictly shrinks the scope set and terminates; a single-scope HIT is
 // its one-share case. A batch then becomes a HIT of its live items,
 // drawing its ID only now (other kinds drew theirs when opened), and
-// the HIT is counted, traced and launched. Last, the answers its caller
+// the HIT is traced and launched. Last, the answers its caller
 // resolved without the crowd are delivered, and a refused post's error
 // after them. A batch's items are owned by the HIT once cut (nothing
 // else edits their array), so drop filters them in place and the
@@ -1411,17 +1379,8 @@ func (m *Manager) postHIT(q queuedHIT) bool {
 			}
 		}
 		fl.hit.RewardCents, fl.cost, fl.backend = price, cost, m.servingBackend(def)
-		m.countPosted(fl)
-		if len(fl.shares) > 1 {
-			m.sharedHITs.Add(1)
-			m.sharedItems.Add(int64(len(fl.items)))
-			m.sharedSaved.Add(int64(len(fl.shares) - 1))
-			m.savedCents.Add(int64(cost) * int64(len(fl.shares)-1))
-		}
 		m.traceHITSpans(fl, pol, q.at)
-		if err = m.launch(fl); err == nil && fl.kind == kindBatch {
-			m.traceBatchMetrics(fl, pol, q.at)
-		}
+		err = m.launch(q)
 	}
 	for _, sc := range opened {
 		sc.endPost()
@@ -1444,7 +1403,7 @@ func (m *Manager) onAssignment(res mturk.AssignmentResult) {
 	}
 	fl.byWorker = append(fl.byWorker, res.Answers)
 	fl.received++
-	m.traceAssignment(fl, res.Answers.WorkerID)
+	m.noteAssignment(fl, res.Answers.WorkerID)
 	if fl.received < fl.needed {
 		t.mu.Unlock()
 		return
@@ -1475,7 +1434,7 @@ func (m *Manager) retire(hitID string, fl *inflightHIT, err error) {
 	fl.unregister(hitID)
 	m.hitRetired()
 	if fl.received == 0 {
-		m.traceHITAbandoned(fl, err)
+		m.noteHITAbandoned(fl, err)
 		fl.fail(fmt.Errorf("taskmgr: %s: %v", fl.hit.Task, err))
 	} else {
 		m.finalizeInflight(fl)
@@ -1516,11 +1475,11 @@ func (m *Manager) finalizeInflight(fl *inflightHIT) {
 		j.Append(store.Record{Kind: store.KindLatency, Task: fl.hit.Task, X: latencyMin})
 	}
 	if fl.adaptive {
-		m.adaptiveHITs.Add(1)
-		m.adaptiveAssign.Add(int64(fl.assign))
-		m.adaptiveCapSum.Add(int64(fl.capA))
+		m.adaptiveHITs.Counter(m.metrics, obs.MetricAdaptiveHITs).Add(1)
+		m.adaptiveUsed.Counter(m.metrics, obs.MetricAdaptiveAssigned).Add(int64(fl.assign))
+		m.adaptiveCap.Counter(m.metrics, obs.MetricAdaptiveCap).Add(int64(fl.capA))
 		if saved := int64(fl.capA-fl.assign) * fl.hit.RewardCents; saved > 0 {
-			m.inferSaved.Add(saved)
+			m.inferSaved.Counter(m.metrics, obs.MetricInferenceSaved).Add(saved)
 		}
 	}
 
@@ -1541,7 +1500,7 @@ func (m *Manager) finalizeInflight(fl *inflightHIT) {
 		}
 		m.noteWorkerQuality(accs)
 	}
-	m.traceHITDone(fl, latencyMin, posts)
+	m.noteHITDone(fl, latencyMin, posts)
 	if fl.kind == kindRank {
 		m.finalizeRank(fl, j, latencyMin)
 		return
@@ -1723,25 +1682,33 @@ func (m *Manager) Stats() []TaskStats {
 	states := m.states()
 	out := make([]TaskStats, 0, len(states))
 	for _, st := range states {
-		st.mu.Lock()
-		ts := TaskStats{
-			Task:           st.name,
-			Submitted:      st.submitted,
-			HITsPosted:     st.hitsPosted,
-			QuestionsAsked: st.questionsAsked,
-			CacheHits:      st.cacheHits,
-			ModelAnswers:   st.modelAnswers,
-			SpentCents:     st.spent,
-		}
-		st.mu.Unlock()
-		ts.Selectivity = st.selectivity.Estimate()
-		ts.SelTrials = st.selectivity.Trials()
-		ts.MeanLatencyMin = st.latency.Value()
-		ts.MeanAgreement = st.agreement.Value()
-		out = append(out, ts)
+		out = append(out, st.stats())
 	}
-	sortTaskStats(out)
+	sort.Slice(out, func(i, j int) bool { return out[i].Task < out[j].Task })
 	return out
+}
+
+// stats reads the task's statistics: its counters from the registry
+// series the task's events count on, its estimators directly.
+func (st *taskState) stats() TaskStats {
+	ts := TaskStats{
+		Task:           st.name,
+		Submitted:      st.submitted.Value(),
+		QuestionsAsked: st.questions.Value(),
+		CacheHits:      st.cacheHits.Value(),
+		ModelAnswers:   st.modelAnswers.Value(),
+		SpentCents:     budget.Cents(st.cost.Value()),
+		Selectivity:    st.selectivity.Estimate(),
+		SelTrials:      st.selectivity.Trials(),
+		MeanLatencyMin: st.latency.Value(),
+		MeanAgreement:  st.agreement.Value(),
+	}
+	st.mu.Lock()
+	for _, bs := range st.backends {
+		ts.HITsPosted += bs.hits.Value()
+	}
+	st.mu.Unlock()
+	return ts
 }
 
 // SideSelectivity reports the selectivity estimate and trial count for
@@ -1776,20 +1743,19 @@ func (m *Manager) HasSideEvidence(task string) bool {
 	return false
 }
 
-// StatsFor returns one task's statistics.
+// StatsFor returns one task's statistics, or none under the task's
+// lower-cased name when the manager has not seen it.
 func (m *Manager) StatsFor(task string) TaskStats {
-	all := m.Stats()
-	key := strings.ToLower(task)
-	for _, s := range all {
-		if s.Task == key {
-			return s
-		}
+	m.mu.Lock()
+	st, ok := m.spelled[task]
+	if !ok {
+		st = m.tasks[strings.ToLower(task)]
 	}
-	return TaskStats{Task: key}
-}
-
-func sortTaskStats(ss []TaskStats) {
-	sort.Slice(ss, func(i, j int) bool { return ss[i].Task < ss[j].Task })
+	m.mu.Unlock()
+	if st == nil {
+		return TaskStats{Task: strings.ToLower(task)}
+	}
+	return st.stats()
 }
 
 // states snapshots the task registry.
@@ -1866,10 +1832,10 @@ type SharingStats struct {
 // Sharing reports cross-query co-batching counters.
 func (m *Manager) Sharing() SharingStats {
 	return SharingStats{
-		SharedHITs:     m.sharedHITs.Load(),
-		CoBatchedItems: m.sharedItems.Load(),
-		HITsSaved:      m.sharedSaved.Load(),
-		SavedCents:     budget.Cents(m.savedCents.Load()),
+		SharedHITs:     m.sharedHITs.Value(),
+		CoBatchedItems: m.coBatched.Value(),
+		HITsSaved:      m.sharedSaved.Value(),
+		SavedCents:     budget.Cents(m.sharedCents.Value()),
 	}
 }
 

@@ -154,8 +154,8 @@ var (
 	// WithWeight sets the query's fair-share weight under an admission
 	// gate (Config.MaxInflightHITs).
 	WithWeight = core.WithWeight
-	// WithLabel tags the query's scope so its HIT/cost metrics get a
-	// per-scope series (only meaningful with Config.Trace).
+	// WithLabel tags the query's scope so its cost metrics get a
+	// per-scope series.
 	WithLabel = core.WithLabel
 )
 
